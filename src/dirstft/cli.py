@@ -146,7 +146,7 @@ def cmd_analyze(cfg: dict, args) -> int:
     if args.oracle:
         F = dstft_direct(f, g, frame, y_grid=y_grid)
     else:
-        F = dstft_fast(f, g, frame, y_grid=y_grid, threads=args.threads)
+        F = dstft_fast(f, g, frame, y_grid=y_grid)
     sigio.write_field(cfg["out"], F)
     return 0
 
@@ -159,17 +159,11 @@ def cmd_synthesize(cfg: dict, args) -> int:
     if "out_grid" in cfg:
         out_grid = _parse_grid(cfg["out_grid"])
     else:
-        # primal grid of the field's frequency lattice
-        dual = F.xi_grid
-        spacing = tuple(1.0 / (dual.counts[j] * dual.spacing[j])
-                        for j in range(dual.dim))
-        origin = tuple(-(dual.counts[j] // 2) * spacing[j]
-                       for j in range(dual.dim))
-        out_grid = Grid(origin, spacing, dual.counts)
+        out_grid = F.xi_grid.primal()
     if args.oracle:
         rec = dso_direct(F, g, F.frame, out_grid)
     else:
-        rec = dso(F, g, F.frame, out_grid, threads=args.threads)
+        rec = dso(F, g, F.frame, out_grid)
     sigio.write_signal(cfg["out"], rec)
     return 0
 
@@ -190,9 +184,9 @@ def cmd_roundtrip(cfg: dict, args) -> int:
               f"magnitude={cert.magnitude}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    F = dstft_fast(f, g, frame, y_grid=y_grid, threads=args.threads)
+    F = dstft_fast(f, g, frame, y_grid=y_grid)
     t1 = time.perf_counter()
-    rec = dso(F, phi, frame, f.grid, threads=args.threads)
+    rec = dso(F, phi, frame, f.grid)
     rec = Signal(f.grid, rec.values / cert.value)
     t2 = time.perf_counter()
     norm = float(np.linalg.norm(f.values))
@@ -288,7 +282,7 @@ def cmd_wavefront(cfg: dict, args) -> int:
             f, g, frame, alpha, cells, cones,
             threshold_N=float(cfg.get("threshold_N", 1.0)),
             residual_cap=float(cfg.get("residual_cap", 0.5)),
-            y_grid=y_grid, strict=args.strict_window, threads=args.threads)
+            y_grid=y_grid, strict=args.strict_window)
     out = _report_json(report)
     truth = None
     sidecar = str(cfg["signal"]) + ".json"
@@ -480,7 +474,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="dstft")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config path")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--oracle", action="store_true",
                         help="use the direct-summation oracle paths")
     parser.add_argument("--strict-window", dest="strict_window",

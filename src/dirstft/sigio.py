@@ -11,11 +11,14 @@ Field (version 2):
     frame block: n u32, k u32, then k*n f64 direction rows,
     then interleaved (re, im) f64 field samples, y-major then xi row-major.
 
-All values little-endian.
+All values little-endian.  Readers reject a file whose length differs from
+the one its header implies (truncated, or with trailing bytes) before
+unpacking any samples.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -37,12 +40,19 @@ def _pack_grid(grid: Grid) -> bytes:
     return b"".join(out)
 
 
-def _unpack_grid(buf: bytes, off: int):
-    (dim,) = struct.unpack_from("<I", buf, off)
+def _unpack_from(fmt: str, buf: bytes, off: int, path) -> tuple:
+    try:
+        return struct.unpack_from(fmt, buf, off)
+    except struct.error:
+        raise ValueError(f"{path}: truncated header ({len(buf)} bytes)") from None
+
+
+def _unpack_grid(buf: bytes, off: int, path):
+    (dim,) = _unpack_from("<I", buf, off, path)
     off += 4
     origin, spacing, counts = [], [], []
     for _ in range(dim):
-        o, s, n = struct.unpack_from("<ddQ", buf, off)
+        o, s, n = _unpack_from("<ddQ", buf, off, path)
         off += 24
         origin.append(o)
         spacing.append(s)
@@ -50,17 +60,19 @@ def _unpack_grid(buf: bytes, off: int):
     return Grid(tuple(origin), tuple(spacing), tuple(counts)), off
 
 
+def _check_length(path, buf: bytes, expected: int) -> None:
+    """Reject truncated files and trailing bytes before anything is unpacked."""
+    if len(buf) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes, got {len(buf)}")
+
+
 def _pack_values(values: np.ndarray) -> bytes:
-    flat = np.ascontiguousarray(values, dtype=complex).ravel()
-    inter = np.empty(2 * flat.size)
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
-    return inter.astype("<f8").tobytes()
+    # little-endian complex128 is the interleaved (re, im) f64 layout
+    return np.ascontiguousarray(values, dtype="<c16").tobytes()
 
 
 def _unpack_values(buf: bytes, off: int, count: int) -> np.ndarray:
-    inter = np.frombuffer(buf, dtype="<f8", count=2 * count, offset=off)
-    return inter[0::2] + 1j * inter[1::2]
+    return np.frombuffer(buf, dtype="<c16", count=count, offset=off).astype(complex)
 
 
 def write_signal(path, f: Signal) -> None:
@@ -76,11 +88,12 @@ def read_signal(path) -> Signal:
         buf = fh.read()
     if buf[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {buf[:4]!r}")
-    (version,) = struct.unpack_from("<I", buf, 4)
+    (version,) = _unpack_from("<I", buf, 4, path)
     if version != SIGNAL_VERSION:
         raise ValueError(f"{path}: expected signal version {SIGNAL_VERSION}, "
                          f"got {version}")
-    grid, off = _unpack_grid(buf, 8)
+    grid, off = _unpack_grid(buf, 8, path)
+    _check_length(path, buf, off + 16 * math.prod(grid.counts))
     vals = _unpack_values(buf, off, grid.size)
     return Signal(grid, vals.reshape(grid.counts))
 
@@ -142,14 +155,16 @@ def read_field(path) -> DstftField:
         buf = fh.read()
     if buf[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {buf[:4]!r}")
-    (version,) = struct.unpack_from("<I", buf, 4)
+    (version,) = _unpack_from("<I", buf, 4, path)
     if version != FIELD_VERSION:
         raise ValueError(f"{path}: expected field version {FIELD_VERSION}, "
                          f"got {version}")
-    y_grid, off = _unpack_grid(buf, 8)
-    xi_grid, off = _unpack_grid(buf, off)
-    n, k = struct.unpack_from("<II", buf, off)
+    y_grid, off = _unpack_grid(buf, 8, path)
+    xi_grid, off = _unpack_grid(buf, off, path)
+    n, k = _unpack_from("<II", buf, off, path)
     off += 8
+    _check_length(path, buf, off + 8 * n * k
+                  + 16 * math.prod(y_grid.counts) * math.prod(xi_grid.counts))
     u = np.frombuffer(buf, dtype="<f8", count=n * k, offset=off).reshape(k, n)
     off += 8 * n * k
     frame = build_frame(u)

@@ -7,58 +7,36 @@ DS*_{g,u^k} F(t) = integral integral F(y~, xi) g((u.t) - y~)
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .direction import DirectionFrame, identity_frame, pullback
-from .grids import Grid, Signal, Spectrum, dft, idft, inner_product
+from .grids import Grid, Signal, Spectrum, idft, inner_product, primal_phase
 from .transform import DstftField, default_y_grid, dstft_fast
-from .windows import Window, pairing_check, window_at
+from .windows import Window, pairing_check, window_blocks
 
 DSO_WORK_CAP = 2 ** 27
 
 
-def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid,
-        threads: int = 1) -> Signal:
-    """Quadrature synthesis; inverse DFT per y~ slice, then the y~ Riemann sum.
+def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Signal:
+    """Quadrature synthesis: per y~ block, one batched inverse DFT weighted
+    by the windows, then the y~ Riemann sum.
 
-    Falls back to direct phase summation when out_grid is not the primal grid
-    of the field's frequency lattice.
+    Falls back to direct phase summation, capped at DSO_WORK_CAP, when
+    out_grid is not the primal grid of the field's frequency lattice.
     """
     if out_grid.dim != frame.n:
         raise ValueError("out_grid dimension must equal frame n")
     if g.grid.dim != frame.k:
         raise ValueError("window dimension must equal frame k")
     if out_grid.dual() != F.xi_grid:
-        return dso_direct(F, g, frame, out_grid, work_cap=None)
+        return dso_direct(F, g, frame, out_grid, work_cap=DSO_WORK_CAP)
 
-    T = out_grid.points()
-    proj = T @ frame.u.T
-    Y = F.y_grid.points()
-    spectrum = None
-    if g.grid.lattice_index(proj - Y[0]) is None:
-        spectrum = dft(g.as_signal())
-    slices = F.values.reshape(F.y_size, *F.xi_grid.counts)
+    slices = F.values.reshape((F.y_size,) + F.xi_grid.counts)
     acc = np.zeros(out_grid.size, dtype=complex)
-    lock_free = [np.zeros(out_grid.size, dtype=complex) for _ in range(max(threads, 1))]
-
-    def run(worker: int, iy: int):
-        inv = idft(Spectrum(F.xi_grid, slices[iy]), out_grid)
-        w = window_at(g, proj - Y[iy], spectrum=spectrum)
-        lock_free[worker] += inv.values.ravel() * w
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run, iy % threads, iy) for iy in range(Y.shape[0])]
-            for fut in futures:
-                fut.result()
-    else:
-        for iy in range(Y.shape[0]):
-            run(0, iy)
-    for part in lock_free:
-        acc += part
-    acc *= F.y_grid.cell_volume
+    for lo, hi, W in window_blocks(g, out_grid, frame.u, F.y_grid.points()):
+        inv = idft(Spectrum(F.xi_grid, slices[lo:hi]), out_grid, phased=False)
+        acc += np.einsum("bt,bt->t", inv.values.reshape(hi - lo, -1), W)
+    acc *= primal_phase(out_grid).ravel() * F.y_grid.cell_volume
     return Signal(out_grid, acc.reshape(out_grid.counts))
 
 
@@ -69,32 +47,29 @@ def dso_direct(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid,
         raise ValueError("out_grid dimension must equal frame n")
     work = out_grid.size * F.y_size * F.xi_size
     if work_cap is not None and work > work_cap:
-        raise ValueError(f"direct synthesis work {work} exceeds cap {work_cap}")
+        raise ValueError(
+            f"direct synthesis work {work} exceeds cap {work_cap}; the fast "
+            f"path needs out_grid = {F.xi_grid.primal()}, the primal grid of "
+            "the field's frequency lattice")
     T = out_grid.points()
-    proj = T @ frame.u.T
-    Y = F.y_grid.points()
     Xi = F.xi_grid.points()
-    spectrum = None
-    if g.grid.lattice_index(proj - Y[0]) is None:
-        spectrum = dft(g.as_signal())
-    phases = np.exp(2j * np.pi * (T @ Xi.T))   # (Nt, Nxi)
+    phases = np.exp(2j * np.pi * (Xi @ T.T))   # (Nxi, Nt)
     slices = F.values.reshape(F.y_size, F.xi_size)
     acc = np.zeros(out_grid.size, dtype=complex)
-    for iy in range(Y.shape[0]):
-        w = window_at(g, proj - Y[iy], spectrum=spectrum)
-        acc += (phases @ slices[iy]) * w
+    for lo, hi, W in window_blocks(g, out_grid, frame.u, F.y_grid.points()):
+        acc += np.einsum("bt,bt->t", slices[lo:hi] @ phases, W)
     acc *= F.y_grid.cell_volume * F.xi_grid.cell_volume
     return Signal(out_grid, acc.reshape(out_grid.counts))
 
 
 def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
-                y_grid: Grid | None = None, threads: int = 1) -> Signal:
+                y_grid: Grid | None = None) -> Signal:
     """(1/(g, phi)) DS*_{phi} DS_g f; requires an admissible window pairing."""
     cert = pairing_check(g, phi)
     if not cert.admissible:
         raise ValueError(f"inadmissible window pairing: {cert}")
-    F = dstft_fast(f, g, frame, y_grid=y_grid, threads=threads)
-    rec = dso(F, phi, frame, f.grid, threads=threads)
+    F = dstft_fast(f, g, frame, y_grid=y_grid)
+    rec = dso(F, phi, frame, f.grid)
     return Signal(f.grid, rec.values / cert.value)
 
 

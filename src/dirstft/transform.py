@@ -3,22 +3,22 @@
 DS_{g,u^k} f(y~, xi) = integral f(t) conj(g((u_1.t, ..., u_k.t) - y~))
                        exp(-2 pi i t . xi) dt
 
-sampled on a y~-grid in R^k and the DFT-dual frequency lattice in R^n.  The
-fast path assembles the windowed signal per y~ slice and hands it to the FFT
-quadrature; the direct path is the brute-force oracle and also accepts
-arbitrary off-lattice frequencies.
+sampled on a y~-grid in R^k and the DFT-dual frequency lattice in R^n.  Both
+paths take their windows in y~ blocks from windows.window_blocks.  The fast
+path hands each block of windowed signals to one batched FFT quadrature; the
+direct path is the brute-force oracle and also accepts arbitrary off-lattice
+frequencies.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .direction import DirectionFrame
 from .grids import Grid, Signal, dft
-from .windows import Window, WindowKind, tensor_window, window_at
+from .windows import Window, tensor_window, window_blocks
 
 DIRECT_WORK_CAP = 2 ** 27
 
@@ -67,22 +67,8 @@ def default_y_grid(grid: Grid, k: int) -> Grid:
     return Grid(grid.origin[:k], grid.spacing[:k], grid.counts[:k])
 
 
-def _window_slices(f: Signal, g: Window, frame: DirectionFrame, y_grid: Grid):
-    """Yield (flat y index, window values conj-ready on the t lattice)."""
-    T = f.grid.points()
-    proj = T @ frame.u.T                     # (Nt, k)
-    Y = y_grid.points()
-    spectrum = None
-    # Precompute the window spectrum once when interpolation will be needed.
-    if g.grid.lattice_index(proj - Y[0]) is None:
-        spectrum = dft(g.as_signal())
-    for iy in range(Y.shape[0]):
-        w = window_at(g, proj - Y[iy], spectrum=spectrum)
-        yield iy, w
-
-
 def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
-               y_grid: Grid | None = None, threads: int = 1) -> DstftField:
+               y_grid: Grid | None = None) -> DstftField:
     """FFT-quadrature k-DSTFT on the dual frequency lattice."""
     if f.grid.dim != frame.n:
         raise ValueError("signal dimension must match frame n")
@@ -92,20 +78,10 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
     xi_grid = f.grid.dual()
     flat_f = f.values.ravel()
     out = np.empty((y_grid.size,) + xi_grid.counts, dtype=complex)
-
-    slices = list(_window_slices(f, g, frame, y_grid))
-
-    def run(item):
-        iy, w = item
-        windowed = Signal(f.grid, (flat_f * np.conj(w)).reshape(f.grid.counts))
-        out[iy] = dft(windowed).values
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, slices))
-    else:
-        for item in slices:
-            run(item)
+    for lo, hi, W in window_blocks(g, f.grid, frame.u, y_grid.points()):
+        np.conjugate(W, out=W)
+        W *= flat_f
+        out[lo:hi] = dft(Signal(f.grid, W.reshape((hi - lo,) + f.grid.counts))).values
     return DstftField(y_grid, xi_grid, out.reshape(y_grid.counts + xi_grid.counts),
                       frame=frame, window_meta=g.meta)
 
@@ -132,24 +108,19 @@ def dstft_direct_at(f: Signal, g: Window, frame: DirectionFrame,
     y_pts = np.atleast_2d(np.asarray(y_pts, dtype=float))
     xi_pts = np.atleast_2d(np.asarray(xi_pts, dtype=float))
     T = f.grid.points()
-    proj = T @ frame.u.T
     flat_f = f.values.ravel()
     vol = f.grid.cell_volume
-    spectrum = None
-    if g.grid.lattice_index(proj - y_pts[0]) is None:
-        spectrum = dft(g.as_signal())
     out = np.empty((y_pts.shape[0], xi_pts.shape[0]), dtype=complex)
-    phases = np.exp(-2j * np.pi * (xi_pts @ T.T))   # (Nxi, Nt)
-    for iy in range(y_pts.shape[0]):
-        w = window_at(g, proj - y_pts[iy], spectrum=spectrum)
-        out[iy] = vol * (phases @ (flat_f * np.conj(w)))
+    phases = np.exp(-2j * np.pi * (T @ xi_pts.T))   # (Nt, Nxi)
+    for lo, hi, W in window_blocks(g, f.grid, frame.u, y_pts):
+        out[lo:hi] = vol * ((flat_f * np.conj(W)) @ phases)
     return out
 
 
 def partial_stft(f: Signal, g_list: list, frame: DirectionFrame,
-                 y_grid: Grid | None = None, threads: int = 1) -> DstftField:
+                 y_grid: Grid | None = None) -> DstftField:
     """Partial STFT: tensor-product window g(s) = g_1(s_1) ... g_k(s_k)."""
     if len(g_list) != frame.k:
         raise ValueError("need exactly k one-dimensional windows")
     g = tensor_window(list(g_list))
-    return dstft_fast(f, g, frame, y_grid=y_grid, threads=threads)
+    return dstft_fast(f, g, frame, y_grid=y_grid)

@@ -240,15 +240,14 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
                    y_cells: list, cones: list,
                    threshold_N: float = DEFAULT_THRESHOLD_N,
                    residual_cap: float = DEFAULT_RESIDUAL_CAP,
-                   y_grid: Grid | None = None, strict: bool = True,
-                   threads: int = 1) -> WavefrontReport:
+                   y_grid: Grid | None = None, strict: bool = True) -> WavefrontReport:
     """Exhaustive regular-point test over a (cell, cone) dictionary.
 
     The field is computed once; the singular set is the complement of the
     regular entries.
     """
     _check_scan_window(g, strict)
-    F = dstft_fast(f, g, frame, y_grid=y_grid, threads=threads)
+    F = dstft_fast(f, g, frame, y_grid=y_grid)
     Y = F.y_grid.points()
     flat = np.abs(F.values.reshape(F.y_size, F.xi_size))
     global_ref = float(flat.max())

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid, Signal, evaluate_trig, inner_product
+from .grids import BLOCK_ELEMS, Grid, Signal, dft, evaluate_trig, inner_product
 
 
 class WindowKind(enum.Enum):
@@ -115,7 +115,7 @@ def shifted(w: Window, delta) -> Window:
                   support_radius=0.0)
 
 
-def window_at(w: Window, pts: np.ndarray, spectrum=None) -> np.ndarray:
+def window_at(w: Window, pts: np.ndarray) -> np.ndarray:
     """Evaluate a window at arbitrary k-dim points.
 
     Lattice hits are gathered exactly; otherwise trigonometric interpolation
@@ -124,20 +124,134 @@ def window_at(w: Window, pts: np.ndarray, spectrum=None) -> np.ndarray:
     radius of a compactly supported bump.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    inside = w.grid.contains(pts)
     idx = w.grid.lattice_index(pts)
     if idx is not None:
+        # a lattice hit is inside iff its index is: near the upper edge the
+        # coordinate test can disagree with the rounded index
+        inside = np.all((idx >= 0) & (idx < np.asarray(w.grid.counts)), axis=-1)
         out = np.zeros(pts.shape[0], dtype=complex)
         if np.any(inside):
             clipped = idx[inside]
             flat = np.ravel_multi_index(clipped.T, w.grid.counts)
             out[inside] = w.values.ravel()[flat]
     else:
-        out = evaluate_trig(w.as_signal(), pts, outside_zero=True,
-                            spectrum=spectrum)
+        out = evaluate_trig(w.as_signal(), pts, outside_zero=True)
     if w.kind is WindowKind.GEVREY_BUMP and w.support_radius > 0:
         out = np.where(np.linalg.norm(pts, axis=-1) >= w.support_radius, 0.0, out)
     return out
+
+
+def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
+    """Yield (lo, hi, W) with W[b] = window_at(w, proj - Y[lo + b]), where
+    proj = grid.points() @ u.T are the sample points t projected on the k
+    direction rows of ``u``, and ``Y`` holds the y~ points, shape (Ny, k).
+
+    W is shaped (B, Nt) with B = max(1, BLOCK_ELEMS // Nt) rows.  One path
+    serves the whole y~ set: a gather from a zero-padded copy of the window
+    when every proj - y~ hits the window lattice, else the trigonometric
+    interpolation of window_at, factorized over (t, y~).  The trigonometric
+    path holds M Nt / N_0 entries per row (M window modes, N_0 samples on
+    the first signal axis) and takes fewer rows when that exceeds Nt.
+    """
+    u = np.atleast_2d(u)
+    proj = grid.points() @ u.T
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if Y.shape[0] == 0:
+        return
+    row = proj.shape[0]
+    block = _lattice_blocks(w, proj, Y)
+    if block is None:
+        block = _trig_blocks(w, grid, u, proj, Y)
+        row = max(row, w.grid.size * row // grid.counts[0])
+    step = max(1, BLOCK_ELEMS // row)
+    for lo in range(0, Y.shape[0], step):
+        hi = min(lo + step, Y.shape[0])
+        yield lo, hi, block(lo, hi)
+
+
+def _lattice_blocks(w: Window, proj: np.ndarray, Y: np.ndarray):
+    """Block gatherer for lattice frames, or None when some proj - y~ is off
+    the window lattice.
+
+    In window-lattice units proj is P (Nt, k) and y~ is Q (Ny, k); every
+    difference P - Q is integral iff P - P[0], Q - Q[0] and P[0] - Q[0] are,
+    which is checked once in O(Nt + Ny).  The integer indices are clipped to
+    the range that can reach the window, and the window is zero-padded to
+    the range of their differences, so a block is one flat gather
+    at fp[t] - fq[y~] with no per-point bounds test.
+    """
+    grid = w.grid
+    P = (proj - np.asarray(grid.origin)) / np.asarray(grid.spacing)
+    Q = Y / np.asarray(grid.spacing)
+    parts = [P - P[0], Q - Q[0], (P[0] - Q[0])[None, :]]
+    ints = [np.rint(x) for x in parts]
+    # the tolerance of Grid.lattice_index
+    if any(np.any(np.abs(x - i) > 1e-9) for x, i in zip(parts, ints)):
+        return None
+    n = np.asarray(grid.counts)
+    ip = (ints[0] + ints[2]).astype(np.int64)       # index of proj - Y[0]
+    iq = ints[1].astype(np.int64)                   # index shift of each y~
+    # clipping keeps every (t, y~) pair that misses the window missing
+    iq = np.clip(iq, ip.min(axis=0) - n, ip.max(axis=0) + 1)
+    ip = np.clip(ip, iq.min(axis=0) - 1, iq.max(axis=0) + n)
+    base = ip.min(axis=0) - iq.max(axis=0)          # smallest index ip - iq
+    shape = tuple(ip.max(axis=0) - iq.min(axis=0) - base + 1)
+    padded = np.zeros(shape, dtype=complex)
+    src = tuple(slice(max(0, b), min(c, b + s)) for b, c, s in zip(base, n, shape))
+    dst = tuple(slice(x.start - b, x.stop - b) for x, b in zip(src, base))
+    padded[dst] = w.values[src]
+    if w.kind is WindowKind.GEVREY_BUMP and w.support_radius > 0:
+        coords = [grid.origin[j] + (base[j] + np.arange(shape[j])) * grid.spacing[j]
+                  for j in range(grid.dim)]
+        mesh = np.meshgrid(*coords, indexing="ij")
+        radius = np.sqrt(sum(m ** 2 for m in mesh))
+        padded[radius >= w.support_radius] = 0.0
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    fp = (ip - base) @ strides
+    fq = iq @ strides
+    flat = padded.ravel()
+
+    def block(lo, hi):
+        return flat[fp[None, :] - fq[lo:hi, None]]
+
+    return block
+
+
+def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
+                 Y: np.ndarray):
+    """Block evaluator by trigonometric interpolation of the window.
+
+    With window modes X_m and coefficients c_m,
+    W[b, t] = sum_m c_m exp(-2 pi i X_m . Y_b) E[m, t], where
+    E[m, t] = exp(2 pi i X_m . u t) = prod_i exp(2 pi i (X_m . u_i) t_i)
+    factorizes over the signal axes.  A block multiplies in one per-axis
+    table at a time, last axis first, and contracts the modes against the
+    first; E itself is never formed.  Points outside the window box (and
+    outside a bump's support) are then zeroed, as in window_at.
+    """
+    spec = dft(w.as_signal())
+    X = spec.freq_grid.points()
+    c = spec.values.ravel() * spec.freq_grid.cell_volume
+    rates = X @ u                                   # (M, n)
+    tables = [np.exp(2j * np.pi * np.outer(rates[:, i], grid.axis(i)))
+              for i in range(grid.dim)]             # (M, N_i) each
+    bump = w.kind is WindowKind.GEVREY_BUMP and w.support_radius > 0
+
+    def block(lo, hi):
+        y = Y[lo:hi]
+        Z = (np.exp(-2j * np.pi * (y @ X.T)) * c)[:, :, None]    # (B, M, 1)
+        for e in tables[:0:-1]:
+            Z = (Z[:, :, None, :] * e[None, :, :, None]).reshape(
+                len(y), len(c), -1)
+        W = np.matmul(tables[0].T, Z).reshape(len(y), -1)
+        pts = proj[None, :, :] - y[:, None, :]
+        keep = w.grid.contains(pts)
+        if bump:
+            keep &= np.linalg.norm(pts, axis=-1) < w.support_radius
+        W[~keep] = 0.0
+        return W
+
+    return block
 
 
 def pairing_check(g: Window, phi: Window, eps_pair: float = EPS_PAIR) -> PairingCert:

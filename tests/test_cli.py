@@ -227,3 +227,41 @@ def test_selftest_oracle_cap_skips(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("SKIPPED") >= 2
+
+
+def _analyze_64(tmp_path):
+    sig = gen_gaussian(tmp_path, counts=(64, 64), lo=(-8, -8), hi=(8, 8))
+    win_cfg = {"kind": "gaussian", "sigma": [1.0],
+               "grid": {"bounds": [[-8], [8]], "counts": [64]}}
+    assert run(tmp_path, "analyze", {
+        "schema_version": 1, "signal": str(sig), "window": win_cfg,
+        "frame": {"u": [[1.0, 0.0]]}, "out": str(tmp_path / "F.dstf"),
+    }) == 0
+    return sig, win_cfg
+
+
+def test_synthesize_non_primal_grid_above_cap_exits_2(tmp_path, capsys):
+    _, win_cfg = _analyze_64(tmp_path)
+    code = run(tmp_path, "synthesize", {
+        "schema_version": 1, "field": str(tmp_path / "F.dstf"),
+        "window": win_cfg, "out": str(tmp_path / "rec.dstf"),
+        "out_grid": {"bounds": [[-8, -8], [8, 8]], "counts": [32, 32]},
+    })
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "primal grid" in err and "Traceback" not in err
+    assert not (tmp_path / "rec.dstf").exists()
+
+
+@pytest.mark.parametrize("cut", [16, -3])
+def test_analyze_rejects_bad_signal_length(tmp_path, capsys, cut):
+    sig, win_cfg = _analyze_64(tmp_path)
+    buf = sig.read_bytes()
+    sig.write_bytes(buf[:-cut] if cut > 0 else buf + b"\x00" * -cut)
+    code = run(tmp_path, "analyze", {
+        "schema_version": 1, "signal": str(sig), "window": win_cfg,
+        "frame": {"u": [[1.0, 0.0]]}, "out": str(tmp_path / "G.dstf"),
+    })
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"expected {len(buf)} bytes, got {len(buf) - cut}" in err

@@ -5,7 +5,7 @@ from dirstft import (Grid, Signal, Spectrum, dft, dft_oracle, idft,
                      inner_product, inner_product_spectrum)
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import (BoundaryMassWarning, boundary_mass_fraction,
-                           check_boundary_mass, relative_error)
+                           check_boundary_mass, primal_phase, relative_error)
 
 
 def test_grid_basic_geometry():
@@ -156,3 +156,31 @@ def test_signal_rejects_nonfinite():
     vals[3] = np.nan
     with pytest.raises(ValueError):
         Signal(g, vals)
+
+
+@pytest.mark.parametrize("counts", [(7,), (8,), (9, 12), (15, 16, 5)])
+def test_primal_inverts_dual(counts):
+    d = len(counts)
+    g = Grid.from_bounds([-3.0] * d, [5.0] * d, counts)
+    dual = g.dual()
+    assert dual.primal().dual() == dual
+    centered = dual.primal()
+    assert centered.counts == g.counts
+    assert np.allclose(centered.spacing, g.spacing, rtol=1e-14, atol=0)
+    assert all(o == -(n // 2) * s for o, n, s in
+               zip(centered.origin, centered.counts, centered.spacing))
+
+
+def test_dft_idft_batch_axes_match_per_item():
+    g = Grid.from_bounds([-4, -2], [4, 3], [8, 7])
+    batch = np.stack([random_bandlimited(g, s, band=0.5).values
+                      for s in range(3)])
+    F = dft(Signal(g, batch))
+    assert F.values.shape == (3, 8, 7)
+    for b in range(3):
+        one = dft(Signal(g, batch[b]))
+        assert np.array_equal(F.values[b], one.values)
+        assert np.array_equal(idft(Spectrum(one.freq_grid, F.values[b]), g).values,
+                              idft(F, g).values[b])
+    raw = idft(F, g, phased=False).values
+    assert np.allclose(raw * primal_phase(g), idft(F, g).values, rtol=0, atol=1e-15)

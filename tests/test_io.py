@@ -93,3 +93,47 @@ def test_binary_file_is_little_endian_layout(tmp_path, signal):
     assert int.from_bytes(buf[8:12], "little") == 2      # dim
     expected = 12 + 2 * 24 + 16 * signal.grid.size
     assert len(buf) == expected
+
+
+def _field_file(tmp_path, signal):
+    win = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
+    p = tmp_path / "F.dstf"
+    write_field(p, dstft_fast(signal, win, build_frame([[1.0, 0.0]])))
+    return p
+
+
+def _signal_file(tmp_path, signal):
+    p = tmp_path / "f.dstf"
+    write_signal(p, signal)
+    return p
+
+
+@pytest.mark.parametrize("make, read", [(_signal_file, read_signal),
+                                        (_field_file, read_field)])
+def test_truncated_file_rejected(tmp_path, signal, make, read):
+    p = make(tmp_path, signal)
+    size = p.stat().st_size
+    p.write_bytes(p.read_bytes()[:-16])
+    with pytest.raises(ValueError,
+                       match=f"expected {size} bytes, got {size - 16}"):
+        read(p)
+
+
+@pytest.mark.parametrize("make, read", [(_signal_file, read_signal),
+                                        (_field_file, read_field)])
+def test_trailing_bytes_rejected(tmp_path, signal, make, read):
+    p = make(tmp_path, signal)
+    size = p.stat().st_size
+    p.write_bytes(p.read_bytes() + b"\x00" * 3)
+    with pytest.raises(ValueError,
+                       match=f"expected {size} bytes, got {size + 3}"):
+        read(p)
+
+
+@pytest.mark.parametrize("make, read", [(_signal_file, read_signal),
+                                        (_field_file, read_field)])
+def test_truncated_header_rejected(tmp_path, signal, make, read):
+    p = make(tmp_path, signal)
+    p.write_bytes(p.read_bytes()[:20])
+    with pytest.raises(ValueError, match="truncated header"):
+        read(p)

@@ -21,17 +21,6 @@ def test_dso_fast_matches_direct():
     assert relative_error(fast.values, slow.values) < 1e-10
 
 
-def test_dso_threads_do_not_change_values():
-    g = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
-    f = random_bandlimited(g, 4, band=0.5)
-    win = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
-    frame = build_frame([[1.0, 0.0]])
-    F = dstft_fast(f, win, frame)
-    one = dso(F, win, frame, g, threads=1)
-    four = dso(F, win, frame, g, threads=4)
-    assert np.allclose(one.values, four.values, atol=1e-12)
-
-
 def test_reconstruct_same_window():
     g = Grid.from_bounds([-8], [8], [64])
     f = gaussian(g, sigma=1.0)
@@ -184,3 +173,25 @@ def test_window_change_rejects_incommensurate_gamma_grid():
     phi = gaussian_window(other, 1.0)
     with pytest.raises(ValueError):
         window_change(F, gamma, phi, frame, gaussian_window(other, 1.0))
+
+
+def test_dso_non_primal_out_grid_uses_direct_path():
+    g = Grid.from_bounds([-4, -4], [4, 4], [8, 8])
+    f = random_bandlimited(g, 3, band=0.5)
+    win = gaussian_window(Grid.from_bounds([-4], [4], [8]), 1.0)
+    frame = build_frame([[1.0, 1.0]])
+    F = dstft_fast(f, win, frame)
+    other = Grid.from_bounds([-3, -3], [3, 3], [6, 6])
+    got = dso(F, win, frame, other)
+    assert np.array_equal(got.values, dso_direct(F, win, frame, other).values)
+
+
+def test_dso_non_primal_out_grid_above_cap_rejected():
+    g = Grid.from_bounds([-8, -8], [8, 8], [64, 64])
+    f = gaussian(g, sigma=1.0)
+    win = gaussian_window(Grid.from_bounds([-8], [8], [64]), 1.0)
+    frame = build_frame([[1.0, 0.0]])
+    F = dstft_fast(f, win, frame)
+    other = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
+    with pytest.raises(ValueError, match="exceeds cap .* primal grid"):
+        dso(F, win, frame, other)

