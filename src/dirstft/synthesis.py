@@ -11,7 +11,7 @@ import numpy as np
 
 from .direction import DirectionFrame, identity_frame, pullback
 from .grids import Grid, Signal, Spectrum, idft, inner_product, primal_phase
-from .transform import DstftField, default_y_grid, dstft_fast
+from .transform import DstftField, default_y_grid, dstft_blocks, dstft_fast
 from .windows import Window, pairing_check, window_blocks
 
 DSO_WORK_CAP = 2 ** 27
@@ -32,12 +32,23 @@ def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Sign
         return dso_direct(F, g, frame, out_grid, work_cap=DSO_WORK_CAP)
 
     slices = F.values.reshape((F.y_size,) + F.xi_grid.counts)
+    pairs = ((slices[lo:hi], W) for lo, hi, W
+             in window_blocks(g, out_grid, frame.u, F.y_grid.points()))
+    return Signal(out_grid, _synthesize(pairs, F.xi_grid, out_grid,
+                                        F.y_grid.cell_volume))
+
+
+def _synthesize(pairs, xi_grid: Grid, out_grid: Grid, y_volume: float) -> np.ndarray:
+    """sum over y~ blocks of idft(S, phased=False) . W for each (S, W) pair,
+    with S shaped (B,) + xi_grid.counts and W shaped (B, Nt); the primal
+    phase and the y~ cell volume are applied once after the sum."""
     acc = np.zeros(out_grid.size, dtype=complex)
-    for lo, hi, W in window_blocks(g, out_grid, frame.u, F.y_grid.points()):
-        inv = idft(Spectrum(F.xi_grid, slices[lo:hi]), out_grid, phased=False)
-        acc += np.einsum("bt,bt->t", inv.values.reshape(hi - lo, -1), W)
-    acc *= primal_phase(out_grid).ravel() * F.y_grid.cell_volume
-    return Signal(out_grid, acc.reshape(out_grid.counts))
+    for S, W in pairs:
+        # one statement, so the inverse is freed before the next block
+        acc += np.einsum("bt,bt->t", idft(Spectrum(xi_grid, S), out_grid,
+                                          phased=False).values.reshape(W.shape), W)
+    acc *= primal_phase(out_grid).ravel() * y_volume
+    return acc.reshape(out_grid.counts)
 
 
 def dso_direct(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid,
@@ -64,13 +75,34 @@ def dso_direct(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid,
 
 def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
                 y_grid: Grid | None = None) -> Signal:
-    """(1/(g, phi)) DS*_{phi} DS_g f; requires an admissible window pairing."""
+    """(1/(g, phi)) DS*_{phi} DS_g f; requires an admissible window pairing.
+
+    Analysis and synthesis are fused per y~ block, so memory stays at a few
+    blocks plus the signal; the field is never stored.  When phi is g, the
+    analysis window blocks are reused for synthesis.
+    """
     cert = pairing_check(g, phi)
     if not cert.admissible:
         raise ValueError(f"inadmissible window pairing: {cert}")
-    F = dstft_fast(f, g, frame, y_grid=y_grid)
-    rec = dso(F, phi, frame, f.grid)
-    return Signal(f.grid, rec.values / cert.value)
+    y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
+    analysis = dstft_blocks(f, g, frame, y_grid)
+    if phi is g:
+        pairs = ((S, W) for _, _, W, S in analysis)
+    else:
+        pairs = _zip_blocks(analysis, window_blocks(phi, f.grid, frame.u,
+                                                    y_grid.points()))
+    rec = _synthesize(pairs, f.grid.dual(), f.grid, y_grid.cell_volume)
+    return Signal(f.grid, rec / cert.value)
+
+
+def _zip_blocks(analysis, synthesis):
+    """(S, W_phi) pairs from analysis and synthesis blocks of the same y~
+    rows; windows on one grid take the same path and block size."""
+    for (lo, hi, _, S), (lo_w, hi_w, W) in zip(analysis, synthesis, strict=True):
+        if (lo, hi) != (lo_w, hi_w):
+            raise RuntimeError(f"analysis block {lo}:{hi} does not match "
+                               f"synthesis block {lo_w}:{hi_w}")
+        yield S, W
 
 
 def orthogonality_check(f1: Signal, f2: Signal, g: Window, phi: Window,

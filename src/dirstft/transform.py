@@ -5,9 +5,11 @@ DS_{g,u^k} f(y~, xi) = integral f(t) conj(g((u_1.t, ..., u_k.t) - y~))
 
 sampled on a y~-grid in R^k and the DFT-dual frequency lattice in R^n.  Both
 paths take their windows in y~ blocks from windows.window_blocks.  The fast
-path hands each block of windowed signals to one batched FFT quadrature; the
-direct path is the brute-force oracle and also accepts arbitrary off-lattice
-frequencies.
+path, dstft_blocks, hands each block of windowed signals to one batched FFT
+quadrature and yields the block's spectra; dstft_fast collects them into a
+field, while reconstruction and the wavefront scan consume them block by
+block.  The direct path is the brute-force oracle and also accepts arbitrary
+off-lattice frequencies.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .direction import DirectionFrame
-from .grids import Grid, Signal, dft
+from .grids import BLOCK_ELEMS, Grid, Signal, dft
 from .windows import Window, tensor_window, window_blocks
 
 DIRECT_WORK_CAP = 2 ** 27
+
+# Largest field, in bytes, that dstft_fast and dstft_direct allocate.
+FIELD_BYTES_CAP = 2 ** 31
 
 
 @dataclass
@@ -34,12 +39,17 @@ class DstftField:
     window_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.ascontiguousarray(self.values, dtype=complex)
         expected = self.y_grid.counts + self.xi_grid.counts
         if vals.shape != expected:
             vals = vals.reshape(expected)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
+        # chunked, so the check allocates one block-sized mask, not a mask
+        # the size of the field
+        parts = vals.reshape(-1).view(np.float64)
+        step = 2 * BLOCK_ELEMS
+        for lo in range(0, parts.size, step):
+            if not np.isfinite(parts[lo:lo + step]).all():
+                raise ValueError("field values must be finite")
         self.values = vals
 
     @property
@@ -67,21 +77,54 @@ def default_y_grid(grid: Grid, k: int) -> Grid:
     return Grid(grid.origin[:k], grid.spacing[:k], grid.counts[:k])
 
 
-def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
-               y_grid: Grid | None = None) -> DstftField:
-    """FFT-quadrature k-DSTFT on the dual frequency lattice."""
+def _check_field_bytes(y_grid: Grid, xi_grid: Grid) -> None:
+    nbytes = 16 * y_grid.size * xi_grid.size
+    if nbytes > FIELD_BYTES_CAP:
+        raise ValueError(
+            f"a field of {y_grid.size} y~ points x {xi_grid.size} frequencies "
+            f"takes {nbytes} bytes, above the cap of {FIELD_BYTES_CAP}; "
+            "roundtrip and wavefront stream the transform in y~ blocks "
+            "instead of storing it")
+
+
+def dstft_blocks(f: Signal, g: Window, frame: DirectionFrame, y_grid: Grid):
+    """The FFT-quadrature k-DSTFT in y~ blocks.
+
+    Returns an iterator of (lo, hi, W, S): W is the window block of
+    windows.window_blocks for the y~ rows lo:hi, shaped (hi - lo, Nt), and
+    S = dft(conj(W) f) holds DS f on those rows, shaped
+    (hi - lo,) + xi_grid.counts with xi_grid = f.grid.dual().  W is left
+    unchanged, so a consumer can reuse it as a synthesis window.  The
+    arguments are checked before the first block is computed.
+    """
     if f.grid.dim != frame.n:
         raise ValueError("signal dimension must match frame n")
     if g.grid.dim != frame.k:
         raise ValueError("window dimension must match frame k")
+    flat_f = f.values.ravel()
+
+    def spectra(lo, hi, W):
+        work = np.conjugate(W)
+        work *= flat_f
+        return dft(Signal(f.grid, work.reshape((hi - lo,) + f.grid.counts))).values
+
+    return ((lo, hi, W, spectra(lo, hi, W))
+            for lo, hi, W in window_blocks(g, f.grid, frame.u, y_grid.points()))
+
+
+def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
+               y_grid: Grid | None = None) -> DstftField:
+    """FFT-quadrature k-DSTFT on the dual frequency lattice, as one field.
+
+    Rejects a field above FIELD_BYTES_CAP before allocating it.
+    """
     y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
     xi_grid = f.grid.dual()
-    flat_f = f.values.ravel()
+    _check_field_bytes(y_grid, xi_grid)
+    blocks = dstft_blocks(f, g, frame, y_grid)
     out = np.empty((y_grid.size,) + xi_grid.counts, dtype=complex)
-    for lo, hi, W in window_blocks(g, f.grid, frame.u, y_grid.points()):
-        np.conjugate(W, out=W)
-        W *= flat_f
-        out[lo:hi] = dft(Signal(f.grid, W.reshape((hi - lo,) + f.grid.counts))).values
+    for lo, hi, _, S in blocks:
+        out[lo:hi] = S
     return DstftField(y_grid, xi_grid, out.reshape(y_grid.counts + xi_grid.counts),
                       frame=frame, window_meta=g.meta)
 
@@ -92,6 +135,7 @@ def dstft_direct(f: Signal, g: Window, frame: DirectionFrame,
     """Brute-force quadrature oracle on the dual lattice."""
     y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
     xi_grid = f.grid.dual()
+    _check_field_bytes(y_grid, xi_grid)
     work = f.grid.size * y_grid.size * xi_grid.size
     if work > work_cap:
         raise ValueError(f"direct-path work {work} exceeds cap {work_cap}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .direction import DirectionFrame
 from .grids import Grid, Signal, dft
-from .transform import DstftField, dstft_fast
+from .transform import DstftField, default_y_grid, dstft_blocks
 from .windows import Window, WindowKind, window_at
 
 LOG_FLOOR = 1e-300          # floor before taking logs (exact zeros)
@@ -120,15 +120,12 @@ class WavefrontReport:
         return [e for e in self.entries if not e.regular]
 
 
-def _shell_points(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec, alpha: float,
-                  ref: float | None = None):
-    """Dyadic-shell suprema: (x, y) pairs with x = |xi*|^(1/alpha) at the
-    argmax, y = log sup |F|, plus the in-cone point count.
-
-    ref is the magnitude against which the rounding-noise floor is measured;
-    it must be the global peak of the transform the magnitudes came from,
-    because FFT rounding noise scales with the global peak, not the local
-    one."""
+def _shell_table(xi_pts: np.ndarray, cone: ConeSpec):
+    """The cone's dyadic shells on a frequency lattice: a list of (idx,
+    norms) pairs, one per nonempty shell, with idx the in-shell indices
+    into xi_pts in lattice order and norms their |xi|; plus the in-cone
+    point count.  Shells double in radius from r_min; the last one is
+    closed at the largest in-cone |xi|."""
     mask = cone.contains(xi_pts)
     n_points = int(np.count_nonzero(mask))
     if n_points < MIN_CONE_POINTS:
@@ -136,30 +133,59 @@ def _shell_points(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec, alpha: f
             f"only {n_points} frequency lattice points in the cone "
             f"(need >= {MIN_CONE_POINTS})"
         )
-    norms = np.linalg.norm(xi_pts[mask], axis=-1)
-    vals = np.maximum(mags[mask], LOG_FLOOR)
-    if ref is None:
-        ref = float(np.max(mags))
-    floor = max(DYNAMIC_RANGE_FLOOR, NOISE_FLOOR_REL * ref)
+    idx = np.flatnonzero(mask)
+    norms = np.linalg.norm(xi_pts[idx], axis=-1)
     r_max = float(norms.max())
     edges = [cone.r_min]
     while edges[-1] < r_max * (1 + 1e-12):
         edges.append(edges[-1] * 2)
-    xs, ys, decayed = [], [], 0
+    shells = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         sel = (norms >= lo) & (norms < hi)
         if lo == edges[-2]:
             sel = (norms >= lo) & (norms <= r_max)
-        if not np.any(sel):
-            continue
-        j = np.argmax(vals[sel])
-        s = float(vals[sel][j])
-        if s <= floor:
-            decayed += 1
-            continue
-        xs.append(float(norms[sel][j]) ** (1.0 / alpha))
-        ys.append(math.log(s))
-    return np.asarray(xs), np.asarray(ys), n_points, decayed
+        if np.any(sel):
+            shells.append((idx[sel], norms[sel]))
+    return shells, n_points
+
+
+def _shell_points(shells: list, mags: np.ndarray, alpha: float,
+                  ref: float) -> list:
+    """Dyadic-shell suprema of each row of mags, shaped (rows, Nxi), over
+    the shells of a _shell_table: per row, (xs, ys, decayed) with
+    x = |xi*|^(1/alpha) at the first argmax in lattice order, y = log sup |F|,
+    and the count of shells whose sup sits at or below the floor.
+
+    ref is the magnitude against which the rounding-noise floor is measured;
+    it must be the global peak of the transform the magnitudes came from,
+    because FFT rounding noise scales with the global peak, not the local
+    one."""
+    floor = max(DYNAMIC_RANGE_FLOOR, NOISE_FLOOR_REL * ref)
+    rows = np.arange(len(mags))
+    sups = []
+    for idx, norms in shells:
+        vals = np.maximum(mags[:, idx], LOG_FLOOR)
+        best = np.argmax(vals, axis=1)
+        sups.append((norms[best], vals[rows, best]))
+    out = []
+    for r in rows:
+        xs, ys, decayed = [], [], 0
+        for norm, sup in sups:
+            if sup[r] <= floor:
+                decayed += 1
+                continue
+            xs.append(float(norm[r]) ** (1.0 / alpha))
+            ys.append(math.log(sup[r]))
+        out.append((np.asarray(xs), np.asarray(ys), decayed))
+    return out
+
+
+def _cone_fits(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
+               alpha: float, ref: float) -> list:
+    """One DecayFit per row of mags (rows, Nxi) over one cone."""
+    shells, n_points = _shell_table(xi_pts, cone)
+    return [_fit(xs, ys, n_points, decayed, alpha)
+            for xs, ys, decayed in _shell_points(shells, mags, alpha, ref)]
 
 
 def _fit(xs: np.ndarray, ys: np.ndarray, n_points: int, decayed: int,
@@ -198,8 +224,8 @@ def fit_spectrum_decay(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
     """Decay fit of raw magnitudes over a frequency cone."""
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
-    xs, ys, n_points, decayed = _shell_points(xi_pts, mags, cone, alpha, ref=ref)
-    return _fit(xs, ys, n_points, decayed, alpha)
+    ref = float(np.max(mags)) if ref is None else ref
+    return _cone_fits(xi_pts, np.asarray(mags)[None, :], cone, alpha, ref)[0]
 
 
 def decay_fit(F: DstftField, ball: BallSpec, cone: ConeSpec, alpha: float) -> DecayFit:
@@ -243,23 +269,37 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
                    y_grid: Grid | None = None, strict: bool = True) -> WavefrontReport:
     """Exhaustive regular-point test over a (cell, cone) dictionary.
 
-    The field is computed once; the singular set is the complement of the
-    regular entries.
+    The transform is streamed in y~ blocks and never stored: each block
+    updates the global peak of |F| (the noise-floor reference) and the
+    running sup of |F| over each cell's y~ points.  Each cone's shell table
+    is then built once and fitted against every cell.  The singular set is
+    the complement of the regular entries.
     """
+    if alpha <= 1:
+        raise ValueError("alpha must exceed 1")
     _check_scan_window(g, strict)
-    F = dstft_fast(f, g, frame, y_grid=y_grid)
-    Y = F.y_grid.points()
-    flat = np.abs(F.values.reshape(F.y_size, F.xi_size))
-    global_ref = float(flat.max())
-    xi_pts = F.xi_grid.points()
-    entries = []
-    for cell in y_cells:
-        ymask = cell.contains(Y)
-        if not np.any(ymask):
+    y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
+    Y = y_grid.points()
+    member = np.zeros((len(y_cells), len(Y)), dtype=bool)
+    for i, cell in enumerate(y_cells):
+        member[i] = cell.contains(Y)
+        if not member[i].any():
             raise ValueError(f"no y~ lattice points inside cell {cell}")
-        sup = flat[ymask].max(axis=0)
-        for cone in cones:
-            fit = fit_spectrum_decay(xi_pts, sup, cone, alpha, ref=global_ref)
+    xi_grid = f.grid.dual()
+    sup = np.zeros((len(y_cells), xi_grid.size))
+    peak = 0.0
+    for lo, hi, _, S in dstft_blocks(f, g, frame, y_grid):
+        mags = np.abs(S).reshape(hi - lo, -1)
+        peak = max(peak, float(mags.max()))
+        rows = member[:, lo:hi]
+        for i in np.flatnonzero(rows.any(axis=1)):
+            np.maximum(sup[i], mags[rows[i]].max(axis=0), out=sup[i])
+    xi_pts = xi_grid.points()
+    fits = [_cone_fits(xi_pts, sup, cone, alpha, peak) for cone in cones]
+    entries = []
+    for i, cell in enumerate(y_cells):
+        for cone, cone_fits in zip(cones, fits):
+            fit = cone_fits[i]
             entries.append(ScanEntry(cell, cone, fit,
                                      _classify(fit, threshold_N, residual_cap)))
     return WavefrontReport(entries, threshold_N, g.meta, residual_cap)

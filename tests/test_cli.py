@@ -9,7 +9,7 @@ from dirstft.direction import build_frame
 from dirstft.fixtures import gaussian
 from dirstft.sigio import read_field, read_signal
 
-from dirstft import grids
+from dirstft import grids, transform
 
 
 def run(tmp_path, command, cfg, *extra):
@@ -265,3 +265,21 @@ def test_analyze_rejects_bad_signal_length(tmp_path, capsys, cut):
     err = capsys.readouterr().err
     assert code == 2
     assert f"expected {len(buf)} bytes, got {len(buf) - cut}" in err
+
+
+def test_analyze_field_above_cap_exits_2(tmp_path, capsys, monkeypatch):
+    sig = gen_gaussian(tmp_path)
+    monkeypatch.setattr(transform, "FIELD_BYTES_CAP", 16 * 64 * 64 - 1)
+    code = run(tmp_path, "analyze", {
+        "schema_version": 1, "signal": str(sig),
+        "window": roundtrip_cfg(tmp_path, sig)["window_g"],
+        "frame": {"u": [[1.0]]}, "out": str(tmp_path / "F.dstf"),
+    })
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"takes {16 * 64 * 64} bytes" in err and "Traceback" not in err
+    assert not (tmp_path / "F.dstf").exists()
+    # roundtrip streams the same transform and stays under the cap
+    assert run(tmp_path, "roundtrip", roundtrip_cfg(tmp_path, sig)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert set(report["timings"]) == {"reconstruct_s"}

@@ -13,6 +13,7 @@ from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian
 from dirstft.grids import BLOCK_ELEMS, dft, evaluate_trig
 from dirstft.synthesis import dso
+from dirstft.transform import dstft_blocks
 from dirstft.windows import (Window, WindowKind, _lattice_blocks, window_at,
                              window_blocks)
 
@@ -132,6 +133,27 @@ def test_block_boundary_mid_grid():
         blocks = [(lo, hi) for lo, hi, _ in window_blocks(win, grid, u, Y)]
         assert blocks[0] == (0, rows) and blocks[-1][1] == 48
         assert_engine_matches(win, grid, u, Y, lattice)
+
+
+@pytest.mark.parametrize("u", [[[1.0, 0.0]], [[S2, S2]]])
+def test_dstft_blocks_stream_the_field(u):
+    grid = Grid.from_bounds([-4, -4], [4, 4], [48, 48])
+    f = gaussian(grid, sigma=1.0, modulation=[0.5, -0.25])
+    win = gevrey_bump(Grid.from_bounds([-4], [4], [48]), 1.0, 2.0)
+    win = Window(win.grid, win.values * np.exp(1j * win.grid.axis(0)))
+    frame = build_frame(u)
+    y_grid = Grid.from_bounds([-4], [4], [48])
+    want = dstft_fast(f, win, frame, y_grid=y_grid).values
+    windows = window_blocks(win, grid, frame.u, y_grid.points())
+    end = 0
+    for (lo, hi, W, S), (lo_w, hi_w, W_ref) in zip(
+            dstft_blocks(f, win, frame, y_grid), windows, strict=True):
+        assert (lo, hi) == (lo_w, hi_w) and lo == end
+        # the window block comes back as the engine made it, not conjugated
+        assert np.array_equal(W, W_ref)
+        assert np.array_equal(S, want[lo:hi])
+        end = hi
+    assert end == y_grid.size
 
 
 def dense_trig(f, pts):

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dirstft import (Grid, Signal, build_frame, dstft_fast, gaussian_window,
-                     orthogonality_check, reconstruct, window_change)
+                     orthogonality_check, pairing_check, reconstruct,
+                     window_change)
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, random_bandlimited
-from dirstft.grids import inner_product, rel_l2_error, relative_error
+from dirstft.grids import BLOCK_ELEMS, inner_product, rel_l2_error, relative_error
 from dirstft.synthesis import dso, dso_direct
 from dirstft.windows import Window, WindowKind
 
@@ -55,6 +58,63 @@ def test_reconstruct_rejects_inadmissible_pair():
     odd = Window(g, t * np.exp(-np.pi * t ** 2), WindowKind.CUSTOM)
     with pytest.raises(ValueError, match="inadmissible"):
         reconstruct(f, even, odd, identity_frame(1, 1))
+
+
+def modulated_window(grid, sigma, freq):
+    """A complex window: synthesizing with conj(g) in place of g would
+    change the result."""
+    g = gaussian_window(grid, sigma)
+    phase = np.exp(2j * np.pi * (grid.points() @ np.asarray(freq, dtype=float)))
+    return Window(grid, g.values * phase.reshape(grid.counts), WindowKind.CUSTOM)
+
+
+def reconstruct_case(case):
+    grid = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
+    f = random_bandlimited(grid, 5, band=0.5)
+    wgrid = Grid.from_bounds([-8], [8], [32])
+    if case == "k2_lattice":
+        grid = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+        f = random_bandlimited(grid, 6, band=0.5)
+        g = modulated_window(grid, [1.0, 1.0], [0.25, -0.5])
+        return f, g, g, identity_frame(2, 2), None
+    if case == "diag_trig":
+        g = modulated_window(wgrid, [1.0], [0.25])
+        return f, g, g, build_frame([[1.0, 1.0]]), None
+    if case == "phi_differs":
+        g = modulated_window(wgrid, [1.0], [0.25])
+        return f, g, gaussian_window(wgrid, 2.0), build_frame([[1.0, 0.0]]), None
+    # y~ points off the window lattice take the trigonometric path
+    g = modulated_window(wgrid, [1.0], [0.25])
+    y_grid = Grid.from_bounds([-9.03], [8.97], [40])
+    return f, g, g, build_frame([[1.0, 0.0]]), y_grid
+
+
+@pytest.mark.parametrize("case", ["k2_lattice", "diag_trig", "phi_differs",
+                                  "off_lattice_y"])
+def test_reconstruct_matches_materialized_path(case):
+    f, g, phi, frame, y_grid = reconstruct_case(case)
+    F = dstft_fast(f, g, frame, y_grid=y_grid)
+    want = dso(F, phi, frame, f.grid).values / pairing_check(g, phi).value
+    got = reconstruct(f, g, phi, frame, y_grid=y_grid)
+    assert got.grid == f.grid
+    assert relative_error(got.values, want) <= 1e-14
+
+
+def test_reconstruct_memory_bounded():
+    # the k=n=2 field at 32^2 takes 16 MiB, twice the allowance
+    grid = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
+    f = gaussian(grid, sigma=1.0)
+    win = gaussian_window(grid, [1.0, 1.0])
+    bound = f.values.nbytes + 8 * BLOCK_ELEMS * 16
+    assert bound < 16 * grid.size * grid.size
+    tracemalloc.start()
+    try:
+        rec = reconstruct(f, win, win, identity_frame(2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert rel_l2_error(rec.values, f.values) < 1e-3
 
 
 Y_EXT = Grid.from_bounds([-16], [16], [128])

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from dirstft import (Grid, Signal, build_frame, dstft_direct, dstft_fast,
-                     gaussian_window, partial_stft)
+from dirstft import (BallSpec, DstftField, Grid, Signal, build_frame,
+                     dstft_direct, dstft_fast, gaussian_window, gevrey_bump,
+                     partial_stft, reconstruct, transform, wavefront_scan)
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, random_bandlimited
-from dirstft.grids import relative_error
+from dirstft.grids import BLOCK_ELEMS, relative_error
 from dirstft.transform import default_y_grid, dstft_direct_at
+from dirstft.wavefront import cone_dictionary_2d
 from dirstft.windows import window_at
 
 
@@ -156,3 +158,37 @@ def test_lattice_window_upper_edge_rounding():
     assert relative_error(fast.values, dstft_direct(f, win, frame).values) < 1e-10
     edge = np.array([[wg.upper[0] - 1e-15]])
     assert window_at(win, edge)[0] == 0
+
+
+def test_field_bytes_cap_checked_before_allocating(monkeypatch):
+    grid = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+    f = gaussian(grid, sigma=1.0)
+    win = gevrey_bump(Grid.from_bounds([-4], [4], [16]), 1.0, 2.0)
+    frame = build_frame([[1.0, 0.0]])
+    nbytes = 16 * 16 * grid.size
+    monkeypatch.setattr(transform, "FIELD_BYTES_CAP", nbytes - 1)
+    for analyze in (dstft_fast, dstft_direct):
+        with pytest.raises(ValueError, match=f"takes {nbytes} bytes.*stream"):
+            analyze(f, win, frame)
+    # the streaming consumers store no field, so the cap does not bind them
+    rec = reconstruct(f, win, win, frame)
+    assert relative_error(rec.values, f.values) < 1e-6
+    cells = [BallSpec((0.0,), 0.5)]
+    assert len(wavefront_scan(f, win, frame, 2.0, cells,
+                              cone_dictionary_2d(4, r_min=0.25)).entries) == 4
+    monkeypatch.setattr(transform, "FIELD_BYTES_CAP", nbytes)
+    assert dstft_fast(f, win, frame).values.nbytes == nbytes
+
+
+@pytest.mark.parametrize("index", [0, BLOCK_ELEMS, -1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_field_finiteness_checked_in_every_chunk(index, bad):
+    y_grid = Grid.from_bounds([0.0], [1.0], [5])
+    xi_grid = Grid.from_bounds([0.0, 0.0], [1.0, 1.0], [128, 128])
+    vals = np.ones((5, 128, 128), dtype=complex)
+    # two chunks, the last one partial
+    assert BLOCK_ELEMS < vals.size < 2 * BLOCK_ELEMS
+    assert DstftField(y_grid, xi_grid, vals).values.shape == vals.shape
+    vals.flat[index] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DstftField(y_grid, xi_grid, vals)

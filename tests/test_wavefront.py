@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from dirstft import (BallSpec, ConeSpec, Grid, build_frame, decay_fit,
                      dstft_fast, gaussian_window, gevrey_bump,
                      partial_wf_test, regular_point_test, wavefront_scan)
 from dirstft.direction import identity_frame
-from dirstft.fixtures import delta_sheet, gaussian
-from dirstft.wavefront import (WindowClassWarning, cone_dictionary_2d,
-                               fit_spectrum_decay, global_regularity_check)
+from dirstft.fixtures import delta_sheet, gaussian, heaviside_sheet
+from dirstft.grids import BLOCK_ELEMS
+from dirstft.wavefront import (DYNAMIC_RANGE_FLOOR, LOG_FLOOR, NOISE_FLOOR_REL,
+                               WindowClassWarning, _cone_fits, _fit,
+                               cone_dictionary_2d, fit_spectrum_decay,
+                               global_regularity_check)
 
 
 def test_cone_center_normalized_and_contains():
@@ -79,6 +83,48 @@ def test_fit_rejects_tiny_cone():
         fit_spectrum_decay(xi, mags, cone, alpha=2.0)
 
 
+def loop_fit(xi_pts, mags, cone, alpha, ref):
+    """The per-shell loop that the shell tables replaced, kept as the
+    reference: each shell's argmax is the first in lattice order."""
+    mask = cone.contains(xi_pts)
+    norms = np.linalg.norm(xi_pts[mask], axis=-1)
+    vals = np.maximum(mags[mask], LOG_FLOOR)
+    floor = max(DYNAMIC_RANGE_FLOOR, NOISE_FLOOR_REL * ref)
+    r_max = float(norms.max())
+    edges = [cone.r_min]
+    while edges[-1] < r_max * (1 + 1e-12):
+        edges.append(edges[-1] * 2)
+    xs, ys, decayed = [], [], 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sel = (norms >= lo) & (norms < hi)
+        if lo == edges[-2]:
+            sel = (norms >= lo) & (norms <= r_max)
+        if not np.any(sel):
+            continue
+        j = np.argmax(vals[sel])
+        s = float(vals[sel][j])
+        if s <= floor:
+            decayed += 1
+            continue
+        xs.append(float(norms[sel][j]) ** (1.0 / alpha))
+        ys.append(math.log(s))
+    return _fit(np.asarray(xs), np.asarray(ys), int(np.count_nonzero(mask)),
+                decayed, alpha)
+
+
+def test_shell_tables_match_per_shell_loop():
+    xi, smooth = synthetic_xi_field(3.0)
+    radius = np.linalg.norm(xi, axis=-1)
+    # constant on unit annuli: every shell's sup is a tie between points
+    # of different |xi|
+    ties = np.exp(-np.floor(radius))
+    part = np.where(radius < 6.0, smooth, 0.0)     # outer shells decayed
+    rows = np.stack([smooth, ties, part])
+    for cone in cone_dictionary_2d(16, r_min=1.0):
+        fits = _cone_fits(xi, rows, cone, 2.0, ref=1.0)
+        assert fits == [loop_fit(xi, row, cone, 2.0, 1.0) for row in rows]
+
+
 def test_alpha_must_exceed_one():
     xi, mags = synthetic_xi_field(3.0)
     cone = ConeSpec((1.0, 0.0), math.pi / 16, 1.0)
@@ -136,6 +182,49 @@ def test_partial_matches_scan_booleans():
     for entry in report.entries:
         got = partial_wf_test(f, win, [entry.y_cell.center[0]], entry.cone, 2.0)
         assert got == entry.regular, (entry.y_cell, entry.cone)
+
+
+def test_scan_matches_per_entry_decay_fit():
+    grid = Grid.from_bounds([-4, -4], [4, 4], [64, 64])
+    f = heaviside_sheet(grid, (1.0, 0.0), 0.0)
+    win = gevrey_bump(WGRID, radius=0.5, alpha=2.0)
+    frame = build_frame([[1.0, 0.0]])
+    cells = [BallSpec((-2.0,), 0.25), BallSpec((0.0,), 0.25),
+             BallSpec((1.0,), 0.25)]
+    cones = cone_dictionary_2d(16, r_min=0.5)
+    F = dstft_fast(f, win, frame)
+    # the rows of the cell at -2 straddle a y~ block boundary of the stream
+    rows = np.flatnonzero(cells[0].contains(F.y_grid.points()))
+    block = BLOCK_ELEMS // grid.size
+    assert rows[0] // block != rows[-1] // block
+    report = wavefront_scan(f, win, frame, 2.0, cells, cones, threshold_N=1.7)
+    assert len(report.entries) == len(cells) * len(cones)
+    assert [(e.y_cell, e.cone) for e in report.entries] == \
+        [(c, k) for c in cells for k in cones]
+    for e in report.entries:
+        assert e.fit == decay_fit(F, e.y_cell, e.cone, 2.0)
+        assert e.regular == regular_point_test(F, e.y_cell, e.cone, 2.0,
+                                               threshold_N=1.7)
+
+
+def test_scan_memory_bounded():
+    # the 128^2 field takes 32 MiB, well above the allowance
+    grid = Grid.from_bounds([-4, -4], [4, 4], [128, 128])
+    f = heaviside_sheet(grid, (1.0, 0.0), 0.0)
+    win = gevrey_bump(Grid.from_bounds([-2], [2], [64]), radius=0.5, alpha=2.0)
+    cells = [BallSpec((y,), 0.25) for y in (-2.0, 0.0, 2.0)]
+    cones = cone_dictionary_2d(16, r_min=1.75)
+    bound = len(cells) * grid.size * 8 + f.values.nbytes + 8 * BLOCK_ELEMS * 16
+    assert bound < 16 * grid.counts[0] * grid.size
+    tracemalloc.start()
+    try:
+        report = wavefront_scan(f, win, build_frame([[1.0, 0.0]]), 2.0,
+                                cells, cones, threshold_N=1.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert len(report.singular) == 2
 
 
 def test_regular_point_test_on_field():
