@@ -197,8 +197,7 @@ def dft(f: Signal) -> Spectrum:
     """
     grid = f.grid
     axes = tuple(range(-grid.dim, 0))
-    F = f.values * np.conj(primal_phase(grid))
-    np.fft.fftn(F, axes=axes, out=F)        # in place: no per-axis copies
+    F = np.fft.fftn(f.values * np.conj(primal_phase(grid)), axes=axes)
     dual = grid.dual()
     post = [np.exp(-2j * np.pi * dual.axis(j) * grid.origin[j]) for j in range(grid.dim)]
     F *= _outer_phase(post) * (grid.cell_volume * _SCALE_FAULT)
@@ -217,7 +216,7 @@ def idft(spec: Spectrum, out_grid: Grid, phased: bool = True) -> Signal:
     axes = tuple(range(-out_grid.dim, 0))
     post = [np.exp(2j * np.pi * dual.axis(j) * out_grid.origin[j]) for j in range(out_grid.dim)]
     work = spec.values * (_outer_phase(post) / (out_grid.cell_volume * _SCALE_FAULT))
-    vals = np.fft.ifftn(work, axes=axes, out=work)
+    vals = np.fft.ifftn(work, axes=axes)
     if phased:
         vals *= primal_phase(out_grid)
     return Signal(out_grid, vals)

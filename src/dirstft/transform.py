@@ -101,15 +101,19 @@ def dstft_blocks(f: Signal, g: Window, frame: DirectionFrame, y_grid: Grid):
         raise ValueError("signal dimension must match frame n")
     if g.grid.dim != frame.k:
         raise ValueError("window dimension must match frame k")
-    flat_f = f.values.ravel()
+    return _spectra(f, window_blocks(g, f.grid, frame.u, y_grid.points()))
 
-    def spectra(lo, hi, W):
+
+def _spectra(f: Signal, blocks):
+    flat_f = f.values.ravel()
+    for lo, hi, W in blocks:
         work = np.conjugate(W)
         work *= flat_f
-        return dft(Signal(f.grid, work.reshape((hi - lo,) + f.grid.counts))).values
-
-    return ((lo, hi, W, spectra(lo, hi, W))
-            for lo, hi, W in window_blocks(g, f.grid, frame.u, y_grid.points()))
+        S = dft(Signal(f.grid, work.reshape((hi - lo,) + f.grid.counts))).values
+        del work
+        yield lo, hi, W, S
+        # let go of this block before the next one is computed
+        del W, S
 
 
 def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
@@ -123,8 +127,9 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
     _check_field_bytes(y_grid, xi_grid)
     blocks = dstft_blocks(f, g, frame, y_grid)
     out = np.empty((y_grid.size,) + xi_grid.counts, dtype=complex)
-    for lo, hi, _, S in blocks:
+    for lo, hi, W, S in blocks:
         out[lo:hi] = S
+        del W, S        # the field holds the copy
     return DstftField(y_grid, xi_grid, out.reshape(y_grid.counts + xi_grid.counts),
                       frame=frame, window_meta=g.meta)
 
