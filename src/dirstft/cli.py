@@ -18,11 +18,10 @@ import warnings
 
 import numpy as np
 
-from . import fixtures, grids, sigio
-from .direction import build_frame, identity_frame, pullback
-from .grids import (Grid, Signal, check_boundary_mass, dft, dft_oracle, idft,
-                    inner_product, inner_product_spectrum, rel_l2_error)
-from .synthesis import dso, dso_direct, orthogonality_check, reconstruct, window_change
+from . import fixtures, invariants, sigio
+from .direction import DirectionFrame, build_frame, identity_frame
+from .grids import Grid, Signal, check_boundary_mass
+from .synthesis import dso, dso_direct, reconstruct
 from .transform import dstft_direct, dstft_fast
 from .wavefront import (BallSpec, ConeSpec, WavefrontReport, cone_dictionary_2d,
                         wavefront_scan)
@@ -235,28 +234,32 @@ def _report_json(report: WavefrontReport) -> dict:
             "window": report.window_meta, "entries": entries}
 
 
-def _verdict(report: WavefrontReport, truth: dict) -> dict:
-    """Compare detected singular entries against the sidecar ground truth."""
+def _verdict(report: WavefrontReport, truth: dict, frame: DirectionFrame) -> dict:
+    """Compare detected singular entries against the sidecar ground truth.
+
+    A sheet {u . t = offset} with u = frame.u^T a lies at {a . y~ = offset}
+    in y~, and a cell is hit when that hyperplane passes within the
+    BallSpec.contains radius of its center.  A u outside the row span of
+    frame.u leaves the sheet in every y~ slice, so every cell is hit.
+    """
     tol = math.radians(ANGULAR_TOL_DEG)
     singular = truth.get("singular")
     expected = set()
     if singular is not None:
         u = np.asarray(singular["u"], dtype=float)
         offset = float(singular["offset"])
+        a = np.linalg.lstsq(frame.u.T, u, rcond=None)[0]
+        in_span = np.allclose(frame.u.T @ a, u, rtol=0.0, atol=1e-9)
         for e in report.entries:
-            c = np.asarray(e.cone.center)
-            near_u = min(math.acos(np.clip(abs(c @ u), -1, 1)),
-                         math.pi) <= tol
-            # the cell is hit when the hyperplane offset lies inside it
+            near_u = math.acos(min(abs(np.asarray(e.cone.center) @ u), 1.0)) <= tol
             ctr = np.asarray(e.y_cell.center)
-            k = len(e.y_cell.center)
-            in_cell = abs(ctr[0] - offset) <= e.y_cell.radius * math.sqrt(k) + 1e-12 \
-                if k == 1 else bool(np.linalg.norm(ctr - offset) <= e.y_cell.radius)
+            in_cell = not in_span or (abs(a @ ctr - offset) / np.linalg.norm(a)
+                                      <= e.y_cell.radius * math.sqrt(len(ctr)) + 1e-12)
             if near_u and in_cell:
                 expected.add((e.y_cell.center, e.cone.center))
     detected = {(e.y_cell.center, e.cone.center) for e in report.singular}
-    return {"expected_singular": sorted(map(str, expected)),
-            "detected_singular": sorted(map(str, detected)),
+    return {"expected_singular": [[list(y), list(c)] for y, c in sorted(expected)],
+            "detected_singular": [[list(y), list(c)] for y, c in sorted(detected)],
             "verdict": "PASS" if detected == expected else "FAIL"}
 
 
@@ -289,7 +292,7 @@ def cmd_wavefront(cfg: dict, args) -> int:
     except OSError:
         pass
     if truth is not None and "singular" in truth:
-        out["comparison"] = _verdict(report, truth)
+        out["comparison"] = _verdict(report, truth, frame)
     if "out_json" in cfg:
         with open(cfg["out_json"], "w") as fh:
             json.dump(out, fh, indent=1, sort_keys=True)
@@ -309,133 +312,56 @@ def cmd_wavefront(cfg: dict, args) -> int:
     return 0
 
 
-def _selftest_cases(oracle_cap: int | None):
-    """Small-scale invariant suite.  Yields (name, status) with status in
-    {'PASS', 'FAIL', 'SKIPPED'}."""
-    rng_grid = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
-    f1 = fixtures.random_bandlimited(rng_grid, 11, band=0.5)
-    f2 = fixtures.random_bandlimited(rng_grid, 12, band=0.5)
-    wg = Grid.from_bounds([-8], [8], [32])
-    g = gaussian_window(wg, [1.0])
-    frame = identity_frame(2, 1)
+def _selftest_cases(oracle_cap: int | None) -> list:
+    """The small-fixture invariant suite: (name, error function, its
+    arguments, tolerance, needs_oracle) rows over dirstft.invariants."""
+    g16 = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+    g32 = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
+    sheet_grid = Grid.from_bounds([-4, -4], [4, 4], [32, 32])
+    w16, w32 = Grid.from_bounds([-4], [4], [16]), Grid.from_bounds([-8], [8], [32])
+    w4 = Grid.from_bounds([-4], [4], [32])
+    f1 = fixtures.random_bandlimited(g32, 11, band=0.5)
+    f2 = fixtures.random_bandlimited(g32, 12, band=0.5)
+    g = gaussian_window(w32, [1.0])
+    e1 = identity_frame(2, 1)
 
-    skip_oracle = oracle_cap is not None and oracle_cap <= 0
-
-    def oracle_dft():
-        spec = dft(Signal(rng_grid, f1.values))
-        ref = dft_oracle(f1, cap=oracle_cap)
-        return grids.relative_error(spec.values, ref.values) < 1e-10
-
-    def parseval():
-        lhs = inner_product(f1, f2)
-        rhs = inner_product_spectrum(dft(f1), dft(f2))
-        return abs(lhs - rhs) / abs(rhs) < 1e-8
-
-    def roundtrip_dft():
-        back = idft(dft(f1), rng_grid)
-        return grids.relative_error(back.values, f1.values) < 1e-10
-
-    def orthogonality():
-        # extended y~ grid: the window reaches past the signal box for y~
-        # near the boundary, so the y~ quadrature must cover the overlap
-        y_ext = Grid.from_bounds([-16], [16], [64])
-        lhs, rhs = orthogonality_check(f1, f2, g, g, frame, y_grid=y_ext)
-        return abs(lhs - rhs) / abs(rhs) < 1e-5
-
-    def adjoint():
-        F = dstft_fast(f1, g, frame)
-        G = dstft_fast(f2, g, frame)
-        lhs = F.inner_product(G)
-        rhs = inner_product(f1, dso(G, g, frame, rng_grid))
-        return abs(lhs - rhs) / abs(rhs) < 1e-8
-
-    def oracle_dstft():
-        small = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
-        fs = fixtures.gaussian(small, sigma=1.0)
-        wgs = Grid.from_bounds([-4], [4], [16])
-        gs = gaussian_window(wgs, [1.0])
-        A = dstft_fast(fs, gs, frame)
-        B = dstft_direct(fs, gs, frame)
-        return grids.relative_error(A.values, B.values) < 1e-10
-
-    def frame_change():
-        from .transform import dstft_direct_at
-        small = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
-        # sigma=2 keeps the spectrum well inside the Nyquist box at this
-        # resolution, so the trigonometric pullback stays accurate
-        fs = fixtures.gaussian(small, sigma=2.0)
-        wgs = Grid.from_bounds([-8], [8], [32])
-        gs = gaussian_window(wgs, [2.0])
-        s = 1 / math.sqrt(2)
-        fr = build_frame([[s, s]])
-        y_pts = np.array([[0.0], [0.5]])
-        xi_pts = np.array([[0.5, 0.25], [0.0, 0.0]])
-        lhs = dstft_direct_at(fs, gs, fr, y_pts, xi_pts)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", grids.CoverageWarning)
-            h = pullback(fs, fr, small)
-        eta = xi_pts @ fr.C
-        rhs = dstft_direct_at(h, gs, identity_frame(2, 1), y_pts, eta)
-        return grids.relative_error(lhs, rhs) < 1e-4
-
-    def reconstruction():
-        small = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
-        fs = fixtures.gaussian(small, sigma=1.0)
-        wgs = Grid.from_bounds([-8], [8], [32])
-        gs = gaussian_window(wgs, [1.0])
-        rec = reconstruct(fs, gs, gs, frame)
-        return rel_l2_error(rec.values, fs.values) < 1e-3
-
-    def win_change():
-        small = Grid.from_bounds([-4], [4], [32])
-        fs = fixtures.gaussian(small, sigma=1.0)
-        gs = gaussian_window(small, [1.0])
-        phis = gaussian_window(small, [1.5])
-        gg = inner_product(gs.as_signal(), gs.as_signal())
-        gam = Window(small, gs.values / gg, kind=gs.kind)
-        fr = identity_frame(1, 1)
-        Fg = dstft_fast(fs, gs, fr)
-        got = window_change(Fg, gam, phis, fr, gs)
-        want = dstft_fast(fs, phis, fr)
-        return grids.relative_error(got.values, want.values) < 1e-3
-
-    def wavefront_fixture():
+    def wavefront_mismatch():
         # a delta sheet has an exactly flat transform along its normal, so
         # the verdict does not depend on the scan's dynamic range
-        small = Grid.from_bounds([-4, -4], [4, 4], [32, 32])
-        sheet = fixtures.delta_sheet(small, (1, 0), 0.0)
-        wgs = Grid.from_bounds([-4], [4], [32])
-        bump = gevrey_bump(wgs, 0.5, 2.0)
-        cones = cone_dictionary_2d(8, r_min=0.5)
-        cells = [BallSpec((0.0,), 0.25), BallSpec((2.0,), 0.25)]
-        rep = wavefront_scan(sheet, bump, build_frame([[1.0, 0.0]]), 2.0,
-                             cells, cones, threshold_N=1.0)
-        sing = {(e.y_cell.center[0], tuple(np.round(e.cone.center, 6)))
-                for e in rep.singular}
-        return sing == {(0.0, (1.0, 0.0)), (0.0, (-1.0, 0.0))}
+        rep = wavefront_scan(fixtures.delta_sheet(sheet_grid, (1, 0)),
+                             gevrey_bump(w4, 0.5, 2.0), build_frame([[1.0, 0.0]]),
+                             2.0, [BallSpec((0.0,), 0.25), BallSpec((2.0,), 0.25)],
+                             cone_dictionary_2d(8, r_min=0.5), threshold_N=1.0)
+        return len(invariants.singular_keys(rep)
+                   ^ {(0.0, (1.0, 0.0)), (0.0, (-1.0, 0.0))})
 
-    cases = [
-        ("dft vs direct-sum oracle", oracle_dft, True),
-        ("dstft fast vs direct oracle", oracle_dstft, True),
-        ("Parseval (Plancherel) identity", parseval, False),
-        ("idft . dft roundtrip", roundtrip_dft, False),
-        ("orthogonality relation", orthogonality, False),
-        ("synthesis adjoint relation", adjoint, False),
-        ("frame-change identity", frame_change, False),
-        ("reconstruction roundtrip", reconstruction, False),
-        ("window-change convolution", win_change, False),
-        ("wavefront sheet fixture", wavefront_fixture, False),
+    return [
+        ("dft vs direct-sum oracle", invariants.dft_oracle_error,
+         (f1, oracle_cap), 1e-10, True),
+        ("dstft fast vs direct oracle", invariants.oracle_error,
+         (fixtures.gaussian(g16), gaussian_window(w16, [1.0]), e1), 1e-10, True),
+        ("Parseval (Plancherel) identity", invariants.parseval_error,
+         (f1, f2), 1e-8, False),
+        ("idft . dft roundtrip", invariants.dft_roundtrip_error, (f1,), 1e-10, False),
+        # the window reaches past the signal box for y~ near the boundary,
+        # so the y~ quadrature must cover the overlap
+        ("orthogonality relation", invariants.orthogonality_error,
+         (f1, f2, g, g, e1, Grid.from_bounds([-16], [16], [64])), 1e-5, False),
+        ("synthesis adjoint relation", invariants.adjoint_error,
+         (f1, f2, g, e1), 1e-8, False),
+        # sigma=2 keeps the spectrum well inside the Nyquist box at this
+        # resolution, so the trigonometric pullback stays accurate
+        ("frame-change identity", invariants.frame_change_error,
+         (fixtures.gaussian(g32, sigma=2.0), gaussian_window(w32, [2.0]),
+          build_frame([[1.0, 1.0]]), [[0.0], [0.5]], [[0.5, 0.25], [0.0, 0.0]]),
+         1e-4, False),
+        ("reconstruction roundtrip", invariants.reconstruction_error,
+         (fixtures.gaussian(g32), g, g, e1), 1e-3, False),
+        ("window-change convolution", invariants.window_change_error,
+         (fixtures.gaussian(w4), gaussian_window(w4, [1.0]),
+          gaussian_window(w4, [1.5]), identity_frame(1, 1)), 1e-3, False),
+        ("wavefront sheet fixture", wavefront_mismatch, (), 0, False),
     ]
-    for name, fn, needs_oracle in cases:
-        if needs_oracle and skip_oracle:
-            yield name, "SKIPPED"
-            continue
-        try:
-            ok = fn()
-        except Exception as exc:       # failures are reported, not thrown
-            print(f"  [{name}] raised: {exc}", file=sys.stderr)
-            ok = False
-        yield name, "PASS" if ok else "FAIL"
 
 
 def cmd_selftest(cfg: dict | None, args) -> int:
@@ -445,10 +371,20 @@ def cmd_selftest(cfg: dict | None, args) -> int:
         if "oracle_cap" in cfg:
             oracle_cap = int(cfg["oracle_cap"])
     failed = skipped = 0
-    for name, status in _selftest_cases(oracle_cap):
-        print(f"{name:<36} {status}")
-        failed += status == "FAIL"
-        skipped += status == "SKIPPED"
+    print(f"{'case':<36} {'error':>9} {'tolerance':>9} status")
+    for name, error, error_args, tol, needs_oracle in _selftest_cases(oracle_cap):
+        if needs_oracle and oracle_cap is not None and oracle_cap <= 0:
+            print(f"{name:<36} {'-':>9} {tol:9.0e} SKIPPED")
+            skipped += 1
+            continue
+        try:
+            err = float(error(*error_args))
+        except Exception as exc:       # failures are reported, not thrown
+            print(f"  [{name}] raised: {exc}", file=sys.stderr)
+            err = math.nan
+        ok = err <= tol
+        failed += not ok
+        print(f"{name:<36} {err:9.2e} {tol:9.0e} {'PASS' if ok else 'FAIL'}")
     if skipped:
         warnings.warn(f"{skipped} oracle-dependent case(s) skipped "
                       f"(oracle cap {oracle_cap})", stacklevel=2)

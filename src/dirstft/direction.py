@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import CoverageWarning, Grid, Signal, dft, evaluate_trig
+from .grids import CoverageWarning, Grid, Signal, evaluate_trig
 
 SINGULARITY_THRESHOLD = 1e-10
 COVERAGE_WARN_FRACTION = 0.01
@@ -85,8 +85,7 @@ def pullback(f: Signal, frame: DirectionFrame, out_grid: Grid,
     T = S @ frame.C.T
     inside = f.grid.contains(T)
     if interpolation == "trig":
-        spec = dft(f)
-        raw = evaluate_trig(f, T, outside_zero=False, spectrum=spec)
+        raw = evaluate_trig(f, T, outside_zero=False)
     elif interpolation == "linear":
         raw = _multilinear(f, T)
     else:

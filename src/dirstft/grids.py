@@ -23,10 +23,6 @@ ORACLE_CAP = 2 ** 16
 # peak memory of every command.
 BLOCK_ELEMS = 2 ** 16
 
-# Fault-injection hook for the CLI self test: multiplies the forward DFT
-# scaling.  Must stay 1.0 in normal operation.
-_SCALE_FAULT = 1.0
-
 # Boundary samples may carry at most this fraction of the total mass before a
 # periodization warning is issued.
 BOUNDARY_MASS_THRESHOLD = 1e-9
@@ -200,7 +196,7 @@ def dft(f: Signal) -> Spectrum:
     F = np.fft.fftn(f.values * np.conj(primal_phase(grid)), axes=axes)
     dual = grid.dual()
     post = [np.exp(-2j * np.pi * dual.axis(j) * grid.origin[j]) for j in range(grid.dim)]
-    F *= _outer_phase(post) * (grid.cell_volume * _SCALE_FAULT)
+    F *= _outer_phase(post) * grid.cell_volume
     return Spectrum(dual, F)
 
 
@@ -215,7 +211,7 @@ def idft(spec: Spectrum, out_grid: Grid, phased: bool = True) -> Signal:
     dual = spec.freq_grid
     axes = tuple(range(-out_grid.dim, 0))
     post = [np.exp(2j * np.pi * dual.axis(j) * out_grid.origin[j]) for j in range(out_grid.dim)]
-    work = spec.values * (_outer_phase(post) / (out_grid.cell_volume * _SCALE_FAULT))
+    work = spec.values * (_outer_phase(post) / out_grid.cell_volume)
     vals = np.fft.ifftn(work, axes=axes)
     if phased:
         vals *= primal_phase(out_grid)
@@ -276,8 +272,7 @@ def check_boundary_mass(f: Signal, threshold: float = BOUNDARY_MASS_THRESHOLD) -
     return frac
 
 
-def evaluate_trig(f: Signal, pts: np.ndarray, outside_zero: bool = True,
-                  spectrum: Spectrum | None = None) -> np.ndarray:
+def evaluate_trig(f: Signal, pts: np.ndarray, outside_zero: bool = True) -> np.ndarray:
     """Trigonometric (Fourier) interpolation of the periodized signal.
 
     Exact at lattice points and for band-limited periodized signals.  Points
@@ -289,7 +284,7 @@ def evaluate_trig(f: Signal, pts: np.ndarray, outside_zero: bool = True,
     exponentials instead of O(P prod_j M_j).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    spec = dft(f) if spectrum is None else spectrum
+    spec = dft(f)
     fg = spec.freq_grid
     counts = fg.counts
     coeff = (spec.values * fg.cell_volume).reshape(-1, counts[-1])

@@ -120,13 +120,25 @@ class WavefrontReport:
         return [e for e in self.entries if not e.regular]
 
 
+def _mirrored(xi_pts: np.ndarray) -> np.ndarray:
+    """Mask of the points whose mirror -xi also lies in the lattice box.
+    On the zero-centered dual lattice this drops the -N/2 line of each
+    even axis, which has no +N/2 partner; keeping it would give the cone
+    around -xi points and shells that the cone around xi lacks."""
+    ok = np.ones(len(xi_pts), dtype=bool)
+    for col in xi_pts.T:        # per column: numpy reduces (N, 2) rows slowly
+        ok &= np.abs(col) <= min(-col.min(), col.max()) * (1 + 1e-12)
+    return ok
+
+
 def _shell_table(xi_pts: np.ndarray, cone: ConeSpec):
     """The cone's dyadic shells on a frequency lattice: a list of (idx,
     norms) pairs, one per nonempty shell, with idx the in-shell indices
     into xi_pts in lattice order and norms their |xi|; plus the in-cone
-    point count.  Shells double in radius from r_min; the last one is
-    closed at the largest in-cone |xi|."""
-    mask = cone.contains(xi_pts)
+    point count.  Only mirrored points count (see _mirrored).  Shells
+    double in radius from r_min; the last one is closed at the largest
+    in-cone |xi|."""
+    mask = cone.contains(xi_pts) & _mirrored(xi_pts)
     n_points = int(np.count_nonzero(mask))
     if n_points < MIN_CONE_POINTS:
         raise ValueError(

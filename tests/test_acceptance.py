@@ -11,19 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from dirstft import (BallSpec, Grid, build_frame, dstft_direct, dstft_fast,
-                     gaussian_window, gevrey_bump, orthogonality_check,
-                     partial_wf_test, reconstruct, wavefront_scan,
-                     window_change)
-from dirstft.direction import frequency_map, identity_frame, pullback
+from dirstft import (BallSpec, Grid, build_frame, dstft_fast, gaussian_window,
+                     gevrey_bump, invariants, partial_wf_test, wavefront_scan)
+from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, heaviside_sheet, random_bandlimited
-from dirstft.grids import CoverageWarning, inner_product, rel_l2_error, relative_error
-from dirstft.synthesis import dso, dso_direct
-from dirstft.transform import dstft_direct_at
+from dirstft.grids import relative_error
 from dirstft.wavefront import ConeSpec, cone_dictionary_2d, fit_spectrum_decay
-from dirstft.windows import Window, WindowKind
-
-import warnings
 
 
 def report(capsys, num, ok, detail):
@@ -75,12 +68,7 @@ def test_criterion_1_oracle_equivalence(capsys):
          build_frame([[1.0, 1.0], [1.0, -1.0]])),
     ]
     for f, win, frame in cases:
-        fast = dstft_fast(f, win, frame)
-        slow = dstft_direct(f, win, frame)
-        worst = max(worst, relative_error(fast.values, slow.values))
-        rec_fast = dso(fast, win, frame, f.grid)
-        rec_slow = dso_direct(fast, win, frame, f.grid)
-        worst = max(worst, relative_error(rec_fast.values, rec_slow.values))
+        worst = max(worst, invariants.oracle_error(f, win, frame))
     dt = time.perf_counter() - t0
     ok = worst < 1e-10 and dt < 30
     report(capsys, 1, ok,
@@ -99,8 +87,7 @@ def test_criterion_2_reconstruction(capsys):
     for f in (plain, modulated):
         for win, frame in ((w1, build_frame([[1.0, 0.0]])),
                            (w2, identity_frame(2, 2))):
-            rec = reconstruct(f, win, win, frame)
-            worst = max(worst, rel_l2_error(rec.values, f.values))
+            worst = max(worst, invariants.reconstruction_error(f, win, win, frame))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-3 and dt < 60
     report(capsys, 2, ok,
@@ -116,12 +103,11 @@ def test_criterion_3_orthogonality_matrix(capsys):
     windows = [gaussian_window(wg, [1.0]), gaussian_window(wg, [2.0]),
                gevrey_bump(wg, radius=2.0, alpha=2.0)]
     frame = identity_frame(2, 1)
-    y_ext = wg
     worst = 0.0
     for g in windows:
         for phi in windows:
-            lhs, rhs = orthogonality_check(f1, f2, g, phi, frame, y_grid=y_ext)
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
+            worst = max(worst, invariants.orthogonality_error(
+                f1, f2, g, phi, frame, y_grid=wg))
     ok = worst <= 1e-5
     report(capsys, 3, ok,
            f"orthogonality max rel mismatch {worst:.2e} over the 3x3 "
@@ -137,13 +123,7 @@ def test_criterion_4_frame_change(capsys):
     frame = build_frame([[s, s]])
     y_pts = np.array([[0.0], [0.5], [-1.0]])
     xi_pts = np.array([[0.0, 0.0], [0.5, 0.25], [1.0, -0.5], [-0.75, 1.5]])
-    lhs = dstft_direct_at(f, win, frame, y_pts, xi_pts)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CoverageWarning)
-        h = pullback(f, frame, grid)
-    eta = frequency_map(xi_pts, frame)
-    rhs = dstft_direct_at(h, win, identity_frame(2, 1), y_pts, eta)
-    err = relative_error(lhs, rhs)
+    err = invariants.frame_change_error(f, win, frame, y_pts, xi_pts)
     ok = err <= 1e-4
     report(capsys, 4, ok,
            f"u-frame vs pullback e-frame transform rel err {err:.2e} for "
@@ -155,22 +135,11 @@ def test_criterion_5_window_change(capsys):
     f = gaussian(grid, sigma=1.0)
     g = gaussian_window(grid, [1.0])
     phi = gaussian_window(grid, [2.0])
-    gg = inner_product(g.as_signal(), g.as_signal())
-    gamma = Window(grid, g.values / gg, WindowKind.CUSTOM)
-    frame = identity_frame(1, 1)
-    F = dstft_fast(f, g, frame)
-    got = window_change(F, gamma, phi, frame, g)
-    want = dstft_fast(f, phi, frame)
-    err = relative_error(got.values, want.values)
+    err = invariants.window_change_error(f, g, phi, identity_frame(1, 1))
     ok = err <= 1e-3
     report(capsys, 5, ok,
            f"window-change convolution vs direct DS_phi f rel err {err:.2e}, "
            f"n=k=1, 64 samples (tol 1e-3)")
-
-
-def singular_keys(rep):
-    return {(e.y_cell.center[0], tuple(np.round(e.cone.center, 6)))
-            for e in rep.singular}
 
 
 def test_criterion_6_wavefront_detection(capsys):
@@ -180,9 +149,9 @@ def test_criterion_6_wavefront_detection(capsys):
     flags = {}
     for radius in RADII:
         rep = scan_report("sheet", radius)
-        if singular_keys(rep) != expected:
+        if invariants.singular_keys(rep) != expected:
             problems.append(f"sheet radius {radius}: singular "
-                            f"{sorted(singular_keys(rep))}")
+                            f"{sorted(invariants.singular_keys(rep))}")
         flags[radius] = [e.regular for e in rep.entries]
         grep = scan_report("gaussian", radius)
         if grep.singular:

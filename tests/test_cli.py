@@ -9,7 +9,7 @@ from dirstft.direction import build_frame
 from dirstft.fixtures import gaussian
 from dirstft.sigio import read_field, read_signal
 
-from dirstft import grids, transform
+from dirstft import transform
 
 
 def run(tmp_path, command, cfg, *extra):
@@ -135,12 +135,12 @@ def test_roundtrip_inadmissible_pairing_rejected(tmp_path):
     assert run(tmp_path, "roundtrip", cfg) == 2
 
 
-def sheet_wavefront_cfg(tmp_path, threshold=1.0):
+def sheet_wavefront_cfg(tmp_path, threshold=1.0, u=(1.0, 0.0)):
     cfg = {
         "schema_version": 1,
         "kind": "delta_sheet",
         "grid": {"bounds": [[-4, -4], [4, 4]], "counts": [32, 32]},
-        "params": {"u": [1.0, 0.0], "c": 0.0},
+        "params": {"u": list(u), "c": 0.0},
         "out": str(tmp_path / "sheet.dstf"),
     }
     assert run(tmp_path, "gen", cfg) == 0
@@ -211,7 +211,11 @@ def test_selftest_pristine(capsys):
 
 
 def test_selftest_detects_injected_scale_fault(monkeypatch, capsys):
-    monkeypatch.setattr(grids, "_SCALE_FAULT", 1.001)
+    # scale every forward FFT by 1.001 and every inverse by 1/1.001, as a
+    # mis-scaled dft/idft pair would
+    fftn, ifftn = np.fft.fftn, np.fft.ifftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: fftn(*a, **k) * 1.001)
+    monkeypatch.setattr(np.fft, "ifftn", lambda *a, **k: ifftn(*a, **k) / 1.001)
     code = main(["selftest"])
     assert code == 1
     out = capsys.readouterr().out
@@ -283,3 +287,26 @@ def test_analyze_field_above_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert run(tmp_path, "roundtrip", roundtrip_cfg(tmp_path, sig)) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(report["timings"]) == {"reconstruct_s"}
+
+
+@pytest.mark.parametrize("u_sheet, u_frame, cells, hit", [
+    # k=n=2: the sheet t1=0 is the line y~1=0, which runs through (0, 1)
+    ([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]],
+     [[0.0, 0.0], [0.0, 1.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]),
+    # k=1 across the sheet t2=0: every y~ slice crosses it
+    ([0.0, 1.0], [[1.0, 0.0]], [[0.0], [2.0]], [[0.0], [2.0]]),
+])
+def test_wavefront_verdict_follows_the_frame(tmp_path, u_sheet, u_frame,
+                                             cells, hit):
+    cfg = sheet_wavefront_cfg(tmp_path, u=u_sheet)
+    k = len(u_frame)
+    cfg["frame"] = {"u": u_frame}
+    cfg["window"]["grid"] = {"bounds": [[-2] * k, [2] * k], "counts": [32] * k}
+    cfg["cells"] = [{"center": c, "radius": 0.25} for c in cells]
+    assert run(tmp_path, "wavefront", cfg) in (0, 1)
+    expected = json.loads((tmp_path / "wf.json").read_text())[
+        "comparison"]["expected_singular"]
+    # each hit cell with the cones -u, then u, as plain JSON numbers
+    assert [y for y, _ in expected] == [y for y in hit for _ in range(2)]
+    assert np.allclose([c for _, c in expected],
+                       [np.negative(u_sheet), u_sheet] * len(hit))

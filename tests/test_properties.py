@@ -1,0 +1,86 @@
+"""Property tests: the exact identities of dirstft.invariants over drawn
+grids (odd and even counts, nonzero origins, anisotropic spacings), frames
+and windows, at sizes under the oracle caps."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dirstft import Grid, Signal, build_frame, gaussian_window, gevrey_bump, invariants
+
+SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                    max_examples=25)
+
+
+@st.composite
+def grids(draw, dim, max_count=8):
+    return Grid(tuple(draw(st.floats(-3.0, 3.0)) for _ in range(dim)),
+                tuple(draw(st.floats(0.25, 1.0)) for _ in range(dim)),
+                tuple(draw(st.integers(3, max_count)) for _ in range(dim)))
+
+
+@st.composite
+def signals(draw, grid):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return Signal(grid, rng.normal(size=grid.counts)
+                  + 1j * rng.normal(size=grid.counts))
+
+
+@st.composite
+def frames(draw, n):
+    k = draw(st.integers(1, n))
+    rows = [[draw(st.floats(-1.0, 1.0)) for _ in range(n)] for _ in range(k)]
+    try:
+        return build_frame(rows)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def windows(draw, k):
+    """A Gaussian or Gevrey bump window on a k-dimensional grid that
+    straddles the origin, as gevrey_bump requires."""
+    lo = [draw(st.floats(-3.0, -1.0)) for _ in range(k)]
+    hi = [draw(st.floats(1.0, 3.0)) for _ in range(k)]
+    grid = Grid.from_bounds(lo, hi, [draw(st.integers(4, 8)) for _ in range(k)])
+    if draw(st.booleans()):
+        return gaussian_window(grid, [draw(st.floats(0.5, 2.0)) for _ in range(k)])
+    try:
+        return gevrey_bump(grid, draw(st.floats(0.6, 0.95)),
+                           draw(st.floats(1.5, 3.0)))
+    except ValueError:          # no lattice point inside the support
+        assume(False)
+
+
+@st.composite
+def transform_cases(draw):
+    """(f1, f2, g, frame) with f1, f2 on one 2-d grid, g on R^k."""
+    grid = draw(grids(2))
+    frame = draw(frames(2))
+    return draw(signals(grid)), draw(signals(grid)), draw(windows(frame.k)), frame
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(lambda d: grids(d, max_count=12)).flatmap(signals))
+def test_dft_matches_oracle_and_inverts(f):
+    assert invariants.dft_oracle_error(f) <= 1e-10
+    assert invariants.dft_roundtrip_error(f) <= 1e-10
+
+
+@SETTINGS
+@given(grids(2).flatmap(lambda g: st.tuples(signals(g), signals(g))))
+def test_parseval(pair):
+    assert invariants.parseval_error(*pair) <= 1e-8
+
+
+@SETTINGS
+@given(transform_cases())
+def test_fast_paths_match_oracles(case):
+    f1, _, g, frame = case
+    assert invariants.oracle_error(f1, g, frame) <= 1e-10
+
+
+@SETTINGS
+@given(transform_cases())
+def test_synthesis_is_the_adjoint(case):
+    assert invariants.adjoint_error(*case) <= 1e-8

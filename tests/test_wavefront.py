@@ -85,8 +85,10 @@ def test_fit_rejects_tiny_cone():
 
 def loop_fit(xi_pts, mags, cone, alpha, ref):
     """The per-shell loop that the shell tables replaced, kept as the
-    reference: each shell's argmax is the first in lattice order."""
-    mask = cone.contains(xi_pts)
+    reference: each shell's argmax is the first in lattice order.  Only
+    points whose mirror -xi is on the lattice count."""
+    mirrored = np.all([np.isin(-col, col) for col in xi_pts.T], axis=0)
+    mask = cone.contains(xi_pts) & mirrored
     norms = np.linalg.norm(xi_pts[mask], axis=-1)
     vals = np.maximum(mags[mask], LOG_FLOOR)
     floor = max(DYNAMIC_RANGE_FLOOR, NOISE_FLOOR_REL * ref)
@@ -205,6 +207,26 @@ def test_scan_matches_per_entry_decay_fit():
         assert e.fit == decay_fit(F, e.y_cell, e.cone, 2.0)
         assert e.regular == regular_point_test(F, e.y_cell, e.cone, 2.0,
                                                threshold_N=1.7)
+
+
+def test_scan_treats_xi_and_minus_xi_alike():
+    # a real signal and a real window give |F(y~, xi)| = |F(y~, -xi)|; the
+    # even-grid dual lattice holds -N/2 but not +N/2 on each axis, and that
+    # line must not give the cones on one side extra points or shells
+    grid = Grid.from_bounds([-4, -4], [4, 4], [64, 64])
+    f = heaviside_sheet(grid, (1.0, 0.0), 0.0)
+    win = gevrey_bump(WGRID, radius=0.5, alpha=2.0)
+    cones = cone_dictionary_2d(16, r_min=0.5)
+    report = wavefront_scan(f, win, build_frame([[1.0, 0.0]]), 2.0,
+                            [BallSpec((0.0,), 0.25)], cones, threshold_N=1.7)
+    for plus, minus in zip(report.entries[:8], report.entries[8:]):
+        assert np.allclose(plus.cone.center, -np.asarray(minus.cone.center))
+        assert plus.fit.n_points == minus.fit.n_points
+        assert plus.fit.n_shells == minus.fit.n_shells
+        assert plus.fit.N_hat == pytest.approx(minus.fit.N_hat, rel=1e-9)
+        assert plus.regular == minus.regular
+    # the cone around (-1, 0) read singular while its Nyquist column counted
+    assert report.entries[8].regular
 
 
 def test_scan_memory_bounded():
