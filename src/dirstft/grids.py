@@ -10,8 +10,10 @@ with direct summation to accumulation error.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,9 +181,57 @@ def _outer_phase(phases: list) -> np.ndarray:
 def primal_phase(grid: Grid) -> np.ndarray:
     """exp(-2 pi i c . i / N) with c = N // 2 per axis: the factor that
     re-centers an inverse FFT onto the zero-centered frequency index.  idft
-    applies it last, so it commutes with pointwise products and sums."""
-    return _outer_phase([np.exp(-2j * np.pi * (n // 2) * np.arange(n) / n)
-                         for n in grid.counts])
+    applies it last, so it commutes with pointwise products and sums.
+    The array is the grid's cached, read-only table."""
+    return _phase_tables(grid).primal
+
+
+class _PhaseTables(NamedTuple):
+    """The phase factors of dft and idft on one grid, shaped like it."""
+
+    dft_pre: np.ndarray     # conj(primal)
+    dft_post: np.ndarray    # exp(-2 pi i xi . origin) * cell_volume
+    idft_pre: np.ndarray    # exp(2 pi i xi . origin) / cell_volume
+    primal: np.ndarray      # the primal_phase factor
+
+
+@functools.lru_cache(maxsize=16)
+def _phase_tables(grid: Grid) -> _PhaseTables:
+    """The grid's phase tables, built once per grid and read-only, so the
+    batched transforms of a stream share them."""
+    dual = grid.dual()
+    primal = _outer_phase([np.exp(-2j * np.pi * (n // 2) * np.arange(n) / n)
+                           for n in grid.counts])
+    shift = [np.exp(-2j * np.pi * dual.axis(j) * grid.origin[j])
+             for j in range(grid.dim)]
+    unshift = [np.exp(2j * np.pi * dual.axis(j) * grid.origin[j])
+               for j in range(grid.dim)]
+    tables = _PhaseTables(np.conj(primal),
+                          _outer_phase(shift) * grid.cell_volume,
+                          _outer_phase(unshift) / grid.cell_volume,
+                          primal)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _dft_inplace(work: np.ndarray, grid: Grid) -> np.ndarray:
+    """dft of work, a complex array shaped batch + grid.counts that the
+    caller owns, computed in work's memory.  Use the returned array: it is
+    work itself unless numpy.fft hands back a new one."""
+    tables = _phase_tables(grid)
+    work *= tables.dft_pre
+    work = np.fft.fftn(work, axes=tuple(range(-grid.dim, 0)), out=work)
+    work *= tables.dft_post
+    return work
+
+
+def _idft_into(buf: np.ndarray, values: np.ndarray, out_grid: Grid) -> np.ndarray:
+    """The idft of spectrum values, shaped batch + out_grid.counts, without
+    the final primal phase, computed in buf (same shape, complex).  values
+    is only read."""
+    np.multiply(values, _phase_tables(out_grid).idft_pre, out=buf)
+    return np.fft.ifftn(buf, axes=tuple(range(-out_grid.dim, 0)), out=buf)
 
 
 def dft(f: Signal) -> Spectrum:
@@ -191,13 +241,7 @@ def dft(f: Signal) -> Spectrum:
     frequency index centered at zero and the grid-origin phase applied exactly.
     Leading batch axes of f.values are transformed independently.
     """
-    grid = f.grid
-    axes = tuple(range(-grid.dim, 0))
-    F = np.fft.fftn(f.values * np.conj(primal_phase(grid)), axes=axes)
-    dual = grid.dual()
-    post = [np.exp(-2j * np.pi * dual.axis(j) * grid.origin[j]) for j in range(grid.dim)]
-    F *= _outer_phase(post) * grid.cell_volume
-    return Spectrum(dual, F)
+    return Spectrum(f.grid.dual(), _dft_inplace(f.values.copy(), f.grid))
 
 
 def idft(spec: Spectrum, out_grid: Grid, phased: bool = True) -> Signal:
@@ -208,11 +252,8 @@ def idft(spec: Spectrum, out_grid: Grid, phased: bool = True) -> Signal:
     """
     if out_grid.dual() != spec.freq_grid:
         raise ValueError("out_grid is not the primal grid of this spectrum")
-    dual = spec.freq_grid
-    axes = tuple(range(-out_grid.dim, 0))
-    post = [np.exp(2j * np.pi * dual.axis(j) * out_grid.origin[j]) for j in range(out_grid.dim)]
-    work = spec.values * (_outer_phase(post) / out_grid.cell_volume)
-    vals = np.fft.ifftn(work, axes=axes)
+    vals = _idft_into(np.empty(spec.values.shape, dtype=complex), spec.values,
+                      out_grid)
     if phased:
         vals *= primal_phase(out_grid)
     return Signal(out_grid, vals)

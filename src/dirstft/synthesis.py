@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .direction import DirectionFrame, identity_frame, pullback
-from .grids import Grid, Signal, Spectrum, idft, inner_product, primal_phase
+from .grids import Grid, Signal, _idft_into, inner_product, primal_phase
 from .transform import DstftField, default_y_grid, dstft_blocks, dstft_fast
 from .windows import Window, pairing_check, window_blocks
 
@@ -41,12 +41,17 @@ def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Sign
 def _synthesize(pairs, xi_grid: Grid, out_grid: Grid, y_volume: float) -> np.ndarray:
     """sum over y~ blocks of idft(S, phased=False) . W for each (S, W) pair,
     with S shaped (B,) + xi_grid.counts and W shaped (B, Nt); the primal
-    phase and the y~ cell volume are applied once after the sum."""
+    phase and the y~ cell volume are applied once after the sum.
+
+    Every inverse is computed in one work buffer, sized by the largest
+    block; S is only read, as dso's blocks are views of its field."""
     acc = np.zeros(out_grid.size, dtype=complex)
+    buf = np.empty((0,) + xi_grid.counts, dtype=complex)
     for S, W in pairs:
-        # one statement, so the inverse is freed before the next block
-        acc += np.einsum("bt,bt->t", idft(Spectrum(xi_grid, S), out_grid,
-                                          phased=False).values.reshape(W.shape), W)
+        if len(S) > len(buf):
+            buf = np.empty(S.shape, dtype=complex)
+        inv = _idft_into(buf[:len(S)], S, out_grid)
+        acc += np.einsum("bt,bt->t", inv.reshape(W.shape), W)
     acc *= primal_phase(out_grid).ravel() * y_volume
     return acc.reshape(out_grid.counts)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .direction import DirectionFrame
-from .grids import BLOCK_ELEMS, Grid, Signal, dft
+from .grids import BLOCK_ELEMS, Grid, Signal, _dft_inplace
 from .windows import Window, tensor_window, window_blocks
 
 DIRECT_WORK_CAP = 2 ** 27
@@ -95,7 +95,9 @@ def dstft_blocks(f: Signal, g: Window, frame: DirectionFrame, y_grid: Grid):
     S = dft(conj(W) f) holds DS f on those rows, shaped
     (hi - lo,) + xi_grid.counts with xi_grid = f.grid.dual().  W is left
     unchanged, so a consumer can reuse it as a synthesis window.  The
-    arguments are checked before the first block is computed.
+    arguments are checked before the first block is computed; S is not
+    checked for finiteness, so a consumer checks what it returns (as
+    dstft_fast, reconstruct and wavefront_scan do).
     """
     if f.grid.dim != frame.n:
         raise ValueError("signal dimension must match frame n")
@@ -105,11 +107,13 @@ def dstft_blocks(f: Signal, g: Window, frame: DirectionFrame, y_grid: Grid):
 
 
 def _spectra(f: Signal, blocks):
+    """Each block's spectra, transformed in the memory of its own
+    conj(W) f product."""
     flat_f = f.values.ravel()
     for lo, hi, W in blocks:
         work = np.conjugate(W)
         work *= flat_f
-        S = dft(Signal(f.grid, work.reshape((hi - lo,) + f.grid.counts))).values
+        S = _dft_inplace(work.reshape((hi - lo,) + f.grid.counts), f.grid)
         del work
         yield lo, hi, W, S
         # let go of this block before the next one is computed

@@ -302,7 +302,11 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     peak = 0.0
     for lo, hi, _, S in dstft_blocks(f, g, frame, y_grid):
         mags = np.abs(S).reshape(hi - lo, -1)
-        peak = max(peak, float(mags.max()))
+        block_peak = float(mags.max())
+        if not math.isfinite(block_peak):
+            raise ValueError(f"transform values must be finite; y~ rows "
+                             f"{lo}:{hi} overflowed")
+        peak = max(peak, block_peak)
         rows = member[:, lo:hi]
         for i in np.flatnonzero(rows.any(axis=1)):
             np.maximum(sup[i], mags[rows[i]].max(axis=0), out=sup[i])

@@ -1,6 +1,6 @@
 """The batched window engine against per-point window_at, the separable
 trigonometric interpolation against the dense formula, and the memory
-budget of the blocked transform paths."""
+budget, input safety and overflow checks of the blocked transform paths."""
 
 import math
 import tracemalloc
@@ -10,10 +10,11 @@ import pytest
 
 from dirstft import Grid, Signal, build_frame, dstft_fast, gaussian_window, gevrey_bump
 from dirstft.direction import identity_frame
-from dirstft.fixtures import gaussian
+from dirstft.fixtures import gaussian, heaviside_sheet
 from dirstft.grids import BLOCK_ELEMS, dft, evaluate_trig
-from dirstft.synthesis import dso
-from dirstft.transform import dstft_blocks
+from dirstft.synthesis import dso, reconstruct
+from dirstft.transform import DstftField, dstft_blocks
+from dirstft.wavefront import BallSpec, cone_dictionary_2d, wavefront_scan
 from dirstft.windows import (Window, WindowKind, _lattice_blocks, window_at,
                              window_blocks)
 
@@ -209,3 +210,37 @@ def test_block_memory_bounded(case):
     # spectrum alive while the next block is computed reads ~7.2
     assert analysis_peak - F.values.nbytes < 6 * BLOCK_ELEMS * 16
 
+
+
+def test_dso_leaves_the_field_unchanged():
+    # dso's spectra are views of the field; its inverses go to a buffer
+    grid = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+    win = gaussian_window(grid, [1.0, 1.0])
+    frame = identity_frame(2, 2)
+    F = dstft_fast(gaussian(grid, sigma=1.0), win, frame)
+    before = F.values.copy()
+    dso(F, win, frame, grid)
+    assert np.array_equal(F.values, before)
+
+
+def test_overflowing_transform_is_rejected():
+    # the streams skip per-block checks; each consumer must still refuse
+    # a transform that overflows to Inf/NaN
+    grid = Grid.from_bounds([-4, -4], [4, 4], [32, 32])
+    sheet = heaviside_sheet(grid, [1.0, 0.0])
+    huge = Signal(grid, sheet.values * 1e307)
+    bump = gevrey_bump(Grid.from_bounds([-2], [2], [16]), 0.5, 2.0)
+    frame = build_frame([[1.0, 0.0]])
+    F = dstft_fast(sheet, bump, frame)
+    huge_field = DstftField(F.y_grid, F.xi_grid, F.values * 1e307, frame=frame)
+    calls = [
+        lambda: reconstruct(huge, bump, bump, frame),
+        lambda: dstft_fast(huge, bump, frame),
+        lambda: dso(huge_field, bump, frame, grid),
+        lambda: wavefront_scan(huge, bump, frame, 2.0, [BallSpec((0.0,), 0.5)],
+                               cone_dictionary_2d(8)),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()

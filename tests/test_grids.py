@@ -4,8 +4,9 @@ import pytest
 from dirstft import (Grid, Signal, Spectrum, dft, dft_oracle, idft,
                      inner_product, inner_product_spectrum)
 from dirstft.fixtures import gaussian, random_bandlimited
-from dirstft.grids import (BoundaryMassWarning, boundary_mass_fraction,
-                           check_boundary_mass, primal_phase, relative_error)
+from dirstft.grids import (BoundaryMassWarning, _phase_tables,
+                           boundary_mass_fraction, check_boundary_mass,
+                           primal_phase, relative_error)
 
 
 def test_grid_basic_geometry():
@@ -184,3 +185,25 @@ def test_dft_idft_batch_axes_match_per_item():
                               idft(F, g).values[b])
     raw = idft(F, g, phased=False).values
     assert np.allclose(raw * primal_phase(g), idft(F, g).values, rtol=0, atol=1e-15)
+
+
+def test_dft_idft_leave_their_inputs_unchanged():
+    g = Grid.from_bounds([-4, -2], [4, 3], [8, 7])
+    f = random_bandlimited(g, 1, band=0.5)
+    before = f.values.copy()
+    F = dft(f)
+    assert np.array_equal(f.values, before)
+    spectrum = F.values.copy()
+    idft(F, g)
+    idft(F, g, phased=False)
+    assert np.array_equal(F.values, spectrum)
+
+
+def test_phase_tables_reject_writes():
+    g = Grid.from_bounds([-4, -2], [4, 3], [8, 7])
+    tables = _phase_tables(g)
+    assert _phase_tables(Grid(g.origin, g.spacing, g.counts)) is tables
+    for table in tables + (primal_phase(g),):
+        assert table.shape == g.counts
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0

@@ -6,7 +6,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dirstft import Grid, Signal, build_frame, gaussian_window, gevrey_bump, invariants
+from dirstft import (Grid, Signal, build_frame, dstft_fast, gaussian_window,
+                     gevrey_bump, invariants, pairing_check, reconstruct)
+from dirstft.grids import BLOCK_ELEMS, relative_error
+from dirstft.synthesis import dso
+from dirstft.windows import window_blocks
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=25)
@@ -84,3 +88,42 @@ def test_fast_paths_match_oracles(case):
 @given(transform_cases())
 def test_synthesis_is_the_adjoint(case):
     assert invariants.adjoint_error(*case) <= 1e-8
+
+
+@st.composite
+def streamed_cases(draw):
+    """(f, g, phi, frame, y_grid) on a 2-d grid of 40-64 points per axis,
+    so a y~ block holds only BLOCK_ELEMS // Nt rows, with y~ counts that
+    leave the last block partial; phi is g or a Gaussian on g's grid."""
+    grid = Grid(tuple(draw(st.floats(-3.0, 3.0)) for _ in range(2)),
+                tuple(draw(st.floats(0.1, 0.2)) for _ in range(2)),
+                tuple(draw(st.integers(40, 64)) for _ in range(2)))
+    frame = draw(frames(2))
+    g = draw(windows(frame.k))
+    phi = g if draw(st.booleans()) else gaussian_window(
+        g.grid, [draw(st.floats(0.5, 2.0)) for _ in range(frame.k)])
+    rows = BLOCK_ELEMS // grid.size
+    if frame.k == 1:
+        y_counts = (draw(st.integers(rows + 1, 3 * rows)),)
+    else:
+        y_counts = (2, draw(st.integers(rows // 2 + 1, 2 * rows)))
+    y_grid = Grid.from_bounds([draw(st.floats(-3.0, -1.0)) for _ in y_counts],
+                              [draw(st.floats(1.0, 3.0)) for _ in y_counts],
+                              y_counts)
+    sizes = [hi - lo for lo, hi, _ in
+             window_blocks(g, grid, frame.u, y_grid.points())]
+    assume(len(sizes) > 1 and sizes[-1] < sizes[0])
+    assume(pairing_check(g, phi).admissible)
+    return draw(signals(grid)), g, phi, frame, y_grid
+
+
+@SETTINGS
+@given(streamed_cases())
+def test_reconstruct_matches_synthesis_of_the_field(case):
+    # the fused stream reuses one inverse buffer across blocks of unequal
+    # length; it must agree with synthesis of the stored field
+    f, g, phi, frame, y_grid = case
+    want = (dso(dstft_fast(f, g, frame, y_grid=y_grid), phi, frame, f.grid).values
+            / pairing_check(g, phi).value)
+    got = reconstruct(f, g, phi, frame, y_grid=y_grid).values
+    assert relative_error(got, want) <= 1e-12
