@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import CoverageWarning, Grid, Signal, evaluate_trig
+from .grids import CoverageWarning, Grid, Signal, evaluate_trig_grid
 
 SINGULARITY_THRESHOLD = 1e-10
 COVERAGE_WARN_FRACTION = 0.01
@@ -73,19 +73,23 @@ def pullback(f: Signal, frame: DirectionFrame, out_grid: Grid,
     """Sample h(s) = |det C| f(Cs) on out_grid.
 
     Interpolation of f at Cs is trigonometric by default (exact for
-    band-limited periodized signals); "linear" multilinear interpolation is
-    the fallback.  Points mapping outside f's grid evaluate to 0; a coverage
-    warning fires when more than 1% of the mass-weighted samples are exterior.
+    band-limited periodized signals), contracted along the lattice of
+    out_grid by :func:`grids.evaluate_trig_grid`; "linear" multilinear
+    interpolation is the fallback.  Points mapping outside f's grid evaluate
+    to 0; a coverage warning fires when more than 1% of the mass-weighted
+    samples are exterior.
     """
+    if f.grid.dim != frame.n:
+        raise ValueError(f"signal dimension {f.grid.dim} must equal the frame "
+                         f"dimension n = {frame.n}")
     if out_grid.dim != frame.n:
         raise ValueError("out_grid dimension must equal the frame dimension n")
     if frame.is_identity and out_grid == f.grid:
         return Signal(f.grid, f.values.copy())
-    S = out_grid.points()
-    T = S @ frame.C.T
+    T = out_grid.points() @ frame.C.T
     inside = f.grid.contains(T)
     if interpolation == "trig":
-        raw = evaluate_trig(f, T, outside_zero=False)
+        raw = evaluate_trig_grid(f, frame.C, out_grid).ravel()
     elif interpolation == "linear":
         raw = _multilinear(f, T)
     else:

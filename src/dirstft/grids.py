@@ -11,6 +11,8 @@ with direct summation to accumulation error.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -313,6 +315,16 @@ def check_boundary_mass(f: Signal, threshold: float = BOUNDARY_MASS_THRESHOLD) -
     return frac
 
 
+def as_points(pts, dim: int) -> np.ndarray:
+    """pts as a float array of shape (P, dim); a single point may be given
+    as a flat vector.  Any other column count is rejected."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"points must have {dim} coordinates each, "
+                         f"got an array of shape {pts.shape}")
+    return pts
+
+
 def evaluate_trig(f: Signal, pts: np.ndarray, outside_zero: bool = True) -> np.ndarray:
     """Trigonometric (Fourier) interpolation of the periodized signal.
 
@@ -322,9 +334,11 @@ def evaluate_trig(f: Signal, pts: np.ndarray, outside_zero: bool = True) -> np.n
     The sum over the mode lattice is separable: each chunk of points builds
     one phase table per axis, shaped (M_j, chunk), and contracts the modes
     one axis at a time, last axis first.  That costs O(P sum_j M_j) complex
-    exponentials instead of O(P prod_j M_j).
+    exponentials instead of O(P prod_j M_j).  For points A s with s on a
+    grid, :func:`evaluate_trig_grid` computes the same values with far less
+    work.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    pts = as_points(pts, f.grid.dim)
     spec = dft(f)
     fg = spec.freq_grid
     counts = fg.counts
@@ -340,6 +354,102 @@ def evaluate_trig(f: Signal, pts: np.ndarray, outside_zero: bool = True) -> np.n
         out[lo:lo + len(p)] = acc[0]
     if outside_zero:
         out = np.where(f.grid.contains(pts), out, 0.0)
+    return out
+
+
+def evaluate_trig_grid(f: Signal, A, out_grid: Grid) -> np.ndarray:
+    """The trigonometric interpolant of f at A s for every s on out_grid,
+    shaped out_grid.counts: ``evaluate_trig(f, out_grid.points() @ A.T,
+    outside_zero=False)`` without treating the points as scattered.
+
+    xi . (A s) = sum_l s_l sum_j A_jl xi_j, so mode axis j contributes one
+    (M_j, N_l) phase table for each output axis l with A_jl != 0.  The mode
+    axes are contracted last to first, one matrix product each, and the
+    intermediate holds only the output axes touched so far.  For
+    upper-triangular A (the C of every k = 1 frame) that costs
+    O(sum_j M_<=j N_>=j) instead of O(M P); a dense A still costs M P.  The
+    work runs in blocks that cut the output axes of the first contraction
+    (the last axis for a k = 1 frame, every axis for a dense A), so that
+    each intermediate holds about BLOCK_ELEMS entries, and the blocks reuse
+    one set of work buffers.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.shape != (f.grid.dim, out_grid.dim):
+        raise ValueError(f"A must be {f.grid.dim} x {out_grid.dim} to map "
+                         f"out_grid into f's grid, got shape {A.shape}")
+    spec = dft(f)
+    fg = spec.freq_grid
+    M, N = fg.counts, out_grid.counts
+    coeff = spec.values * fg.cell_volume
+    tables = [{l: np.exp(2j * np.pi * np.outer(fg.axis(j), A[j, l] * out_grid.axis(l)))
+               for l in np.flatnonzero(A[j])} for j in range(fg.dim)]
+    # steps: (mode axis j, output axes it adds, output axes held after it);
+    # the intermediate after a step is shaped (M_0 ... M_j-1, held axes...)
+    steps, held = [], []
+    for j in reversed(range(fg.dim)):
+        new = [l for l in sorted(tables[j], reverse=True) if l not in held]
+        held = new + held
+        steps.append((j, new, held))
+    # blocks cut the output axes of the first contraction, which every
+    # later intermediate holds: whole axes from the lowest index up, then a
+    # run of the next one and single indices along the rest, so that each
+    # intermediate keeps near BLOCK_ELEMS entries
+    cut_axes = next((new for _, new, _ in steps if new), [out_grid.dim - 1])
+    per_cell = max([math.prod(M[:j]) * math.prod(N[l] for l in h if l not in cut_axes)
+                    for j, _, h in steps if cut_axes[0] in h]
+                   + [M[j] for j, new, _ in steps if new == cut_axes], default=1)
+    cells, width = max(1, BLOCK_ELEMS // per_cell), {}
+    for l in reversed(cut_axes):
+        width[l] = min(N[l], cells)
+        cells = max(1, cells // N[l])
+    out = np.empty(N, dtype=complex)
+    work = {}
+
+    def buffer(key, shape):
+        # the first block is the largest, so later blocks fit its buffers
+        if key not in work:
+            work[key] = np.empty(math.prod(shape), dtype=complex)
+        return work[key][:math.prod(shape)].reshape(shape)
+
+    for corner in itertools.product(*(range(0, N[l], width[l]) for l in cut_axes)):
+        cut = {l: slice(lo, lo + width[l]) for l, lo in zip(cut_axes, corner)}
+        sizes = [len(range(n)[cut[l]]) if l in cut else n for l, n in enumerate(N)]
+
+        def phase(key, j, axes):
+            """The product of mode axis j's tables over the output axes
+            it touches, shaped (M_j, axes...), 1 along the others."""
+            ls = [l for l in axes if l in tables[j]]
+            p = buffer(key, [M[j]] + [sizes[l] if l in ls else 1 for l in axes])
+            for i, l in enumerate(ls):
+                t = tables[j][l][:, cut[l]] if l in cut else tables[j][l]
+                t = t.reshape([M[j]] + [sizes[l] if x == l else 1 for x in axes])
+                if i:
+                    p *= t
+                else:
+                    p[...] = t
+            return p
+
+        acc = coeff
+        for step, (j, new, h) in enumerate(steps):
+            have = h[len(new):]
+            acc = acc.reshape(-1, M[j], *(sizes[l] for l in have))
+            if any(l in tables[j] for l in have):
+                # acc is a buffer of this call once it holds an output axis
+                acc *= phase(("w", step), j, have)
+            if not new:
+                acc = acc.sum(axis=1)
+                continue
+            q = phase(("q", step), j, new).reshape(M[j], -1)
+            res = buffer(step, (acc.shape[0], q.shape[1], acc[0, 0].size))
+            if have:
+                np.matmul(q.T, acc.reshape(acc.shape[0], M[j], -1), out=res)
+            else:
+                np.dot(acc, q, out=res.reshape(acc.shape[0], -1))
+            acc = res
+        # output axes that no mode touches broadcast
+        acc = acc.reshape([sizes[l] for l in held]).transpose(np.argsort(held))
+        out[tuple(cut.get(l, slice(None)) for l in range(len(N)))] = acc.reshape(
+            [sizes[l] if l in held else 1 for l in range(len(N))])
     return out
 
 

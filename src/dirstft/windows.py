@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import BLOCK_ELEMS, Grid, Signal, dft, evaluate_trig, inner_product
+from .grids import BLOCK_ELEMS, Grid, Signal, as_points, dft, evaluate_trig, inner_product
 
 
 class WindowKind(enum.Enum):
@@ -123,7 +123,7 @@ def window_at(w: Window, pts: np.ndarray) -> np.ndarray:
     Points outside the grid box are 0, as are points outside the support
     radius of a compactly supported bump.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    pts = as_points(pts, w.grid.dim)
     idx = w.grid.lattice_index(pts)
     if idx is not None:
         # a lattice hit is inside iff its index is: near the upper edge the

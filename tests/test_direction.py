@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -110,3 +111,31 @@ def test_pullback_dim_mismatch():
     fr = build_frame([[1.0, 0.0]])
     with pytest.raises(ValueError):
         pullback(f, fr, g)
+
+
+@pytest.mark.parametrize("counts", [(16,), (8, 8, 8)])
+def test_pullback_rejects_signal_of_other_dimension(counts):
+    d = len(counts)
+    f = gaussian(Grid.from_bounds([-2] * d, [2] * d, counts), sigma=0.5)
+    out = Grid.from_bounds([-2, -2], [2, 2], [16, 16])
+    with pytest.raises(ValueError, match=f"signal dimension {d} .* n = 2"):
+        pullback(f, build_frame([[1.0, 1.0]]), out)
+
+
+@pytest.mark.parametrize("rows", [[[1.0, 1.0]], [[0.6, 0.8], [-0.8, 0.6]]])
+def test_pullback_memory_bounded(rows):
+    # a k=1 frame and a k=n=2 rotation on 96^2; 4.7 MiB is the peak of the
+    # same pullback evaluated as scattered points by evaluate_trig
+    g = Grid.from_bounds([-8, -8], [8, 8], [96, 96])
+    f = gaussian(g, sigma=1.0)
+    fr = build_frame(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)
+        pullback(f, fr, g)          # caches the grid's phase tables
+        tracemalloc.start()
+        try:
+            pullback(f, fr, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 4.7 * 2 ** 20

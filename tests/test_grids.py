@@ -6,7 +6,8 @@ from dirstft import (Grid, Signal, Spectrum, dft, dft_oracle, idft,
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import (BoundaryMassWarning, _phase_tables,
                            boundary_mass_fraction, check_boundary_mass,
-                           primal_phase, relative_error)
+                           evaluate_trig, evaluate_trig_grid, primal_phase,
+                           relative_error)
 
 
 def test_grid_basic_geometry():
@@ -207,3 +208,37 @@ def test_phase_tables_reject_writes():
         assert table.shape == g.counts
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0
+
+
+@pytest.mark.parametrize("pts", [[[0.5]], [[0.5, 0.25, 1.0]]])
+def test_evaluate_trig_rejects_points_of_other_dimension(pts):
+    # neither a (1, 1) array (one value for both axes) nor a (1, 3) array
+    # (a column left unread) is a set of 2-d points
+    f = gaussian(Grid.from_bounds([-4, -4], [4, 4], [16, 16]), sigma=1.0)
+    with pytest.raises(ValueError, match="2 coordinates"):
+        evaluate_trig(f, np.array(pts))
+
+
+def test_evaluate_trig_grid_rejects_map_of_other_shape():
+    f = gaussian(Grid.from_bounds([-4], [4], [16]), sigma=1.0)
+    out = Grid.from_bounds([-4, -4], [4, 4], [8, 8])
+    with pytest.raises(ValueError, match="A must be 1 x 2"):
+        evaluate_trig_grid(f, np.eye(2), out)
+
+
+@pytest.mark.parametrize("A", [
+    # dense: the blocks cut output axis 2 to one index and axis 1 to runs
+    # of 7 (22 = 7 + 7 + 7 + 1) to stay near BLOCK_ELEMS
+    [[1.0, 0.3, -0.2], [0.1, 1.0, 0.4], [0.2, -0.3, 1.0]],
+    # mode axis 1 touches no output axis and output axis 0 depends on no mode
+    [[0.0, 0.7, 0.0], [0.0, 0.0, 0.0], [0.0, 0.4, 1.1]],
+])
+def test_evaluate_trig_grid_matches_scattered_points(A):
+    rng = np.random.default_rng(5)
+    grid = Grid((-1.0, 0.5, -2.0), (0.3, 0.2, 0.25), (20, 22, 24))
+    f = Signal(grid, rng.normal(size=grid.counts) + 1j * rng.normal(size=grid.counts))
+    out = Grid((0.2, -1.0, 0.4), (0.25, 0.3, 0.2), (20, 22, 24))
+    A = np.array(A)
+    want = evaluate_trig(f, out.points() @ A.T, outside_zero=False)
+    got = evaluate_trig_grid(f, A, out)
+    assert relative_error(got.ravel(), want) <= 1e-12

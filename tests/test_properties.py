@@ -3,12 +3,14 @@ grids (odd and even counts, nonzero origins, anisotropic spacings), frames
 and windows, at sizes under the oracle caps."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dirstft import (Grid, Signal, build_frame, dstft_fast, gaussian_window,
                      gevrey_bump, invariants, pairing_check, reconstruct)
-from dirstft.grids import BLOCK_ELEMS, relative_error
+from dirstft.grids import (BLOCK_ELEMS, evaluate_trig, evaluate_trig_grid,
+                           relative_error)
 from dirstft.synthesis import dso
 from dirstft.windows import window_blocks
 
@@ -31,8 +33,8 @@ def signals(draw, grid):
 
 
 @st.composite
-def frames(draw, n):
-    k = draw(st.integers(1, n))
+def frames(draw, n, k=None):
+    k = draw(st.integers(1, n)) if k is None else k
     rows = [[draw(st.floats(-1.0, 1.0)) for _ in range(n)] for _ in range(k)]
     try:
         return build_frame(rows)
@@ -127,3 +129,30 @@ def test_reconstruct_matches_synthesis_of_the_field(case):
             / pairing_check(g, phi).value)
     got = reconstruct(f, g, phi, frame, y_grid=y_grid).values
     assert relative_error(got, want) <= 1e-12
+
+
+@st.composite
+def mapped_lattices(draw, n, k):
+    """(f, C, out_grid): a signal on an n-d grid, the C of a k-frame (upper
+    triangular for k = 1, dense for k = n) and an output grid other than
+    f's."""
+    grid = draw(grids(n, max_count=12))
+    out = draw(grids(n, max_count=12))
+    assume(out != grid)
+    return draw(signals(grid)), draw(frames(n, k)).C, out
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+@SETTINGS
+@given(data=st.data())
+def test_trig_on_a_mapped_lattice_matches_scattered_points(n, k, data):
+    f, A, out = data.draw(mapped_lattices(n, k))
+    pts = out.points() @ A.T
+    want = evaluate_trig(f, pts, outside_zero=False)
+    got = evaluate_trig_grid(f, A, out)
+    assert got.shape == out.counts
+    # both sides round each phase 2 pi xi . t to a few ulps of its size, so
+    # a nearly singular frame (entries of C up to ~1e4) widens the tolerance
+    xi_max = np.abs(np.asarray(f.grid.dual().origin))
+    phase = 2 * np.pi * np.max(np.abs(pts) @ xi_max)
+    assert relative_error(got.ravel(), want) <= max(1e-12, 1e-14 * phase)

@@ -156,3 +156,10 @@ def test_seminorm_probe_cap_limits():
         gs_seminorm_probe(w, 1.0, 0.5, 0.5, 5, 2)
     with pytest.raises(ValueError):
         gs_seminorm_probe(w, 0.0, 0.5, 0.5, 2, 2)
+
+
+@pytest.mark.parametrize("pts", [[[0.5]], [[0.5, 0.25, 1.0]]])
+def test_window_at_rejects_points_of_other_dimension(pts):
+    w = gaussian_window(Grid.from_bounds([-4, -4], [4, 4], [16, 16]), [1.0, 1.0])
+    with pytest.raises(ValueError, match="2 coordinates"):
+        window_at(w, np.array(pts))
