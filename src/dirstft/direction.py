@@ -68,16 +68,14 @@ def frequency_map(xi, frame: DirectionFrame) -> np.ndarray:
     return xi @ frame.C
 
 
-def pullback(f: Signal, frame: DirectionFrame, out_grid: Grid,
-             interpolation: str = "trig") -> Signal:
+def pullback(f: Signal, frame: DirectionFrame, out_grid: Grid) -> Signal:
     """Sample h(s) = |det C| f(Cs) on out_grid.
 
-    Interpolation of f at Cs is trigonometric by default (exact for
+    f is evaluated at Cs by its trigonometric interpolant (exact for
     band-limited periodized signals), contracted along the lattice of
-    out_grid by :func:`grids.evaluate_trig_grid`; "linear" multilinear
-    interpolation is the fallback.  Points mapping outside f's grid evaluate
-    to 0; a coverage warning fires when more than 1% of the mass-weighted
-    samples are exterior.
+    out_grid by :func:`grids.evaluate_trig_grid`.  Points mapping outside
+    f's grid evaluate to 0; a coverage warning fires when more than 1% of
+    the mass-weighted samples are exterior.
     """
     if f.grid.dim != frame.n:
         raise ValueError(f"signal dimension {f.grid.dim} must equal the frame "
@@ -86,14 +84,8 @@ def pullback(f: Signal, frame: DirectionFrame, out_grid: Grid,
         raise ValueError("out_grid dimension must equal the frame dimension n")
     if frame.is_identity and out_grid == f.grid:
         return Signal(f.grid, f.values.copy())
-    T = out_grid.points() @ frame.C.T
-    inside = f.grid.contains(T)
-    if interpolation == "trig":
-        raw = evaluate_trig_grid(f, frame.C, out_grid).ravel()
-    elif interpolation == "linear":
-        raw = _multilinear(f, T)
-    else:
-        raise ValueError(f"unknown interpolation {interpolation!r}")
+    inside = f.grid.contains(out_grid.points() @ frame.C.T)
+    raw = evaluate_trig_grid(f, frame.C, out_grid).ravel()
     total = float(np.sum(np.abs(raw)))
     exterior = float(np.sum(np.abs(raw[~inside])))
     if total > 0 and exterior / total > COVERAGE_WARN_FRACTION:
@@ -104,22 +96,3 @@ def pullback(f: Signal, frame: DirectionFrame, out_grid: Grid,
         )
     vals = np.where(inside, raw, 0.0) * abs(frame.det_C)
     return Signal(out_grid, vals.reshape(out_grid.counts))
-
-
-def _multilinear(f: Signal, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation with zero extension outside the grid box."""
-    d = f.grid.dim
-    frac = (pts - np.asarray(f.grid.origin)) / np.asarray(f.grid.spacing)
-    base = np.floor(frac).astype(int)
-    w = frac - base
-    out = np.zeros(pts.shape[0], dtype=complex)
-    counts = np.asarray(f.grid.counts)
-    for corner in range(1 << d):
-        offs = np.array([(corner >> j) & 1 for j in range(d)])
-        idx = base + offs
-        valid = np.all((idx >= 0) & (idx < counts), axis=-1)
-        weight = np.prod(np.where(offs, w, 1.0 - w), axis=-1)
-        if np.any(valid):
-            flat = np.ravel_multi_index(idx[valid].T, f.grid.counts)
-            out[valid] += weight[valid] * f.values.ravel()[flat]
-    return out

@@ -27,6 +27,10 @@ ORACLE_CAP = 2 ** 16
 # peak memory of every command.
 BLOCK_ELEMS = 2 ** 16
 
+# A point is on a lattice when each coordinate is within this many lattice
+# steps of an integer.
+LATTICE_TOL = 1e-9
+
 # Boundary samples may carry at most this fraction of the total mass before a
 # periodization warning is issued.
 BOUNDARY_MASS_THRESHOLD = 1e-9
@@ -111,32 +115,36 @@ class Grid:
         return self.dual()
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Boolean mask for points inside the half-open box [origin, upper)."""
-        pts = np.atleast_2d(pts)
+        """Boolean mask for points inside the half-open box [origin, upper);
+        the last axis of pts holds the coordinates."""
+        pts = _coordinates(pts, self.dim)
         lo = np.asarray(self.origin)
         hi = np.asarray(self.upper)
         return np.all((pts >= lo) & (pts < hi), axis=-1)
 
-    def lattice_index(self, pts: np.ndarray, tol: float = 1e-9):
-        """Multi-indices for points that hit the lattice exactly, else None."""
-        pts = np.atleast_2d(pts)
+    def lattice_index(self, pts: np.ndarray):
+        """Multi-indices of the points when every coordinate is within
+        LATTICE_TOL steps of the lattice, else None."""
+        pts = _coordinates(pts, self.dim)
         frac = (pts - np.asarray(self.origin)) / np.asarray(self.spacing)
         idx = np.rint(frac)
-        if not np.all(np.abs(frac - idx) <= tol):
+        if not np.all(np.abs(frac - idx) <= LATTICE_TOL):
             return None
         return idx.astype(int)
 
 
 def _sample_values(values, counts: tuple, what: str) -> np.ndarray:
-    """Complex samples shaped batch + counts; any other shape is reshaped to
-    counts."""
-    vals = np.asarray(values, dtype=complex)
+    """C-contiguous complex samples shaped batch + counts (any other shape is
+    reshaped to counts), checked for NaN and Inf in chunks, so the check
+    allocates one block-sized mask, not a mask the size of the samples."""
+    vals = np.ascontiguousarray(values, dtype=complex)
     if vals.shape[max(vals.ndim - len(counts), 0):] != counts:
         vals = vals.reshape(counts)
-    # the float view halves the cost of the check on large batches
-    parts = vals.view(np.float64) if vals.flags.c_contiguous else vals
-    if not np.isfinite(parts).all():
-        raise ValueError(f"{what} values must be finite (no NaN/Inf)")
+    parts = vals.reshape(-1).view(np.float64)
+    step = 2 * BLOCK_ELEMS
+    for lo in range(0, parts.size, step):
+        if not np.isfinite(parts[lo:lo + step]).all():
+            raise ValueError(f"{what} values must be finite (no NaN/Inf)")
     return vals
 
 
@@ -246,18 +254,13 @@ def dft(f: Signal) -> Spectrum:
     return Spectrum(f.grid.dual(), _dft_inplace(f.values.copy(), f.grid))
 
 
-def idft(spec: Spectrum, out_grid: Grid, phased: bool = True) -> Signal:
-    """Exact inverse of :func:`dft` back onto the primal grid.
-
-    With ``phased=False`` the final :func:`primal_phase` factor is left out,
-    so a caller summing many weighted inverses can apply it once.
-    """
+def idft(spec: Spectrum, out_grid: Grid) -> Signal:
+    """Exact inverse of :func:`dft` back onto the primal grid."""
     if out_grid.dual() != spec.freq_grid:
         raise ValueError("out_grid is not the primal grid of this spectrum")
     vals = _idft_into(np.empty(spec.values.shape, dtype=complex), spec.values,
                       out_grid)
-    if phased:
-        vals *= primal_phase(out_grid)
+    vals *= primal_phase(out_grid)
     return Signal(out_grid, vals)
 
 
@@ -318,18 +321,26 @@ def check_boundary_mass(f: Signal, threshold: float = BOUNDARY_MASS_THRESHOLD) -
 def as_points(pts, dim: int) -> np.ndarray:
     """pts as a float array of shape (P, dim); a single point may be given
     as a flat vector.  Any other column count is rejected."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != dim:
+    return _coordinates(np.asarray(pts, dtype=float), dim, ndim=2)
+
+
+def _coordinates(pts, dim: int, ndim: int | None = None) -> np.ndarray:
+    """pts with at least 2 axes (exactly ndim when given), the last one
+    holding dim coordinates."""
+    pts = np.atleast_2d(pts)
+    if pts.shape[-1] != dim or (ndim is not None and pts.ndim != ndim):
         raise ValueError(f"points must have {dim} coordinates each, "
                          f"got an array of shape {pts.shape}")
     return pts
 
 
-def evaluate_trig(f: Signal, pts: np.ndarray, outside_zero: bool = True) -> np.ndarray:
+def evaluate_trig(f: Signal, pts: np.ndarray) -> np.ndarray:
     """Trigonometric (Fourier) interpolation of the periodized signal.
 
-    Exact at lattice points and for band-limited periodized signals.  Points
-    outside the grid box evaluate to 0 when ``outside_zero`` is set.
+    Exact at lattice points and for band-limited periodized signals.  The
+    interpolant is periodic with the grid box, so a point outside the box
+    gets the value of its periodic image inside it; callers that want zero
+    extension mask with :meth:`Grid.contains`, as window_at does.
 
     The sum over the mode lattice is separable: each chunk of points builds
     one phase table per axis, shaped (M_j, chunk), and contracts the modes
@@ -352,15 +363,14 @@ def evaluate_trig(f: Signal, pts: np.ndarray, outside_zero: bool = True) -> np.n
             phase = np.exp(2j * np.pi * np.outer(fg.axis(j), p[:, j]))
             acc = np.einsum("amp,mp->ap", acc.reshape(-1, counts[j], len(p)), phase)
         out[lo:lo + len(p)] = acc[0]
-    if outside_zero:
-        out = np.where(f.grid.contains(pts), out, 0.0)
     return out
 
 
 def evaluate_trig_grid(f: Signal, A, out_grid: Grid) -> np.ndarray:
     """The trigonometric interpolant of f at A s for every s on out_grid,
-    shaped out_grid.counts: ``evaluate_trig(f, out_grid.points() @ A.T,
-    outside_zero=False)`` without treating the points as scattered.
+    shaped out_grid.counts: ``evaluate_trig(f, out_grid.points() @ A.T)``
+    without treating the points as scattered.  Like evaluate_trig it is the
+    periodic interpolant, not zero outside f's grid box.
 
     xi . (A s) = sum_l s_l sum_j A_jl xi_j, so mode axis j contributes one
     (M_j, N_l) phase table for each output axis l with A_jl != 0.  The mode

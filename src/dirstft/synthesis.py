@@ -24,12 +24,8 @@ def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Sign
     Falls back to direct phase summation, capped at DSO_WORK_CAP, when
     out_grid is not the primal grid of the field's frequency lattice.
     """
-    if out_grid.dim != frame.n:
-        raise ValueError("out_grid dimension must equal frame n")
-    if g.grid.dim != frame.k:
-        raise ValueError("window dimension must equal frame k")
     if out_grid.dual() != F.xi_grid:
-        return dso_direct(F, g, frame, out_grid, work_cap=DSO_WORK_CAP)
+        return dso_direct(F, g, frame, out_grid)
 
     slices = F.values.reshape((F.y_size,) + F.xi_grid.counts)
     pairs = ((slices[lo:hi], W) for lo, hi, W
@@ -39,9 +35,10 @@ def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Sign
 
 
 def _synthesize(pairs, xi_grid: Grid, out_grid: Grid, y_volume: float) -> np.ndarray:
-    """sum over y~ blocks of idft(S, phased=False) . W for each (S, W) pair,
-    with S shaped (B,) + xi_grid.counts and W shaped (B, Nt); the primal
-    phase and the y~ cell volume are applied once after the sum.
+    """sum over y~ blocks of idft(S) . W for each (S, W) pair, with S shaped
+    (B,) + xi_grid.counts and W shaped (B, Nt).  Each inverse leaves out
+    idft's primal phase factor, which is applied once after the sum, together
+    with the y~ cell volume.
 
     Every inverse is computed in one work buffer, sized by the largest
     block; S is only read, as dso's blocks are views of its field."""
@@ -57,12 +54,11 @@ def _synthesize(pairs, xi_grid: Grid, out_grid: Grid, y_volume: float) -> np.nda
 
 
 def dso_direct(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid,
-               work_cap: int | None = DSO_WORK_CAP) -> Signal:
-    """Brute-force double-loop synthesis oracle."""
-    if out_grid.dim != frame.n:
-        raise ValueError("out_grid dimension must equal frame n")
+               work_cap: int = DSO_WORK_CAP) -> Signal:
+    """Brute-force double-loop synthesis oracle, capped at work_cap terms."""
+    blocks = window_blocks(g, out_grid, frame.u, F.y_grid.points())
     work = out_grid.size * F.y_size * F.xi_size
-    if work_cap is not None and work > work_cap:
+    if work > work_cap:
         raise ValueError(
             f"direct synthesis work {work} exceeds cap {work_cap}; the fast "
             f"path needs out_grid = {F.xi_grid.primal()}, the primal grid of "
@@ -72,7 +68,7 @@ def dso_direct(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid,
     phases = np.exp(2j * np.pi * (Xi @ T.T))   # (Nxi, Nt)
     slices = F.values.reshape(F.y_size, F.xi_size)
     acc = np.zeros(out_grid.size, dtype=complex)
-    for lo, hi, W in window_blocks(g, out_grid, frame.u, F.y_grid.points()):
+    for lo, hi, W in blocks:
         acc += np.einsum("bt,bt->t", slices[lo:hi] @ phases, W)
     acc *= F.y_grid.cell_volume * F.xi_grid.cell_volume
     return Signal(out_grid, acc.reshape(out_grid.counts))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .direction import DirectionFrame
-from .grids import BLOCK_ELEMS, Grid, Signal, _dft_inplace
+from .grids import Grid, Signal, _dft_inplace, _sample_values, as_points
 from .windows import Window, tensor_window, window_blocks
 
 DIRECT_WORK_CAP = 2 ** 27
@@ -39,18 +39,9 @@ class DstftField:
     window_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=complex)
-        expected = self.y_grid.counts + self.xi_grid.counts
-        if vals.shape != expected:
-            vals = vals.reshape(expected)
-        # chunked, so the check allocates one block-sized mask, not a mask
-        # the size of the field
-        parts = vals.reshape(-1).view(np.float64)
-        step = 2 * BLOCK_ELEMS
-        for lo in range(0, parts.size, step):
-            if not np.isfinite(parts[lo:lo + step]).all():
-                raise ValueError("field values must be finite")
-        self.values = vals
+        counts = self.y_grid.counts + self.xi_grid.counts
+        self.values = _sample_values(np.reshape(self.values, counts), counts,
+                                     "field")
 
     @property
     def y_size(self) -> int:
@@ -95,14 +86,10 @@ def dstft_blocks(f: Signal, g: Window, frame: DirectionFrame, y_grid: Grid):
     S = dft(conj(W) f) holds DS f on those rows, shaped
     (hi - lo,) + xi_grid.counts with xi_grid = f.grid.dual().  W is left
     unchanged, so a consumer can reuse it as a synthesis window.  The
-    arguments are checked before the first block is computed; S is not
-    checked for finiteness, so a consumer checks what it returns (as
-    dstft_fast, reconstruct and wavefront_scan do).
+    arguments are checked by window_blocks before the first block is
+    computed; S is not checked for finiteness, so a consumer checks what it
+    returns (as dstft_fast, reconstruct and wavefront_scan do).
     """
-    if f.grid.dim != frame.n:
-        raise ValueError("signal dimension must match frame n")
-    if g.grid.dim != frame.k:
-        raise ValueError("window dimension must match frame k")
     return _spectra(f, window_blocks(g, f.grid, frame.u, y_grid.points()))
 
 
@@ -156,16 +143,14 @@ def dstft_direct(f: Signal, g: Window, frame: DirectionFrame,
 def dstft_direct_at(f: Signal, g: Window, frame: DirectionFrame,
                     y_pts: np.ndarray, xi_pts: np.ndarray) -> np.ndarray:
     """Direct quadrature at arbitrary (y~, xi) points; shape (Ny, Nxi)."""
-    if f.grid.dim != frame.n or g.grid.dim != frame.k:
-        raise ValueError("grid dimensions must match the frame")
-    y_pts = np.atleast_2d(np.asarray(y_pts, dtype=float))
-    xi_pts = np.atleast_2d(np.asarray(xi_pts, dtype=float))
+    y_pts, xi_pts = as_points(y_pts, frame.k), as_points(xi_pts, frame.n)
+    blocks = window_blocks(g, f.grid, frame.u, y_pts)
     T = f.grid.points()
     flat_f = f.values.ravel()
     vol = f.grid.cell_volume
     out = np.empty((y_pts.shape[0], xi_pts.shape[0]), dtype=complex)
     phases = np.exp(-2j * np.pi * (T @ xi_pts.T))   # (Nt, Nxi)
-    for lo, hi, W in window_blocks(g, f.grid, frame.u, y_pts):
+    for lo, hi, W in blocks:
         out[lo:hi] = vol * ((flat_f * np.conj(W)) @ phases)
     return out
 

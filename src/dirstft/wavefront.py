@@ -24,7 +24,7 @@ import numpy as np
 from .direction import DirectionFrame
 from .grids import Grid, Signal, dft
 from .transform import DstftField, default_y_grid, dstft_blocks
-from .windows import Window, WindowKind, window_at
+from .windows import Window, window_at
 
 LOG_FLOOR = 1e-300          # floor before taking logs (exact zeros)
 DYNAMIC_RANGE_FLOOR = 1e-280  # below this a shell is "fully decayed"
@@ -262,16 +262,14 @@ def regular_point_test(F: DstftField, ball: BallSpec, cone: ConeSpec, alpha: flo
 
 
 def _check_scan_window(g: Window, strict: bool):
-    ok = g.kind is WindowKind.GEVREY_BUMP and g.support_radius > 0
-    origin_val = window_at(g, np.zeros((1, g.grid.dim)))[0]
-    if ok and origin_val == 0:
-        raise ValueError("scan window must not vanish at the origin")
-    if not ok:
+    if not g.compact:
         msg = ("wavefront scan expects a compactly supported Gevrey bump "
                f"window, got kind {g.kind.value!r}")
         if strict:
             raise ValueError(msg + " (strict mode)")
         warnings.warn(msg, WindowClassWarning, stacklevel=3)
+    elif window_at(g, np.zeros((1, g.grid.dim)))[0] == 0:
+        raise ValueError("scan window must not vanish at the origin")
 
 
 def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,

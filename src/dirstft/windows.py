@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import BLOCK_ELEMS, Grid, Signal, as_points, dft, evaluate_trig, inner_product
+from .grids import (BLOCK_ELEMS, LATTICE_TOL, Grid, Signal, _sample_values,
+                    as_points, dft, evaluate_trig, inner_product)
 
 
 class WindowKind(enum.Enum):
@@ -33,17 +34,20 @@ class Window:
     support_radius: float = 0.0
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != self.grid.counts:
-            vals = vals.reshape(self.grid.counts)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("window values must be finite")
-        if not np.any(vals):
+        counts = self.grid.counts
+        self.values = _sample_values(np.reshape(self.values, counts), counts,
+                                     "window")
+        if not np.any(self.values):
             raise ValueError("window must not be identically zero")
-        self.values = vals
 
     def as_signal(self) -> Signal:
         return Signal(self.grid, self.values)
+
+    @property
+    def compact(self) -> bool:
+        """Whether the window is a bump that is zero at and beyond
+        support_radius, wherever its samples are evaluated."""
+        return self.kind is WindowKind.GEVREY_BUMP and self.support_radius > 0
 
     @property
     def meta(self) -> dict:
@@ -120,31 +124,31 @@ def window_at(w: Window, pts: np.ndarray) -> np.ndarray:
 
     Lattice hits are gathered exactly; otherwise trigonometric interpolation
     of the periodized window is used (the same rule as the signal pullback).
-    Points outside the grid box are 0, as are points outside the support
-    radius of a compactly supported bump.
+    Points outside the window's grid box are 0, as are points at or beyond
+    the support radius of a compact window.
     """
     pts = as_points(pts, w.grid.dim)
     idx = w.grid.lattice_index(pts)
-    if idx is not None:
+    if idx is None:
+        out = evaluate_trig(w.as_signal(), pts)
+        keep = w.grid.contains(pts)
+    else:
+        out = w.values.ravel()[np.ravel_multi_index(idx.T, w.grid.counts,
+                                                    mode="clip")]
         # a lattice hit is inside iff its index is: near the upper edge the
         # coordinate test can disagree with the rounded index
-        inside = np.all((idx >= 0) & (idx < np.asarray(w.grid.counts)), axis=-1)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        if np.any(inside):
-            clipped = idx[inside]
-            flat = np.ravel_multi_index(clipped.T, w.grid.counts)
-            out[inside] = w.values.ravel()[flat]
-    else:
-        out = evaluate_trig(w.as_signal(), pts, outside_zero=True)
-    if w.kind is WindowKind.GEVREY_BUMP and w.support_radius > 0:
-        out = np.where(np.linalg.norm(pts, axis=-1) >= w.support_radius, 0.0, out)
-    return out
+        keep = np.all((idx >= 0) & (idx < np.asarray(w.grid.counts)), axis=-1)
+    if w.compact:
+        keep &= np.linalg.norm(pts, axis=-1) < w.support_radius
+    return np.where(keep, out, 0.0)
 
 
 def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
-    """Yield (lo, hi, W) with W[b] = window_at(w, proj - Y[lo + b]), where
-    proj = grid.points() @ u.T are the sample points t projected on the k
-    direction rows of ``u``, and ``Y`` holds the y~ points, shape (Ny, k).
+    """Iterator of (lo, hi, W) with W[b] = window_at(w, proj - Y[lo + b]),
+    where proj = grid.points() @ u.T are the sample points t projected on
+    the k x n direction rows ``u``, and ``Y`` holds the y~ points, shape
+    (Ny, k).  The window and grid dimensions are checked against k and n
+    at the call, before any block is computed.
 
     W is shaped (B, Nt) with B = max(1, BLOCK_ELEMS // Nt) rows.  One path
     serves the whole y~ set: a gather from a zero-padded copy of the window
@@ -154,19 +158,21 @@ def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     the first signal axis) and takes fewer rows when that exceeds Nt.
     """
     u = np.atleast_2d(u)
-    proj = grid.points() @ u.T
+    if (w.grid.dim, grid.dim) != u.shape:
+        raise ValueError(f"window and signal dimensions {w.grid.dim}, "
+                         f"{grid.dim} must equal the frame's k, n = {u.shape}")
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.shape[0] == 0:
-        return
+        return iter(())
+    proj = grid.points() @ u.T
     row = proj.shape[0]
     block = _lattice_blocks(w, proj, Y)
     if block is None:
         block = _trig_blocks(w, grid, u, proj, Y)
         row = max(row, w.grid.size * row // grid.counts[0])
     step = max(1, BLOCK_ELEMS // row)
-    for lo in range(0, Y.shape[0], step):
-        hi = min(lo + step, Y.shape[0])
-        yield lo, hi, block(lo, hi)
+    bounds = ((lo, min(lo + step, Y.shape[0])) for lo in range(0, Y.shape[0], step))
+    return ((lo, hi, block(lo, hi)) for lo, hi in bounds)
 
 
 def _lattice_blocks(w: Window, proj: np.ndarray, Y: np.ndarray):
@@ -185,8 +191,7 @@ def _lattice_blocks(w: Window, proj: np.ndarray, Y: np.ndarray):
     Q = Y / np.asarray(grid.spacing)
     parts = [P - P[0], Q - Q[0], (P[0] - Q[0])[None, :]]
     ints = [np.rint(x) for x in parts]
-    # the tolerance of Grid.lattice_index
-    if any(np.any(np.abs(x - i) > 1e-9) for x, i in zip(parts, ints)):
+    if any(np.any(np.abs(x - i) > LATTICE_TOL) for x, i in zip(parts, ints)):
         return None
     n = np.asarray(grid.counts)
     ip = (ints[0] + ints[2]).astype(np.int64)       # index of proj - Y[0]
@@ -200,7 +205,7 @@ def _lattice_blocks(w: Window, proj: np.ndarray, Y: np.ndarray):
     src = tuple(slice(max(0, b), min(c, b + s)) for b, c, s in zip(base, n, shape))
     dst = tuple(slice(x.start - b, x.stop - b) for x, b in zip(src, base))
     padded[dst] = w.values[src]
-    if w.kind is WindowKind.GEVREY_BUMP and w.support_radius > 0:
+    if w.compact:
         coords = [grid.origin[j] + (base[j] + np.arange(shape[j])) * grid.spacing[j]
                   for j in range(grid.dim)]
         mesh = np.meshgrid(*coords, indexing="ij")
@@ -235,7 +240,6 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
     rates = X @ u                                   # (M, n)
     tables = [np.exp(2j * np.pi * np.outer(rates[:, i], grid.axis(i)))
               for i in range(grid.dim)]             # (M, N_i) each
-    bump = w.kind is WindowKind.GEVREY_BUMP and w.support_radius > 0
 
     def block(lo, hi):
         y = Y[lo:hi]
@@ -246,7 +250,7 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
         W = np.matmul(tables[0].T, Z).reshape(len(y), -1)
         pts = proj[None, :, :] - y[:, None, :]
         keep = w.grid.contains(pts)
-        if bump:
+        if w.compact:
             keep &= np.linalg.norm(pts, axis=-1) < w.support_radius
         W[~keep] = 0.0
         return W

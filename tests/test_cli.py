@@ -7,9 +7,11 @@ from dirstft import Grid, dstft_fast, gaussian_window
 from dirstft.cli import main
 from dirstft.direction import build_frame
 from dirstft.fixtures import gaussian
+from dirstft.grids import relative_error
 from dirstft.sigio import read_field, read_signal
+from dirstft.wavefront import WindowClassWarning
 
-from dirstft import transform
+from dirstft import cli, transform
 
 
 def run(tmp_path, command, cfg, *extra):
@@ -310,3 +312,50 @@ def test_wavefront_verdict_follows_the_frame(tmp_path, u_sheet, u_frame,
     assert [y for y, _ in expected] == [y for y in hit for _ in range(2)]
     assert np.allclose([c for _, c in expected],
                        [np.negative(u_sheet), u_sheet] * len(hit))
+
+
+def test_oracle_commands_match_the_fast_ones(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(name):
+        oracle = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return oracle(*args, **kwargs)
+        return call
+
+    for name in ("dstft_direct", "dso_direct"):
+        monkeypatch.setattr(cli, name, spy(name))
+    sig = gen_gaussian(tmp_path, counts=(16, 16), lo=(-4, -4), hi=(4, 4))
+    win_cfg = {"kind": "gaussian", "sigma": [1.0],
+               "grid": {"bounds": [[-4], [4]], "counts": [16]}}
+    out = {}
+    for flags in ((), ("--oracle",)):
+        tag = "oracle" if flags else "fast"
+        assert run(tmp_path, "analyze", {
+            "schema_version": 1, "signal": str(sig), "window": win_cfg,
+            "frame": {"u": [[1.0, 1.0]]}, "out": str(tmp_path / f"F_{tag}.dstf"),
+        }, *flags) == 0
+        # both syntheses read the fast field, so each command is compared
+        # on its own
+        assert run(tmp_path, "synthesize", {
+            "schema_version": 1, "field": str(tmp_path / "F_fast.dstf"),
+            "window": win_cfg, "out": str(tmp_path / f"rec_{tag}.dstf"),
+        }, *flags) == 0
+        out[tag] = (read_field(tmp_path / f"F_{tag}.dstf").values,
+                    read_signal(tmp_path / f"rec_{tag}.dstf").values)
+    assert calls == ["dstft_direct", "dso_direct"]
+    for fast, oracle in zip(out["fast"], out["oracle"]):
+        assert relative_error(oracle, fast) <= 1e-10
+
+
+def test_strict_window_rejects_a_gaussian_wavefront_window(tmp_path, capsys):
+    cfg = sheet_wavefront_cfg(tmp_path)
+    cfg["window"] = {"kind": "gaussian", "sigma": [0.5],
+                     "grid": {"bounds": [[-2], [2]], "counts": [32]}}
+    assert run(tmp_path, "wavefront", cfg, "--strict-window") == 2
+    err = capsys.readouterr().err
+    assert "strict" in err and "Traceback" not in err
+    with pytest.warns(WindowClassWarning, match="Gevrey bump"):
+        assert run(tmp_path, "wavefront", cfg) in (0, 1)

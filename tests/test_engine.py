@@ -176,7 +176,7 @@ def test_separable_trig_matches_dense(counts):
     # more points than one chunk, a few of them outside the box
     pts = rng.uniform(-2.5, 3.5, size=(4000, dim))
     want = dense_trig(f, pts)
-    got = evaluate_trig(f, pts, outside_zero=False)
+    got = evaluate_trig(f, pts)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.allclose(evaluate_trig(f, grid.points()), vals.ravel(),
                        rtol=0, atol=1e-12 * np.max(np.abs(vals)))

@@ -4,10 +4,11 @@ import pytest
 from dirstft import (Grid, Signal, Spectrum, dft, dft_oracle, idft,
                      inner_product, inner_product_spectrum)
 from dirstft.fixtures import gaussian, random_bandlimited
-from dirstft.grids import (BoundaryMassWarning, _phase_tables,
-                           boundary_mass_fraction, check_boundary_mass,
-                           evaluate_trig, evaluate_trig_grid, primal_phase,
-                           relative_error)
+from dirstft.grids import (BLOCK_ELEMS, BoundaryMassWarning, _idft_into,
+                           _phase_tables, boundary_mass_fraction,
+                           check_boundary_mass, evaluate_trig,
+                           evaluate_trig_grid, primal_phase, relative_error)
+from dirstft.windows import Window
 
 
 def test_grid_basic_geometry():
@@ -184,7 +185,7 @@ def test_dft_idft_batch_axes_match_per_item():
         assert np.array_equal(F.values[b], one.values)
         assert np.array_equal(idft(Spectrum(one.freq_grid, F.values[b]), g).values,
                               idft(F, g).values[b])
-    raw = idft(F, g, phased=False).values
+    raw = _idft_into(np.empty_like(F.values), F.values, g)
     assert np.allclose(raw * primal_phase(g), idft(F, g).values, rtol=0, atol=1e-15)
 
 
@@ -196,7 +197,7 @@ def test_dft_idft_leave_their_inputs_unchanged():
     assert np.array_equal(f.values, before)
     spectrum = F.values.copy()
     idft(F, g)
-    idft(F, g, phased=False)
+    _idft_into(np.empty_like(F.values), F.values, g)
     assert np.array_equal(F.values, spectrum)
 
 
@@ -219,6 +220,39 @@ def test_evaluate_trig_rejects_points_of_other_dimension(pts):
         evaluate_trig(f, np.array(pts))
 
 
+@pytest.mark.parametrize("pts", [[[0.5]], [[0.5, 0.25, 1.0]]])
+def test_grid_point_queries_reject_points_of_other_dimension(pts):
+    # one value must not be broadcast to both axes, nor a third column be
+    # left unread
+    g = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+    with pytest.raises(ValueError, match="2 coordinates"):
+        g.contains(np.array(pts))
+    with pytest.raises(ValueError, match="2 coordinates"):
+        g.lattice_index(np.array(pts))
+
+
+def test_grid_point_queries_read_coordinates_on_the_last_axis():
+    g = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+    pts = np.array([[[0.5, 0.5], [4.0, 0.0]], [[-4.0, -4.0], [0.0, 9.0]]])
+    assert g.contains(pts).tolist() == [[True, False], [True, False]]
+    assert g.lattice_index(pts[:, :1]).tolist() == [[[9, 9]], [[0, 0]]]
+
+
+@pytest.mark.parametrize("index", [0, BLOCK_ELEMS, -1])
+def test_samples_checked_for_finiteness_in_every_chunk(index):
+    # signals, spectra and windows share one validator; BLOCK_ELEMS + 5
+    # samples span two chunks of its check, the last one partial
+    g = Grid.from_bounds([-1], [1], [BLOCK_ELEMS + 5])
+    vals = np.ones(g.counts, dtype=complex)
+    for cls, what in ((Signal, "signal"), (Spectrum, "spectrum"),
+                      (Window, "window")):
+        assert cls(g, vals).values.shape == g.counts
+        bad = vals.copy()
+        bad[index] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match=f"{what} values must be finite"):
+            cls(g, bad)
+
+
 def test_evaluate_trig_grid_rejects_map_of_other_shape():
     f = gaussian(Grid.from_bounds([-4], [4], [16]), sigma=1.0)
     out = Grid.from_bounds([-4, -4], [4, 4], [8, 8])
@@ -239,6 +273,6 @@ def test_evaluate_trig_grid_matches_scattered_points(A):
     f = Signal(grid, rng.normal(size=grid.counts) + 1j * rng.normal(size=grid.counts))
     out = Grid((0.2, -1.0, 0.4), (0.25, 0.3, 0.2), (20, 22, 24))
     A = np.array(A)
-    want = evaluate_trig(f, out.points() @ A.T, outside_zero=False)
+    want = evaluate_trig(f, out.points() @ A.T)
     got = evaluate_trig_grid(f, A, out)
     assert relative_error(got.ravel(), want) <= 1e-12

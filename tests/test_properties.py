@@ -148,7 +148,7 @@ def mapped_lattices(draw, n, k):
 def test_trig_on_a_mapped_lattice_matches_scattered_points(n, k, data):
     f, A, out = data.draw(mapped_lattices(n, k))
     pts = out.points() @ A.T
-    want = evaluate_trig(f, pts, outside_zero=False)
+    want = evaluate_trig(f, pts)
     got = evaluate_trig_grid(f, A, out)
     assert got.shape == out.counts
     # both sides round each phase 2 pi xi . t to a few ulps of its size, so

@@ -246,6 +246,18 @@ def test_dso_non_primal_out_grid_uses_direct_path():
     assert np.array_equal(got.values, dso_direct(F, win, frame, other).values)
 
 
+def test_synthesis_rejects_a_window_of_other_dimension():
+    # k = n = 2 with a 1-D window: the oracle names the mismatch, as the
+    # fast path does, instead of failing on a numpy broadcast
+    g = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+    frame = identity_frame(2, 2)
+    F = dstft_fast(gaussian(g, sigma=1.0), gaussian_window(g, [1.0, 1.0]), frame)
+    w1 = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
+    for synth in (dso, dso_direct):
+        with pytest.raises(ValueError, match="window and signal dimensions 1, 2"):
+            synth(F, w1, frame, g)
+
+
 def test_dso_non_primal_out_grid_above_cap_rejected():
     g = Grid.from_bounds([-8, -8], [8, 8], [64, 64])
     f = gaussian(g, sigma=1.0)

@@ -7,7 +7,7 @@ from dirstft import (BallSpec, DstftField, Grid, Signal, build_frame,
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import BLOCK_ELEMS, relative_error
-from dirstft.transform import default_y_grid, dstft_direct_at
+from dirstft.transform import default_y_grid, dstft_blocks, dstft_direct_at
 from dirstft.wavefront import cone_dictionary_2d
 from dirstft.windows import window_at
 
@@ -144,6 +144,25 @@ def test_dimension_mismatch_rejected():
     win = gaussian_window(g, [1.0, 1.0])       # 2-dim window, k = 1 frame
     with pytest.raises(ValueError):
         dstft_fast(f, win, build_frame([[1.0, 0.0]]))
+
+
+def test_direct_and_streamed_paths_reject_dimensions_off_the_frame():
+    g = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+    f = gaussian(g, sigma=1.0)
+    w1 = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
+    k2 = identity_frame(2, 2)
+    with pytest.raises(ValueError, match="window and signal dimensions 1, 2"):
+        dstft_direct_at(f, w1, k2, [[0.0, 0.0]], [[0.0, 0.0]])
+    f1 = gaussian(Grid.from_bounds([-4], [4], [16]), sigma=1.0)
+    with pytest.raises(ValueError, match="window and signal dimensions 1, 1"):
+        dstft_direct_at(f1, w1, build_frame([[1.0, 0.0]]), [[0.0]], [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="1 coordinates"):
+        dstft_direct_at(f, w1, build_frame([[1.0, 0.0]]), [[0.0, 3.0]], [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="2 coordinates"):
+        dstft_direct_at(f, w1, build_frame([[1.0, 0.0]]), [[0.0]], [[0.0]])
+    # rejected when called, before a block is computed
+    with pytest.raises(ValueError, match="frame's k, n = \\(2, 2\\)"):
+        dstft_blocks(f, w1, k2, g)
 
 
 def test_lattice_window_upper_edge_rounding():

@@ -5,6 +5,7 @@ import pytest
 
 from dirstft import (Grid, Signal, gaussian_window, gevrey_bump,
                      gs_seminorm_probe, pairing_check)
+from dirstft.grids import evaluate_trig
 from dirstft.windows import (Window, WindowKind, shifted, tensor_window,
                              window_at)
 
@@ -163,3 +164,20 @@ def test_window_at_rejects_points_of_other_dimension(pts):
     w = gaussian_window(Grid.from_bounds([-4, -4], [4, 4], [16, 16]), [1.0, 1.0])
     with pytest.raises(ValueError, match="2 coordinates"):
         window_at(w, np.array(pts))
+
+
+def test_window_at_zeroes_what_the_periodic_interpolant_does_not():
+    # a random window is far from zero at the edges of its box [-2, 2), so
+    # its periodic interpolant is large just outside it
+    g = Grid.from_bounds([-2], [2], [16])
+    rng = np.random.default_rng(3)
+    w = Window(g, rng.normal(size=16) + 1j * rng.normal(size=16))
+    outside = np.array([[2.03], [-2.05]])
+    assert np.array_equal(window_at(w, outside), [0.0, 0.0])
+    raw = evaluate_trig(w.as_signal(), outside)
+    assert np.all(np.abs(raw) > 1e-3 * np.max(np.abs(w.values)))
+    images = evaluate_trig(w.as_signal(), outside + [[-4.0], [4.0]])
+    assert np.allclose(raw, images, rtol=0, atol=1e-12 * np.max(np.abs(w.values)))
+    # inside the box both rules agree off the lattice
+    inside = np.array([[1.93], [-1.95]])
+    assert np.array_equal(window_at(w, inside), evaluate_trig(w.as_signal(), inside))
