@@ -36,6 +36,9 @@ class ConfigError(Exception):
 
 
 def _check_keys(cfg: dict, allowed: set, where: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object, got "
+                          f"{type(cfg).__name__}: {json.dumps(cfg)}")
     extra = set(cfg) - allowed
     if extra:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(extra)}")
@@ -59,9 +62,7 @@ def _parse_grid(spec: dict) -> Grid:
     if "bounds" in spec:
         lo, hi = spec["bounds"]
         return Grid.from_bounds(lo, hi, spec["counts"])
-    return Grid(tuple(float(x) for x in spec["origin"]),
-                tuple(float(x) for x in spec["spacing"]),
-                tuple(int(x) for x in spec["counts"]))
+    return Grid(spec["origin"], spec["spacing"], spec["counts"])
 
 
 def _parse_window(spec: dict) -> Window:
@@ -423,6 +424,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, args)
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -40,6 +40,10 @@ def build_frame(u_rows) -> DirectionFrame:
     k, n = u.shape
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    finite = np.isfinite(u).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"direction row {bad} is not finite: {u[bad].tolist()}")
     norms = np.linalg.norm(u, axis=1)
     if np.any(norms == 0):
         bad = int(np.argmin(norms))

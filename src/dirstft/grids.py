@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -55,13 +56,14 @@ class Grid:
     def __post_init__(self):
         origin = tuple(float(x) for x in self.origin)
         spacing = tuple(float(x) for x in self.spacing)
-        counts = tuple(int(n) for n in self.counts)
+        counts = _grid_counts(self.counts)
         if not (len(origin) == len(spacing) == len(counts)) or not origin:
             raise ValueError("origin, spacing and counts must share a positive length")
+        if not all(math.isfinite(o + n * s)
+                   for o, s, n in zip(origin, spacing, counts)):
+            raise ValueError("grid origin, spacing and extent must be finite")
         if any(s <= 0 for s in spacing):
             raise ValueError("grid spacing must be positive")
-        if any(n < 2 for n in counts):
-            raise ValueError("grid counts must be at least 2 per axis")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "counts", counts)
@@ -71,9 +73,9 @@ class Grid:
         """Half-open box [lo, hi) sampled with the given counts."""
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        counts = np.atleast_1d(np.asarray(counts, dtype=int))
-        spacing = (hi - lo) / counts
-        return cls(tuple(lo), tuple(spacing), tuple(counts))
+        counts = _grid_counts(np.atleast_1d(counts).tolist())
+        spacing = (hi - lo) / np.asarray(counts)
+        return cls(tuple(lo), tuple(spacing), counts)
 
     @property
     def dim(self) -> int:
@@ -81,7 +83,7 @@ class Grid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     @property
     def cell_volume(self) -> float:
@@ -131,6 +133,20 @@ class Grid:
         if not np.all(np.abs(frac - idx) <= LATTICE_TOL):
             return None
         return idx.astype(int)
+
+
+def _grid_counts(counts) -> tuple:
+    """Per-axis sample counts as ints, each an integral number of at least
+    2; a string, a fraction such as 16.5 or NaN is rejected, not truncated."""
+    out = []
+    for n in counts:
+        if not (isinstance(n, numbers.Integral) or (
+                isinstance(n, numbers.Real) and float(n).is_integer())):
+            raise ValueError(f"grid counts must be integers, got {n!r}")
+        if n < 2:
+            raise ValueError("grid counts must be at least 2 per axis")
+        out.append(int(n))
+    return tuple(out)
 
 
 def _sample_values(values, counts: tuple, what: str) -> np.ndarray:

@@ -13,12 +13,13 @@ Field (version 2):
 
 All values little-endian.  Readers reject a file whose length differs from
 the one its header implies (truncated, or with trailing bytes) before
-unpacking any samples.
+unpacking any samples, then read the samples straight into the array they
+return; writers write them from the array's own memory.
 """
 
 from __future__ import annotations
 
-import math
+import os
 import struct
 
 import numpy as np
@@ -40,39 +41,67 @@ def _pack_grid(grid: Grid) -> bytes:
     return b"".join(out)
 
 
-def _unpack_from(fmt: str, buf: bytes, off: int, path) -> tuple:
-    try:
-        return struct.unpack_from(fmt, buf, off)
-    except struct.error:
-        raise ValueError(f"{path}: truncated header ({len(buf)} bytes)") from None
+def _read_header(fh, fmt: str, path) -> tuple:
+    """The next header fields of fmt, from the file's current position."""
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError(f"{path}: truncated header ({fh.tell()} bytes)")
+    return struct.unpack(fmt, raw)
 
 
-def _unpack_grid(buf: bytes, off: int, path):
-    (dim,) = _unpack_from("<I", buf, off, path)
-    off += 4
+def _read_start(fh, path, version: int, what: str) -> None:
+    magic = fh.read(4)
+    if magic != MAGIC:
+        raise ValueError(f"{path}: bad magic {magic!r}")
+    (got,) = _read_header(fh, "<I", path)
+    if got != version:
+        raise ValueError(f"{path}: expected {what} version {version}, "
+                         f"got {got}")
+
+
+def _read_grid(fh, path) -> Grid:
+    (dim,) = _read_header(fh, "<I", path)
     origin, spacing, counts = [], [], []
     for _ in range(dim):
-        o, s, n = _unpack_from("<ddQ", buf, off, path)
-        off += 24
+        o, s, n = _read_header(fh, "<ddQ", path)
         origin.append(o)
         spacing.append(s)
         counts.append(n)
-    return Grid(tuple(origin), tuple(spacing), tuple(counts)), off
+    return Grid(tuple(origin), tuple(spacing), tuple(counts))
 
 
-def _check_length(path, buf: bytes, expected: int) -> None:
-    """Reject truncated files and trailing bytes before anything is unpacked."""
-    if len(buf) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, got {len(buf)}")
+def _check_length(path, fh, rest: int) -> None:
+    """Reject a file whose length is not the header read so far plus rest
+    bytes (truncated, or with trailing bytes) before anything more is
+    read."""
+    expected = fh.tell() + rest
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise ValueError(f"{path}: expected {expected} bytes, got {size}")
 
 
-def _pack_values(values: np.ndarray) -> bytes:
-    # little-endian complex128 is the interleaved (re, im) f64 layout
-    return np.ascontiguousarray(values, dtype="<c16").tobytes()
+def _write_values(fh, values: np.ndarray) -> None:
+    # little-endian complex128 is the interleaved (re, im) f64 layout; an
+    # array already in it (any Signal or field on a little-endian machine)
+    # is written from its own memory, without a copy
+    vals = np.ascontiguousarray(values, dtype="<c16")
+    fh.write(memoryview(vals.reshape(-1).view(np.uint8)))
 
 
-def _unpack_values(buf: bytes, off: int, count: int) -> np.ndarray:
-    return np.frombuffer(buf, dtype="<c16", count=count, offset=off).astype(complex)
+def _read_values(fh, path, count: int) -> np.ndarray:
+    """The next count samples, read straight into one writable complex
+    array; a read that ends early is rejected."""
+    vals = np.empty(count, dtype="<c16")
+    buf = memoryview(vals.view(np.uint8))
+    got = 0
+    while got < len(buf):
+        n = fh.readinto(buf[got:])
+        if not n:
+            raise ValueError(f"{path}: file ended after {got} of "
+                             f"{len(buf)} sample bytes")
+        got += n
+    return vals.astype(complex, copy=False)
 
 
 def write_signal(path, f: Signal) -> None:
@@ -80,21 +109,15 @@ def write_signal(path, f: Signal) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", SIGNAL_VERSION))
         fh.write(_pack_grid(f.grid))
-        fh.write(_pack_values(f.values))
+        _write_values(fh, f.values)
 
 
 def read_signal(path) -> Signal:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != MAGIC:
-        raise ValueError(f"{path}: bad magic {buf[:4]!r}")
-    (version,) = _unpack_from("<I", buf, 4, path)
-    if version != SIGNAL_VERSION:
-        raise ValueError(f"{path}: expected signal version {SIGNAL_VERSION}, "
-                         f"got {version}")
-    grid, off = _unpack_grid(buf, 8, path)
-    _check_length(path, buf, off + 16 * math.prod(grid.counts))
-    vals = _unpack_values(buf, off, grid.size)
+        _read_start(fh, path, SIGNAL_VERSION, "signal")
+        grid = _read_grid(fh, path)
+        _check_length(path, fh, 16 * grid.size)
+        vals = _read_values(fh, path, grid.size)
     return Signal(grid, vals.reshape(grid.counts))
 
 
@@ -147,30 +170,21 @@ def write_field(path, F: DstftField) -> None:
         fh.write(_pack_grid(F.xi_grid))
         fh.write(struct.pack("<II", F.frame.n, F.frame.k))
         fh.write(np.ascontiguousarray(F.frame.u, dtype="<f8").tobytes())
-        fh.write(_pack_values(F.values))
+        _write_values(fh, F.values)
 
 
 def read_field(path) -> DstftField:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != MAGIC:
-        raise ValueError(f"{path}: bad magic {buf[:4]!r}")
-    (version,) = _unpack_from("<I", buf, 4, path)
-    if version != FIELD_VERSION:
-        raise ValueError(f"{path}: expected field version {FIELD_VERSION}, "
-                         f"got {version}")
-    y_grid, off = _unpack_grid(buf, 8, path)
-    xi_grid, off = _unpack_grid(buf, off, path)
-    n, k = _unpack_from("<II", buf, off, path)
-    off += 8
-    _check_length(path, buf, off + 8 * n * k
-                  + 16 * math.prod(y_grid.counts) * math.prod(xi_grid.counts))
-    u = np.frombuffer(buf, dtype="<f8", count=n * k, offset=off).reshape(k, n)
-    off += 8 * n * k
-    frame = build_frame(u)
-    vals = _unpack_values(buf, off, y_grid.size * xi_grid.size)
+        _read_start(fh, path, FIELD_VERSION, "field")
+        y_grid = _read_grid(fh, path)
+        xi_grid = _read_grid(fh, path)
+        n, k = _read_header(fh, "<II", path)
+        _check_length(path, fh, 8 * n * k + 16 * y_grid.size * xi_grid.size)
+        u = np.array(_read_header(fh, f"<{n * k}d", path)).reshape(k, n)
+        vals = _read_values(fh, path, y_grid.size * xi_grid.size)
     return DstftField(y_grid, xi_grid,
-                      vals.reshape(y_grid.counts + xi_grid.counts), frame=frame)
+                      vals.reshape(y_grid.counts + xi_grid.counts),
+                      frame=build_frame(u))
 
 
 def write_magnitude_csv(path, F: DstftField, y_flat_index: int = 0) -> None:

@@ -55,14 +55,15 @@ def _synthesize(pairs, xi_grid: Grid, out_grid: Grid, y_volume: float) -> np.nda
 
 def dso_direct(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid,
                work_cap: int = DSO_WORK_CAP) -> Signal:
-    """Brute-force double-loop synthesis oracle, capped at work_cap terms."""
-    blocks = window_blocks(g, out_grid, frame.u, F.y_grid.points())
+    """Brute-force double-loop synthesis oracle, capped at work_cap terms;
+    the cap is checked before anything the size of out_grid is allocated."""
     work = out_grid.size * F.y_size * F.xi_size
     if work > work_cap:
         raise ValueError(
             f"direct synthesis work {work} exceeds cap {work_cap}; the fast "
             f"path needs out_grid = {F.xi_grid.primal()}, the primal grid of "
             "the field's frequency lattice")
+    blocks = window_blocks(g, out_grid, frame.u, F.y_grid.points())
     T = out_grid.points()
     Xi = F.xi_grid.points()
     phases = np.exp(2j * np.pi * (Xi @ T.T))   # (Nxi, Nt)

@@ -24,6 +24,11 @@ class WindowKind(enum.Enum):
 # reconstruction factor is unusable.
 EPS_PAIR = 1e-8
 
+# Largest window grid, in samples, that the window constructors sample
+# (256 MiB of complex values).  A window is rarely larger than the signal it
+# slides over; the cap stops a mistyped grid before anything is allocated.
+WINDOW_SAMPLES_CAP = 2 ** 24
+
 
 @dataclass
 class Window:
@@ -71,6 +76,7 @@ def gaussian_window(grid: Grid, sigma) -> Window:
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     if sigma.shape[0] != grid.dim:
         raise ValueError("sigma length must match grid dimension")
+    _check_window_grid(grid)
     if np.any(sigma <= 0):
         raise ValueError("sigma must be positive")
     vals = np.ones(grid.counts)
@@ -91,6 +97,7 @@ def gevrey_bump(grid: Grid, radius: float, alpha: float) -> Window:
         raise ValueError("Gevrey index alpha must exceed 1")
     if radius <= 0:
         raise ValueError("radius must be positive")
+    _check_window_grid(grid)
     lo = np.asarray(grid.origin)
     hi = np.asarray(grid.upper)
     half_extent = min(float(np.min(-lo)), float(np.min(hi)))
@@ -107,6 +114,12 @@ def gevrey_bump(grid: Grid, radius: float, alpha: float) -> Window:
     vals[inside] = np.exp(-((1.0 - rho2[inside]) ** (-q)))
     return Window(grid, vals.reshape(grid.counts), WindowKind.GEVREY_BUMP,
                   alpha=alpha, support_radius=radius)
+
+
+def _check_window_grid(grid: Grid) -> None:
+    if grid.size > WINDOW_SAMPLES_CAP:
+        raise ValueError(f"a window grid of {grid.size} samples is above the "
+                         f"cap of {WINDOW_SAMPLES_CAP}")
 
 
 def shifted(w: Window, delta) -> Window:
@@ -147,29 +160,31 @@ def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     """Iterator of (lo, hi, W) with W[b] = window_at(w, proj - Y[lo + b]),
     where proj = grid.points() @ u.T are the sample points t projected on
     the k x n direction rows ``u``, and ``Y`` holds the y~ points, shape
-    (Ny, k).  The window and grid dimensions are checked against k and n
-    at the call, before any block is computed.
+    (Ny, k).  The window and grid dimensions are checked against k and n,
+    and the y~ points against k, at the call, before any block is computed.
 
     W is shaped (B, Nt) with B = max(1, BLOCK_ELEMS // Nt) rows.  One path
     serves the whole y~ set: a gather from a zero-padded copy of the window
     when every proj - y~ hits the window lattice, else the trigonometric
     interpolation of window_at, factorized over (t, y~).  The trigonometric
-    path holds M Nt / N_0 entries per row (M window modes, N_0 samples on
-    the first signal axis) and takes fewer rows when that exceeds Nt.
+    path evaluates the window on the projected index box when that box is
+    smaller than the signal grid (see _projected_box), else at every sample;
+    it holds M J / J_0 entries per row (M window modes, J points it
+    evaluates, J_0 of them on the first axis) and takes fewer rows when
+    that exceeds Nt.
     """
     u = np.atleast_2d(u)
     if (w.grid.dim, grid.dim) != u.shape:
         raise ValueError(f"window and signal dimensions {w.grid.dim}, "
                          f"{grid.dim} must equal the frame's k, n = {u.shape}")
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Y = as_points(Y, w.grid.dim)
     if Y.shape[0] == 0:
         return iter(())
     proj = grid.points() @ u.T
     row = proj.shape[0]
     block = _lattice_blocks(w, proj, Y)
     if block is None:
-        block = _trig_blocks(w, grid, u, proj, Y)
-        row = max(row, w.grid.size * row // grid.counts[0])
+        block, row = _trig_blocks(w, grid, u, proj, Y)
     step = max(1, BLOCK_ELEMS // row)
     bounds = ((lo, min(lo + step, Y.shape[0])) for lo in range(0, Y.shape[0], step))
     return ((lo, hi, block(lo, hi)) for lo, hi in bounds)
@@ -224,22 +239,32 @@ def _lattice_blocks(w: Window, proj: np.ndarray, Y: np.ndarray):
 
 def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
                  Y: np.ndarray):
-    """Block evaluator by trigonometric interpolation of the window.
+    """(block evaluator, entries per y~ row) by trigonometric interpolation
+    of the window.
 
-    With window modes X_m and coefficients c_m,
-    W[b, t] = sum_m c_m exp(-2 pi i X_m . Y_b) E[m, t], where
-    E[m, t] = exp(2 pi i X_m . u t) = prod_i exp(2 pi i (X_m . u_i) t_i)
-    factorizes over the signal axes.  A block multiplies in one per-axis
-    table at a time, last axis first, and contracts the modes against the
-    first; E itself is never formed.  Points outside the window box (and
-    outside a bump's support) are then zeroed, as in window_at.
+    With window modes X_m and coefficients c_m, the window at x is
+    sum_m c_m exp(2 pi i X_m . x), and W[b, t] is its value at
+    x = u t - Y_b.  The phase factorizes into exp(-2 pi i X_m . Y_b) and
+    one factor per axis of the points x is evaluated on, so a block
+    multiplies in one per-axis table at a time, last axis first, and
+    contracts the modes against the first; the full (modes x points) table
+    is never formed.  Those points are the projected index box of
+    _projected_box when it is smaller than the signal grid (rates X_m,
+    then gathered at each sample's box index), else the samples themselves
+    (rates X_m . u_i along signal axis i).  Points outside the window box
+    (and outside a bump's support) are then zeroed, as in window_at, by
+    testing the exact points proj - y~.
     """
     spec = dft(w.as_signal())
     X = spec.freq_grid.points()
     c = spec.values.ravel() * spec.freq_grid.cell_volume
-    rates = X @ u                                   # (M, n)
-    tables = [np.exp(2j * np.pi * np.outer(rates[:, i], grid.axis(i)))
-              for i in range(grid.dim)]             # (M, N_i) each
+    box = _projected_box(w, grid, u)
+    if box is None:
+        rates, axes, index = X @ u, grid.axes(), None
+    else:
+        rates, (axes, index) = X, box
+    tables = [np.exp(2j * np.pi * np.outer(rates[:, i], a))
+              for i, a in enumerate(axes)]          # (M, len(a)) each
 
     def block(lo, hi):
         y = Y[lo:hi]
@@ -248,6 +273,8 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
             Z = (Z[:, :, None, :] * e[None, :, :, None]).reshape(
                 len(y), len(c), -1)
         W = np.matmul(tables[0].T, Z).reshape(len(y), -1)
+        if index is not None:
+            W = W[:, index]
         pts = proj[None, :, :] - y[:, None, :]
         keep = w.grid.contains(pts)
         if w.compact:
@@ -255,7 +282,63 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
         W[~keep] = 0.0
         return W
 
-    return block
+    row = max(proj.shape[0], len(c) * math.prod(len(a) for a in axes[1:]))
+    return block, row
+
+
+def _projected_box(w: Window, grid: Grid, u: np.ndarray):
+    """(axes, index) of the projected index box, or None when it is not
+    smaller than the signal grid.
+
+    With t = origin + spacing * m, row r of the projection is
+    u_r . t = u_r . origin + sum_i a_ri m_i with a_ri = u_ri spacing_i.
+    When a_r = delta_r q_r for an integer vector q_r, to within LATTICE_TOL
+    window steps over the whole grid, u_r . t takes J_r equally spaced
+    values p_r + delta_r j (j = 0 ... J_r - 1) -- the lattice test of
+    _lattice_blocks one level up.  axes[r] holds those values, and index
+    maps each sample, row-major, to its flat position in the box
+    J_0 x ... x J_(k-1).  q_r comes from the exact ratios a_ri / a_rb to
+    the smallest term that moves the projection by more than the
+    tolerance, so rounding cannot split one box value in two; the box size
+    is checked as a float before any integer is formed.
+    """
+    # imported here: fractions pulls in decimal, ~2 ms of start-up that
+    # every CLI command would pay, and only off-lattice windows need it
+    from fractions import Fraction
+
+    a = u * np.asarray(grid.spacing)                # (k, n)
+    span = np.asarray(grid.counts) - 1
+    if not np.all(np.isfinite(a)):
+        return None
+    steps, size = [], 1.0
+    for a_r, h in zip(a, w.grid.spacing):
+        tol = LATTICE_TOL * h
+        moving = np.abs(a_r) * span > tol
+        if not moving.any():
+            delta, q = h, np.zeros(len(a_r))
+        else:
+            base = float(np.min(np.abs(a_r[moving])))
+            ratios = a_r / base
+            d = math.lcm(*(Fraction(x).limit_denominator(grid.size).denominator
+                           for x in ratios))
+            delta, q = base / d, d * ratios
+        size *= float(np.abs(np.rint(q)) @ span) + 1
+        if size >= grid.size:
+            return None
+        q = np.rint(q).astype(np.int64)
+        if float(np.abs(a_r - delta * q) @ span) > tol:
+            return None
+        steps.append((delta, q))
+    shape = [int(np.abs(q) @ span) + 1 for _, q in steps]
+    low = [int(np.minimum(q, 0) @ span) for _, q in steps]
+    strides = np.cumprod([1] + shape[:0:-1])[::-1]
+    axes = [float(u_r @ np.asarray(grid.origin)) + delta * (lo + np.arange(n))
+            for u_r, (delta, _), lo, n in zip(u, steps, low, shape)]
+    coef = strides @ np.array([q for _, q in steps])    # (n,) index per m_i
+    index = -int(strides @ low)
+    for i, n_i in enumerate(grid.counts):
+        index = np.add.outer(index, coef[i] * np.arange(n_i))
+    return axes, index.ravel()
 
 
 def pairing_check(g: Window, phi: Window, eps_pair: float = EPS_PAIR) -> PairingCert:
@@ -282,6 +365,7 @@ def tensor_window(parts: list) -> Window:
         tuple(p.grid.spacing[0] for p in parts),
         tuple(p.grid.counts[0] for p in parts),
     )
+    _check_window_grid(grid)
     vals = parts[0].values
     for p in parts[1:]:
         vals = np.multiply.outer(vals, p.values)

@@ -359,3 +359,59 @@ def test_strict_window_rejects_a_gaussian_wavefront_window(tmp_path, capsys):
     assert "strict" in err and "Traceback" not in err
     with pytest.warns(WindowClassWarning, match="Gevrey bump"):
         assert run(tmp_path, "wavefront", cfg) in (0, 1)
+
+
+NAN = float("nan")
+WIN16 = {"kind": "gaussian", "sigma": [1.0],
+         "grid": {"bounds": [[-4], [4]], "counts": [16]}}
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("analyze", {"window": []}, "window must be a JSON object, got list"),
+    ("analyze", {"window": {**WIN16, "grid": None}},
+     "grid must be a JSON object, got NoneType"),
+    ("analyze", {"frame": None}, "frame must be a JSON object"),
+    ("gen", {"params": []}, "gaussian params must be a JSON object"),
+    ("analyze", {"window": {**WIN16, "grid": {"bounds": [[-4], [4]],
+                                              "counts": [10 ** 12]}}},
+     f"a window grid of {10 ** 12} samples is above the cap"),
+    ("analyze", {"y_grid": {"bounds": [[-4, -4], [4, 4]], "counts": [4, 4]}},
+     "points must have 1 coordinates"),
+    ("analyze", {"frame": {"u": [[NAN, 1.0]]}}, "direction row 0 is not finite"),
+    ("analyze", {"y_grid": {"bounds": [[-4], [4]], "counts": [16.5]}},
+     "grid counts must be integers, got 16.5"),
+    ("gen", {"grid": {"bounds": [[-4, -4], [4, 4]], "counts": ["16", 16]}},
+     "grid counts must be integers, got '16'"),
+    ("gen", {"grid": {"bounds": [[-4, -4], [4, 4]], "counts": [0, 16]}},
+     "grid counts must be at least 2"),
+    ("analyze", {"y_grid": {"origin": [NAN], "spacing": [0.5],
+                            "counts": [16]}}, "must be finite"),
+])
+def test_bad_config_exits_2_with_a_message(tmp_path, capsys, command, edit,
+                                           message):
+    sig = gen_gaussian(tmp_path, counts=(16, 16), lo=(-4, -4), hi=(4, 4))
+    base = {
+        "gen": {"schema_version": 1, "kind": "gaussian",
+                "grid": {"bounds": [[-4, -4], [4, 4]], "counts": [16, 16]},
+                "params": {"sigma": 1.0}, "out": str(tmp_path / "g.dstf")},
+        "analyze": {"schema_version": 1, "signal": str(sig), "window": WIN16,
+                    "frame": {"u": [[1.0, 1.0]]},
+                    "out": str(tmp_path / "F.dstf")},
+    }[command]
+    capsys.readouterr()
+    assert run(tmp_path, command, {**base, **edit}) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "F.dstf").exists()
+    assert not (tmp_path / "g.dstf").exists()
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    sig = gen_gaussian(tmp_path)
+
+    def exhausted(path):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(cli.sigio, "read_signal", exhausted)
+    assert run(tmp_path, "roundtrip", roundtrip_cfg(tmp_path, sig)) == 2
+    assert "out of memory: cannot allocate" in capsys.readouterr().err

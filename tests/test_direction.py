@@ -34,6 +34,13 @@ def test_degenerate_direction_rejected():
         build_frame([[0.0, 0.0]])
 
 
+@pytest.mark.parametrize("rows", [[[float("nan"), 1.0]],
+                                  [[1.0, 0.0], [0.0, float("inf")]]])
+def test_non_finite_direction_rejected(rows):
+    with pytest.raises(ValueError, match=f"row {len(rows) - 1} is not finite"):
+        build_frame(rows)
+
+
 def test_frequency_map_hand_inverted():
     # u = (1,1)/sqrt(2): B = [[1/sq2, 1/sq2], [0, 1]],
     # C = [[sq2, -1], [0, 1]], so eta = C^T xi with xi = (1, 0) is (sq2, -1).

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from dirstft import Grid, Signal, build_frame, dstft_fast, gaussian_window, gevrey_bump
+from dirstft import windows
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, heaviside_sheet
 from dirstft.grids import BLOCK_ELEMS, dft, evaluate_trig
 from dirstft.synthesis import dso, reconstruct
 from dirstft.transform import DstftField, dstft_blocks
 from dirstft.wavefront import BallSpec, cone_dictionary_2d, wavefront_scan
-from dirstft.windows import (Window, WindowKind, _lattice_blocks, window_at,
-                             window_blocks)
+from dirstft.windows import (Window, WindowKind, _lattice_blocks,
+                             _projected_box, window_at, window_blocks)
 
 S2 = 1 / math.sqrt(2)
 
@@ -122,6 +123,88 @@ def test_support_radius_masks_nonzero_values(u, lattice):
     grid = Grid.from_bounds([-2, -2], [2, 2], [32, 32])
     want = assert_engine_matches(win, grid, u, wg.points(), lattice)
     assert np.count_nonzero(want) < want.size / 2
+
+
+def box_size(w, grid, u):
+    box = _projected_box(w, grid, np.atleast_2d(u))
+    return None if box is None else math.prod(len(a) for a in box[0])
+
+
+@pytest.mark.parametrize("u, size", [([[1.0, 2.0]], 46), ([[1.0, -1.0]], 31),
+                                     ([[1.0, 1e-300]], 16),
+                                     ([[1.0, 1.000001]], None)])
+def test_projected_box_matches_window_at(u, size):
+    # J_0 = |q| . (N - 1) + 1 points: q = (1, 2), (1, -1) and (1, 0), the
+    # 1e-300 term moving the projection by less than the lattice tolerance;
+    # q = (1, 1) misses (1, 1.000001) by more than that, so it has no box
+    frame = build_frame(u)
+    assert box_size(WIN1, GRID2, frame.u) == size
+    Y = np.concatenate([Grid.from_bounds([-4], [4], [16]).points(),
+                        [[-9.0], [0.3], [12.0]]])
+    assert_engine_matches(WIN1, GRID2, frame.u, Y, lattice=False)
+
+
+def test_projected_box_k2_n3():
+    # one lattice row and one diagonal row: a 6 x 9 box for 6 x 6 x 4 samples
+    grid = Grid.from_bounds([-3, -3, -2], [3, 3, 2], [6, 6, 4])
+    win = gaussian_window(Grid.from_bounds([-3, -3], [3, 3], [12, 12]),
+                          [1.0, 0.8])
+    frame = build_frame([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    assert box_size(win, grid, frame.u) == 6 * 9
+    Y = Grid.from_bounds([-3, -3], [3, 3], [5, 7]).points() + [0.05, 0.0]
+    assert_engine_matches(win, grid, frame.u, Y, lattice=False)
+
+
+def test_projected_box_edges_use_the_exact_points():
+    # y~ that put some proj - y~ exactly on the window box edges and on a
+    # bump's support radius; the masks must see those points, not the box
+    # points p + delta j that carry the window values
+    wg = Grid.from_bounds([-2], [2], [32])
+    grid = Grid.from_bounds([-2, -2], [2, 2], [32, 32])
+    frame = build_frame([[3.0, 4.0]])
+    proj = (grid.points() @ frame.u.T)[::97]
+    Y = np.concatenate([proj + 2.0, proj - 2.0, proj - 0.75, proj + 0.75])
+    gauss = gaussian_window(wg, 1.0)
+    assert box_size(gauss, grid, frame.u) is not None
+    bump = Window(wg, gauss.values, WindowKind.GEVREY_BUMP, alpha=2.0,
+                  support_radius=0.75)
+    for win in (gauss, bump):
+        want = assert_engine_matches(win, grid, frame.u, Y, lattice=False)
+        assert np.count_nonzero(want) < want.size
+
+
+def test_diagonal_64_takes_the_box_path(monkeypatch):
+    # u = (1, 1)/sqrt 2 on 64^2: 127 distinct projections t1 + t2 instead
+    # of 4096 samples; a direction whose box is not smaller keeps the
+    # per-sample path
+    grid = Grid.from_bounds([-8, -8], [8, 8], [64, 64])
+    win = gaussian_window(Grid.from_bounds([-8], [8], [64]), 1.0)
+    boxes = []
+
+    def spy(*args):
+        boxes.append(_projected_box(*args))
+        return boxes[-1]
+
+    monkeypatch.setattr(windows, "_projected_box", spy)
+    Y = [[-8.0], [0.3], [7.75]]
+    W = engine(win, grid, build_frame([[1.0, 1.0]]).u, Y)
+    axes, index = boxes[0]
+    assert len(boxes) == 1 and [len(a) for a in axes] == [127]
+    assert index.shape == (4096,) and index.min() == 0 and index.max() == 126
+    # samples with one box index get one window value
+    first = np.unique(index, return_index=True)[1]
+    assert np.array_equal(W, W[:, first[index]])
+    want = per_point(win, grid, build_frame([[1.0, 1.0]]).u, Y)
+    assert np.max(np.abs(W - want)) <= 1e-12 * np.max(np.abs(want))
+    small = Grid.from_bounds([-2, -2], [2, 2], [8, 8])
+    assert box_size(WIN1, small, build_frame([[1.0, 0.3]]).u) is None   # 92
+    assert box_size(WIN1, small, build_frame([[1.0, math.sqrt(2)]]).u) is None
+    assert box_size(WIN1, GRID2, build_frame([[1.0, 0.3]]).u) == 196
+
+
+def test_y_points_of_other_dimension_rejected():
+    with pytest.raises(ValueError, match="1 coordinates"):
+        window_blocks(WIN1, GRID2, [[S2, S2]], np.zeros((4, 2)))
 
 
 def test_block_boundary_mid_grid():

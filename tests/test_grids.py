@@ -21,6 +21,37 @@ def test_grid_basic_geometry():
     assert axes[0][-1] == pytest.approx(7.5)
 
 
+@pytest.mark.parametrize("origin, spacing, counts, message", [
+    ((float("nan"),), (0.5,), (16,), "finite"),
+    ((0.0,), (float("inf"),), (16,), "finite"),
+    ((0.0,), (1e308,), (16,), "finite"),            # the extent overflows
+    ((0.0, 0.0), (0.5, 0.5), (16, 16.5), "integers, got 16.5"),
+    ((0.0,), (0.5,), ("16",), "integers, got '16'"),
+    ((0.0,), (0.5,), (float("nan"),), "integers"),
+    ((0.0,), (0.5,), (1,), "at least 2"),
+])
+def test_grid_rejects_bad_geometry(origin, spacing, counts, message):
+    with pytest.raises(ValueError, match=message):
+        Grid(origin, spacing, counts)
+
+
+@pytest.mark.parametrize("counts, message", [([0], "at least 2"),
+                                             ([16.5], "integers, got 16.5"),
+                                             (["16"], "integers, got '16'")])
+def test_from_bounds_checks_counts_before_dividing(counts, message):
+    # counts 0 used to divide by zero (a RuntimeWarning) before the error
+    with pytest.raises(ValueError, match=message):
+        Grid.from_bounds([-4], [4], counts)
+
+
+def test_grid_accepts_integral_counts_of_any_type():
+    ref = Grid((0.0,), (0.5,), (16,))
+    assert Grid((0,), (0.5,), (np.int64(16),)) == ref
+    assert Grid((0.0,), (0.5,), (16.0,)) == ref
+    assert Grid.from_bounds([0], [8], np.array([16])) == ref
+    assert isinstance(ref.counts[0], int) and isinstance(ref.size, int)
+
+
 def test_grid_dual_lattice():
     g = Grid.from_bounds([-8], [8], [32])
     d = g.dual()

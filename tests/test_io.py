@@ -1,3 +1,7 @@
+import os
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -137,3 +141,50 @@ def test_truncated_header_rejected(tmp_path, signal, make, read):
     p.write_bytes(p.read_bytes()[:20])
     with pytest.raises(ValueError, match="truncated header"):
         read(p)
+
+
+@pytest.mark.parametrize("make, read", [(_signal_file, read_signal),
+                                        (_field_file, read_field)])
+def test_read_samples_are_writable(tmp_path, signal, make, read):
+    vals = read(make(tmp_path, signal)).values
+    assert vals.flags.writeable and vals.flags.c_contiguous
+    assert vals.dtype == np.complex128
+    vals *= 2.0
+
+
+@pytest.mark.parametrize("make, read", [(_signal_file, read_signal),
+                                        (_field_file, read_field)])
+def test_short_sample_read_rejected(tmp_path, signal, make, read, monkeypatch):
+    # the file loses 16 bytes after its length was checked
+    p = make(tmp_path, signal)
+    p.write_bytes(p.read_bytes()[:-16])
+    stat = os.fstat
+    monkeypatch.setattr(os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=stat(fd).st_size + 16))
+    with pytest.raises(ValueError, match="file ended after"):
+        read(p)
+
+
+def _grid_bytes(grid):
+    return struct.pack("<I", grid.dim) + b"".join(
+        struct.pack("<ddQ", o, s, n)
+        for o, s, n in zip(grid.origin, grid.spacing, grid.counts))
+
+
+def test_files_hold_the_documented_bytes(tmp_path, signal):
+    # header fields packed one by one, then the samples as little-endian
+    # complex128, byte for byte
+    p = tmp_path / "f.dstf"
+    write_signal(p, signal)
+    assert p.read_bytes() == (b"DSTF" + struct.pack("<I", 1)
+                              + _grid_bytes(signal.grid)
+                              + signal.values.astype("<c16").tobytes())
+    win = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
+    F = dstft_fast(signal, win, build_frame([[0.6, 0.8]]))
+    q = tmp_path / "F.dstf"
+    write_field(q, F)
+    assert q.read_bytes() == (b"DSTF" + struct.pack("<I", 2)
+                              + _grid_bytes(F.y_grid) + _grid_bytes(F.xi_grid)
+                              + struct.pack("<II", 2, 1)
+                              + F.frame.u.astype("<f8").tobytes()
+                              + F.values.astype("<c16").tobytes())
