@@ -12,14 +12,16 @@ Field (version 2):
     then interleaved (re, im) f64 field samples, y-major then xi row-major.
 
 All values little-endian.  Readers reject a file whose length differs from
-the one its header implies (truncated, or with trailing bytes) before
-unpacking any samples, then read the samples straight into the array they
-return; writers write them from the array's own memory.
+the one its header implies (truncated, or with trailing bytes): a regular
+file before unpacking any samples, a pipe or FIFO as it is read.  They read
+the samples straight into the array they return; writers write them from
+the array's own memory.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import struct
 
 import numpy as np
@@ -46,7 +48,8 @@ def _read_header(fh, fmt: str, path) -> tuple:
     size = struct.calcsize(fmt)
     raw = fh.read(size)
     if len(raw) != size:
-        raise ValueError(f"{path}: truncated header ({fh.tell()} bytes)")
+        raise ValueError(f"{path}: truncated header (got {len(raw)} of "
+                         f"{size} bytes)")
     return struct.unpack(fmt, raw)
 
 
@@ -72,13 +75,17 @@ def _read_grid(fh, path) -> Grid:
 
 
 def _check_length(path, fh, rest: int) -> None:
-    """Reject a file whose length is not the header read so far plus rest
-    bytes (truncated, or with trailing bytes) before anything more is
-    read."""
+    """Reject a regular file whose length is not the header read so far
+    plus rest bytes (truncated, or with trailing bytes) before anything
+    more is read.  Other files (pipes, FIFOs) have no length to check up
+    front; _read_values rejects them as it reads."""
+    st = os.fstat(fh.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        return
     expected = fh.tell() + rest
-    size = os.fstat(fh.fileno()).st_size
-    if size != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, got {size}")
+    if st.st_size != expected:
+        raise ValueError(f"{path}: expected {expected} bytes, "
+                         f"got {st.st_size}")
 
 
 def _write_values(fh, values: np.ndarray) -> None:
@@ -90,17 +97,18 @@ def _write_values(fh, values: np.ndarray) -> None:
 
 
 def _read_values(fh, path, count: int) -> np.ndarray:
-    """The next count samples, read straight into one writable complex
-    array; a read that ends early is rejected."""
+    """The last count samples of the file, read straight into one writable
+    complex array; a file that ends early or goes on after them is
+    rejected."""
     vals = np.empty(count, dtype="<c16")
     buf = memoryview(vals.view(np.uint8))
-    got = 0
-    while got < len(buf):
-        n = fh.readinto(buf[got:])
-        if not n:
-            raise ValueError(f"{path}: file ended after {got} of "
-                             f"{len(buf)} sample bytes")
-        got += n
+    got = fh.readinto(buf)
+    if got != len(buf):
+        raise ValueError(f"{path}: file ended after {got} of {len(buf)} "
+                         f"sample bytes")
+    if fh.read(1):
+        raise ValueError(f"{path}: trailing bytes after {len(buf)} sample "
+                         f"bytes")
     return vals.astype(complex, copy=False)
 
 

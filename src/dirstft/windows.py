@@ -24,11 +24,6 @@ class WindowKind(enum.Enum):
 # reconstruction factor is unusable.
 EPS_PAIR = 1e-8
 
-# Largest window grid, in samples, that the window constructors sample
-# (256 MiB of complex values).  A window is rarely larger than the signal it
-# slides over; the cap stops a mistyped grid before anything is allocated.
-WINDOW_SAMPLES_CAP = 2 ** 24
-
 
 @dataclass
 class Window:
@@ -76,7 +71,6 @@ def gaussian_window(grid: Grid, sigma) -> Window:
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     if sigma.shape[0] != grid.dim:
         raise ValueError("sigma length must match grid dimension")
-    _check_window_grid(grid)
     if np.any(sigma <= 0):
         raise ValueError("sigma must be positive")
     vals = np.ones(grid.counts)
@@ -97,7 +91,6 @@ def gevrey_bump(grid: Grid, radius: float, alpha: float) -> Window:
         raise ValueError("Gevrey index alpha must exceed 1")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    _check_window_grid(grid)
     lo = np.asarray(grid.origin)
     hi = np.asarray(grid.upper)
     half_extent = min(float(np.min(-lo)), float(np.min(hi)))
@@ -114,12 +107,6 @@ def gevrey_bump(grid: Grid, radius: float, alpha: float) -> Window:
     vals[inside] = np.exp(-((1.0 - rho2[inside]) ** (-q)))
     return Window(grid, vals.reshape(grid.counts), WindowKind.GEVREY_BUMP,
                   alpha=alpha, support_radius=radius)
-
-
-def _check_window_grid(grid: Grid) -> None:
-    if grid.size > WINDOW_SAMPLES_CAP:
-        raise ValueError(f"a window grid of {grid.size} samples is above the "
-                         f"cap of {WINDOW_SAMPLES_CAP}")
 
 
 def shifted(w: Window, delta) -> Window:
@@ -297,15 +284,11 @@ def _projected_box(w: Window, grid: Grid, u: np.ndarray):
     values p_r + delta_r j (j = 0 ... J_r - 1) -- the lattice test of
     _lattice_blocks one level up.  axes[r] holds those values, and index
     maps each sample, row-major, to its flat position in the box
-    J_0 x ... x J_(k-1).  q_r comes from the exact ratios a_ri / a_rb to
-    the smallest term that moves the projection by more than the
-    tolerance, so rounding cannot split one box value in two; the box size
-    is checked as a float before any integer is formed.
+    J_0 x ... x J_(k-1).  q_r is the ratio of a_r to its smallest term that
+    moves the projection by more than the tolerance, rounded to integers,
+    so rows with other ratios take the per-sample path; the box size is
+    checked as a float before any integer is formed.
     """
-    # imported here: fractions pulls in decimal, ~2 ms of start-up that
-    # every CLI command would pay, and only off-lattice windows need it
-    from fractions import Fraction
-
     a = u * np.asarray(grid.spacing)                # (k, n)
     span = np.asarray(grid.counts) - 1
     if not np.all(np.isfinite(a)):
@@ -317,11 +300,8 @@ def _projected_box(w: Window, grid: Grid, u: np.ndarray):
         if not moving.any():
             delta, q = h, np.zeros(len(a_r))
         else:
-            base = float(np.min(np.abs(a_r[moving])))
-            ratios = a_r / base
-            d = math.lcm(*(Fraction(x).limit_denominator(grid.size).denominator
-                           for x in ratios))
-            delta, q = base / d, d * ratios
+            delta = float(np.min(np.abs(a_r[moving])))
+            q = a_r / delta
         size *= float(np.abs(np.rint(q)) @ span) + 1
         if size >= grid.size:
             return None
@@ -365,7 +345,6 @@ def tensor_window(parts: list) -> Window:
         tuple(p.grid.spacing[0] for p in parts),
         tuple(p.grid.counts[0] for p in parts),
     )
-    _check_window_grid(grid)
     vals = parts[0].values
     for p in parts[1:]:
         vals = np.multiply.outer(vals, p.values)

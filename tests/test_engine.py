@@ -161,7 +161,7 @@ def test_projected_box_edges_use_the_exact_points():
     # points p + delta j that carry the window values
     wg = Grid.from_bounds([-2], [2], [32])
     grid = Grid.from_bounds([-2, -2], [2, 2], [32, 32])
-    frame = build_frame([[3.0, 4.0]])
+    frame = build_frame([[1.0, 2.0]])
     proj = (grid.points() @ frame.u.T)[::97]
     Y = np.concatenate([proj + 2.0, proj - 2.0, proj - 0.75, proj + 0.75])
     gauss = gaussian_window(wg, 1.0)
@@ -197,9 +197,11 @@ def test_diagonal_64_takes_the_box_path(monkeypatch):
     want = per_point(win, grid, build_frame([[1.0, 1.0]]).u, Y)
     assert np.max(np.abs(W - want)) <= 1e-12 * np.max(np.abs(want))
     small = Grid.from_bounds([-2, -2], [2, 2], [8, 8])
-    assert box_size(WIN1, small, build_frame([[1.0, 0.3]]).u) is None   # 92
+    assert box_size(WIN1, small, build_frame([[1.0, 9.0]]).u) is None   # 71
+    assert box_size(WIN1, GRID2, build_frame([[1.0, 9.0]]).u) == 151
     assert box_size(WIN1, small, build_frame([[1.0, math.sqrt(2)]]).u) is None
-    assert box_size(WIN1, GRID2, build_frame([[1.0, 0.3]]).u) == 196
+    # a non-integer step ratio has no box, whatever the grid size
+    assert box_size(WIN1, GRID2, build_frame([[1.0, 0.3]]).u) is None
 
 
 def test_y_points_of_other_dimension_rejected():

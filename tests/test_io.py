@@ -158,11 +158,42 @@ def test_short_sample_read_rejected(tmp_path, signal, make, read, monkeypatch):
     # the file loses 16 bytes after its length was checked
     p = make(tmp_path, signal)
     p.write_bytes(p.read_bytes()[:-16])
-    stat = os.fstat
-    monkeypatch.setattr(os, "fstat",
-                        lambda fd: SimpleNamespace(st_size=stat(fd).st_size + 16))
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+        st_mode=fstat(fd).st_mode, st_size=fstat(fd).st_size + 16))
     with pytest.raises(ValueError, match="file ended after"):
         read(p)
+
+
+def _read_from_pipe(read, data):
+    # the whole file fits in the pipe buffer, so no writer thread is needed
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("make, read", [(_signal_file, read_signal),
+                                        (_field_file, read_field)])
+def test_pipes_are_read_and_checked_as_they_are_read(tmp_path, signal, make,
+                                                     read):
+    # a pipe has no size to check up front: a whole file reads as from
+    # disk, and a short or overlong one is caught while reading
+    data = make(tmp_path, signal).read_bytes()
+    assert len(data) < 65536
+    back = _read_from_pipe(read, data)
+    assert np.array_equal(back.values, read(make(tmp_path, signal)).values)
+    got = 16 * back.values.size - 45
+    with pytest.raises(ValueError, match=f"file ended after {got} of"):
+        _read_from_pipe(read, data[:-45])
+    with pytest.raises(ValueError, match="trailing bytes"):
+        _read_from_pipe(read, data + b"\x00" * 3)
+    with pytest.raises(ValueError, match="truncated header"):
+        _read_from_pipe(read, data[:20])
 
 
 def _grid_bytes(grid):
