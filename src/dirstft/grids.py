@@ -213,51 +213,69 @@ def primal_phase(grid: Grid) -> np.ndarray:
 
 
 class _PhaseTables(NamedTuple):
-    """The phase factors of dft and idft on one grid, shaped like it."""
+    """The phase factors of dft and idft along some axes of one grid,
+    shaped like the grid with 1 along the other axes."""
 
     dft_pre: np.ndarray     # conj(primal)
-    dft_post: np.ndarray    # exp(-2 pi i xi . origin) * cell_volume
-    idft_pre: np.ndarray    # exp(2 pi i xi . origin) / cell_volume
+    dft_post: np.ndarray    # exp(-2 pi i xi . origin) * cell volume
+    idft_pre: np.ndarray    # exp(2 pi i xi . origin) / cell volume
     primal: np.ndarray      # the primal_phase factor
 
 
+def _phase_tables(grid: Grid, axes: tuple | None = None) -> _PhaseTables:
+    """The grid's phase tables along axes (all of them by default), built
+    once per grid and set of axes and read-only, so the batched transforms
+    of a stream share them.  Every factor is a product of per-axis factors,
+    so transforms along disjoint sets of axes compose to the transform
+    along their union."""
+    return _axis_tables(grid, tuple(range(grid.dim)) if axes is None else axes)
+
+
 @functools.lru_cache(maxsize=16)
-def _phase_tables(grid: Grid) -> _PhaseTables:
-    """The grid's phase tables, built once per grid and read-only, so the
-    batched transforms of a stream share them."""
+def _axis_tables(grid: Grid, axes: tuple) -> _PhaseTables:
     dual = grid.dual()
-    primal = _outer_phase([np.exp(-2j * np.pi * (n // 2) * np.arange(n) / n)
-                           for n in grid.counts])
-    shift = [np.exp(-2j * np.pi * dual.axis(j) * grid.origin[j])
-             for j in range(grid.dim)]
-    unshift = [np.exp(2j * np.pi * dual.axis(j) * grid.origin[j])
-               for j in range(grid.dim)]
+    shape = tuple(n if j in axes else 1 for j, n in enumerate(grid.counts))
+    volume = float(np.prod([grid.spacing[j] for j in axes]))
+    n = grid.counts
+    primal = _outer_phase([np.exp(-2j * np.pi * (n[j] // 2) * np.arange(n[j]) / n[j])
+                           for j in axes]).reshape(shape)
+    shift = [np.exp(-2j * np.pi * dual.axis(j) * grid.origin[j]) for j in axes]
+    unshift = [np.exp(2j * np.pi * dual.axis(j) * grid.origin[j]) for j in axes]
     tables = _PhaseTables(np.conj(primal),
-                          _outer_phase(shift) * grid.cell_volume,
-                          _outer_phase(unshift) / grid.cell_volume,
+                          _outer_phase(shift).reshape(shape) * volume,
+                          _outer_phase(unshift).reshape(shape) / volume,
                           primal)
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
-def _dft_inplace(work: np.ndarray, grid: Grid) -> np.ndarray:
+def _dft_inplace(work: np.ndarray, grid: Grid, axes: tuple | None = None) -> np.ndarray:
     """dft of work, a complex array shaped batch + grid.counts that the
-    caller owns, computed in work's memory.  Use the returned array: it is
-    work itself unless numpy.fft hands back a new one."""
-    tables = _phase_tables(grid)
+    caller owns, along the given grid axes (all of them by default),
+    computed in work's memory.  Use the returned array: it is work itself
+    unless numpy.fft hands back a new one."""
+    tables = _phase_tables(grid, axes)
     work *= tables.dft_pre
-    work = np.fft.fftn(work, axes=tuple(range(-grid.dim, 0)), out=work)
+    work = np.fft.fftn(work, axes=_trailing(grid, axes), out=work)
     work *= tables.dft_post
     return work
 
 
-def _idft_into(buf: np.ndarray, values: np.ndarray, out_grid: Grid) -> np.ndarray:
-    """The idft of spectrum values, shaped batch + out_grid.counts, without
-    the final primal phase, computed in buf (same shape, complex).  values
-    is only read."""
-    np.multiply(values, _phase_tables(out_grid).idft_pre, out=buf)
-    return np.fft.ifftn(buf, axes=tuple(range(-out_grid.dim, 0)), out=buf)
+def _idft_into(buf: np.ndarray, values: np.ndarray, out_grid: Grid,
+               axes: tuple | None = None) -> np.ndarray:
+    """The idft of spectrum values, shaped batch + out_grid.counts, along
+    the given grid axes (all of them by default) and without the final
+    primal phase, computed in buf (same shape, complex; it may be values
+    itself).  values is otherwise only read."""
+    np.multiply(values, _phase_tables(out_grid, axes).idft_pre, out=buf)
+    return np.fft.ifftn(buf, axes=_trailing(out_grid, axes), out=buf)
+
+
+def _trailing(grid: Grid, axes: tuple | None) -> tuple:
+    """Grid axes as axes of an array shaped batch + grid.counts."""
+    axes = range(grid.dim) if axes is None else axes
+    return tuple(j - grid.dim for j in axes)
 
 
 def dft(f: Signal) -> Spectrum:

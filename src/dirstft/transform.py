@@ -5,11 +5,23 @@ DS_{g,u^k} f(y~, xi) = integral f(t) conj(g((u_1.t, ..., u_k.t) - y~))
 
 sampled on a y~-grid in R^k and the DFT-dual frequency lattice in R^n.  Both
 paths take their windows in y~ blocks from windows.window_blocks.  The fast
-path, dstft_blocks, hands each block of windowed signals to one batched FFT
-quadrature and yields the block's spectra; dstft_fast collects them into a
-field, while reconstruction and the wavefront scan consume them block by
-block.  The direct path is the brute-force oracle and also accepts arbitrary
+path hands each block of windowed signals to one batched FFT quadrature and
+yields the block's spectra; dstft_fast writes them into a field, while
+reconstruction and the wavefront scan consume them block by block.  The
+direct path is the brute-force oracle and also accepts arbitrary
 off-lattice frequencies.
+
+The fast path is factored by the frame's blind axes, the signal axes i
+whose column u_(.i) is exactly zero.  The window does not depend on t_i
+there, so along those axes DS f is the plain Fourier transform of f, the
+same for every y~ (for the e^k frame, k < n, the partial STFT in the first
+k variables composed with the Fourier transform in the others).  Their
+phase factors and FFT run once per call; each y~ block then evaluates the
+window on the sub-grid of the seen axes only, multiplies it into that
+partial transform and runs the FFT along the seen axes.  A block still
+holds BLOCK_ELEMS // Nt y~ rows of the full (B, Nt) product.  A frame
+without a zero column has no blind axis and runs the per-block transform
+along every axis.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ import numpy as np
 
 from .direction import DirectionFrame
 from .grids import Grid, Signal, _dft_inplace, _sample_values, as_points
-from .windows import Window, tensor_window, window_blocks
+from .windows import Window, _seen_window_blocks, tensor_window, window_blocks
 
 DIRECT_WORK_CAP = 2 ** 27
 
@@ -82,25 +94,55 @@ def dstft_blocks(f: Signal, g: Window, frame: DirectionFrame, y_grid: Grid):
     """The FFT-quadrature k-DSTFT in y~ blocks.
 
     Returns an iterator of (lo, hi, W, S): W is the window block of
-    windows.window_blocks for the y~ rows lo:hi, shaped (hi - lo, Nt), and
-    S = dft(conj(W) f) holds DS f on those rows, shaped
-    (hi - lo,) + xi_grid.counts with xi_grid = f.grid.dual().  W is left
-    unchanged, so a consumer can reuse it as a synthesis window.  The
-    arguments are checked by window_blocks before the first block is
-    computed; S is not checked for finiteness, so a consumer checks what it
-    returns (as dstft_fast, reconstruct and wavefront_scan do).
+    windows.window_blocks for the y~ rows lo:hi, shaped (hi - lo, Nt)
+    (evaluated on the seen axes and repeated along the blind ones, so on
+    the window lattice it is the same array, else the same to rounding), and
+    S holds DS f on those rows, shaped (hi - lo,) + xi_grid.counts with
+    xi_grid = f.grid.dual().  W is the consumer's to keep, so it can reuse
+    it as a synthesis window.  The arguments are checked before the first
+    block is computed; S is not checked for finiteness, so a consumer checks
+    what it returns (as dstft_fast, reconstruct and wavefront_scan do).
     """
-    return _spectra(f, window_blocks(g, f.grid, frame.u, y_grid.points()))
+    seen, blocks = _seen_window_blocks(g, f.grid, frame.u, y_grid.points())
+    return ((lo, hi, _repeat_blind(W, f.grid, seen), S)
+            for lo, hi, W, S in _spectra(f, seen, blocks))
 
 
-def _spectra(f: Signal, blocks):
-    """Each block's spectra, transformed in the memory of its own
-    conj(W) f product."""
-    flat_f = f.values.ravel()
+def _seen_shape(grid: Grid, seen: tuple) -> tuple:
+    """grid.counts with 1 along the blind axes: the shape a window block
+    on the seen axes broadcasts from."""
+    return tuple(n if i in seen else 1 for i, n in enumerate(grid.counts))
+
+
+def _repeat_blind(W: np.ndarray, grid: Grid, seen: tuple) -> np.ndarray:
+    """A window block on the seen axes, (B, N_seen), as a new (B, Nt)
+    array."""
+    full = np.empty((len(W),) + grid.counts, dtype=W.dtype)
+    full[...] = W.reshape((len(W),) + _seen_shape(grid, seen))
+    return full.reshape(len(W), -1)
+
+
+def _spectra(f: Signal, seen: tuple, blocks, out: np.ndarray | None = None):
+    """(lo, hi, W, S) for each window block (lo, hi, W) of
+    windows._seen_window_blocks: S = dft(conj(W) f), shaped
+    (hi - lo,) + f.grid.counts.
+
+    The transform along the blind axes is taken once, before the first
+    block; each block's product and its transform along the seen axes run
+    in one buffer, the rows lo:hi of out when it is given (a field shaped
+    (Ny,) + f.grid.counts), else a new array per block."""
+    grid = f.grid
+    blind = tuple(i for i in range(grid.dim) if i not in seen)
+    G = f.values
+    if blind:
+        G = _dft_inplace(G.copy(), grid, blind)
+    shape = _seen_shape(grid, seen)
     for lo, hi, W in blocks:
-        work = np.conjugate(W)
-        work *= flat_f
-        S = _dft_inplace(work.reshape((hi - lo,) + f.grid.counts), f.grid)
+        work = (np.empty((hi - lo,) + grid.counts, dtype=complex) if out is None
+                else out[lo:hi])
+        np.conjugate(W.reshape((hi - lo,) + shape), out=work)
+        work *= G
+        S = _dft_inplace(work, grid, seen)
         del work
         yield lo, hi, W, S
         # let go of this block before the next one is computed
@@ -111,16 +153,16 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
                y_grid: Grid | None = None) -> DstftField:
     """FFT-quadrature k-DSTFT on the dual frequency lattice, as one field.
 
-    Rejects a field above FIELD_BYTES_CAP before allocating it.
+    Rejects a field above FIELD_BYTES_CAP before allocating it.  Each y~
+    block is transformed in the field's own rows.
     """
     y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
     xi_grid = f.grid.dual()
     _check_field_bytes(y_grid, xi_grid)
-    blocks = dstft_blocks(f, g, frame, y_grid)
+    seen, blocks = _seen_window_blocks(g, f.grid, frame.u, y_grid.points())
     out = np.empty((y_grid.size,) + xi_grid.counts, dtype=complex)
-    for lo, hi, W, S in blocks:
-        out[lo:hi] = S
-        del W, S        # the field holds the copy
+    for _, _, W, S in _spectra(f, seen, blocks, out=out):
+        del W, S        # S is a view of out
     return DstftField(y_grid, xi_grid, out.reshape(y_grid.counts + xi_grid.counts),
                       frame=frame, window_meta=g.meta)
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .direction import DirectionFrame
 from .grids import Grid, Signal, dft
-from .transform import DstftField, default_y_grid, dstft_blocks
-from .windows import Window, window_at
+from .transform import DstftField, _spectra, default_y_grid
+from .windows import Window, _seen_window_blocks, window_at
 
 LOG_FLOOR = 1e-300          # floor before taking logs (exact zeros)
 DYNAMIC_RANGE_FLOOR = 1e-280  # below this a shell is "fully decayed"
@@ -63,7 +63,10 @@ class ConeSpec:
 
     def contains(self, xi: np.ndarray) -> np.ndarray:
         xi = np.atleast_2d(xi)
-        norms = np.linalg.norm(xi, axis=-1)
+        return self._contains(xi, np.linalg.norm(xi, axis=-1))
+
+    def _contains(self, xi: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """contains, given the points' norms."""
         with np.errstate(invalid="ignore", divide="ignore"):
             cosang = (xi @ np.asarray(self.center)) / norms
         return (norms >= self.r_min) & (cosang >= math.cos(self.half_angle))
@@ -131,14 +134,21 @@ def _mirrored(xi_pts: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _shell_table(xi_pts: np.ndarray, cone: ConeSpec):
-    """The cone's dyadic shells on a frequency lattice: a list of (idx,
-    norms) pairs, one per nonempty shell, with idx the in-shell indices
-    into xi_pts in lattice order and norms their |xi|; plus the in-cone
-    point count.  Only mirrored points count (see _mirrored).  Shells
-    double in radius from r_min; the last one is closed at the largest
-    in-cone |xi|."""
-    mask = cone.contains(xi_pts) & _mirrored(xi_pts)
+def _lattice(xi_pts: np.ndarray):
+    """(norms, mirrored) of a frequency lattice: every point's |xi| and
+    the _mirrored mask, shared by the shell tables of all cones."""
+    return np.linalg.norm(xi_pts, axis=-1), _mirrored(xi_pts)
+
+
+def _shell_table(xi_pts: np.ndarray, cone: ConeSpec, lattice):
+    """The cone's dyadic shells on a frequency lattice with _lattice
+    geometry: a list of (idx, norms) pairs, one per nonempty shell, with
+    idx the in-shell indices into xi_pts in lattice order and norms their
+    |xi|; plus the in-cone point count.  Only mirrored points count (see
+    _mirrored).  Shells double in radius from r_min; the last one is
+    closed at the largest in-cone |xi|."""
+    norms, mirrored = lattice
+    mask = cone._contains(xi_pts, norms) & mirrored
     n_points = int(np.count_nonzero(mask))
     if n_points < MIN_CONE_POINTS:
         raise ValueError(
@@ -146,7 +156,7 @@ def _shell_table(xi_pts: np.ndarray, cone: ConeSpec):
             f"(need >= {MIN_CONE_POINTS})"
         )
     idx = np.flatnonzero(mask)
-    norms = np.linalg.norm(xi_pts[idx], axis=-1)
+    norms = norms[idx]
     r_max = float(norms.max())
     edges = [cone.r_min]
     while edges[-1] < r_max * (1 + 1e-12):
@@ -161,43 +171,40 @@ def _shell_table(xi_pts: np.ndarray, cone: ConeSpec):
     return shells, n_points
 
 
-def _shell_points(shells: list, mags: np.ndarray, alpha: float,
-                  ref: float) -> list:
-    """Dyadic-shell suprema of each row of mags, shaped (rows, Nxi), over
-    the shells of a _shell_table: per row, (xs, ys, decayed) with
-    x = |xi*|^(1/alpha) at the first argmax in lattice order, y = log sup |F|,
-    and the count of shells whose sup sits at or below the floor.
+def _cone_fits(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
+               alpha: float, ref: float, lattice=None) -> list:
+    """One DecayFit per row of mags (rows, Nxi) over one cone, from the
+    dyadic-shell suprema of each row: x = |xi*|^(1/alpha) at the first
+    argmax in lattice order and y = log sup |F|, for the shells whose sup
+    is above the floor; the others count as decayed.
 
-    ref is the magnitude against which the rounding-noise floor is measured;
-    it must be the global peak of the transform the magnitudes came from,
-    because FFT rounding noise scales with the global peak, not the local
-    one."""
+    ref is the magnitude against which the rounding-noise floor is
+    measured; it must be the global peak of the transform the magnitudes
+    came from, because FFT rounding noise scales with the global peak, not
+    the local one.  lattice is xi_pts' _lattice geometry, computed here
+    when not given.  A row with fewer than 2 shells above the floor has the
+    same fit as every other such row, so _fit runs once for all of them."""
+    shells, n_points = _shell_table(
+        xi_pts, cone, _lattice(xi_pts) if lattice is None else lattice)
     floor = max(DYNAMIC_RANGE_FLOOR, NOISE_FLOOR_REL * ref)
     rows = np.arange(len(mags))
-    sups = []
-    for idx, norms in shells:
+    at = np.empty((len(mags), len(shells)))         # |xi*| per row, shell
+    sup = np.empty((len(mags), len(shells)))
+    for s, (idx, norms) in enumerate(shells):
         vals = np.maximum(mags[:, idx], LOG_FLOOR)
         best = np.argmax(vals, axis=1)
-        sups.append((norms[best], vals[rows, best]))
-    out = []
-    for r in rows:
-        xs, ys, decayed = [], [], 0
-        for norm, sup in sups:
-            if sup[r] <= floor:
-                decayed += 1
-                continue
-            xs.append(float(norm[r]) ** (1.0 / alpha))
-            ys.append(math.log(sup[r]))
-        out.append((np.asarray(xs), np.asarray(ys), decayed))
-    return out
+        at[:, s], sup[:, s] = norms[best], vals[rows, best]
+    usable = sup > floor
 
+    def row_fit(r):
+        xs = [float(x) ** (1.0 / alpha) for x in at[r, usable[r]]]
+        ys = [math.log(y) for y in sup[r, usable[r]]]
+        return _fit(np.asarray(xs), np.asarray(ys), n_points,
+                    len(shells) - len(xs), alpha)
 
-def _cone_fits(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
-               alpha: float, ref: float) -> list:
-    """One DecayFit per row of mags (rows, Nxi) over one cone."""
-    shells, n_points = _shell_table(xi_pts, cone)
-    return [_fit(xs, ys, n_points, decayed, alpha)
-            for xs, ys, decayed in _shell_points(shells, mags, alpha, ref)]
+    few = np.count_nonzero(usable, axis=1) < 2
+    short = row_fit(int(np.argmax(few))) if few.any() else None
+    return [short if few[r] else row_fit(r) for r in rows]
 
 
 def _fit(xs: np.ndarray, ys: np.ndarray, n_points: int, decayed: int,
@@ -281,9 +288,10 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
 
     The transform is streamed in y~ blocks and never stored: each block
     updates the global peak of |F| (the noise-floor reference) and the
-    running sup of |F| over each cell's y~ points.  Each cone's shell table
-    is then built once and fitted against every cell.  The singular set is
-    the complement of the regular entries.
+    running sup of |F| over each cell's y~ points.  The lattice geometry
+    (|xi| and the mirrored mask) is computed once; each cone's shell table
+    is then built once and its suprema gathered for every cell at once.
+    The singular set is the complement of the regular entries.
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
@@ -298,18 +306,20 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     xi_grid = f.grid.dual()
     sup = np.zeros((len(y_cells), xi_grid.size))
     peak = 0.0
-    for lo, hi, _, S in dstft_blocks(f, g, frame, y_grid):
+    seen, blocks = _seen_window_blocks(g, f.grid, frame.u, Y)
+    for lo, hi, _, S in _spectra(f, seen, blocks):
         mags = np.abs(S).reshape(hi - lo, -1)
         block_peak = float(mags.max())
         if not math.isfinite(block_peak):
             raise ValueError(f"transform values must be finite; y~ rows "
                              f"{lo}:{hi} overflowed")
         peak = max(peak, block_peak)
-        rows = member[:, lo:hi]
-        for i in np.flatnonzero(rows.any(axis=1)):
-            np.maximum(sup[i], mags[rows[i]].max(axis=0), out=sup[i])
+        # one in-place maximum per (cell, row) pair, with no gathered copy
+        for i, j in zip(*np.nonzero(member[:, lo:hi])):
+            np.maximum(sup[i], mags[j], out=sup[i])
     xi_pts = xi_grid.points()
-    fits = [_cone_fits(xi_pts, sup, cone, alpha, peak) for cone in cones]
+    lattice = _lattice(xi_pts)
+    fits = [_cone_fits(xi_pts, sup, cone, alpha, peak, lattice) for cone in cones]
     entries = []
     for i, cell in enumerate(y_cells):
         for cone, cone_fits in zip(cones, fits):

@@ -160,18 +160,48 @@ def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     evaluates, J_0 of them on the first axis) and takes fewer rows when
     that exceeds Nt.
     """
+    return _blocks(w, grid, _frame_rows(w, grid, u), Y, grid.size)
+
+
+def _seen_window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
+    """(seen, blocks): the signal axes i that some row of u moves along
+    (u_ri != 0), and window_blocks on the sub-grid of those axes.
+
+    g(u . t - y~) does not depend on the other, frame-blind, axes, so each
+    W is shaped (B, N_seen) and broadcasts over them.  B is taken as for
+    the whole grid, max(1, BLOCK_ELEMS // Nt) rows or fewer, because every
+    consumer expands a block to (B, Nt).  With no blind axis this is
+    window_blocks itself.  The arguments are checked as window_blocks
+    checks them.
+    """
+    u = _frame_rows(w, grid, u)
+    seen = tuple(int(i) for i in np.flatnonzero(np.any(u != 0, axis=0)))
+    sub = Grid(tuple(grid.origin[i] for i in seen),
+               tuple(grid.spacing[i] for i in seen),
+               tuple(grid.counts[i] for i in seen))
+    return seen, _blocks(w, sub, u[:, seen], Y, grid.size)
+
+
+def _frame_rows(w: Window, grid: Grid, u) -> np.ndarray:
+    """u as a k x n array, checked against the window and signal
+    dimensions."""
     u = np.atleast_2d(u)
     if (w.grid.dim, grid.dim) != u.shape:
         raise ValueError(f"window and signal dimensions {w.grid.dim}, "
                          f"{grid.dim} must equal the frame's k, n = {u.shape}")
+    return u
+
+
+def _blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray, row: int):
+    """window_blocks with at least `row` entries counted per y~ row."""
     Y = as_points(Y, w.grid.dim)
     if Y.shape[0] == 0:
         return iter(())
     proj = grid.points() @ u.T
-    row = proj.shape[0]
     block = _lattice_blocks(w, proj, Y)
     if block is None:
-        block, row = _trig_blocks(w, grid, u, proj, Y)
+        block, entries = _trig_blocks(w, grid, u, proj, Y)
+        row = max(row, entries)
     step = max(1, BLOCK_ELEMS // row)
     bounds = ((lo, min(lo + step, Y.shape[0])) for lo in range(0, Y.shape[0], step))
     return ((lo, hi, block(lo, hi)) for lo, hi in bounds)

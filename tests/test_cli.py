@@ -405,3 +405,27 @@ def test_bad_config_exits_2_with_a_message(tmp_path, capsys, command, edit,
     assert not (tmp_path / "F.dstf").exists()
     assert not (tmp_path / "g.dstf").exists()
 
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("wavefront", {"alpha": None}, "alpha must be a number, got null"),
+    ("wavefront", {"cells": [5]}, "cells[0] must be a JSON object, got int: 5"),
+    ("wavefront", {"cones": {"count": None}},
+     "cones count must be an integer, got null"),
+    ("gen", {"grid": {"origin": [0.0], "spacing": [0.5], "counts": 16}},
+     "grid counts must be a JSON list, got 16"),
+])
+def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capsys, command,
+                                                        edit, message):
+    base = {
+        "wavefront": sheet_wavefront_cfg(tmp_path),
+        "gen": {"schema_version": 1, "kind": "gaussian",
+                "grid": {"bounds": [[-4], [4]], "counts": [16]},
+                "params": {"sigma": 1.0}, "out": str(tmp_path / "g.dstf")},
+    }[command]
+    capsys.readouterr()
+    assert run(tmp_path, command, {**base, **edit}) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "wf.json").exists()
+    assert not (tmp_path / "g.dstf").exists()

@@ -11,6 +11,7 @@ from dirstft import (Grid, Signal, build_frame, dstft_fast, gaussian_window,
                      gevrey_bump, invariants, pairing_check, reconstruct)
 from dirstft.grids import (BLOCK_ELEMS, evaluate_trig, evaluate_trig_grid,
                            relative_error)
+from dirstft.direction import DirectionFrame
 from dirstft.synthesis import dso
 from dirstft.windows import window_blocks
 
@@ -90,6 +91,36 @@ def test_fast_paths_match_oracles(case):
 @given(transform_cases())
 def test_synthesis_is_the_adjoint(case):
     assert invariants.adjoint_error(*case) <= 1e-8
+
+
+@st.composite
+def blind_cases(draw, n):
+    """(f, g, frame) with the frame's rows zero on a drawn nonempty set of
+    axes, anywhere among the n.  The frame is completed to a basis by the
+    first coordinate axes that keep it independent (build_frame takes the
+    trailing ones, which fails when a leading axis is blind); the
+    transforms read only u."""
+    k = draw(st.integers(1, n - 1))
+    blind = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - k))
+    u = np.array([[0.0 if i in blind else draw(st.floats(-1.0, 1.0))
+                   for i in range(n)] for _ in range(k)])
+    norms = np.linalg.norm(u, axis=1)
+    assume(norms.min() > 1e-3)
+    u /= norms[:, None]
+    assume(np.linalg.matrix_rank(u) == k)
+    B = u
+    for e in np.eye(n):
+        if len(B) < n and np.linalg.matrix_rank(np.vstack([B, e])) > len(B):
+            B = np.vstack([B, e])
+    frame = DirectionFrame(n, k, u, B, np.linalg.inv(B), 1.0 / np.linalg.det(B))
+    grid = draw(grids(n, max_count=8 if n == 2 else 5))
+    return draw(signals(grid)), draw(windows(k)), frame
+
+
+@SETTINGS
+@given(st.integers(2, 3).flatmap(blind_cases))
+def test_blind_axes_match_the_oracles(case):
+    assert invariants.oracle_error(*case) <= 1e-10
 
 
 @st.composite

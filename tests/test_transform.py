@@ -3,8 +3,10 @@ import pytest
 
 from dirstft import (BallSpec, DstftField, Grid, Signal, build_frame,
                      dstft_direct, dstft_fast, gaussian_window, gevrey_bump,
-                     partial_stft, reconstruct, transform, wavefront_scan)
-from dirstft.direction import identity_frame
+                     invariants, pairing_check, partial_stft, reconstruct,
+                     transform, wavefront_scan)
+from dirstft.direction import DirectionFrame, identity_frame
+from dirstft.synthesis import dso
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import BLOCK_ELEMS, relative_error
 from dirstft.transform import default_y_grid, dstft_blocks, dstft_direct_at
@@ -211,3 +213,38 @@ def test_field_finiteness_checked_in_every_chunk(index, bad):
     vals.flat[index] = bad
     with pytest.raises(ValueError, match="finite"):
         DstftField(y_grid, xi_grid, vals)
+
+
+# u = e_2 is blind to axis 0.  build_frame completes u with the trailing
+# axes, which cannot complete this frame, and the transforms read only u.
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+BLIND_FRAMES = {
+    "u=[[1,0]]": (build_frame([[1.0, 0.0]]), (12, 10)),
+    "u=[[0,1]]": (DirectionFrame(2, 1, SWAP[:1], SWAP, SWAP, -1.0), (12, 10)),
+    "e^1 in R^3": (identity_frame(3, 1), (6, 5, 4)),
+    "e^2 in R^3": (identity_frame(3, 2), (6, 5, 4)),
+}
+
+
+@pytest.mark.parametrize("on_lattice", [True, False])
+@pytest.mark.parametrize("name", list(BLIND_FRAMES))
+def test_blind_axes_match_the_oracles(name, on_lattice):
+    # the transform along the frame-blind axes runs once per call, and the
+    # windows on the seen axes only; both oracles use the whole grid
+    frame, counts = BLIND_FRAMES[name]
+    grid = Grid.from_bounds([-3.0] * len(counts), [3.5] * len(counts), counts)
+    rng = np.random.default_rng(len(counts) + frame.k)
+    f = Signal(grid, rng.normal(size=counts) + 1j * rng.normal(size=counts))
+    seen = [i for i in range(frame.n) if np.any(frame.u[:, i])]
+    h = [grid.spacing[i] for i in seen]
+    n = [grid.counts[i] for i in seen]
+    if on_lattice:
+        w_grid = Grid(tuple(-(m // 2) * s for m, s in zip(n, h)), h, n)
+    else:
+        w_grid = Grid.from_bounds([-3.0] * frame.k, [3.0] * frame.k, [7] * frame.k)
+    g = gaussian_window(w_grid, [1.0] * frame.k)
+    assert invariants.oracle_error(f, g, frame) <= 1e-10
+    field = dstft_fast(f, g, frame)
+    for phi in (g, gaussian_window(w_grid, [1.3] * frame.k)):
+        want = dso(field, phi, frame, grid).values / pairing_check(g, phi).value
+        assert relative_error(reconstruct(f, g, phi, frame).values, want) <= 1e-12
