@@ -30,11 +30,15 @@ class DirectionFrame:
 
 
 def build_frame(u_rows) -> DirectionFrame:
-    """Normalize the direction rows and assemble B = [u; e_{k+1} ... e_n].
+    """Normalize the direction rows and complete them to B = [u; e_j ...],
+    j ascending over n - k coordinate axes.
 
-    Note the construction is degenerate (singular B) when a direction lies in
-    the span of the trailing coordinate axes even if the rows themselves are
-    independent; that case is rejected with a message naming the constraint.
+    The trailing axes e_{k+1} ... e_n are taken whenever they complete u.
+    They do not when u is blind to a leading axis (u = e_2 in R^2, say), and
+    then the axes are those off the columns u pivots on in Gaussian
+    elimination with the largest pivot per row, which complete any
+    independent rows.  Rows that are dependent, |det B| below
+    SINGULARITY_THRESHOLD, are rejected.
     """
     u = np.atleast_2d(np.asarray(u_rows, dtype=float))
     k, n = u.shape
@@ -53,13 +57,29 @@ def build_frame(u_rows) -> DirectionFrame:
     B[:k, :] = u
     det_B = np.linalg.det(B)
     if abs(det_B) < SINGULARITY_THRESHOLD:
+        B = np.vstack([u, np.eye(n)[_completion(u)]])
+        det_B = np.linalg.det(B)
+    if abs(det_B) < SINGULARITY_THRESHOLD:
         raise ValueError(
-            "dependent directions: |det B| below threshold -- the frame matrix "
-            "[u; e_{k+1}..e_n] is singular (this also happens when some u_i "
-            "lies in span(e_{k+1}, ..., e_n))"
-        )
+            "dependent directions: the rows of u are linearly dependent "
+            "(|det B| below threshold for B = [u; e_j ...])")
     C = np.linalg.inv(B)
     return DirectionFrame(n=n, k=k, u=u, B=B, C=C, det_C=1.0 / det_B)
+
+
+def _completion(u: np.ndarray) -> list:
+    """The n - k coordinate axes off the pivot columns of Gaussian
+    elimination on the rows of u, each row pivoting on its largest entry;
+    dependent rows leave B singular."""
+    k, n = u.shape
+    rows, pivots = u.copy(), []
+    for r in range(k):
+        j = int(np.argmax(np.abs(rows[r])))
+        if rows[r, j] == 0:
+            break
+        pivots.append(j)
+        rows[r + 1:] -= np.outer(rows[r + 1:, j] / rows[r, j], rows[r])
+    return [i for i in range(n) if i not in pivots][:n - k]
 
 
 def identity_frame(n: int, k: int) -> DirectionFrame:

@@ -145,6 +145,9 @@ def write_signal_csv(path, f: Signal) -> None:
 
 
 def read_signal_csv(path) -> Signal:
+    """A signal in the format of write_signal_csv: the origin, spacing and
+    counts header lines, then one row of index tuple, re, im per sample,
+    each sample exactly once."""
     meta = {}
     rows = []
     with open(path) as fh:
@@ -157,16 +160,32 @@ def read_signal_csv(path) -> Signal:
                 meta[parts[0]] = parts[1:]
                 continue
             rows.append(line.split(","))
-    if "counts" not in meta:
-        raise ValueError(f"{path}: missing grid metadata header")
-    grid = Grid(tuple(float(x) for x in meta["origin"]),
-                tuple(float(x) for x in meta["spacing"]),
-                tuple(int(x) for x in meta["counts"]))
-    vals = np.zeros(grid.size, dtype=complex)
-    for row in rows:
-        idx = tuple(int(x) for x in row[:grid.dim])
-        flat = np.ravel_multi_index(idx, grid.counts)
-        vals[flat] = float(row[grid.dim]) + 1j * float(row[grid.dim + 1])
+    missing = [key for key in ("origin", "spacing", "counts") if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: missing grid metadata header(s) {missing}")
+    try:
+        grid = Grid(tuple(float(x) for x in meta["origin"]),
+                    tuple(float(x) for x in meta["spacing"]),
+                    tuple(int(x) for x in meta["counts"]))
+        vals = np.zeros(grid.size, dtype=complex)
+        seen = np.zeros(grid.size, dtype=bool)
+        for row in rows:
+            if len(row) != grid.dim + 2:
+                raise ValueError(f"sample row {','.join(row)!r} has {len(row)} "
+                                 f"fields, expected {grid.dim + 2}")
+            idx = tuple(int(x) for x in row[:grid.dim])
+            flat = np.ravel_multi_index(idx, grid.counts)
+            if seen[flat]:
+                raise ValueError(f"duplicate sample row for index {idx}")
+            seen[flat] = True
+            vals[flat] = float(row[grid.dim]) + 1j * float(row[grid.dim + 1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not seen.all():
+        first = np.unravel_index(np.argmin(seen), grid.counts)
+        raise ValueError(f"{path}: {grid.size - np.count_nonzero(seen)} of "
+                         f"{grid.size} sample rows missing, the first at index "
+                         f"{tuple(int(i) for i in first)}")
     return Signal(grid, vals.reshape(grid.counts))
 
 

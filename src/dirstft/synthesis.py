@@ -12,7 +12,7 @@ import numpy as np
 from .direction import DirectionFrame, identity_frame, pullback
 from .grids import Grid, Signal, _idft_into, inner_product, primal_phase
 from .transform import DstftField, _spectra, default_y_grid, dstft_fast
-from .windows import Window, _seen_window_blocks, pairing_check, window_blocks
+from .windows import Window, _split_axes, pairing_check, window_blocks
 
 DSO_WORK_CAP = 2 ** 27
 
@@ -28,51 +28,37 @@ def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Sign
         return dso_direct(F, g, frame, out_grid)
 
     slices = F.values.reshape((F.y_size,) + F.xi_grid.counts)
-    seen, blocks = _seen_window_blocks(g, out_grid, frame.u, F.y_grid.points())
+    blocks = window_blocks(g, out_grid, frame.u, F.y_grid.points())
     pairs = ((slices[lo:hi], W) for lo, hi, W in blocks)
-    return Signal(out_grid, _synthesize(pairs, seen, F.xi_grid, out_grid,
+    return Signal(out_grid, _synthesize(pairs, F.xi_grid, out_grid,
                                         F.y_grid.cell_volume))
 
 
-def _synthesize(pairs, seen: tuple, xi_grid: Grid, out_grid: Grid,
-                y_volume: float) -> np.ndarray:
+def _synthesize(pairs, xi_grid: Grid, out_grid: Grid, y_volume: float) -> np.ndarray:
     """sum over y~ blocks of idft(S) . W for each (S, W) pair, with S shaped
-    (B,) + xi_grid.counts and W the (B, N_seen) window block of
-    windows._seen_window_blocks, broadcast over the blind axes.
+    (B,) + xi_grid.counts and W a window block of windows.window_blocks,
+    broadcast over the blind axes it has size 1 along.
 
     Each block is inverted along the seen axes only: the window does not
     depend on the blind axes, so weighting by it commutes with the inverse
     along them, which runs once on the sum.  idft's primal phase factor is
-    applied after that, together with the y~ cell volume.  The sum is
-    formed over runs of adjacent seen or blind axes, which are a single
-    run when no axis is blind.
+    applied after that, together with the y~ cell volume.
 
     Every inverse is computed in one work buffer, sized by the largest
     block; S is only read, as dso's blocks are views of its field."""
-    blind = tuple(i for i in range(out_grid.dim) if i not in seen)
-    runs = []                               # [size, seen?] per run of axes
-    for i, n in enumerate(out_grid.counts):
-        if runs and runs[-1][1] == (i in seen):
-            runs[-1][0] *= n
-        else:
-            runs.append([n, i in seen])
-    labels = list(range(1, len(runs) + 1))          # 0 labels the y~ rows
-    seen_labels = [a for a, (_, s) in zip(labels, runs) if s]
-    acc = np.zeros(out_grid.size, dtype=complex)
-    acc_runs = acc.reshape([n for n, _ in runs])
+    acc = np.zeros(out_grid.counts, dtype=complex)
     buf = np.empty((0,) + xi_grid.counts, dtype=complex)
+    blind = ()
     for S, W in pairs:
+        seen, blind = _split_axes(W)
         if len(S) > len(buf):
             buf = np.empty(S.shape, dtype=complex)
         inv = _idft_into(buf[:len(S)], S, out_grid, seen)
-        acc_runs += np.einsum(inv.reshape((len(W),) + acc_runs.shape), [0] + labels,
-                              W.reshape([len(W)] + [n for n, s in runs if s]),
-                              [0] + seen_labels, labels)
+        acc += np.einsum("b...,b...->...", inv, W)
     if blind:
-        on_grid = acc.reshape(out_grid.counts)
-        _idft_into(on_grid, on_grid, out_grid, blind)
-    acc *= primal_phase(out_grid).ravel() * y_volume
-    return acc.reshape(out_grid.counts)
+        _idft_into(acc, acc, out_grid, blind)
+    acc *= primal_phase(out_grid) * y_volume
+    return acc
 
 
 def dso_direct(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid,
@@ -90,11 +76,12 @@ def dso_direct(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid,
     Xi = F.xi_grid.points()
     phases = np.exp(2j * np.pi * (Xi @ T.T))   # (Nxi, Nt)
     slices = F.values.reshape(F.y_size, F.xi_size)
-    acc = np.zeros(out_grid.size, dtype=complex)
+    acc = np.zeros(out_grid.counts, dtype=complex)
     for lo, hi, W in blocks:
-        acc += np.einsum("bt,bt->t", slices[lo:hi] @ phases, W)
+        inv = (slices[lo:hi] @ phases).reshape((hi - lo,) + out_grid.counts)
+        acc += np.einsum("b...,b...->...", inv, W)
     acc *= F.y_grid.cell_volume * F.xi_grid.cell_volume
-    return Signal(out_grid, acc.reshape(out_grid.counts))
+    return Signal(out_grid, acc)
 
 
 def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
@@ -109,14 +96,13 @@ def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
     if not cert.admissible:
         raise ValueError(f"inadmissible window pairing: {cert}")
     y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
-    seen, blocks = _seen_window_blocks(g, f.grid, frame.u, y_grid.points())
-    analysis = _spectra(f, seen, blocks)
+    Y = y_grid.points()
+    analysis = _spectra(f, window_blocks(g, f.grid, frame.u, Y))
     if phi is g:
         pairs = ((S, W) for _, _, W, S in analysis)
     else:
-        pairs = _zip_blocks(analysis, _seen_window_blocks(
-            phi, f.grid, frame.u, y_grid.points())[1])
-    rec = _synthesize(pairs, seen, f.grid.dual(), f.grid, y_grid.cell_volume)
+        pairs = _zip_blocks(analysis, window_blocks(phi, f.grid, frame.u, Y))
+    rec = _synthesize(pairs, f.grid.dual(), f.grid, y_grid.cell_volume)
     return Signal(f.grid, rec / cert.value)
 
 

@@ -13,15 +13,13 @@ off-lattice frequencies.
 
 The fast path is factored by the frame's blind axes, the signal axes i
 whose column u_(.i) is exactly zero.  The window does not depend on t_i
-there, so along those axes DS f is the plain Fourier transform of f, the
-same for every y~ (for the e^k frame, k < n, the partial STFT in the first
-k variables composed with the Fourier transform in the others).  Their
-phase factors and FFT run once per call; each y~ block then evaluates the
-window on the sub-grid of the seen axes only, multiplies it into that
-partial transform and runs the FFT along the seen axes.  A block still
-holds BLOCK_ELEMS // Nt y~ rows of the full (B, Nt) product.  A frame
-without a zero column has no blind axis and runs the per-block transform
-along every axis.
+there, and window_blocks gives its blocks size 1 along them, so along those
+axes DS f is the plain Fourier transform of f, the same for every y~ (for
+the e^k frame, k < n, the partial STFT in the first k variables composed
+with the Fourier transform in the others).  Their phase factors and FFT run
+once per call; each y~ block then multiplies its window into that partial
+transform and runs the FFT along the seen axes.  A frame without a zero
+column has no blind axis and runs the per-block transform along every axis.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 
 from .direction import DirectionFrame
 from .grids import Grid, Signal, _dft_inplace, _sample_values, as_points
-from .windows import Window, _seen_window_blocks, tensor_window, window_blocks
+from .windows import Window, _split_axes, tensor_window, window_blocks
 
 DIRECT_WORK_CAP = 2 ** 27
 
@@ -90,57 +88,28 @@ def _check_field_bytes(y_grid: Grid, xi_grid: Grid) -> None:
             "instead of storing it")
 
 
-def dstft_blocks(f: Signal, g: Window, frame: DirectionFrame, y_grid: Grid):
-    """The FFT-quadrature k-DSTFT in y~ blocks.
-
-    Returns an iterator of (lo, hi, W, S): W is the window block of
-    windows.window_blocks for the y~ rows lo:hi, shaped (hi - lo, Nt)
-    (evaluated on the seen axes and repeated along the blind ones, so on
-    the window lattice it is the same array, else the same to rounding), and
-    S holds DS f on those rows, shaped (hi - lo,) + xi_grid.counts with
-    xi_grid = f.grid.dual().  W is the consumer's to keep, so it can reuse
-    it as a synthesis window.  The arguments are checked before the first
-    block is computed; S is not checked for finiteness, so a consumer checks
-    what it returns (as dstft_fast, reconstruct and wavefront_scan do).
-    """
-    seen, blocks = _seen_window_blocks(g, f.grid, frame.u, y_grid.points())
-    return ((lo, hi, _repeat_blind(W, f.grid, seen), S)
-            for lo, hi, W, S in _spectra(f, seen, blocks))
-
-
-def _seen_shape(grid: Grid, seen: tuple) -> tuple:
-    """grid.counts with 1 along the blind axes: the shape a window block
-    on the seen axes broadcasts from."""
-    return tuple(n if i in seen else 1 for i, n in enumerate(grid.counts))
-
-
-def _repeat_blind(W: np.ndarray, grid: Grid, seen: tuple) -> np.ndarray:
-    """A window block on the seen axes, (B, N_seen), as a new (B, Nt)
-    array."""
-    full = np.empty((len(W),) + grid.counts, dtype=W.dtype)
-    full[...] = W.reshape((len(W),) + _seen_shape(grid, seen))
-    return full.reshape(len(W), -1)
-
-
-def _spectra(f: Signal, seen: tuple, blocks, out: np.ndarray | None = None):
+def _spectra(f: Signal, blocks, out: np.ndarray | None = None):
     """(lo, hi, W, S) for each window block (lo, hi, W) of
-    windows._seen_window_blocks: S = dft(conj(W) f), shaped
+    windows.window_blocks: S = dft(conj(W) f), shaped
     (hi - lo,) + f.grid.counts.
 
-    The transform along the blind axes is taken once, before the first
-    block; each block's product and its transform along the seen axes run
-    in one buffer, the rows lo:hi of out when it is given (a field shaped
-    (Ny,) + f.grid.counts), else a new array per block."""
+    The transform along the blind axes, which W has size 1 along, is taken
+    once, at the first block; each block's product and its transform along
+    the seen axes run in one buffer, the rows lo:hi of out when it is given
+    (a field shaped (Ny,) + f.grid.counts), else a new array per block.
+    W is yielded as the stream made it, not conjugated, so a consumer can
+    reuse it as a synthesis window.  S is not checked for finiteness, so a
+    consumer checks what it returns (as dstft_fast, reconstruct and
+    wavefront_scan do)."""
     grid = f.grid
-    blind = tuple(i for i in range(grid.dim) if i not in seen)
-    G = f.values
-    if blind:
-        G = _dft_inplace(G.copy(), grid, blind)
-    shape = _seen_shape(grid, seen)
+    G = None
     for lo, hi, W in blocks:
+        seen, blind = _split_axes(W)
+        if G is None:
+            G = _dft_inplace(f.values.copy(), grid, blind) if blind else f.values
         work = (np.empty((hi - lo,) + grid.counts, dtype=complex) if out is None
                 else out[lo:hi])
-        np.conjugate(W.reshape((hi - lo,) + shape), out=work)
+        np.conjugate(W, out=work)
         work *= G
         S = _dft_inplace(work, grid, seen)
         del work
@@ -159,9 +128,9 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
     y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
     xi_grid = f.grid.dual()
     _check_field_bytes(y_grid, xi_grid)
-    seen, blocks = _seen_window_blocks(g, f.grid, frame.u, y_grid.points())
+    blocks = window_blocks(g, f.grid, frame.u, y_grid.points())
     out = np.empty((y_grid.size,) + xi_grid.counts, dtype=complex)
-    for _, _, W, S in _spectra(f, seen, blocks, out=out):
+    for _, _, W, S in _spectra(f, blocks, out=out):
         del W, S        # S is a view of out
     return DstftField(y_grid, xi_grid, out.reshape(y_grid.counts + xi_grid.counts),
                       frame=frame, window_meta=g.meta)
@@ -188,12 +157,11 @@ def dstft_direct_at(f: Signal, g: Window, frame: DirectionFrame,
     y_pts, xi_pts = as_points(y_pts, frame.k), as_points(xi_pts, frame.n)
     blocks = window_blocks(g, f.grid, frame.u, y_pts)
     T = f.grid.points()
-    flat_f = f.values.ravel()
     vol = f.grid.cell_volume
     out = np.empty((y_pts.shape[0], xi_pts.shape[0]), dtype=complex)
     phases = np.exp(-2j * np.pi * (T @ xi_pts.T))   # (Nt, Nxi)
     for lo, hi, W in blocks:
-        out[lo:hi] = vol * ((flat_f * np.conj(W)) @ phases)
+        out[lo:hi] = vol * ((f.values * np.conj(W)).reshape(hi - lo, -1) @ phases)
     return out
 
 

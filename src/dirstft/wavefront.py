@@ -24,7 +24,7 @@ import numpy as np
 from .direction import DirectionFrame
 from .grids import Grid, Signal, dft
 from .transform import DstftField, _spectra, default_y_grid
-from .windows import Window, _seen_window_blocks, window_at
+from .windows import Window, window_at, window_blocks
 
 LOG_FLOOR = 1e-300          # floor before taking logs (exact zeros)
 DYNAMIC_RANGE_FLOOR = 1e-280  # below this a shell is "fully decayed"
@@ -306,8 +306,7 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     xi_grid = f.grid.dual()
     sup = np.zeros((len(y_cells), xi_grid.size))
     peak = 0.0
-    seen, blocks = _seen_window_blocks(g, f.grid, frame.u, Y)
-    for lo, hi, _, S in _spectra(f, seen, blocks):
+    for lo, hi, _, S in _spectra(f, window_blocks(g, f.grid, frame.u, Y)):
         mags = np.abs(S).reshape(hi - lo, -1)
         block_peak = float(mags.max())
         if not math.isfinite(block_peak):

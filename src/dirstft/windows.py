@@ -150,61 +150,50 @@ def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     (Ny, k).  The window and grid dimensions are checked against k and n,
     and the y~ points against k, at the call, before any block is computed.
 
-    W is shaped (B, Nt) with B = max(1, BLOCK_ELEMS // Nt) rows.  One path
-    serves the whole y~ set: a gather from a zero-padded copy of the window
-    when every proj - y~ hits the window lattice, else the trigonometric
-    interpolation of window_at, factorized over (t, y~).  The trigonometric
-    path evaluates the window on the projected index box when that box is
-    smaller than the signal grid (see _projected_box), else at every sample;
-    it holds M J / J_0 entries per row (M window modes, J points it
-    evaluates, J_0 of them on the first axis) and takes fewer rows when
-    that exceeds Nt.
+    g(u . t - y~) does not depend on t_i along a blind axis i of the frame,
+    one whose column u_(.i) is zero.  So W is evaluated on the sub-grid of
+    the other, seen, axes and shaped (hi - lo,) + grid.counts with 1 on each
+    blind axis, the shape it broadcasts from (see _split_axes).  A block
+    holds B = max(1, BLOCK_ELEMS // Nt) rows, as its consumers expand it to
+    the whole grid.  One path serves the whole y~ set: a gather from a
+    zero-padded copy of the window when every proj - y~ hits the window
+    lattice, else the trigonometric interpolation of window_at, factorized
+    over (t, y~).  The trigonometric path evaluates the window on the
+    projected index box when that box is smaller than the seen sub-grid
+    (see _projected_box), else at every sample; it holds M J / J_0 entries
+    per row (M window modes, J points it evaluates, J_0 of them on the
+    first axis) and takes fewer rows when that exceeds Nt.
     """
-    return _blocks(w, grid, _frame_rows(w, grid, u), Y, grid.size)
-
-
-def _seen_window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
-    """(seen, blocks): the signal axes i that some row of u moves along
-    (u_ri != 0), and window_blocks on the sub-grid of those axes.
-
-    g(u . t - y~) does not depend on the other, frame-blind, axes, so each
-    W is shaped (B, N_seen) and broadcasts over them.  B is taken as for
-    the whole grid, max(1, BLOCK_ELEMS // Nt) rows or fewer, because every
-    consumer expands a block to (B, Nt).  With no blind axis this is
-    window_blocks itself.  The arguments are checked as window_blocks
-    checks them.
-    """
-    u = _frame_rows(w, grid, u)
-    seen = tuple(int(i) for i in np.flatnonzero(np.any(u != 0, axis=0)))
-    sub = Grid(tuple(grid.origin[i] for i in seen),
-               tuple(grid.spacing[i] for i in seen),
-               tuple(grid.counts[i] for i in seen))
-    return seen, _blocks(w, sub, u[:, seen], Y, grid.size)
-
-
-def _frame_rows(w: Window, grid: Grid, u) -> np.ndarray:
-    """u as a k x n array, checked against the window and signal
-    dimensions."""
     u = np.atleast_2d(u)
     if (w.grid.dim, grid.dim) != u.shape:
         raise ValueError(f"window and signal dimensions {w.grid.dim}, "
                          f"{grid.dim} must equal the frame's k, n = {u.shape}")
-    return u
-
-
-def _blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray, row: int):
-    """window_blocks with at least `row` entries counted per y~ row."""
     Y = as_points(Y, w.grid.dim)
     if Y.shape[0] == 0:
         return iter(())
-    proj = grid.points() @ u.T
-    block = _lattice_blocks(w, proj, Y)
+    seen = np.any(u != 0, axis=0)
+    seen[0] |= not seen.any()           # u = 0: a window constant in t
+    shape = tuple(n if s else 1 for n, s in zip(grid.counts, seen))
+    sub = Grid(*(np.compress(seen, a) for a in (grid.origin, grid.spacing,
+                                                grid.counts)))
+    u = u[:, seen]
+    proj = sub.points() @ u.T
+    block, row = _lattice_blocks(w, proj, Y), grid.size
     if block is None:
-        block, entries = _trig_blocks(w, grid, u, proj, Y)
+        block, entries = _trig_blocks(w, sub, u, proj, Y)
         row = max(row, entries)
     step = max(1, BLOCK_ELEMS // row)
-    bounds = ((lo, min(lo + step, Y.shape[0])) for lo in range(0, Y.shape[0], step))
-    return ((lo, hi, block(lo, hi)) for lo, hi in bounds)
+    bounds = ((lo, min(lo + step, len(Y))) for lo in range(0, len(Y), step))
+    return ((lo, hi, block(lo, hi).reshape((hi - lo,) + shape))
+            for lo, hi in bounds)
+
+
+def _split_axes(W: np.ndarray) -> tuple:
+    """(seen, blind) signal axes of a window block of window_blocks: the
+    blind ones are those it has size 1 along, as every Grid count is at
+    least 2."""
+    blind = tuple(i for i, n in enumerate(W.shape[1:]) if n == 1)
+    return tuple(i for i in range(W.ndim - 1) if i not in blind), blind
 
 
 def _lattice_blocks(w: Window, proj: np.ndarray, Y: np.ndarray):

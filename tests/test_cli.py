@@ -58,21 +58,31 @@ def test_gen_sheet_sidecar_has_ground_truth(tmp_path):
 
 
 def test_analyze_matches_library(tmp_path):
+    analyze_matches_library(tmp_path, [[1.0, 0.0]])
+
+
+def test_analyze_frame_blind_to_the_leading_axis(tmp_path):
+    # u = e_2: build_frame completes it with e_1, not the trailing axis
+    analyze_matches_library(tmp_path, [[0.0, 1.0]])
+
+
+def analyze_matches_library(tmp_path, u):
     sig = gen_gaussian(tmp_path, counts=(32, 32), lo=(-4, -4), hi=(4, 4))
     cfg = {
         "schema_version": 1,
         "signal": str(sig),
         "window": {"kind": "gaussian", "sigma": [1.0],
                    "grid": {"bounds": [[-4], [4]], "counts": [32]}},
-        "frame": {"u": [[1.0, 0.0]]},
+        "frame": {"u": u},
         "out": str(tmp_path / "F.dstf"),
     }
     assert run(tmp_path, "analyze", cfg) == 0
     F = read_field(tmp_path / "F.dstf")
     f = read_signal(sig)
     win = gaussian_window(Grid.from_bounds([-4], [4], [32]), [1.0])
-    ref = dstft_fast(f, win, build_frame([[1.0, 0.0]]))
+    ref = dstft_fast(f, win, build_frame(u))
     assert np.allclose(F.values, ref.values)
+    assert np.array_equal(F.frame.B, build_frame(u).B)
 
 
 def test_synthesize_default_out_grid(tmp_path):
@@ -414,6 +424,22 @@ def test_bad_config_exits_2_with_a_message(tmp_path, capsys, command, edit,
      "cones count must be an integer, got null"),
     ("gen", {"grid": {"origin": [0.0], "spacing": [0.5], "counts": 16}},
      "grid counts must be a JSON list, got 16"),
+    ("wavefront", {"frame": {"u": {"a": 1}}},
+     'frame u must be a number, got {"a": 1}'),
+    ("wavefront", {"window": {"kind": "gaussian", "sigma": {"a": 1},
+                              "grid": {"bounds": [[-2], [2]], "counts": [32]}}},
+     'window sigma must be a number, got {"a": 1}'),
+    ("wavefront", {"window": {"kind": "gaussian", "sigma": None,
+                              "grid": {"bounds": [[-2], [2]], "counts": [32]}}},
+     "window sigma must be a number, got null"),
+    ("gen", {"grid": {"bounds": [{"a": 1}, [4]], "counts": [16]}},
+     'grid bounds must be a number, got {"a": 1}'),
+    ("gen", {"kind": "sum", "params": {"parts": 3}},
+     "sum parts must be a JSON list, got 3"),
+    ("gen", {"kind": "sum", "params": {"parts": [3]}},
+     "sum parts[0] must be a JSON object, got int: 3"),
+    ("gen", {"params": {"sigma": 1.0, "center": {"a": 1}}},
+     'gaussian center must be a number, got {"a": 1}'),
 ])
 def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capsys, command,
                                                         edit, message):

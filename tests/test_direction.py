@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from dirstft import Grid, Signal, build_frame, frequency_map, pullback
+from dirstft import (Grid, Signal, build_frame, frequency_map, gaussian_window,
+                     pullback)
+from dirstft import invariants
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian
 from dirstft.grids import CoverageWarning
@@ -27,11 +29,37 @@ def test_identity_frame_is_identity():
 
 
 def test_degenerate_direction_rejected():
-    # u_1 = e_2 lies in the span of the trailing identity rows
     with pytest.raises(ValueError, match="dependent directions"):
-        build_frame([[0.0, 1.0]])
+        build_frame([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         build_frame([[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("rows, B", [
+    # blind to a leading axis: the trailing axes cannot complete u
+    ([[0.0, 1.0]], [[0, 1], [1, 0]]),
+    ([[0.0, 0.6, 0.8]], [[0, 0.6, 0.8], [1, 0, 0], [0, 1, 0]]),
+    ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+    # the trailing axes complete u: B = [u; e_(k+1) ... e_n] as before
+    ([[0.6, 0.8]], [[0.6, 0.8], [0, 1]]),
+    ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+])
+def test_frame_completed_by_coordinate_axes(rows, B):
+    fr = build_frame(rows)
+    assert np.array_equal(fr.B, np.asarray(B, dtype=float))
+    assert np.allclose(fr.B @ fr.C, np.eye(fr.n), atol=1e-14)
+    assert fr.det_C == pytest.approx(1.0 / np.linalg.det(fr.B))
+
+
+def test_frame_change_blind_to_the_leading_axis():
+    # u = e_2: the pullback swaps the axes of a square grid
+    grid = Grid.from_bounds([-8, -8], [8, 8], [64, 64])
+    f = gaussian(grid, sigma=2.0, center=[0.5, -0.25])
+    win = gaussian_window(Grid.from_bounds([-8], [8], [64]), [2.0])
+    err = invariants.frame_change_error(
+        f, win, build_frame([[0.0, 1.0]]), [[0.0], [0.5], [-1.0]],
+        [[0.0, 0.0], [0.5, 0.25], [1.0, -0.5]])
+    assert err <= 1e-4
 
 
 @pytest.mark.parametrize("rows", [[[float("nan"), 1.0]],

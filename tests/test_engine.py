@@ -14,7 +14,7 @@ from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, heaviside_sheet
 from dirstft.grids import BLOCK_ELEMS, dft, evaluate_trig
 from dirstft.synthesis import dso, reconstruct
-from dirstft.transform import DstftField, dstft_blocks
+from dirstft.transform import DstftField
 from dirstft.wavefront import BallSpec, cone_dictionary_2d, wavefront_scan
 from dirstft.windows import (Window, WindowKind, _lattice_blocks,
                              _projected_box, window_at, window_blocks)
@@ -23,11 +23,14 @@ S2 = 1 / math.sqrt(2)
 
 
 def engine(w, grid, u, Y):
-    """Concatenated engine blocks, checking they tile the y~ points."""
+    """Concatenated engine blocks broadcast to (B, Nt), checking they tile
+    the y~ points and have size 1 on exactly the axes u is zero along."""
+    moving = np.any(np.atleast_2d(u) != 0, axis=0)
+    shape = tuple(n if m else 1 for n, m in zip(grid.counts, moving))
     rows, end = [], 0
     for lo, hi, W in window_blocks(w, grid, u, Y):
-        assert lo == end and hi > lo and W.shape == (hi - lo, grid.size)
-        rows.append(W)
+        assert lo == end and hi > lo and W.shape == (hi - lo,) + shape
+        rows.append(np.broadcast_to(W, (hi - lo,) + grid.counts).reshape(hi - lo, -1))
         end = hi
     assert end == len(Y)
     return np.concatenate(rows)
@@ -86,6 +89,19 @@ def test_off_lattice_frame_n3():
     frame = build_frame([[1.0, 0.6, -0.3]])
     Y = Grid.from_bounds([-3], [3], [12]).points()
     assert_engine_matches(win, grid, frame.u, Y, lattice=False)
+
+
+@pytest.mark.parametrize("u, lattice", [([[0.0, 1.0]], True),
+                                        ([[0.0, 1.0]], False),
+                                        ([[1.0, 0.0, 0.6]], False),
+                                        ([[0.0, 0.6, 0.8]], False)])
+def test_blind_axes_broadcast(u, lattice):
+    # frames blind to a leading, a middle or a trailing axis: each block
+    # has size 1 there and broadcasts to window_at on the whole grid
+    grid = Grid.from_bounds([-3] * len(u[0]), [3] * len(u[0]), [8, 6, 5][:len(u[0])])
+    win = gaussian_window(Grid.from_bounds([-3], [3], [6 if lattice else 7]), 1.0)
+    Y = Grid.from_bounds([-3], [3], [6]).points() + [[0.0 if lattice else 0.3]]
+    assert_engine_matches(win, grid, build_frame(u).u, Y, lattice)
 
 
 def test_incommensurate_y_grid():
@@ -219,27 +235,6 @@ def test_block_boundary_mid_grid():
         blocks = [(lo, hi) for lo, hi, _ in window_blocks(win, grid, u, Y)]
         assert blocks[0] == (0, rows) and blocks[-1][1] == 48
         assert_engine_matches(win, grid, u, Y, lattice)
-
-
-@pytest.mark.parametrize("u", [[[1.0, 0.0]], [[S2, S2]]])
-def test_dstft_blocks_stream_the_field(u):
-    grid = Grid.from_bounds([-4, -4], [4, 4], [48, 48])
-    f = gaussian(grid, sigma=1.0, modulation=[0.5, -0.25])
-    win = gevrey_bump(Grid.from_bounds([-4], [4], [48]), 1.0, 2.0)
-    win = Window(win.grid, win.values * np.exp(1j * win.grid.axis(0)))
-    frame = build_frame(u)
-    y_grid = Grid.from_bounds([-4], [4], [48])
-    want = dstft_fast(f, win, frame, y_grid=y_grid).values
-    windows = window_blocks(win, grid, frame.u, y_grid.points())
-    end = 0
-    for (lo, hi, W, S), (lo_w, hi_w, W_ref) in zip(
-            dstft_blocks(f, win, frame, y_grid), windows, strict=True):
-        assert (lo, hi) == (lo_w, hi_w) and lo == end
-        # the window block comes back as the engine made it, not conjugated
-        assert np.array_equal(W, W_ref)
-        assert np.array_equal(S, want[lo:hi])
-        end = hi
-    assert end == y_grid.size
 
 
 def dense_trig(f, pts):

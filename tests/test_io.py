@@ -77,6 +77,25 @@ def test_csv_missing_header_rejected(tmp_path):
         read_signal_csv(p)
 
 
+CSV_HEADER = "# dim,1\n# origin,0.0\n# spacing,0.5\n# counts,3\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (CSV_HEADER.replace("# origin,0.0\n", "") + "0,1,0\n1,1,0\n2,1,0\n",
+     r"missing grid metadata header\(s\) \['origin'\]"),
+    (CSV_HEADER + "0,1,0\n1,1\n2,1,0\n", "has 2 fields, expected 3"),
+    (CSV_HEADER + "0,1,0\n2,1,0\n", r"1 of 3 sample rows missing, the first at index \(1,\)"),
+    (CSV_HEADER + "0,1,0\n1,1,0\n1,2,0\n2,1,0\n", r"duplicate sample row for index \(1,\)"),
+    (CSV_HEADER + "0,1,0\n1,1,0\n3,1,0\n", "invalid entry"),
+])
+def test_csv_malformed_rows_rejected_naming_the_file(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message) as err:
+        read_signal_csv(p)
+    assert str(err.value).startswith(f"{p}: ")
+
+
 def test_magnitude_csv_shape(tmp_path, signal):
     win = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
     F = dstft_fast(signal, win, build_frame([[1.0, 0.0]]))
