@@ -30,6 +30,11 @@ from .windows import Window, gaussian_window, gevrey_bump, pairing_check
 SCHEMA_VERSION = 1
 ANGULAR_TOL_DEG = 15.0
 
+# Config keys that name a file.  Each must be a JSON string: open() takes an
+# integer as a file descriptor, which it would read or write and then close.
+PATH_KEYS = ("signal", "field", "out", "sidecar", "report", "out_json",
+             "out_csv")
+
 
 class ConfigError(Exception):
     pass
@@ -58,7 +63,18 @@ def _load_config(path) -> dict:
         raise ConfigError("config must be a JSON object")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
+    for key in PATH_KEYS:
+        if key in cfg:
+            _path(cfg[key], key)
     return cfg
+
+
+def _path(value, what: str) -> str:
+    """value, or a ConfigError naming the config key unless it is a string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a JSON string (a file path), got "
+                          f"{json.dumps(value)}")
+    return value
 
 
 def _number(value, what: str, cast=float):
@@ -105,7 +121,7 @@ def _parse_window(spec: dict) -> Window:
                 "window")
     kind = spec.get("kind")
     if kind == "custom":
-        f = sigio.read_signal(spec["path"])
+        f = sigio.read_signal(_path(spec["path"], "window path"))
         return Window(f.grid, f.values)
     grid = _parse_grid(spec["grid"])
     if kind == "gaussian":
@@ -177,7 +193,7 @@ def cmd_gen(cfg: dict, args) -> int:
     truth = fixtures.ground_truth(cfg["kind"], params)
     if truth is not None:
         meta.update(truth)
-    sidecar = cfg.get("sidecar", str(cfg["out"]) + ".json")
+    sidecar = cfg.get("sidecar", cfg["out"] + ".json")
     with open(sidecar, "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
     return 0
@@ -351,7 +367,7 @@ def cmd_wavefront(cfg: dict, args) -> int:
             y_grid=y_grid, strict=args.strict_window)
     out = _report_json(report)
     truth = None
-    sidecar = str(cfg["signal"]) + ".json"
+    sidecar = cfg["signal"] + ".json"
     try:
         with open(sidecar) as fh:
             truth = json.load(fh)

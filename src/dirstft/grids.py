@@ -25,7 +25,12 @@ ORACLE_CAP = 2 ** 16
 
 # Complex entries per work block of the batched window, transform and
 # interpolation loops (1 MiB).  Larger blocks buy no speed and raise the
-# peak memory of every command.
+# peak memory of every command.  Smaller ones buy none either now that the
+# analysis and synthesis streams reuse one work buffer each: 2^14 blocks
+# once ran a k=n=2 64^2 reconstruct 12-23% faster than 2^16, but only
+# because every 2^16 block allocated a fresh array that the allocator gave
+# back to the system and then page-faulted in again; with reuse, 2^14, 2^15
+# and 2^16 are within run-to-run noise.
 BLOCK_ELEMS = 2 ** 16
 
 # A point is on a lattice when each coordinate is within this many lattice

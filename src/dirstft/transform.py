@@ -95,27 +95,32 @@ def _spectra(f: Signal, blocks, out: np.ndarray | None = None):
 
     The transform along the blind axes, which W has size 1 along, is taken
     once, at the first block; each block's product and its transform along
-    the seen axes run in one buffer, the rows lo:hi of out when it is given
-    (a field shaped (Ny,) + f.grid.counts), else a new array per block.
-    W is yielded as the stream made it, not conjugated, so a consumer can
-    reuse it as a synthesis window.  S is not checked for finiteness, so a
-    consumer checks what it returns (as dstft_fast, reconstruct and
-    wavefront_scan do)."""
+    the seen axes run in one buffer: the rows lo:hi of out when it is given
+    (a field shaped (Ny,) + f.grid.counts), else one work array per stream,
+    sized by the largest block and reused by every block.  So without out,
+    S is valid only until the consumer asks for the next block, and a
+    consumer that keeps it copies it.  A fresh 1 MiB array per block cost
+    a k=n=2 64^2 reconstruct about 62 000 minor page faults, as the
+    allocator handed each one back to the system, and made small blocks
+    look faster (see grids.BLOCK_ELEMS); the reused one keeps it near
+    1 200.  W is yielded as the stream made it, not conjugated, so a
+    consumer can reuse it as a synthesis window.  S is not checked for
+    finiteness, so a consumer checks what it returns (as dstft_fast,
+    reconstruct and wavefront_scan do)."""
     grid = f.grid
     G = None
+    buf = np.empty((0,) + grid.counts, dtype=complex)
     for lo, hi, W in blocks:
         seen, blind = _split_axes(W)
         if G is None:
             G = _dft_inplace(f.values.copy(), grid, blind) if blind else f.values
-        work = (np.empty((hi - lo,) + grid.counts, dtype=complex) if out is None
-                else out[lo:hi])
+        if out is None and hi - lo > len(buf):
+            buf = np.empty((hi - lo,) + grid.counts, dtype=complex)
+        work = buf[:hi - lo] if out is None else out[lo:hi]
         np.conjugate(W, out=work)
         work *= G
-        S = _dft_inplace(work, grid, seen)
-        del work
-        yield lo, hi, W, S
-        # let go of this block before the next one is computed
-        del W, S
+        yield lo, hi, W, _dft_inplace(work, grid, seen)
+        del W       # let go of this window block before the next one is made
 
 
 def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,

@@ -288,10 +288,13 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
 
     The transform is streamed in y~ blocks and never stored: each block
     updates the global peak of |F| (the noise-floor reference) and the
-    running sup of |F| over each cell's y~ points.  The lattice geometry
-    (|xi| and the mirrored mask) is computed once; each cone's shell table
-    is then built once and its suprema gathered for every cell at once.
-    The singular set is the complement of the regular entries.
+    running sup of |F| over each cell's y~ points.  Each block's |F| is
+    taken into one float buffer, sized by the largest block, and the block
+    is done with before the next is asked for, as the stream reuses its
+    buffer too.  The lattice geometry (|xi| and the mirrored mask) is
+    computed once; each cone's shell table is then built once and its
+    suprema gathered for every cell at once.  The singular set is the
+    complement of the regular entries.
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
@@ -306,8 +309,11 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     xi_grid = f.grid.dual()
     sup = np.zeros((len(y_cells), xi_grid.size))
     peak = 0.0
+    buf = np.empty((0, xi_grid.size))
     for lo, hi, _, S in _spectra(f, window_blocks(g, f.grid, frame.u, Y)):
-        mags = np.abs(S).reshape(hi - lo, -1)
+        if hi - lo > len(buf):
+            buf = np.empty((hi - lo, xi_grid.size))
+        mags = np.abs(S.reshape(hi - lo, -1), out=buf[:hi - lo])
         block_peak = float(mags.max())
         if not math.isfinite(block_peak):
             raise ValueError(f"transform values must be finite; y~ rows "

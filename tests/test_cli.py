@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -440,6 +441,16 @@ def test_bad_config_exits_2_with_a_message(tmp_path, capsys, command, edit,
      "sum parts[0] must be a JSON object, got int: 3"),
     ("gen", {"params": {"sigma": 1.0, "center": {"a": 1}}},
      'gaussian center must be a number, got {"a": 1}'),
+    ("wavefront", {"signal": 3}, "signal must be a JSON string (a file path), got 3"),
+    ("synthesize", {"field": 3}, "field must be a JSON string (a file path), got 3"),
+    ("gen", {"out": 3}, "out must be a JSON string (a file path), got 3"),
+    ("gen", {"sidecar": 4}, "sidecar must be a JSON string (a file path), got 4"),
+    ("wavefront", {"window": {"kind": "custom", "path": 3}},
+     "window path must be a JSON string (a file path), got 3"),
+    ("roundtrip", {"report": 3}, "report must be a JSON string (a file path), got 3"),
+    ("wavefront", {"out_json": 3}, "out_json must be a JSON string (a file path), got 3"),
+    ("wavefront", {"out_csv": None},
+     "out_csv must be a JSON string (a file path), got null"),
 ])
 def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capsys, command,
                                                         edit, message):
@@ -448,6 +459,11 @@ def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capsys, comman
         "gen": {"schema_version": 1, "kind": "gaussian",
                 "grid": {"bounds": [[-4], [4]], "counts": [16]},
                 "params": {"sigma": 1.0}, "out": str(tmp_path / "g.dstf")},
+        "synthesize": {"schema_version": 1, "field": str(tmp_path / "F.dstf"),
+                       "window": WIN16, "out": str(tmp_path / "rec.dstf")},
+        "roundtrip": {"schema_version": 1, "signal": str(tmp_path / "sheet.dstf"),
+                      "window_g": WIN16, "frame": {"u": [[1.0, 0.0]]},
+                      "report": str(tmp_path / "rt.json")},
     }[command]
     capsys.readouterr()
     assert run(tmp_path, command, {**base, **edit}) == 2
@@ -455,3 +471,28 @@ def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capsys, comman
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "wf.json").exists()
     assert not (tmp_path / "g.dstf").exists()
+
+
+def test_config_path_as_a_descriptor_number_is_rejected_and_left_open(tmp_path,
+                                                                      capsys):
+    # an integer path would be taken by open() as a file descriptor, which
+    # the CLI would read and then close
+    sig = gen_gaussian(tmp_path, counts=(16, 16), lo=(-4, -4), hi=(4, 4))
+    head = sig.read_bytes()[:64]
+    r, w = os.pipe()
+    try:
+        os.write(w, head)
+        os.close(w)         # a reader gets end of file, not a hang
+        before = os.fstat(r)
+        cfg = {"schema_version": 1, "signal": r, "window": WIN16,
+               "frame": {"u": [[1.0, 1.0]]}, "out": str(tmp_path / "F.dstf")}
+        capsys.readouterr()
+        assert run(tmp_path, "analyze", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"signal must be a JSON string (a file path), got {r}" in err
+        after = os.fstat(r)     # still open, and not reused for another file
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+        assert os.read(r, 128) == head      # nothing was read
+    finally:
+        os.close(r)
+    assert not (tmp_path / "F.dstf").exists()
