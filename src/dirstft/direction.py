@@ -106,8 +106,6 @@ def pullback(f: Signal, frame: DirectionFrame, out_grid: Grid) -> Signal:
                          f"dimension n = {frame.n}")
     if out_grid.dim != frame.n:
         raise ValueError("out_grid dimension must equal the frame dimension n")
-    if frame.is_identity and out_grid == f.grid:
-        return Signal(f.grid, f.values.copy())
     inside = f.grid.contains(out_grid.points() @ frame.C.T)
     raw = evaluate_trig_grid(f, frame.C, out_grid).ravel()
     total = float(np.sum(np.abs(raw)))

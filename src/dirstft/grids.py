@@ -20,8 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Total-sample cap for the brute-force transform oracle.
-ORACLE_CAP = 2 ** 16
+# Budget of every brute-force oracle (dft_oracle, dstft_direct_at,
+# dso_direct), in sample-times-frequency terms summed, checked before the
+# oracle allocates anything of that size.
+ORACLE_WORK_CAP = 2 ** 27
 
 # Complex entries per work block of the batched window, transform and
 # interpolation loops (1 MiB).  Larger blocks buy no speed and raise the
@@ -303,14 +305,19 @@ def idft(spec: Spectrum, out_grid: Grid) -> Signal:
     return Signal(out_grid, vals)
 
 
-def dft_oracle(f: Signal, cap: int | None = None) -> Spectrum:
+def _check_oracle_work(terms: int, what: str, hint: str = "") -> None:
+    """Refuse an oracle sum of more than ORACLE_WORK_CAP terms."""
+    if terms > ORACLE_WORK_CAP:
+        raise ValueError(f"{what} work {terms} exceeds cap {ORACLE_WORK_CAP}{hint}")
+
+
+def dft_oracle(f: Signal) -> Spectrum:
     """Direct double-loop evaluation of the same quadrature sum.
 
-    Bit-for-bit deterministic; refuses grids above the oracle cap.
+    Bit-for-bit deterministic; refuses more than ORACLE_WORK_CAP terms
+    (N^2 for N samples, so N <= 11 585).
     """
-    cap = ORACLE_CAP if cap is None else cap
-    if f.grid.size > cap:
-        raise ValueError(f"oracle cap exceeded: {f.grid.size} samples > {cap}")
+    _check_oracle_work(f.grid.size ** 2, "dft oracle")
     T = f.grid.points()
     dual = f.grid.dual()
     X = dual.points()
@@ -345,11 +352,12 @@ def boundary_mass_fraction(f: Signal) -> float:
     return float((total - interior.sum()) / total)
 
 
-def check_boundary_mass(f: Signal, threshold: float = BOUNDARY_MASS_THRESHOLD) -> float:
+def check_boundary_mass(f: Signal) -> float:
     frac = boundary_mass_fraction(f)
-    if frac > threshold:
+    if frac > BOUNDARY_MASS_THRESHOLD:
         warnings.warn(
-            f"boundary carries {frac:.3e} of total mass (> {threshold:.1e}); "
+            f"boundary carries {frac:.3e} of total mass "
+            f"(> {BOUNDARY_MASS_THRESHOLD:.1e}); "
             "implicit periodization may not be negligible",
             BoundaryMassWarning,
             stacklevel=2,

@@ -21,9 +21,9 @@ from .wavefront import WavefrontReport
 from .windows import Window
 
 
-def dft_oracle_error(f: Signal, cap: int | None = None) -> float:
-    """FFT transform vs the direct-sum oracle (capped at `cap` samples)."""
-    return relative_error(dft(f).values, dft_oracle(f, cap=cap).values)
+def dft_oracle_error(f: Signal) -> float:
+    """FFT transform vs the direct-sum oracle."""
+    return relative_error(dft(f).values, dft_oracle(f).values)
 
 
 def dft_roundtrip_error(f: Signal) -> float:

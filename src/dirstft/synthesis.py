@@ -10,19 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 from .direction import DirectionFrame, identity_frame, pullback
-from .grids import Grid, Signal, _idft_into, inner_product, primal_phase
+from .grids import (Grid, Signal, _check_oracle_work, _idft_into, inner_product,
+                    primal_phase)
 from .transform import DstftField, _spectra, default_y_grid, dstft_fast
 from .windows import Window, _split_axes, pairing_check, window_blocks
-
-DSO_WORK_CAP = 2 ** 27
 
 
 def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Signal:
     """Quadrature synthesis: per y~ block, one batched inverse DFT weighted
     by the windows, then the y~ Riemann sum.
 
-    Falls back to direct phase summation, capped at DSO_WORK_CAP, when
-    out_grid is not the primal grid of the field's frequency lattice.
+    Falls back to direct phase summation, capped at grids.ORACLE_WORK_CAP
+    terms, when out_grid is not the primal grid of the field's frequency
+    lattice.
     """
     if out_grid.dual() != F.xi_grid:
         return dso_direct(F, g, frame, out_grid)
@@ -61,16 +61,15 @@ def _synthesize(pairs, xi_grid: Grid, out_grid: Grid, y_volume: float) -> np.nda
     return acc
 
 
-def dso_direct(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid,
-               work_cap: int = DSO_WORK_CAP) -> Signal:
-    """Brute-force double-loop synthesis oracle, capped at work_cap terms;
-    the cap is checked before anything the size of out_grid is allocated."""
-    work = out_grid.size * F.y_size * F.xi_size
-    if work > work_cap:
-        raise ValueError(
-            f"direct synthesis work {work} exceeds cap {work_cap}; the fast "
-            f"path needs out_grid = {F.xi_grid.primal()}, the primal grid of "
-            "the field's frequency lattice")
+def dso_direct(F: DstftField, g: Window, frame: DirectionFrame,
+               out_grid: Grid) -> Signal:
+    """Brute-force double-loop synthesis oracle, capped at
+    grids.ORACLE_WORK_CAP terms (Nout Ny Nxi); the cap is checked before
+    anything the size of out_grid is allocated."""
+    _check_oracle_work(
+        out_grid.size * F.y_size * F.xi_size, "direct synthesis",
+        f"; the fast path needs out_grid = {F.xi_grid.primal()}, the primal "
+        "grid of the field's frequency lattice")
     blocks = window_blocks(g, out_grid, frame.u, F.y_grid.points())
     T = out_grid.points()
     Xi = F.xi_grid.points()
@@ -130,13 +129,9 @@ def orthogonality_check(f1: Signal, f2: Signal, g: Window, phi: Window,
     F1 = dstft_fast(f1, g, frame, y_grid=y_grid)
     F2 = dstft_fast(f2, phi, frame, y_grid=y_grid)
     lhs = F1.inner_product(F2)
-    if frame.is_identity:
-        h1, h2 = f1, f2
-        jac = 1.0
-    else:
-        h1 = pullback(f1, frame, f1.grid)
-        h2 = pullback(f2, frame, f2.grid)
-        jac = 1.0 / abs(frame.det_C)
+    h1 = pullback(f1, frame, f1.grid)
+    h2 = pullback(f2, frame, f2.grid)
+    jac = 1.0 / abs(frame.det_C)
     gbar = Signal(g.grid, np.conj(g.values))
     pbar = Signal(phi.grid, np.conj(phi.values))
     rhs = jac * inner_product(h1, h2) * inner_product(gbar, pbar)

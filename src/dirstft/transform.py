@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .direction import DirectionFrame
-from .grids import Grid, Signal, _dft_inplace, _sample_values, as_points
+from .grids import (Grid, Signal, _check_oracle_work, _dft_inplace, _sample_values,
+                    as_points)
 from .windows import Window, _split_axes, tensor_window, window_blocks
-
-DIRECT_WORK_CAP = 2 ** 27
 
 # Largest field, in bytes, that dstft_fast and dstft_direct allocate.
 FIELD_BYTES_CAP = 2 ** 31
@@ -142,15 +141,11 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
 
 
 def dstft_direct(f: Signal, g: Window, frame: DirectionFrame,
-                 y_grid: Grid | None = None,
-                 work_cap: int = DIRECT_WORK_CAP) -> DstftField:
+                 y_grid: Grid | None = None) -> DstftField:
     """Brute-force quadrature oracle on the dual lattice."""
     y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
     xi_grid = f.grid.dual()
     _check_field_bytes(y_grid, xi_grid)
-    work = f.grid.size * y_grid.size * xi_grid.size
-    if work > work_cap:
-        raise ValueError(f"direct-path work {work} exceeds cap {work_cap}")
     vals = dstft_direct_at(f, g, frame, y_grid.points(), xi_grid.points())
     return DstftField(y_grid, xi_grid, vals.reshape(y_grid.counts + xi_grid.counts),
                       frame=frame, window_meta=g.meta)
@@ -158,8 +153,10 @@ def dstft_direct(f: Signal, g: Window, frame: DirectionFrame,
 
 def dstft_direct_at(f: Signal, g: Window, frame: DirectionFrame,
                     y_pts: np.ndarray, xi_pts: np.ndarray) -> np.ndarray:
-    """Direct quadrature at arbitrary (y~, xi) points; shape (Ny, Nxi)."""
+    """Direct quadrature at arbitrary (y~, xi) points; shape (Ny, Nxi).
+    Refuses more than grids.ORACLE_WORK_CAP terms (Nt Ny Nxi)."""
     y_pts, xi_pts = as_points(y_pts, frame.k), as_points(xi_pts, frame.n)
+    _check_oracle_work(f.grid.size * len(y_pts) * len(xi_pts), "direct-path")
     blocks = window_blocks(g, f.grid, frame.u, y_pts)
     T = f.grid.points()
     vol = f.grid.cell_volume

@@ -172,7 +172,7 @@ def _shell_table(xi_pts: np.ndarray, cone: ConeSpec, lattice):
 
 
 def _cone_fits(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
-               alpha: float, ref: float, lattice=None) -> list:
+               alpha: float, ref: float, lattice) -> list:
     """One DecayFit per row of mags (rows, Nxi) over one cone, from the
     dyadic-shell suprema of each row: x = |xi*|^(1/alpha) at the first
     argmax in lattice order and y = log sup |F|, for the shells whose sup
@@ -181,11 +181,10 @@ def _cone_fits(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
     ref is the magnitude against which the rounding-noise floor is
     measured; it must be the global peak of the transform the magnitudes
     came from, because FFT rounding noise scales with the global peak, not
-    the local one.  lattice is xi_pts' _lattice geometry, computed here
-    when not given.  A row with fewer than 2 shells above the floor has the
-    same fit as every other such row, so _fit runs once for all of them."""
-    shells, n_points = _shell_table(
-        xi_pts, cone, _lattice(xi_pts) if lattice is None else lattice)
+    the local one.  lattice is xi_pts' _lattice geometry.  A row with
+    fewer than 2 shells above the floor has the same fit as every other
+    such row, so _fit runs once for all of them."""
+    shells, n_points = _shell_table(xi_pts, cone, lattice)
     floor = max(DYNAMIC_RANGE_FLOOR, NOISE_FLOOR_REL * ref)
     rows = np.arange(len(mags))
     at = np.empty((len(mags), len(shells)))         # |xi*| per row, shell
@@ -244,13 +243,12 @@ def fit_spectrum_decay(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     ref = float(np.max(mags)) if ref is None else ref
-    return _cone_fits(xi_pts, np.asarray(mags)[None, :], cone, alpha, ref)[0]
+    return _cone_fits(xi_pts, np.asarray(mags)[None, :], cone, alpha, ref,
+                      _lattice(xi_pts))[0]
 
 
 def decay_fit(F: DstftField, ball: BallSpec, cone: ConeSpec, alpha: float) -> DecayFit:
     """Fit the decay rate of sup over the ball of |F| over the cone."""
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
     Y = F.y_grid.points()
     ymask = ball.contains(Y)
     if not np.any(ymask):
@@ -298,6 +296,8 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
+    if not (y_cells and cones):
+        raise ValueError(f"the {'cone' if y_cells else 'cell'} list is empty")
     _check_scan_window(g, strict)
     y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
     Y = y_grid.points()
@@ -370,13 +370,15 @@ def cone_dictionary_2d(count: int = 16, r_min: float = 0.5,
     return cones
 
 
-def global_regularity_check(report: WavefrontReport, samples: int = 1440) -> bool:
-    """True iff every entry is regular; requires the cones to cover the sphere."""
+def global_regularity_check(report: WavefrontReport) -> bool:
+    """True iff every entry is regular; requires the cones to cover the
+    sphere, checked at 1440 directions on the circle (n = 2) or 4096
+    random ones."""
     if not report.entries:
         raise ValueError("empty report")
     n = len(report.entries[0].cone.center)
     if n == 2:
-        angles = np.linspace(0, 2 * math.pi, samples, endpoint=False)
+        angles = np.linspace(0, 2 * math.pi, 1440, endpoint=False)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     else:
         rng = np.random.default_rng(0)

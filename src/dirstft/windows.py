@@ -20,7 +20,7 @@ class WindowKind(enum.Enum):
     CUSTOM = "custom"
 
 
-# Default relative pairing threshold: below quadrature noise the 1/(g, phi)
+# Relative pairing threshold: below quadrature noise the 1/(g, phi)
 # reconstruction factor is unusable.
 EPS_PAIR = 1e-8
 
@@ -340,14 +340,14 @@ def _projected_box(w: Window, grid: Grid, u: np.ndarray):
     return axes, index.ravel()
 
 
-def pairing_check(g: Window, phi: Window, eps_pair: float = EPS_PAIR) -> PairingCert:
+def pairing_check(g: Window, phi: Window) -> PairingCert:
     """Certify (g, phi) != 0 so phi can act as a synthesis window for g."""
     if g.grid != phi.grid:
         raise ValueError("pairing_check requires identical window grids")
     value = inner_product(g.as_signal(), phi.as_signal())
     ng = math.sqrt(abs(inner_product(g.as_signal(), g.as_signal())))
     np_ = math.sqrt(abs(inner_product(phi.as_signal(), phi.as_signal())))
-    threshold = eps_pair * ng * np_
+    threshold = EPS_PAIR * ng * np_
     mag = abs(value)
     return PairingCert(value=value, magnitude=mag, admissible=mag >= threshold)
 

@@ -10,7 +10,7 @@ from dirstft.direction import build_frame
 from dirstft.fixtures import gaussian
 from dirstft.grids import relative_error
 from dirstft.sigio import read_field, read_signal
-from dirstft.wavefront import WindowClassWarning
+from dirstft.wavefront import WindowClassWarning, cone_dictionary_2d
 
 from dirstft import cli, transform
 
@@ -185,6 +185,42 @@ def test_wavefront_verdict_pass(tmp_path, capsys):
     assert len(csv_lines) == 1 + len(out["entries"])
 
 
+@pytest.mark.parametrize("key", ["cells", "cones"])
+def test_wavefront_empty_cell_or_cone_list_exits_2(tmp_path, capsys, key):
+    cfg = sheet_wavefront_cfg(tmp_path)
+    cfg[key] = []
+    capsys.readouterr()
+    assert run(tmp_path, "wavefront", cfg) == 2
+    captured = capsys.readouterr()
+    assert f"{key[:-1]} list is empty" in captured.err
+    assert "verdict" not in captured.out
+    assert not (tmp_path / "wf.json").exists()
+
+
+def test_wavefront_cone_list_matches_the_cone_dictionary(tmp_path):
+    cfg = sheet_wavefront_cfg(tmp_path)
+    assert run(tmp_path, "wavefront", cfg) == 0
+    want = json.loads((tmp_path / "wf.json").read_text())["entries"]
+    cfg["cones"] = [{"center": list(c.center), "half_angle": c.half_angle,
+                     "r_min": c.r_min}
+                    for c in cone_dictionary_2d(8, r_min=0.5)]
+    assert run(tmp_path, "wavefront", cfg) == 0
+    assert json.loads((tmp_path / "wf.json").read_text())["entries"] == want
+
+
+def test_wavefront_cell_without_a_lattice_point_exits_2(tmp_path, capsys):
+    cfg = sheet_wavefront_cfg(tmp_path)
+    # the y~ lattice steps by 0.25, so no point lies within 0.01 of 0.1
+    cfg["cells"] = [{"center": [0.0], "radius": 0.25},
+                    {"center": [0.1], "radius": 0.01}]
+    capsys.readouterr()
+    assert run(tmp_path, "wavefront", cfg) == 2
+    err = capsys.readouterr().err
+    assert "no y~ lattice points inside cell" in err and "0.1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "wf.json").exists()
+
+
 def test_wavefront_verdict_fail_on_wrong_truth(tmp_path):
     # tamper with the sidecar: claim the jump sits at offset 2 instead of 0
     cfg = sheet_wavefront_cfg(tmp_path)
@@ -244,6 +280,19 @@ def test_selftest_oracle_cap_skips(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("SKIPPED") >= 2
+
+
+def test_selftest_positive_oracle_cap_skips_only_larger_oracle_rows(tmp_path,
+                                                                   capsys):
+    # the dft oracle row transforms 1024 samples, the dstft oracle rows 256
+    cfg = tmp_path / "st.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "oracle_cap": 300}))
+    with pytest.warns(UserWarning, match="skipped"):
+        code = main(["selftest", "--config", str(cfg)])
+    assert code == 0
+    skipped = [l for l in capsys.readouterr().out.splitlines()
+               if l.endswith("SKIPPED")]
+    assert len(skipped) == 1 and skipped[0].startswith("dft vs direct-sum oracle")
 
 
 def _analyze_64(tmp_path):
@@ -397,6 +446,26 @@ WIN16 = {"kind": "gaussian", "sigma": [1.0],
      "grid counts must be at least 2"),
     ("analyze", {"y_grid": {"origin": [NAN], "spacing": [0.5],
                             "counts": [16]}}, "must be finite"),
+    ("analyze", {"window": {"kind": "gaussian", "sigma": [1.0]}},
+     "window is missing required key 'grid'"),
+    ("analyze", {"window": {"sigma": [1.0], "grid": WIN16["grid"]}},
+     "window is missing required key 'kind'"),
+    ("analyze", {"window": {"kind": "gevrey_bump", "radius": 0.5,
+                            "grid": WIN16["grid"]}},
+     "window is missing required key 'alpha'"),
+    ("analyze", {"window": {"kind": "custom"}},
+     "window is missing required key 'path'"),
+    ("analyze", {"frame": {}}, "frame is missing required key 'u'"),
+    ("analyze", {"y_grid": {"bounds": [[-4], [4]]}},
+     "grid is missing required key 'counts'"),
+    ("analyze", {"y_grid": {"origin": [-4.0], "counts": [16]}},
+     "grid is missing required key 'spacing'"),
+    ("gen", {"kind": "delta_sheet", "params": {"c": 0.0}},
+     "delta_sheet params is missing required key 'u'"),
+    ("gen", {"kind": "random_bandlimited", "params": {"band": 0.5}},
+     "random_bandlimited params is missing required key 'seed'"),
+    ("gen", {"kind": "sum", "params": {"parts": [{"sigma": 1.0}]}},
+     "sum parts[0] is missing required key 'kind'"),
 ])
 def test_bad_config_exits_2_with_a_message(tmp_path, capsys, command, edit,
                                            message):
@@ -416,6 +485,31 @@ def test_bad_config_exits_2_with_a_message(tmp_path, capsys, command, edit,
     assert not (tmp_path / "F.dstf").exists()
     assert not (tmp_path / "g.dstf").exists()
 
+
+
+@pytest.mark.parametrize("command, key", [
+    ("analyze", "signal"), ("analyze", "window"), ("analyze", "out"),
+    ("gen", "grid"), ("gen", "kind"), ("wavefront", "cells"),
+    ("wavefront", "alpha"),
+])
+def test_missing_required_config_key_exits_2_naming_it(tmp_path, capsys,
+                                                       command, key):
+    sig = gen_gaussian(tmp_path, counts=(16, 16), lo=(-4, -4), hi=(4, 4))
+    cfg = {
+        "gen": {"schema_version": 1, "kind": "gaussian",
+                "grid": {"bounds": [[-4, -4], [4, 4]], "counts": [16, 16]},
+                "out": str(tmp_path / "g.dstf")},
+        "analyze": {"schema_version": 1, "signal": str(sig), "window": WIN16,
+                    "frame": {"u": [[1.0, 1.0]]},
+                    "out": str(tmp_path / "F.dstf")},
+        "wavefront": sheet_wavefront_cfg(tmp_path),
+    }[command]
+    del cfg[key]
+    capsys.readouterr()
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert f"{command} config is missing required key '{key}'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, edit, message", [

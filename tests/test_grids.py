@@ -3,6 +3,7 @@ import pytest
 
 from dirstft import (Grid, Signal, Spectrum, dft, dft_oracle, idft,
                      inner_product, inner_product_spectrum)
+from dirstft import grids
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import (BLOCK_ELEMS, BoundaryMassWarning, _idft_into,
                            _phase_tables, boundary_mass_fraction,
@@ -117,11 +118,12 @@ def test_oracle_shifted_delta_pure_phase():
     assert np.allclose(spec.values.ravel(), want, atol=1e-12)
 
 
-def test_oracle_cap_rejected():
+def test_oracle_cap_rejected(monkeypatch):
     g = Grid.from_bounds([-4], [4], [1024])
     f = Signal(g, np.ones(1024, dtype=complex))
+    monkeypatch.setattr(grids, "ORACLE_WORK_CAP", 512 ** 2)
     with pytest.raises(ValueError):
-        dft_oracle(f, cap=512)
+        dft_oracle(f)
 
 
 def test_inner_product_hermitian_real():

@@ -5,6 +5,7 @@ from dirstft import (BallSpec, DstftField, Grid, Signal, build_frame,
                      dstft_direct, dstft_fast, gaussian_window, gevrey_bump,
                      invariants, pairing_check, partial_stft, reconstruct,
                      transform, wavefront_scan)
+from dirstft import grids
 from dirstft.direction import identity_frame
 from dirstft.synthesis import dso
 from dirstft.fixtures import gaussian, random_bandlimited
@@ -132,12 +133,28 @@ def test_default_y_grid_projection():
     assert y.counts == (32,)
 
 
-def test_direct_work_cap():
+def test_direct_work_cap(monkeypatch):
     g = Grid.from_bounds([-4, -4], [4, 4], [64, 64])
     f = gaussian(g, sigma=1.0)
     win = gaussian_window(Grid.from_bounds([-4], [4], [64]), 1.0)
+    monkeypatch.setattr(grids, "ORACLE_WORK_CAP", 2 ** 20)
     with pytest.raises(ValueError, match="cap"):
-        dstft_direct(f, win, build_frame([[1.0, 0.0]]), work_cap=2 ** 20)
+        dstft_direct(f, win, build_frame([[1.0, 0.0]]))
+
+
+def test_direct_at_refuses_work_above_the_oracle_cap(monkeypatch):
+    # Nt Ny Nxi = 256 * 4 * 8 terms
+    g = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+    f = gaussian(g, sigma=1.0)
+    win = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
+    frame = build_frame([[1.0, 1.0]])
+    y_pts = np.linspace(-1, 1, 4)[:, None]
+    xi_pts = np.stack([np.linspace(-1, 1, 8), np.zeros(8)], axis=-1)
+    monkeypatch.setattr(grids, "ORACLE_WORK_CAP", 256 * 4 * 8 - 1)
+    with pytest.raises(ValueError, match="exceeds cap 8191"):
+        dstft_direct_at(f, win, frame, y_pts, xi_pts)
+    monkeypatch.setattr(grids, "ORACLE_WORK_CAP", 256 * 4 * 8)
+    assert dstft_direct_at(f, win, frame, y_pts, xi_pts).shape == (4, 8)
 
 
 def test_dimension_mismatch_rejected():

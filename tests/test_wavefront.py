@@ -11,7 +11,7 @@ from dirstft.direction import identity_frame
 from dirstft.fixtures import delta_sheet, gaussian, heaviside_sheet
 from dirstft.grids import BLOCK_ELEMS
 from dirstft.wavefront import (DYNAMIC_RANGE_FLOOR, LOG_FLOOR, NOISE_FLOOR_REL,
-                               WindowClassWarning, _cone_fits, _fit,
+                               WindowClassWarning, _cone_fits, _fit, _lattice,
                                cone_dictionary_2d, fit_spectrum_decay,
                                global_regularity_check)
 
@@ -123,7 +123,7 @@ def test_shell_tables_match_per_shell_loop():
     part = np.where(radius < 6.0, smooth, 0.0)     # outer shells decayed
     rows = np.stack([smooth, ties, part])
     for cone in cone_dictionary_2d(16, r_min=1.0):
-        fits = _cone_fits(xi, rows, cone, 2.0, ref=1.0)
+        fits = _cone_fits(xi, rows, cone, 2.0, ref=1.0, lattice=_lattice(xi))
         assert fits == [loop_fit(xi, row, cone, 2.0, 1.0) for row in rows]
 
 
@@ -161,6 +161,17 @@ def test_sheet_scan_window_independent():
     flags_a = [e.regular for e in a.entries]
     flags_b = [e.regular for e in b.entries]
     assert flags_a == flags_b
+
+
+@pytest.mark.parametrize("empty", ["cell", "cone"])
+def test_scan_rejects_an_empty_cell_or_cone_list(empty):
+    # an empty dictionary would pass every check with no entry to check
+    cells = [] if empty == "cell" else [BallSpec((0.0,), 0.25)]
+    cones = [] if empty == "cone" else cone_dictionary_2d(8, r_min=0.5)
+    with pytest.raises(ValueError, match=f"{empty} list is empty"):
+        wavefront_scan(delta_sheet(GRID, (1.0, 0.0), 0.0),
+                       gevrey_bump(WGRID, radius=0.5, alpha=2.0),
+                       build_frame([[1.0, 0.0]]), 2.0, cells, cones)
 
 
 def test_gaussian_scan_all_regular():
