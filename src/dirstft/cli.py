@@ -338,7 +338,7 @@ def _verdict(report: WavefrontReport, truth: dict, frame: DirectionFrame) -> dic
                   for c in {e.cone for e in report.entries}}
         in_cell = {y: not in_span or (
             abs(a @ np.asarray(y.center) - offset) / np.linalg.norm(a)
-            <= y.radius * math.sqrt(len(y.center)) + 1e-12)
+            <= y.reach)
             for y in {e.y_cell for e in report.entries}}
         expected = {(e.y_cell.center, e.cone.center) for e in report.entries
                     if near_u[e.cone] and in_cell[e.y_cell]}
@@ -434,6 +434,10 @@ def _selftest_cases() -> list:
         ("dstft fast vs direct oracle (blind axis 0)", invariants.oracle_error,
          (f16, gaussian_window(w16, [1.0]), build_frame([[0.0, 1.0]])), 1e-10,
          f16.grid.size),
+        # a tensor window on the identity frame: one transform level per axis
+        ("dstft fast vs direct oracle (k=n=2 tensor window)", invariants.oracle_error,
+         (f16, gaussian_window(g16, [1.0, 1.0]), identity_frame(2, 2)), 1e-10,
+         f16.grid.size),
         ("Parseval (Plancherel) identity", invariants.parseval_error,
          (f1, f2), 1e-8, 0),
         ("idft . dft roundtrip", invariants.dft_roundtrip_error, (f1,), 1e-10, 0),
@@ -463,10 +467,10 @@ def cmd_selftest(cfg: dict, args) -> int:
     oracle_cap = (_number(cfg["oracle_cap"], "oracle_cap", int)
                   if "oracle_cap" in cfg else None)
     failed = skipped = 0
-    print(f"{'case':<44} {'error':>9} {'tolerance':>9} status")
+    print(f"{'case':<50} {'error':>9} {'tolerance':>9} status")
     for name, error, error_args, tol, samples in _selftest_cases():
         if oracle_cap is not None and samples > oracle_cap:
-            print(f"{name:<44} {'-':>9} {tol:9.0e} SKIPPED")
+            print(f"{name:<50} {'-':>9} {tol:9.0e} SKIPPED")
             skipped += 1
             continue
         try:
@@ -476,7 +480,7 @@ def cmd_selftest(cfg: dict, args) -> int:
             err = math.nan
         ok = err <= tol
         failed += not ok
-        print(f"{name:<44} {err:9.2e} {tol:9.0e} {'PASS' if ok else 'FAIL'}")
+        print(f"{name:<50} {err:9.2e} {tol:9.0e} {'PASS' if ok else 'FAIL'}")
     if skipped:
         warnings.warn(f"{skipped} oracle-dependent case(s) skipped "
                       f"(oracle cap {oracle_cap})", stacklevel=2)

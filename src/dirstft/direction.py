@@ -24,10 +24,6 @@ class DirectionFrame:
     C: np.ndarray = field(repr=False)   # (n, n) = B^-1
     det_C: float = 0.0
 
-    @property
-    def is_identity(self) -> bool:
-        return np.allclose(self.B, np.eye(self.n), atol=1e-14)
-
 
 def build_frame(u_rows) -> DirectionFrame:
     """Normalize the direction rows and complete them to B = [u; e_j ...],

@@ -13,12 +13,13 @@ from .direction import DirectionFrame, identity_frame, pullback
 from .grids import (Grid, Signal, _check_oracle_work, _idft_into, inner_product,
                     primal_phase)
 from .transform import DstftField, _spectra, default_y_grid, dstft_fast
-from .windows import Window, _split_axes, pairing_check, window_blocks
+from .windows import Window, WindowLevels, pairing_check, window_blocks, window_levels
 
 
 def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Signal:
-    """Quadrature synthesis: per y~ block, one batched inverse DFT weighted
-    by the windows, then the y~ Riemann sum.
+    """Quadrature synthesis: per y~ block, one batched inverse DFT along
+    the innermost window level, weighted by the windows, then the y~
+    Riemann sum (see _synthesize).
 
     Falls back to direct phase summation, capped at grids.ORACLE_WORK_CAP
     terms, when out_grid is not the primal grid of the field's frequency
@@ -28,37 +29,67 @@ def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Sign
         return dso_direct(F, g, frame, out_grid)
 
     slices = F.values.reshape((F.y_size,) + F.xi_grid.counts)
-    blocks = window_blocks(g, out_grid, frame.u, F.y_grid.points())
-    pairs = ((slices[lo:hi], W) for lo, hi, W in blocks)
-    return Signal(out_grid, _synthesize(pairs, F.xi_grid, out_grid,
+    levels = window_levels(g, out_grid, frame.u, F.y_grid)
+    pairs = ((lo, hi, slices[lo:hi], W) for lo, hi, W in levels.blocks)
+    return Signal(out_grid, _synthesize(pairs, levels, F.xi_grid, out_grid,
                                         F.y_grid.cell_volume))
 
 
-def _synthesize(pairs, xi_grid: Grid, out_grid: Grid, y_volume: float) -> np.ndarray:
-    """sum over y~ blocks of idft(S) . W for each (S, W) pair, with S shaped
-    (B,) + xi_grid.counts and W a window block of windows.window_blocks,
-    broadcast over the blind axes it has size 1 along.
+def _synthesize(pairs, levels: WindowLevels, xi_grid: Grid, out_grid: Grid,
+                y_volume: float) -> np.ndarray:
+    """sum over y~ of idft(S) . phi(u . t - y~) for each (lo, hi, S, W) of
+    pairs: S the spectra of the y~ rows lo:hi, shaped (hi - lo,) +
+    xi_grid.counts, and W the innermost window block of levels
+    (windows.window_levels) for the same rows.
 
-    Each block is inverted along the seen axes only: the window does not
-    depend on the blind axes, so weighting by it commutes with the inverse
-    along them, which runs once on the sum.  idft's primal phase factor is
-    applied after that, together with the y~ cell volume.
+    The mirror of transform._spectra.  Each block is inverted along the
+    innermost axes only, weighted by W and summed into the accumulator of
+    its index of the outer levels.  When the stream leaves that index, the
+    accumulator of each outer level whose index ends is inverted along the
+    level's axes, weighted by its factor and added to the level above (see
+    _close); level 0 is inverted once, on the sum.  The window does not
+    depend on the axes a level inverts, so weighting commutes with those
+    inverses.  idft's primal phase factor is applied last, together with
+    the y~ cell volume.
 
-    Every inverse is computed in one work buffer, sized by the largest
-    block; S is only read, as dso's blocks are views of its field."""
-    acc = np.zeros(out_grid.counts, dtype=complex)
+    Every block inverse is computed in one work buffer, sized by the
+    largest block; S is only read, as dso's blocks are views of its field."""
+    acc = [np.zeros(out_grid.counts, dtype=complex)
+           for _ in range(len(levels.outer) + 1)]
     buf = np.empty((0,) + xi_grid.counts, dtype=complex)
-    blind = ()
-    for S, W in pairs:
-        seen, blind = _split_axes(W)
+    held = None
+    for lo, hi, S, W in pairs:
         if len(S) > len(buf):
             buf = np.empty(S.shape, dtype=complex)
-        inv = _idft_into(buf[:len(S)], S, out_grid, seen)
-        acc += np.einsum("b...,b...->...", inv, W)
-    if blind:
-        _idft_into(acc, acc, out_grid, blind)
-    acc *= primal_phase(out_grid) * y_volume
-    return acc
+        inv = _idft_into(buf[:len(S)], S, out_grid, levels.axes)
+        for a, b, index in levels.segments(lo, hi):
+            if index != held:
+                _close(acc, levels, out_grid, held, index)
+                held = index
+            acc[-1] += np.einsum("b...,b...->...", inv[a - lo:b - lo], W[a - lo:b - lo])
+    _close(acc, levels, out_grid, held, None)
+    rec = acc[0]
+    if levels.blind:
+        _idft_into(rec, rec, out_grid, levels.blind)
+    rec *= primal_phase(out_grid) * y_volume
+    return rec
+
+
+def _close(acc: list, levels: WindowLevels, out_grid: Grid, held, index) -> None:
+    """Fold acc[j] into acc[j - 1] for each outer level j whose index
+    changes from held to index (every one when index is None), innermost
+    first: invert it along level j's axes, weight it by the level's factor
+    at its y~ index and clear it."""
+    if held is None:
+        return
+    for j in range(len(held), 0, -1):
+        if index is not None and held[:j] == index[:j]:
+            break
+        axes, table = levels.outer[j - 1]
+        inv = _idft_into(acc[j], acc[j], out_grid, axes)
+        inv *= table[held[j - 1]]
+        acc[j - 1] += inv
+        acc[j].fill(0)
 
 
 def dso_direct(F: DstftField, g: Window, frame: DirectionFrame,
@@ -89,30 +120,32 @@ def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
 
     Analysis and synthesis are fused per y~ block, so memory stays at a few
     blocks plus the signal; the field is never stored.  When phi is g, the
-    analysis window blocks are reused for synthesis.
+    analysis window levels and blocks are reused for synthesis.
     """
     cert = pairing_check(g, phi)
     if not cert.admissible:
         raise ValueError(f"inadmissible window pairing: {cert}")
     y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
-    Y = y_grid.points()
-    analysis = _spectra(f, window_blocks(g, f.grid, frame.u, Y))
+    levels = window_levels(g, f.grid, frame.u, y_grid)
+    analysis = _spectra(f, levels)
     if phi is g:
-        pairs = ((S, W) for _, _, W, S in analysis)
+        synth = levels
+        pairs = ((lo, hi, S, W) for lo, hi, W, S in analysis)
     else:
-        pairs = _zip_blocks(analysis, window_blocks(phi, f.grid, frame.u, Y))
-    rec = _synthesize(pairs, f.grid.dual(), f.grid, y_grid.cell_volume)
+        synth = window_levels(phi, f.grid, frame.u, y_grid)
+        pairs = _zip_blocks(analysis, synth.blocks)
+    rec = _synthesize(pairs, synth, f.grid.dual(), f.grid, y_grid.cell_volume)
     return Signal(f.grid, rec / cert.value)
 
 
 def _zip_blocks(analysis, synthesis):
-    """(S, W_phi) pairs from analysis and synthesis blocks of the same y~
-    rows; windows on one grid take the same path and block size."""
+    """(lo, hi, S, W_phi) from analysis and synthesis blocks of the same y~
+    rows; every window stream on one grid takes the same block bounds."""
     for (lo, hi, _, S), (lo_w, hi_w, W) in zip(analysis, synthesis, strict=True):
         if (lo, hi) != (lo_w, hi_w):
             raise RuntimeError(f"analysis block {lo}:{hi} does not match "
                                f"synthesis block {lo_w}:{hi_w}")
-        yield S, W
+        yield lo, hi, S, W
 
 
 def orthogonality_check(f1: Signal, f2: Signal, g: Window, phi: Window,

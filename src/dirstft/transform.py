@@ -4,22 +4,36 @@ DS_{g,u^k} f(y~, xi) = integral f(t) conj(g((u_1.t, ..., u_k.t) - y~))
                        exp(-2 pi i t . xi) dt
 
 sampled on a y~-grid in R^k and the DFT-dual frequency lattice in R^n.  Both
-paths take their windows in y~ blocks from windows.window_blocks.  The fast
-path hands each block of windowed signals to one batched FFT quadrature and
+paths take their windows in y~ blocks, the fast path from
+windows.window_levels and the direct path from windows.window_blocks.  The
+fast path hands each block of windowed signals to one batched FFT quadrature and
 yields the block's spectra; dstft_fast writes them into a field, while
 reconstruction and the wavefront scan consume them block by block.  The
 direct path is the brute-force oracle and also accepts arbitrary
 off-lattice frequencies.
 
-The fast path is factored by the frame's blind axes, the signal axes i
-whose column u_(.i) is exactly zero.  The window does not depend on t_i
-there, and window_blocks gives its blocks size 1 along them, so along those
-axes DS f is the plain Fourier transform of f, the same for every y~ (for
-the e^k frame, k < n, the partial STFT in the first k variables composed
-with the Fourier transform in the others).  Their phase factors and FFT run
-once per call; each y~ block then multiplies its window into that partial
-transform and runs the FFT along the seen axes.  A frame without a zero
-column has no blind axis and runs the per-block transform along every axis.
+The fast path is factored into levels of signal axes, by the frame and the
+window (windows.window_levels):
+
+- level 0 is the frame's blind axes, those i whose column u_(.i) is
+  exactly zero.  The window does not depend on t_i there, so along them
+  DS f is the plain Fourier transform of f, the same for every y~ (for the
+  e^k frame, k < n, the partial STFT in the first k variables composed
+  with the Fourier transform in the others);
+- a tensor window g = g_1 x ... x g_k (k > 1) on a frame whose rows touch
+  pairwise disjoint sets of signal axes has one level per row j, the axes
+  u_j touches, since g(u . t - y~) = prod_j g_j(u_j . t - y_j): the
+  partial STFT in those axes (the e^k frame on R^n, k > 1, is the
+  multivariate tensor-product Gabor setting);
+- any other window or frame has one level over every axis it sees.
+
+Level 0 is transformed once per call.  The y~ rows stream in row-major
+order: for each index (y_1, ..., y_(L-1)) of the outer levels, level j's
+factor at y_j is multiplied into the partial transform of level j - 1 and
+transformed along level j's axes, once; each y~ block then multiplies only
+its innermost factor and transforms along the innermost axes.  On the
+identity frame in R^2 that halves the FFT work against transforming every
+row along both axes.
 """
 
 from __future__ import annotations
@@ -31,7 +45,7 @@ import numpy as np
 from .direction import DirectionFrame
 from .grids import (Grid, Signal, _check_oracle_work, _dft_inplace, _sample_values,
                     as_points)
-from .windows import Window, _split_axes, tensor_window, window_blocks
+from .windows import Window, WindowLevels, tensor_window, window_blocks, window_levels
 
 # Largest field, in bytes, that dstft_fast and dstft_direct allocate.
 FIELD_BYTES_CAP = 2 ** 31
@@ -87,39 +101,65 @@ def _check_field_bytes(y_grid: Grid, xi_grid: Grid) -> None:
             "instead of storing it")
 
 
-def _spectra(f: Signal, blocks, out: np.ndarray | None = None):
-    """(lo, hi, W, S) for each window block (lo, hi, W) of
-    windows.window_blocks: S = dft(conj(W) f), shaped
-    (hi - lo,) + f.grid.counts.
+def _spectra(f: Signal, levels: WindowLevels, out: np.ndarray | None = None):
+    """(lo, hi, W, S) for each innermost window block (lo, hi, W) of
+    levels (windows.window_levels): S = dft(conj(g(u . t - y~)) f) for the
+    y~ rows lo:hi, shaped (hi - lo,) + f.grid.counts.
 
-    The transform along the blind axes, which W has size 1 along, is taken
-    once, at the first block; each block's product and its transform along
-    the seen axes run in one buffer: the rows lo:hi of out when it is given
-    (a field shaped (Ny,) + f.grid.counts), else one work array per stream,
-    sized by the largest block and reused by every block.  So without out,
-    S is valid only until the consumer asks for the next block, and a
-    consumer that keeps it copies it.  A fresh 1 MiB array per block cost
-    a k=n=2 64^2 reconstruct about 62 000 minor page faults, as the
-    allocator handed each one back to the system, and made small blocks
-    look faster (see grids.BLOCK_ELEMS); the reused one keeps it near
-    1 200.  W is yielded as the stream made it, not conjugated, so a
-    consumer can reuse it as a synthesis window.  S is not checked for
+    The transform along level 0 is taken once, at the first block, and
+    each outer level's once per index of the outer levels (see _partials);
+    each block's product with W and its transform along the innermost axes
+    run in one buffer: the rows lo:hi of out when it is given (a field
+    shaped (Ny,) + f.grid.counts), else one work array per stream, sized by
+    the largest block and reused by every block.  So without out, S is
+    valid only until the consumer asks for the next block, and a consumer
+    that keeps it copies it.  A fresh 1 MiB array per block cost a k=n=2
+    64^2 reconstruct about 62 000 minor page faults, as the allocator
+    handed each one back to the system, and made small blocks look faster
+    (see grids.BLOCK_ELEMS); the reused one keeps it near 1 200.  W is
+    yielded as the stream made it, not conjugated, so a consumer can reuse
+    it as a synthesis window with the same levels.  S is not checked for
     finiteness, so a consumer checks what it returns (as dstft_fast,
     reconstruct and wavefront_scan do)."""
-    grid = f.grid
-    G = None
+    grid, blind = f.grid, levels.blind
+    partial = None
     buf = np.empty((0,) + grid.counts, dtype=complex)
-    for lo, hi, W in blocks:
-        seen, blind = _split_axes(W)
-        if G is None:
+    for lo, hi, W in levels.blocks:
+        if partial is None:
             G = _dft_inplace(f.values.copy(), grid, blind) if blind else f.values
+            partial = _partials(G, levels, grid)
         if out is None and hi - lo > len(buf):
             buf = np.empty((hi - lo,) + grid.counts, dtype=complex)
         work = buf[:hi - lo] if out is None else out[lo:hi]
         np.conjugate(W, out=work)
-        work *= G
-        yield lo, hi, W, _dft_inplace(work, grid, seen)
+        for a, b, index in levels.segments(lo, hi):
+            work[a - lo:b - lo] *= partial(index)
+        yield lo, hi, W, _dft_inplace(work, grid, levels.axes)
         del W       # let go of this window block before the next one is made
+
+
+def _partials(G: np.ndarray, levels: WindowLevels, grid: Grid):
+    """index -> G weighted by the conjugate factor of each outer level at
+    the index's y~ value and transformed along that level's axes, outermost
+    first; G itself when there is no outer level.  Each level keeps its
+    last result in one buffer, recomputed only when its own or an outer
+    level's index changes, which the row-major stream does once per
+    index."""
+    bufs = [np.empty(grid.counts, dtype=complex) for _ in levels.outer]
+    held = [None] * len(levels.outer)
+
+    def partial(index):
+        prev = G
+        for j, (axes, table) in enumerate(levels.outer):
+            if held[j] != index[:j + 1]:
+                np.conjugate(table[index[j]], out=bufs[j])
+                bufs[j] *= prev
+                bufs[j] = _dft_inplace(bufs[j], grid, axes)
+                held[j] = index[:j + 1]
+            prev = bufs[j]
+        return prev
+
+    return partial
 
 
 def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
@@ -132,9 +172,9 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
     y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
     xi_grid = f.grid.dual()
     _check_field_bytes(y_grid, xi_grid)
-    blocks = window_blocks(g, f.grid, frame.u, y_grid.points())
+    levels = window_levels(g, f.grid, frame.u, y_grid)
     out = np.empty((y_grid.size,) + xi_grid.counts, dtype=complex)
-    for _, _, W, S in _spectra(f, blocks, out=out):
+    for _, _, W, S in _spectra(f, levels, out=out):
         del W, S        # S is a view of out
     return DstftField(y_grid, xi_grid, out.reshape(y_grid.counts + xi_grid.counts),
                       frame=frame, window_meta=g.meta)

@@ -24,7 +24,7 @@ import numpy as np
 from .direction import DirectionFrame
 from .grids import Grid, Signal, dft
 from .transform import DstftField, _spectra, default_y_grid
-from .windows import Window, window_at, window_blocks
+from .windows import Window, window_at, window_levels
 
 LOG_FLOOR = 1e-300          # floor before taking logs (exact zeros)
 DYNAMIC_RANGE_FLOOR = 1e-280  # below this a shell is "fully decayed"
@@ -85,11 +85,15 @@ class BallSpec:
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
 
+    @property
+    def reach(self) -> float:
+        """The largest distance from the center that contains accepts: the
+        effective radius radius * sqrt(k), plus 1e-12 for rounding."""
+        return self.radius * math.sqrt(len(self.center)) + 1e-12
+
     def contains(self, y: np.ndarray) -> np.ndarray:
         y = np.atleast_2d(y)
-        k = len(self.center)
-        r_eff = self.radius * math.sqrt(k)
-        return np.linalg.norm(y - np.asarray(self.center), axis=-1) <= r_eff + 1e-12
+        return np.linalg.norm(y - np.asarray(self.center), axis=-1) <= self.reach
 
 
 @dataclass(frozen=True)
@@ -237,11 +241,16 @@ def _classify(fit: DecayFit, threshold_N: float, residual_cap: float) -> bool:
     return fit.slope_floor >= threshold_N
 
 
+def _check_alpha(alpha: float) -> None:
+    """The Gevrey index of a decay model must exceed 1."""
+    if alpha <= 1:
+        raise ValueError("alpha must exceed 1")
+
+
 def fit_spectrum_decay(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
                        alpha: float, ref: float | None = None) -> DecayFit:
     """Decay fit of raw magnitudes over a frequency cone."""
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
+    _check_alpha(alpha)
     ref = float(np.max(mags)) if ref is None else ref
     return _cone_fits(xi_pts, np.asarray(mags)[None, :], cone, alpha, ref,
                       _lattice(xi_pts))[0]
@@ -294,8 +303,7 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     suprema gathered for every cell at once.  The singular set is the
     complement of the regular entries.
     """
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
+    _check_alpha(alpha)
     if not (y_cells and cones):
         raise ValueError(f"the {'cone' if y_cells else 'cell'} list is empty")
     _check_scan_window(g, strict)
@@ -310,7 +318,7 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     sup = np.zeros((len(y_cells), xi_grid.size))
     peak = 0.0
     buf = np.empty((0, xi_grid.size))
-    for lo, hi, _, S in _spectra(f, window_blocks(g, f.grid, frame.u, Y)):
+    for lo, hi, _, S in _spectra(f, window_levels(g, f.grid, frame.u, y_grid)):
         if hi - lo > len(buf):
             buf = np.empty((hi - lo, xi_grid.size))
         mags = np.abs(S.reshape(hi - lo, -1), out=buf[:hi - lo])
@@ -340,8 +348,7 @@ def partial_wf_test(f: Signal, chi: Window, y0, cone: ConeSpec, alpha: float,
     """Cut-off variant: multiply f by chi(t~ - y0) extended constantly in the
     trailing coordinates, take the full Fourier transform and threshold the
     cone decay of the spectrum."""
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
+    _check_alpha(alpha)
     k = chi.grid.dim
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if y0.shape[0] != k:

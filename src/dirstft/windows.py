@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,9 @@ class Window:
     kind: WindowKind = WindowKind.CUSTOM
     alpha: float | None = None
     support_radius: float = 0.0
+    # one 1-D window per axis whose values the product in values was built
+    # from (gaussian_window, tensor_window), or () when it is not a product
+    factors: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         counts = self.grid.counts
@@ -39,6 +43,12 @@ class Window:
                                      "window")
         if not np.any(self.values):
             raise ValueError("window must not be identically zero")
+        if self.factors and (
+                self.compact or len(self.factors) != self.grid.dim
+                or any(p.grid != _axis_grid(self.grid, j) or p.compact
+                       for j, p in enumerate(self.factors))):
+            raise ValueError("window factors must be one non-compact 1-D window "
+                             "per axis of a non-compact window's grid")
 
     def as_signal(self) -> Signal:
         return Signal(self.grid, self.values)
@@ -59,6 +69,10 @@ class Window:
         }
 
 
+def _axis_grid(grid: Grid, j: int) -> Grid:
+    return Grid((grid.origin[j],), (grid.spacing[j],), (grid.counts[j],))
+
+
 @dataclass(frozen=True)
 class PairingCert:
     value: complex
@@ -73,13 +87,20 @@ def gaussian_window(grid: Grid, sigma) -> Window:
         raise ValueError("sigma length must match grid dimension")
     if np.any(sigma <= 0):
         raise ValueError("sigma must be positive")
-    vals = np.ones(grid.counts)
-    for j in range(grid.dim):
-        axis = grid.axis(j)
-        shape = [1] * grid.dim
-        shape[j] = len(axis)
-        vals = vals * np.exp(-np.pi * (axis / sigma[j]) ** 2).reshape(shape)
-    return Window(grid, vals, WindowKind.GAUSSIAN)
+    parts = [np.exp(-np.pi * (grid.axis(j) / sigma[j]) ** 2)
+             for j in range(grid.dim)]
+    factors = tuple(Window(_axis_grid(grid, j), p, WindowKind.GAUSSIAN)
+                    for j, p in enumerate(parts))
+    return Window(grid, _outer(parts), WindowKind.GAUSSIAN, factors=factors)
+
+
+def _outer(parts: list) -> np.ndarray:
+    """The product array parts[0][i_0] parts[1][i_1] ..., multiplied left to
+    right."""
+    vals = parts[0]
+    for p in parts[1:]:
+        vals = np.multiply.outer(vals, p)
+    return vals
 
 
 def gevrey_bump(grid: Grid, radius: float, alpha: float) -> Window:
@@ -153,47 +174,125 @@ def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     g(u . t - y~) does not depend on t_i along a blind axis i of the frame,
     one whose column u_(.i) is zero.  So W is evaluated on the sub-grid of
     the other, seen, axes and shaped (hi - lo,) + grid.counts with 1 on each
-    blind axis, the shape it broadcasts from (see _split_axes).  A block
-    holds B = max(1, BLOCK_ELEMS // Nt) rows, as its consumers expand it to
-    the whole grid.  One path serves the whole y~ set: a gather from a
-    zero-padded copy of the window when every proj - y~ hits the window
-    lattice, else the trigonometric interpolation of window_at, factorized
-    over (t, y~).  The trigonometric path evaluates the window on the
-    projected index box when that box is smaller than the seen sub-grid
-    (see _projected_box), else at every sample; it holds M J / J_0 entries
-    per row (M window modes, J points it evaluates, J_0 of them on the
-    first axis) and takes fewer rows when that exceeds Nt.
+    blind axis, the shape it broadcasts from.  A block holds the rows of
+    _block_bounds, as its consumers expand it to the whole grid.  One path
+    serves the whole y~ set: a gather from a zero-padded copy of the window
+    when every proj - y~ hits the window lattice, else the trigonometric
+    interpolation of window_at, factorized over (t, y~).  The
+    trigonometric path evaluates the window on the projected index box when
+    that box is smaller than the seen sub-grid (see _projected_box), else
+    at every sample; it holds M J / J_0 entries per row (M window modes, J
+    points it evaluates, J_0 of them on the first axis) and evaluates a
+    block in runs of rows that keep those entries near BLOCK_ELEMS.
     """
-    u = np.atleast_2d(u)
-    if (w.grid.dim, grid.dim) != u.shape:
-        raise ValueError(f"window and signal dimensions {w.grid.dim}, "
-                         f"{grid.dim} must equal the frame's k, n = {u.shape}")
+    u = _frame_rows(w, grid, u)
     Y = as_points(Y, w.grid.dim)
     if Y.shape[0] == 0:
         return iter(())
-    seen = np.any(u != 0, axis=0)
-    seen[0] |= not seen.any()           # u = 0: a window constant in t
+    seen = _seen(u)
     shape = tuple(n if s else 1 for n, s in zip(grid.counts, seen))
     sub = Grid(*(np.compress(seen, a) for a in (grid.origin, grid.spacing,
                                                 grid.counts)))
     u = u[:, seen]
     proj = sub.points() @ u.T
-    block, row = _lattice_blocks(w, proj, Y), grid.size
-    if block is None:
-        block, entries = _trig_blocks(w, sub, u, proj, Y)
-        row = max(row, entries)
-    step = max(1, BLOCK_ELEMS // row)
-    bounds = ((lo, min(lo + step, len(Y))) for lo in range(0, len(Y), step))
+    block = _lattice_blocks(w, proj, Y) or _trig_blocks(w, sub, u, proj, Y)
     return ((lo, hi, block(lo, hi).reshape((hi - lo,) + shape))
-            for lo, hi in bounds)
+            for lo, hi in _block_bounds(len(Y), grid.size))
 
 
-def _split_axes(W: np.ndarray) -> tuple:
-    """(seen, blind) signal axes of a window block of window_blocks: the
-    blind ones are those it has size 1 along, as every Grid count is at
-    least 2."""
-    blind = tuple(i for i, n in enumerate(W.shape[1:]) if n == 1)
-    return tuple(i for i in range(W.ndim - 1) if i not in blind), blind
+def _frame_rows(w: Window, grid: Grid, u) -> np.ndarray:
+    """The direction rows u as a (k, n) array, checked against the window
+    and signal dimensions."""
+    u = np.atleast_2d(u)
+    if (w.grid.dim, grid.dim) != u.shape:
+        raise ValueError(f"window and signal dimensions {w.grid.dim}, "
+                         f"{grid.dim} must equal the frame's k, n = {u.shape}")
+    return u
+
+
+def _seen(u: np.ndarray) -> np.ndarray:
+    """Mask of the signal axes some direction row touches; u = 0, a window
+    constant in t, counts the first axis as seen."""
+    seen = np.any(u != 0, axis=0)
+    seen[0] |= not seen.any()
+    return seen
+
+
+def _block_bounds(ny: int, nt: int):
+    """(lo, hi) of the y~ blocks of every window stream on a grid of nt
+    samples: B = max(1, BLOCK_ELEMS // nt) rows each, the last one
+    partial."""
+    step = max(1, BLOCK_ELEMS // nt)
+    return ((lo, min(lo + step, ny)) for lo in range(0, ny, step))
+
+
+@dataclass(frozen=True)
+class WindowLevels:
+    """The signal axes of a window stream, grouped into levels (see
+    window_levels), and the stream of its innermost level.
+
+    Level 0 is the blind axes.  outer holds (axes, table) for each level
+    1 .. L-1, outermost first, with table[i] the level's factor at its i-th
+    y~ value, shaped like a window block row.  blocks yields (lo, hi, W)
+    for the innermost level, which covers the signal axes in axes, over
+    the flat y~ rows of _block_bounds; it is one pass, and a consumer that
+    reuses the levels for synthesis reads only the geometry."""
+
+    blind: tuple
+    outer: tuple
+    axes: tuple
+    y_counts: tuple         # y~ counts of the outer levels
+    inner: int              # y~ rows per index of the outer levels
+    blocks: Iterator
+
+    def segments(self, lo: int, hi: int):
+        """(a, b, index) for each run a:b of the rows lo:hi under one index
+        of the outer levels, a tuple of one y~ index per outer level."""
+        inner = self.inner
+        while lo < hi:
+            p = lo // inner
+            b = min(hi, (p + 1) * inner)
+            index = ()
+            for n in reversed(self.y_counts):
+                p, i = divmod(p, n)
+                index = (i,) + index
+            yield lo, b, index
+            lo = b
+
+
+def window_levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid) -> WindowLevels:
+    """The levels of the window stream g(u . t - y~) for y~ on y_grid.
+
+    When w carries k > 1 factors and the direction rows touch pairwise
+    disjoint sets of signal axes, g(u . t - y~) = prod_j g_j(u_j . t - y_j)
+    and level j is the axes row j touches, with the table of g_j over
+    (y_j, those axes) from window_blocks; the innermost blocks gather rows
+    of g_k's table, so no (B, Nt) block of the full window is formed.  Any
+    other window or frame has one level over every seen axis, streamed by
+    window_blocks.  Either way the blocks are those of _block_bounds over
+    the row-major y~ points, so streams of different windows pair up.
+    """
+    u = _frame_rows(w, grid, u)
+    touched, seen = u != 0, _seen(u)
+    blind = _axes(~seen)
+    # a y~ grid of another dimension is rejected by window_blocks
+    if not (len(w.factors) > 1 and y_grid.dim == w.grid.dim
+            and touched.any(axis=1).all() and touched.sum(axis=0).max() == 1):
+        return WindowLevels(blind, (), _axes(seen), (), y_grid.size,
+                            window_blocks(w, grid, u, y_grid.points()))
+    tables = [np.concatenate([W for _, _, W in window_blocks(
+        p, grid, u[j:j + 1], y_grid.axis(j)[:, None])])
+        for j, p in enumerate(w.factors)]
+    last = tables[-1]
+    blocks = ((lo, hi, last[np.arange(lo, hi) % len(last)])
+              for lo, hi in _block_bounds(y_grid.size, grid.size))
+    outer = tuple((_axes(t), table) for t, table in zip(touched[:-1], tables[:-1]))
+    return WindowLevels(blind, outer, _axes(touched[-1]), y_grid.counts[:-1],
+                        y_grid.counts[-1], blocks)
+
+
+def _axes(mask: np.ndarray) -> tuple:
+    return tuple(int(i) for i in np.flatnonzero(mask))
 
 
 def _lattice_blocks(w: Window, proj: np.ndarray, Y: np.ndarray):
@@ -245,8 +344,7 @@ def _lattice_blocks(w: Window, proj: np.ndarray, Y: np.ndarray):
 
 def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
                  Y: np.ndarray):
-    """(block evaluator, entries per y~ row) by trigonometric interpolation
-    of the window.
+    """Block evaluator by trigonometric interpolation of the window.
 
     With window modes X_m and coefficients c_m, the window at x is
     sum_m c_m exp(2 pi i X_m . x), and W[b, t] is its value at
@@ -271,14 +369,19 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
         rates, (axes, index) = X, box
     tables = [np.exp(2j * np.pi * np.outer(rates[:, i], a))
               for i, a in enumerate(axes)]          # (M, len(a)) each
+    run = max(1, BLOCK_ELEMS // (len(c) * math.prod(len(a) for a in axes[1:])))
 
-    def block(lo, hi):
-        y = Y[lo:hi]
+    def evaluate(y):
         Z = (np.exp(-2j * np.pi * (y @ X.T)) * c)[:, :, None]    # (B, M, 1)
         for e in tables[:0:-1]:
             Z = (Z[:, :, None, :] * e[None, :, :, None]).reshape(
                 len(y), len(c), -1)
-        W = np.matmul(tables[0].T, Z).reshape(len(y), -1)
+        return np.matmul(tables[0].T, Z).reshape(len(y), -1)
+
+    def block(lo, hi):
+        y = Y[lo:hi]
+        runs = [evaluate(y[a:a + run]) for a in range(0, len(y), run)]
+        W = runs[0] if len(runs) == 1 else np.concatenate(runs)
         if index is not None:
             W = W[:, index]
         pts = proj[None, :, :] - y[:, None, :]
@@ -288,8 +391,7 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
         W[~keep] = 0.0
         return W
 
-    row = max(proj.shape[0], len(c) * math.prod(len(a) for a in axes[1:]))
-    return block, row
+    return block
 
 
 def _projected_box(w: Window, grid: Grid, u: np.ndarray):
@@ -364,14 +466,13 @@ def tensor_window(parts: list) -> Window:
         tuple(p.grid.spacing[0] for p in parts),
         tuple(p.grid.counts[0] for p in parts),
     )
-    vals = parts[0].values
-    for p in parts[1:]:
-        vals = np.multiply.outer(vals, p.values)
     kind = WindowKind.CUSTOM
-    alpha = None
     if all(p.kind is WindowKind.GAUSSIAN for p in parts):
         kind = WindowKind.GAUSSIAN
-    return Window(grid, vals, kind, alpha=alpha)
+    # the factors keep the values only: a bump's support test is radial in
+    # its own coordinate, which the product window does not apply
+    factors = tuple(Window(p.grid, p.values) for p in parts)
+    return Window(grid, _outer([p.values for p in parts]), kind, factors=factors)
 
 
 def _diff4(vals: np.ndarray, axis: int, h: float) -> np.ndarray:

@@ -24,7 +24,7 @@ def test_rows_normalized_and_b_assembled():
 
 def test_identity_frame_is_identity():
     fr = identity_frame(3, 2)
-    assert fr.is_identity
+    assert np.allclose(fr.B, np.eye(3), atol=1e-14)
     assert fr.det_C == pytest.approx(1.0)
 
 

@@ -8,7 +8,7 @@ from dirstft import Grid, build_frame, dstft_fast, gaussian_window
 from dirstft.direction import identity_frame
 from dirstft.fixtures import random_bandlimited
 from dirstft.transform import _spectra
-from dirstft.windows import _projected_box, window_blocks
+from dirstft.windows import _projected_box, window_levels
 
 GRID = Grid.from_bounds([-4, -4], [4, 4], [32, 32])
 F = random_bandlimited(GRID, 5, band=0.5)
@@ -28,7 +28,7 @@ CASES = {
 
 def stream(case):
     g, frame, y_grid = CASES[case]
-    return _spectra(F, window_blocks(g, GRID, frame.u, y_grid.points()))
+    return _spectra(F, window_levels(g, GRID, frame.u, y_grid))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
