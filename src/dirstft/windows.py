@@ -34,8 +34,8 @@ class Window:
     alpha: float | None = None
     support_radius: float = 0.0
     # one 1-D window per axis whose values the product in values was built
-    # from (gaussian_window, tensor_window), or () when it is not a product
-    factors: tuple = field(default=(), repr=False)
+    # from, set by gaussian_window and tensor_window only, else ()
+    factors: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         counts = self.grid.counts
@@ -43,12 +43,6 @@ class Window:
                                      "window")
         if not np.any(self.values):
             raise ValueError("window must not be identically zero")
-        if self.factors and (
-                self.compact or len(self.factors) != self.grid.dim
-                or any(p.grid != _axis_grid(self.grid, j) or p.compact
-                       for j, p in enumerate(self.factors))):
-            raise ValueError("window factors must be one non-compact 1-D window "
-                             "per axis of a non-compact window's grid")
 
     def as_signal(self) -> Signal:
         return Signal(self.grid, self.values)
@@ -89,9 +83,10 @@ def gaussian_window(grid: Grid, sigma) -> Window:
         raise ValueError("sigma must be positive")
     parts = [np.exp(-np.pi * (grid.axis(j) / sigma[j]) ** 2)
              for j in range(grid.dim)]
-    factors = tuple(Window(_axis_grid(grid, j), p, WindowKind.GAUSSIAN)
-                    for j, p in enumerate(parts))
-    return Window(grid, _outer(parts), WindowKind.GAUSSIAN, factors=factors)
+    w = Window(grid, _outer(parts), WindowKind.GAUSSIAN)
+    w.factors = tuple(Window(_axis_grid(grid, j), p, WindowKind.GAUSSIAN)
+                      for j, p in enumerate(parts))
+    return w
 
 
 def _outer(parts: list) -> np.ndarray:
@@ -145,23 +140,38 @@ def window_at(w: Window, pts: np.ndarray) -> np.ndarray:
 
     Lattice hits are gathered exactly; otherwise trigonometric interpolation
     of the periodized window is used (the same rule as the signal pullback).
-    Points outside the window's grid box are 0, as are points at or beyond
-    the support radius of a compact window.
+    Points outside the window's grid box (see _in_box) are 0, as are points
+    at or beyond the support radius of a compact window.
     """
     pts = as_points(pts, w.grid.dim)
     idx = w.grid.lattice_index(pts)
     if idx is None:
         out = evaluate_trig(w.as_signal(), pts)
-        keep = w.grid.contains(pts)
     else:
         out = w.values.ravel()[np.ravel_multi_index(idx.T, w.grid.counts,
                                                     mode="clip")]
-        # a lattice hit is inside iff its index is: near the upper edge the
-        # coordinate test can disagree with the rounded index
-        keep = np.all((idx >= 0) & (idx < np.asarray(w.grid.counts)), axis=-1)
+    return np.where(_keep(w, pts), out, 0.0)
+
+
+def _keep(w: Window, pts: np.ndarray) -> np.ndarray:
+    """Mask of the points where w is not zeroed: inside its box (_in_box)
+    and, for a compact window, strictly inside its support radius."""
+    keep = _in_box(w.grid, pts)
     if w.compact:
         keep &= np.linalg.norm(pts, axis=-1) < w.support_radius
-    return np.where(keep, out, 0.0)
+    return keep
+
+
+def _in_box(grid: Grid, pts: np.ndarray) -> np.ndarray:
+    """Mask of the points inside the box [origin, upper) of grid, both ends
+    moved down by LATTICE_TOL steps.  A coordinate within LATTICE_TOL steps
+    of the lattice is then inside iff its rounded index is, as a lattice
+    gather decides; without the shift, one that rounds just below upper
+    would be inside, where a trigonometric interpolant returns the periodic
+    image of the first sample."""
+    shift = LATTICE_TOL * np.asarray(grid.spacing)
+    return np.all((pts >= np.asarray(grid.origin) - shift)
+                  & (pts < np.asarray(grid.upper) - shift), axis=-1)
 
 
 def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
@@ -263,11 +273,13 @@ class WindowLevels:
 def window_levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid) -> WindowLevels:
     """The levels of the window stream g(u . t - y~) for y~ on y_grid.
 
-    When w carries k > 1 factors and the direction rows touch pairwise
-    disjoint sets of signal axes, g(u . t - y~) = prod_j g_j(u_j . t - y_j)
-    and level j is the axes row j touches, with the table of g_j over
-    (y_j, those axes) from window_blocks; the innermost blocks gather rows
-    of g_k's table, so no (B, Nt) block of the full window is formed.  Any
+    When w carries k > 1 factors whose product is still exactly w.values
+    (a window whose values were reassigned takes one level) and the
+    direction rows touch pairwise disjoint sets of signal axes,
+    g(u . t - y~) = prod_j g_j(u_j . t - y_j) and level j is the axes row
+    j touches, with the table of g_j over (y_j, those axes) from
+    window_blocks; the innermost blocks gather rows of g_k's table, so no
+    (B, Nt) block of the full window is formed.  Any
     other window or frame has one level over every seen axis, streamed by
     window_blocks.  Either way the blocks are those of _block_bounds over
     the row-major y~ points, so streams of different windows pair up.
@@ -277,7 +289,8 @@ def window_levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid) -> WindowL
     blind = _axes(~seen)
     # a y~ grid of another dimension is rejected by window_blocks
     if not (len(w.factors) > 1 and y_grid.dim == w.grid.dim
-            and touched.any(axis=1).all() and touched.sum(axis=0).max() == 1):
+            and touched.any(axis=1).all() and touched.sum(axis=0).max() == 1
+            and np.array_equal(_outer([p.values for p in w.factors]), w.values)):
         return WindowLevels(blind, (), _axes(seen), (), y_grid.size,
                             window_blocks(w, grid, u, y_grid.points()))
     tables = [np.concatenate([W for _, _, W in window_blocks(
@@ -357,7 +370,7 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
     then gathered at each sample's box index), else the samples themselves
     (rates X_m . u_i along signal axis i).  Points outside the window box
     (and outside a bump's support) are then zeroed, as in window_at, by
-    testing the exact points proj - y~.
+    testing the points proj - y~.
     """
     spec = dft(w.as_signal())
     X = spec.freq_grid.points()
@@ -384,11 +397,7 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
         W = runs[0] if len(runs) == 1 else np.concatenate(runs)
         if index is not None:
             W = W[:, index]
-        pts = proj[None, :, :] - y[:, None, :]
-        keep = w.grid.contains(pts)
-        if w.compact:
-            keep &= np.linalg.norm(pts, axis=-1) < w.support_radius
-        W[~keep] = 0.0
+        W[~_keep(w, proj[None, :, :] - y[:, None, :])] = 0.0
         return W
 
     return block
@@ -471,8 +480,9 @@ def tensor_window(parts: list) -> Window:
         kind = WindowKind.GAUSSIAN
     # the factors keep the values only: a bump's support test is radial in
     # its own coordinate, which the product window does not apply
-    factors = tuple(Window(p.grid, p.values) for p in parts)
-    return Window(grid, _outer([p.values for p in parts]), kind, factors=factors)
+    w = Window(grid, _outer([p.values for p in parts]), kind)
+    w.factors = tuple(Window(p.grid, p.values) for p in parts)
+    return w
 
 
 def _diff4(vals: np.ndarray, axis: int, h: float) -> np.ndarray:

@@ -13,8 +13,8 @@ from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import BLOCK_ELEMS, relative_error
 from dirstft.synthesis import dso, dso_direct, reconstruct
 from dirstft.transform import default_y_grid, dstft_direct, dstft_fast
-from dirstft.windows import (WindowKind, _lattice_blocks, gevrey_bump, pairing_check,
-                             tensor_window, window_levels)
+from dirstft.windows import (_lattice_blocks, gevrey_bump, pairing_check, tensor_window,
+                             window_at, window_blocks, window_levels)
 
 G16 = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
 G3 = Grid.from_bounds([-4, -4, -2], [4, 4, 2], [12, 10, 4])
@@ -58,21 +58,29 @@ def swapped_case():
             build_frame([[0.0, 1.0], [1.0, 0.0]]), None)
 
 
-def three_level_case():
+def three_level_case(last_spacing=1.0):
     # 68-row blocks over 5 x 7 rows per outer index: both outer levels
     # change inside a block
     grid = Grid.from_bounds([-4, -4, -4], [4, 4, 4], [12, 10, 8])
-    y_grid = Grid((-2.0, -1.6, -2.0), (2.0 / 3, 0.8, 1.0), (3, 5, 7))
+    y_grid = Grid((-2.0, -1.6, -2.0), (2.0 / 3, 0.8, last_spacing), (3, 5, 7))
     return (random_bandlimited(grid, 6, band=0.4), gaussian_window(grid, [1.5, 1.5, 1.5]),
             identity_frame(3, 3), y_grid)
+
+
+def three_level_off_lattice_case():
+    # half a window step on the last y~ axis: the full window takes the
+    # trigonometric path, the first two factors the lattice gather, and
+    # u . t - y~ reaches the window box's upper edge on the first axis
+    return three_level_case(0.5)
 
 
 CASES = {"lattice k=n=2": lattice_case, "e^2 in R^3, blind axis": blind_case,
          "tensor window off lattice": off_lattice_case,
          "blocks span outer indices": spanning_case, "rows swapped": swapped_case,
-         "k=n=3": three_level_case}
+         "k=n=3": three_level_case, "k=n=3 off lattice": three_level_off_lattice_case}
 # (outer levels' axes, innermost axes) of each case
-LEVELS = {"rows swapped": ([(1,)], (0,)), "k=n=3": ([(0,), (1,)], (2,))}
+LEVELS = {"rows swapped": ([(1,)], (0,)), "k=n=3": ([(0,), (1,)], (2,)),
+          "k=n=3 off lattice": ([(0,), (1,)], (2,))}
 
 
 def oracle_reconstruction(f, g, phi, frame, y_grid):
@@ -187,8 +195,31 @@ def test_factors_never_carry_a_support_test():
     w1 = Grid.from_bounds([-4], [4], [16])
     product = tensor_window([gevrey_bump(w1, 2.0, 2.0), gevrey_bump(w1, 3.0, 2.0)])
     assert not any(p.compact for p in product.factors)
-    with pytest.raises(ValueError, match="factors"):
-        Window(G16, product.values, WindowKind.GEVREY_BUMP, support_radius=2.0,
-               factors=product.factors)
-    with pytest.raises(ValueError, match="factors"):
-        Window(G16, product.values, factors=product.factors[:1])
+
+
+def test_only_the_product_constructors_set_factors():
+    g = gaussian_window(G16, [1.0, 1.3])
+    with pytest.raises(TypeError):
+        Window(G16, g.values, factors=g.factors)
+    assert Window(G16, g.values).factors == ()
+
+
+def test_a_window_whose_values_were_reassigned_takes_one_level():
+    f, g, frame, _ = lattice_case()
+    g.values = gaussian_window(G16, [1.5, 0.8]).values
+    levels = window_levels(g, G16, frame.u, G16)
+    assert levels.outer == () and levels.axes == (0, 1)
+    assert relative_error(dstft_fast(f, g, frame).values,
+                          dstft_direct(f, g, frame).values) <= 1e-12
+
+
+def test_the_trig_blocks_zero_the_box_edge_as_window_at_does():
+    # a lattice coordinate at the window box's upper edge rounds either
+    # side of it; the interpolant there is the first sample's periodic image
+    f, g, frame, y_grid = three_level_off_lattice_case()
+    Y, proj = y_grid.points(), f.grid.points()
+    blocks = np.concatenate([np.broadcast_to(W, (hi - lo,) + f.grid.counts)
+                             for lo, hi, W in window_blocks(unfactored(g), f.grid,
+                                                            frame.u, Y)])
+    exact = np.stack([window_at(g, proj - y) for y in Y])
+    assert np.max(np.abs(blocks.reshape(exact.shape) - exact)) <= 1e-14
