@@ -413,6 +413,7 @@ def _selftest_cases() -> list:
     f1 = fixtures.random_bandlimited(g32, 11, band=0.5)
     f2 = fixtures.random_bandlimited(g32, 12, band=0.5)
     f16 = fixtures.gaussian(g16)
+    t16 = gaussian_window(g16, [1.0, 1.0])
     g = gaussian_window(w32, [1.0])
     e1 = identity_frame(2, 1)
 
@@ -436,8 +437,7 @@ def _selftest_cases() -> list:
          f16.grid.size),
         # a tensor window on the identity frame: one transform level per axis
         ("dstft fast vs direct oracle (k=n=2 tensor window)", invariants.oracle_error,
-         (f16, gaussian_window(g16, [1.0, 1.0]), identity_frame(2, 2)), 1e-10,
-         f16.grid.size),
+         (f16, t16, identity_frame(2, 2)), 1e-10, f16.grid.size),
         ("Parseval (Plancherel) identity", invariants.parseval_error,
          (f1, f2), 1e-8, 0),
         ("idft . dft roundtrip", invariants.dft_roundtrip_error, (f1,), 1e-10, 0),
@@ -453,6 +453,9 @@ def _selftest_cases() -> list:
          (fixtures.gaussian(g32, sigma=2.0), gaussian_window(w32, [2.0]),
           build_frame([[1.0, 1.0]]), [[0.0], [0.5]], [[0.5, 0.25], [0.0, 0.0]]),
          1e-4, 0),
+        # on the dual lattice reconstruction is the pointwise multiplier M
+        ("reconstruct vs multiplier f·M (k=n=2 tensor window)",
+         invariants.multiplier_error, (f16, t16, t16, identity_frame(2, 2)), 1e-12, 0),
         ("reconstruction roundtrip", invariants.reconstruction_error,
          (fixtures.gaussian(g32), g, g, e1), 1e-3, 0),
         ("window-change convolution", invariants.window_change_error,
@@ -467,10 +470,10 @@ def cmd_selftest(cfg: dict, args) -> int:
     oracle_cap = (_number(cfg["oracle_cap"], "oracle_cap", int)
                   if "oracle_cap" in cfg else None)
     failed = skipped = 0
-    print(f"{'case':<50} {'error':>9} {'tolerance':>9} status")
+    print(f"{'case':<52} {'error':>9} {'tolerance':>9} status")
     for name, error, error_args, tol, samples in _selftest_cases():
         if oracle_cap is not None and samples > oracle_cap:
-            print(f"{name:<50} {'-':>9} {tol:9.0e} SKIPPED")
+            print(f"{name:<52} {'-':>9} {tol:9.0e} SKIPPED")
             skipped += 1
             continue
         try:
@@ -480,7 +483,7 @@ def cmd_selftest(cfg: dict, args) -> int:
             err = math.nan
         ok = err <= tol
         failed += not ok
-        print(f"{name:<50} {err:9.2e} {tol:9.0e} {'PASS' if ok else 'FAIL'}")
+        print(f"{name:<52} {err:9.2e} {tol:9.0e} {'PASS' if ok else 'FAIL'}")
     if skipped:
         warnings.warn(f"{skipped} oracle-dependent case(s) skipped "
                       f"(oracle cap {oracle_cap})", stacklevel=2)

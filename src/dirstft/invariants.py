@@ -16,9 +16,9 @@ from .direction import DirectionFrame, frequency_map, identity_frame, pullback
 from .grids import (CoverageWarning, Signal, dft, dft_oracle, idft, inner_product,
                     inner_product_spectrum, rel_l2_error, relative_error)
 from .synthesis import dso, dso_direct, orthogonality_check, reconstruct, window_change
-from .transform import dstft_direct, dstft_direct_at, dstft_fast
+from .transform import default_y_grid, dstft_direct, dstft_direct_at, dstft_fast
 from .wavefront import WavefrontReport
-from .windows import Window
+from .windows import Window, pairing_check, window_blocks
 
 
 def dft_oracle_error(f: Signal) -> float:
@@ -64,6 +64,25 @@ def reconstruction_error(f: Signal, g: Window, phi: Window,
                          frame: DirectionFrame) -> float:
     """Relative L2 error of synthesis.reconstruct."""
     return rel_l2_error(reconstruct(f, g, phi, frame).values, f.values)
+
+
+def multiplier_error(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
+                     y_grid=None) -> float:
+    """Relative L2 distance of synthesis.reconstruct from f M, with the
+    reconstruction multiplier
+
+        M(t) = sum_y conj(g)(u . t - y) phi(u . t - y) dy / (g, phi)
+
+    over the y~ grid.  On the DFT-dual xi lattice idft . dft cancels inside
+    every y~ block, so reconstruct is f M up to roundoff for any signal,
+    frame and y~ grid; M needs no FFT."""
+    y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
+    Y = y_grid.points()
+    M = sum((np.conj(Wg) * Wp).sum(axis=0) for (_, _, Wg), (_, _, Wp) in zip(
+        window_blocks(g, f.grid, frame.u, Y), window_blocks(phi, f.grid, frame.u, Y),
+        strict=True))
+    M = M * (y_grid.cell_volume / pairing_check(g, phi).value)
+    return rel_l2_error(reconstruct(f, g, phi, frame, y_grid).values, f.values * M)
 
 
 def frame_change_error(f: Signal, g: Window, frame: DirectionFrame,

@@ -10,16 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 from .direction import DirectionFrame, identity_frame, pullback
-from .grids import (Grid, Signal, _check_oracle_work, _idft_into, inner_product,
-                    primal_phase)
-from .transform import DstftField, _spectra, default_y_grid, dstft_fast
+from .grids import (Grid, Signal, _check_oracle_work, _idft_into, _phase_tables,
+                    _trailing, inner_product, primal_phase)
+from .transform import DstftField, _unphased, default_y_grid, dstft_fast
 from .windows import Window, WindowLevels, pairing_check, window_blocks, window_levels
 
 
 def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Signal:
     """Quadrature synthesis: per y~ block, one batched inverse DFT along
     the innermost window level, weighted by the windows, then the y~
-    Riemann sum (see _synthesize).
+    Riemann sum (see _synthesize), phasing each block of F into a buffer.
 
     Falls back to direct phase summation, capped at grids.ORACLE_WORK_CAP
     terms, when out_grid is not the primal grid of the field's frequency
@@ -30,43 +30,45 @@ def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Sign
 
     slices = F.values.reshape((F.y_size,) + F.xi_grid.counts)
     levels = window_levels(g, out_grid, frame.u, F.y_grid)
-    pairs = ((lo, hi, slices[lo:hi], W) for lo, hi, W in levels.blocks)
-    return Signal(out_grid, _synthesize(pairs, levels, F.xi_grid, out_grid,
+    pre = _phase_tables(out_grid, levels.axes).idft_pre
+
+    def pairs():
+        buf = np.empty((0,) + out_grid.counts, dtype=complex)
+        for lo, hi, W in levels.blocks:
+            if hi - lo > len(buf):
+                buf = np.empty((hi - lo,) + out_grid.counts, dtype=complex)
+            yield lo, hi, np.multiply(slices[lo:hi], pre, out=buf[:hi - lo]), W
+
+    return Signal(out_grid, _synthesize(pairs(), levels, out_grid,
                                         F.y_grid.cell_volume))
 
 
-def _synthesize(pairs, levels: WindowLevels, xi_grid: Grid, out_grid: Grid,
+def _synthesize(pairs, levels: WindowLevels, out_grid: Grid,
                 y_volume: float) -> np.ndarray:
-    """sum over y~ of idft(S) . phi(u . t - y~) for each (lo, hi, S, W) of
-    pairs: S the spectra of the y~ rows lo:hi, shaped (hi - lo,) +
-    xi_grid.counts, and W the innermost window block of levels
-    (windows.window_levels) for the same rows.
+    """sum over y~ of idft(S) . phi(u . t - y~) for each (lo, hi, R, W) of
+    pairs: R the spectra S of the y~ rows lo:hi times the innermost idft
+    pre-phase (as transform._unphased yields it), which is overwritten, and
+    W the innermost window block of levels for the same rows.
 
-    The mirror of transform._spectra.  Each block is inverted along the
-    innermost axes only, weighted by W and summed into the accumulator of
-    its index of the outer levels.  When the stream leaves that index, the
-    accumulator of each outer level whose index ends is inverted along the
-    level's axes, weighted by its factor and added to the level above (see
-    _close); level 0 is inverted once, on the sum.  The window does not
-    depend on the axes a level inverts, so weighting commutes with those
-    inverses.  idft's primal phase factor is applied last, together with
-    the y~ cell volume.
-
-    Every block inverse is computed in one work buffer, sized by the
-    largest block; S is only read, as dso's blocks are views of its field."""
+    Each block is inverted along the innermost axes in place, weighted by W
+    and summed into the accumulator of its index of the outer levels.  When
+    the stream leaves that index, each outer level's accumulator whose
+    index ends is inverted along the level's axes, weighted by its factor
+    and added to the level above (see _close), which commutes as the window
+    does not depend on those axes; level 0 is inverted once, on the sum.
+    idft's primal phase is applied last, with the y~ cell volume."""
     acc = [np.zeros(out_grid.counts, dtype=complex)
            for _ in range(len(levels.outer) + 1)]
-    buf = np.empty((0,) + xi_grid.counts, dtype=complex)
+    axes = _trailing(out_grid, levels.axes)
     held = None
-    for lo, hi, S, W in pairs:
-        if len(S) > len(buf):
-            buf = np.empty(S.shape, dtype=complex)
-        inv = _idft_into(buf[:len(S)], S, out_grid, levels.axes)
+    for lo, hi, R, W in pairs:
+        inv = np.fft.ifftn(R, axes=axes, out=R)
+        inv *= W
         for a, b, index in levels.segments(lo, hi):
             if index != held:
                 _close(acc, levels, out_grid, held, index)
                 held = index
-            acc[-1] += np.einsum("b...,b...->...", inv[a - lo:b - lo], W[a - lo:b - lo])
+            acc[-1] += inv[a - lo:b - lo].sum(axis=0)
     _close(acc, levels, out_grid, held, None)
     rec = acc[0]
     if levels.blind:
@@ -118,34 +120,32 @@ def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
                 y_grid: Grid | None = None) -> Signal:
     """(1/(g, phi)) DS*_{phi} DS_g f; requires an admissible window pairing.
 
-    Analysis and synthesis are fused per y~ block, so memory stays at a few
-    blocks plus the signal; the field is never stored.  When phi is g, the
-    analysis window levels and blocks are reused for synthesis.
+    Analysis and synthesis are fused per y~ block, and each block is
+    inverted in the analysis buffer, so memory stays at a block plus the
+    signal.  The analysis post-phase and synthesis pre-phase cancel when
+    both windows stream the same innermost axes; a factored window paired
+    with an unfactored one takes their product per block.  When phi is g,
+    the analysis window levels and blocks are reused for synthesis.
     """
     cert = pairing_check(g, phi)
     if not cert.admissible:
         raise ValueError(f"inadmissible window pairing: {cert}")
     y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
     levels = window_levels(g, f.grid, frame.u, y_grid)
-    analysis = _spectra(f, levels)
+    analysis = _unphased(f, levels)
     if phi is g:
-        synth = levels
-        pairs = ((lo, hi, S, W) for lo, hi, W, S in analysis)
+        synth, pairs = levels, ((lo, hi, R, W) for lo, hi, W, R in analysis)
     else:
+        # every window stream on one grid takes the same y~ blocks
         synth = window_levels(phi, f.grid, frame.u, y_grid)
-        pairs = _zip_blocks(analysis, synth.blocks)
-    rec = _synthesize(pairs, synth, f.grid.dual(), f.grid, y_grid.cell_volume)
+        pairs = ((lo, hi, R, W) for (lo, hi, _, R), (_, _, W)
+                 in zip(analysis, synth.blocks, strict=True))
+    if synth.axes != levels.axes:
+        table = (_phase_tables(f.grid, levels.axes).dft_post
+                 * _phase_tables(f.grid, synth.axes).idft_pre)
+        pairs = ((lo, hi, np.multiply(R, table, out=R), W) for lo, hi, R, W in pairs)
+    rec = _synthesize(pairs, synth, f.grid, y_grid.cell_volume)
     return Signal(f.grid, rec / cert.value)
-
-
-def _zip_blocks(analysis, synthesis):
-    """(lo, hi, S, W_phi) from analysis and synthesis blocks of the same y~
-    rows; every window stream on one grid takes the same block bounds."""
-    for (lo, hi, _, S), (lo_w, hi_w, W) in zip(analysis, synthesis, strict=True):
-        if (lo, hi) != (lo_w, hi_w):
-            raise RuntimeError(f"analysis block {lo}:{hi} does not match "
-                               f"synthesis block {lo_w}:{hi_w}")
-        yield lo, hi, S, W
 
 
 def orthogonality_check(f1: Signal, f2: Signal, g: Window, phi: Window,

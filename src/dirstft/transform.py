@@ -33,7 +33,7 @@ factor at y_j is multiplied into the partial transform of level j - 1 and
 transformed along level j's axes, once; each y~ block then multiplies only
 its innermost factor and transforms along the innermost axes.  On the
 identity frame in R^2 that halves the FFT work against transforming every
-row along both axes.
+row along both axes.  The blocks stream without their last phase (_unphased).
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .direction import DirectionFrame
-from .grids import (Grid, Signal, _check_oracle_work, _dft_inplace, _sample_values,
-                    as_points)
+from .grids import (Grid, Signal, _check_oracle_work, _dft_inplace, _phase_tables,
+                    _sample_values, _trailing, as_points)
 from .windows import Window, WindowLevels, tensor_window, window_blocks, window_levels
 
 # Largest field, in bytes, that dstft_fast and dstft_direct allocate.
@@ -102,49 +102,49 @@ def _check_field_bytes(y_grid: Grid, xi_grid: Grid) -> None:
 
 
 def _spectra(f: Signal, levels: WindowLevels, out: np.ndarray | None = None):
-    """(lo, hi, W, S) for each innermost window block (lo, hi, W) of
-    levels (windows.window_levels): S = dft(conj(g(u . t - y~)) f) for the
-    y~ rows lo:hi, shaped (hi - lo,) + f.grid.counts.
+    """(lo, hi, W, S) for each block of _unphased, with S = dft(conj(g(u .
+    t - y~)) f) for the y~ rows lo:hi computed in R's buffer."""
+    post = _phase_tables(f.grid, levels.axes).dft_post
+    for lo, hi, W, R in _unphased(f, levels, out):
+        R *= post
+        yield lo, hi, W, R
 
-    The transform along level 0 is taken once, at the first block, and
-    each outer level's once per index of the outer levels (see _partials);
-    each block's product with W and its transform along the innermost axes
-    run in one buffer: the rows lo:hi of out when it is given (a field
-    shaped (Ny,) + f.grid.counts), else one work array per stream, sized by
-    the largest block and reused by every block.  So without out, S is
-    valid only until the consumer asks for the next block, and a consumer
-    that keeps it copies it.  A fresh 1 MiB array per block cost a k=n=2
-    64^2 reconstruct about 62 000 minor page faults, as the allocator
-    handed each one back to the system, and made small blocks look faster
-    (see grids.BLOCK_ELEMS); the reused one keeps it near 1 200.  W is
-    yielded as the stream made it, not conjugated, so a consumer can reuse
-    it as a synthesis window with the same levels.  S is not checked for
-    finiteness, so a consumer checks what it returns (as dstft_fast,
-    reconstruct and wavefront_scan do)."""
-    grid, blind = f.grid, levels.blind
-    partial = None
+
+def _unphased(f: Signal, levels: WindowLevels, out: np.ndarray | None = None):
+    """(lo, hi, W, R) for each innermost window block (lo, hi, W) of levels
+    (windows.window_levels): R = fftn(conj(W) P) along the innermost axes
+    for the y~ rows lo:hi, shaped (hi - lo,) + f.grid.counts, with P from
+    _partials.  R lacks the innermost post-phase of the block's spectra,
+    which synthesis's pre-phase cancels, so only a field's reader or writer
+    applies either (_spectra, dso).  R is computed in the rows lo:hi of out
+    when it is given, else in one work array per stream, sized by the
+    largest block, that the consumer may overwrite and that the next block
+    reuses.  W is yielded unconjugated, for reuse as a synthesis window.  R
+    is not checked for finiteness; its consumers check what they return."""
+    grid, axes = f.grid, _trailing(f.grid, levels.axes)
+    partial = _partials(f, levels)
     buf = np.empty((0,) + grid.counts, dtype=complex)
     for lo, hi, W in levels.blocks:
-        if partial is None:
-            G = _dft_inplace(f.values.copy(), grid, blind) if blind else f.values
-            partial = _partials(G, levels, grid)
         if out is None and hi - lo > len(buf):
             buf = np.empty((hi - lo,) + grid.counts, dtype=complex)
         work = buf[:hi - lo] if out is None else out[lo:hi]
-        np.conjugate(W, out=work)
         for a, b, index in levels.segments(lo, hi):
-            work[a - lo:b - lo] *= partial(index)
-        yield lo, hi, W, _dft_inplace(work, grid, levels.axes)
+            np.multiply(np.conjugate(W[a - lo:b - lo]), partial(index),
+                        out=work[a - lo:b - lo])
+        yield lo, hi, W, np.fft.fftn(work, axes=axes, out=work)
         del W       # let go of this window block before the next one is made
 
 
-def _partials(G: np.ndarray, levels: WindowLevels, grid: Grid):
-    """index -> G weighted by the conjugate factor of each outer level at
-    the index's y~ value and transformed along that level's axes, outermost
-    first; G itself when there is no outer level.  Each level keeps its
-    last result in one buffer, recomputed only when its own or an outer
-    level's index changes, which the row-major stream does once per
-    index."""
+def _partials(f: Signal, levels: WindowLevels):
+    """index -> P: f transformed along level 0, then for each outer level,
+    outermost first, weighted by its conjugate factor at the index's y~
+    value and transformed along its axes, and last multiplied by the
+    innermost axes' dft pre-phase.  Each outer level keeps its last result
+    in one buffer, recomputed when its own or an outer index changes."""
+    grid, blind = f.grid, levels.blind
+    pre = _phase_tables(grid, levels.axes).dft_pre
+    G = _dft_inplace(f.values.copy(), grid, blind) if blind else f.values
+    G = G if levels.outer else G * pre
     bufs = [np.empty(grid.counts, dtype=complex) for _ in levels.outer]
     held = [None] * len(levels.outer)
 
@@ -152,9 +152,10 @@ def _partials(G: np.ndarray, levels: WindowLevels, grid: Grid):
         prev = G
         for j, (axes, table) in enumerate(levels.outer):
             if held[j] != index[:j + 1]:
-                np.conjugate(table[index[j]], out=bufs[j])
-                bufs[j] *= prev
+                np.multiply(np.conjugate(table[index[j]]), prev, out=bufs[j])
                 bufs[j] = _dft_inplace(bufs[j], grid, axes)
+                if j == len(bufs) - 1:
+                    bufs[j] *= pre
                 held[j] = index[:j + 1]
             prev = bufs[j]
         return prev

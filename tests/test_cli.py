@@ -590,3 +590,10 @@ def test_config_path_as_a_descriptor_number_is_rejected_and_left_open(tmp_path,
     finally:
         os.close(r)
     assert not (tmp_path / "F.dstf").exists()
+
+
+def test_selftest_checks_reconstruct_against_the_multiplier(capsys):
+    assert main(["selftest"]) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines()
+            if l.startswith("reconstruct vs multiplier f·M (k=n=2 tensor window) ")]
+    assert len(rows) == 1 and rows[0].endswith("PASS")

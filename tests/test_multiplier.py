@@ -1,0 +1,52 @@
+"""Reconstruction is a pointwise multiplier: on the DFT-dual xi lattice,
+reconstruct(f, g, phi, frame, y_grid) = f M with M the y~ sum of window
+products (invariants.multiplier_error), to roundoff, for any signal.  The
+cases cover the factored and one-level streams, a blind axis, the two mixed
+pairings of a factored and an unfactored window, and a coarse y~ grid."""
+
+import pytest
+
+from dirstft import Grid, Window, build_frame, gaussian_window
+from dirstft.direction import identity_frame
+from dirstft.fixtures import gaussian, random_bandlimited
+from dirstft.invariants import multiplier_error
+from dirstft.windows import window_levels
+
+G32 = Grid.from_bounds([-4, -4], [4, 4], [32, 32])
+W1 = gaussian_window(Grid.from_bounds([-4], [4], [32]), [1.0])
+F = random_bandlimited(G32, 7, band=0.5)
+
+
+def unfactored(w):
+    return Window(w.grid, w.values, w.kind)
+
+
+CASES = {
+    "factored k=n=2": (gaussian(G32, 1.0, [0.3, -0.2], [0.5, 0.25]),
+                       gaussian_window(G32, [1.0, 1.2]), None, identity_frame(2, 2),
+                       None),
+    "u=(1,1)/sqrt2": (F, W1, None, build_frame([[1.0, 1.0]]),
+                      Grid.from_bounds([-4], [4], [40])),
+    "blind axis 1": (F, W1, None, build_frame([[1.0, 0.0]]), None),
+    "factored g, unfactored phi": (F, gaussian_window(G32, [1.0, 1.0]),
+                                   unfactored(gaussian_window(G32, [1.5, 0.8])),
+                                   identity_frame(2, 2), None),
+    "unfactored g, factored phi": (F, unfactored(gaussian_window(G32, [1.0, 1.0])),
+                                   gaussian_window(G32, [1.5, 0.8]),
+                                   identity_frame(2, 2), None),
+    "y~ stride 2": (F, gaussian_window(G32, [1.0, 1.0]), None, identity_frame(2, 2),
+                    Grid((-4.0, -4.0), (0.5, 0.5), (16, 16))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reconstruct_is_the_multiplier(case):
+    f, g, phi, frame, y_grid = CASES[case]
+    assert multiplier_error(f, g, g if phi is None else phi, frame, y_grid) <= 1e-13
+
+
+def test_the_mixed_cases_pair_streams_with_different_innermost_axes():
+    for case in ("factored g, unfactored phi", "unfactored g, factored phi"):
+        f, g, phi, frame, _ = CASES[case]
+        axes = [window_levels(w, f.grid, frame.u, G32).axes for w in (g, phi)]
+        assert axes[0] != axes[1]

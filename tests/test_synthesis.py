@@ -267,3 +267,18 @@ def test_dso_non_primal_out_grid_above_cap_rejected():
     other = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
     with pytest.raises(ValueError, match="exceeds cap .* primal grid"):
         dso(F, win, frame, other)
+
+
+@pytest.mark.parametrize("case", ["one level", "factored", "blind axis"])
+def test_dso_never_writes_into_its_field(case):
+    # dso phases each block into a buffer of its own, which synthesis then
+    # inverts in place; the field's rows are only read
+    g = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+    win1 = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
+    win, frame = {"one level": (win1, build_frame([[1.0, 1.0]])),
+                  "factored": (gaussian_window(g, [1.0, 1.2]), identity_frame(2, 2)),
+                  "blind axis": (win1, build_frame([[0.0, 1.0]]))}[case]
+    F = dstft_fast(random_bandlimited(g, 4, band=0.5), win, frame)
+    before = F.values.copy()
+    dso(F, win, frame, g)
+    assert np.array_equal(F.values, before)
