@@ -208,7 +208,7 @@ def cmd_gen(cfg: dict, args) -> int:
     if truth is not None:
         meta.update(truth)
     sidecar = cfg.get("sidecar", cfg["out"] + ".json")
-    with open(sidecar, "w") as fh:
+    with sigio.create(sidecar, "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
     return 0
 
@@ -267,7 +267,7 @@ def cmd_roundtrip(cfg: dict, args) -> int:
     }
     out = json.dumps(report, indent=1, sort_keys=True)
     if "report" in cfg:
-        with open(cfg["report"], "w") as fh:
+        with sigio.create(cfg["report"], "w") as fh:
             fh.write(out + "\n")
     print(out)
     return 0 if rel <= tol else 1
@@ -380,12 +380,12 @@ def cmd_wavefront(cfg: dict, args) -> int:
     if truth is not None and "singular" in truth:
         out["comparison"] = _verdict(report, truth, frame)
     if "out_json" in cfg:
-        with open(cfg["out_json"], "w") as fh:
+        with sigio.create(cfg["out_json"], "w") as fh:
             # one string from the C encoder: json.dump with indent runs
             # the pure-Python one, several times slower on a scan report
             fh.write(json.dumps(out, sort_keys=True))
     if "out_csv" in cfg:
-        with open(cfg["out_csv"], "w") as fh:
+        with sigio.create(cfg["out_csv"], "w") as fh:
             fh.write("cell_center,cone_center,N_hat,regular\n")
             for e in report.entries:
                 fh.write('"%s","%s",%r,%d\n' % (

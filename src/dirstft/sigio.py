@@ -16,6 +16,9 @@ the one its header implies (truncated, or with trailing bytes): a regular
 file before unpacking any samples, a pipe or FIFO as it is read.  They read
 the samples straight into the array they return; writers write them from
 the array's own memory.
+
+Every writer opens its output with create(), which replaces an ordinary
+file on a fresh inode instead of truncating it in place.
 """
 
 from __future__ import annotations
@@ -33,6 +36,41 @@ from .transform import DstftField
 MAGIC = b"DSTF"
 SIGNAL_VERSION = 1
 FIELD_VERSION = 2
+
+
+def create(path, mode: str = "wb"):
+    """path opened for writing in mode, as open(path, mode) opens it, except
+    that an ordinary file is replaced on a fresh inode instead of truncated.
+
+    An ordinary file is a regular file with one link, owned by this process's
+    user and writable by it.  It is unlinked and made again, with its
+    permission bits, so its old pages are dropped unwritten: a truncation
+    waits on some filesystems (ext4) for the write-back of the file's
+    previous contents, which a file written and then rewritten at once has
+    not finished.  A missing path, a symlink (written through to its
+    target), a FIFO, a device or a hard-linked file is opened by
+    open(path, mode) itself, and so is an ordinary file that its directory
+    does not let this process unlink.  Nothing is synced, before or after.
+    """
+    try:
+        st = os.lstat(path)
+    except (OSError, TypeError):    # missing, or an integer descriptor
+        return open(path, mode)
+    if not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+            and st.st_uid == os.geteuid() and os.access(path, os.W_OK)):
+        return open(path, mode)
+    try:
+        os.unlink(path)
+    except OSError:                 # a read-only or sticky directory
+        return open(path, mode)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                 stat.S_IMODE(st.st_mode))
+    try:
+        os.fchmod(fd, stat.S_IMODE(st.st_mode))     # past the umask
+        return open(fd, mode)
+    except BaseException:
+        os.close(fd)
+        raise
 
 
 def _pack_grid(grid: Grid) -> bytes:
@@ -113,7 +151,7 @@ def _read_values(fh, path, count: int) -> np.ndarray:
 
 
 def write_signal(path, f: Signal) -> None:
-    with open(path, "wb") as fh:
+    with create(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", SIGNAL_VERSION))
         fh.write(_pack_grid(f.grid))
@@ -132,7 +170,7 @@ def read_signal(path) -> Signal:
 def write_signal_csv(path, f: Signal) -> None:
     """One sample per line: index tuple, then re, im.  Grid metadata is kept
     in leading comment lines so the file round-trips."""
-    with open(path, "w") as fh:
+    with create(path, "w") as fh:
         fh.write(f"# dim,{f.grid.dim}\n")
         fh.write("# origin," + ",".join(repr(float(x)) for x in f.grid.origin) + "\n")
         fh.write("# spacing," + ",".join(repr(float(x)) for x in f.grid.spacing) + "\n")
@@ -190,13 +228,15 @@ def read_signal_csv(path) -> Signal:
 
 
 def write_field(path, F: DstftField) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FIELD_VERSION))
-        fh.write(_pack_grid(F.y_grid))
-        fh.write(_pack_grid(F.xi_grid))
-        fh.write(struct.pack("<II", F.frame.n, F.frame.k))
-        fh.write(np.ascontiguousarray(F.frame.u, dtype="<f8").tobytes())
+    """F to path; a field without a frame is rejected before path is
+    touched, since the file stores the frame's directions."""
+    if F.frame is None:
+        raise ValueError(f"{path}: field has no direction frame to write")
+    head = (MAGIC + struct.pack("<I", FIELD_VERSION) + _pack_grid(F.y_grid)
+            + _pack_grid(F.xi_grid) + struct.pack("<II", F.frame.n, F.frame.k)
+            + np.ascontiguousarray(F.frame.u, dtype="<f8").tobytes())
+    with create(path) as fh:
+        fh.write(head)
         _write_values(fh, F.values)
 
 
@@ -219,6 +259,6 @@ def write_magnitude_csv(path, F: DstftField, y_flat_index: int = 0) -> None:
     are flattened into rows)."""
     mags = np.abs(F.slice_at(y_flat_index))
     mat = mags.reshape(mags.shape[0], -1) if mags.ndim > 1 else mags[None, :]
-    with open(path, "w") as fh:
+    with create(path, "w") as fh:
         for row in mat:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")

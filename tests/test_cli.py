@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 
@@ -597,3 +598,83 @@ def test_selftest_checks_reconstruct_against_the_multiplier(capsys):
     rows = [l for l in capsys.readouterr().out.splitlines()
             if l.startswith("reconstruct vs multiplier f·M (k=n=2 tensor window) ")]
     assert len(rows) == 1 and rows[0].endswith("PASS")
+
+
+def _writing_commands(tmp_path):
+    """(command, config) for every writing command, in an order that runs:
+    gen, analyze, synthesize, roundtrip with a report and wavefront with
+    both outputs."""
+    win64 = {"kind": "gaussian", "sigma": [1.0],
+             "grid": {"bounds": [[-8], [8]], "counts": [64]}}
+    wavefront = sheet_wavefront_cfg(tmp_path)
+    return [
+        ("gen", {"schema_version": 1, "kind": "gaussian",
+                 "grid": {"bounds": [[-8], [8]], "counts": [64]},
+                 "params": {"sigma": 1.0}, "out": str(tmp_path / "f.dstf")}),
+        ("gen", {"schema_version": 1, "kind": "delta_sheet",
+                 "grid": {"bounds": [[-4, -4], [4, 4]], "counts": [32, 32]},
+                 "params": {"u": [1.0, 0.0], "c": 0.0},
+                 "out": wavefront["signal"]}),
+        ("analyze", {"schema_version": 1, "signal": str(tmp_path / "f.dstf"),
+                     "window": win64, "frame": {"u": [[1.0]]},
+                     "out": str(tmp_path / "F.dstf")}),
+        ("synthesize", {"schema_version": 1, "field": str(tmp_path / "F.dstf"),
+                        "window": win64, "out": str(tmp_path / "rec.dstf")}),
+        ("roundtrip", roundtrip_cfg(tmp_path, tmp_path / "f.dstf")),
+        ("wavefront", wavefront),
+    ]
+
+
+def test_rerun_onto_the_same_outputs_replaces_them_unchanged(tmp_path,
+                                                             monkeypatch):
+    # the second pass may not truncate an existing output in place (a
+    # truncation waits for the old file's write-back), and must write the
+    # same bytes as the first
+    configs = []
+    for i, (command, cfg) in enumerate(_writing_commands(tmp_path)):
+        path = tmp_path / f"{i}-{command}.json"
+        path.write_text(json.dumps(cfg))
+        configs.append([command, "--config", str(path)])
+    outputs = ["f.dstf", "f.dstf.json", "sheet.dstf", "sheet.dstf.json",
+               "F.dstf", "rec.dstf", "report.json", "wf.json", "wf.csv"]
+
+    def snapshot():
+        files = {name: (tmp_path / name).read_bytes() for name in outputs}
+        report = json.loads(files.pop("report.json"))
+        del report["timings"]
+        return files, report
+
+    for argv in configs:
+        assert main(argv) == 0, argv
+    first = snapshot()
+    real_open = builtins.open
+
+    def no_truncation(file, mode="r", *args, **kwargs):
+        if (mode in ("w", "wb") and isinstance(file, (str, os.PathLike))
+                and os.path.isfile(file) and not os.path.islink(file)):
+            raise AssertionError(f"{file} truncated in place")
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", no_truncation)
+    for argv in configs:
+        assert main(argv) == 0, argv
+    monkeypatch.undo()
+    assert snapshot() == first
+
+
+@pytest.mark.parametrize("step, key", [
+    (0, "out"), (0, "sidecar"), (2, "out"), (3, "out"), (4, "report"),
+    (5, "out_json"), (5, "out_csv"),
+])
+def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, step, key):
+    commands = _writing_commands(tmp_path)
+    for command, cfg in commands[:step]:
+        assert run(tmp_path, command, cfg) == 0
+    command, cfg = commands[step]
+    (tmp_path / "a_directory").mkdir()
+    capsys.readouterr()
+    assert run(tmp_path, command,
+               {**cfg, key: str(tmp_path / "a_directory")}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a_directory" in err
+    assert "Traceback" not in err

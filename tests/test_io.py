@@ -1,11 +1,14 @@
+import dataclasses
 import os
+import stat
 import struct
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dirstft import Grid, dstft_fast, gaussian_window
+from dirstft import DstftField, Grid, dstft_fast, gaussian_window
 from dirstft.direction import build_frame
 from dirstft.fixtures import random_bandlimited
 from dirstft.sigio import (read_field, read_signal, read_signal_csv,
@@ -238,3 +241,107 @@ def test_files_hold_the_documented_bytes(tmp_path, signal):
                               + struct.pack("<II", 2, 1)
                               + F.frame.u.astype("<f8").tobytes()
                               + F.values.astype("<c16").tobytes())
+
+
+def test_field_without_a_frame_is_rejected_before_the_file_is_touched(
+        tmp_path, signal):
+    p = _field_file(tmp_path, signal)
+    old = p.read_bytes()
+    F = read_field(p)
+    with pytest.raises(ValueError, match="no direction frame"):
+        write_field(p, DstftField(F.y_grid, F.xi_grid, F.values))
+    assert p.read_bytes() == old
+
+
+def _field(signal):
+    win = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
+    return dstft_fast(signal, win, build_frame([[0.6, 0.8]]))
+
+
+# (writer, what it writes made from the signal fixture)
+WRITERS = {
+    "signal": (write_signal, lambda s: s),
+    "field": (write_field, _field),
+    "signal_csv": (write_signal_csv, lambda s: s),
+    "magnitude_csv": (write_magnitude_csv, _field),
+}
+
+
+@pytest.fixture(params=sorted(WRITERS))
+def writer(request, signal, tmp_path):
+    """(write, old, new, fresh): a writer, two different things for it to
+    write, and the bytes of new written to a path that did not exist."""
+    write, make = WRITERS[request.param]
+    old = make(signal)
+    new = dataclasses.replace(old, values=old.values * (0.5 - 2j))
+    fresh = tmp_path / "fresh"
+    write(fresh, new)
+    return write, old, new, fresh.read_bytes()
+
+
+def test_rewrite_is_a_fresh_inode_with_the_bytes_of_a_fresh_write(tmp_path,
+                                                                  writer):
+    # a reader holding the old file keeps its bytes: the file was replaced,
+    # not truncated and written over
+    write, old, new, fresh = writer
+    p = tmp_path / "out"
+    write(p, old)
+    before = p.read_bytes()
+    with open(p, "rb") as held:
+        write(p, new)
+        assert held.read() == before
+    assert p.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o666], ids=["0600", "0666"])
+def test_rewrite_keeps_the_permission_bits(tmp_path, writer, mode):
+    # 0o666 is wider than the usual umask, which must not narrow it
+    write, old, new, fresh = writer
+    p = tmp_path / "out"
+    write(p, old)
+    os.chmod(p, mode)
+    write(p, new)
+    assert stat.S_IMODE(os.stat(p).st_mode) == mode
+    assert p.read_bytes() == fresh
+
+
+def test_symlinked_output_stays_a_link_to_the_new_bytes(tmp_path, writer):
+    write, old, new, fresh = writer
+    target, link = tmp_path / "target", tmp_path / "link"
+    write(target, old)
+    link.symlink_to(target)
+    write(link, new)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh
+
+
+def test_hard_linked_output_is_written_in_place(tmp_path, writer):
+    write, old, new, fresh = writer
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a, old)
+    os.link(a, b)
+    write(a, new)
+    assert os.stat(a).st_ino == os.stat(b).st_ino
+    assert a.read_bytes() == b.read_bytes() == fresh
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_fifo_output_is_read_in_full_by_a_concurrent_reader(tmp_path, writer):
+    write, old, new, fresh = writer
+    p = tmp_path / "fifo"
+    os.mkfifo(p)
+    got = []
+
+    def read():
+        with open(p, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        write(p, new)
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(p).st_mode)
+    assert got == [fresh]
