@@ -21,7 +21,7 @@ from .windows import (
     pairing_check,
 )
 from .direction import DirectionFrame, build_frame, frequency_map, identity_frame, pullback
-from .transform import DstftField, default_y_grid, dstft_direct, dstft_fast, partial_stft
+from .transform import DstftField, default_y_grid, dstft_direct, dstft_fast
 from .synthesis import dso, dso_direct, orthogonality_check, reconstruct, window_change
 from .wavefront import (
     BallSpec,

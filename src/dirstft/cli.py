@@ -315,7 +315,10 @@ def _report_json(report: WavefrontReport) -> dict:
         })
     return {"threshold_N": report.threshold_N,
             "residual_cap": report.residual_cap,
-            "window": report.window_meta, "entries": entries}
+            "window": report.window_meta, "entries": entries,
+            "scan": {"rows_streamed": report.rows_streamed,
+                     "rows_total": report.rows_total,
+                     "noise_ref": list(report.noise_ref)}}
 
 
 def _verdict(report: WavefrontReport, truth: dict, frame: DirectionFrame) -> dict:
@@ -427,6 +430,9 @@ def _selftest_cases() -> list:
         return len(invariants.singular_keys(rep)
                    ^ {(0.0, (1.0, 0.0)), (0.0, (-1.0, 0.0))})
 
+    sheet2 = fixtures.delta_sheet(sheet_grid, (1, 0))
+    bump2 = gevrey_bump(Grid.from_bounds([-2, -2], [2, 2], [16, 16]), 0.5, 2.0)
+
     return [
         ("dft vs direct-sum oracle", invariants.dft_oracle_error,
          (f1,), 1e-10, f1.grid.size),
@@ -462,6 +468,12 @@ def _selftest_cases() -> list:
          (fixtures.gaussian(w4), gaussian_window(w4, [1.0]),
           gaussian_window(w4, [1.5]), identity_frame(1, 1)), 1e-3, 0),
         ("wavefront sheet fixture", wavefront_mismatch, (), 0, 0),
+        # the scan streams only the rows inside its cells; every fit must
+        # equal the per-entry oracle on the stored field
+        ("wavefront scan vs decay_fit (k=n=2, one cell)",
+         invariants.scan_oracle_error,
+         (sheet2, bump2, identity_frame(2, 2), 2.0, [BallSpec((0.0, 0.0), 0.25)],
+          cone_dictionary_2d(8, r_min=0.5)), 0, 0),
     ]
 
 

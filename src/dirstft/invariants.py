@@ -17,7 +17,7 @@ from .grids import (CoverageWarning, Signal, dft, dft_oracle, idft, inner_produc
                     inner_product_spectrum, rel_l2_error, relative_error)
 from .synthesis import dso, dso_direct, orthogonality_check, reconstruct, window_change
 from .transform import default_y_grid, dstft_direct, dstft_direct_at, dstft_fast
-from .wavefront import WavefrontReport
+from .wavefront import WavefrontReport, decay_fit, wavefront_scan
 from .windows import Window, pairing_check, window_blocks
 
 
@@ -105,6 +105,18 @@ def window_change_error(f: Signal, g: Window, phi: Window,
     gamma = Window(g.grid, g.values / inner_product(g.as_signal(), g.as_signal()))
     got = window_change(dstft_fast(f, g, frame), gamma, phi, frame, g)
     return relative_error(got.values, dstft_fast(f, phi, frame).values)
+
+
+def scan_oracle_error(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
+                      cells: list, cones: list) -> int:
+    """The number of wavefront_scan entries whose DecayFit differs from
+    decay_fit on the stored dstft_fast field.  The scan transforms only
+    the y~ rows inside its cells and measures each cell's noise floor
+    against the cell's own peak, as decay_fit does, so the count is 0."""
+    report = wavefront_scan(f, g, frame, alpha, cells, cones)
+    F = dstft_fast(f, g, frame)
+    return sum(e.fit != decay_fit(F, e.y_cell, e.cone, alpha)
+               for e in report.entries)
 
 
 def singular_keys(report: WavefrontReport) -> set:

@@ -45,7 +45,7 @@ import numpy as np
 from .direction import DirectionFrame
 from .grids import (Grid, Signal, _check_oracle_work, _dft_inplace, _phase_tables,
                     _sample_values, _trailing, as_points)
-from .windows import Window, WindowLevels, tensor_window, window_blocks, window_levels
+from .windows import Window, WindowLevels, window_blocks, window_levels
 
 # Largest field, in bytes, that dstft_fast and dstft_direct allocate.
 FIELD_BYTES_CAP = 2 ** 31
@@ -207,11 +207,3 @@ def dstft_direct_at(f: Signal, g: Window, frame: DirectionFrame,
         out[lo:hi] = vol * ((f.values * np.conj(W)).reshape(hi - lo, -1) @ phases)
     return out
 
-
-def partial_stft(f: Signal, g_list: list, frame: DirectionFrame,
-                 y_grid: Grid | None = None) -> DstftField:
-    """Partial STFT: tensor-product window g(s) = g_1(s_1) ... g_k(s_k)."""
-    if len(g_list) != frame.k:
-        raise ValueError("need exactly k one-dimensional windows")
-    g = tensor_window(list(g_list))
-    return dstft_fast(f, g, frame, y_grid=y_grid)

@@ -28,8 +28,9 @@ from .windows import Window, window_at, window_levels
 
 LOG_FLOOR = 1e-300          # floor before taking logs (exact zeros)
 DYNAMIC_RANGE_FLOOR = 1e-280  # below this a shell is "fully decayed"
-NOISE_FLOOR_REL = 1e-12     # relative to the cell's peak magnitude; shell
-                            # suprema below this are FFT rounding, not signal
+NOISE_FLOOR_REL = 1e-12     # relative to the peak of |F| over the cell;
+                            # shell suprema below this are FFT rounding,
+                            # not signal
 N_HAT_SATURATED = 1e6       # reported rate when decay exhausts the range
 DEFAULT_RESIDUAL_CAP = 0.5  # log-units
 DEFAULT_THRESHOLD_N = 1.0
@@ -117,10 +118,18 @@ class ScanEntry:
 
 @dataclass
 class WavefrontReport:
+    """The scan's entries, cell-major, and what the scan read: the y~ rows
+    it transformed (those inside some cell) of the y~ grid's rows_total,
+    and each cell's noise_ref, in cell order, the peak of |F| over the
+    cell against which its noise floor was measured."""
+
     entries: list
     threshold_N: float
     window_meta: dict
     residual_cap: float = DEFAULT_RESIDUAL_CAP
+    rows_streamed: int = 0
+    rows_total: int = 0
+    noise_ref: tuple = ()
 
     @property
     def singular(self) -> list:
@@ -176,20 +185,20 @@ def _shell_table(xi_pts: np.ndarray, cone: ConeSpec, lattice):
 
 
 def _cone_fits(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
-               alpha: float, ref: float, lattice) -> list:
+               alpha: float, ref, lattice) -> list:
     """One DecayFit per row of mags (rows, Nxi) over one cone, from the
     dyadic-shell suprema of each row: x = |xi*|^(1/alpha) at the first
     argmax in lattice order and y = log sup |F|, for the shells whose sup
     is above the floor; the others count as decayed.
 
-    ref is the magnitude against which the rounding-noise floor is
-    measured; it must be the global peak of the transform the magnitudes
-    came from, because FFT rounding noise scales with the global peak, not
-    the local one.  lattice is xi_pts' _lattice geometry.  A row with
-    fewer than 2 shells above the floor has the same fit as every other
-    such row, so _fit runs once for all of them."""
+    ref holds, per row (a scalar serves every row), the magnitude against
+    which the rounding-noise floor NOISE_FLOOR_REL * ref is measured: the
+    peak of |F| over the row's own cell (see wavefront_scan).  lattice is
+    xi_pts' _lattice geometry.  A row with fewer than 2 shells above its
+    floor has the same fit as every other such row, whatever the floors,
+    so _fit runs once for all of them."""
     shells, n_points = _shell_table(xi_pts, cone, lattice)
-    floor = max(DYNAMIC_RANGE_FLOOR, NOISE_FLOOR_REL * ref)
+    floor = np.maximum(DYNAMIC_RANGE_FLOOR, NOISE_FLOOR_REL * np.reshape(ref, (-1, 1)))
     rows = np.arange(len(mags))
     at = np.empty((len(mags), len(shells)))         # |xi*| per row, shell
     sup = np.empty((len(mags), len(shells)))
@@ -249,7 +258,8 @@ def _check_alpha(alpha: float) -> None:
 
 def fit_spectrum_decay(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
                        alpha: float, ref: float | None = None) -> DecayFit:
-    """Decay fit of raw magnitudes over a frequency cone."""
+    """Decay fit of raw magnitudes over a frequency cone, with the noise
+    floor measured against ref (default: the peak of mags)."""
     _check_alpha(alpha)
     ref = float(np.max(mags)) if ref is None else ref
     return _cone_fits(xi_pts, np.asarray(mags)[None, :], cone, alpha, ref,
@@ -257,15 +267,15 @@ def fit_spectrum_decay(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
 
 
 def decay_fit(F: DstftField, ball: BallSpec, cone: ConeSpec, alpha: float) -> DecayFit:
-    """Fit the decay rate of sup over the ball of |F| over the cone."""
-    Y = F.y_grid.points()
-    ymask = ball.contains(Y)
+    """Fit the decay rate of sup over the ball of |F| over the cone, with
+    the noise floor measured against the ball's own peak of |F|: one
+    wavefront_scan entry, recomputed from a stored field (the scan's
+    oracle)."""
+    ymask = ball.contains(F.y_grid.points())
     if not np.any(ymask):
         raise ValueError("no y~ lattice points inside the ball")
-    flat = np.abs(F.values.reshape(F.y_size, F.xi_size))
-    sup = flat[ymask].max(axis=0)
-    return fit_spectrum_decay(F.xi_grid.points(), sup, cone, alpha,
-                              ref=float(flat.max()))
+    sup = np.abs(F.values.reshape(F.y_size, F.xi_size)[ymask]).max(axis=0)
+    return fit_spectrum_decay(F.xi_grid.points(), sup, cone, alpha)
 
 
 def regular_point_test(F: DstftField, ball: BallSpec, cone: ConeSpec, alpha: float,
@@ -293,15 +303,21 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
                    y_grid: Grid | None = None, strict: bool = True) -> WavefrontReport:
     """Exhaustive regular-point test over a (cell, cone) dictionary.
 
-    The transform is streamed in y~ blocks and never stored: each block
-    updates the global peak of |F| (the noise-floor reference) and the
-    running sup of |F| over each cell's y~ points.  Each block's |F| is
-    taken into one float buffer, sized by the largest block, and the block
-    is done with before the next is asked for, as the stream reuses its
-    buffer too.  The lattice geometry (|xi| and the mirrored mask) is
-    computed once; each cone's shell table is then built once and its
-    suprema gathered for every cell at once.  The singular set is the
-    complement of the regular entries.
+    Each entry depends only on the y~ rows inside its own cell, so only
+    the rows some cell contains are transformed: they are streamed in
+    blocks and never stored, and each block updates the running sup of |F|
+    over each cell's rows.  Each cell's noise floor is NOISE_FLOOR_REL
+    times the peak of |F| over its own rows (the cell's noise_ref): every
+    row is its own FFT, so its rounding noise scales with that row's
+    ||S||_2, and sup_xi |S| >= ||S||_2 / sqrt(Nxi) keeps the noise below
+    the floor for Nxi up to about 10^7.  An entry is then the same
+    whichever other cells the list holds, and equals decay_fit on the
+    stored field.  Each block's |F| is taken into one float buffer, sized
+    by the largest block, and the block is done with before the next is
+    asked for, as the stream reuses its buffer too.  The lattice geometry
+    (|xi| and the mirrored mask) is computed once; each cone's shell table
+    is then built once and its suprema gathered for every cell at once.
+    The singular set is the complement of the regular entries.
     """
     _check_alpha(alpha)
     if not (y_cells and cones):
@@ -314,32 +330,36 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
         member[i] = cell.contains(Y)
         if not member[i].any():
             raise ValueError(f"no y~ lattice points inside cell {cell}")
+    rows = np.flatnonzero(member.any(axis=0))
+    member = member[:, rows]
     xi_grid = f.grid.dual()
     sup = np.zeros((len(y_cells), xi_grid.size))
-    peak = 0.0
     buf = np.empty((0, xi_grid.size))
-    for lo, hi, _, S in _spectra(f, window_levels(g, f.grid, frame.u, y_grid)):
+    levels = window_levels(g, f.grid, frame.u, y_grid, rows)
+    for lo, hi, _, S in _spectra(f, levels):
         if hi - lo > len(buf):
             buf = np.empty((hi - lo, xi_grid.size))
         mags = np.abs(S.reshape(hi - lo, -1), out=buf[:hi - lo])
-        block_peak = float(mags.max())
-        if not math.isfinite(block_peak):
-            raise ValueError(f"transform values must be finite; y~ rows "
-                             f"{lo}:{hi} overflowed")
-        peak = max(peak, block_peak)
         # one in-place maximum per (cell, row) pair, with no gathered copy
         for i, j in zip(*np.nonzero(member[:, lo:hi])):
             np.maximum(sup[i], mags[j], out=sup[i])
+    ref = sup.max(axis=1)
+    for cell, peak in zip(y_cells, ref):
+        if not math.isfinite(peak):     # also NaN, which maximum keeps
+            raise ValueError(f"transform values must be finite; the rows "
+                             f"of cell {cell} overflowed")
     xi_pts = xi_grid.points()
     lattice = _lattice(xi_pts)
-    fits = [_cone_fits(xi_pts, sup, cone, alpha, peak, lattice) for cone in cones]
+    fits = [_cone_fits(xi_pts, sup, cone, alpha, ref, lattice) for cone in cones]
     entries = []
     for i, cell in enumerate(y_cells):
         for cone, cone_fits in zip(cones, fits):
             fit = cone_fits[i]
             entries.append(ScanEntry(cell, cone, fit,
                                      _classify(fit, threshold_N, residual_cap)))
-    return WavefrontReport(entries, threshold_N, g.meta, residual_cap)
+    return WavefrontReport(entries, threshold_N, g.meta, residual_cap,
+                           rows_streamed=len(rows), rows_total=y_grid.size,
+                           noise_ref=tuple(float(x) for x in ref))
 
 
 def partial_wf_test(f: Signal, chi: Window, y0, cone: ConeSpec, alpha: float,

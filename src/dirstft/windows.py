@@ -174,26 +174,31 @@ def _in_box(grid: Grid, pts: np.ndarray) -> np.ndarray:
                   & (pts < np.asarray(grid.upper) - shift), axis=-1)
 
 
-def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
-    """Iterator of (lo, hi, W) with W[b] = window_at(w, proj - Y[lo + b]),
-    where proj = grid.points() @ u.T are the sample points t projected on
-    the k x n direction rows ``u``, and ``Y`` holds the y~ points, shape
-    (Ny, k).  The window and grid dimensions are checked against k and n,
-    and the y~ points against k, at the call, before any block is computed.
+def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray,
+                  rows: np.ndarray | None = None):
+    """Iterator of (lo, hi, W) with W[b] = window_at(w, proj - Y[rows[lo +
+    b]]), where proj = grid.points() @ u.T are the sample points t
+    projected on the k x n direction rows ``u``, ``Y`` holds the y~ points,
+    shape (Ny, k), and ``rows`` the indices of the points to stream
+    (default: all).  The window and grid dimensions are checked against k
+    and n, and the y~ points against k, at the call, before any block is
+    computed.
 
     g(u . t - y~) does not depend on t_i along a blind axis i of the frame,
     one whose column u_(.i) is zero.  So W is evaluated on the sub-grid of
     the other, seen, axes and shaped (hi - lo,) + grid.counts with 1 on each
     blind axis, the shape it broadcasts from.  A block holds the rows of
-    _block_bounds, as its consumers expand it to the whole grid.  One path
-    serves the whole y~ set: a gather from a zero-padded copy of the window
-    when every proj - y~ hits the window lattice, else the trigonometric
-    interpolation of window_at, factorized over (t, y~).  The
-    trigonometric path evaluates the window on the projected index box when
-    that box is smaller than the seen sub-grid (see _projected_box), else
-    at every sample; it holds M J / J_0 entries per row (M window modes, J
-    points it evaluates, J_0 of them on the first axis) and evaluates a
-    block in runs of rows that keep those entries near BLOCK_ELEMS.
+    _block_bounds over rows, as its consumers expand it to the whole grid.
+    One path serves the whole y~ set Y, whichever rows are streamed, so a
+    row's window is the same in every stream: a gather from a zero-padded
+    copy of the window when every proj - y~ hits the window lattice, else
+    the trigonometric interpolation of window_at, factorized over (t, y~).
+    The trigonometric path evaluates the window on the projected index box
+    when that box is smaller than the seen sub-grid (see _projected_box),
+    else at every sample; it holds M J / J_0 entries per row (M window
+    modes, J points it evaluates, J_0 of them on the first axis) and
+    evaluates a block in runs of rows that keep those entries near
+    BLOCK_ELEMS.
     """
     u = _frame_rows(w, grid, u)
     Y = as_points(Y, w.grid.dim)
@@ -206,8 +211,9 @@ def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     u = u[:, seen]
     proj = sub.points() @ u.T
     block = _lattice_blocks(w, proj, Y) or _trig_blocks(w, sub, u, proj, Y)
-    return ((lo, hi, block(lo, hi).reshape((hi - lo,) + shape))
-            for lo, hi in _block_bounds(len(Y), grid.size))
+    rows = np.arange(len(Y)) if rows is None else rows
+    return ((lo, hi, block(rows[lo:hi]).reshape((hi - lo,) + shape))
+            for lo, hi in _block_bounds(len(rows), grid.size))
 
 
 def _frame_rows(w: Window, grid: Grid, u) -> np.ndarray:
@@ -243,25 +249,29 @@ class WindowLevels:
 
     Level 0 is the blind axes.  outer holds (axes, table) for each level
     1 .. L-1, outermost first, with table[i] the level's factor at its i-th
-    y~ value, shaped like a window block row.  blocks yields (lo, hi, W)
-    for the innermost level, which covers the signal axes in axes, over
-    the flat y~ rows of _block_bounds; it is one pass, and a consumer that
-    reuses the levels for synthesis reads only the geometry."""
+    y~ value, shaped like a window block row.  rows holds the ascending
+    flat y~ indices the stream takes.  blocks yields (lo, hi, W) for the
+    innermost level, which covers the signal axes in axes, over the
+    positions lo:hi of rows in the blocks of _block_bounds; it is one pass,
+    and a consumer that reuses the levels for synthesis reads only the
+    geometry."""
 
     blind: tuple
     outer: tuple
     axes: tuple
     y_counts: tuple         # y~ counts of the outer levels
     inner: int              # y~ rows per index of the outer levels
+    rows: np.ndarray
     blocks: Iterator
 
     def segments(self, lo: int, hi: int):
-        """(a, b, index) for each run a:b of the rows lo:hi under one index
-        of the outer levels, a tuple of one y~ index per outer level."""
-        inner = self.inner
+        """(a, b, index) for each run a:b of the positions lo:hi of rows
+        under one index of the outer levels, a tuple of one y~ index per
+        outer level."""
+        inner, rows = self.inner, self.rows
         while lo < hi:
-            p = lo // inner
-            b = min(hi, (p + 1) * inner)
+            p = int(rows[lo]) // inner
+            b = min(hi, int(np.searchsorted(rows, (p + 1) * inner)))
             index = ()
             for n in reversed(self.y_counts):
                 p, i = divmod(p, n)
@@ -270,38 +280,43 @@ class WindowLevels:
             lo = b
 
 
-def window_levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid) -> WindowLevels:
-    """The levels of the window stream g(u . t - y~) for y~ on y_grid.
+def window_levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid,
+                  rows: np.ndarray | None = None) -> WindowLevels:
+    """The levels of the window stream g(u . t - y~) for y~ at the
+    ascending flat indices rows of y_grid (default: every point).
 
     When w carries k > 1 factors whose product is still exactly w.values
     (a window whose values were reassigned takes one level) and the
     direction rows touch pairwise disjoint sets of signal axes,
     g(u . t - y~) = prod_j g_j(u_j . t - y_j) and level j is the axes row
     j touches, with the table of g_j over (y_j, those axes) from
-    window_blocks; the innermost blocks gather rows of g_k's table, so no
-    (B, Nt) block of the full window is formed.  Any
-    other window or frame has one level over every seen axis, streamed by
-    window_blocks.  Either way the blocks are those of _block_bounds over
-    the row-major y~ points, so streams of different windows pair up.
+    window_blocks; the innermost blocks gather rows of g_k's table at
+    rows % inner, so no (B, Nt) block of the full window is formed, and
+    an outer index no row touches is never visited.  Any other window or
+    frame has one level over every seen axis, streamed by window_blocks
+    at the points rows.  Either way the blocks are those of _block_bounds
+    over rows, so streams of different windows pair up.
     """
     u = _frame_rows(w, grid, u)
     touched, seen = u != 0, _seen(u)
     blind = _axes(~seen)
+    if rows is None:
+        rows = np.arange(y_grid.size)
     # a y~ grid of another dimension is rejected by window_blocks
     if not (len(w.factors) > 1 and y_grid.dim == w.grid.dim
             and touched.any(axis=1).all() and touched.sum(axis=0).max() == 1
             and np.array_equal(_outer([p.values for p in w.factors]), w.values)):
-        return WindowLevels(blind, (), _axes(seen), (), y_grid.size,
-                            window_blocks(w, grid, u, y_grid.points()))
+        return WindowLevels(blind, (), _axes(seen), (), y_grid.size, rows,
+                            window_blocks(w, grid, u, y_grid.points(), rows))
     tables = [np.concatenate([W for _, _, W in window_blocks(
         p, grid, u[j:j + 1], y_grid.axis(j)[:, None])])
         for j, p in enumerate(w.factors)]
     last = tables[-1]
-    blocks = ((lo, hi, last[np.arange(lo, hi) % len(last)])
-              for lo, hi in _block_bounds(y_grid.size, grid.size))
+    blocks = ((lo, hi, last[rows[lo:hi] % len(last)])
+              for lo, hi in _block_bounds(len(rows), grid.size))
     outer = tuple((_axes(t), table) for t, table in zip(touched[:-1], tables[:-1]))
     return WindowLevels(blind, outer, _axes(touched[-1]), y_grid.counts[:-1],
-                        y_grid.counts[-1], blocks)
+                        y_grid.counts[-1], rows, blocks)
 
 
 def _axes(mask: np.ndarray) -> tuple:
@@ -309,8 +324,8 @@ def _axes(mask: np.ndarray) -> tuple:
 
 
 def _lattice_blocks(w: Window, proj: np.ndarray, Y: np.ndarray):
-    """Block gatherer for lattice frames, or None when some proj - y~ is off
-    the window lattice.
+    """Block gatherer for lattice frames, block(idx) for the y~ points
+    Y[idx], or None when some proj - y~ is off the window lattice.
 
     In window-lattice units proj is P (Nt, k) and y~ is Q (Ny, k); every
     difference P - Q is integral iff P - P[0], Q - Q[0] and P[0] - Q[0] are,
@@ -349,15 +364,16 @@ def _lattice_blocks(w: Window, proj: np.ndarray, Y: np.ndarray):
     fq = iq @ strides
     flat = padded.ravel()
 
-    def block(lo, hi):
-        return flat[fp[None, :] - fq[lo:hi, None]]
+    def block(idx):
+        return flat[fp[None, :] - fq[idx, None]]
 
     return block
 
 
 def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
                  Y: np.ndarray):
-    """Block evaluator by trigonometric interpolation of the window.
+    """Block evaluator, block(idx) for the y~ points Y[idx], by
+    trigonometric interpolation of the window.
 
     With window modes X_m and coefficients c_m, the window at x is
     sum_m c_m exp(2 pi i X_m . x), and W[b, t] is its value at
@@ -385,14 +401,17 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
     run = max(1, BLOCK_ELEMS // (len(c) * math.prod(len(a) for a in axes[1:])))
 
     def evaluate(y):
-        Z = (np.exp(-2j * np.pi * (y @ X.T)) * c)[:, :, None]    # (B, M, 1)
+        # one row alone would take BLAS's matrix-vector product, which rounds
+        # otherwise; a row's window must not depend on the rows beside it
+        phase = (np.vstack([y, y]) @ X.T)[:1] if len(y) == 1 else y @ X.T
+        Z = (np.exp(-2j * np.pi * phase) * c)[:, :, None]       # (B, M, 1)
         for e in tables[:0:-1]:
             Z = (Z[:, :, None, :] * e[None, :, :, None]).reshape(
                 len(y), len(c), -1)
         return np.matmul(tables[0].T, Z).reshape(len(y), -1)
 
-    def block(lo, hi):
-        y = Y[lo:hi]
+    def block(idx):
+        y = Y[idx]
         runs = [evaluate(y[a:a + run]) for a in range(0, len(y), run)]
         W = runs[0] if len(runs) == 1 else np.concatenate(runs)
         if index is not None:

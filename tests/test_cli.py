@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from dirstft import Grid, dstft_fast, gaussian_window
+from dirstft import BallSpec, Grid, dstft_fast, gaussian_window, gevrey_bump
 from dirstft.cli import main
-from dirstft.direction import build_frame
+from dirstft.direction import build_frame, identity_frame
 from dirstft.fixtures import gaussian
 from dirstft.grids import relative_error
 from dirstft.sigio import read_field, read_signal
@@ -184,6 +184,32 @@ def test_wavefront_verdict_pass(tmp_path, capsys):
     csv_lines = (tmp_path / "wf.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "cell_center,cone_center,N_hat,regular"
     assert len(csv_lines) == 1 + len(out["entries"])
+
+
+def test_wavefront_reports_the_rows_it_streams(tmp_path, capsys):
+    # k = n = 2 on a 64^2 delta sheet: the one cell, of radius 0.25 at the
+    # origin, holds 25 of the 4096 y~ rows, and its noise floor is measured
+    # against the peak of |F| over those rows
+    cfg = {"schema_version": 1, "kind": "delta_sheet",
+           "grid": {"bounds": [[-4, -4], [4, 4]], "counts": [64, 64]},
+           "params": {"u": [1.0, 0.0], "c": 0.0},
+           "out": str(tmp_path / "sheet.dstf")}
+    assert run(tmp_path, "gen", cfg) == 0
+    window = {"kind": "gevrey_bump", "radius": 0.5, "alpha": 2.0,
+              "grid": {"bounds": [[-2, -2], [2, 2]], "counts": [32, 32]}}
+    wf = {"schema_version": 1, "signal": cfg["out"], "window": window,
+          "frame": {"u": [[1.0, 0.0], [0.0, 1.0]]}, "alpha": 2.0,
+          "cones": {"count": 8, "r_min": 0.5},
+          "cells": [{"center": [0.0, 0.0], "radius": 0.25}],
+          "out_json": str(tmp_path / "wf.json")}
+    assert run(tmp_path, "wavefront", wf) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+    F = dstft_fast(read_signal(cfg["out"]), gevrey_bump(
+        Grid.from_bounds([-2, -2], [2, 2], [32, 32]), 0.5, 2.0), identity_frame(2, 2))
+    rows = BallSpec((0.0, 0.0), 0.25).contains(F.y_grid.points())
+    peak = float(np.abs(F.values.reshape(F.y_size, -1)[rows]).max())
+    assert json.loads((tmp_path / "wf.json").read_text())["scan"] == {
+        "rows_streamed": 25, "rows_total": 4096, "noise_ref": [peak]}
 
 
 @pytest.mark.parametrize("key", ["cells", "cones"])

@@ -12,7 +12,7 @@ from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import BLOCK_ELEMS, relative_error
 from dirstft.synthesis import dso, dso_direct, reconstruct
-from dirstft.transform import default_y_grid, dstft_direct, dstft_fast
+from dirstft.transform import _spectra, default_y_grid, dstft_direct, dstft_fast
 from dirstft.windows import (_lattice_blocks, gevrey_bump, pairing_check, tensor_window,
                              window_at, window_blocks, window_levels)
 
@@ -129,6 +129,23 @@ def test_factored_and_unfactored_windows_agree(case):
     assert relative_error(*fields) <= 1e-14
     recs = [reconstruct(f, w, w, frame, y_grid=y_grid).values for w in (g, plain)]
     assert relative_error(*recs) <= 1e-14
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_stream_of_some_rows_gives_those_rows_of_the_field(case):
+    # a third of the rows, skipping whole outer indices and ending some
+    # runs inside one, or a single row: each streamed row is the field's
+    # row, bit for bit, on the factored and the one-level path
+    f, g, frame, y_grid = CASES[case]()
+    y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
+    some = np.flatnonzero(np.random.default_rng(3).random(y_grid.size) < 0.3)
+    for w in (g, unfactored(g)):
+        field = dstft_fast(f, w, frame, y_grid=y_grid).values
+        for rows in (some, np.array([y_grid.size // 2])):
+            levels = window_levels(w, f.grid, frame.u, y_grid, rows)
+            got = np.concatenate([S.reshape(hi - lo, -1).copy()
+                                  for lo, hi, _, S in _spectra(f, levels)])
+            assert np.array_equal(got, field.reshape(y_grid.size, -1)[rows])
 
 
 def test_the_cases_reach_the_trig_path_and_straddling_blocks():

@@ -2,17 +2,24 @@
 grids (odd and even counts, nonzero origins, anisotropic spacings), frames
 and windows, at sizes under the oracle caps."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dirstft import (Grid, Signal, build_frame, dstft_fast, gaussian_window,
-                     gevrey_bump, invariants, pairing_check, reconstruct)
+from dirstft import (BallSpec, Grid, Signal, build_frame, cone_dictionary_2d,
+                     decay_fit, default_y_grid, dstft_fast, gaussian_window,
+                     gevrey_bump, invariants, pairing_check, reconstruct,
+                     regular_point_test, wavefront_scan)
+from dirstft.direction import identity_frame
+from dirstft.fixtures import delta_sheet, heaviside_sheet
 from dirstft.grids import (BLOCK_ELEMS, evaluate_trig, evaluate_trig_grid,
                            relative_error)
 from dirstft.synthesis import dso
-from dirstft.windows import window_blocks
+from dirstft.wavefront import WindowClassWarning
+from dirstft.windows import tensor_window, window_blocks
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=25)
@@ -179,3 +186,75 @@ def test_trig_on_a_mapped_lattice_matches_scattered_points(n, k, data):
     xi_max = np.abs(np.asarray(f.grid.dual().origin))
     phase = 2 * np.pi * np.max(np.abs(pts) @ xi_max)
     assert relative_error(got.ravel(), want) <= max(1e-12, 1e-14 * phase)
+
+
+@st.composite
+def scan_cases(draw):
+    """(f, g, frame, cells, cones): a delta or Heaviside sheet at a drawn
+    angle and offset on a 16-20 point grid per axis, the k = 1 frame
+    e_1 or e_2 or the k = n = 2 identity frame, a radial bump or a
+    tensor_window of 1-d bumps (the factored path for k = 2) of spacing
+    4 / round(N / 2) on [-2, 2] per seen axis of N points (on the
+    signal's lattice for even N, off it for odd N), and 1-4 cells centered
+    on y~ points (box edges included) or anywhere in the y~ box (far from
+    the sheet included), each holding a y~ point."""
+    counts = tuple(draw(st.integers(16, 20)) for _ in range(2))
+    grid = Grid.from_bounds([-4.0, -4.0], [4.0, 4.0], counts)
+    theta = draw(st.floats(0.0, np.pi))
+    sheet = draw(st.sampled_from([delta_sheet, heaviside_sheet]))
+    f = sheet(grid, (np.cos(theta), np.sin(theta)), draw(st.floats(-2.0, 2.0)))
+    k = draw(st.integers(1, 2))
+    frame = (identity_frame(2, 2) if k == 2
+             else build_frame([[1.0, 0.0]] if draw(st.booleans()) else [[0.0, 1.0]]))
+    axes = [i for i in range(2) if frame.u[:, i].any()]
+    wgrids = [Grid.from_bounds([-2.0], [2.0], [int(round(4 / grid.spacing[i]))])
+              for i in axes]
+    radius = draw(st.floats(0.6, 1.5))
+    if draw(st.booleans()):
+        g = gevrey_bump(Grid(*(tuple(w.origin[0] for w in wgrids),
+                               tuple(w.spacing[0] for w in wgrids),
+                               tuple(w.counts[0] for w in wgrids))), radius, 2.0)
+    else:
+        g = tensor_window([gevrey_bump(w, radius, 2.0) for w in wgrids])
+    y_grid = default_y_grid(grid, k)
+    Y = y_grid.points()
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            center = Y[draw(st.sampled_from([0, len(Y) - 1, len(Y) // 2,
+                                             draw(st.integers(0, len(Y) - 1))]))]
+        else:
+            center = [draw(st.floats(-4.0, 4.0)) for _ in range(k)]
+        cell = BallSpec(tuple(center), draw(st.floats(0.1, 1.0)))
+        assume(cell.contains(Y).any())
+        cells.append(cell)
+    return f, g, frame, cells, cone_dictionary_2d(draw(st.integers(4, 8)), r_min=0.25)
+
+
+def scan(f, g, frame, cells, cones):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WindowClassWarning)   # tensor windows
+        return wavefront_scan(f, g, frame, 2.0, cells, cones, threshold_N=1.7,
+                              strict=False)
+
+
+@SETTINGS
+@given(scan_cases())
+def test_scan_entries_are_local_to_their_cells(case):
+    # each entry is decay_fit on the stored field, with the cell's own
+    # peak as its noise reference, and does not depend on the other cells
+    f, g, frame, cells, cones = case
+    report = scan(f, g, frame, cells, cones)
+    F = dstft_fast(f, g, frame)
+    Y = F.y_grid.points()
+    assert report.rows_total == len(Y)
+    assert report.rows_streamed == np.count_nonzero(
+        np.any([c.contains(Y) for c in cells], axis=0))
+    for e in report.entries:
+        assert e.fit == decay_fit(F, e.y_cell, e.cone, 2.0)
+        assert e.regular == regular_point_test(F, e.y_cell, e.cone, 2.0,
+                                               threshold_N=1.7)
+    for i, cell in enumerate(cells):
+        alone = scan(f, g, frame, [cell], cones)
+        assert alone.entries == report.entries[i * len(cones):(i + 1) * len(cones)]
+        assert alone.noise_ref == (report.noise_ref[i],)

@@ -3,7 +3,7 @@ import pytest
 
 from dirstft import (BallSpec, DstftField, Grid, Signal, build_frame,
                      dstft_direct, dstft_fast, gaussian_window, gevrey_bump,
-                     invariants, pairing_check, partial_stft, reconstruct,
+                     invariants, pairing_check, reconstruct,
                      transform, wavefront_scan)
 from dirstft import grids
 from dirstft.direction import identity_frame
@@ -111,18 +111,6 @@ def test_direct_at_off_lattice_points():
         * np.exp(-np.pi * xi[:, 0] ** 2 / 2)[None, :] \
         * np.exp(-1j * np.pi * y * xi[:, 0][None, :])
     assert np.max(np.abs(got - want)) < 1e-10
-
-
-def test_partial_stft_matches_tensor_window():
-    from dirstft.windows import tensor_window
-    g = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
-    f = random_bandlimited(g, 13, band=0.5)
-    g1 = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
-    g2 = gaussian_window(Grid.from_bounds([-4], [4], [16]), 2.0)
-    frame = identity_frame(2, 2)
-    a = partial_stft(f, [g1, g2], frame)
-    b = dstft_fast(f, tensor_window([g1, g2]), frame)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_default_y_grid_projection():
