@@ -257,13 +257,12 @@ def _check_alpha(alpha: float) -> None:
 
 
 def fit_spectrum_decay(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
-                       alpha: float, ref: float | None = None) -> DecayFit:
+                       alpha: float) -> DecayFit:
     """Decay fit of raw magnitudes over a frequency cone, with the noise
-    floor measured against ref (default: the peak of mags)."""
+    floor measured against their peak."""
     _check_alpha(alpha)
-    ref = float(np.max(mags)) if ref is None else ref
-    return _cone_fits(xi_pts, np.asarray(mags)[None, :], cone, alpha, ref,
-                      _lattice(xi_pts))[0]
+    return _cone_fits(xi_pts, np.asarray(mags)[None, :], cone, alpha,
+                      float(np.max(mags)), _lattice(xi_pts))[0]
 
 
 def decay_fit(F: DstftField, ball: BallSpec, cone: ConeSpec, alpha: float) -> DecayFit:

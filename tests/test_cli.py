@@ -204,10 +204,14 @@ def test_wavefront_reports_the_rows_it_streams(tmp_path, capsys):
           "out_json": str(tmp_path / "wf.json")}
     assert run(tmp_path, "wavefront", wf) == 0
     assert "verdict: PASS" in capsys.readouterr().out
+    # the cell's rows are the 5 x 5 y~ points around the origin, so a field
+    # on that sub-grid holds them, without the 256 MiB of the full field
+    cell_grid = Grid((-0.25, -0.25), (0.125, 0.125), (5, 5))
     F = dstft_fast(read_signal(cfg["out"]), gevrey_bump(
-        Grid.from_bounds([-2, -2], [2, 2], [32, 32]), 0.5, 2.0), identity_frame(2, 2))
-    rows = BallSpec((0.0, 0.0), 0.25).contains(F.y_grid.points())
-    peak = float(np.abs(F.values.reshape(F.y_size, -1)[rows]).max())
+        Grid.from_bounds([-2, -2], [2, 2], [32, 32]), 0.5, 2.0), identity_frame(2, 2),
+        y_grid=cell_grid)
+    assert BallSpec((0.0, 0.0), 0.25).contains(cell_grid.points()).all()
+    peak = float(np.abs(F.values).max())
     assert json.loads((tmp_path / "wf.json").read_text())["scan"] == {
         "rows_streamed": 25, "rows_total": 4096, "noise_ref": [peak]}
 
