@@ -312,21 +312,40 @@ def _check_oracle_work(terms: int, what: str, hint: str = "") -> None:
 
 
 def dft_oracle(f: Signal) -> Spectrum:
-    """Direct double-loop evaluation of the same quadrature sum.
+    """Direct evaluation of the same quadrature sum (_direct_sum).
 
-    Bit-for-bit deterministic; refuses more than ORACLE_WORK_CAP terms
-    (N^2 for N samples, so N <= 11 585).
+    Deterministic for a fixed numpy/BLAS build and thread count; refuses
+    more than ORACLE_WORK_CAP terms (N^2 for N samples, so N <= 11 585).
     """
-    _check_oracle_work(f.grid.size ** 2, "dft oracle")
-    T = f.grid.points()
+    _check_oracle_work(f.values.size * f.grid.size, "dft oracle")
     dual = f.grid.dual()
-    X = dual.points()
-    flat = f.values.ravel()
-    out = np.empty(X.shape[0], dtype=complex)
-    for m in range(X.shape[0]):
-        out[m] = np.sum(flat * np.exp(-2j * np.pi * (T @ X[m])))
-    out *= f.grid.cell_volume
-    return Spectrum(dual, out.reshape(dual.counts))
+    out = _direct_sum(f.values * f.grid.cell_volume, f.grid, dual.points(), -1)
+    return Spectrum(dual, out.reshape(f.values.shape))
+
+
+def _direct_sum(values, grid: Grid, pts, sign: int) -> np.ndarray:
+    """sum_t values[..., t] exp(sign 2 pi i t . p) over the samples t of
+    grid (values shaped batch + grid.counts) for each row p of pts, shaped
+    batch + (P,).  The phase is a product of per-axis phases, so each chunk
+    of points builds one (N_a, chunk) table per axis (sum_a N_a P
+    exponentials, not N_t P) and contracts the last axis by a matrix
+    product and each other axis by an in-place multiply and a sum; the
+    chunks keep the intermediate near BLOCK_ELEMS entries."""
+    batch = values.shape[:values.ndim - grid.dim]
+    rows = values.reshape(-1, grid.counts[-1])
+    out = np.empty((math.prod(batch), len(pts)), dtype=complex)
+    chunk = max(1, BLOCK_ELEMS // max(rows.shape[0], max(grid.counts)))
+    for lo in range(0, len(pts), chunk):
+        p = pts[lo:lo + chunk]
+        tables = [np.exp(sign * 2j * np.pi * np.outer(grid.axis(a), p[:, a]))
+                  for a in range(grid.dim)]
+        acc = rows @ tables[-1]
+        for a in range(grid.dim - 2, -1, -1):
+            acc = acc.reshape(-1, grid.counts[a], len(p))
+            acc *= tables[a]
+            acc = acc.sum(axis=1)
+        out[:, lo:lo + len(p)] = acc
+    return out.reshape(batch + (len(pts),))
 
 
 def inner_product(f: Signal, g: Signal) -> complex:
@@ -389,28 +408,13 @@ def evaluate_trig(f: Signal, pts: np.ndarray) -> np.ndarray:
     gets the value of its periodic image inside it; callers that want zero
     extension mask with :meth:`Grid.contains`, as window_at does.
 
-    The sum over the mode lattice is separable: each chunk of points builds
-    one phase table per axis, shaped (M_j, chunk), and contracts the modes
-    one axis at a time, last axis first.  That costs O(P sum_j M_j) complex
-    exponentials instead of O(P prod_j M_j).  For points A s with s on a
-    grid, :func:`evaluate_trig_grid` computes the same values with far less
-    work.
+    It is the direct sum over the mode lattice (_direct_sum).  For points
+    A s with s on a grid, :func:`evaluate_trig_grid` computes the same
+    values with far less work.
     """
     pts = as_points(pts, f.grid.dim)
     spec = dft(f)
-    fg = spec.freq_grid
-    counts = fg.counts
-    coeff = (spec.values * fg.cell_volume).reshape(-1, counts[-1])
-    chunk = max(1, BLOCK_ELEMS // max(coeff.shape[0], max(counts)))
-    out = np.empty(pts.shape[0], dtype=complex)
-    for lo in range(0, pts.shape[0], chunk):
-        p = pts[lo:lo + chunk]
-        acc = coeff @ np.exp(2j * np.pi * np.outer(fg.axis(fg.dim - 1), p[:, -1]))
-        for j in range(fg.dim - 2, -1, -1):
-            phase = np.exp(2j * np.pi * np.outer(fg.axis(j), p[:, j]))
-            acc = np.einsum("amp,mp->ap", acc.reshape(-1, counts[j], len(p)), phase)
-        out[lo:lo + len(p)] = acc[0]
-    return out
+    return _direct_sum(spec.values * spec.freq_grid.cell_volume, spec.freq_grid, pts, 1)
 
 
 def evaluate_trig_grid(f: Signal, A, out_grid: Grid) -> np.ndarray:

@@ -76,7 +76,7 @@ def multiplier_error(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
     over the y~ grid.  On the DFT-dual xi lattice idft . dft cancels inside
     every y~ block, so reconstruct is f M up to roundoff for any signal,
     frame and y~ grid; M needs no FFT."""
-    y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
+    y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     Y = y_grid.points()
     M = sum((np.conj(Wg) * Wp).sum(axis=0) for (_, _, Wg), (_, _, Wp) in zip(
         window_blocks(g, f.grid, frame.u, Y), window_blocks(phi, f.grid, frame.u, Y),

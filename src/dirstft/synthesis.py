@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .direction import DirectionFrame, identity_frame, pullback
-from .grids import (Grid, Signal, _check_oracle_work, _idft_into, _phase_tables,
-                    _trailing, inner_product, primal_phase)
+from .grids import (Grid, Signal, _check_oracle_work, _direct_sum, _idft_into,
+                    _phase_tables, _trailing, inner_product, primal_phase)
 from .transform import DstftField, _unphased, default_y_grid, dstft_fast
 from .windows import Window, WindowLevels, pairing_check, window_blocks, window_levels
 
@@ -96,22 +96,19 @@ def _close(acc: list, levels: WindowLevels, out_grid: Grid, held, index) -> None
 
 def dso_direct(F: DstftField, g: Window, frame: DirectionFrame,
                out_grid: Grid) -> Signal:
-    """Brute-force double-loop synthesis oracle, capped at
-    grids.ORACLE_WORK_CAP terms (Nout Ny Nxi); the cap is checked before
-    anything the size of out_grid is allocated."""
+    """Brute-force synthesis oracle, a direct sum (grids._direct_sum) per y~
+    block, capped at grids.ORACLE_WORK_CAP terms (Nout Ny Nxi); the cap is
+    checked before anything the size of out_grid is allocated."""
     _check_oracle_work(
         out_grid.size * F.y_size * F.xi_size, "direct synthesis",
         f"; the fast path needs out_grid = {F.xi_grid.primal()}, the primal "
         "grid of the field's frequency lattice")
-    blocks = window_blocks(g, out_grid, frame.u, F.y_grid.points())
     T = out_grid.points()
-    Xi = F.xi_grid.points()
-    phases = np.exp(2j * np.pi * (Xi @ T.T))   # (Nxi, Nt)
-    slices = F.values.reshape(F.y_size, F.xi_size)
+    slices = F.values.reshape((F.y_size,) + F.xi_grid.counts)
     acc = np.zeros(out_grid.counts, dtype=complex)
-    for lo, hi, W in blocks:
-        inv = (slices[lo:hi] @ phases).reshape((hi - lo,) + out_grid.counts)
-        acc += np.einsum("b...,b...->...", inv, W)
+    for lo, hi, W in window_blocks(g, out_grid, frame.u, F.y_grid.points()):
+        inv = _direct_sum(slices[lo:hi], F.xi_grid, T, 1)
+        acc += (inv.reshape((hi - lo,) + out_grid.counts) * W).sum(axis=0)
     acc *= F.y_grid.cell_volume * F.xi_grid.cell_volume
     return Signal(out_grid, acc)
 
@@ -130,7 +127,7 @@ def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
     cert = pairing_check(g, phi)
     if not cert.admissible:
         raise ValueError(f"inadmissible window pairing: {cert}")
-    y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
+    y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     levels = window_levels(g, f.grid, frame.u, y_grid)
     analysis = _unphased(f, levels)
     if phi is g:

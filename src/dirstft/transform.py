@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .direction import DirectionFrame
-from .grids import (Grid, Signal, _check_oracle_work, _dft_inplace, _phase_tables,
-                    _sample_values, _trailing, as_points)
+from .grids import (Grid, Signal, _check_oracle_work, _dft_inplace, _direct_sum,
+                    _phase_tables, _sample_values, _trailing, as_points)
 from .windows import Window, WindowLevels, window_blocks, window_levels
 
 # Largest field, in bytes, that dstft_fast and dstft_direct allocate.
@@ -85,10 +85,13 @@ class DstftField:
         return complex(weight * np.vdot(other.values, self.values))
 
 
-def default_y_grid(grid: Grid, k: int) -> Grid:
-    """First-k-axes projection of the signal grid (lattice-exact window
-    evaluation for the e^k frame)."""
-    return Grid(grid.origin[:k], grid.spacing[:k], grid.counts[:k])
+def default_y_grid(grid: Grid, frame: DirectionFrame) -> Grid:
+    """The signal grid's axes j, when every row of u is a coordinate axis
+    e_j (lattice-exact window evaluation), else its first k axes."""
+    axes = np.argmax(frame.u, axis=1)
+    if not np.array_equal(frame.u, np.eye(frame.n)[axes]):
+        axes = range(frame.k)
+    return Grid(*([v[j] for j in axes] for v in (grid.origin, grid.spacing, grid.counts)))
 
 
 def _check_field_bytes(y_grid: Grid, xi_grid: Grid) -> None:
@@ -170,7 +173,7 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
     Rejects a field above FIELD_BYTES_CAP before allocating it.  Each y~
     block is transformed in the field's own rows.
     """
-    y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
+    y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     xi_grid = f.grid.dual()
     _check_field_bytes(y_grid, xi_grid)
     levels = window_levels(g, f.grid, frame.u, y_grid)
@@ -184,7 +187,7 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
 def dstft_direct(f: Signal, g: Window, frame: DirectionFrame,
                  y_grid: Grid | None = None) -> DstftField:
     """Brute-force quadrature oracle on the dual lattice."""
-    y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
+    y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     xi_grid = f.grid.dual()
     _check_field_bytes(y_grid, xi_grid)
     vals = dstft_direct_at(f, g, frame, y_grid.points(), xi_grid.points())
@@ -198,12 +201,8 @@ def dstft_direct_at(f: Signal, g: Window, frame: DirectionFrame,
     Refuses more than grids.ORACLE_WORK_CAP terms (Nt Ny Nxi)."""
     y_pts, xi_pts = as_points(y_pts, frame.k), as_points(xi_pts, frame.n)
     _check_oracle_work(f.grid.size * len(y_pts) * len(xi_pts), "direct-path")
-    blocks = window_blocks(g, f.grid, frame.u, y_pts)
-    T = f.grid.points()
-    vol = f.grid.cell_volume
     out = np.empty((y_pts.shape[0], xi_pts.shape[0]), dtype=complex)
-    phases = np.exp(-2j * np.pi * (T @ xi_pts.T))   # (Nt, Nxi)
-    for lo, hi, W in blocks:
-        out[lo:hi] = vol * ((f.values * np.conj(W)).reshape(hi - lo, -1) @ phases)
+    for lo, hi, W in window_blocks(g, f.grid, frame.u, y_pts):
+        out[lo:hi] = _direct_sum(f.values * np.conj(W), f.grid, xi_pts, -1)
+    out *= f.grid.cell_volume
     return out
-

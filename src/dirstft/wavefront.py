@@ -322,7 +322,7 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     if not (y_cells and cones):
         raise ValueError(f"the {'cone' if y_cells else 'cell'} list is empty")
     _check_scan_window(g, strict)
-    y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
+    y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     Y = y_grid.points()
     member = np.zeros((len(y_cells), len(Y)), dtype=bool)
     for i, cell in enumerate(y_cells):

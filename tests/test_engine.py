@@ -13,8 +13,8 @@ from dirstft import windows
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, heaviside_sheet
 from dirstft.grids import BLOCK_ELEMS, dft, evaluate_trig
-from dirstft.synthesis import dso, reconstruct
-from dirstft.transform import DstftField
+from dirstft.synthesis import dso, dso_direct, reconstruct
+from dirstft.transform import DstftField, dstft_direct
 from dirstft.wavefront import BallSpec, cone_dictionary_2d, wavefront_scan
 from dirstft.windows import (Window, WindowKind, _lattice_blocks,
                              _projected_box, window_at, window_blocks)
@@ -290,6 +290,25 @@ def test_block_memory_bounded(case):
     # spectrum alive while the next block is computed reads ~7.2
     assert analysis_peak - F.values.nbytes < 6 * BLOCK_ELEMS * 16
 
+
+def test_oracles_hold_no_phase_matrix():
+    # the sheet_wavefront benchmark's oracle case (32² Heaviside sheet,
+    # 16-sample bump on [-2, 2], e_1 frame): each direct sum keeps block-
+    # sized phase tables, not the 1024 x 1024 phase matrix (16 MiB)
+    grid = Grid.from_bounds([-4, -4], [4, 4], [32, 32])
+    f = heaviside_sheet(grid, (1.0, 0.0), 0.0)
+    g = gevrey_bump(Grid.from_bounds([-2], [2], [16]), 0.5, 2.0)
+    frame = build_frame([[1.0, 0.0]])
+    F = dstft_fast(f, g, frame)
+    for oracle in (lambda: dstft_direct(f, g, frame),
+                   lambda: dso_direct(F, g, frame, grid)):
+        tracemalloc.start()
+        try:
+            oracle()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
 
 def test_dso_leaves_the_field_unchanged():

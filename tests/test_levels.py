@@ -91,7 +91,7 @@ def oracle_reconstruction(f, g, phi, frame, y_grid):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_factored_case_takes_one_level_per_y_axis(case):
     f, g, frame, y_grid = CASES[case]()
-    y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
+    y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     levels = window_levels(g, f.grid, frame.u, y_grid)
     outer, inner = LEVELS.get(case, ([(0,)], (1,)))
     assert [axes for axes, _ in levels.outer] == outer and levels.axes == inner
@@ -137,7 +137,7 @@ def test_a_stream_of_some_rows_gives_those_rows_of_the_field(case):
     # runs inside one, or a single row: each streamed row is the field's
     # row, bit for bit, on the factored and the one-level path
     f, g, frame, y_grid = CASES[case]()
-    y_grid = default_y_grid(f.grid, frame.k) if y_grid is None else y_grid
+    y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     some = np.flatnonzero(np.random.default_rng(3).random(y_grid.size) < 0.3)
     for w in (g, unfactored(g)):
         field = dstft_fast(f, w, frame, y_grid=y_grid).values

@@ -3,6 +3,7 @@ grids (odd and even counts, nonzero origins, anisotropic spacings), frames
 and windows, at sizes under the oracle caps."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dirstft import (BallSpec, Grid, Signal, build_frame, cone_dictionary_2d,
                      regular_point_test, wavefront_scan)
 from dirstft.direction import identity_frame
 from dirstft.fixtures import delta_sheet, heaviside_sheet
-from dirstft.grids import (BLOCK_ELEMS, evaluate_trig, evaluate_trig_grid,
+from dirstft.grids import (BLOCK_ELEMS, _direct_sum, evaluate_trig, evaluate_trig_grid,
                            relative_error)
 from dirstft.synthesis import dso
 from dirstft.wavefront import WindowClassWarning
@@ -161,6 +162,29 @@ def test_reconstruct_matches_synthesis_of_the_field(case):
     assert relative_error(got, want) <= 1e-12
 
 
+@SETTINGS
+@given(data=st.data())
+def test_direct_sum_matches_the_dense_phase_matrix(data):
+    # 1-3-d grids with unequal spacings and off-zero origins, batched
+    # values, off-lattice points, both signs, and chunks of 1, a few and
+    # all points
+    grid = data.draw(grids(data.draw(st.integers(1, 3))))
+    batch = data.draw(st.sampled_from([(), (3,), (2, 2)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(size=batch + grid.counts) + 1j * rng.normal(size=batch + grid.counts)
+    pts = np.array(data.draw(st.lists(
+        st.lists(st.floats(-4.0, 4.0), min_size=grid.dim, max_size=grid.dim),
+        min_size=1, max_size=40)))
+    sign = data.draw(st.sampled_from([-1, 1]))
+    want = values.reshape(batch + (-1,)) @ np.exp(
+        sign * 2j * np.pi * (grid.points() @ pts.T))
+    with mock.patch("dirstft.grids.BLOCK_ELEMS",
+                    data.draw(st.sampled_from([1, 64, BLOCK_ELEMS]))):
+        got = _direct_sum(values, grid, pts, sign)
+    assert got.shape == batch + (len(pts),)
+    assert relative_error(got, want) <= 1e-12
+
+
 @st.composite
 def mapped_lattices(draw, n, k):
     """(f, C, out_grid): a signal on an n-d grid, the C of a k-frame (upper
@@ -216,7 +240,7 @@ def scan_cases(draw):
                                tuple(w.counts[0] for w in wgrids))), radius, 2.0)
     else:
         g = tensor_window([gevrey_bump(w, radius, 2.0) for w in wgrids])
-    y_grid = default_y_grid(grid, k)
+    y_grid = default_y_grid(grid, frame)
     Y = y_grid.points()
     cells = []
     for _ in range(draw(st.integers(1, 4))):

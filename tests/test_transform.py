@@ -12,7 +12,7 @@ from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import BLOCK_ELEMS, relative_error
 from dirstft.transform import default_y_grid, dstft_direct_at
 from dirstft.wavefront import cone_dictionary_2d
-from dirstft.windows import window_at, window_blocks
+from dirstft.windows import _lattice_blocks, window_at, window_blocks
 
 
 def classical_stft(f, g, y_grid, xi_grid):
@@ -115,10 +115,36 @@ def test_direct_at_off_lattice_points():
 
 def test_default_y_grid_projection():
     g = Grid.from_bounds([-4, -2], [4, 2], [32, 16])
-    y = default_y_grid(g, 1)
+    y = default_y_grid(g, build_frame([[1.0, 0.0]]))
     assert y.dim == 1
     assert y.origin == (g.origin[0],)
     assert y.counts == (32,)
+
+
+def test_default_y_grid_follows_a_coordinate_axis_frame():
+    # u = e_2 takes axis 1's origin, spacing and count, so a window on
+    # axis 1's 0.5 lattice gathers; the first-k projection (axis 0's 0.4
+    # lattice) sends it down the trigonometric path
+    grid = Grid.from_bounds([-4, -5], [4, 5], [20, 20])
+    frame = build_frame([[0.0, 1.0]])
+    y = default_y_grid(grid, frame)
+    assert (y.origin, y.spacing, y.counts) == ((-5.0,), (0.5,), (20,))
+    g = gaussian_window(Grid.from_bounds([-2], [2], [8]), [1.0])
+    proj = grid.points() @ frame.u.T
+    assert _lattice_blocks(g, proj, y.points()) is not None
+    first = Grid(grid.origin[:1], grid.spacing[:1], grid.counts[:1])
+    assert _lattice_blocks(g, proj, first.points()) is None
+    # rows that are coordinate axes in any order pick those axes
+    g3 = Grid((0.0, 1.0, 2.0), (0.1, 0.2, 0.3), (4, 5, 6))
+    y3 = default_y_grid(g3, build_frame([[0, 0, 1], [1, 0, 0]]))
+    assert (y3.origin, y3.spacing, y3.counts) == ((2.0, 0.0), (0.3, 0.1), (6, 4))
+    # any other frame keeps the first-k projection
+    s = 2 ** -0.5
+    for frame in (identity_frame(2, 2), build_frame([[1.0, 0.0]]),
+                  build_frame([[s, s]]), build_frame([[0.0, -1.0]])):
+        y = default_y_grid(grid, frame)
+        assert y == Grid(grid.origin[:frame.k], grid.spacing[:frame.k],
+                         grid.counts[:frame.k])
 
 
 def test_direct_work_cap(monkeypatch):
