@@ -30,7 +30,6 @@ from .wavefront import (
     WavefrontReport,
     cone_dictionary_2d,
     decay_fit,
-    global_regularity_check,
     partial_wf_test,
     regular_point_test,
     wavefront_scan,

@@ -12,14 +12,16 @@ import numpy as np
 from .direction import DirectionFrame, identity_frame, pullback
 from .grids import (Grid, Signal, _check_oracle_work, _direct_sum, _idft_into,
                     _phase_tables, _trailing, inner_product, primal_phase)
-from .transform import DstftField, _unphased, default_y_grid, dstft_fast
+from .transform import (DstftField, _in_shards, _level0, _unphased, default_y_grid,
+                        dstft_fast)
 from .windows import Window, WindowLevels, pairing_check, window_blocks, window_levels
 
 
 def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Signal:
     """Quadrature synthesis: per y~ block, one batched inverse DFT along
     the innermost window level, weighted by the windows, then the y~
-    Riemann sum (see _synthesize), phasing each block of F into a buffer.
+    Riemann sum (see _synthesize), phasing each block of F into a buffer;
+    a factored stream runs in shards (transform._in_shards).
 
     Falls back to direct phase summation, capped at grids.ORACLE_WORK_CAP
     terms, when out_grid is not the primal grid of the field's frequency
@@ -32,31 +34,35 @@ def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Sign
     levels = window_levels(g, out_grid, frame.u, F.y_grid)
     pre = _phase_tables(out_grid, levels.axes).idft_pre
 
-    def pairs():
-        buf = np.empty((0,) + out_grid.counts, dtype=complex)
-        for lo, hi, W in levels.blocks:
-            if hi - lo > len(buf):
-                buf = np.empty((hi - lo,) + out_grid.counts, dtype=complex)
-            yield lo, hi, np.multiply(slices[lo:hi], pre, out=buf[:hi - lo]), W
+    def shard(a, b, part):
+        def pairs():
+            buf = np.empty((0,) + out_grid.counts, dtype=complex)
+            for lo, hi, W in part.blocks:
+                if hi - lo > len(buf):
+                    buf = np.empty((hi - lo,) + out_grid.counts, dtype=complex)
+                yield lo, hi, np.multiply(slices[a + lo:a + hi], pre,
+                                          out=buf[:hi - lo]), W
 
-    return Signal(out_grid, _synthesize(pairs(), levels, out_grid,
-                                        F.y_grid.cell_volume))
+        return _synthesize(pairs(), part, out_grid)
+
+    return Signal(out_grid, _finish(_in_shards(shard, levels), levels, out_grid,
+                                    F.y_grid.cell_volume))
 
 
-def _synthesize(pairs, levels: WindowLevels, out_grid: Grid,
-                y_volume: float) -> np.ndarray:
+def _synthesize(pairs, levels: WindowLevels, out_grid: Grid) -> np.ndarray:
     """sum over y~ of idft(S) . phi(u . t - y~) for each (lo, hi, R, W) of
-    pairs: R the spectra S of the y~ rows lo:hi times the innermost idft
-    pre-phase (as transform._unphased yields it), which is overwritten, and
-    W the innermost window block of levels for the same rows.
+    pairs, before the inversion along level 0 and the primal phase that
+    _finish applies: R the spectra S of the y~ rows lo:hi times the
+    innermost idft pre-phase (as transform._unphased yields it), which is
+    overwritten, and W the innermost window block of levels for the same
+    rows.
 
     Each block is inverted along the innermost axes in place, weighted by W
     and summed into the accumulator of its index of the outer levels.  When
     the stream leaves that index, each outer level's accumulator whose
     index ends is inverted along the level's axes, weighted by its factor
     and added to the level above (see _close), which commutes as the window
-    does not depend on those axes; level 0 is inverted once, on the sum.
-    idft's primal phase is applied last, with the y~ cell volume."""
+    does not depend on those axes."""
     acc = [np.zeros(out_grid.counts, dtype=complex)
            for _ in range(len(levels.outer) + 1)]
     axes = _trailing(out_grid, levels.axes)
@@ -70,7 +76,17 @@ def _synthesize(pairs, levels: WindowLevels, out_grid: Grid,
                 held = index
             acc[-1] += inv[a - lo:b - lo].sum(axis=0)
     _close(acc, levels, out_grid, held, None)
-    rec = acc[0]
+    return acc[0]
+
+
+def _finish(accs: list, levels: WindowLevels, out_grid: Grid,
+            y_volume: float) -> np.ndarray:
+    """The sum of the shards' _synthesize accumulators, added in shard
+    order, inverted along level 0 once and given idft's primal phase and
+    the y~ cell volume."""
+    rec = accs[0]
+    for acc in accs[1:]:
+        rec += acc
     if levels.blind:
         _idft_into(rec, rec, out_grid, levels.blind)
     rec *= primal_phase(out_grid) * y_volume
@@ -122,26 +138,36 @@ def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
     signal.  The analysis post-phase and synthesis pre-phase cancel when
     both windows stream the same innermost axes; a factored window paired
     with an unfactored one takes their product per block.  When phi is g,
-    the analysis window levels and blocks are reused for synthesis.
+    the analysis window levels and blocks are reused for synthesis.  When
+    both windows are factored the stream runs in shards
+    (transform._in_shards).
     """
     cert = pairing_check(g, phi)
     if not cert.admissible:
         raise ValueError(f"inadmissible window pairing: {cert}")
     y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     levels = window_levels(g, f.grid, frame.u, y_grid)
-    analysis = _unphased(f, levels)
-    if phi is g:
-        synth, pairs = levels, ((lo, hi, R, W) for lo, hi, W, R in analysis)
-    else:
-        # every window stream on one grid takes the same y~ blocks
-        synth = window_levels(phi, f.grid, frame.u, y_grid)
-        pairs = ((lo, hi, R, W) for (lo, hi, _, R), (_, _, W)
-                 in zip(analysis, synth.blocks, strict=True))
+    # every window stream on one grid takes the same y~ blocks
+    synth = levels if phi is g else window_levels(phi, f.grid, frame.u, y_grid)
+    table = None
     if synth.axes != levels.axes:
         table = (_phase_tables(f.grid, levels.axes).dft_post
                  * _phase_tables(f.grid, synth.axes).idft_pre)
-        pairs = ((lo, hi, np.multiply(R, table, out=R), W) for lo, hi, R, W in pairs)
-    rec = _synthesize(pairs, synth, f.grid, y_grid.cell_volume)
+    G = _level0(f, levels)
+
+    def shard(a, b, analysis, synthesis=None):
+        stream = _unphased(f, analysis, G=G)
+        if synthesis is None:
+            synthesis, pairs = analysis, ((lo, hi, R, W) for lo, hi, W, R in stream)
+        else:
+            pairs = ((lo, hi, R, W) for (lo, hi, _, R), (_, _, W)
+                     in zip(stream, synthesis.blocks, strict=True))
+        if table is not None:
+            pairs = ((lo, hi, np.multiply(R, table, out=R), W) for lo, hi, R, W in pairs)
+        return _synthesize(pairs, synthesis, f.grid)
+
+    streams = (levels,) if synth is levels else (levels, synth)
+    rec = _finish(_in_shards(shard, *streams), synth, f.grid, y_grid.cell_volume)
     return Signal(f.grid, rec / cert.value)
 
 

@@ -38,6 +38,8 @@ row along both axes.  The blocks stream without their last phase (_unphased).
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,16 +106,61 @@ def _check_field_bytes(y_grid: Grid, xi_grid: Grid) -> None:
             "instead of storing it")
 
 
-def _spectra(f: Signal, levels: WindowLevels, out: np.ndarray | None = None):
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _in_shards(task, *streams) -> list:
+    """[task(a, b, *shards) for each shard], in shard order, where shard
+    i holds the i-th (a, b, levels) of each stream's split
+    (windows.WindowLevels.split) into _cpu_count() shards; streams of one
+    y~ set split alike.  Streams that are not all factored run as one
+    shard.  The first shard runs on the calling thread and each other on a
+    thread of its own, all joined before this returns, so a shard's
+    exception is raised only once no shard is running (the first shard's
+    first).  numpy's FFTs and array passes release the interpreter lock,
+    so the shards run on the CPUs at once."""
+    n = _cpu_count() if all(s.outer for s in streams) else 1
+    shards = []
+    for parts in zip(*(s.split(n) for s in streams), strict=True):
+        a, b, _ = parts[0]
+        shards.append((a, b) + tuple(levels for _, _, levels in parts))
+    results, errors = [None] * len(shards), [None] * len(shards)
+
+    def run(i):
+        try:
+            results[i] = task(*shards[i])
+        except BaseException as e:      # raised on the calling thread below
+            errors[i] = e
+
+    threads = []
+    try:
+        for i in range(1, len(shards)):
+            threads.append(threading.Thread(target=run, args=(i,)))
+            threads[-1].start()
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    for e in errors:
+        if e is not None:
+            raise e
+    return results
+
+
+def _spectra(f: Signal, levels: WindowLevels, out: np.ndarray | None = None,
+             G: np.ndarray | None = None):
     """(lo, hi, W, S) for each block of _unphased, with S = dft(conj(g(u .
     t - y~)) f) for the y~ rows lo:hi computed in R's buffer."""
     post = _phase_tables(f.grid, levels.axes).dft_post
-    for lo, hi, W, R in _unphased(f, levels, out):
+    for lo, hi, W, R in _unphased(f, levels, out, G):
         R *= post
         yield lo, hi, W, R
 
 
-def _unphased(f: Signal, levels: WindowLevels, out: np.ndarray | None = None):
+def _unphased(f: Signal, levels: WindowLevels, out: np.ndarray | None = None,
+              G: np.ndarray | None = None):
     """(lo, hi, W, R) for each innermost window block (lo, hi, W) of levels
     (windows.window_levels): R = fftn(conj(W) P) along the innermost axes
     for the y~ rows lo:hi, shaped (hi - lo,) + f.grid.counts, with P from
@@ -123,9 +170,11 @@ def _unphased(f: Signal, levels: WindowLevels, out: np.ndarray | None = None):
     when it is given, else in one work array per stream, sized by the
     largest block, that the consumer may overwrite and that the next block
     reuses.  W is yielded unconjugated, for reuse as a synthesis window.  R
-    is not checked for finiteness; its consumers check what they return."""
+    is not checked for finiteness; its consumers check what they return.
+    G, f along level 0 (_level0), is computed here unless the shards of one
+    stream share it."""
     grid, axes = f.grid, _trailing(f.grid, levels.axes)
-    partial = _partials(f, levels)
+    partial = _partials(f, levels, _level0(f, levels) if G is None else G)
     buf = np.empty((0,) + grid.counts, dtype=complex)
     for lo, hi, W in levels.blocks:
         if out is None and hi - lo > len(buf):
@@ -138,16 +187,22 @@ def _unphased(f: Signal, levels: WindowLevels, out: np.ndarray | None = None):
         del W       # let go of this window block before the next one is made
 
 
-def _partials(f: Signal, levels: WindowLevels):
-    """index -> P: f transformed along level 0, then for each outer level,
-    outermost first, weighted by its conjugate factor at the index's y~
-    value and transformed along its axes, and last multiplied by the
-    innermost axes' dft pre-phase.  Each outer level keeps its last result
-    in one buffer, recomputed when its own or an outer index changes."""
+def _level0(f: Signal, levels: WindowLevels) -> np.ndarray:
+    """f transformed along level 0, the blind axes, and for a one-level
+    stream multiplied by the innermost axes' dft pre-phase; read-only."""
     grid, blind = f.grid, levels.blind
-    pre = _phase_tables(grid, levels.axes).dft_pre
     G = _dft_inplace(f.values.copy(), grid, blind) if blind else f.values
-    G = G if levels.outer else G * pre
+    return G if levels.outer else G * _phase_tables(grid, levels.axes).dft_pre
+
+
+def _partials(f: Signal, levels: WindowLevels, G: np.ndarray):
+    """index -> P: G (_level0), then for each outer level, outermost first,
+    weighted by its conjugate factor at the index's y~ value and transformed
+    along its axes, and last multiplied by the innermost axes' dft
+    pre-phase.  Each outer level keeps its last result in one buffer,
+    recomputed when its own or an outer index changes."""
+    grid = f.grid
+    pre = _phase_tables(grid, levels.axes).dft_pre
     bufs = [np.empty(grid.counts, dtype=complex) for _ in levels.outer]
     held = [None] * len(levels.outer)
 
@@ -171,15 +226,21 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
     """FFT-quadrature k-DSTFT on the dual frequency lattice, as one field.
 
     Rejects a field above FIELD_BYTES_CAP before allocating it.  Each y~
-    block is transformed in the field's own rows.
+    block is transformed in the field's own rows, a factored stream in
+    shards whose rows do not overlap (_in_shards).
     """
     y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     xi_grid = f.grid.dual()
     _check_field_bytes(y_grid, xi_grid)
     levels = window_levels(g, f.grid, frame.u, y_grid)
     out = np.empty((y_grid.size,) + xi_grid.counts, dtype=complex)
-    for _, _, W, S in _spectra(f, levels, out=out):
-        del W, S        # S is a view of out
+    G = _level0(f, levels)
+
+    def shard(a, b, part):
+        for _, _, W, S in _spectra(f, part, out=out[a:b], G=G):
+            del W, S    # S is a view of out
+
+    _in_shards(shard, levels)
     return DstftField(y_grid, xi_grid, out.reshape(y_grid.counts + xi_grid.counts),
                       frame=frame, window_meta=g.meta)
 

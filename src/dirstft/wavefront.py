@@ -394,28 +394,3 @@ def cone_dictionary_2d(count: int = 16, r_min: float = 0.5,
         theta = 2 * math.pi * j / count
         cones.append(ConeSpec((math.cos(theta), math.sin(theta)), half, r_min))
     return cones
-
-
-def global_regularity_check(report: WavefrontReport) -> bool:
-    """True iff every entry is regular; requires the cones to cover the
-    sphere, checked at 1440 directions on the circle (n = 2) or 4096
-    random ones."""
-    if not report.entries:
-        raise ValueError("empty report")
-    n = len(report.entries[0].cone.center)
-    if n == 2:
-        angles = np.linspace(0, 2 * math.pi, 1440, endpoint=False)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    else:
-        rng = np.random.default_rng(0)
-        dirs = rng.normal(size=(4096, n))
-        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    cones = {e.cone for e in report.entries}
-    covered = np.zeros(len(dirs), dtype=bool)
-    for cone in cones:
-        cos = dirs @ np.asarray(cone.center)
-        covered |= cos >= math.cos(cone.half_angle) - 1e-12
-    if not np.all(covered):
-        bad = dirs[~covered][0]
-        raise ValueError(f"cone dictionary does not cover direction {tuple(bad)}")
-    return all(e.regular for e in report.entries)

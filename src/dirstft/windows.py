@@ -7,7 +7,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -254,7 +254,9 @@ class WindowLevels:
     innermost level, which covers the signal axes in axes, over the
     positions lo:hi of rows in the blocks of _block_bounds; it is one pass,
     and a consumer that reuses the levels for synthesis reads only the
-    geometry."""
+    geometry.  inner_table is the innermost factor's table of a factored
+    stream (None for one level) and nt the signal grid's size, from which
+    split makes the blocks of a shard."""
 
     blind: tuple
     outer: tuple
@@ -263,6 +265,21 @@ class WindowLevels:
     inner: int              # y~ rows per index of the outer levels
     rows: np.ndarray
     blocks: Iterator
+    inner_table: np.ndarray | None = field(default=None, repr=False)
+    nt: int = 0
+
+    def split(self, n: int) -> list:
+        """(a, b, levels) for each of min(n, number of outer indices rows
+        touches) contiguous shards of the positions of rows, each a run of
+        whole outer indices; levels streams rows[a:b] alone, in blocks of
+        its own.  A one-level stream, or n = 1, is one shard: the stream
+        itself, since its window set-up would be repeated per shard."""
+        if not self.outer or n <= 1:
+            return [(0, len(self.rows), self)]
+        return [(a, b, replace(self, rows=self.rows[a:b],
+                               blocks=_inner_blocks(self.inner_table, self.rows[a:b],
+                                                    self.nt)))
+                for a, b in _shard_bounds(self.rows, self.inner, n)]
 
     def segments(self, lo: int, hi: int):
         """(a, b, index) for each run a:b of the positions lo:hi of rows
@@ -311,12 +328,30 @@ def window_levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid,
     tables = [np.concatenate([W for _, _, W in window_blocks(
         p, grid, u[j:j + 1], y_grid.axis(j)[:, None])])
         for j, p in enumerate(w.factors)]
-    last = tables[-1]
-    blocks = ((lo, hi, last[rows[lo:hi] % len(last)])
-              for lo, hi in _block_bounds(len(rows), grid.size))
     outer = tuple((_axes(t), table) for t, table in zip(touched[:-1], tables[:-1]))
     return WindowLevels(blind, outer, _axes(touched[-1]), y_grid.counts[:-1],
-                        y_grid.counts[-1], rows, blocks)
+                        y_grid.counts[-1], rows,
+                        _inner_blocks(tables[-1], rows, grid.size), tables[-1],
+                        grid.size)
+
+
+def _inner_blocks(table: np.ndarray, rows: np.ndarray, nt: int):
+    """(lo, hi, W) over the blocks of _block_bounds of the positions of
+    rows, W the rows rows[lo:hi] % len(table) of the innermost factor's
+    table."""
+    return ((lo, hi, table[rows[lo:hi] % len(table)])
+            for lo, hi in _block_bounds(len(rows), nt))
+
+
+def _shard_bounds(rows: np.ndarray, inner: int, n: int) -> list:
+    """(a, b) positions of rows for min(n, number of outer indices) shards,
+    each a run of whole outer indices (rows // inner); the shards take
+    equal numbers of outer indices, to within one."""
+    starts = np.flatnonzero(np.diff(rows // inner)) + 1
+    starts = np.concatenate(([0], starts))
+    n = min(n, len(starts))
+    cuts = [int(starts[s * len(starts) // n]) for s in range(n)] + [len(rows)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _axes(mask: np.ndarray) -> tuple:

@@ -6,6 +6,7 @@ import pytest
 from dirstft import (Grid, Signal, build_frame, dstft_fast, gaussian_window,
                      orthogonality_check, pairing_check, reconstruct,
                      window_change)
+from dirstft import transform
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import BLOCK_ELEMS, inner_product, rel_l2_error, relative_error
@@ -100,8 +101,10 @@ def test_reconstruct_matches_materialized_path(case):
     assert relative_error(got.values, want) <= 1e-14
 
 
-def test_reconstruct_memory_bounded():
-    # the k=n=2 field at 32^2 takes 16 MiB, twice the allowance
+def test_reconstruct_memory_bounded(monkeypatch):
+    # the k=n=2 field at 32^2 takes 16 MiB, twice the allowance; two shards
+    # (transform._in_shards) whatever the CPUs of the machine
+    monkeypatch.setattr(transform, "_cpu_count", lambda: 2)
     grid = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
     f = gaussian(grid, sigma=1.0)
     win = gaussian_window(grid, [1.0, 1.0])
@@ -115,6 +118,26 @@ def test_reconstruct_memory_bounded():
         tracemalloc.stop()
     assert peak < bound
     assert rel_l2_error(rec.values, f.values) < 1e-3
+
+
+def test_factored_dso_memory_bounded(monkeypatch):
+    # two shards of a k=n=2 field at 32^2 (16 MiB): dso holds a block
+    # buffer and the accumulators per shard, not a second field
+    grid = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
+    f = gaussian(grid, sigma=1.0)
+    win = gaussian_window(grid, [1.0, 1.0])
+    frame = identity_frame(2, 2)
+    field = dstft_fast(f, win, frame)
+    monkeypatch.setattr(transform, "_cpu_count", lambda: 2)
+    bound = f.values.nbytes + 8 * BLOCK_ELEMS * 16
+    tracemalloc.start()
+    try:
+        rec = dso(field, win, frame, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert rel_l2_error(rec.values, f.values * pairing_check(win, win).value) < 1e-3
 
 
 Y_EXT = Grid.from_bounds([-16], [16], [128])

@@ -12,8 +12,7 @@ from dirstft.fixtures import delta_sheet, gaussian, heaviside_sheet
 from dirstft.grids import BLOCK_ELEMS
 from dirstft.wavefront import (DYNAMIC_RANGE_FLOOR, LOG_FLOOR, NOISE_FLOOR_REL,
                                WindowClassWarning, _cone_fits, _fit, _lattice,
-                               cone_dictionary_2d, fit_spectrum_decay,
-                               global_regularity_check)
+                               cone_dictionary_2d, fit_spectrum_decay)
 
 
 def test_cone_center_normalized_and_contains():
@@ -182,7 +181,6 @@ def test_gaussian_scan_all_regular():
     cones = cone_dictionary_2d(8, r_min=0.5)
     report = wavefront_scan(f, win, frame, 2.0, cells, cones)
     assert report.singular == []
-    assert global_regularity_check(report)
 
 
 def test_partial_matches_scan_booleans():
@@ -281,14 +279,6 @@ def test_strict_mode_rejects_gaussian_window():
         wavefront_scan(f, win, frame, 2.0, cells, cones, strict=True)
     with pytest.warns(WindowClassWarning):
         wavefront_scan(f, win, frame, 2.0, cells, cones, strict=False)
-
-
-def test_global_check_requires_covering_dictionary():
-    report = sheet_report()
-    report.entries = [e for e in report.entries
-                      if e.cone.center[0] > 0.5]      # drop half the circle
-    with pytest.raises(ValueError, match="cover"):
-        global_regularity_check(report)
 
 
 def test_cone_dictionary_shapes():
