@@ -17,7 +17,6 @@ from .windows import (
     WindowKind,
     gaussian_window,
     gevrey_bump,
-    gs_seminorm_probe,
     pairing_check,
 )
 from .direction import DirectionFrame, build_frame, frequency_map, identity_frame, pullback

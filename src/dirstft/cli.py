@@ -464,9 +464,9 @@ def _selftest_cases() -> list:
          invariants.multiplier_error, (f16, t16, t16, identity_frame(2, 2)), 1e-12, 0),
         ("reconstruction roundtrip", invariants.reconstruction_error,
          (fixtures.gaussian(g32), g, g, e1), 1e-3, 0),
-        ("window-change convolution", invariants.window_change_error,
+        ("window change DS_phi DS*_gamma F / (g, gamma)", invariants.window_change_error,
          (fixtures.gaussian(w4), gaussian_window(w4, [1.0]),
-          gaussian_window(w4, [1.5]), identity_frame(1, 1)), 1e-3, 0),
+          gaussian_window(w4, [1.5]), identity_frame(1, 1)), 1e-12, 0),
         ("wavefront sheet fixture", wavefront_mismatch, (), 0, 0),
         # the scan streams only the rows inside its cells; every fit must
         # equal the per-entry oracle on the stored field

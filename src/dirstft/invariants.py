@@ -103,7 +103,7 @@ def window_change_error(f: Signal, g: Window, phi: Window,
     """DS_phi f from DS_g f by window_change with gamma = g / (g, g), vs
     DS_phi f computed directly."""
     gamma = Window(g.grid, g.values / inner_product(g.as_signal(), g.as_signal()))
-    got = window_change(dstft_fast(f, g, frame), gamma, phi, frame, g)
+    got = window_change(dstft_fast(f, g, frame), gamma, phi, frame, g, f.grid)
     return relative_error(got.values, dstft_fast(f, phi, frame).values)
 
 

@@ -1,5 +1,5 @@
 """k-directional synthesis operator, reconstruction, the Parseval-type
-orthogonality relation and the window-change convolution identity.
+orthogonality relation and the window change DS_phi DS*_gamma / (g, gamma).
 
 DS*_{g,u^k} F(t) = integral integral F(y~, xi) g((u.t) - y~)
                    exp(2 pi i xi . t) dy~ dxi
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .direction import DirectionFrame, identity_frame, pullback
+from .direction import DirectionFrame, pullback
 from .grids import (Grid, Signal, _check_oracle_work, _direct_sum, _idft_into,
                     _phase_tables, _trailing, inner_product, primal_phase)
 from .transform import (DstftField, _in_shards, _level0, _unphased, default_y_grid,
@@ -195,93 +195,25 @@ def orthogonality_check(f1: Signal, f2: Signal, g: Window, phi: Window,
 
 
 def window_change(F_g: DstftField, gamma: Window, phi: Window,
-                  frame: DirectionFrame, g: Window) -> DstftField:
-    """DS_phi f from DS_g f by convolution with the field DS_{phi,e^k} gamma.
+                  frame: DirectionFrame, g: Window, grid: Grid) -> DstftField:
+    """DS_phi f from F_g = DS_g f, as DS_phi DS*_gamma F_g / (g, gamma).
 
-    gamma must be an admissible synthesis window for g; it is normalized
-    internally so (g, gamma) = 1.  The convolution is zero-padded linear in
-    y~ and circular in the first k frequency axes (the DFT lattice is
-    periodic); the trailing n-k frequency axes carry a delta and pass through
-    unchanged.
+    DS_phi DS*_gamma is twisted convolution with the reproducing kernel
+    V_phi gamma, and DS*_gamma DS_g f = (g, gamma) f for an admissible
+    synthesis window gamma, so the composition is the window change.  On
+    the sampled lattices DS*_gamma DS_g f is (g, gamma) f M, with M the
+    reconstruction multiplier (invariants.multiplier_error), and the result
+    is DS_phi (f M).
 
-    The kernel carries the modulation factor exp(-2 pi i y~ . (eta - xi)):
-    shifting the analysis point y~ conjugates the window by a translation,
-    which in frequency is exactly this phase.  Dropping it leaves only an
-    envelope inequality, not a pointwise identity.
+    grid is the signal grid F_g was computed on.  Its dual must be F_g's
+    frequency lattice, which fixes the grid only up to its origin.
     """
     cert = pairing_check(g, gamma)
     if not cert.admissible:
         raise ValueError(f"inadmissible (g, gamma) pairing: {cert}")
-    k = frame.k
-    if gamma.grid.dim != k or phi.grid.dim != k:
-        raise ValueError("gamma and phi must live on R^k")
-
-    kernel = dstft_fast(gamma.as_signal(), phi, identity_frame(k, k))
-    for j in range(k):
-        if not np.isclose(kernel.xi_grid.spacing[j], F_g.xi_grid.spacing[j]):
-            raise ValueError("gamma grid is not commensurate with the field's "
-                             "frequency lattice")
-        if not np.isclose(kernel.y_grid.spacing[j], F_g.y_grid.spacing[j]):
-            raise ValueError("gamma grid is not commensurate with the field's "
-                             "y~ lattice")
-
-    ky = kernel.y_grid.counts
-    kxi = kernel.xi_grid.counts
-    ny = F_g.y_grid.counts
-    nxi = F_g.xi_grid.counts
-    n = len(nxi)
-    for j in range(k):
-        if kxi[j] != nxi[j]:
-            raise ValueError("gamma grid must produce the same first-k "
-                             "frequency lattice as the field")
-
-    K = kernel.values / cert.value
-
-    # Kernel y origin in lattice units; out[i] = sum_j A[j] K[i - j - o0].
-    o0 = []
-    for j in range(k):
-        oj = kernel.y_grid.origin[j] / kernel.y_grid.spacing[j]
-        if abs(oj - round(oj)) > 1e-9:
-            raise ValueError("kernel y~ origin must sit on the y~ lattice")
-        o0.append(int(round(oj)))
-        if -o0[j] < 0 or -o0[j] + ny[j] - 1 > ny[j] + ky[j] - 2:
-            raise ValueError("kernel y~ grid too short to cover the output range")
-
-    # The frequency-wrap ambiguity of the circular xi axes must not leak into
-    # the modulation factor, which requires the y~ lattice to be commensurate
-    # with the period of the first-k frequency axes.
-    Y = F_g.y_grid.points()
-    for j in range(k):
-        period = nxi[j] * F_g.xi_grid.spacing[j]
-        for v in (F_g.y_grid.origin[j], F_g.y_grid.spacing[j]):
-            if abs(v * period - round(v * period)) > 1e-9:
-                raise ValueError("y~ lattice is not commensurate with the "
-                                 "frequency period; the wrapped modulation "
-                                 "factor would be ambiguous")
-
-    y_axes = tuple(range(k))
-    xi_axes = tuple(k + j for j in range(k))
-    pad = tuple(ny[j] + ky[j] - 1 for j in range(k))
-    sl = tuple(slice(-o0[j], -o0[j] + ny[j]) for j in range(k)) \
-        + tuple(slice(None) for _ in range(n))
-    dxi = np.asarray(F_g.xi_grid.spacing[:k])
-
-    out = np.zeros(ny + nxi, dtype=complex)
-    # One linear y~ convolution per circular frequency offset d; the centered
-    # representative of d picks the kernel sample and the modulation phase.
-    for d_idx in np.ndindex(*kxi):
-        d_signed = np.array([d_idx[j] - kxi[j] // 2 for j in range(k)])
-        Kd = K[(slice(None),) * k + tuple(d_idx)]
-        if not np.any(Kd):
-            continue
-        phase = np.exp(-2j * np.pi * (Y @ (d_signed * dxi)))
-        A = F_g.values * phase.reshape(ny + (1,) * n)
-        Af = np.fft.fftn(A, s=pad, axes=y_axes)
-        Kf = np.fft.fftn(Kd, s=pad, axes=y_axes).reshape(pad + (1,) * n)
-        conv = np.fft.ifftn(Af * Kf, axes=y_axes)[sl]
-        out += np.roll(conv, tuple(d_signed), axis=xi_axes)
-
-    weight = F_g.y_grid.cell_volume * float(np.prod(dxi))
-    out = out * weight
-    return DstftField(F_g.y_grid, F_g.xi_grid, out, frame=frame,
-                      window_meta=phi.meta)
+    if grid.dual() != F_g.xi_grid:
+        raise ValueError(f"grid {grid} is not the signal grid of the field: its "
+                         f"dual is not the field's frequency lattice {F_g.xi_grid}")
+    f = dso(F_g, gamma, frame, grid)
+    return dstft_fast(Signal(grid, f.values / cert.value), phi, frame,
+                      y_grid=F_g.y_grid)

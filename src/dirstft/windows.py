@@ -1,5 +1,5 @@
-"""Window functions on R^k: Gaussians, compactly supported Gevrey bumps,
-pairing (synthesis-window) checks and a finite-difference seminorm probe.
+"""Window functions on R^k: Gaussians, compactly supported Gevrey bumps
+and pairing (synthesis-window) checks.
 """
 
 from __future__ import annotations
@@ -537,61 +537,3 @@ def tensor_window(parts: list) -> Window:
     w = Window(grid, _outer([p.values for p in parts]), kind)
     w.factors = tuple(Window(p.grid, p.values) for p in parts)
     return w
-
-
-def _diff4(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """4th-order central first derivative along one axis (periodic roll;
-    windows are assumed negligible at the grid boundary)."""
-    f1 = np.roll(vals, -1, axis=axis)
-    f2 = np.roll(vals, -2, axis=axis)
-    b1 = np.roll(vals, 1, axis=axis)
-    b2 = np.roll(vals, 2, axis=axis)
-    return (-f2 + 8 * f1 - 8 * b1 + b2) / (12 * h)
-
-
-def gs_seminorm_probe(w: Window, a: float, alpha: float, beta: float,
-                      p_max: int, q_max: int) -> float:
-    """Diagnostic truncation of the factorial-weighted seminorm
-
-        sup over t, |p| and |q| of a^(|p|+|q|) / (p!^beta q!^alpha)
-            * |t^p d^q w(t)|
-
-    with derivatives by 4th-order central finite differences.  Caps above 4
-    are rejected: higher orders are numerically meaningless at double
-    precision.  Monotone nondecreasing in both caps.
-    """
-    if p_max > 4 or q_max > 4:
-        raise ValueError("finite-difference stability cap: p_max, q_max <= 4")
-    if p_max < 0 or q_max < 0:
-        raise ValueError("caps must be nonnegative")
-    if a <= 0:
-        raise ValueError("a must be positive")
-    k = w.grid.dim
-    pts = w.grid.points()
-
-    # All multi-indices with every component <= cap.
-    def multi_indices(cap):
-        ranges = [range(cap + 1)] * k
-        out = [()]
-        for r in ranges:
-            out = [m + (i,) for m in out for i in r]
-        return out
-
-    derivs = {(0,) * k: np.asarray(w.values, dtype=complex)}
-    for q in sorted(multi_indices(q_max), key=sum):
-        if q in derivs:
-            continue
-        j = next(i for i, qi in enumerate(q) if qi > 0)
-        prev = tuple(qi - (1 if i == j else 0) for i, qi in enumerate(q))
-        derivs[q] = _diff4(derivs[prev], j, w.grid.spacing[j])
-
-    best = 0.0
-    for p in multi_indices(p_max):
-        tp = np.prod(pts ** np.asarray(p, dtype=float), axis=-1)
-        pfac = np.prod([math.factorial(pi) for pi in p])
-        for q, dq in derivs.items():
-            qfac = np.prod([math.factorial(qi) for qi in q])
-            weight = a ** (sum(p) + sum(q)) / (pfac ** beta * qfac ** alpha)
-            cand = weight * float(np.max(np.abs(tp * dq.ravel())))
-            best = max(best, cand)
-    return best

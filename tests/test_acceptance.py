@@ -136,10 +136,10 @@ def test_criterion_5_window_change(capsys):
     g = gaussian_window(grid, [1.0])
     phi = gaussian_window(grid, [2.0])
     err = invariants.window_change_error(f, g, phi, identity_frame(1, 1))
-    ok = err <= 1e-3
+    ok = err <= 1e-12
     report(capsys, 5, ok,
-           f"window-change convolution vs direct DS_phi f rel err {err:.2e}, "
-           f"n=k=1, 64 samples (tol 1e-3)")
+           f"window change DS_phi DS*_gamma F / (g, gamma) vs direct DS_phi f "
+           f"rel err {err:.2e}, n=k=1, 64 samples (tol 1e-12)")
 
 
 def test_criterion_6_wavefront_detection(capsys):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dirstft import (BallSpec, Grid, Signal, build_frame, cone_dictionary_2d,
                      decay_fit, default_y_grid, dstft_fast, gaussian_window,
                      gevrey_bump, invariants, pairing_check, reconstruct,
-                     regular_point_test, wavefront_scan)
+                     regular_point_test, wavefront_scan, window_change)
 from dirstft.direction import identity_frame
 from dirstft.fixtures import delta_sheet, heaviside_sheet
 from dirstft.grids import (BLOCK_ELEMS, _direct_sum, evaluate_trig, evaluate_trig_grid,
@@ -98,6 +98,23 @@ def test_fast_paths_match_oracles(case):
 @given(transform_cases())
 def test_synthesis_is_the_adjoint(case):
     assert invariants.adjoint_error(*case) <= 1e-8
+
+
+@SETTINGS
+@given(transform_cases(), st.data())
+def test_window_change_is_phi_analysis_of_the_reconstruction(case, data):
+    # F = DS_g f: window_change(F) = DS_phi DS*_gamma F / (g, gamma) is
+    # DS_phi of the reconstruction f M through gamma, for any frame (rows
+    # off the coordinate axes included); gamma is g or a Gaussian on g's
+    # grid, as the pairing requires, and phi any window
+    f, _, g, frame = case
+    gamma = g if data.draw(st.booleans()) else gaussian_window(
+        g.grid, [data.draw(st.floats(0.5, 2.0)) for _ in range(frame.k)])
+    phi = data.draw(windows(frame.k))
+    assume(pairing_check(g, gamma).admissible)
+    got = window_change(dstft_fast(f, g, frame), gamma, phi, frame, g, f.grid)
+    want = dstft_fast(reconstruct(f, g, gamma, frame), phi, frame)
+    assert relative_error(got.values, want.values) <= 1e-12
 
 
 @st.composite

@@ -199,8 +199,8 @@ def test_window_change_identity_kernel():
     gamma = Window(g, win.values / norm2, WindowKind.CUSTOM)
     frame = identity_frame(1, 1)
     F = dstft_fast(f, win, frame)
-    out = window_change(F, gamma, win, frame, win)
-    assert relative_error(out.values, F.values) < 1e-10
+    out = window_change(F, gamma, win, frame, win, g)
+    assert relative_error(out.values, F.values) < 1e-12
 
 
 def test_window_change_gaussian_sigma_swap():
@@ -212,9 +212,9 @@ def test_window_change_gaussian_sigma_swap():
     gamma = Window(g, ga.values / norm2, WindowKind.CUSTOM)
     frame = identity_frame(1, 1)
     F = dstft_fast(f, ga, frame)
-    out = window_change(F, gamma, gb, frame, ga)
+    out = window_change(F, gamma, gb, frame, ga, g)
     ref = dstft_fast(f, gb, frame)
-    assert relative_error(out.values, ref.values) < 1e-3
+    assert relative_error(out.values, ref.values) < 1e-12
 
 
 def test_window_change_directional_k1():
@@ -227,9 +227,9 @@ def test_window_change_directional_k1():
     gamma = Window(wg, ga.values / norm2, WindowKind.CUSTOM)
     frame = build_frame([[1.0, 0.0]])
     F = dstft_fast(f, ga, frame)
-    out = window_change(F, gamma, gb, frame, ga)
+    out = window_change(F, gamma, gb, frame, ga, g)
     ref = dstft_fast(f, gb, frame)
-    assert relative_error(out.values, ref.values) < 1e-3
+    assert relative_error(out.values, ref.values) < 1e-12
 
 
 def test_window_change_rejects_inadmissible_gamma():
@@ -241,21 +241,55 @@ def test_window_change_rejects_inadmissible_gamma():
     frame = identity_frame(1, 1)
     F = dstft_fast(f, win, frame)
     with pytest.raises(ValueError, match="inadmissible"):
-        window_change(F, odd, win, frame, win)
+        window_change(F, odd, win, frame, win, g)
 
 
-def test_window_change_rejects_incommensurate_gamma_grid():
-    g = Grid.from_bounds([-8], [8], [64])
-    f = gaussian(g, sigma=1.0)
-    win = gaussian_window(g, 1.0)
-    frame = identity_frame(1, 1)
-    F = dstft_fast(f, win, frame)
-    other = Grid.from_bounds([-8], [8], [48])
-    norm2 = inner_product(win.as_signal(), win.as_signal()).real
-    gamma = gaussian_window(other, 1.0)
-    phi = gaussian_window(other, 1.0)
-    with pytest.raises(ValueError):
-        window_change(F, gamma, phi, frame, gaussian_window(other, 1.0))
+def window_change_case(case):
+    """(f, g, gamma, phi, frame): gamma = g / ||g||^2, phi a wider
+    Gaussian on g's grid."""
+    wgrid = Grid.from_bounds([-8], [8], [32])
+    grid = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
+    if case == "e2":
+        frame = build_frame([[0.0, 1.0]])
+    elif case == "diagonal":
+        frame = build_frame([[1.0, 1.0]])
+    elif case == "window grid 48 under 64":
+        grid = Grid.from_bounds([-8], [8], [64])
+        wgrid = Grid.from_bounds([-8], [8], [48])
+        frame = identity_frame(1, 1)
+    elif case == "signal origin -7.9":
+        grid = Grid.from_bounds([-7.9], [8.1], [64])
+        wgrid = Grid.from_bounds([-8], [8], [64])
+        frame = identity_frame(1, 1)
+    else:  # k = n = 2, rotated by 30 degrees
+        c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+        grid = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+        wgrid = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+        frame = build_frame([[c, s], [-s, c]])
+    f = gaussian(grid, sigma=1.0)
+    g = gaussian_window(wgrid, [1.0] * frame.k)
+    norm2 = inner_product(g.as_signal(), g.as_signal()).real
+    gamma = Window(wgrid, g.values / norm2, WindowKind.CUSTOM)
+    return f, g, gamma, gaussian_window(wgrid, [2.0] * frame.k), frame
+
+
+@pytest.mark.parametrize("case", ["e2", "diagonal", "window grid 48 under 64",
+                                  "signal origin -7.9", "k2 rotated"])
+def test_window_change_is_phi_analysis_of_the_reconstruction(case):
+    # DS_phi DS*_gamma DS_g f / (g, gamma) = DS_phi (f M), M the
+    # reconstruction multiplier, for any frame, window grid and signal grid
+    f, g, gamma, phi, frame = window_change_case(case)
+    got = window_change(dstft_fast(f, g, frame), gamma, phi, frame, g, f.grid)
+    want = dstft_fast(reconstruct(f, g, gamma, frame), phi, frame)
+    assert got.y_grid == want.y_grid and got.xi_grid == want.xi_grid
+    assert relative_error(got.values, want.values) <= 1e-12
+
+
+def test_window_change_rejects_a_grid_of_another_lattice():
+    f, g, gamma, phi, frame = window_change_case("window grid 48 under 64")
+    F = dstft_fast(f, g, frame)
+    with pytest.raises(ValueError, match="not the signal grid"):
+        window_change(F, gamma, phi, frame, g, Grid.from_bounds([-8], [8], [32]))
 
 
 def test_dso_non_primal_out_grid_uses_direct_path():

@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from dirstft import (Grid, Signal, gaussian_window, gevrey_bump,
-                     gs_seminorm_probe, pairing_check)
+from dirstft import Grid, gaussian_window, gevrey_bump, pairing_check
 from dirstft.grids import evaluate_trig
 from dirstft.windows import (Window, WindowKind, shifted, tensor_window,
                              window_at)
@@ -125,38 +122,6 @@ def test_window_at_off_lattice_gaussian():
     vals = window_at(w, pts)
     want = np.exp(-np.pi * pts[:, 0] ** 2)
     assert np.max(np.abs(vals - want)) < 1e-9
-
-
-def test_seminorm_probe_gaussian_reference():
-    # unit Gaussian, a=1, alpha=beta=1/2, caps (2,2): the max term is
-    # |w''(0)| / sqrt(2!) = 2 pi / sqrt(2) = pi sqrt(2)
-    g = Grid.from_bounds([-8], [8], [512])
-    w = gaussian_window(g, 1.0)
-    val = gs_seminorm_probe(w, a=1.0, alpha=0.5, beta=0.5, p_max=2, q_max=2)
-    assert val == pytest.approx(math.pi * math.sqrt(2), rel=1e-3)
-
-
-def test_seminorm_probe_monotone_in_caps():
-    g = Grid.from_bounds([-8], [8], [256])
-    w = gaussian_window(g, 1.0)
-    vals = [gs_seminorm_probe(w, 1.0, 0.5, 0.5, c, c) for c in range(4)]
-    assert all(vals[i + 1] >= vals[i] for i in range(3))
-
-
-def test_seminorm_probe_zero_input():
-    # feeds a zero Signal (a zero Window is rejected at construction)
-    g = Grid.from_bounds([-8], [8], [64])
-    z = Signal(g, np.zeros(64, dtype=complex))
-    assert gs_seminorm_probe(z, 1.0, 0.5, 0.5, 2, 2) == 0.0
-
-
-def test_seminorm_probe_cap_limits():
-    g = Grid.from_bounds([-8], [8], [64])
-    w = gaussian_window(g, 1.0)
-    with pytest.raises(ValueError):
-        gs_seminorm_probe(w, 1.0, 0.5, 0.5, 5, 2)
-    with pytest.raises(ValueError):
-        gs_seminorm_probe(w, 0.0, 0.5, 0.5, 2, 2)
 
 
 @pytest.mark.parametrize("pts", [[[0.5]], [[0.5, 0.25, 1.0]]])
