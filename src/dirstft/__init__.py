@@ -30,7 +30,6 @@ from .wavefront import (
     cone_dictionary_2d,
     decay_fit,
     partial_wf_test,
-    regular_point_test,
     wavefront_scan,
 )
 

@@ -1,4 +1,4 @@
-"""Binary and CSV file formats.
+"""Binary file formats.
 
 Signal (version 1):
     magic "DSTF", version u32 = 1, dim u32,
@@ -29,7 +29,7 @@ import struct
 
 import numpy as np
 
-from .direction import DirectionFrame, build_frame
+from .direction import build_frame
 from .grids import Grid, Signal
 from .transform import DstftField
 
@@ -167,66 +167,6 @@ def read_signal(path) -> Signal:
     return Signal(grid, vals.reshape(grid.counts))
 
 
-def write_signal_csv(path, f: Signal) -> None:
-    """One sample per line: index tuple, then re, im.  Grid metadata is kept
-    in leading comment lines so the file round-trips."""
-    with create(path, "w") as fh:
-        fh.write(f"# dim,{f.grid.dim}\n")
-        fh.write("# origin," + ",".join(repr(float(x)) for x in f.grid.origin) + "\n")
-        fh.write("# spacing," + ",".join(repr(float(x)) for x in f.grid.spacing) + "\n")
-        fh.write("# counts," + ",".join(str(n) for n in f.grid.counts) + "\n")
-        flat = f.values.ravel()
-        for m, idx in enumerate(np.ndindex(f.grid.counts)):
-            cells = [str(i) for i in idx] + [repr(float(flat[m].real)),
-                                             repr(float(flat[m].imag))]
-            fh.write(",".join(cells) + "\n")
-
-
-def read_signal_csv(path) -> Signal:
-    """A signal in the format of write_signal_csv: the origin, spacing and
-    counts header lines, then one row of index tuple, re, im per sample,
-    each sample exactly once."""
-    meta = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].strip().split(",")
-                meta[parts[0]] = parts[1:]
-                continue
-            rows.append(line.split(","))
-    missing = [key for key in ("origin", "spacing", "counts") if key not in meta]
-    if missing:
-        raise ValueError(f"{path}: missing grid metadata header(s) {missing}")
-    try:
-        grid = Grid(tuple(float(x) for x in meta["origin"]),
-                    tuple(float(x) for x in meta["spacing"]),
-                    tuple(int(x) for x in meta["counts"]))
-        vals = np.zeros(grid.size, dtype=complex)
-        seen = np.zeros(grid.size, dtype=bool)
-        for row in rows:
-            if len(row) != grid.dim + 2:
-                raise ValueError(f"sample row {','.join(row)!r} has {len(row)} "
-                                 f"fields, expected {grid.dim + 2}")
-            idx = tuple(int(x) for x in row[:grid.dim])
-            flat = np.ravel_multi_index(idx, grid.counts)
-            if seen[flat]:
-                raise ValueError(f"duplicate sample row for index {idx}")
-            seen[flat] = True
-            vals[flat] = float(row[grid.dim]) + 1j * float(row[grid.dim + 1])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not seen.all():
-        first = np.unravel_index(np.argmin(seen), grid.counts)
-        raise ValueError(f"{path}: {grid.size - np.count_nonzero(seen)} of "
-                         f"{grid.size} sample rows missing, the first at index "
-                         f"{tuple(int(i) for i in first)}")
-    return Signal(grid, vals.reshape(grid.counts))
-
-
 def write_field(path, F: DstftField) -> None:
     """F to path; a field without a frame is rejected before path is
     touched, since the file stores the frame's directions."""
@@ -253,12 +193,3 @@ def read_field(path) -> DstftField:
                       vals.reshape(y_grid.counts + xi_grid.counts),
                       frame=build_frame(u))
 
-
-def write_magnitude_csv(path, F: DstftField, y_flat_index: int = 0) -> None:
-    """|F| on one y~ slice as a CSV matrix (first two xi axes; higher axes
-    are flattened into rows)."""
-    mags = np.abs(F.slice_at(y_flat_index))
-    mat = mags.reshape(mags.shape[0], -1) if mags.ndim > 1 else mags[None, :]
-    with create(path, "w") as fh:
-        for row in mat:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")

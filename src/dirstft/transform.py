@@ -61,7 +61,6 @@ class DstftField:
     xi_grid: Grid
     values: np.ndarray = field(repr=False)
     frame: DirectionFrame = None
-    window_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         counts = self.y_grid.counts + self.xi_grid.counts
@@ -75,9 +74,6 @@ class DstftField:
     @property
     def xi_size(self) -> int:
         return self.xi_grid.size
-
-    def slice_at(self, y_flat_index: int) -> np.ndarray:
-        return self.values.reshape(self.y_size, *self.xi_grid.counts)[y_flat_index]
 
     def inner_product(self, other: "DstftField") -> complex:
         """Quadrature L2 inner product over (y~, xi)."""
@@ -242,7 +238,7 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
 
     _in_shards(shard, levels)
     return DstftField(y_grid, xi_grid, out.reshape(y_grid.counts + xi_grid.counts),
-                      frame=frame, window_meta=g.meta)
+                      frame=frame)
 
 
 def dstft_direct(f: Signal, g: Window, frame: DirectionFrame,
@@ -253,7 +249,7 @@ def dstft_direct(f: Signal, g: Window, frame: DirectionFrame,
     _check_field_bytes(y_grid, xi_grid)
     vals = dstft_direct_at(f, g, frame, y_grid.points(), xi_grid.points())
     return DstftField(y_grid, xi_grid, vals.reshape(y_grid.counts + xi_grid.counts),
-                      frame=frame, window_meta=g.meta)
+                      frame=frame)
 
 
 def dstft_direct_at(f: Signal, g: Window, frame: DirectionFrame,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +125,6 @@ class WavefrontReport:
 
     entries: list
     threshold_N: float
-    window_meta: dict
     residual_cap: float = DEFAULT_RESIDUAL_CAP
     rows_streamed: int = 0
     rows_total: int = 0
@@ -251,9 +250,9 @@ def _classify(fit: DecayFit, threshold_N: float, residual_cap: float) -> bool:
 
 
 def _check_alpha(alpha: float) -> None:
-    """The Gevrey index of a decay model must exceed 1."""
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
+    """The Gevrey index of a decay model must exceed 1 and be finite."""
+    if not 1 < alpha < math.inf:
+        raise ValueError(f"alpha must exceed 1 and be finite, got {alpha}")
 
 
 def fit_spectrum_decay(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
@@ -275,13 +274,6 @@ def decay_fit(F: DstftField, ball: BallSpec, cone: ConeSpec, alpha: float) -> De
         raise ValueError("no y~ lattice points inside the ball")
     sup = np.abs(F.values.reshape(F.y_size, F.xi_size)[ymask]).max(axis=0)
     return fit_spectrum_decay(F.xi_grid.points(), sup, cone, alpha)
-
-
-def regular_point_test(F: DstftField, ball: BallSpec, cone: ConeSpec, alpha: float,
-                       threshold_N: float = DEFAULT_THRESHOLD_N,
-                       residual_cap: float = DEFAULT_RESIDUAL_CAP) -> bool:
-    fit = decay_fit(F, ball, cone, alpha)
-    return _classify(fit, threshold_N, residual_cap)
 
 
 def _check_scan_window(g: Window, strict: bool):
@@ -319,6 +311,9 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     The singular set is the complement of the regular entries.
     """
     _check_alpha(alpha)
+    for name, value in (("threshold_N", threshold_N), ("residual_cap", residual_cap)):
+        if math.isnan(value):
+            raise ValueError(f"{name} must be a number, got NaN")
     if not (y_cells and cones):
         raise ValueError(f"the {'cone' if y_cells else 'cell'} list is empty")
     _check_scan_window(g, strict)
@@ -356,7 +351,7 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
             fit = cone_fits[i]
             entries.append(ScanEntry(cell, cone, fit,
                                      _classify(fit, threshold_N, residual_cap)))
-    return WavefrontReport(entries, threshold_N, g.meta, residual_cap,
+    return WavefrontReport(entries, threshold_N, residual_cap,
                            rows_streamed=len(rows), rows_total=y_grid.size,
                            noise_ref=tuple(float(x) for x in ref))
 

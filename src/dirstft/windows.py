@@ -125,16 +125,6 @@ def gevrey_bump(grid: Grid, radius: float, alpha: float) -> Window:
                   alpha=alpha, support_radius=radius)
 
 
-def shifted(w: Window, delta) -> Window:
-    """Window translated by a lattice-commensurate vector (values resampled
-    by trigonometric interpolation when the shift is off-lattice)."""
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    pts = w.grid.points() - delta
-    vals = window_at(w, pts).reshape(w.grid.counts)
-    return Window(w.grid, vals, WindowKind.CUSTOM, alpha=w.alpha,
-                  support_radius=0.0)
-
-
 def window_at(w: Window, pts: np.ndarray) -> np.ndarray:
     """Evaluate a window at arbitrary k-dim points.
 

@@ -1,9 +1,13 @@
 import builtins
+import copy
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dirstft import BallSpec, Grid, dstft_fast, gaussian_window, gevrey_bump
 from dirstft.cli import main
@@ -288,6 +292,7 @@ def test_selftest_pristine(capsys):
     out = capsys.readouterr().out
     assert "0 failure(s)" in out
     assert "FAIL" not in out
+    assert sum(line.endswith(" PASS") for line in out.splitlines()) == 14
 
 
 def test_selftest_detects_injected_scale_fault(monkeypatch, capsys):
@@ -303,27 +308,13 @@ def test_selftest_detects_injected_scale_fault(monkeypatch, capsys):
     assert parseval_line.endswith("FAIL")
 
 
-def test_selftest_oracle_cap_skips(tmp_path, capsys):
+def test_selftest_oracle_cap_is_an_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "st.json"
     cfg.write_text(json.dumps({"schema_version": 1, "oracle_cap": 0}))
-    with pytest.warns(UserWarning, match="skipped"):
-        code = main(["selftest", "--config", str(cfg)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert out.count("SKIPPED") >= 2
-
-
-def test_selftest_positive_oracle_cap_skips_only_larger_oracle_rows(tmp_path,
-                                                                   capsys):
-    # the dft oracle row transforms 1024 samples, the dstft oracle rows 256
-    cfg = tmp_path / "st.json"
-    cfg.write_text(json.dumps({"schema_version": 1, "oracle_cap": 300}))
-    with pytest.warns(UserWarning, match="skipped"):
-        code = main(["selftest", "--config", str(cfg)])
-    assert code == 0
-    skipped = [l for l in capsys.readouterr().out.splitlines()
-               if l.endswith("SKIPPED")]
-    assert len(skipped) == 1 and skipped[0].startswith("dft vs direct-sum oracle")
+    assert main(["selftest", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown key(s) in selftest config: ['oracle_cap']\n"
 
 
 def _analyze_64(tmp_path):
@@ -576,9 +567,26 @@ def test_missing_required_config_key_exits_2_naming_it(tmp_path, capsys,
     ("wavefront", {"out_json": 3}, "out_json must be a JSON string (a file path), got 3"),
     ("wavefront", {"out_csv": None},
      "out_csv must be a JSON string (a file path), got null"),
+    ("gen", {"grid": {"bounds": [[-4], [[1, 2]]], "counts": [16]}},
+     "grid bounds must be a number, got [1, 2]"),
+    ("wavefront", {"frame": {"u": [[[1, 0]]]}}, "frame u must be a number, got [1, 0]"),
+    ("roundtrip", {"window_g": {**WIN16, "sigma": [[[1.0]]]}},
+     "window sigma must be a number, got [[1.0]]"),
+    # NaN passes a `<=` guard: alpha reached np.polyfit, and LAPACK wrote
+    # its DLASCL complaint to fd 2
+    ("wavefront", {"alpha": NAN}, "alpha must exceed 1 and be finite, got nan"),
+    ("wavefront", {"alpha": math.inf}, "alpha must exceed 1 and be finite, got inf"),
+    ("wavefront", {"threshold_N": NAN}, "threshold_N must be a number, got NaN"),
+    ("wavefront", {"residual_cap": NAN}, "residual_cap must be a number, got NaN"),
+    ("roundtrip", {"tolerance": NAN}, "tolerance must be a number >= 0, got nan"),
+    ("roundtrip", {"tolerance": -1e-3}, "tolerance must be a number >= 0, got -0.001"),
+    ("wavefront", {"cones": {"count": math.inf}},
+     "cones count must be an integer, got Infinity"),
+    ("wavefront", {"cones": {"count": 1e308}}, "cones count must be at most 2048"),
 ])
-def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capsys, command,
+def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capfd, command,
                                                         edit, message):
+    # fd 2, not sys.stderr: LAPACK prints its argument errors there
     base = {
         "wavefront": sheet_wavefront_cfg(tmp_path),
         "gen": {"schema_version": 1, "kind": "gaussian",
@@ -590,9 +598,10 @@ def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capsys, comman
                       "window_g": WIN16, "frame": {"u": [[1.0, 0.0]]},
                       "report": str(tmp_path / "rt.json")},
     }[command]
-    capsys.readouterr()
+    capfd.readouterr()
     assert run(tmp_path, command, {**base, **edit}) == 2
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "wf.json").exists()
     assert not (tmp_path / "g.dstf").exists()
@@ -708,3 +717,104 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, step, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "a_directory" in err
     assert "Traceback" not in err
+
+
+def _fuzz_configs(tmp_path):
+    """A valid config of every command, on grids of at most 32 points per
+    axis; wavefront reads the sheet's ground truth, so it can exit 1."""
+    wavefront = sheet_wavefront_cfg(tmp_path)
+    sheet = wavefront["signal"]
+    assert run(tmp_path, "analyze", {
+        "schema_version": 1, "signal": sheet, "window": WIN16,
+        "frame": {"u": [[1.0, 0.0]]}, "out": str(tmp_path / "F.dstf")}) == 0
+    grid = {"bounds": [[-4, -4], [4, 4]], "counts": [32, 32]}
+    return {
+        "gen": {"schema_version": 1, "kind": "sum", "grid": {
+                    "origin": [-4.0, -4.0], "spacing": [0.25, 0.25],
+                    "counts": [32, 32]},
+                "params": {"parts": [
+                    {"kind": "gaussian", "sigma": 1.0, "center": [0.5, 0.0],
+                     "modulation": [0.0, 1.0]},
+                    {"kind": "heaviside_sheet", "u": [1, 1], "c": 0.5},
+                    {"kind": "plane_wave", "xi0": [1.0, 0.5]},
+                    {"kind": "random_bandlimited", "seed": 3, "band": 0.5}]},
+                "out": str(tmp_path / "g.dstf"),
+                "sidecar": str(tmp_path / "g.json")},
+        "analyze": {"schema_version": 1, "signal": sheet, "window": WIN16,
+                    "frame": {"u": [[1.0, 1.0]]},
+                    "y_grid": {"bounds": [[-4], [4]], "counts": [16]},
+                    "out": str(tmp_path / "F2.dstf")},
+        "synthesize": {"schema_version": 1, "field": str(tmp_path / "F.dstf"),
+                       "window": WIN16, "out_grid": grid,
+                       "out": str(tmp_path / "rec.dstf")},
+        "roundtrip": {"schema_version": 1, "signal": sheet, "window_g": WIN16,
+                      "window_phi": {**WIN16, "sigma": 1.5},
+                      "frame": {"u": [1.0, 0.0]}, "tolerance": 1e-3,
+                      "report": str(tmp_path / "rt.json")},
+        "wavefront": {**wavefront, "residual_cap": 0.5,
+                      "cones": {"count": 8, "r_min": 0.5, "half_angle": 0.4},
+                      "cells": [{"center": [0.0], "radius": 0.25}]},
+        "wavefront (cone list)": {**wavefront, "cones": [
+            {"center": [1, 0], "half_angle": 0.4, "r_min": 0.5},
+            {"center": [0, 1], "half_angle": 0.4, "r_min": 0.5}]},
+        "selftest": {"schema_version": 1},
+    }
+
+
+def _value_paths(value, path=()):
+    """The path of every value below value: dict keys and list indices."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, v in items:
+        yield path + (key,)
+        yield from _value_paths(v, path + (key,))
+
+
+def _json_type(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+# one value of each JSON type, and the extremes of a JSON number
+OTHER_TYPES = (None, True, "x", 2, [], {})
+EXTREMES = (math.nan, math.inf, -math.inf, 1e308, -1e308)
+
+
+@st.composite
+def _mutations(draw, commands):
+    """(command, config): a valid config with one or two of its values
+    replaced, each by a value of another JSON type, the value one list
+    level deeper, an extreme number or an empty container."""
+    name = draw(st.sampled_from(sorted(commands)))
+    cfg = copy.deepcopy(commands[name])
+    for _ in range(draw(st.integers(1, 2))):
+        *parent, key = draw(st.sampled_from(list(_value_paths(cfg))))
+        holder = cfg
+        for k in parent:
+            holder = holder[k]
+        old = holder[key]
+        holder[key] = draw(st.sampled_from(
+            [v for v in OTHER_TYPES if _json_type(v) != _json_type(old)]
+            + [[old], *EXTREMES, [], {}]))
+    return name.split()[0], cfg
+
+
+def test_mutated_configs_exit_0_1_or_2_with_one_error_line(tmp_path, capfd):
+    # fd 2, not sys.stderr: LAPACK prints its argument errors there
+    commands = _fuzz_configs(tmp_path)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_mutations(commands))
+    def check(case):
+        command, cfg = case
+        capfd.readouterr()
+        code = run(tmp_path, command, cfg)
+        err = capfd.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and "DLASCL" not in err
+        if code == 2:
+            assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        if code == 1:
+            assert command in ("roundtrip", "wavefront")
+
+    check()

@@ -11,9 +11,7 @@ import pytest
 from dirstft import DstftField, Grid, dstft_fast, gaussian_window
 from dirstft.direction import build_frame
 from dirstft.fixtures import random_bandlimited
-from dirstft.sigio import (read_field, read_signal, read_signal_csv,
-                           write_field, write_magnitude_csv, write_signal,
-                           write_signal_csv)
+from dirstft.sigio import read_field, read_signal, write_field, write_signal
 
 
 @pytest.fixture
@@ -26,14 +24,6 @@ def test_signal_binary_roundtrip(tmp_path, signal):
     p = tmp_path / "f.dstf"
     write_signal(p, signal)
     back = read_signal(p)
-    assert back.grid == signal.grid
-    assert np.array_equal(back.values, signal.values)
-
-
-def test_signal_csv_roundtrip(tmp_path, signal):
-    p = tmp_path / "f.csv"
-    write_signal_csv(p, signal)
-    back = read_signal_csv(p)
     assert back.grid == signal.grid
     assert np.array_equal(back.values, signal.values)
 
@@ -71,43 +61,6 @@ def test_version_mismatch_rejected(tmp_path, signal):
     write_field(q, F)
     with pytest.raises(ValueError, match="version"):
         read_signal(q)
-
-
-def test_csv_missing_header_rejected(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("0,1.0,0.0\n")
-    with pytest.raises(ValueError, match="metadata"):
-        read_signal_csv(p)
-
-
-CSV_HEADER = "# dim,1\n# origin,0.0\n# spacing,0.5\n# counts,3\n"
-
-
-@pytest.mark.parametrize("text, message", [
-    (CSV_HEADER.replace("# origin,0.0\n", "") + "0,1,0\n1,1,0\n2,1,0\n",
-     r"missing grid metadata header\(s\) \['origin'\]"),
-    (CSV_HEADER + "0,1,0\n1,1\n2,1,0\n", "has 2 fields, expected 3"),
-    (CSV_HEADER + "0,1,0\n2,1,0\n", r"1 of 3 sample rows missing, the first at index \(1,\)"),
-    (CSV_HEADER + "0,1,0\n1,1,0\n1,2,0\n2,1,0\n", r"duplicate sample row for index \(1,\)"),
-    (CSV_HEADER + "0,1,0\n1,1,0\n3,1,0\n", "invalid entry"),
-])
-def test_csv_malformed_rows_rejected_naming_the_file(tmp_path, text, message):
-    p = tmp_path / "bad.csv"
-    p.write_text(text)
-    with pytest.raises(ValueError, match=message) as err:
-        read_signal_csv(p)
-    assert str(err.value).startswith(f"{p}: ")
-
-
-def test_magnitude_csv_shape(tmp_path, signal):
-    win = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
-    F = dstft_fast(signal, win, build_frame([[1.0, 0.0]]))
-    p = tmp_path / "mag.csv"
-    write_magnitude_csv(p, F, y_flat_index=3)
-    rows = [r for r in p.read_text().splitlines() if r]
-    mat = np.array([[float(x) for x in r.split(",")] for r in rows])
-    assert mat.shape == (16, 8)
-    assert np.allclose(mat, np.abs(F.slice_at(3)))
 
 
 def test_binary_file_is_little_endian_layout(tmp_path, signal):
@@ -262,8 +215,6 @@ def _field(signal):
 WRITERS = {
     "signal": (write_signal, lambda s: s),
     "field": (write_field, _field),
-    "signal_csv": (write_signal_csv, lambda s: s),
-    "magnitude_csv": (write_magnitude_csv, _field),
 }
 
 

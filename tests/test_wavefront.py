@@ -6,8 +6,7 @@ import pytest
 
 from dirstft import (BallSpec, ConeSpec, Grid, build_frame, decay_fit,
                      dstft_fast, gaussian_window, gevrey_bump,
-                     partial_wf_test, regular_point_test, wavefront_scan)
-from dirstft.direction import identity_frame
+                     partial_wf_test, wavefront_scan)
 from dirstft.fixtures import delta_sheet, gaussian, heaviside_sheet
 from dirstft.grids import BLOCK_ELEMS
 from dirstft.wavefront import (DYNAMIC_RANGE_FLOOR, LOG_FLOOR, NOISE_FLOOR_REL,
@@ -214,8 +213,6 @@ def test_scan_matches_per_entry_decay_fit():
         [(c, k) for c in cells for k in cones]
     for e in report.entries:
         assert e.fit == decay_fit(F, e.y_cell, e.cone, 2.0)
-        assert e.regular == regular_point_test(F, e.y_cell, e.cone, 2.0,
-                                               threshold_N=1.7)
 
 
 def test_scan_treats_xi_and_minus_xi_alike():
@@ -256,17 +253,6 @@ def test_scan_memory_bounded():
         tracemalloc.stop()
     assert peak < bound
     assert len(report.singular) == 2
-
-
-def test_regular_point_test_on_field():
-    f = gaussian(GRID, sigma=1.0)
-    win = gevrey_bump(WGRID, radius=0.5, alpha=2.0)
-    frame = build_frame([[1.0, 0.0]])
-    F = dstft_fast(f, win, frame)
-    cone = ConeSpec((1.0, 0.0), math.pi / 8, 0.5)
-    assert regular_point_test(F, BallSpec((0.0,), 0.25), cone, 2.0)
-    fit = decay_fit(F, BallSpec((0.0,), 0.25), cone, 2.0)
-    assert fit.n_points >= 8
 
 
 def test_strict_mode_rejects_gaussian_window():

@@ -3,8 +3,7 @@ import pytest
 
 from dirstft import Grid, gaussian_window, gevrey_bump, pairing_check
 from dirstft.grids import evaluate_trig
-from dirstft.windows import (Window, WindowKind, shifted, tensor_window,
-                             window_at)
+from dirstft.windows import Window, WindowKind, tensor_window, window_at
 
 
 def test_gaussian_peak_and_symmetry():
@@ -93,16 +92,6 @@ def test_tensor_window_matches_2d_product():
     ref = gaussian_window(g2, [1.0, 2.0])
     assert w2.grid == g2
     assert np.allclose(w2.values, ref.values)
-
-
-def test_shifted_lattice_shift():
-    g = Grid.from_bounds([-8], [8], [64])
-    w = gaussian_window(g, 1.0)
-    s = shifted(w, 0.5)          # 2 lattice steps of 0.25
-    t = g.axis(0)
-    want = np.exp(-np.pi * (t - 0.5) ** 2)
-    mask = np.abs(t) <= 4        # away from the truncation boundary
-    assert np.max(np.abs(s.values[mask] - want[mask])) < 1e-9
 
 
 def test_window_at_lattice_and_outside():
