@@ -1,16 +1,7 @@
 """k-directional short-time Fourier analysis, synthesis and directional
 singularity detection for sampled n-dimensional signals."""
 
-from .grids import (
-    Grid,
-    Signal,
-    Spectrum,
-    dft,
-    dft_oracle,
-    idft,
-    inner_product,
-    inner_product_spectrum,
-)
+from .grids import Grid, Signal, dft, dft_oracle, idft, inner_product
 from .windows import (
     PairingCert,
     Window,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fixtures, invariants, sigio
 from .direction import DirectionFrame, build_frame, identity_frame
-from .grids import Grid, Signal, check_boundary_mass, rel_l2_error
+from .grids import Grid, Signal, _integral, check_boundary_mass, rel_l2_error
 from .synthesis import dso, dso_direct, reconstruct
 from .transform import dstft_direct, dstft_fast
 from .wavefront import (BallSpec, ConeSpec, WavefrontReport, cone_dictionary_2d,
@@ -88,8 +88,11 @@ def _path(value, what: str) -> str:
 
 
 def _number(value, what: str, cast=float):
-    """cast(value), or a ConfigError naming the config key."""
+    """cast(value), or a ConfigError naming the config key; an integer key
+    takes only an integral number (grids._integral), not truncated."""
     try:
+        if cast is int and not _integral(value):
+            raise ValueError
         return cast(value)
     except (TypeError, ValueError, OverflowError):
         kind = "an integer" if cast is int else "a number"
@@ -237,10 +240,7 @@ def cmd_synthesize(cfg: dict, args) -> int:
                 ("schema_version", "out_grid"))
     F = sigio.read_field(cfg["field"])
     g = _parse_window(cfg["window"])
-    if "out_grid" in cfg:
-        out_grid = _parse_grid(cfg["out_grid"])
-    else:
-        out_grid = F.xi_grid.primal()
+    out_grid = _parse_grid(cfg["out_grid"]) if "out_grid" in cfg else F.grid
     if args.oracle:
         rec = dso_direct(F, g, F.frame, out_grid)
     else:
@@ -379,7 +379,7 @@ def cmd_wavefront(cfg: dict, args) -> int:
         warnings.simplefilter("always")
         report = wavefront_scan(
             f, g, frame, alpha, cells, cones,
-            y_grid=y_grid, strict=args.strict_window,
+            y_grid=y_grid,
             # an absent key takes the library's default
             **{k: _number(cfg[k], k) for k in ("threshold_N", "residual_cap")
                if k in cfg})
@@ -518,9 +518,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON config path")
     parser.add_argument("--oracle", action="store_true",
                         help="use the direct-summation oracle paths")
-    parser.add_argument("--strict-window", dest="strict_window",
-                        action="store_true",
-                        help="reject non-bump windows in wavefront scans")
     args = parser.parse_args(argv)
     try:
         if not args.config and args.command != "selftest":

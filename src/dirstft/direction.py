@@ -44,11 +44,16 @@ def build_frame(u_rows) -> DirectionFrame:
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ValueError(f"direction row {bad} is not finite: {u[bad].tolist()}")
-    norms = np.linalg.norm(u, axis=1)
-    if np.any(norms == 0):
-        bad = int(np.argmin(norms))
+    big = np.abs(u).max(axis=1)
+    if np.any(big == 0):
+        bad = int(np.argmin(big))
         raise ValueError(f"direction row {bad} is zero and cannot be normalized")
-    u = u / norms[:, None]
+    # each row scaled by the power of two at or below its largest |entry|
+    # before its norm is taken, so that the norm neither overflows nor
+    # underflows; the scaling is exact, so a row whose norm does neither
+    # normalizes to the same bits as unscaled
+    u = u / np.ldexp(1.0, np.frexp(big)[1] - 1)[:, None]
+    u = u / np.linalg.norm(u, axis=1)[:, None]
     B = np.eye(n)
     B[:k, :] = u
     det_B = np.linalg.det(B)
@@ -94,8 +99,9 @@ def pullback(f: Signal, frame: DirectionFrame, out_grid: Grid) -> Signal:
     f is evaluated at Cs by its trigonometric interpolant (exact for
     band-limited periodized signals), contracted along the lattice of
     out_grid by :func:`grids.evaluate_trig_grid`.  Points mapping outside
-    f's grid evaluate to 0; a coverage warning fires when more than 1% of
-    the mass-weighted samples are exterior.
+    f's grid box (:meth:`grids.Grid.contains`) evaluate to 0; a coverage
+    warning fires when more than 1% of the mass-weighted samples are
+    exterior.
     """
     if f.grid.dim != frame.n:
         raise ValueError(f"signal dimension {f.grid.dim} must equal the frame "

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Grid, Signal
+from .grids import Grid, Signal, idft
 
 
 def gaussian(grid: Grid, sigma=1.0, center=None, modulation=None) -> Signal:
@@ -67,8 +67,7 @@ def random_bandlimited(grid: Grid, seed: int, band: float = 0.5) -> Signal:
     lim = np.array([band * abs(dual.origin[j]) for j in range(grid.dim)])
     mask = np.all(np.abs(pts) <= lim, axis=-1)
     coeffs = coeffs * mask
-    from .grids import Spectrum, idft
-    return idft(Spectrum(dual, coeffs), grid)
+    return idft(Signal(dual, coeffs), grid)
 
 
 def signal_sum(parts: list) -> Signal:

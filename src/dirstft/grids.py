@@ -117,19 +117,18 @@ class Grid:
         origin = tuple(-(n // 2) * d for n, d in zip(self.counts, dxi))
         return Grid(origin, dxi, self.counts)
 
-    def primal(self) -> "Grid":
-        """Zero-centered primal lattice of a frequency grid: the inverse of
-        dual() on zero-centered grids.  Spacing h -> 1/(N h) is its own
-        inverse, so this is dual() read the other way."""
-        return self.dual()
-
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Boolean mask for points inside the half-open box [origin, upper);
-        the last axis of pts holds the coordinates."""
+        """Boolean mask for points inside the half-open box [origin, upper)
+        with both ends moved down by LATTICE_TOL steps; the last axis of
+        pts holds the coordinates.  A coordinate within LATTICE_TOL steps
+        of the lattice is then inside iff its rounded index is, as a
+        lattice gather decides; without the shift, one that rounds just
+        below upper would be inside, where a trigonometric interpolant
+        returns the periodic image of the first sample."""
         pts = _coordinates(pts, self.dim)
-        lo = np.asarray(self.origin)
-        hi = np.asarray(self.upper)
-        return np.all((pts >= lo) & (pts < hi), axis=-1)
+        shift = LATTICE_TOL * np.asarray(self.spacing)
+        return np.all((pts >= np.asarray(self.origin) - shift)
+                      & (pts < np.asarray(self.upper) - shift), axis=-1)
 
     def lattice_index(self, pts: np.ndarray):
         """Multi-indices of the points when every coordinate is within
@@ -142,13 +141,19 @@ class Grid:
         return idx.astype(int)
 
 
+def _integral(n) -> bool:
+    """Whether n is an integral number: 16 or 16.0, not a string, a
+    fraction such as 16.5 or NaN."""
+    return isinstance(n, numbers.Integral) or (
+        isinstance(n, numbers.Real) and float(n).is_integer())
+
+
 def _grid_counts(counts) -> tuple:
-    """Per-axis sample counts as ints, each an integral number of at least
-    2; a string, a fraction such as 16.5 or NaN is rejected, not truncated."""
+    """Per-axis sample counts as ints, each an integral number (_integral)
+    of at least 2; any other value is rejected, not truncated."""
     out = []
     for n in counts:
-        if not (isinstance(n, numbers.Integral) or (
-                isinstance(n, numbers.Real) and float(n).is_integer())):
+        if not _integral(n):
             raise ValueError(f"grid counts must be integers, got {n!r}")
         if n < 2:
             raise ValueError("grid counts must be at least 2 per axis")
@@ -177,6 +182,7 @@ class Signal:
 
     Values are shaped like counts, optionally behind leading batch axes
     (one signal per batch index); dft and idft transform the trailing axes.
+    A spectrum is a Signal on the zero-centered dual lattice.
     """
 
     grid: Grid
@@ -187,19 +193,6 @@ class Signal:
 
     def copy(self) -> "Signal":
         return Signal(self.grid, self.values.copy())
-
-
-@dataclass
-class Spectrum:
-    """Complex samples of a Fourier transform on the zero-centered dual
-    lattice, with the same optional leading batch axes as Signal."""
-
-    freq_grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = _sample_values(self.values, self.freq_grid.counts,
-                                     "spectrum")
 
 
 def _outer_phase(phases: list) -> np.ndarray:
@@ -285,19 +278,19 @@ def _trailing(grid: Grid, axes: tuple | None) -> tuple:
     return tuple(j - grid.dim for j in axes)
 
 
-def dft(f: Signal) -> Spectrum:
+def dft(f: Signal) -> Signal:
     """Riemann-sum Fourier transform on the dual lattice, via FFT.
 
     f_hat(xi_m) = cell_volume * sum_i f(t_i) exp(-2 pi i xi_m . t_i), with the
     frequency index centered at zero and the grid-origin phase applied exactly.
     Leading batch axes of f.values are transformed independently.
     """
-    return Spectrum(f.grid.dual(), _dft_inplace(f.values.copy(), f.grid))
+    return Signal(f.grid.dual(), _dft_inplace(f.values.copy(), f.grid))
 
 
-def idft(spec: Spectrum, out_grid: Grid) -> Signal:
+def idft(spec: Signal, out_grid: Grid) -> Signal:
     """Exact inverse of :func:`dft` back onto the primal grid."""
-    if out_grid.dual() != spec.freq_grid:
+    if out_grid.dual() != spec.grid:
         raise ValueError("out_grid is not the primal grid of this spectrum")
     vals = _idft_into(np.empty(spec.values.shape, dtype=complex), spec.values,
                       out_grid)
@@ -311,7 +304,7 @@ def _check_oracle_work(terms: int, what: str, hint: str = "") -> None:
         raise ValueError(f"{what} work {terms} exceeds cap {ORACLE_WORK_CAP}{hint}")
 
 
-def dft_oracle(f: Signal) -> Spectrum:
+def dft_oracle(f: Signal) -> Signal:
     """Direct evaluation of the same quadrature sum (_direct_sum).
 
     Deterministic for a fixed numpy/BLAS build and thread count; refuses
@@ -320,7 +313,7 @@ def dft_oracle(f: Signal) -> Spectrum:
     _check_oracle_work(f.values.size * f.grid.size, "dft oracle")
     dual = f.grid.dual()
     out = _direct_sum(f.values * f.grid.cell_volume, f.grid, dual.points(), -1)
-    return Spectrum(dual, out.reshape(f.values.shape))
+    return Signal(dual, out.reshape(f.values.shape))
 
 
 def _direct_sum(values, grid: Grid, pts, sign: int) -> np.ndarray:
@@ -353,12 +346,6 @@ def inner_product(f: Signal, g: Signal) -> complex:
     if f.grid != g.grid:
         raise ValueError("inner_product requires identical grids")
     return complex(f.grid.cell_volume * np.vdot(g.values, f.values))
-
-
-def inner_product_spectrum(F: Spectrum, G: Spectrum) -> complex:
-    if F.freq_grid != G.freq_grid:
-        raise ValueError("inner_product_spectrum requires identical frequency grids")
-    return complex(F.freq_grid.cell_volume * np.vdot(G.values, F.values))
 
 
 def boundary_mass_fraction(f: Signal) -> float:
@@ -414,7 +401,7 @@ def evaluate_trig(f: Signal, pts: np.ndarray) -> np.ndarray:
     """
     pts = as_points(pts, f.grid.dim)
     spec = dft(f)
-    return _direct_sum(spec.values * spec.freq_grid.cell_volume, spec.freq_grid, pts, 1)
+    return _direct_sum(spec.values * spec.grid.cell_volume, spec.grid, pts, 1)
 
 
 def evaluate_trig_grid(f: Signal, A, out_grid: Grid) -> np.ndarray:
@@ -439,7 +426,7 @@ def evaluate_trig_grid(f: Signal, A, out_grid: Grid) -> np.ndarray:
         raise ValueError(f"A must be {f.grid.dim} x {out_grid.dim} to map "
                          f"out_grid into f's grid, got shape {A.shape}")
     spec = dft(f)
-    fg = spec.freq_grid
+    fg = spec.grid
     M, N = fg.counts, out_grid.counts
     coeff = spec.values * fg.cell_volume
     tables = [{l: np.exp(2j * np.pi * np.outer(fg.axis(j), A[j, l] * out_grid.axis(l)))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .direction import DirectionFrame, frequency_map, identity_frame, pullback
 from .grids import (CoverageWarning, Signal, dft, dft_oracle, idft, inner_product,
-                    inner_product_spectrum, rel_l2_error, relative_error)
+                    rel_l2_error, relative_error)
 from .synthesis import dso, dso_direct, orthogonality_check, reconstruct, window_change
 from .transform import default_y_grid, dstft_direct, dstft_direct_at, dstft_fast
 from .wavefront import WavefrontReport, decay_fit, wavefront_scan
@@ -34,7 +34,7 @@ def dft_roundtrip_error(f: Signal) -> float:
 def parseval_error(f1: Signal, f2: Signal) -> float:
     """(f1, f2) vs (dft f1, dft f2)."""
     return relative_error(inner_product(f1, f2),
-                          inner_product_spectrum(dft(f1), dft(f2)))
+                          inner_product(dft(f1), dft(f2)))
 
 
 def adjoint_error(f1: Signal, f2: Signal, g: Window,
@@ -103,7 +103,7 @@ def window_change_error(f: Signal, g: Window, phi: Window,
     """DS_phi f from DS_g f by window_change with gamma = g / (g, g), vs
     DS_phi f computed directly."""
     gamma = Window(g.grid, g.values / inner_product(g.as_signal(), g.as_signal()))
-    got = window_change(dstft_fast(f, g, frame), gamma, phi, frame, g, f.grid)
+    got = window_change(dstft_fast(f, g, frame), gamma, phi, g)
     return relative_error(got.values, dstft_fast(f, phi, frame).values)
 
 

@@ -5,11 +5,16 @@ Signal (version 1):
     per axis: origin f64, spacing f64, count u64,
     then interleaved (re, im) f64 samples in row-major index order.
 
-Field (version 2):
-    magic "DSTF", version u32 = 2,
-    y-grid header (dim + axes as above), xi-grid header,
+Field (version 3):
+    magic "DSTF", version u32 = 3,
+    y-grid header (dim + axes as above), signal-grid header,
     frame block: n u32, k u32, then k*n f64 direction rows,
-    then interleaved (re, im) f64 field samples, y-major then xi row-major.
+    then interleaved (re, im) f64 field samples, y-major then xi row-major,
+    xi on the zero-centered dual lattice of the signal grid.
+
+A version 2 field has the same layout with the xi-lattice header in place
+of the signal-grid header; it is read onto the lattice's zero-centered
+dual, the signal grid it fixes up to the origin.
 
 All values little-endian.  Readers reject a file whose length differs from
 the one its header implies (truncated, or with trailing bytes): a regular
@@ -35,7 +40,7 @@ from .transform import DstftField
 
 MAGIC = b"DSTF"
 SIGNAL_VERSION = 1
-FIELD_VERSION = 2
+FIELD_VERSION = 3
 
 
 def create(path, mode: str = "wb"):
@@ -91,14 +96,16 @@ def _read_header(fh, fmt: str, path) -> tuple:
     return struct.unpack(fmt, raw)
 
 
-def _read_start(fh, path, version: int, what: str) -> None:
+def _read_start(fh, path, versions: tuple, what: str) -> int:
+    """The version of the file, one of versions, after its magic."""
     magic = fh.read(4)
     if magic != MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}")
     (got,) = _read_header(fh, "<I", path)
-    if got != version:
-        raise ValueError(f"{path}: expected {what} version {version}, "
-                         f"got {got}")
+    if got not in versions:
+        raise ValueError(f"{path}: expected {what} version "
+                         f"{' or '.join(map(str, versions))}, got {got}")
+    return got
 
 
 def _read_grid(fh, path) -> Grid:
@@ -160,7 +167,7 @@ def write_signal(path, f: Signal) -> None:
 
 def read_signal(path) -> Signal:
     with open(path, "rb") as fh:
-        _read_start(fh, path, SIGNAL_VERSION, "signal")
+        _read_start(fh, path, (SIGNAL_VERSION,), "signal")
         grid = _read_grid(fh, path)
         _check_length(path, fh, 16 * grid.size)
         vals = _read_values(fh, path, grid.size)
@@ -168,12 +175,8 @@ def read_signal(path) -> Signal:
 
 
 def write_field(path, F: DstftField) -> None:
-    """F to path; a field without a frame is rejected before path is
-    touched, since the file stores the frame's directions."""
-    if F.frame is None:
-        raise ValueError(f"{path}: field has no direction frame to write")
     head = (MAGIC + struct.pack("<I", FIELD_VERSION) + _pack_grid(F.y_grid)
-            + _pack_grid(F.xi_grid) + struct.pack("<II", F.frame.n, F.frame.k)
+            + _pack_grid(F.grid) + struct.pack("<II", F.frame.n, F.frame.k)
             + np.ascontiguousarray(F.frame.u, dtype="<f8").tobytes())
     with create(path) as fh:
         fh.write(head)
@@ -182,14 +185,14 @@ def write_field(path, F: DstftField) -> None:
 
 def read_field(path) -> DstftField:
     with open(path, "rb") as fh:
-        _read_start(fh, path, FIELD_VERSION, "field")
+        version = _read_start(fh, path, (2, FIELD_VERSION), "field")
         y_grid = _read_grid(fh, path)
-        xi_grid = _read_grid(fh, path)
+        grid = _read_grid(fh, path)
+        if version == 2:        # the header holds the xi lattice
+            grid = grid.dual()
         n, k = _read_header(fh, "<II", path)
-        _check_length(path, fh, 8 * n * k + 16 * y_grid.size * xi_grid.size)
+        _check_length(path, fh, 8 * n * k + 16 * y_grid.size * grid.size)
         u = np.array(_read_header(fh, f"<{n * k}d", path)).reshape(k, n)
-        vals = _read_values(fh, path, y_grid.size * xi_grid.size)
-    return DstftField(y_grid, xi_grid,
-                      vals.reshape(y_grid.counts + xi_grid.counts),
-                      frame=build_frame(u))
+        vals = _read_values(fh, path, y_grid.size * grid.size)
+    return DstftField(y_grid, grid, vals, build_frame(u))
 

@@ -117,8 +117,8 @@ def dso_direct(F: DstftField, g: Window, frame: DirectionFrame,
     checked before anything the size of out_grid is allocated."""
     _check_oracle_work(
         out_grid.size * F.y_size * F.xi_size, "direct synthesis",
-        f"; the fast path needs out_grid = {F.xi_grid.primal()}, the primal "
-        "grid of the field's frequency lattice")
+        f"; the fast path needs an out_grid with the spacing and counts of "
+        f"the field's primal grid {F.grid}")
     T = out_grid.points()
     slices = F.values.reshape((F.y_size,) + F.xi_grid.counts)
     acc = np.zeros(out_grid.counts, dtype=complex)
@@ -195,7 +195,7 @@ def orthogonality_check(f1: Signal, f2: Signal, g: Window, phi: Window,
 
 
 def window_change(F_g: DstftField, gamma: Window, phi: Window,
-                  frame: DirectionFrame, g: Window, grid: Grid) -> DstftField:
+                  g: Window) -> DstftField:
     """DS_phi f from F_g = DS_g f, as DS_phi DS*_gamma F_g / (g, gamma).
 
     DS_phi DS*_gamma is twisted convolution with the reproducing kernel
@@ -203,17 +203,11 @@ def window_change(F_g: DstftField, gamma: Window, phi: Window,
     synthesis window gamma, so the composition is the window change.  On
     the sampled lattices DS*_gamma DS_g f is (g, gamma) f M, with M the
     reconstruction multiplier (invariants.multiplier_error), and the result
-    is DS_phi (f M).
-
-    grid is the signal grid F_g was computed on.  Its dual must be F_g's
-    frequency lattice, which fixes the grid only up to its origin.
+    is DS_phi (f M), on F_g's signal grid, frame and y~ grid.
     """
     cert = pairing_check(g, gamma)
     if not cert.admissible:
         raise ValueError(f"inadmissible (g, gamma) pairing: {cert}")
-    if grid.dual() != F_g.xi_grid:
-        raise ValueError(f"grid {grid} is not the signal grid of the field: its "
-                         f"dual is not the field's frequency lattice {F_g.xi_grid}")
-    f = dso(F_g, gamma, frame, grid)
-    return dstft_fast(Signal(grid, f.values / cert.value), phi, frame,
+    f = dso(F_g, gamma, F_g.frame, F_g.grid)
+    return dstft_fast(Signal(f.grid, f.values / cert.value), phi, F_g.frame,
                       y_grid=F_g.y_grid)

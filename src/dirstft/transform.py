@@ -55,17 +55,23 @@ FIELD_BYTES_CAP = 2 ** 31
 
 @dataclass
 class DstftField:
-    """Samples of DS f on y_grid x xi_grid; values shaped y_counts + xi_counts."""
+    """Samples of DS f on y_grid x xi_grid, for f on the signal grid grid
+    and the direction frame frame; values shaped y_counts + xi_counts."""
 
     y_grid: Grid
-    xi_grid: Grid
+    grid: Grid
     values: np.ndarray = field(repr=False)
-    frame: DirectionFrame = None
+    frame: DirectionFrame
 
     def __post_init__(self):
-        counts = self.y_grid.counts + self.xi_grid.counts
+        counts = self.y_grid.counts + self.grid.counts
         self.values = _sample_values(np.reshape(self.values, counts), counts,
                                      "field")
+
+    @property
+    def xi_grid(self) -> Grid:
+        """The frequency lattice, the zero-centered dual of grid."""
+        return self.grid.dual()
 
     @property
     def y_size(self) -> int:
@@ -237,8 +243,7 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
             del W, S    # S is a view of out
 
     _in_shards(shard, levels)
-    return DstftField(y_grid, xi_grid, out.reshape(y_grid.counts + xi_grid.counts),
-                      frame=frame)
+    return DstftField(y_grid, f.grid, out, frame)
 
 
 def dstft_direct(f: Signal, g: Window, frame: DirectionFrame,
@@ -248,8 +253,7 @@ def dstft_direct(f: Signal, g: Window, frame: DirectionFrame,
     xi_grid = f.grid.dual()
     _check_field_bytes(y_grid, xi_grid)
     vals = dstft_direct_at(f, g, frame, y_grid.points(), xi_grid.points())
-    return DstftField(y_grid, xi_grid, vals.reshape(y_grid.counts + xi_grid.counts),
-                      frame=frame)
+    return DstftField(y_grid, f.grid, vals, frame)
 
 
 def dstft_direct_at(f: Signal, g: Window, frame: DirectionFrame,

@@ -276,13 +276,11 @@ def decay_fit(F: DstftField, ball: BallSpec, cone: ConeSpec, alpha: float) -> De
     return fit_spectrum_decay(F.xi_grid.points(), sup, cone, alpha)
 
 
-def _check_scan_window(g: Window, strict: bool):
+def _check_scan_window(g: Window):
     if not g.compact:
-        msg = ("wavefront scan expects a compactly supported Gevrey bump "
-               f"window, got kind {g.kind.value!r}")
-        if strict:
-            raise ValueError(msg + " (strict mode)")
-        warnings.warn(msg, WindowClassWarning, stacklevel=3)
+        warnings.warn("wavefront scan expects a compactly supported Gevrey "
+                      f"bump window, got kind {g.kind.value!r}",
+                      WindowClassWarning, stacklevel=3)
     elif window_at(g, np.zeros((1, g.grid.dim)))[0] == 0:
         raise ValueError("scan window must not vanish at the origin")
 
@@ -291,7 +289,7 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
                    y_cells: list, cones: list,
                    threshold_N: float = DEFAULT_THRESHOLD_N,
                    residual_cap: float = DEFAULT_RESIDUAL_CAP,
-                   y_grid: Grid | None = None, strict: bool = True) -> WavefrontReport:
+                   y_grid: Grid | None = None) -> WavefrontReport:
     """Exhaustive regular-point test over a (cell, cone) dictionary.
 
     Each entry depends only on the y~ rows inside its own cell, so only
@@ -316,7 +314,7 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
             raise ValueError(f"{name} must be a number, got NaN")
     if not (y_cells and cones):
         raise ValueError(f"the {'cone' if y_cells else 'cell'} list is empty")
-    _check_scan_window(g, strict)
+    _check_scan_window(g)
     y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     Y = y_grid.points()
     member = np.zeros((len(y_cells), len(Y)), dtype=bool)
@@ -373,7 +371,7 @@ def partial_wf_test(f: Signal, chi: Window, y0, cone: ConeSpec, alpha: float,
     ext = window_at(chi, T - y0).reshape(f.grid.counts)
     cut = Signal(f.grid, f.values * ext)
     spec = dft(cut)
-    fit = fit_spectrum_decay(spec.freq_grid.points(), np.abs(spec.values.ravel()),
+    fit = fit_spectrum_decay(spec.grid.points(), np.abs(spec.values.ravel()),
                              cone, alpha)
     return _classify(fit, threshold_N, residual_cap)
 

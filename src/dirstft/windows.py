@@ -130,8 +130,8 @@ def window_at(w: Window, pts: np.ndarray) -> np.ndarray:
 
     Lattice hits are gathered exactly; otherwise trigonometric interpolation
     of the periodized window is used (the same rule as the signal pullback).
-    Points outside the window's grid box (see _in_box) are 0, as are points
-    at or beyond the support radius of a compact window.
+    Points outside the window's grid box (see Grid.contains) are 0, as are
+    points at or beyond the support radius of a compact window.
     """
     pts = as_points(pts, w.grid.dim)
     idx = w.grid.lattice_index(pts)
@@ -144,24 +144,13 @@ def window_at(w: Window, pts: np.ndarray) -> np.ndarray:
 
 
 def _keep(w: Window, pts: np.ndarray) -> np.ndarray:
-    """Mask of the points where w is not zeroed: inside its box (_in_box)
-    and, for a compact window, strictly inside its support radius."""
-    keep = _in_box(w.grid, pts)
+    """Mask of the points where w is not zeroed: inside its box
+    (Grid.contains) and, for a compact window, strictly inside its support
+    radius."""
+    keep = w.grid.contains(pts)
     if w.compact:
         keep &= np.linalg.norm(pts, axis=-1) < w.support_radius
     return keep
-
-
-def _in_box(grid: Grid, pts: np.ndarray) -> np.ndarray:
-    """Mask of the points inside the box [origin, upper) of grid, both ends
-    moved down by LATTICE_TOL steps.  A coordinate within LATTICE_TOL steps
-    of the lattice is then inside iff its rounded index is, as a lattice
-    gather decides; without the shift, one that rounds just below upper
-    would be inside, where a trigonometric interpolant returns the periodic
-    image of the first sample."""
-    shift = LATTICE_TOL * np.asarray(grid.spacing)
-    return np.all((pts >= np.asarray(grid.origin) - shift)
-                  & (pts < np.asarray(grid.upper) - shift), axis=-1)
 
 
 def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray,
@@ -414,8 +403,8 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
     testing the points proj - y~.
     """
     spec = dft(w.as_signal())
-    X = spec.freq_grid.points()
-    c = spec.values.ravel() * spec.freq_grid.cell_volume
+    X = spec.grid.points()
+    c = spec.values.ravel() * spec.grid.cell_volume
     box = _projected_box(w, grid, u)
     if box is None:
         rates, axes, index = X @ u, grid.axes(), None

@@ -3,6 +3,7 @@ import copy
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dirstft.grids import relative_error
 from dirstft.sigio import read_field, read_signal
 from dirstft.wavefront import WindowClassWarning, cone_dictionary_2d
 
-from dirstft import cli, transform
+from dirstft import cli, grids, sigio, transform
 
 
 def run(tmp_path, command, cfg, *extra):
@@ -341,6 +342,60 @@ def test_synthesize_non_primal_grid_above_cap_exits_2(tmp_path, capsys):
     assert not (tmp_path / "rec.dstf").exists()
 
 
+def _analyze_off_centre(tmp_path):
+    """A 32^2 Gaussian (sigma 1.5) on [-7.9, 8.1)^2 analyzed with u = (1, 1)
+    and a Gaussian window (sigma 1) on 32 points of [-8, 8): the signal,
+    its window config and the field's path."""
+    sig = gen_gaussian(tmp_path, counts=(32, 32), lo=(-7.9, -7.9), hi=(8.1, 8.1),
+                       params={"sigma": 1.5})
+    win_cfg = {"kind": "gaussian", "sigma": [1.0],
+               "grid": {"bounds": [[-8], [8]], "counts": [32]}}
+    assert run(tmp_path, "analyze", {
+        "schema_version": 1, "signal": str(sig), "window": win_cfg,
+        "frame": {"u": [[1.0, 1.0]]}, "out": str(tmp_path / "F.dstf"),
+    }) == 0
+    return read_signal(sig), win_cfg, tmp_path / "F.dstf"
+
+
+def test_synthesize_defaults_to_the_signal_grid_of_the_field(tmp_path):
+    # off-centre: the xi lattice alone would put the output on the
+    # zero-centered grid, 0.165 rel L2 from (g, g) f
+    f, win_cfg, field = _analyze_off_centre(tmp_path)
+    assert run(tmp_path, "synthesize", {
+        "schema_version": 1, "field": str(field), "window": win_cfg,
+        "out": str(tmp_path / "rec.dstf")}) == 0
+    rec = read_signal(tmp_path / "rec.dstf")
+    assert rec.grid == f.grid and rec.grid.origin == (-7.9, -7.9)
+    g = gaussian_window(Grid.from_bounds([-8], [8], [32]), [1.0])
+    pairing = grids.inner_product(g.as_signal(), g.as_signal())
+    assert grids.rel_l2_error(rec.values, pairing * f.values) <= 1e-4
+
+
+def test_version_2_field_synthesizes_onto_the_zero_centered_grid(tmp_path):
+    # a version 2 file holds the xi lattice in place of the signal grid and
+    # synthesizes onto its zero-centered dual, as the same field in a
+    # version 3 file does with that out_grid
+    _, win_cfg, field = _analyze_off_centre(tmp_path)
+    F = read_field(field)
+    centred = F.xi_grid.dual()
+    v3 = field.read_bytes()
+    y = 8 + len(sigio._pack_grid(F.y_grid))     # where the grid header starts
+    s = y + len(sigio._pack_grid(F.grid))
+    v2 = tmp_path / "F2.dstf"
+    v2.write_bytes(v3[:4] + struct.pack("<I", 2) + v3[8:y]
+                   + sigio._pack_grid(F.xi_grid) + v3[s:])
+    assert read_field(v2).grid == centred
+    out_grid = {"origin": list(centred.origin), "spacing": list(centred.spacing),
+                "counts": list(centred.counts)}
+    for name, path, extra in (("rec2", v2, {}), ("rec3", field, {"out_grid": out_grid})):
+        assert run(tmp_path, "synthesize", {
+            "schema_version": 1, "field": str(path), "window": win_cfg,
+            "out": str(tmp_path / f"{name}.dstf"), **extra}) == 0
+    rec2 = (tmp_path / "rec2.dstf").read_bytes()
+    assert rec2 == (tmp_path / "rec3.dstf").read_bytes()
+    assert read_signal(tmp_path / "rec2.dstf").grid == centred
+
+
 @pytest.mark.parametrize("cut", [16, -3])
 def test_analyze_rejects_bad_signal_length(tmp_path, capsys, cut):
     sig, win_cfg = _analyze_64(tmp_path)
@@ -432,13 +487,10 @@ def test_oracle_commands_match_the_fast_ones(tmp_path, monkeypatch):
         assert relative_error(oracle, fast) <= 1e-10
 
 
-def test_strict_window_rejects_a_gaussian_wavefront_window(tmp_path, capsys):
+def test_strict_window_rejects_a_gaussian_wavefront_window(tmp_path):
     cfg = sheet_wavefront_cfg(tmp_path)
     cfg["window"] = {"kind": "gaussian", "sigma": [0.5],
                      "grid": {"bounds": [[-2], [2]], "counts": [32]}}
-    assert run(tmp_path, "wavefront", cfg, "--strict-window") == 2
-    err = capsys.readouterr().err
-    assert "strict" in err and "Traceback" not in err
     with pytest.warns(WindowClassWarning, match="Gevrey bump"):
         assert run(tmp_path, "wavefront", cfg) in (0, 1)
 
@@ -583,6 +635,10 @@ def test_missing_required_config_key_exits_2_naming_it(tmp_path, capsys,
     ("wavefront", {"cones": {"count": math.inf}},
      "cones count must be an integer, got Infinity"),
     ("wavefront", {"cones": {"count": 1e308}}, "cones count must be at most 2048"),
+    # an integer key takes an integral number only, by the grid counts' rule
+    ("wavefront", {"cones": {"count": 8.9}}, "cones count must be an integer, got 8.9"),
+    ("gen", {"kind": "random_bandlimited", "params": {"seed": 3.7}},
+     "random_bandlimited seed must be an integer, got 3.7"),
 ])
 def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capfd, command,
                                                         edit, message):

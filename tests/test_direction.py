@@ -9,7 +9,7 @@ from dirstft import (Grid, Signal, build_frame, frequency_map, gaussian_window,
                      pullback)
 from dirstft import invariants
 from dirstft.direction import identity_frame
-from dirstft.fixtures import gaussian
+from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import CoverageWarning
 
 SQ2 = math.sqrt(2.0)
@@ -60,6 +60,21 @@ def test_frame_change_blind_to_the_leading_axis():
         f, win, build_frame([[0.0, 1.0]]), [[0.0], [0.5], [-1.0]],
         [[0.0, 0.0], [0.5, 0.25], [1.0, -0.5]])
     assert err <= 1e-4
+
+
+@pytest.mark.parametrize("rows, u", [
+    # huge and subnormal rows normalize without overflow or underflow
+    ([[1e308, 0.0]], [[1.0, 0.0]]),
+    ([[1e-320, 1e-320]], [[1 / SQ2, 1 / SQ2]]),
+])
+def test_extreme_but_finite_directions_normalize(rows, u):
+    with np.errstate(over="raise", under="ignore", invalid="raise"):
+        assert np.allclose(build_frame(rows).u, u, rtol=1e-15, atol=0)
+
+
+def test_zero_direction_row_rejected():
+    with pytest.raises(ValueError, match="direction row 1 is zero"):
+        build_frame([[1.0, 0.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("rows", [[[float("nan"), 1.0]],
@@ -138,6 +153,22 @@ def test_pullback_coverage_warning():
     fr = build_frame([[1.0, 5.0]])
     with pytest.warns(CoverageWarning):
         pullback(f, fr, g)
+
+
+def test_pullback_zeroes_a_point_that_rounds_onto_the_upper_edge():
+    # u = (5, 12)/13 maps s = (4, 1) to C s = (8 - eps, 1), whose index
+    # rounds to 32, one past the [-8, 8) box; the interpolant there is the
+    # periodic image f(-8, 1), and the pullback must give 0 instead
+    g = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
+    f = random_bandlimited(g, 1)
+    fr = build_frame([[5.0, 12.0]])
+    i, j = 24, 18                           # s = (4, 1)
+    assert np.allclose(g.points()[i * 32 + j], [4.0, 1.0])
+    x = fr.C @ [4.0, 1.0]
+    assert x[0] < 8.0 and round((x[0] + 8) / 0.5) == 32
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)
+        assert pullback(f, fr, g).values[i, j] == 0
 
 
 def test_pullback_dim_mismatch():

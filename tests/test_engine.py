@@ -240,8 +240,8 @@ def test_block_boundary_mid_grid():
 def dense_trig(f, pts):
     """The dense formula: sum over every mode of c_m exp(2 pi i x . X_m)."""
     spec = dft(f)
-    X = spec.freq_grid.points()
-    coeff = spec.values.ravel() * spec.freq_grid.cell_volume
+    X = spec.grid.points()
+    coeff = spec.values.ravel() * spec.grid.cell_volume
     return np.exp(2j * np.pi * (pts @ X.T)) @ coeff
 
 
@@ -331,7 +331,7 @@ def test_overflowing_transform_is_rejected():
     bump = gevrey_bump(Grid.from_bounds([-2], [2], [16]), 0.5, 2.0)
     frame = build_frame([[1.0, 0.0]])
     F = dstft_fast(sheet, bump, frame)
-    huge_field = DstftField(F.y_grid, F.xi_grid, F.values * 1e307, frame=frame)
+    huge_field = DstftField(F.y_grid, F.grid, F.values * 1e307, frame)
     calls = [
         lambda: reconstruct(huge, bump, bump, frame),
         lambda: dstft_fast(huge, bump, frame),

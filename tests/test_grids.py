@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dirstft import (Grid, Signal, Spectrum, dft, dft_oracle, idft,
-                     inner_product, inner_product_spectrum)
+from dirstft import Grid, Signal, dft, dft_oracle, idft, inner_product
 from dirstft import grids
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import (BLOCK_ELEMS, BoundaryMassWarning, _idft_into,
@@ -75,7 +74,7 @@ def test_dft_gaussian_at_zero():
     g = Grid.from_bounds([-8, -8], [8, 8], [256, 256])
     f = gaussian(g, sigma=1.0)
     spec = dft(f)
-    i0 = tuple(spec.freq_grid.lattice_index(np.array([[0.0, 0.0]]))[0])
+    i0 = tuple(spec.grid.lattice_index(np.array([[0.0, 0.0]]))[0])
     assert abs(spec.values[i0] - 1.0) <= 1e-12
 
 
@@ -84,7 +83,7 @@ def test_dft_gaussian_pair_closed_form():
     g = Grid.from_bounds([-8, -8], [8, 8], [256, 256])
     f = gaussian(g, sigma=1.0)
     spec = dft(f)
-    xi = spec.freq_grid.points()
+    xi = spec.grid.points()
     want = np.exp(-np.pi * np.sum(xi ** 2, axis=-1))
     mask = np.linalg.norm(xi, axis=-1) <= 4.0
     err = np.abs(spec.values.ravel()[mask] - want[mask])
@@ -113,7 +112,7 @@ def test_oracle_shifted_delta_pure_phase():
     i0 = g.lattice_index(np.array([[t0]]))[0]
     vals[i0] = 1.0 / g.cell_volume
     spec = dft_oracle(Signal(g, vals))
-    xi = spec.freq_grid.points()[:, 0]
+    xi = spec.grid.points()[:, 0]
     want = np.exp(-2j * np.pi * xi * t0)
     assert np.allclose(spec.values.ravel(), want, atol=1e-12)
 
@@ -162,7 +161,7 @@ def test_plancherel():
     f = random_bandlimited(g, 1, band=0.5)
     h = random_bandlimited(g, 2, band=0.5)
     lhs = inner_product(f, h)
-    rhs = inner_product_spectrum(dft(f), dft(h))
+    rhs = inner_product(dft(f), dft(h))
     assert abs(lhs - rhs) / abs(rhs) < 1e-8
 
 
@@ -196,11 +195,12 @@ def test_signal_rejects_nonfinite():
 
 @pytest.mark.parametrize("counts", [(7,), (8,), (9, 12), (15, 16, 5)])
 def test_primal_inverts_dual(counts):
+    # dual() of a dual lattice is the zero-centered primal grid
     d = len(counts)
     g = Grid.from_bounds([-3.0] * d, [5.0] * d, counts)
     dual = g.dual()
-    assert dual.primal().dual() == dual
-    centered = dual.primal()
+    assert dual.dual().dual() == dual
+    centered = dual.dual()
     assert centered.counts == g.counts
     assert np.allclose(centered.spacing, g.spacing, rtol=1e-14, atol=0)
     assert all(o == -(n // 2) * s for o, n, s in
@@ -216,7 +216,7 @@ def test_dft_idft_batch_axes_match_per_item():
     for b in range(3):
         one = dft(Signal(g, batch[b]))
         assert np.array_equal(F.values[b], one.values)
-        assert np.array_equal(idft(Spectrum(one.freq_grid, F.values[b]), g).values,
+        assert np.array_equal(idft(Signal(one.grid, F.values[b]), g).values,
                               idft(F, g).values[b])
     raw = _idft_into(np.empty_like(F.values), F.values, g)
     assert np.allclose(raw * primal_phase(g), idft(F, g).values, rtol=0, atol=1e-15)
@@ -273,12 +273,12 @@ def test_grid_point_queries_read_coordinates_on_the_last_axis():
 
 @pytest.mark.parametrize("index", [0, BLOCK_ELEMS, -1])
 def test_samples_checked_for_finiteness_in_every_chunk(index):
-    # signals, spectra and windows share one validator; BLOCK_ELEMS + 5
-    # samples span two chunks of its check, the last one partial
+    # signals (spectra among them) and windows share one validator;
+    # BLOCK_ELEMS + 5 samples span two chunks of its check, the last one
+    # partial
     g = Grid.from_bounds([-1], [1], [BLOCK_ELEMS + 5])
     vals = np.ones(g.counts, dtype=complex)
-    for cls, what in ((Signal, "signal"), (Spectrum, "spectrum"),
-                      (Window, "window")):
+    for cls, what in ((Signal, "signal"), (Window, "window")):
         assert cls(g, vals).values.shape == g.counts
         bad = vals.copy()
         bad[index] = complex(0.0, np.nan)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dirstft import DstftField, Grid, dstft_fast, gaussian_window
+from dirstft import Grid, dstft_fast, gaussian_window
 from dirstft.direction import build_frame
 from dirstft.fixtures import random_bandlimited
 from dirstft.sigio import read_field, read_signal, write_field, write_signal
@@ -54,7 +54,7 @@ def test_version_mismatch_rejected(tmp_path, signal):
     p = tmp_path / "f.dstf"
     write_signal(p, signal)
     with pytest.raises(ValueError, match="version"):
-        read_field(p)            # a v1 signal is not a v2 field
+        read_field(p)            # a v1 signal is not a field
     win = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
     F = dstft_fast(signal, win, build_frame([[1.0, 0.0]]))
     q = tmp_path / "F.dstf"
@@ -189,21 +189,30 @@ def test_files_hold_the_documented_bytes(tmp_path, signal):
     F = dstft_fast(signal, win, build_frame([[0.6, 0.8]]))
     q = tmp_path / "F.dstf"
     write_field(q, F)
-    assert q.read_bytes() == (b"DSTF" + struct.pack("<I", 2)
-                              + _grid_bytes(F.y_grid) + _grid_bytes(F.xi_grid)
+    assert q.read_bytes() == (b"DSTF" + struct.pack("<I", 3)
+                              + _grid_bytes(F.y_grid) + _grid_bytes(F.grid)
                               + struct.pack("<II", 2, 1)
                               + F.frame.u.astype("<f8").tobytes()
                               + F.values.astype("<c16").tobytes())
 
 
-def test_field_without_a_frame_is_rejected_before_the_file_is_touched(
-        tmp_path, signal):
-    p = _field_file(tmp_path, signal)
-    old = p.read_bytes()
-    F = read_field(p)
-    with pytest.raises(ValueError, match="no direction frame"):
-        write_field(p, DstftField(F.y_grid, F.xi_grid, F.values))
-    assert p.read_bytes() == old
+def test_version_2_field_reads_onto_the_zero_centered_signal_grid(tmp_path):
+    # a version 2 file holds the xi lattice where version 3 holds the
+    # signal grid; the lattice fixes that grid up to its origin, and the
+    # reader takes the zero-centered one
+    f = random_bandlimited(Grid.from_bounds([-3.7, -2.2], [4.3, 1.8], [16, 8]), 42)
+    win = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
+    F = dstft_fast(f, win, build_frame([[0.6, 0.8]]))
+    p = tmp_path / "F.dstf"
+    p.write_bytes(b"DSTF" + struct.pack("<I", 2)
+                  + _grid_bytes(F.y_grid) + _grid_bytes(F.xi_grid)
+                  + struct.pack("<II", 2, 1) + F.frame.u.astype("<f8").tobytes()
+                  + F.values.astype("<c16").tobytes())
+    back = read_field(p)
+    assert back.grid == Grid.from_bounds([-4, -2], [4, 2], [16, 8]) != F.grid
+    assert back.xi_grid == F.xi_grid and back.y_grid == F.y_grid
+    assert np.array_equal(back.frame.u, F.frame.u)
+    assert np.array_equal(back.values, F.values)
 
 
 def _field(signal):

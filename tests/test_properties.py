@@ -112,7 +112,7 @@ def test_window_change_is_phi_analysis_of_the_reconstruction(case, data):
         g.grid, [data.draw(st.floats(0.5, 2.0)) for _ in range(frame.k)])
     phi = data.draw(windows(frame.k))
     assume(pairing_check(g, gamma).admissible)
-    got = window_change(dstft_fast(f, g, frame), gamma, phi, frame, g, f.grid)
+    got = window_change(dstft_fast(f, g, frame), gamma, phi, g)
     want = dstft_fast(reconstruct(f, g, gamma, frame), phi, frame)
     assert relative_error(got.values, want.values) <= 1e-12
 
@@ -275,8 +275,7 @@ def scan_cases(draw):
 def scan(f, g, frame, cells, cones):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WindowClassWarning)   # tensor windows
-        return wavefront_scan(f, g, frame, 2.0, cells, cones, threshold_N=1.7,
-                              strict=False)
+        return wavefront_scan(f, g, frame, 2.0, cells, cones, threshold_N=1.7)
 
 
 @SETTINGS

@@ -236,14 +236,15 @@ def test_field_bytes_cap_checked_before_allocating(monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_field_finiteness_checked_in_every_chunk(index, bad):
     y_grid = Grid.from_bounds([0.0], [1.0], [5])
-    xi_grid = Grid.from_bounds([0.0, 0.0], [1.0, 1.0], [128, 128])
+    grid = Grid.from_bounds([0.0, 0.0], [1.0, 1.0], [128, 128])
+    frame = identity_frame(2, 1)
     vals = np.ones((5, 128, 128), dtype=complex)
     # two chunks, the last one partial
     assert BLOCK_ELEMS < vals.size < 2 * BLOCK_ELEMS
-    assert DstftField(y_grid, xi_grid, vals).values.shape == vals.shape
+    assert DstftField(y_grid, grid, vals, frame).values.shape == vals.shape
     vals.flat[index] = bad
     with pytest.raises(ValueError, match="finite"):
-        DstftField(y_grid, xi_grid, vals)
+        DstftField(y_grid, grid, vals, frame)
 
 
 BLIND_FRAMES = {

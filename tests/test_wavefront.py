@@ -261,10 +261,8 @@ def test_strict_mode_rejects_gaussian_window():
     frame = build_frame([[1.0, 0.0]])
     cells = [BallSpec((0.0,), 0.25)]
     cones = cone_dictionary_2d(8, r_min=0.5)
-    with pytest.raises(ValueError, match="strict"):
-        wavefront_scan(f, win, frame, 2.0, cells, cones, strict=True)
     with pytest.warns(WindowClassWarning):
-        wavefront_scan(f, win, frame, 2.0, cells, cones, strict=False)
+        wavefront_scan(f, win, frame, 2.0, cells, cones)
 
 
 def test_cone_dictionary_shapes():
