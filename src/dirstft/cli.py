@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
 import warnings
@@ -88,10 +89,12 @@ def _path(value, what: str) -> str:
 
 
 def _number(value, what: str, cast=float):
-    """cast(value), or a ConfigError naming the config key; an integer key
-    takes only an integral number (grids._integral), not truncated."""
+    """cast(value), or a ConfigError naming the config key: value must be
+    a JSON number (a numbers.Real, not a bool or a string), and for an
+    integer key an integral one (grids._integral), not truncated."""
     try:
-        if cast is int and not _integral(value):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or cast is int and not _integral(value)):
             raise ValueError
         return cast(value)
     except (TypeError, ValueError, OverflowError):

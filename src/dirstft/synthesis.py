@@ -21,7 +21,7 @@ def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Sign
     """Quadrature synthesis: per y~ block, one batched inverse DFT along
     the innermost window level, weighted by the windows, then the y~
     Riemann sum (see _synthesize), phasing each block of F into a buffer;
-    a factored stream runs in shards (transform._in_shards).
+    the stream runs in shards (transform._in_shards).
 
     Falls back to direct phase summation, capped at grids.ORACLE_WORK_CAP
     terms, when out_grid is not the primal grid of the field's frequency
@@ -138,9 +138,8 @@ def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
     signal.  The analysis post-phase and synthesis pre-phase cancel when
     both windows stream the same innermost axes; a factored window paired
     with an unfactored one takes their product per block.  When phi is g,
-    the analysis window levels and blocks are reused for synthesis.  When
-    both windows are factored the stream runs in shards
-    (transform._in_shards).
+    the analysis window levels and blocks are reused for synthesis.  The
+    stream runs in shards (transform._in_shards).
     """
     cert = pairing_check(g, phi)
     if not cert.admissible:

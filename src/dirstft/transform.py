@@ -38,6 +38,7 @@ row along both axes.  The blocks stream without their last phase (_unphased).
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from dataclasses import dataclass, field
@@ -114,20 +115,19 @@ def _cpu_count() -> int:
 
 
 def _in_shards(task, *streams) -> list:
-    """[task(a, b, *shards) for each shard], in shard order, where shard
-    i holds the i-th (a, b, levels) of each stream's split
-    (windows.WindowLevels.split) into _cpu_count() shards; streams of one
-    y~ set split alike.  Streams that are not all factored run as one
-    shard.  The first shard runs on the calling thread and each other on a
-    thread of its own, all joined before this returns, so a shard's
-    exception is raised only once no shard is running (the first shard's
-    first).  numpy's FFTs and array passes release the interpreter lock,
-    so the shards run on the CPUs at once."""
-    n = _cpu_count() if all(s.outer for s in streams) else 1
-    shards = []
-    for parts in zip(*(s.split(n) for s in streams), strict=True):
-        a, b, _ = parts[0]
-        shards.append((a, b) + tuple(levels for _, _, levels in parts))
+    """[task(a, b, *parts) for each shard], in shard order, where parts
+    holds each stream's split (windows.WindowLevels.split) to the positions
+    a:b of its rows.  The streams take one y~ set, and the cuts and the
+    block size are chosen once for all of them (_shard_cuts), so they
+    split alike and their blocks pair up.  The first shard runs on the
+    calling thread and each other on a thread of its own, in a copy of the
+    caller's context (numpy's error state lives there), all joined before
+    this returns, so a shard's exception is raised only once no shard is
+    running (the first shard's first).  numpy's FFTs and array passes
+    release the interpreter lock, so the shards run on the CPUs at once."""
+    cuts, share = _shard_cuts(streams, _cpu_count())
+    shards = [(a, b) + tuple(s.split(a, b, share) for s in streams)
+              for a, b in cuts]
     results, errors = [None] * len(shards), [None] * len(shards)
 
     def run(i):
@@ -139,7 +139,8 @@ def _in_shards(task, *streams) -> list:
     threads = []
     try:
         for i in range(1, len(shards)):
-            threads.append(threading.Thread(target=run, args=(i,)))
+            threads.append(threading.Thread(target=contextvars.copy_context().run,
+                                            args=(run, i)))
             threads[-1].start()
         run(0)
     finally:
@@ -149,6 +150,28 @@ def _in_shards(task, *streams) -> list:
         if e is not None:
             raise e
     return results
+
+
+def _shard_cuts(streams, n: int):
+    """(cuts, share): the (a, b) positions of the streams' rows for each of
+    at most n shards, contiguous and in order, and the number of shards
+    that hold one block of BLOCK_ELEMS entries between them.  When any
+    stream is factored, the cuts are runs of whole indices of the outer
+    levels (rows // inner), equal in number of outer indices to within
+    one, and each shard holds whole blocks (share 1), as a factored
+    block's window costs no set-up.  Else they are runs of rows equal in
+    length to within one, and the shards share one block, so sharding
+    holds no more memory than one stream."""
+    rows = streams[0].rows
+    factored = [s for s in streams if s.outer]
+    if factored:
+        starts = np.flatnonzero(np.diff(rows // factored[0].inner)) + 1
+        starts = np.concatenate(([0], starts))
+    else:
+        starts = np.arange(max(1, len(rows)))
+    n = min(n, len(starts))
+    cuts = [int(starts[s * len(starts) // n]) for s in range(n)] + [len(rows)]
+    return list(zip(cuts[:-1], cuts[1:])), 1 if factored else n
 
 
 def _spectra(f: Signal, levels: WindowLevels, out: np.ndarray | None = None,
@@ -228,8 +251,8 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
     """FFT-quadrature k-DSTFT on the dual frequency lattice, as one field.
 
     Rejects a field above FIELD_BYTES_CAP before allocating it.  Each y~
-    block is transformed in the field's own rows, a factored stream in
-    shards whose rows do not overlap (_in_shards).
+    block is transformed in the field's own rows, in shards whose rows do
+    not overlap (_in_shards).
     """
     y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     xi_grid = f.grid.dual()

@@ -16,6 +16,7 @@ range.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .direction import DirectionFrame
 from .grids import Grid, Signal, dft
-from .transform import DstftField, _spectra, default_y_grid
+from .transform import DstftField, _in_shards, _level0, _spectra, default_y_grid
 from .windows import Window, window_at, window_levels
 
 LOG_FLOOR = 1e-300          # floor before taking logs (exact zeros)
@@ -301,11 +302,15 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     ||S||_2, and sup_xi |S| >= ||S||_2 / sqrt(Nxi) keeps the noise below
     the floor for Nxi up to about 10^7.  An entry is then the same
     whichever other cells the list holds, and equals decay_fit on the
-    stored field.  Each block's |F| is taken into one float buffer, sized
-    by the largest block, and the block is done with before the next is
-    asked for, as the stream reuses its buffer too.  The lattice geometry
-    (|xi| and the mirrored mask) is computed once; each cone's shell table
-    is then built once and its suprema gathered for every cell at once.
+    stored field.  The rows stream in shards (transform._in_shards) that
+    share f along level 0 and one sup, each cell's under a lock of its
+    own; a maximum does not depend on the order it is taken in, so the
+    report is the same for any shard count.  Each shard takes a block's
+    |F| into one float buffer, sized by its largest block, and is done
+    with the block before the next is asked for, as the stream reuses its
+    buffer too.  The lattice geometry (|xi| and the mirrored mask) is
+    computed once; each cone's shell table is then built once and its
+    suprema gathered for every cell at once.
     The singular set is the complement of the regular entries.
     """
     _check_alpha(alpha)
@@ -326,15 +331,22 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     member = member[:, rows]
     xi_grid = f.grid.dual()
     sup = np.zeros((len(y_cells), xi_grid.size))
-    buf = np.empty((0, xi_grid.size))
+    locks = [threading.Lock() for _ in y_cells]
     levels = window_levels(g, f.grid, frame.u, y_grid, rows)
-    for lo, hi, _, S in _spectra(f, levels):
-        if hi - lo > len(buf):
-            buf = np.empty((hi - lo, xi_grid.size))
-        mags = np.abs(S.reshape(hi - lo, -1), out=buf[:hi - lo])
-        # one in-place maximum per (cell, row) pair, with no gathered copy
-        for i, j in zip(*np.nonzero(member[:, lo:hi])):
-            np.maximum(sup[i], mags[j], out=sup[i])
+    G = _level0(f, levels)
+
+    def shard(a, b, part):
+        buf = np.empty((0, xi_grid.size))
+        for lo, hi, _, S in _spectra(f, part, G=G):
+            if hi - lo > len(buf):
+                buf = np.empty((hi - lo, xi_grid.size))
+            mags = np.abs(S.reshape(hi - lo, -1), out=buf[:hi - lo])
+            # one in-place maximum per (cell, row) pair, with no gathered copy
+            for i, j in zip(*np.nonzero(member[:, a + lo:a + hi])):
+                with locks[i]:
+                    np.maximum(sup[i], mags[j], out=sup[i])
+
+    _in_shards(shard, levels)
     ref = sup.max(axis=1)
     for cell, peak in zip(y_cells, ref):
         if not math.isfinite(peak):     # also NaN, which maximum keeps

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -161,28 +161,40 @@ def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray,
     shape (Ny, k), and ``rows`` the indices of the points to stream
     (default: all).  The window and grid dimensions are checked against k
     and n, and the y~ points against k, at the call, before any block is
-    computed.
-
-    g(u . t - y~) does not depend on t_i along a blind axis i of the frame,
-    one whose column u_(.i) is zero.  So W is evaluated on the sub-grid of
-    the other, seen, axes and shaped (hi - lo,) + grid.counts with 1 on each
-    blind axis, the shape it broadcasts from.  A block holds the rows of
-    _block_bounds over rows, as its consumers expand it to the whole grid.
-    One path serves the whole y~ set Y, whichever rows are streamed, so a
-    row's window is the same in every stream: a gather from a zero-padded
-    copy of the window when every proj - y~ hits the window lattice, else
-    the trigonometric interpolation of window_at, factorized over (t, y~).
-    The trigonometric path evaluates the window on the projected index box
-    when that box is smaller than the seen sub-grid (see _projected_box),
-    else at every sample; it holds M J / J_0 entries per row (M window
-    modes, J points it evaluates, J_0 of them on the first axis) and
-    evaluates a block in runs of rows that keep those entries near
-    BLOCK_ELEMS.
+    computed.  A block holds the rows of _block_bounds over rows, as its
+    consumers expand it to the whole grid; each is _row_window's W at
+    those rows.
     """
     u = _frame_rows(w, grid, u)
     Y = as_points(Y, w.grid.dim)
     if Y.shape[0] == 0:
         return iter(())
+    window = _row_window(w, grid, u, Y)
+    rows = np.arange(len(Y)) if rows is None else rows
+    return ((lo, hi, window(rows[lo:hi]))
+            for lo, hi in _block_bounds(len(rows), grid.size))
+
+
+def _row_window(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
+    """rows -> W, with W[b] = window_at(w, proj - Y[rows[b]]) for the
+    checked (k, n) direction rows u and the nonempty y~ points Y, (Ny, k);
+    the set-up is done once, here, and any run of rows, on any thread,
+    reads it.
+
+    g(u . t - y~) does not depend on t_i along a blind axis i of the frame,
+    one whose column u_(.i) is zero.  So W is evaluated on the sub-grid of
+    the other, seen, axes and shaped (len(rows),) + grid.counts with 1 on
+    each blind axis, the shape it broadcasts from.  One path serves the
+    whole y~ set Y, whichever rows are asked for, so a row's window is the
+    same in every stream: a gather from a zero-padded copy of the window
+    when every proj - y~ hits the window lattice, else the trigonometric
+    interpolation of window_at, factorized over (t, y~).  The
+    trigonometric path evaluates the window on the projected index box
+    when that box is smaller than the seen sub-grid (see _projected_box),
+    else at every sample; it holds M J / J_0 entries per row (M window
+    modes, J points it evaluates, J_0 of them on the first axis) and
+    evaluates the rows in runs that keep those entries near BLOCK_ELEMS.
+    """
     seen = _seen(u)
     shape = tuple(n if s else 1 for n, s in zip(grid.counts, seen))
     sub = Grid(*(np.compress(seen, a) for a in (grid.origin, grid.spacing,
@@ -190,9 +202,7 @@ def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray,
     u = u[:, seen]
     proj = sub.points() @ u.T
     block = _lattice_blocks(w, proj, Y) or _trig_blocks(w, sub, u, proj, Y)
-    rows = np.arange(len(Y)) if rows is None else rows
-    return ((lo, hi, block(rows[lo:hi]).reshape((hi - lo,) + shape))
-            for lo, hi in _block_bounds(len(rows), grid.size))
+    return lambda rows: block(rows).reshape((len(rows),) + shape)
 
 
 def _frame_rows(w: Window, grid: Grid, u) -> np.ndarray:
@@ -224,18 +234,18 @@ def _block_bounds(ny: int, nt: int):
 @dataclass(frozen=True)
 class WindowLevels:
     """The signal axes of a window stream, grouped into levels (see
-    window_levels), and the stream of its innermost level.
+    window_levels), and the window of its innermost level.
 
     Level 0 is the blind axes.  outer holds (axes, table) for each level
     1 .. L-1, outermost first, with table[i] the level's factor at its i-th
     y~ value, shaped like a window block row.  rows holds the ascending
-    flat y~ indices the stream takes.  blocks yields (lo, hi, W) for the
-    innermost level, which covers the signal axes in axes, over the
-    positions lo:hi of rows in the blocks of _block_bounds; it is one pass,
-    and a consumer that reuses the levels for synthesis reads only the
-    geometry.  inner_table is the innermost factor's table of a factored
-    stream (None for one level) and nt the signal grid's size, from which
-    split makes the blocks of a shard."""
+    flat y~ indices the stream takes, and window maps an array of flat y~
+    indices to the innermost level's factor at each, the level covering
+    the signal axes in axes.  blocks yields (lo, hi, W) over the positions
+    lo:hi of rows in the blocks of _block_bounds(len(rows), nt), with W
+    the window at rows[lo:hi]; nt is the entries one block row counts for:
+    the signal grid's size, times the number of shards that hold one
+    block between them (split)."""
 
     blind: tuple
     outer: tuple
@@ -243,22 +253,20 @@ class WindowLevels:
     y_counts: tuple         # y~ counts of the outer levels
     inner: int              # y~ rows per index of the outer levels
     rows: np.ndarray
-    blocks: Iterator
-    inner_table: np.ndarray | None = field(default=None, repr=False)
-    nt: int = 0
+    window: Callable = field(repr=False)
+    nt: int
 
-    def split(self, n: int) -> list:
-        """(a, b, levels) for each of min(n, number of outer indices rows
-        touches) contiguous shards of the positions of rows, each a run of
-        whole outer indices; levels streams rows[a:b] alone, in blocks of
-        its own.  A one-level stream, or n = 1, is one shard: the stream
-        itself, since its window set-up would be repeated per shard."""
-        if not self.outer or n <= 1:
-            return [(0, len(self.rows), self)]
-        return [(a, b, replace(self, rows=self.rows[a:b],
-                               blocks=_inner_blocks(self.inner_table, self.rows[a:b],
-                                                    self.nt)))
-                for a, b in _shard_bounds(self.rows, self.inner, n)]
+    @property
+    def blocks(self) -> Iterator:
+        rows = self.rows
+        return ((lo, hi, self.window(rows[lo:hi]))
+                for lo, hi in _block_bounds(len(rows), self.nt))
+
+    def split(self, a: int, b: int, share: int = 1) -> "WindowLevels":
+        """The stream of the positions a:b of rows alone, in blocks of
+        1/share of the entries of this stream's, so that share such shards
+        hold one block between them."""
+        return replace(self, rows=self.rows[a:b], nt=self.nt * share)
 
     def segments(self, lo: int, hi: int):
         """(a, b, index) for each run a:b of the positions lo:hi of rows
@@ -286,51 +294,32 @@ def window_levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid,
     direction rows touch pairwise disjoint sets of signal axes,
     g(u . t - y~) = prod_j g_j(u_j . t - y_j) and level j is the axes row
     j touches, with the table of g_j over (y_j, those axes) from
-    window_blocks; the innermost blocks gather rows of g_k's table at
+    window_blocks; the innermost window gathers rows of g_k's table at
     rows % inner, so no (B, Nt) block of the full window is formed, and
     an outer index no row touches is never visited.  Any other window or
-    frame has one level over every seen axis, streamed by window_blocks
-    at the points rows.  Either way the blocks are those of _block_bounds
-    over rows, so streams of different windows pair up.
+    frame has one level over every seen axis, whose window is _row_window
+    on the points of y_grid.  Either way the blocks are those of
+    _block_bounds over rows, so streams of different windows pair up.
     """
     u = _frame_rows(w, grid, u)
     touched, seen = u != 0, _seen(u)
     blind = _axes(~seen)
     if rows is None:
         rows = np.arange(y_grid.size)
-    # a y~ grid of another dimension is rejected by window_blocks
     if not (len(w.factors) > 1 and y_grid.dim == w.grid.dim
             and touched.any(axis=1).all() and touched.sum(axis=0).max() == 1
             and np.array_equal(_outer([p.values for p in w.factors]), w.values)):
+        window = _row_window(w, grid, u, as_points(y_grid.points(), w.grid.dim))
         return WindowLevels(blind, (), _axes(seen), (), y_grid.size, rows,
-                            window_blocks(w, grid, u, y_grid.points(), rows))
+                            window, grid.size)
     tables = [np.concatenate([W for _, _, W in window_blocks(
         p, grid, u[j:j + 1], y_grid.axis(j)[:, None])])
         for j, p in enumerate(w.factors)]
     outer = tuple((_axes(t), table) for t, table in zip(touched[:-1], tables[:-1]))
+    table = tables[-1]
     return WindowLevels(blind, outer, _axes(touched[-1]), y_grid.counts[:-1],
-                        y_grid.counts[-1], rows,
-                        _inner_blocks(tables[-1], rows, grid.size), tables[-1],
+                        y_grid.counts[-1], rows, lambda r: table[r % len(table)],
                         grid.size)
-
-
-def _inner_blocks(table: np.ndarray, rows: np.ndarray, nt: int):
-    """(lo, hi, W) over the blocks of _block_bounds of the positions of
-    rows, W the rows rows[lo:hi] % len(table) of the innermost factor's
-    table."""
-    return ((lo, hi, table[rows[lo:hi] % len(table)])
-            for lo, hi in _block_bounds(len(rows), nt))
-
-
-def _shard_bounds(rows: np.ndarray, inner: int, n: int) -> list:
-    """(a, b) positions of rows for min(n, number of outer indices) shards,
-    each a run of whole outer indices (rows // inner); the shards take
-    equal numbers of outer indices, to within one."""
-    starts = np.flatnonzero(np.diff(rows // inner)) + 1
-    starts = np.concatenate(([0], starts))
-    n = min(n, len(starts))
-    cuts = [int(starts[s * len(starts) // n]) for s in range(n)] + [len(rows)]
-    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _axes(mask: np.ndarray) -> tuple:

@@ -639,6 +639,19 @@ def test_missing_required_config_key_exits_2_naming_it(tmp_path, capsys,
     ("wavefront", {"cones": {"count": 8.9}}, "cones count must be an integer, got 8.9"),
     ("gen", {"kind": "random_bandlimited", "params": {"seed": 3.7}},
      "random_bandlimited seed must be an integer, got 3.7"),
+    # a number key takes a JSON number only, not a string or a bool
+    ("wavefront", {"alpha": "2.0"}, 'alpha must be a number, got "2.0"'),
+    ("wavefront", {"window": {"kind": "gevrey_bump", "radius": "0.5", "alpha": 2.0,
+                              "grid": {"bounds": [[-2], [2]], "counts": [32]}}},
+     'window radius must be a number, got "0.5"'),
+    ("wavefront", {"cones": {"count": 8, "r_min": "0.5"}},
+     'cones r_min must be a number, got "0.5"'),
+    ("wavefront", {"cones": {"count": True}}, "cones count must be an integer, got true"),
+    ("gen", {"kind": "delta_sheet", "params": {"u": ["1", "0"]}},
+     'delta_sheet u must be a number, got "1"'),
+    ("wavefront", {"frame": {"u": ["1", "0"]}}, 'frame u must be a number, got "1"'),
+    ("roundtrip", {"window_g": {**WIN16, "sigma": True}},
+     "window sigma must be a number, got true"),
 ])
 def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capfd, command,
                                                         edit, message):

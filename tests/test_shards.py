@@ -1,27 +1,35 @@
-"""Factored y~ streams run in per-CPU shards of their outer indices
-(transform._in_shards): the shards' results match one shard's, the same
-worker count repeats bit for bit, one-level streams stay one shard, a fault
-inside a shard reaches the caller, and no thread outlives a call."""
+"""Every y~ stream runs in per-CPU shards (transform._in_shards): a
+factored one in runs of its outer indices, a one-level one in even runs of
+rows whose blocks share one block's entries.  The shards' results match one
+shard's, the same worker count repeats bit for bit, the wavefront scan
+reports the same entries, the caller's numpy error state reaches every
+shard, a fault inside a shard reaches the caller, and no thread outlives a
+call."""
 
 import json
+import math
 import os
 import sys
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirstft import Grid, Signal, Window, build_frame, dso, dstft_fast, reconstruct
+from dirstft import (BallSpec, ConeSpec, Grid, Signal, Window, build_frame, dso,
+                     dstft_fast, reconstruct, wavefront_scan)
 from dirstft import transform
 from dirstft.cli import main
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian
 from dirstft.grids import BLOCK_ELEMS, rel_l2_error
 from dirstft.transform import default_y_grid
-from dirstft.windows import (_axis_grid, _block_bounds, gaussian_window, tensor_window,
-                             window_levels)
+from dirstft.wavefront import WindowClassWarning
+from dirstft.windows import (_axis_grid, _block_bounds, gaussian_window, gevrey_bump,
+                             tensor_window, window_levels)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=25)
@@ -97,29 +105,141 @@ def test_shards_match_one_worker_and_repeat(case):
         assert all(rel_l2_error(a, b) <= 1e-15 for a, b in zip(first[1:], rest1))
 
 
+@st.composite
+def one_level_cases(draw):
+    """(f, g, phi, frame, y_grid, cones): a k = 1 frame in R^2 or R^3, a
+    coordinate axis (the lattice gather) or a rotated direction (the
+    trigonometric path), with a Gaussian or Gevrey-bump window and phi
+    either g or the other kind of window; or a tensor window g on a frame
+    that permutes two signal axes with a one-level phi of other values.  The
+    y~ grid takes a stride per axis and several blocks' rows, so shard cuts
+    fall inside blocks of one shard."""
+    n = draw(st.sampled_from([2, 3]))
+    counts = tuple(2 * draw(st.integers(*((6, 16) if n == 2 else (4, 6))))
+                   for _ in range(n))
+    grid = Grid(tuple(-0.25 * c for c in counts), (0.5,) * n, counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f = Signal(grid, rng.normal(size=counts) + 1j * rng.normal(size=counts))
+    per_block = BLOCK_ELEMS // grid.size
+    kind = draw(st.sampled_from(["coordinate", "rotated", "factored g"]))
+    if kind == "factored g":
+        perm = draw(st.permutations(range(2)))
+        frame = build_frame(np.eye(n)[list(perm)])
+        g = tensor_window([gaussian_window(_axis_grid(grid, j), draw(st.floats(0.5, 2.0)))
+                           for j in perm])
+        bump = gevrey_bump(g.grid, 0.2 * min(g.grid.counts), 2.0)
+        phi = Window(g.grid, bump.values)
+        y_counts = (draw(st.integers(2, 5)), draw(st.integers(2, per_block + 3)))
+    else:
+        m = 2 * draw(st.integers(4, 12))
+        wgrid = Grid((-0.25 * m,), (0.5,), (m,))
+        windows = [gaussian_window(wgrid, draw(st.floats(0.5, 2.0))),
+                   gevrey_bump(wgrid, 0.25 * m * draw(st.floats(0.4, 0.9)), 2.0)]
+        g = windows.pop(draw(st.integers(0, 1)))
+        phi = draw(st.sampled_from([g, windows[0]]))
+        if kind == "coordinate":
+            frame = build_frame(np.eye(n)[[draw(st.integers(0, n - 1))]])
+        else:
+            u = rng.normal(size=n)
+            frame = build_frame([u / np.linalg.norm(u)])
+        y_counts = (draw(st.integers(2, 3 * per_block)),)
+    base = default_y_grid(grid, frame)
+    strides = [draw(st.integers(1, 3)) for _ in y_counts]
+    y_grid = Grid(tuple(o - (c // 2) * h for o, c, h in zip(base.origin, base.counts,
+                                                             base.spacing)),
+                  tuple(h * s for h, s in zip(base.spacing, strides)), y_counts)
+    r_min = 1.5 / (0.5 * min(counts))
+    cones = [ConeSpec(tuple(c * e for e in np.eye(n)[j]), math.pi / 4, r_min)
+             for j in range(n) for c in (1, -1)]
+    return f, g, phi, frame, y_grid, cones
+
+
+def scan(f, g, frame, y_grid, cones):
+    """wavefront_scan with a cell over every y~ row, which straddles each
+    shard cut, and cells of one row at the first, middle and last row."""
+    Y = y_grid.points()
+    reach = np.linalg.norm(Y - Y[0], axis=1).max() + 1
+    cells = [BallSpec(tuple(Y[0]), reach)] + [
+        BallSpec(tuple(Y[i]), 1e-9) for i in (0, len(Y) // 2, len(Y) - 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WindowClassWarning)
+        return wavefront_scan(f, g, frame, 2.0, cells, cones, y_grid=y_grid)
+
+
+@SETTINGS
+@given(one_level_cases())
+def test_one_level_shards_match_one_worker_and_repeat(case):
+    f, g, phi, frame, y_grid, cones = case
+    assert not window_levels(phi, f.grid, frame.u, y_grid).outer
+    with pytest.MonkeyPatch.context() as mp:
+        runs, reports = {}, {}
+        for n in WORKERS:
+            force_workers(mp, n)
+            runs[n] = outputs(f, g, phi, frame, y_grid), outputs(f, g, phi, frame, y_grid)
+            reports[n] = scan(f, g, frame, y_grid, cones)
+    field1, *rest1 = runs[1][0]
+    for n in WORKERS:
+        first, again = runs[n]
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert np.array_equal(first[0], field1)
+        assert all(rel_l2_error(a, b) <= 1e-15 for a, b in zip(first[1:], rest1))
+        assert reports[n] == reports[1]
+
+
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_shards_are_runs_of_whole_outer_indices(n):
     grid = Grid.from_bounds([-4, -4, -4], [4, 4, 4], [6, 5, 7])
     levels = window_levels(gaussian_window(grid, [1.0, 1.2, 1.5]), grid,
                            identity_frame(3, 3).u, grid)
-    shards = levels.split(n)
-    assert len(shards) == min(n, 30)
-    assert [a for a, _, _ in shards[1:]] == [b for _, b, _ in shards[:-1]]
-    assert shards[0][0] == 0 and shards[-1][1] == grid.size
-    for a, b, part in shards:
+    cuts, share = transform._shard_cuts((levels,), n)
+    assert len(cuts) == min(n, 30) and share == 1
+    assert [a for a, _ in cuts[1:]] == [b for _, b in cuts[:-1]]
+    assert cuts[0][0] == 0 and cuts[-1][1] == grid.size
+    for a, b in cuts:
+        part = levels.split(a, b, share)
         assert a % levels.inner == 0 and np.array_equal(part.rows, levels.rows[a:b])
         assert [(lo, hi) for lo, hi, _ in part.blocks] \
             == list(_block_bounds(b - a, grid.size))
 
 
-def test_a_one_level_stream_is_one_inline_shard():
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_a_one_level_stream_splits_into_even_runs_that_share_one_block(n):
     grid = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
     frame = build_frame([[1.0, 1.0]])
+    # a y~ grid of several blocks' rows
+    y_grid = Grid.from_bounds([-4], [4], [600])
     levels = window_levels(gaussian_window(_axis_grid(grid, 0), 1.0), grid,
-                           frame.u, default_y_grid(grid, frame))
+                           frame.u, y_grid)
     assert levels.outer == ()
-    (a, b, part), = levels.split(4)
-    assert (a, b) == (0, grid.counts[0]) and part is levels
+    cuts, share = transform._shard_cuts((levels,), n)
+    assert share == n and len(cuts) == n
+    assert [a for a, _ in cuts[1:]] == [b for _, b in cuts[:-1]]
+    assert cuts[0][0] == 0 and cuts[-1][1] == y_grid.size
+    assert max(b - a for a, b in cuts) - min(b - a for a, b in cuts) <= 1
+    whole = max(hi - lo for lo, hi, _ in levels.blocks)
+    assert whole == BLOCK_ELEMS // grid.size
+    held = 0
+    for a, b in cuts:
+        part = levels.split(a, b, share)
+        assert np.array_equal(part.rows, levels.rows[a:b])
+        blocks = [(lo, hi) for lo, hi, _ in part.blocks]
+        assert blocks == list(_block_bounds(b - a, n * grid.size))
+        held += max(hi - lo for lo, hi in blocks)
+    # the shards' largest blocks hold no more rows than one whole block
+    assert held <= whole
+
+
+def test_a_factored_stream_sets_the_cuts_of_a_one_level_partner():
+    # g factored and phi one level on one y~ set: whole outer indices and
+    # whole blocks for both, so their blocks pair up in every shard
+    grid = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+    frame = identity_frame(2, 2)
+    g = gaussian_window(grid, [1.0, 1.2])
+    levels = window_levels(g, grid, frame.u, grid)
+    synth = window_levels(Window(g.grid, g.values), grid, frame.u, grid)
+    assert levels.outer and not synth.outer
+    for streams in ((levels, synth), (synth, levels)):
+        assert transform._shard_cuts(streams, 3) == transform._shard_cuts((levels,), 3)
 
 
 def test_the_worker_count_is_the_cpus_this_process_may_use():
@@ -127,23 +247,36 @@ def test_the_worker_count_is_the_cpus_this_process_may_use():
 
 
 def test_more_shards_than_cpus_under_a_short_switch_interval(monkeypatch):
-    # each shard writes only its own field rows and accumulator; a lost or
-    # crossed write would change the field or the reconstruction
+    # each shard writes only its own field rows and accumulator, and the
+    # scan's shards take each cell's running sup under its lock; a lost or
+    # crossed write would change the field, the reconstruction or the
+    # report of the cell that spans every shard
     grid = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
     f = gaussian(grid, 1.0, [0.5, -0.3], [0.25, 0.5])
     g = gaussian_window(grid, [1.0, 1.3])
     frame = identity_frame(2, 2)
+    bump = gevrey_bump(Grid.from_bounds([-4], [4], [32]), 2.0, 2.0)
+    e1 = build_frame([[1.0, 0.0]])
+    cells = [BallSpec((0.0,), 8.0), BallSpec((2.0,), 1.0)]
+    cones = [ConeSpec((1.0, 0.0), 0.5, 0.5), ConeSpec((0.0, 1.0), 0.5, 0.5)]
+
+    def calls():
+        return (dstft_fast(f, g, frame).values, reconstruct(f, g, g, frame).values,
+                dstft_fast(f, bump, e1).values,
+                wavefront_scan(f, bump, e1, 2.0, cells, cones))
+
     force_workers(monkeypatch, 1)
-    want = dstft_fast(f, g, frame).values, reconstruct(f, g, g, frame).values
+    want = calls()
     force_workers(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = dstft_fast(f, g, frame).values, reconstruct(f, g, g, frame).values
+        got = calls()
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
     assert rel_l2_error(got[1], want[1]) <= 1e-15
+    assert got[3] == want[3]
 
 
 class Fault:
@@ -217,3 +350,46 @@ def test_no_thread_outlives_a_public_call(monkeypatch):
     reconstruct(f, g, g, frame)
     assert set(threading.enumerate()) == before
 
+
+
+def test_the_callers_error_state_reaches_every_shard(monkeypatch):
+    # a k=n=2 transform that overflows only at the outer indices of its
+    # second shard, which runs on a worker thread
+    grid = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
+    f = Signal(grid, np.where(grid.points()[:, 0] >= 5, 1e308, 0.0))
+    g = gaussian_window(grid, [1.0, 1.0])
+    frame = identity_frame(2, 2)
+    force_workers(monkeypatch, 2)
+    cuts, _ = transform._shard_cuts((window_levels(g, grid, frame.u, grid),), 2)
+    first = Grid(grid.origin, grid.spacing, (cuts[0][1] // grid.counts[1], grid.counts[1]))
+    with np.errstate(over="raise"):
+        dstft_fast(f, g, frame, y_grid=first)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError):
+                dstft_fast(f, g, frame)
+    assert caught == []
+
+
+@pytest.mark.parametrize("call", ["dso", "wavefront_scan"])
+def test_one_level_shards_memory_bounded(monkeypatch, call):
+    # two shards of a one-level stream hold one block between them; the
+    # bound is test_reconstruct_memory_bounded's
+    grid = Grid.from_bounds([-8, -8], [8, 8], [64, 64])
+    f = gaussian(grid, sigma=1.0)
+    frame = build_frame([[1.0, 1.0]])
+    win = gevrey_bump(Grid.from_bounds([-4], [4], [32]), 2.0, 2.0)
+    field = dstft_fast(f, win, frame) if call == "dso" else None
+    force_workers(monkeypatch, 2)
+    cells = [BallSpec((y,), 0.5) for y in (-2.0, 0.0, 2.0)]
+    bound = f.values.nbytes + 8 * BLOCK_ELEMS * 16
+    tracemalloc.start()
+    try:
+        if call == "dso":
+            dso(field, win, frame, grid)
+        else:
+            wavefront_scan(f, win, frame, 2.0, cells, [ConeSpec((1.0, 1.0), 0.5, 0.5)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
