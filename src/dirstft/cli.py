@@ -24,8 +24,8 @@ from .direction import DirectionFrame, build_frame, identity_frame
 from .grids import Grid, Signal, _integral, check_boundary_mass, rel_l2_error
 from .synthesis import dso, dso_direct, reconstruct
 from .transform import dstft_direct, dstft_fast
-from .wavefront import (BallSpec, ConeSpec, WavefrontReport, cone_dictionary_2d,
-                        wavefront_scan)
+from .wavefront import (RESIDUAL_CAP, BallSpec, ConeSpec, WavefrontReport,
+                        cone_dictionary_2d, wavefront_scan)
 from .windows import Window, gaussian_window, gevrey_bump, pairing_check
 
 SCHEMA_VERSION = 1
@@ -316,20 +316,10 @@ def _cell_list(spec) -> list:
 
 
 def _report_json(report: WavefrontReport, window: Window) -> dict:
-    entries = []
-    for e in report.entries:
-        entries.append({
-            "cell": {"center": list(e.y_cell.center), "radius": e.y_cell.radius},
-            "cone": {"center": list(e.cone.center),
-                     "half_angle": e.cone.half_angle, "r_min": e.cone.r_min},
-            "fit": {"N_hat": e.fit.N_hat, "logC_hat": e.fit.logC_hat,
-                    "residual": e.fit.residual, "n_points": e.fit.n_points,
-                    "alpha": e.fit.alpha, "n_shells": e.fit.n_shells,
-                    "slope_floor": e.fit.slope_floor},
-            "regular": e.regular,
-        })
-    return {"threshold_N": report.threshold_N,
-            "residual_cap": report.residual_cap,
+    # the dataclasses' fields are the key names; asdict would deep-copy each
+    entries = [{"cell": vars(e.y_cell), "cone": vars(e.cone), "fit": vars(e.fit),
+                "regular": e.regular} for e in report.entries]
+    return {"threshold_N": report.threshold_N, "residual_cap": RESIDUAL_CAP,
             "window": window.meta, "entries": entries,
             "scan": {"rows_streamed": report.rows_streamed,
                      "rows_total": report.rows_total,
@@ -369,8 +359,8 @@ def _verdict(report: WavefrontReport, truth: dict, frame: DirectionFrame) -> dic
 def cmd_wavefront(cfg: dict, args) -> int:
     _check_keys(cfg, "wavefront config",
                 ("signal", "window", "frame", "alpha", "cones", "cells"),
-                ("schema_version", "threshold_N", "residual_cap", "y_grid",
-                 "out_json", "out_csv"))
+                ("schema_version", "threshold_N", "y_grid", "out_json",
+                 "out_csv"))
     f = sigio.read_signal(cfg["signal"])
     g = _parse_window(cfg["window"])
     frame = _parse_frame(cfg["frame"])
@@ -384,8 +374,7 @@ def cmd_wavefront(cfg: dict, args) -> int:
             f, g, frame, alpha, cells, cones,
             y_grid=y_grid,
             # an absent key takes the library's default
-            **{k: _number(cfg[k], k) for k in ("threshold_N", "residual_cap")
-               if k in cfg})
+            **{k: _number(cfg[k], k) for k in ("threshold_N",) if k in cfg})
         # after the scan, so a rejected config prints its error line only
         check_boundary_mass(f)
     out = _report_json(report, g)

@@ -191,16 +191,13 @@ class Signal:
     def __post_init__(self):
         self.values = _sample_values(self.values, self.grid.counts, "signal")
 
-    def copy(self) -> "Signal":
-        return Signal(self.grid, self.values.copy())
 
-
-def _outer_phase(phases: list) -> np.ndarray:
-    """Separable per-axis phase vectors multiplied out to one array shaped
-    like the grid, so a batch is phased in a single pass."""
-    out = phases[0]
-    for ph in phases[1:]:
-        out = np.multiply.outer(out, ph)
+def _outer(parts: list) -> np.ndarray:
+    """The product array parts[0][i_0] parts[1][i_1] ..., multiplied left to
+    right: per-axis factors multiplied out to one array shaped like a grid."""
+    out = parts[0]
+    for p in parts[1:]:
+        out = np.multiply.outer(out, p)
     return out
 
 
@@ -237,13 +234,13 @@ def _axis_tables(grid: Grid, axes: tuple) -> _PhaseTables:
     shape = tuple(n if j in axes else 1 for j, n in enumerate(grid.counts))
     volume = float(np.prod([grid.spacing[j] for j in axes]))
     n = grid.counts
-    primal = _outer_phase([np.exp(-2j * np.pi * (n[j] // 2) * np.arange(n[j]) / n[j])
-                           for j in axes]).reshape(shape)
+    primal = _outer([np.exp(-2j * np.pi * (n[j] // 2) * np.arange(n[j]) / n[j])
+                     for j in axes]).reshape(shape)
     shift = [np.exp(-2j * np.pi * dual.axis(j) * grid.origin[j]) for j in axes]
     unshift = [np.exp(2j * np.pi * dual.axis(j) * grid.origin[j]) for j in axes]
     tables = _PhaseTables(np.conj(primal),
-                          _outer_phase(shift).reshape(shape) * volume,
-                          _outer_phase(unshift).reshape(shape) / volume,
+                          _outer(shift).reshape(shape) * volume,
+                          _outer(unshift).reshape(shape) / volume,
                           primal)
     for t in tables:
         t.setflags(write=False)

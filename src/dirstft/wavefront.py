@@ -33,7 +33,7 @@ NOISE_FLOOR_REL = 1e-12     # relative to the peak of |F| over the cell;
                             # shell suprema below this are FFT rounding,
                             # not signal
 N_HAT_SATURATED = 1e6       # reported rate when decay exhausts the range
-DEFAULT_RESIDUAL_CAP = 0.5  # log-units
+RESIDUAL_CAP = 0.5          # log-units, the largest rms residual of a fit
 DEFAULT_THRESHOLD_N = 1.0
 MIN_CONE_POINTS = 8
 
@@ -126,7 +126,6 @@ class WavefrontReport:
 
     entries: list
     threshold_N: float
-    residual_cap: float = DEFAULT_RESIDUAL_CAP
     rows_streamed: int = 0
     rows_total: int = 0
     noise_ref: tuple = ()
@@ -241,10 +240,10 @@ def _fit(xs: np.ndarray, ys: np.ndarray, n_points: int, decayed: int,
                     n_shells=len(xs) + decayed, slope_floor=float(floor))
 
 
-def _classify(fit: DecayFit, threshold_N: float, residual_cap: float) -> bool:
+def _classify(fit: DecayFit, threshold_N: float) -> bool:
     if fit.N_hat >= N_HAT_SATURATED:
         return True
-    if fit.N_hat >= threshold_N and fit.residual <= residual_cap:
+    if fit.N_hat >= threshold_N and fit.residual <= RESIDUAL_CAP:
         return True
     # one-sided bound: uniformly steep secants mean faster-than-model decay
     return fit.slope_floor >= threshold_N
@@ -289,7 +288,6 @@ def _check_scan_window(g: Window):
 def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
                    y_cells: list, cones: list,
                    threshold_N: float = DEFAULT_THRESHOLD_N,
-                   residual_cap: float = DEFAULT_RESIDUAL_CAP,
                    y_grid: Grid | None = None) -> WavefrontReport:
     """Exhaustive regular-point test over a (cell, cone) dictionary.
 
@@ -314,9 +312,8 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     The singular set is the complement of the regular entries.
     """
     _check_alpha(alpha)
-    for name, value in (("threshold_N", threshold_N), ("residual_cap", residual_cap)):
-        if math.isnan(value):
-            raise ValueError(f"{name} must be a number, got NaN")
+    if math.isnan(threshold_N):
+        raise ValueError("threshold_N must be a number, got NaN")
     if not (y_cells and cones):
         raise ValueError(f"the {'cone' if y_cells else 'cell'} list is empty")
     _check_scan_window(g)
@@ -359,16 +356,13 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     for i, cell in enumerate(y_cells):
         for cone, cone_fits in zip(cones, fits):
             fit = cone_fits[i]
-            entries.append(ScanEntry(cell, cone, fit,
-                                     _classify(fit, threshold_N, residual_cap)))
-    return WavefrontReport(entries, threshold_N, residual_cap,
-                           rows_streamed=len(rows), rows_total=y_grid.size,
-                           noise_ref=tuple(float(x) for x in ref))
+            entries.append(ScanEntry(cell, cone, fit, _classify(fit, threshold_N)))
+    return WavefrontReport(entries, threshold_N, rows_streamed=len(rows),
+                           rows_total=y_grid.size, noise_ref=tuple(float(x) for x in ref))
 
 
 def partial_wf_test(f: Signal, chi: Window, y0, cone: ConeSpec, alpha: float,
-                    threshold_N: float = DEFAULT_THRESHOLD_N,
-                    residual_cap: float = DEFAULT_RESIDUAL_CAP) -> bool:
+                    threshold_N: float = DEFAULT_THRESHOLD_N) -> bool:
     """Cut-off variant: multiply f by chi(t~ - y0) extended constantly in the
     trailing coordinates, take the full Fourier transform and threshold the
     cone decay of the spectrum."""
@@ -385,7 +379,7 @@ def partial_wf_test(f: Signal, chi: Window, y0, cone: ConeSpec, alpha: float,
     spec = dft(cut)
     fit = fit_spectrum_decay(spec.grid.points(), np.abs(spec.values.ravel()),
                              cone, alpha)
-    return _classify(fit, threshold_N, residual_cap)
+    return _classify(fit, threshold_N)
 
 
 def cone_dictionary_2d(count: int = 16, r_min: float = 0.5,

@@ -11,8 +11,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import (BLOCK_ELEMS, LATTICE_TOL, Grid, Signal, _sample_values,
-                    as_points, dft, evaluate_trig, inner_product)
+from .grids import (BLOCK_ELEMS, LATTICE_TOL, Grid, Signal, _outer,
+                    _sample_values, as_points, dft, evaluate_trig,
+                    inner_product)
 
 
 class WindowKind(enum.Enum):
@@ -89,15 +90,6 @@ def gaussian_window(grid: Grid, sigma) -> Window:
     return w
 
 
-def _outer(parts: list) -> np.ndarray:
-    """The product array parts[0][i_0] parts[1][i_1] ..., multiplied left to
-    right."""
-    vals = parts[0]
-    for p in parts[1:]:
-        vals = np.multiply.outer(vals, p)
-    return vals
-
-
 def gevrey_bump(grid: Grid, radius: float, alpha: float) -> Window:
     """Compactly supported Gevrey-class bump, zero for ||t|| >= radius.
 
@@ -153,15 +145,13 @@ def _keep(w: Window, pts: np.ndarray) -> np.ndarray:
     return keep
 
 
-def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray,
-                  rows: np.ndarray | None = None):
-    """Iterator of (lo, hi, W) with W[b] = window_at(w, proj - Y[rows[lo +
-    b]]), where proj = grid.points() @ u.T are the sample points t
-    projected on the k x n direction rows ``u``, ``Y`` holds the y~ points,
-    shape (Ny, k), and ``rows`` the indices of the points to stream
-    (default: all).  The window and grid dimensions are checked against k
-    and n, and the y~ points against k, at the call, before any block is
-    computed.  A block holds the rows of _block_bounds over rows, as its
+def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
+    """Iterator of (lo, hi, W) with W[b] = window_at(w, proj - Y[lo + b]),
+    where proj = grid.points() @ u.T are the sample points t projected on
+    the k x n direction rows ``u`` and ``Y`` holds the y~ points, shape
+    (Ny, k).  The window and grid dimensions are checked against k and n,
+    and the y~ points against k, at the call, before any block is
+    computed.  A block holds the rows of _block_bounds over Y, as its
     consumers expand it to the whole grid; each is _row_window's W at
     those rows.
     """
@@ -170,9 +160,8 @@ def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray,
     if Y.shape[0] == 0:
         return iter(())
     window = _row_window(w, grid, u, Y)
-    rows = np.arange(len(Y)) if rows is None else rows
-    return ((lo, hi, window(rows[lo:hi]))
-            for lo, hi in _block_bounds(len(rows), grid.size))
+    return ((lo, hi, window(np.arange(lo, hi)))
+            for lo, hi in _block_bounds(len(Y), grid.size))
 
 
 def _row_window(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
@@ -330,23 +319,23 @@ def _lattice_blocks(w: Window, proj: np.ndarray, Y: np.ndarray):
     """Block gatherer for lattice frames, block(idx) for the y~ points
     Y[idx], or None when some proj - y~ is off the window lattice.
 
-    In window-lattice units proj is P (Nt, k) and y~ is Q (Ny, k); every
-    difference P - Q is integral iff P - P[0], Q - Q[0] and P[0] - Q[0] are,
-    which is checked once in O(Nt + Ny).  The integer indices are clipped to
-    the range that can reach the window, and the window is zero-padded to
-    the range of their differences, so a block is one flat gather
-    at fp[t] - fq[y~] with no per-point bounds test.
+    The lattice test is Grid.lattice_index, window_at's, applied once in
+    O(Nt + Ny): to proj - Y[0] on the window grid, giving the index ip of
+    each sample, and to Y - Y[0] on the window's spacing from a zero
+    origin, giving the index shift iq of each y~; the index of
+    proj[t] - Y[b] is then ip[t] - iq[b].  The indices are clipped to the
+    range that can reach the window, and the window is zero-padded to the
+    range of their differences, so a block is one flat gather at
+    fp[t] - fq[y~] with no per-point bounds test.  A compact window's
+    padding is zeroed where _keep, window_at's support test, rejects its
+    lattice points origin + index * spacing.
     """
     grid = w.grid
-    P = (proj - np.asarray(grid.origin)) / np.asarray(grid.spacing)
-    Q = Y / np.asarray(grid.spacing)
-    parts = [P - P[0], Q - Q[0], (P[0] - Q[0])[None, :]]
-    ints = [np.rint(x) for x in parts]
-    if any(np.any(np.abs(x - i) > LATTICE_TOL) for x, i in zip(parts, ints)):
+    ip = grid.lattice_index(proj - Y[0])
+    iq = Grid((0.0,) * grid.dim, grid.spacing, grid.counts).lattice_index(Y - Y[0])
+    if ip is None or iq is None:
         return None
     n = np.asarray(grid.counts)
-    ip = (ints[0] + ints[2]).astype(np.int64)       # index of proj - Y[0]
-    iq = ints[1].astype(np.int64)                   # index shift of each y~
     # clipping keeps every (t, y~) pair that misses the window missing
     iq = np.clip(iq, ip.min(axis=0) - n, ip.max(axis=0) + 1)
     ip = np.clip(ip, iq.min(axis=0) - 1, iq.max(axis=0) + n)
@@ -359,9 +348,8 @@ def _lattice_blocks(w: Window, proj: np.ndarray, Y: np.ndarray):
     if w.compact:
         coords = [grid.origin[j] + (base[j] + np.arange(shape[j])) * grid.spacing[j]
                   for j in range(grid.dim)]
-        mesh = np.meshgrid(*coords, indexing="ij")
-        radius = np.sqrt(sum(m ** 2 for m in mesh))
-        padded[radius >= w.support_radius] = 0.0
+        pts = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
+        padded[~_keep(w, pts)] = 0.0
     strides = np.cumprod((1,) + shape[:0:-1])[::-1]
     fp = (ip - base) @ strides
     fq = iq @ strides

@@ -629,7 +629,9 @@ def test_missing_required_config_key_exits_2_naming_it(tmp_path, capsys,
     ("wavefront", {"alpha": NAN}, "alpha must exceed 1 and be finite, got nan"),
     ("wavefront", {"alpha": math.inf}, "alpha must exceed 1 and be finite, got inf"),
     ("wavefront", {"threshold_N": NAN}, "threshold_N must be a number, got NaN"),
-    ("wavefront", {"residual_cap": NAN}, "residual_cap must be a number, got NaN"),
+    # residual_cap is a constant of the scan, not a config key
+    ("wavefront", {"residual_cap": NAN},
+     "unknown key(s) in wavefront config: ['residual_cap']"),
     ("roundtrip", {"tolerance": NAN}, "tolerance must be a number >= 0, got nan"),
     ("roundtrip", {"tolerance": -1e-3}, "tolerance must be a number >= 0, got -0.001"),
     ("wavefront", {"cones": {"count": math.inf}},
@@ -820,7 +822,7 @@ def _fuzz_configs(tmp_path):
                       "window_phi": {**WIN16, "sigma": 1.5},
                       "frame": {"u": [1.0, 0.0]}, "tolerance": 1e-3,
                       "report": str(tmp_path / "rt.json")},
-        "wavefront": {**wavefront, "residual_cap": 0.5,
+        "wavefront": {**wavefront,
                       "cones": {"count": 8, "r_min": 0.5, "half_angle": 0.4},
                       "cells": [{"center": [0.0], "radius": 0.25}]},
         "wavefront (cone list)": {**wavefront, "cones": [
@@ -850,20 +852,31 @@ EXTREMES = (math.nan, math.inf, -math.inf, 1e308, -1e308)
 
 @st.composite
 def _mutations(draw, commands):
-    """(command, config): a valid config with one or two of its values
-    replaced, each by a value of another JSON type, the value one list
-    level deeper, an extreme number or an empty container."""
+    """(command, config): a valid config with one or two mutations at any
+    depth, each of which replaces a value by one of another JSON type, the
+    value one list level deeper, an extreme number or an empty container,
+    or, in an object, drops the value's key or adds an unknown key."""
     name = draw(st.sampled_from(sorted(commands)))
     cfg = copy.deepcopy(commands[name])
     for _ in range(draw(st.integers(1, 2))):
-        *parent, key = draw(st.sampled_from(list(_value_paths(cfg))))
+        paths = list(_value_paths(cfg))
+        if not paths:       # every key was dropped
+            break
+        *parent, key = draw(st.sampled_from(paths))
         holder = cfg
         for k in parent:
             holder = holder[k]
         old = holder[key]
-        holder[key] = draw(st.sampled_from(
-            [v for v in OTHER_TYPES if _json_type(v) != _json_type(old)]
-            + [[old], *EXTREMES, [], {}]))
+        edit = draw(st.sampled_from(
+            ("replace", "drop", "add") if isinstance(holder, dict) else ("replace",)))
+        if edit == "drop":
+            del holder[key]
+        elif edit == "add":
+            holder["unknown"] = old
+        else:
+            holder[key] = draw(st.sampled_from(
+                [v for v in OTHER_TYPES if _json_type(v) != _json_type(old)]
+                + [[old], *EXTREMES, [], {}]))
     return name.split()[0], cfg
 
 

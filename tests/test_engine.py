@@ -12,7 +12,7 @@ from dirstft import Grid, Signal, build_frame, dstft_fast, gaussian_window, gevr
 from dirstft import windows
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, heaviside_sheet
-from dirstft.grids import BLOCK_ELEMS, dft, evaluate_trig
+from dirstft.grids import BLOCK_ELEMS, LATTICE_TOL, dft, evaluate_trig
 from dirstft.synthesis import dso, dso_direct, reconstruct
 from dirstft.transform import DstftField, dstft_direct
 from dirstft.wavefront import BallSpec, cone_dictionary_2d, wavefront_scan
@@ -139,6 +139,35 @@ def test_support_radius_masks_nonzero_values(u, lattice):
     grid = Grid.from_bounds([-2, -2], [2, 2], [32, 32])
     want = assert_engine_matches(win, grid, u, wg.points(), lattice)
     assert np.count_nonzero(want) < want.size / 2
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.0), (0.9, 0.9), (0.0, 1.5), (0.4, 0.4)])
+def test_lattice_path_takes_the_rule_of_lattice_index(a, b):
+    # a signal origin a LATTICE_TOL steps off the window lattice and a
+    # spacing that drifts b LATTICE_TOL steps over the grid: the engine
+    # gathers exactly when window_at's rule, Grid.lattice_index, accepts
+    # every proj - y~, which is when the largest offset a + b is at most 1
+    wg = Grid.from_bounds([-8], [8], [64])
+    h = wg.spacing[0]
+    grid = Grid((-8 + a * LATTICE_TOL * h,), (h * (1 + b * LATTICE_TOL / 63),), (64,))
+    Y = np.zeros((1, 1))
+    accepted = wg.lattice_index(grid.points() - Y[0]) is not None
+    assert accepted == (a + b <= 1)
+    assert_engine_matches(gaussian_window(wg, 1.0), grid, [[1.0]], Y, accepted)
+
+
+def test_lattice_path_takes_the_support_rule_of_window_at():
+    # a bump-kind window with nonzero samples past its support radius, on
+    # the lattice path in k = 2: the padded window is masked by window_at's
+    # own test, so the blocks equal window_at exactly
+    wg = Grid.from_bounds([-2, -2], [2, 2], [16, 16])
+    win = Window(wg, gaussian_window(wg, [1.0, 1.0]).values, WindowKind.GEVREY_BUMP,
+                 alpha=2.0, support_radius=1.3)
+    Y = wg.points()[::37]
+    assert is_lattice(win, wg, np.eye(2), Y)
+    want = per_point(win, wg, np.eye(2), Y)
+    assert np.array_equal(engine(win, wg, np.eye(2), Y), want)
+    assert 0 < np.count_nonzero(want) < want.size / 2
 
 
 def box_size(w, grid, u):
