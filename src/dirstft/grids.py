@@ -404,98 +404,123 @@ def evaluate_trig(f: Signal, pts: np.ndarray) -> np.ndarray:
 def evaluate_trig_grid(f: Signal, A, out_grid: Grid) -> np.ndarray:
     """The trigonometric interpolant of f at A s for every s on out_grid,
     shaped out_grid.counts: ``evaluate_trig(f, out_grid.points() @ A.T)``
-    without treating the points as scattered.  Like evaluate_trig it is the
-    periodic interpolant, not zero outside f's grid box.
-
-    xi . (A s) = sum_l s_l sum_j A_jl xi_j, so mode axis j contributes one
-    (M_j, N_l) phase table for each output axis l with A_jl != 0.  The mode
-    axes are contracted last to first, one matrix product each, and the
-    intermediate holds only the output axes touched so far.  For
-    upper-triangular A (the C of every k = 1 frame) that costs
-    O(sum_j M_<=j N_>=j) instead of O(M P); a dense A still costs M P.  The
-    work runs in blocks that cut the output axes of the first contraction
-    (the last axis for a k = 1 frame, every axis for a dense A), so that
-    each intermediate holds about BLOCK_ELEMS entries, and the blocks reuse
-    one set of work buffers.
-    """
+    by _trig_grid, the periodic interpolant, not zero outside f's box."""
     A = np.asarray(A, dtype=float)
     if A.shape != (f.grid.dim, out_grid.dim):
         raise ValueError(f"A must be {f.grid.dim} x {out_grid.dim} to map "
                          f"out_grid into f's grid, got shape {A.shape}")
     spec = dft(f)
-    fg = spec.grid
-    M, N = fg.counts, out_grid.counts
-    coeff = spec.values * fg.cell_volume
-    tables = [{l: np.exp(2j * np.pi * np.outer(fg.axis(j), A[j, l] * out_grid.axis(l)))
-               for l in np.flatnonzero(A[j])} for j in range(fg.dim)]
-    # steps: (mode axis j, output axes it adds, output axes held after it);
-    # the intermediate after a step is shaped (M_0 ... M_j-1, held axes...)
+    return _trig_grid(spec.grid, A, out_grid)(spec.values * spec.grid.cell_volume)[0]
+
+
+def _trig_grid(modes: Grid, A: np.ndarray, out_grid: Grid):
+    """evaluate(c), the sums sum_m c[b, m] exp(2 pi i X_m . A s) over the
+    points X_m of the grid modes, shaped (B,) + out_grid.counts for the B
+    rows of c (shaped batch + modes.counts); set up once, here, evaluate
+    may run on any thread.
+
+    X . A s = sum_l s_l sum_j A_jl X_j, so mode axis j contributes one
+    (M_j, N_l) phase table per output axis l with A_jl != 0.  The mode axes
+    are contracted last to first.  Each multiplies in its tables of the
+    output axes already held and those of its new axes but the last, as
+    new array axes, and is contracted against the last by a matrix product
+    (with no new axis, against a held one by a matrix-vector product); no
+    table over several output axes is formed.  Upper-triangular A (the C of
+    a k = 1 frame) costs O(sum_j M_<=j N_>=j), a dense A M P.  Each row
+    takes products of its own and the blocks depend on the shapes alone,
+    so a row's values do not depend on the rows beside it.  The blocks cut
+    the axes that the first contraction multiplies in (else its one axis),
+    whole axes from the last one down, then the rows, so that the work
+    buffers, which the blocks of a call reuse, hold about BLOCK_ELEMS entries.
+    """
+    M, N = modes.counts, out_grid.counts
+    # steps: (mode axis j, output axes held before it, its new axes, the axis
+    # it is contracted along, its tables, those of the new axes but the last
+    # stored (N_l, M_j)); the intermediate is shaped (rows, M_0 ... M_j,
+    # held...) before step j and (rows, M_0 ... M_j-1, new..., held...) after
     steps, held = [], []
-    for j in reversed(range(fg.dim)):
-        new = [l for l in sorted(tables[j], reverse=True) if l not in held]
+    for j in reversed(range(modes.dim)):
+        # a mode axis no output axis depends on is summed: its table along
+        # the last output axis is all ones
+        touched = [int(l) for l in np.flatnonzero(A[j])] or [len(N) - 1]
+        new = [l for l in touched if l not in held]
+        tables = {l: np.exp(2j * np.pi * np.outer(modes.axis(j), A[j, l] * out_grid.axis(l)))
+                  for l in touched}
+        tables.update({l: np.ascontiguousarray(tables[l].T) for l in new[:-1]})
+        along = new[-1] if new else next(l for l in held if l in tables)
+        steps.append((j, held, new, along, tables))
         held = new + held
-        steps.append((j, new, held))
-    # blocks cut the output axes of the first contraction, which every
-    # later intermediate holds: whole axes from the lowest index up, then a
-    # run of the next one and single indices along the rest, so that each
-    # intermediate keeps near BLOCK_ELEMS entries
-    cut_axes = next((new for _, new, _ in steps if new), [out_grid.dim - 1])
-    per_cell = max([math.prod(M[:j]) * math.prod(N[l] for l in h if l not in cut_axes)
-                    for j, _, h in steps if cut_axes[0] in h]
-                   + [M[j] for j, new, _ in steps if new == cut_axes], default=1)
-    cells, width = max(1, BLOCK_ELEMS // per_cell), {}
-    for l in reversed(cut_axes):
+    cut_axes = steps[0][2][:-1] or steps[0][2]
+    # entries per row of the work buffers, with one index per cut axis: each
+    # step's new axes but the last multiplied in one by one, then its product
+    n1 = [1 if l in cut_axes else n for l, n in enumerate(N)]
+    size = sum(math.prod(M[:j]) * math.prod(n1[l] for l in h) * (
+        sum(M[j] * math.prod(n1[l] for l in new[:i]) for i in range(1, len(new)))
+        + math.prod(n1[l] for l in new)) for j, h, new, _, _ in steps)
+    cells = max(1, BLOCK_ELEMS // size)
+    width = {}
+    for l in reversed(cut_axes):        # the cells left are rows
         width[l] = min(N[l], cells)
         cells = max(1, cells // N[l])
-    out = np.empty(N, dtype=complex)
-    work = {}
+    order = [0] + [1 + i for i in np.argsort(held)]
 
-    def buffer(key, shape):
-        # the first block is the largest, so later blocks fit its buffers
-        if key not in work:
-            work[key] = np.empty(math.prod(shape), dtype=complex)
-        return work[key][:math.prod(shape)].reshape(shape)
+    def evaluate(c):
+        c = c.reshape((-1,) + M)
+        out = np.empty((len(c),) + N, dtype=complex)
+        work = {}
 
-    for corner in itertools.product(*(range(0, N[l], width[l]) for l in cut_axes)):
-        cut = {l: slice(lo, lo + width[l]) for l, lo in zip(cut_axes, corner)}
-        sizes = [len(range(n)[cut[l]]) if l in cut else n for l, n in enumerate(N)]
+        def buffer(key, shape):
+            # the first block is the largest, so later blocks fit its buffers
+            if key not in work:
+                work[key] = np.empty(math.prod(shape), dtype=complex)
+            return work[key][:math.prod(shape)].reshape(shape)
 
-        def phase(key, j, axes):
-            """The product of mode axis j's tables over the output axes
-            it touches, shaped (M_j, axes...), 1 along the others."""
-            ls = [l for l in axes if l in tables[j]]
-            p = buffer(key, [M[j]] + [sizes[l] if l in ls else 1 for l in axes])
-            for i, l in enumerate(ls):
-                t = tables[j][l][:, cut[l]] if l in cut else tables[j][l]
-                t = t.reshape([M[j]] + [sizes[l] if x == l else 1 for x in axes])
-                if i:
-                    p *= t
-                else:
-                    p[...] = t
-            return p
+        for lo in range(0, len(c), cells):
+            for corner in itertools.product(*(range(0, N[l], width[l]) for l in cut_axes)):
+                cut = [slice(None)] * len(N)
+                for l, a in zip(cut_axes, corner):
+                    cut[l] = slice(a, a + width[l])
+                n = [len(range(N[l])[cut[l]]) for l in range(len(N))]
+                acc = c[lo:lo + cells]
+                b = len(acc)
+                for key, (j, h, new, along, tables) in enumerate(steps):
+                    acc = acc.reshape((b, -1, M[j]) + tuple(n[l] for l in h))
+                    for l in h:
+                        if l in tables and l != along:
+                            # acc is a buffer of this call once it holds an axis
+                            acc *= tables[l][:, cut[l]].reshape(
+                                [M[j]] + [n[x] if x == l else 1 for x in h])
+                    t = tables[along][:, cut[along]]
+                    if not new:
+                        # a matrix-vector product per index along the held axis
+                        k = 4 + h.index(along)
+                        acc = acc.reshape(acc.shape[:k] + (-1,))
+                        res = buffer(key, acc.shape[:2] + acc.shape[3:k] + (1, acc.shape[k]))
+                        np.matmul(t.T[:, None, :], acc.transpose((0, 1, *range(3, k), 2, k)),
+                                  out=res)
+                        acc = res
+                        continue
+                    mode = acc.ndim - len(h) - 1
+                    for i, l in enumerate(new[:-1]):
+                        r = tables[l][cut[l]]
+                        grown = buffer((key, i), acc.shape[:mode] + r.shape + acc.shape[mode + 1:])
+                        np.multiply(acc.reshape(acc.shape[:mode] + (1,) + acc.shape[mode:]),
+                                    r.reshape(r.shape + (1,) * len(h)), out=grown)
+                        acc, mode = grown, mode + 1
+                    q = math.prod(n[l] for l in h)
+                    res = buffer(key, acc.shape[:mode] + (t.shape[1], q))
+                    if h:
+                        np.matmul(t.T, acc.reshape(-1, M[j], q), out=res.reshape(-1, t.shape[1], q))
+                    else:
+                        np.matmul(acc.reshape(b, -1, M[j]), t, out=res.reshape(b, -1, t.shape[1]))
+                    acc = res
+                # output axes that no mode touches broadcast
+                acc = acc.reshape([b] + [n[l] for l in held]).transpose(order)
+                out[(slice(lo, lo + b),) + tuple(cut)] = acc.reshape(
+                    [b] + [n[l] if l in held else 1 for l in range(len(N))])
+        return out
 
-        acc = coeff
-        for step, (j, new, h) in enumerate(steps):
-            have = h[len(new):]
-            acc = acc.reshape(-1, M[j], *(sizes[l] for l in have))
-            if any(l in tables[j] for l in have):
-                # acc is a buffer of this call once it holds an output axis
-                acc *= phase(("w", step), j, have)
-            if not new:
-                acc = acc.sum(axis=1)
-                continue
-            q = phase(("q", step), j, new).reshape(M[j], -1)
-            res = buffer(step, (acc.shape[0], q.shape[1], acc[0, 0].size))
-            if have:
-                np.matmul(q.T, acc.reshape(acc.shape[0], M[j], -1), out=res)
-            else:
-                np.dot(acc, q, out=res.reshape(acc.shape[0], -1))
-            acc = res
-        # output axes that no mode touches broadcast
-        acc = acc.reshape([sizes[l] for l in held]).transpose(np.argsort(held))
-        out[tuple(cut.get(l, slice(None)) for l in range(len(N)))] = acc.reshape(
-            [sizes[l] if l in held else 1 for l in range(len(N))])
-    return out
+    return evaluate
 
 
 def relative_error(approx: np.ndarray, exact: np.ndarray) -> float:

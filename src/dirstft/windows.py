@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import (BLOCK_ELEMS, LATTICE_TOL, Grid, Signal, _outer,
-                    _sample_values, as_points, dft, evaluate_trig,
+                    _sample_values, _trig_grid, as_points, dft, evaluate_trig,
                     inner_product)
 
 
@@ -177,12 +177,8 @@ def _row_window(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     whole y~ set Y, whichever rows are asked for, so a row's window is the
     same in every stream: a gather from a zero-padded copy of the window
     when every proj - y~ hits the window lattice, else the trigonometric
-    interpolation of window_at, factorized over (t, y~).  The
-    trigonometric path evaluates the window on the projected index box
-    when that box is smaller than the seen sub-grid (see _projected_box),
-    else at every sample; it holds M J / J_0 entries per row (M window
-    modes, J points it evaluates, J_0 of them on the first axis) and
-    evaluates the rows in runs that keep those entries near BLOCK_ELEMS.
+    interpolation of window_at by grids._trig_grid, whose work buffers
+    hold about BLOCK_ELEMS entries (see _trig_blocks).
     """
     seen = _seen(u)
     shape = tuple(n if s else 1 for n, s in zip(grid.counts, seen))
@@ -364,57 +360,41 @@ def _lattice_blocks(w: Window, proj: np.ndarray, Y: np.ndarray):
 def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
                  Y: np.ndarray):
     """Block evaluator, block(idx) for the y~ points Y[idx], by
-    trigonometric interpolation of the window.
-
-    With window modes X_m and coefficients c_m, the window at x is
-    sum_m c_m exp(2 pi i X_m . x), and W[b, t] is its value at
-    x = u t - Y_b.  The phase factorizes into exp(-2 pi i X_m . Y_b) and
-    one factor per axis of the points x is evaluated on, so a block
-    multiplies in one per-axis table at a time, last axis first, and
-    contracts the modes against the first; the full (modes x points) table
-    is never formed.  Those points are the projected index box of
-    _projected_box when it is smaller than the signal grid (rates X_m,
-    then gathered at each sample's box index), else the samples themselves
-    (rates X_m . u_i along signal axis i).  Points outside the window box
-    (and outside a bump's support) are then zeroed, as in window_at, by
-    testing the points proj - y~.
+    trigonometric interpolation of the window: with window modes X_m and
+    coefficients c_m, W[b, t] = sum_m c_m exp(2 pi i X_m . (u t - Y_b)),
+    _trig_grid's sum at u t of the coefficients modulated by
+    exp(-2 pi i X_m . Y_b), a product of one factor per mode axis, on the
+    projected index box of _projected_box (then gathered at each sample's
+    box index) or else at the samples.  Points outside the window box (and
+    a bump's support) are then zeroed, as in window_at, by testing the
+    points proj - y~.
     """
     spec = dft(w.as_signal())
-    X = spec.grid.points()
-    c = spec.values.ravel() * spec.grid.cell_volume
+    modes = spec.grid
+    c = spec.values * modes.cell_volume
     box = _projected_box(w, grid, u)
-    if box is None:
-        rates, axes, index = X @ u, grid.axes(), None
-    else:
-        rates, (axes, index) = X, box
-    tables = [np.exp(2j * np.pi * np.outer(rates[:, i], a))
-              for i, a in enumerate(axes)]          # (M, len(a)) each
-    run = max(1, BLOCK_ELEMS // (len(c) * math.prod(len(a) for a in axes[1:])))
-
-    def evaluate(y):
-        # one row alone would take BLAS's matrix-vector product, which rounds
-        # otherwise; a row's window must not depend on the rows beside it
-        phase = (np.vstack([y, y]) @ X.T)[:1] if len(y) == 1 else y @ X.T
-        Z = (np.exp(-2j * np.pi * phase) * c)[:, :, None]       # (B, M, 1)
-        for e in tables[:0:-1]:
-            Z = (Z[:, :, None, :] * e[None, :, :, None]).reshape(
-                len(y), len(c), -1)
-        return np.matmul(tables[0].T, Z).reshape(len(y), -1)
+    evaluate = (_trig_grid(modes, u, grid) if box is None
+                else _trig_grid(modes, np.eye(modes.dim), box[0]))
 
     def block(idx):
         y = Y[idx]
-        runs = [evaluate(y[a:a + run]) for a in range(0, len(y), run)]
-        W = runs[0] if len(runs) == 1 else np.concatenate(runs)
-        if index is not None:
-            W = W[:, index]
-        W[~_keep(w, proj[None, :, :] - y[:, None, :])] = 0.0
+        # the mask first, so that its temporaries are gone before Z is made
+        keep = _keep(w, proj[None, :, :] - y[:, None, :])
+        Z = np.repeat(c[None], len(y), axis=0)
+        for j, x in enumerate(modes.axes()):
+            Z *= np.exp(-2j * np.pi * np.outer(y[:, j], x)).reshape(
+                (len(y),) + tuple(len(x) if i == j else 1 for i in range(modes.dim)))
+        W = evaluate(Z).reshape(len(y), -1)
+        if box is not None:
+            W = W[:, box[1]]
+        W[~keep] = 0.0
         return W
 
     return block
 
 
 def _projected_box(w: Window, grid: Grid, u: np.ndarray):
-    """(axes, index) of the projected index box, or None when it is not
+    """(box, index) of the projected index box, or None when it is not
     smaller than the signal grid.
 
     With t = origin + spacing * m, row r of the projection is
@@ -422,43 +402,37 @@ def _projected_box(w: Window, grid: Grid, u: np.ndarray):
     When a_r = delta_r q_r for an integer vector q_r, to within LATTICE_TOL
     window steps over the whole grid, u_r . t takes J_r equally spaced
     values p_r + delta_r j (j = 0 ... J_r - 1) -- the lattice test of
-    _lattice_blocks one level up.  axes[r] holds those values, and index
-    maps each sample, row-major, to its flat position in the box
-    J_0 x ... x J_(k-1).  q_r is the ratio of a_r to its smallest term that
-    moves the projection by more than the tolerance, rounded to integers,
-    so rows with other ratios take the per-sample path; the box size is
-    checked as a float before any integer is formed.
+    _lattice_blocks one level up.  box is the Grid of those values (one
+    value padded to 2, as a Grid needs), and index maps each sample,
+    row-major, to its flat position in box.  q_r is the ratio of a_r to
+    its smallest term that moves the projection by more than the
+    tolerance, rounded, so rows with other ratios take the per-sample
+    path; the box size is checked as a float before any integer is formed.
     """
     a = u * np.asarray(grid.spacing)                # (k, n)
     span = np.asarray(grid.counts) - 1
     if not np.all(np.isfinite(a)):
         return None
-    steps, size = [], 1.0
+    deltas, Q, size = [], [], 1.0
     for a_r, h in zip(a, w.grid.spacing):
         tol = LATTICE_TOL * h
         moving = np.abs(a_r) * span > tol
-        if not moving.any():
-            delta, q = h, np.zeros(len(a_r))
-        else:
-            delta = float(np.min(np.abs(a_r[moving])))
-            q = a_r / delta
-        size *= float(np.abs(np.rint(q)) @ span) + 1
-        if size >= grid.size:
+        delta = float(np.min(np.abs(a_r[moving]))) if moving.any() else h
+        q = np.rint(a_r / delta)
+        size *= float(np.abs(q) @ span) + 1
+        if size >= grid.size or float(np.abs(a_r - delta * q) @ span) > tol:
             return None
-        q = np.rint(q).astype(np.int64)
-        if float(np.abs(a_r - delta * q) @ span) > tol:
-            return None
-        steps.append((delta, q))
-    shape = [int(np.abs(q) @ span) + 1 for _, q in steps]
-    low = [int(np.minimum(q, 0) @ span) for _, q in steps]
-    strides = np.cumprod([1] + shape[:0:-1])[::-1]
-    axes = [float(u_r @ np.asarray(grid.origin)) + delta * (lo + np.arange(n))
-            for u_r, (delta, _), lo, n in zip(u, steps, low, shape)]
-    coef = strides @ np.array([q for _, q in steps])    # (n,) index per m_i
+        deltas.append(delta)
+        Q.append(q)
+    Q = np.array(Q, dtype=np.int64)
+    low = np.minimum(Q, 0) @ span
+    box = Grid(u @ np.asarray(grid.origin) + np.array(deltas) * low, deltas,
+               np.maximum(np.abs(Q) @ span + 1, 2))
+    strides = np.cumprod((1,) + box.counts[:0:-1])[::-1]
     index = -int(strides @ low)
     for i, n_i in enumerate(grid.counts):
-        index = np.add.outer(index, coef[i] * np.arange(n_i))
-    return axes, index.ravel()
+        index = np.add.outer(index, (strides @ Q[:, i]) * np.arange(n_i))
+    return box, index.ravel()
 
 
 def pairing_check(g: Window, phi: Window) -> PairingCert:

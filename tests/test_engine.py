@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dirstft import Grid, Signal, build_frame, dstft_fast, gaussian_window, gevrey_bump
-from dirstft import windows
+from dirstft import transform, windows
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, heaviside_sheet
 from dirstft.grids import BLOCK_ELEMS, LATTICE_TOL, dft, evaluate_trig
@@ -172,7 +172,7 @@ def test_lattice_path_takes_the_support_rule_of_window_at():
 
 def box_size(w, grid, u):
     box = _projected_box(w, grid, np.atleast_2d(u))
-    return None if box is None else math.prod(len(a) for a in box[0])
+    return None if box is None else box[0].size
 
 
 @pytest.mark.parametrize("u, size", [([[1.0, 2.0]], 46), ([[1.0, -1.0]], 31),
@@ -233,8 +233,8 @@ def test_diagonal_64_takes_the_box_path(monkeypatch):
     monkeypatch.setattr(windows, "_projected_box", spy)
     Y = [[-8.0], [0.3], [7.75]]
     W = engine(win, grid, build_frame([[1.0, 1.0]]).u, Y)
-    axes, index = boxes[0]
-    assert len(boxes) == 1 and [len(a) for a in axes] == [127]
+    box, index = boxes[0]
+    assert len(boxes) == 1 and box.counts == (127,)
     assert index.shape == (4096,) and index.min() == 0 and index.max() == 126
     # samples with one box index get one window value
     first = np.unique(index, return_index=True)[1]
@@ -318,6 +318,28 @@ def test_block_memory_bounded(case):
     # FFT temporaries of dft (~5.2 blocks); keeping the previous window and
     # spectrum alive while the next block is computed reads ~7.2
     assert analysis_peak - F.values.nbytes < 6 * BLOCK_ELEMS * 16
+
+
+def test_off_lattice_k2_window_memory_bounded(monkeypatch):
+    # a 64^2 bump off the lattice of a rotated k = n = 2 frame, in two
+    # shards: the trigonometric window path holds work buffers of about one
+    # block per shard, not a per-row intermediate of window modes times
+    # samples on one axis (3 MiB a row, a 16.5 MiB peak in all)
+    monkeypatch.setattr(transform, "_cpu_count", lambda: 2)
+    grid = Grid.from_bounds([-4, -4], [4, 4], [48, 48])
+    f = gaussian(grid, sigma=1.0)
+    win = gevrey_bump(Grid.from_bounds([-4, -4], [4, 4], [64, 64]), 1.5, 2.0)
+    frame = build_frame([[0.6, 0.8], [-0.8, 0.6]])
+    y_grid = Grid.from_bounds([-2, -2], [2, 2], [8, 8])
+    assert _lattice_blocks(win, grid.points() @ frame.u.T, y_grid.points()) is None
+    assert _projected_box(win, grid, frame.u) is None
+    tracemalloc.start()
+    try:
+        F = dstft_fast(f, win, frame, y_grid=y_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < F.values.nbytes + f.values.nbytes + 8 * BLOCK_ELEMS * 16
 
 
 def test_oracles_hold_no_phase_matrix():

@@ -294,8 +294,8 @@ def test_evaluate_trig_grid_rejects_map_of_other_shape():
 
 
 @pytest.mark.parametrize("A", [
-    # dense: the blocks cut output axis 2 to one index and axis 1 to runs
-    # of 7 (22 = 7 + 7 + 7 + 1) to stay near BLOCK_ELEMS
+    # dense: the blocks cut output axis 0 to one index and axis 1 to runs
+    # of 2 (22 = 11 x 2) to keep the work buffers near BLOCK_ELEMS
     [[1.0, 0.3, -0.2], [0.1, 1.0, 0.4], [0.2, -0.3, 1.0]],
     # mode axis 1 touches no output axis and output axis 0 depends on no mode
     [[0.0, 0.7, 0.0], [0.0, 0.0, 0.0], [0.0, 0.4, 1.1]],

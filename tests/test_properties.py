@@ -16,8 +16,8 @@ from dirstft import (BallSpec, Grid, Signal, build_frame, cone_dictionary_2d,
                      wavefront_scan, window_change)
 from dirstft.direction import identity_frame
 from dirstft.fixtures import delta_sheet, heaviside_sheet
-from dirstft.grids import (BLOCK_ELEMS, _direct_sum, evaluate_trig, evaluate_trig_grid,
-                           relative_error)
+from dirstft.grids import (BLOCK_ELEMS, _direct_sum, _trig_grid, dft, evaluate_trig,
+                           evaluate_trig_grid, relative_error)
 from dirstft.synthesis import dso
 from dirstft.wavefront import WindowClassWarning
 from dirstft.windows import tensor_window, window_blocks
@@ -204,29 +204,42 @@ def test_direct_sum_matches_the_dense_phase_matrix(data):
 
 @st.composite
 def mapped_lattices(draw, n, k):
-    """(f, C, out_grid): a signal on an n-d grid, the C of a k-frame (upper
-    triangular for k = 1, dense for k = n) and an output grid other than
-    f's."""
+    """(fs, C, out_grid): 1-4 signals on one n-d grid, the C of a k-frame
+    (upper triangular for k = 1, dense for k = n) and an output grid other
+    than theirs."""
     grid = draw(grids(n, max_count=12))
     out = draw(grids(n, max_count=12))
     assume(out != grid)
-    return draw(signals(grid)), draw(frames(n, k)).C, out
+    fs = [draw(signals(grid)) for _ in range(draw(st.integers(1, 4)))]
+    return fs, draw(frames(n, k)).C, out
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
 @SETTINGS
 @given(data=st.data())
 def test_trig_on_a_mapped_lattice_matches_scattered_points(n, k, data):
-    f, A, out = data.draw(mapped_lattices(n, k))
+    # every row of a batch of coefficient rows, its blocks cut to any size,
+    # matches evaluate_trig and has the bits of the row evaluated alone
+    fs, A, out = data.draw(mapped_lattices(n, k))
     pts = out.points() @ A.T
-    want = evaluate_trig(f, pts)
-    got = evaluate_trig_grid(f, A, out)
-    assert got.shape == out.counts
+    spec = dft(Signal(fs[0].grid, np.stack([f.values for f in fs])))
+    c = spec.values * spec.grid.cell_volume
+    with mock.patch("dirstft.grids.BLOCK_ELEMS",
+                    data.draw(st.sampled_from([1, 64, BLOCK_ELEMS]))):
+        evaluate = _trig_grid(spec.grid, A, out)
+        got = evaluate(c)
+        alone = [evaluate(row)[0] for row in c]
+    assert got.shape == (len(fs),) + out.counts
     # both sides round each phase 2 pi xi . t to a few ulps of its size, so
     # a nearly singular frame (entries of C up to ~1e4) widens the tolerance
-    xi_max = np.abs(np.asarray(f.grid.dual().origin))
-    phase = 2 * np.pi * np.max(np.abs(pts) @ xi_max)
-    assert relative_error(got.ravel(), want) <= max(1e-12, 1e-14 * phase)
+    xi_max = np.abs(np.asarray(fs[0].grid.dual().origin))
+    tol = max(1e-12, 1e-14 * 2 * np.pi * np.max(np.abs(pts) @ xi_max))
+    for f, row, one in zip(fs, got, alone):
+        assert np.array_equal(row, one)
+        assert relative_error(row.ravel(), evaluate_trig(f, pts)) <= tol
+    one = evaluate_trig_grid(fs[0], A, out)
+    assert one.shape == out.counts
+    assert relative_error(one.ravel(), evaluate_trig(fs[0], pts)) <= tol
 
 
 @st.composite

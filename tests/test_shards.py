@@ -109,11 +109,12 @@ def test_shards_match_one_worker_and_repeat(case):
 def one_level_cases(draw):
     """(f, g, phi, frame, y_grid, cones): a k = 1 frame in R^2 or R^3, a
     coordinate axis (the lattice gather) or a rotated direction (the
-    trigonometric path), with a Gaussian or Gevrey-bump window and phi
-    either g or the other kind of window; or a tensor window g on a frame
-    that permutes two signal axes with a one-level phi of other values.  The
-    y~ grid takes a stride per axis and several blocks' rows, so shard cuts
-    fall inside blocks of one shard."""
+    trigonometric path), or a rotated k = 2 frame (the trigonometric path
+    over two window mode axes), with a Gaussian or Gevrey-bump window and
+    phi either g or the other kind of window; or a tensor window g on a
+    frame that permutes two signal axes with a one-level phi of other
+    values.  The y~ grid takes a stride per axis and several blocks' rows,
+    so shard cuts fall inside blocks of one shard."""
     n = draw(st.sampled_from([2, 3]))
     counts = tuple(2 * draw(st.integers(*((6, 16) if n == 2 else (4, 6))))
                    for _ in range(n))
@@ -121,7 +122,7 @@ def one_level_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     f = Signal(grid, rng.normal(size=counts) + 1j * rng.normal(size=counts))
     per_block = BLOCK_ELEMS // grid.size
-    kind = draw(st.sampled_from(["coordinate", "rotated", "factored g"]))
+    kind = draw(st.sampled_from(["coordinate", "rotated", "factored g", "rotated k = 2"]))
     if kind == "factored g":
         perm = draw(st.permutations(range(2)))
         frame = build_frame(np.eye(n)[list(perm)])
@@ -131,18 +132,19 @@ def one_level_cases(draw):
         phi = Window(g.grid, bump.values)
         y_counts = (draw(st.integers(2, 5)), draw(st.integers(2, per_block + 3)))
     else:
-        m = 2 * draw(st.integers(4, 12))
-        wgrid = Grid((-0.25 * m,), (0.5,), (m,))
-        windows = [gaussian_window(wgrid, draw(st.floats(0.5, 2.0))),
+        k = 2 if kind == "rotated k = 2" else 1
+        m = 2 * draw(st.integers(*((2, 5) if k == 2 else (4, 12))))
+        wgrid = Grid((-0.25 * m,) * k, (0.5,) * k, (m,) * k)
+        windows = [gaussian_window(wgrid, [draw(st.floats(0.5, 2.0)) for _ in range(k)]),
                    gevrey_bump(wgrid, 0.25 * m * draw(st.floats(0.4, 0.9)), 2.0)]
         g = windows.pop(draw(st.integers(0, 1)))
         phi = draw(st.sampled_from([g, windows[0]]))
         if kind == "coordinate":
             frame = build_frame(np.eye(n)[[draw(st.integers(0, n - 1))]])
         else:
-            u = rng.normal(size=n)
-            frame = build_frame([u / np.linalg.norm(u)])
-        y_counts = (draw(st.integers(2, 3 * per_block)),)
+            frame = build_frame(rng.normal(size=(k, n)))
+        y_counts = ((draw(st.integers(2, 4)), draw(st.integers(2, per_block + 3))) if k == 2
+                    else (draw(st.integers(2, 3 * per_block)),))
     base = default_y_grid(grid, frame)
     strides = [draw(st.integers(1, 3)) for _ in y_counts]
     y_grid = Grid(tuple(o - (c // 2) * h for o, c, h in zip(base.origin, base.counts,
