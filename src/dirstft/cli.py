@@ -22,7 +22,7 @@ import numpy as np
 from . import fixtures, invariants, sigio
 from .direction import DirectionFrame, build_frame, identity_frame
 from .grids import Grid, Signal, _integral, check_boundary_mass, rel_l2_error
-from .synthesis import dso, dso_direct, reconstruct
+from .synthesis import _reconstruct, dso, dso_direct
 from .transform import dstft_direct, dstft_fast
 from .wavefront import (RESIDUAL_CAP, BallSpec, ConeSpec, WavefrontReport,
                         cone_dictionary_2d, wavefront_scan)
@@ -264,14 +264,20 @@ def cmd_roundtrip(cfg: dict, args) -> int:
     if not tol >= 0:
         raise ConfigError(f"tolerance must be a number >= 0, got {tol}")
     t0 = time.perf_counter()
-    rec = reconstruct(f, g, phi, frame, y_grid=y_grid)
+    rec, M, stride = _reconstruct(f, g, phi, frame, y_grid=y_grid)
     t1 = time.perf_counter()
     rel = rel_l2_error(rec.values, f.values)
     pairing = pairing_check(g, phi).value
+    M = np.abs(M)
     report = {
         "rel_l2_error": rel,
         "max_abs_error": float(np.max(np.abs(rec.values - f.values))),
         "pairing_value": [pairing.real, pairing.imag],
+        # the multiplier reconstruct divided by, and the stride of its
+        # default y~ grid (null for a given y_grid)
+        "y_stride": stride,
+        "min_multiplier": float(M.min()),
+        "multiplier_cond": float(M.max() / M.min()),
         "timings": {"reconstruct_s": t1 - t0},
     }
     out = json.dumps(report, indent=1, sort_keys=True)
@@ -451,6 +457,11 @@ def _selftest_cases() -> list:
         # so the y~ quadrature must cover the overlap
         ("orthogonality relation", invariants.orthogonality_error,
          (f1, f2, g, g, e1, Grid.from_bounds([-16], [16], [64])), 1e-5),
+        # (DS_g f1, DS_phi f2) = (g, phi) (f1 M, f2) on any y~ grid, here
+        # dstft_fast's default, which does not cover the window's reach
+        ("orthogonality, multiplier form (u=(1,1)/sqrt2)",
+         invariants.orthogonality_multiplier_error,
+         (f1, f2, g, gaussian_window(w32, [1.5]), build_frame([[1.0, 1.0]])), 1e-12),
         ("synthesis adjoint relation", invariants.adjoint_error,
          (f1, f2, g, e1), 1e-8),
         # sigma=2 keeps the spectrum well inside the Nyquist box at this
@@ -459,7 +470,8 @@ def _selftest_cases() -> list:
          (fixtures.gaussian(g32, sigma=2.0), gaussian_window(w32, [2.0]),
           build_frame([[1.0, 1.0]]), [[0.0], [0.5]], [[0.5, 0.25], [0.0, 0.0]]),
          1e-4),
-        # on the dual lattice reconstruction is the pointwise multiplier M
+        # on the dual lattice DS*_phi DS_g is the pointwise multiplier
+        # (g, phi) M, which reconstruct divides out
         ("reconstruct vs multiplier f·M (k=n=2 tensor window)",
          invariants.multiplier_error, (f16, t16, t16, identity_frame(2, 2)), 1e-12),
         ("reconstruction roundtrip", invariants.reconstruction_error,

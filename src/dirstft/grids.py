@@ -81,7 +81,12 @@ class Grid:
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         counts = _grid_counts(np.atleast_1d(counts).tolist())
-        spacing = (hi - lo) / np.asarray(counts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = hi - lo
+        if not np.all(np.isfinite(width)):
+            raise ValueError(f"grid bounds must be finite and span a finite "
+                             f"width hi - lo, got {lo.tolist()} and {hi.tolist()}")
+        spacing = width / np.asarray(counts)
         return cls(tuple(lo), tuple(spacing), counts)
 
     @property

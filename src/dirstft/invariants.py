@@ -15,7 +15,9 @@ import numpy as np
 from .direction import DirectionFrame, frequency_map, identity_frame, pullback
 from .grids import (CoverageWarning, Signal, dft, dft_oracle, idft, inner_product,
                     rel_l2_error, relative_error)
-from .synthesis import dso, dso_direct, orthogonality_check, reconstruct, window_change
+from .synthesis import (_frame_operator, covering_y_grid, dso, dso_direct,
+                        orthogonality_check, reconstruct, reconstruction_multiplier,
+                        window_change)
 from .transform import default_y_grid, dstft_direct, dstft_direct_at, dstft_fast
 from .wavefront import WavefrontReport, decay_fit, wavefront_scan
 from .windows import Window, pairing_check, window_blocks
@@ -68,21 +70,42 @@ def reconstruction_error(f: Signal, g: Window, phi: Window,
 
 def multiplier_error(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
                      y_grid=None) -> float:
-    """Relative L2 distance of synthesis.reconstruct from f M, with the
-    reconstruction multiplier
+    """How far reconstruct's stream is from the multiplier identity
+    DS*_phi DS_g f = (g, phi) f M on the DFT-dual xi lattice, with
 
         M(t) = sum_y conj(g)(u . t - y) phi(u . t - y) dy / (g, phi)
 
-    over the y~ grid.  On the DFT-dual xi lattice idft . dft cancels inside
-    every y~ block, so reconstruct is f M up to roundoff for any signal,
-    frame and y~ grid; M needs no FFT."""
-    y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
+    summed here by window_blocks over the y~ grid (synthesis.covering_y_grid
+    by default), for any signal, frame and y~ grid: the larger of the
+    relative L2 distances of the undivided reconstruction
+    DS*_phi DS_g f / (g, phi) from f M, and of the M that reconstruct
+    divides by from this M.  M needs no FFT."""
+    y_grid = covering_y_grid(f.grid, g, phi, frame)[0] if y_grid is None else y_grid
     Y = y_grid.points()
     M = sum((np.conj(Wg) * Wp).sum(axis=0) for (_, _, Wg), (_, _, Wp) in zip(
         window_blocks(g, f.grid, frame.u, Y), window_blocks(phi, f.grid, frame.u, Y),
         strict=True))
-    M = M * (y_grid.cell_volume / pairing_check(g, phi).value)
-    return rel_l2_error(reconstruct(f, g, phi, frame, y_grid).values, f.values * M)
+    pairing = pairing_check(g, phi).value
+    M = np.broadcast_to(M * (y_grid.cell_volume / pairing), f.grid.counts)
+    rec, lib = _frame_operator(f, g, phi, frame, y_grid, pairing)
+    return max(rel_l2_error(rec, f.values * M),
+               rel_l2_error(np.broadcast_to(lib, f.grid.counts), M))
+
+
+def orthogonality_multiplier_error(f1: Signal, f2: Signal, g: Window, phi: Window,
+                                   frame: DirectionFrame, y_grid=None) -> float:
+    """(DS_g f1, DS_phi f2) vs (g, phi) (f1 M, f2), the orthogonality
+    relation in multiplier form: the field inner product conjugates its
+    second argument, so (DS_g f1, DS_phi f2) = (DS*_phi DS_g f1, f2), and
+    DS*_phi DS_g f1 = (g, phi) f1 M, with M synthesis.reconstruction_multiplier
+    over the fields' y~ grid (dstft_fast's default by default)."""
+    y_grid = default_y_grid(f1.grid, frame) if y_grid is None else y_grid
+    lhs = dstft_fast(f1, g, frame, y_grid=y_grid).inner_product(
+        dstft_fast(f2, phi, frame, y_grid=y_grid))
+    M = reconstruction_multiplier(g, phi, frame, f1.grid, y_grid)
+    rhs = pairing_check(g, phi).value * inner_product(
+        Signal(f1.grid, f1.values * M), f2)
+    return relative_error(lhs, rhs)
 
 
 def frame_change_error(f: Signal, g: Window, frame: DirectionFrame,

@@ -1,5 +1,7 @@
-"""k-directional synthesis operator, reconstruction, the Parseval-type
-orthogonality relation and the window change DS_phi DS*_gamma / (g, gamma).
+"""k-directional synthesis operator, reconstruction by the canonical dual
+(division by the reconstruction multiplier M on a covering y~ grid), the
+Parseval-type orthogonality relation and the window change
+DS_phi DS*_gamma / (g, gamma).
 
 DS*_{g,u^k} F(t) = integral integral F(y~, xi) g((u.t) - y~)
                    exp(2 pi i xi . t) dy~ dxi
@@ -10,11 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .direction import DirectionFrame, pullback
-from .grids import (Grid, Signal, _check_oracle_work, _direct_sum, _idft_into,
-                    _phase_tables, _trailing, inner_product, primal_phase)
-from .transform import (DstftField, _in_shards, _level0, _unphased, default_y_grid,
-                        dstft_fast)
-from .windows import Window, WindowLevels, pairing_check, window_blocks, window_levels
+from .grids import (LATTICE_TOL, Grid, Signal, _check_oracle_work, _direct_sum,
+                    _idft_into, _phase_tables, _trailing, inner_product,
+                    primal_phase)
+from .transform import DstftField, _in_shards, _level0, _unphased, dstft_fast
+from .windows import (Window, WindowLevels, numerical_support, pairing_check,
+                      window_blocks, window_levels)
 
 
 def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Signal:
@@ -129,9 +132,111 @@ def dso_direct(F: DstftField, g: Window, frame: DirectionFrame,
     return Signal(out_grid, acc)
 
 
+# Largest cond = max |C| / min |C| of the window-only multiplier, the coset
+# sums C of conj(g) phi over s Z^k on the window lattice, that the default
+# y~ stride s of reconstruct accepts (multiplier_stride).
+MULTIPLIER_COND_MAX = 2.0
+
+# Smallest |M| that reconstruct divides by.  f M is computed to roundoff of
+# its largest value, so dividing by an M below this would lift that
+# roundoff past 1e-10 of f; a y~ grid that leaves M this small misses the
+# window's reach.
+MULTIPLIER_FLOOR = 1e-6
+
+
+def multiplier_stride(g: Window, phi: Window) -> int:
+    """The largest y~ stride s, tried upward from 1 until one fails, whose
+    window-only multiplier stays within MULTIPLIER_COND_MAX: max |C| /
+    min |C| over the coset sums C_r = sum over m in r + s Z^k of
+    conj(g_m) phi_m of the window samples.  When the samples u . t - y~
+    are on the window lattice and y~ on s times it, C_r is M at the
+    samples of coset r, up to a constant.  Each candidate costs O(N_w),
+    with no FFT, and none depends on the signal."""
+    P = np.conj(g.values) * phi.values
+    s = 1
+    while s < max(P.shape):
+        t = s + 1
+        padded = np.pad(P, [(0, -n % t) for n in P.shape])
+        C = padded.reshape([d for n in padded.shape for d in (n // t, t)])
+        C = np.abs(C.sum(axis=tuple(range(0, 2 * P.ndim, 2))))
+        if not C.max() <= MULTIPLIER_COND_MAX * C.min():
+            break
+        s = t
+    return s
+
+
+def covering_y_grid(grid: Grid, g: Window, phi: Window,
+                    frame: DirectionFrame) -> tuple:
+    """(y_grid, s), reconstruct's default y~ grid for signals on grid.
+
+    Per y~ axis j it spans the projections u_j . t of the grid's samples,
+    widened by the numerical support of conj(g) phi (the intersection of
+    the windows' windows.numerical_support), so it holds every y~ on its
+    lattice whose window reaches a sample.  Its spacing is the window's
+    times the stride s of multiplier_stride.  Its origin is on the
+    lattice u . (grid origin) - (window origin) + window spacing Z, so that
+    on a coordinate frame whose signal spacing is a multiple of the
+    window's, every u . t - y~ is on the window lattice, the exact gather
+    of windows._lattice_blocks."""
+    s = multiplier_stride(g, phi)
+    (lo_g, hi_g), (lo_p, hi_p) = numerical_support(g), numerical_support(phi)
+    lo, hi = np.maximum(lo_g, lo_p), np.minimum(hi_g, hi_p)
+    reach = frame.u * ((np.asarray(grid.counts) - 1) * np.asarray(grid.spacing))
+    base = frame.u @ np.asarray(grid.origin)
+    y_lo = base + np.minimum(reach, 0).sum(axis=1) - hi
+    y_hi = base + np.maximum(reach, 0).sum(axis=1) - lo
+    h = np.asarray(g.grid.spacing)
+    ref = base - np.asarray(g.grid.origin)
+    origin = ref + np.floor((y_lo - ref) / h + LATTICE_TOL) * h
+    counts = np.floor((y_hi - origin) / (s * h) + LATTICE_TOL) + 1
+    return Grid(origin, s * h, np.maximum(counts, 2).astype(int)), s
+
+
 def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
                 y_grid: Grid | None = None) -> Signal:
-    """(1/(g, phi)) DS*_{phi} DS_g f; requires an admissible window pairing.
+    """The canonical dual reconstruction DS*_phi DS_g f / ((g, phi) M),
+    which is f to roundoff for any signal: on the DFT-dual xi lattice
+    DS*_phi DS_g is multiplication by (g, phi) M, with M the
+    reconstruction multiplier (reconstruction_multiplier), which is
+    divided out.  The y~ grid defaults to covering_y_grid.
+
+    Requires an admissible window pairing, and raises ValueError when
+    min |M| on the signal grid is below MULTIPLIER_FLOOR, naming the
+    fraction of the samples it leaves uncovered.  M comes from the same
+    stream as the synthesis (_frame_operator)."""
+    return _reconstruct(f, g, phi, frame, y_grid)[0]
+
+
+def _reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
+                 y_grid: Grid | None = None) -> tuple:
+    """(reconstruct's result, the M it divided by, shaped to broadcast
+    over the signal grid, and the stride of its covering y~ grid, None
+    for a given y_grid)."""
+    pairing = _pairing(g, phi)
+    s = None
+    if y_grid is None:
+        y_grid, s = covering_y_grid(f.grid, g, phi, frame)
+    rec, M = _frame_operator(f, g, phi, frame, y_grid, pairing)
+    low = np.abs(M) < MULTIPLIER_FLOOR
+    if low.any():
+        raise ValueError(
+            f"y_grid does not cover the window's reach: |M| < {MULTIPLIER_FLOOR:g} "
+            f"on {np.broadcast_to(low, f.grid.counts).mean():.1%} of the signal "
+            f"samples (min |M| = {np.abs(M).min():.3g})")
+    rec /= M
+    return Signal(f.grid, rec), M, s
+
+
+def _pairing(g: Window, phi: Window) -> complex:
+    cert = pairing_check(g, phi)
+    if not cert.admissible:
+        raise ValueError(f"inadmissible window pairing: {cert}")
+    return cert.value
+
+
+def _frame_operator(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
+                    y_grid: Grid, pairing: complex) -> tuple:
+    """(DS*_phi DS_g f / (g, phi), M) over y_grid, from one stream.
 
     Analysis and synthesis are fused per y~ block, and each block is
     inverted in the analysis buffer, so memory stays at a block plus the
@@ -139,12 +244,11 @@ def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
     both windows stream the same innermost axes; a factored window paired
     with an unfactored one takes their product per block.  When phi is g,
     the analysis window levels and blocks are reused for synthesis.  The
-    stream runs in shards (transform._in_shards).
+    stream runs in shards (transform._in_shards).  M of two factored
+    windows is the product of their per-level sums (_level_sums); any
+    other pair's is summed from the window blocks the shards already
+    hold, so no window is evaluated twice.
     """
-    cert = pairing_check(g, phi)
-    if not cert.admissible:
-        raise ValueError(f"inadmissible window pairing: {cert}")
-    y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     levels = window_levels(g, f.grid, frame.u, y_grid)
     # every window stream on one grid takes the same y~ blocks
     synth = levels if phi is g else window_levels(phi, f.grid, frame.u, y_grid)
@@ -153,21 +257,84 @@ def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
         table = (_phase_tables(f.grid, levels.axes).dft_post
                  * _phase_tables(f.grid, synth.axes).idft_pre)
     G = _level0(f, levels)
+    M = _level_sums(levels, synth)
 
     def shard(a, b, analysis, synthesis=None):
-        stream = _unphased(f, analysis, G=G)
-        if synthesis is None:
-            synthesis, pairs = analysis, ((lo, hi, R, W) for lo, hi, W, R in stream)
-        else:
-            pairs = ((lo, hi, R, W) for (lo, hi, _, R), (_, _, W)
-                     in zip(stream, synthesis.blocks, strict=True))
-        if table is not None:
-            pairs = ((lo, hi, np.multiply(R, table, out=R), W) for lo, hi, R, W in pairs)
-        return _synthesize(pairs, synthesis, f.grid)
+        same = synthesis is None
+        synthesis = analysis if same else synthesis
+        m = 0
+
+        def pairs():
+            nonlocal m
+            stream = _unphased(f, analysis, G=G)
+            if same:
+                blocks = (((lo, hi, W, R), W) for lo, hi, W, R in stream)
+            else:
+                blocks = zip(stream, (W for _, _, W in synthesis.blocks), strict=True)
+            for (lo, hi, W, R), Wp in blocks:
+                if M is None:
+                    m += _block_products(analysis, synthesis, lo, hi, W, Wp)
+                if table is not None:
+                    np.multiply(R, table, out=R)
+                yield lo, hi, R, Wp
+
+        acc = _synthesize(pairs(), synthesis, f.grid)
+        return acc, m
 
     streams = (levels,) if synth is levels else (levels, synth)
-    rec = _finish(_in_shards(shard, *streams), synth, f.grid, y_grid.cell_volume)
-    return Signal(f.grid, rec / cert.value)
+    parts = _in_shards(shard, *streams)
+    rec = _finish([acc for acc, _ in parts], synth, f.grid, y_grid.cell_volume)
+    if M is None:
+        M = sum(m for _, m in parts)
+    rec /= pairing
+    return rec, M * (y_grid.cell_volume / pairing)
+
+
+def _level_sums(levels: WindowLevels, synth: WindowLevels):
+    """sum over y~ of conj(g) phi for two factored streams over all the
+    rows of one y~ grid, as the product over levels of the sums of their
+    tables' conj(g_j) phi_j over y_j, shaped like a window block row; None
+    unless both are factored."""
+    if not (levels.outer and synth.outer):
+        return None
+
+    def tables(s):
+        return [t for _, t in s.outer] + [s.window(np.arange(s.inner))]
+
+    M = 1.0
+    for tg, tp in zip(tables(levels), tables(synth), strict=True):
+        M = M * np.einsum("i...,i...->...", np.conj(tg), tp)
+    return M
+
+
+def _block_products(levels: WindowLevels, synth: WindowLevels, lo: int, hi: int,
+                    Wg: np.ndarray, Wp: np.ndarray) -> np.ndarray:
+    """sum over the rows lo:hi of conj(g) phi, from the streams' blocks of
+    those rows, made whole (WindowLevels.full) where a stream is factored."""
+    Wg, Wp = levels.full(lo, hi, Wg), synth.full(lo, hi, Wp)
+    return np.einsum("i...,i...->...", np.conj(Wg), Wp)
+
+
+def reconstruction_multiplier(g: Window, phi: Window, frame: DirectionFrame,
+                              grid: Grid, y_grid: Grid | None = None) -> np.ndarray:
+    """M(t) = sum over y~ of conj(g)(u . t - y~) phi(u . t - y~) dy / (g, phi)
+    at the samples t of grid, over y_grid (covering_y_grid by default),
+    shaped grid.counts.  On the DFT-dual xi lattice DS*_phi DS_g f =
+    (g, phi) f M for every f on grid.  reconstruct computes the same M in
+    its own stream; this computes it alone, from the per-level tables of
+    two factored windows, else from one pass over the window blocks."""
+    pairing = _pairing(g, phi)
+    if y_grid is None:
+        y_grid = covering_y_grid(grid, g, phi, frame)[0]
+    levels = window_levels(g, grid, frame.u, y_grid)
+    synth = levels if phi is g else window_levels(phi, grid, frame.u, y_grid)
+    M = _level_sums(levels, synth)
+    if M is None:
+        blocks = ((b, b) for b in levels.blocks) if synth is levels else zip(
+            levels.blocks, synth.blocks, strict=True)
+        M = sum(_block_products(levels, synth, lo, hi, Wg, Wp)
+                for (lo, hi, Wg), (_, _, Wp) in blocks)
+    return np.broadcast_to(M * (y_grid.cell_volume / pairing), grid.counts).copy()
 
 
 def orthogonality_check(f1: Signal, f2: Signal, g: Window, phi: Window,
@@ -201,8 +368,9 @@ def window_change(F_g: DstftField, gamma: Window, phi: Window,
     V_phi gamma, and DS*_gamma DS_g f = (g, gamma) f for an admissible
     synthesis window gamma, so the composition is the window change.  On
     the sampled lattices DS*_gamma DS_g f is (g, gamma) f M, with M the
-    reconstruction multiplier (invariants.multiplier_error), and the result
-    is DS_phi (f M), on F_g's signal grid, frame and y~ grid.
+    reconstruction multiplier (reconstruction_multiplier) over F_g's y~
+    grid, and the result is DS_phi (f M), on F_g's signal grid, frame and
+    y~ grid.
     """
     cert = pairing_check(g, gamma)
     if not cert.admissible:

@@ -145,6 +145,20 @@ def _keep(w: Window, pts: np.ndarray) -> np.ndarray:
     return keep
 
 
+def numerical_support(w: Window) -> tuple:
+    """(lo, hi), per axis, the box in R^k outside which w is numerically
+    zero: [-r, r] for a compact window of support radius r, else the
+    bounding box of the sample points where |w| > eps max |w|, eps the
+    float64 machine epsilon."""
+    if w.compact:
+        r = np.full(w.grid.dim, w.support_radius)
+        return -r, r
+    mag = np.abs(w.values)
+    idx = np.argwhere(mag > np.finfo(float).eps * mag.max())
+    origin, spacing = np.asarray(w.grid.origin), np.asarray(w.grid.spacing)
+    return origin + idx.min(axis=0) * spacing, origin + idx.max(axis=0) * spacing
+
+
 def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     """Iterator of (lo, hi, W) with W[b] = window_at(w, proj - Y[lo + b]),
     where proj = grid.points() @ u.T are the sample points t projected on
@@ -252,6 +266,20 @@ class WindowLevels:
         1/share of the entries of this stream's, so that share such shards
         hold one block between them."""
         return replace(self, rows=self.rows[a:b], nt=self.nt * share)
+
+    def full(self, lo: int, hi: int, W: np.ndarray) -> np.ndarray:
+        """The whole window g(u . t - y~) at the positions lo:hi of rows,
+        from W, their innermost factor: W times, per run of one index of
+        the outer levels (segments), each outer level's factor there."""
+        if not self.outer:
+            return W
+        parts = []
+        for a, b, index in self.segments(lo, hi):
+            part = W[a - lo:b - lo]
+            for (_, table), i in zip(self.outer, index):
+                part = part * table[i]
+            parts.append(part)
+        return np.concatenate(parts)
 
     def segments(self, lo: int, hi: int):
         """(a, b, index) for each run a:b of the positions lo:hi of rows

@@ -131,7 +131,38 @@ def test_roundtrip_passes_at_default_tolerance(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["rel_l2_error"] <= 1e-3
     assert set(report) == {"rel_l2_error", "max_abs_error", "pairing_value",
+                           "y_stride", "min_multiplier", "multiplier_cond",
                            "timings"}
+    # a unit Gaussian on steps of 0.25: stride 3 holds cond(M) under 2
+    assert report["y_stride"] == 3
+    assert 1 <= report["multiplier_cond"] <= 2 and report["min_multiplier"] > 0.5
+
+
+@pytest.mark.parametrize("u", [[1.0, 0.0], [1.0, 1.0], [0.6, 0.8]])
+def test_roundtrip_of_a_signal_that_does_not_decay_is_exact(tmp_path, u):
+    # a random band-limited 64^2 signal fills its box; the covering y~ grid
+    # and the division by M recover it, on and off the window lattice
+    assert run(tmp_path, "gen", {
+        "schema_version": 1, "kind": "random_bandlimited",
+        "grid": {"bounds": [[-8, -8], [8, 8]], "counts": [64, 64]},
+        "params": {"seed": 1, "band": 0.5}, "out": str(tmp_path / "rb.dstf")}) == 0
+    cfg = roundtrip_cfg(tmp_path, tmp_path / "rb.dstf", tolerance=1e-12)
+    cfg["frame"] = {"u": [u]}
+    assert run(tmp_path, "roundtrip", cfg) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["rel_l2_error"] <= 1e-12
+
+
+def test_roundtrip_y_grid_that_misses_the_window_exits_2(tmp_path, capfd):
+    # y~ over [-4, 4) leaves M = 0 near the edges of the box [-8, 8)
+    sig = gen_gaussian(tmp_path)
+    cfg = roundtrip_cfg(tmp_path, sig)
+    cfg["y_grid"] = {"bounds": [[-4], [4]], "counts": [32]}
+    capfd.readouterr()
+    assert run(tmp_path, "roundtrip", cfg) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: y_grid ") and err.count("\n") == 1
+    assert "of the signal samples" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_roundtrip_fails_at_zero_tolerance(tmp_path):
@@ -293,7 +324,7 @@ def test_selftest_pristine(capsys):
     out = capsys.readouterr().out
     assert "0 failure(s)" in out
     assert "FAIL" not in out
-    assert sum(line.endswith(" PASS") for line in out.splitlines()) == 14
+    assert sum(line.endswith(" PASS") for line in out.splitlines()) == 15
 
 
 def test_selftest_detects_injected_scale_fault(monkeypatch, capsys):
@@ -654,6 +685,9 @@ def test_missing_required_config_key_exits_2_naming_it(tmp_path, capsys,
     ("wavefront", {"frame": {"u": ["1", "0"]}}, 'frame u must be a number, got "1"'),
     ("roundtrip", {"window_g": {**WIN16, "sigma": True}},
      "window sigma must be a number, got true"),
+    # hi - lo of two finite bounds overflows
+    ("gen", {"grid": {"bounds": [[-1e308], [1e308]], "counts": [16]}},
+     "grid bounds must be finite and span a finite width"),
 ])
 def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capfd, command,
                                                         edit, message):

@@ -11,7 +11,8 @@ from dirstft import Grid, Window, build_frame, gaussian_window
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import BLOCK_ELEMS, relative_error
-from dirstft.synthesis import dso, dso_direct, reconstruct
+from dirstft.invariants import multiplier_error
+from dirstft.synthesis import _frame_operator, dso, dso_direct, reconstruct
 from dirstft.transform import _spectra, default_y_grid, dstft_direct, dstft_fast
 from dirstft.windows import (_lattice_blocks, gevrey_bump, pairing_check, tensor_window,
                              window_at, window_blocks, window_levels)
@@ -88,6 +89,14 @@ def oracle_reconstruction(f, g, phi, frame, y_grid):
     return dso_direct(field, phi, frame, f.grid).values / pairing_check(g, phi).value
 
 
+def stream(f, g, phi, frame, y_grid):
+    """reconstruct's stream before it divides by M: DS*_phi DS_g f / (g, phi)
+    and M, on y_grid (the default y~ grid when None), which need not cover
+    the window's reach."""
+    y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
+    return _frame_operator(f, g, phi, frame, y_grid, pairing_check(g, phi).value)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_factored_case_takes_one_level_per_y_axis(case):
     f, g, frame, y_grid = CASES[case]()
@@ -117,8 +126,16 @@ def test_factored_transform_matches_the_oracles(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_factored_reconstruction_matches_the_oracle(case):
     f, g, frame, y_grid = CASES[case]()
-    rec = reconstruct(f, g, g, frame, y_grid=y_grid).values
+    rec = stream(f, g, g, frame, y_grid)[0]
     assert relative_error(rec, oracle_reconstruction(f, g, g, frame, y_grid)) <= 1e-13
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_multiplier_is_the_sum_of_the_window_products(case):
+    # a factored pair's M is the product of its per-level sums; it must be
+    # the y~ sum of the full windows' products, and the stream f M
+    f, g, frame, y_grid = CASES[case]()
+    assert multiplier_error(f, g, g, frame, y_grid) <= 1e-13
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -127,8 +144,9 @@ def test_factored_and_unfactored_windows_agree(case):
     plain = unfactored(g)
     fields = [dstft_fast(f, w, frame, y_grid=y_grid).values for w in (g, plain)]
     assert relative_error(*fields) <= 1e-14
-    recs = [reconstruct(f, w, w, frame, y_grid=y_grid).values for w in (g, plain)]
-    assert relative_error(*recs) <= 1e-14
+    recs = [stream(f, w, w, frame, y_grid) for w in (g, plain)]
+    for a, b in zip(*recs):
+        assert relative_error(a, b) <= 1e-14
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -177,9 +195,9 @@ def test_reconstruct_pairs_a_factored_and_an_unfactored_window(factored):
     phi = unfactored(gaussian_window(G32, [1.5, 0.8]))
     if factored == "phi":
         g, phi = unfactored(g), gaussian_window(G32, [1.5, 0.8])
-    rec = reconstruct(f, g, phi, frame, y_grid=y_grid).values
+    rec = stream(f, g, phi, frame, y_grid)[0]
     assert relative_error(rec, oracle_reconstruction(f, g, phi, frame, y_grid)) <= 1e-13
-    same = reconstruct(f, unfactored(g), unfactored(phi), frame, y_grid=y_grid).values
+    same = stream(f, unfactored(g), unfactored(phi), frame, y_grid)[0]
     assert relative_error(rec, same) <= 1e-14
 
 

@@ -15,10 +15,11 @@ from dirstft import (BallSpec, Grid, Signal, build_frame, cone_dictionary_2d,
                      gevrey_bump, invariants, pairing_check, reconstruct,
                      wavefront_scan, window_change)
 from dirstft.direction import identity_frame
-from dirstft.fixtures import delta_sheet, heaviside_sheet
+from dirstft.fixtures import delta_sheet, heaviside_sheet, random_bandlimited
 from dirstft.grids import (BLOCK_ELEMS, _direct_sum, _trig_grid, dft, evaluate_trig,
-                           evaluate_trig_grid, relative_error)
-from dirstft.synthesis import dso
+                           evaluate_trig_grid, rel_l2_error, relative_error)
+from dirstft.synthesis import (_frame_operator, covering_y_grid, dso,
+                               reconstruction_multiplier)
 from dirstft.wavefront import WindowClassWarning
 from dirstft.windows import tensor_window, window_blocks
 
@@ -113,8 +114,23 @@ def test_window_change_is_phi_analysis_of_the_reconstruction(case, data):
     phi = data.draw(windows(frame.k))
     assume(pairing_check(g, gamma).admissible)
     got = window_change(dstft_fast(f, g, frame), gamma, phi, g)
-    want = dstft_fast(reconstruct(f, g, gamma, frame), phi, frame)
+    M = reconstruction_multiplier(g, gamma, frame, f.grid, default_y_grid(f.grid, frame))
+    want = dstft_fast(Signal(f.grid, f.values * M), phi, frame)
     assert relative_error(got.values, want.values) <= 1e-12
+
+
+@SETTINGS
+@given(transform_cases(), st.data())
+def test_orthogonality_in_multiplier_form(case, data):
+    # (DS_g f1, DS_phi f2) = (g, phi) (f1 M, f2) for signals that do not
+    # decay, frames on and off the window lattice, and dstft_fast's default
+    # y~ grid or reconstruct's strided covering one
+    f1, f2, g, frame = case
+    phi = g if data.draw(st.booleans()) else gaussian_window(
+        g.grid, [data.draw(st.floats(0.5, 2.0)) for _ in range(frame.k)])
+    assume(pairing_check(g, phi).admissible)
+    y_grid = covering_y_grid(f1.grid, g, phi, frame)[0] if data.draw(st.booleans()) else None
+    assert invariants.orthogonality_multiplier_error(f1, f2, g, phi, frame, y_grid) <= 1e-12
 
 
 @st.composite
@@ -172,11 +188,57 @@ def streamed_cases(draw):
 def test_reconstruct_matches_synthesis_of_the_field(case):
     # the fused stream reuses one inverse buffer across blocks of unequal
     # length; it must agree with synthesis of the stored field
+    # (the stream before reconstruct divides by M, as the drawn y~ grids
+    # need not cover the window's reach); its M, summed from the blocks the
+    # stream holds, is reconstruction_multiplier's
     f, g, phi, frame, y_grid = case
-    want = (dso(dstft_fast(f, g, frame, y_grid=y_grid), phi, frame, f.grid).values
-            / pairing_check(g, phi).value)
-    got = reconstruct(f, g, phi, frame, y_grid=y_grid).values
+    pairing = pairing_check(g, phi).value
+    want = dso(dstft_fast(f, g, frame, y_grid=y_grid), phi, frame, f.grid).values / pairing
+    got, M = _frame_operator(f, g, phi, frame, y_grid, pairing)
     assert relative_error(got, want) <= 1e-12
+    assert relative_error(np.broadcast_to(M, f.grid.counts),
+                          reconstruction_multiplier(g, phi, frame, f.grid, y_grid)) <= 1e-12
+
+
+@st.composite
+def covered_cases(draw):
+    """(f, g, phi, frame, y_grid): a random band-limited f, which does not
+    decay, on a drawn 2-d grid; a drawn k = 1 frame or the identity k = n =
+    2 frame; phi g or a Gaussian on g's grid; y_grid None (reconstruct's
+    covering grid) or that grid's span at a drawn stride up to its own."""
+    grid = draw(grids(2, max_count=16))
+    f = random_bandlimited(grid, draw(st.integers(0, 2 ** 16)),
+                           band=draw(st.floats(0.2, 1.0)))
+    frame = identity_frame(2, 2) if draw(st.booleans()) else draw(frames(2, k=1))
+    g = draw(windows(frame.k))
+    # a y~ step of the window's spacing leaves gaps between the translates
+    # of a bump narrower than that, which reconstruct refuses (test_synthesis.py,
+    # test_a_bump_narrower_than_its_sample_spacing_is_refused)
+    assume(not g.compact or g.support_radius >= np.linalg.norm(g.grid.spacing))
+    phi = g if draw(st.booleans()) else gaussian_window(
+        g.grid, [draw(st.floats(0.5, 2.0)) for _ in range(frame.k)])
+    assume(pairing_check(g, phi).admissible)
+    y_grid = None
+    if draw(st.booleans()):
+        base, s = covering_y_grid(grid, g, phi, frame)
+        step = np.asarray(g.grid.spacing) * draw(st.integers(1, s))
+        span = (np.asarray(base.counts) - 1) * np.asarray(base.spacing)
+        y_grid = Grid(base.origin, step, np.ceil(span / step - 1e-9).astype(int) + 1)
+    return f, g, phi, frame, y_grid
+
+
+@SETTINGS
+@given(covered_cases())
+def test_reconstruct_recovers_a_signal_that_does_not_decay(case):
+    # DS*_phi DS_g f / ((g, phi) M) is f to roundoff on a y~ grid that
+    # covers the window's reach, on one CPU and in two shards alike
+    f, g, phi, frame, y_grid = case
+    recs = []
+    for n in (1, 2):
+        with mock.patch("dirstft.transform._cpu_count", lambda: n):
+            recs.append(reconstruct(f, g, phi, frame, y_grid=y_grid).values)
+    assert rel_l2_error(recs[0], f.values) <= 1e-12
+    assert rel_l2_error(recs[1], recs[0]) <= 1e-15
 
 
 @SETTINGS

@@ -26,10 +26,11 @@ from dirstft.cli import main
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian
 from dirstft.grids import BLOCK_ELEMS, rel_l2_error
+from dirstft.synthesis import _frame_operator
 from dirstft.transform import default_y_grid
 from dirstft.wavefront import WindowClassWarning
 from dirstft.windows import (_axis_grid, _block_bounds, gaussian_window, gevrey_bump,
-                             tensor_window, window_levels)
+                             pairing_check, tensor_window, window_levels)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=25)
@@ -82,8 +83,11 @@ def factored_cases(draw):
 
 
 def outputs(f, g, phi, frame, y_grid):
+    # reconstruct's stream before its division by M, and M, as the drawn y~
+    # grids need not cover the window's reach
     field = dstft_fast(f, g, frame, y_grid=y_grid)
-    return (field.values, reconstruct(f, g, phi, frame, y_grid=y_grid).values,
+    return (field.values,
+            *_frame_operator(f, g, phi, frame, y_grid, pairing_check(g, phi).value),
             dso(field, phi, frame, f.grid).values)
 
 

@@ -10,8 +10,10 @@ from dirstft import transform
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import BLOCK_ELEMS, inner_product, rel_l2_error, relative_error
-from dirstft.synthesis import dso, dso_direct
-from dirstft.windows import Window, WindowKind
+from dirstft.synthesis import (covering_y_grid, dso, dso_direct,
+                               reconstruction_multiplier)
+from dirstft.transform import default_y_grid
+from dirstft.windows import Window, WindowKind, gevrey_bump
 
 
 def test_dso_fast_matches_direct():
@@ -61,6 +63,17 @@ def test_reconstruct_rejects_inadmissible_pair():
         reconstruct(f, even, odd, identity_frame(1, 1))
 
 
+def test_a_bump_narrower_than_its_sample_spacing_is_refused():
+    # radius 0.6 on window samples 1.5 apart: the covering y~ grid steps by
+    # the window's spacing, so no translate reaches the points of u . t
+    # farther than 0.6 from every y~, and M = 0 there
+    grid = Grid.from_bounds([-4], [4], [32])
+    bump = gevrey_bump(Grid((-3.0,), (1.5,), (4,)), 0.6, 2.0)
+    assert covering_y_grid(grid, bump, bump, identity_frame(1, 1))[0].spacing == (1.5,)
+    with pytest.raises(ValueError, match=r"y_grid does not cover .* 15\.6% of the signal"):
+        reconstruct(gaussian(grid), bump, bump, identity_frame(1, 1))
+
+
 def modulated_window(grid, sigma, freq):
     """A complex window: synthesizing with conj(g) in place of g would
     change the result."""
@@ -93,9 +106,12 @@ def reconstruct_case(case):
 @pytest.mark.parametrize("case", ["k2_lattice", "diag_trig", "phi_differs",
                                   "off_lattice_y"])
 def test_reconstruct_matches_materialized_path(case):
+    # the stream divided by M, on reconstruct's covering y~ grid by default
     f, g, phi, frame, y_grid = reconstruct_case(case)
-    F = dstft_fast(f, g, frame, y_grid=y_grid)
-    want = dso(F, phi, frame, f.grid).values / pairing_check(g, phi).value
+    grid = covering_y_grid(f.grid, g, phi, frame)[0] if y_grid is None else y_grid
+    F = dstft_fast(f, g, frame, y_grid=grid)
+    want = (dso(F, phi, frame, f.grid).values / pairing_check(g, phi).value
+            / reconstruction_multiplier(g, phi, frame, f.grid, grid))
     got = reconstruct(f, g, phi, frame, y_grid=y_grid)
     assert got.grid == f.grid
     assert relative_error(got.values, want) <= 1e-14
@@ -280,7 +296,8 @@ def test_window_change_is_phi_analysis_of_the_reconstruction(case):
     # reconstruction multiplier, for any frame, window grid and signal grid
     f, g, gamma, phi, frame = window_change_case(case)
     got = window_change(dstft_fast(f, g, frame), gamma, phi, g)
-    want = dstft_fast(reconstruct(f, g, gamma, frame), phi, frame)
+    M = reconstruction_multiplier(g, gamma, frame, f.grid, default_y_grid(f.grid, frame))
+    want = dstft_fast(Signal(f.grid, f.values * M), phi, frame)
     assert got.y_grid == want.y_grid and got.grid == want.grid
     assert relative_error(got.values, want.values) <= 1e-12
 

@@ -7,7 +7,7 @@ from dirstft import (BallSpec, DstftField, Grid, Signal, build_frame,
                      transform, wavefront_scan)
 from dirstft import grids
 from dirstft.direction import identity_frame
-from dirstft.synthesis import dso
+from dirstft.synthesis import covering_y_grid, dso, reconstruction_multiplier
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import BLOCK_ELEMS, relative_error
 from dirstft.transform import default_y_grid, dstft_direct_at
@@ -273,7 +273,10 @@ def test_blind_axes_match_the_oracles(name, on_lattice):
         w_grid = Grid.from_bounds([-3.0] * frame.k, [3.0] * frame.k, [7] * frame.k)
     g = gaussian_window(w_grid, [1.0] * frame.k)
     assert invariants.oracle_error(f, g, frame) <= 1e-10
-    field = dstft_fast(f, g, frame)
     for phi in (g, gaussian_window(w_grid, [1.3] * frame.k)):
-        want = dso(field, phi, frame, grid).values / pairing_check(g, phi).value
+        # the synthesis of the field on reconstruct's covering y~ grid, / M
+        y_grid = covering_y_grid(grid, g, phi, frame)[0]
+        field = dstft_fast(f, g, frame, y_grid=y_grid)
+        want = (dso(field, phi, frame, grid).values / pairing_check(g, phi).value
+                / reconstruction_multiplier(g, phi, frame, grid, y_grid))
         assert relative_error(reconstruct(f, g, phi, frame).values, want) <= 1e-12
