@@ -117,19 +117,30 @@ def _vector(value, what: str):
     return _numbers(value, what) if isinstance(value, list) else _number(value, what)
 
 
-def _parse_grid(spec: dict) -> Grid:
-    need = ("bounds",) if "bounds" in _object(spec, "grid") else ("origin", "spacing")
-    _check_keys(spec, "grid", need + ("counts",), ("origin", "spacing", "bounds"))
+def _parse_grid(spec: dict, what: str) -> Grid:
+    """The grid of the config key what ("grid", "y_grid", "out_grid" or
+    "window grid"), which every error message names."""
+    need = ("bounds",) if "bounds" in _object(spec, what) else ("origin", "spacing")
+    _check_keys(spec, what, need + ("counts",), ("origin", "spacing", "bounds"))
     if "bounds" in spec:
-        bounds = [_vector(b, "grid bounds")
-                  for b in _list(spec["bounds"], "grid bounds")]
-        if len(bounds) != 2:
-            raise ConfigError(f"grid bounds must be [lo, hi], got "
+        box = [_vector(b, f"{what} bounds")
+               for b in _list(spec["bounds"], f"{what} bounds")]
+        if len(box) != 2:
+            raise ConfigError(f"{what} bounds must be [lo, hi], got "
                               f"{json.dumps(spec['bounds'])}")
-        return Grid.from_bounds(*bounds, _list(spec["counts"], "grid counts"))
-    return Grid(_numbers(spec["origin"], "grid origin"),
-                _numbers(spec["spacing"], "grid spacing"),
-                _list(spec["counts"], "grid counts"))
+        make = Grid.from_bounds
+    else:
+        box = (_numbers(spec["origin"], f"{what} origin"),
+               _numbers(spec["spacing"], f"{what} spacing"))
+        make = Grid
+    counts = _list(spec["counts"], f"{what} counts")
+    try:
+        return make(*box, counts)
+    except ValueError as exc:
+        # Grid's own checks say "grid ..." whichever key the grid came from
+        msg = str(exc)
+        raise ConfigError(what + msg[4:] if msg.startswith("grid ")
+                          else f"{what}: {msg}") from None
 
 
 def _parse_window(spec: dict) -> Window:
@@ -141,10 +152,10 @@ def _parse_window(spec: dict) -> Window:
         f = sigio.read_signal(_path(spec["path"], "window path"))
         return Window(f.grid, f.values)
     if kind == "gaussian":
-        return gaussian_window(_parse_grid(spec["grid"]),
+        return gaussian_window(_parse_grid(spec["grid"], "window grid"),
                                _vector(spec["sigma"], "window sigma"))
     if kind == "gevrey_bump":
-        return gevrey_bump(_parse_grid(spec["grid"]),
+        return gevrey_bump(_parse_grid(spec["grid"], "window grid"),
                            _number(spec["radius"], "window radius"),
                            _number(spec["alpha"], "window alpha"))
     raise ConfigError(f"unknown window kind {kind!r}")
@@ -204,7 +215,7 @@ def _build_fixture(kind: str, grid: Grid, params: dict) -> Signal:
 def cmd_gen(cfg: dict, args) -> int:
     _check_keys(cfg, "gen config", ("kind", "grid", "out"),
                 ("schema_version", "params", "sidecar"))
-    grid = _parse_grid(cfg["grid"])
+    grid = _parse_grid(cfg["grid"], "grid")
     params = cfg.get("params", {})
     f = _build_fixture(cfg["kind"], grid, params)
     with warnings.catch_warnings(record=True) as caught:
@@ -229,7 +240,7 @@ def cmd_analyze(cfg: dict, args) -> int:
     f = sigio.read_signal(cfg["signal"])
     g = _parse_window(cfg["window"])
     frame = _parse_frame(cfg["frame"])
-    y_grid = _parse_grid(cfg["y_grid"]) if "y_grid" in cfg else None
+    y_grid = _parse_grid(cfg["y_grid"], "y_grid") if "y_grid" in cfg else None
     if args.oracle:
         F = dstft_direct(f, g, frame, y_grid=y_grid)
     else:
@@ -243,7 +254,7 @@ def cmd_synthesize(cfg: dict, args) -> int:
                 ("schema_version", "out_grid"))
     F = sigio.read_field(cfg["field"])
     g = _parse_window(cfg["window"])
-    out_grid = _parse_grid(cfg["out_grid"]) if "out_grid" in cfg else F.grid
+    out_grid = _parse_grid(cfg["out_grid"], "out_grid") if "out_grid" in cfg else F.grid
     if args.oracle:
         rec = dso_direct(F, g, F.frame, out_grid)
     else:
@@ -259,7 +270,7 @@ def cmd_roundtrip(cfg: dict, args) -> int:
     g = _parse_window(cfg["window_g"])
     phi = _parse_window(cfg["window_phi"]) if "window_phi" in cfg else g
     frame = _parse_frame(cfg["frame"])
-    y_grid = _parse_grid(cfg["y_grid"]) if "y_grid" in cfg else None
+    y_grid = _parse_grid(cfg["y_grid"], "y_grid") if "y_grid" in cfg else None
     tol = _number(cfg.get("tolerance", 1e-3), "tolerance")
     if not tol >= 0:
         raise ConfigError(f"tolerance must be a number >= 0, got {tol}")
@@ -332,6 +343,21 @@ def _report_json(report: WavefrontReport, window: Window) -> dict:
                      "noise_ref": list(report.noise_ref)}}
 
 
+def _report_csv(report: WavefrontReport, cells: list, cones: list) -> str:
+    """The scan's entries, cell-major, as CSV text; each cell and cone
+    center is formatted once, by its position in its list (0.0 and -0.0
+    compare equal but print differently)."""
+    def text(specs):
+        return [";".join(repr(x) for x in s.center) for s in specs]
+
+    cell_text, cone_text = text(cells), text(cones)
+    rows = ['"%s","%s",%r,%d\n' % (cell_text[i // len(cones)],
+                                   cone_text[i % len(cones)],
+                                   e.fit.N_hat, int(e.regular))
+            for i, e in enumerate(report.entries)]
+    return "cell_center,cone_center,N_hat,regular\n" + "".join(rows)
+
+
 def _verdict(report: WavefrontReport, truth: dict, frame: DirectionFrame) -> dict:
     """Compare detected singular entries against the sidecar ground truth.
 
@@ -373,7 +399,7 @@ def cmd_wavefront(cfg: dict, args) -> int:
     alpha = _number(cfg["alpha"], "alpha")
     cones = _cone_list(cfg["cones"], f.grid.size)
     cells = _cell_list(cfg["cells"])
-    y_grid = _parse_grid(cfg["y_grid"]) if "y_grid" in cfg else None
+    y_grid = _parse_grid(cfg["y_grid"], "y_grid") if "y_grid" in cfg else None
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         report = wavefront_scan(
@@ -396,16 +422,12 @@ def cmd_wavefront(cfg: dict, args) -> int:
     if "out_json" in cfg:
         with sigio.create(cfg["out_json"], "w") as fh:
             # one string from the C encoder: json.dump with indent runs
-            # the pure-Python one, several times slower on a scan report
-            fh.write(json.dumps(out, sort_keys=True))
+            # the pure-Python one, several times slower on a scan report;
+            # the report holds no cycle, so none is looked for
+            fh.write(json.dumps(out, sort_keys=True, check_circular=False))
     if "out_csv" in cfg:
         with sigio.create(cfg["out_csv"], "w") as fh:
-            fh.write("cell_center,cone_center,N_hat,regular\n")
-            for e in report.entries:
-                fh.write('"%s","%s",%r,%d\n' % (
-                    ";".join(repr(x) for x in e.y_cell.center),
-                    ";".join(repr(x) for x in e.cone.center),
-                    e.fit.N_hat, int(e.regular)))
+            fh.write(_report_csv(report, cells, cones))
     n_sing = len(report.singular)
     print(f"wavefront scan: {len(report.entries)} entries, {n_sing} singular")
     if "comparison" in out:

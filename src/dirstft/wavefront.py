@@ -25,7 +25,7 @@ import numpy as np
 from .direction import DirectionFrame
 from .grids import Grid, Signal, dft
 from .transform import DstftField, _in_shards, _level0, _spectra, default_y_grid
-from .windows import Window, window_at, window_levels
+from .windows import Window, _seen, window_at, window_levels
 
 LOG_FLOOR = 1e-300          # floor before taking logs (exact zeros)
 DYNAMIC_RANGE_FLOOR = 1e-280  # below this a shell is "fully decayed"
@@ -146,20 +146,23 @@ def _mirrored(xi_pts: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _lattice(xi_pts: np.ndarray):
-    """(norms, mirrored) of a frequency lattice: every point's |xi| and
-    the _mirrored mask, shared by the shell tables of all cones."""
-    return np.linalg.norm(xi_pts, axis=-1), _mirrored(xi_pts)
+def _lattice(xi_pts: np.ndarray, pos: np.ndarray | None = None):
+    """(norms, mirrored, pos) of a frequency lattice: every point's |xi|,
+    the _mirrored mask and the column of each point in the magnitudes
+    (pos, None for lattice order), shared by the shell tables of all
+    cones."""
+    return np.linalg.norm(xi_pts, axis=-1), _mirrored(xi_pts), pos
 
 
 def _shell_table(xi_pts: np.ndarray, cone: ConeSpec, lattice):
     """The cone's dyadic shells on a frequency lattice with _lattice
-    geometry: a list of (idx, norms) pairs, one per nonempty shell, with
-    idx the in-shell indices into xi_pts in lattice order and norms their
-    |xi|; plus the in-cone point count.  Only mirrored points count (see
-    _mirrored).  Shells double in radius from r_min; the last one is
-    closed at the largest in-cone |xi|."""
-    norms, mirrored = lattice
+    geometry: a list of (cols, norms) pairs, one per nonempty shell, with
+    cols the magnitude columns (the lattice's pos) of the in-shell points
+    of xi_pts, in lattice order, and norms their |xi|; plus the in-cone
+    point count.  Only mirrored points count (see _mirrored).  Shells
+    double in radius from r_min; the last one is closed at the largest
+    in-cone |xi|."""
+    norms, mirrored, pos = lattice
     mask = cone._contains(xi_pts, norms) & mirrored
     n_points = int(np.count_nonzero(mask))
     if n_points < MIN_CONE_POINTS:
@@ -169,6 +172,7 @@ def _shell_table(xi_pts: np.ndarray, cone: ConeSpec, lattice):
         )
     idx = np.flatnonzero(mask)
     norms = norms[idx]
+    cols = idx if pos is None else pos[idx]
     r_max = float(norms.max())
     edges = [cone.r_min]
     while edges[-1] < r_max * (1 + 1e-12):
@@ -179,7 +183,7 @@ def _shell_table(xi_pts: np.ndarray, cone: ConeSpec, lattice):
         if lo == edges[-2]:
             sel = (norms >= lo) & (norms <= r_max)
         if np.any(sel):
-            shells.append((idx[sel], norms[sel]))
+            shells.append((cols[sel], norms[sel]))
     return shells, n_points
 
 
@@ -188,7 +192,9 @@ def _cone_fits(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
     """One DecayFit per row of mags (rows, Nxi) over one cone, from the
     dyadic-shell suprema of each row: x = |xi*|^(1/alpha) at the first
     argmax in lattice order and y = log sup |F|, for the shells whose sup
-    is above the floor; the others count as decayed.
+    is above the floor; the others count as decayed.  Each shell's
+    columns are gathered with np.take, in lattice order, whatever order
+    the columns of mags hold the lattice in.
 
     ref holds, per row (a scalar serves every row), the magnitude against
     which the rounding-noise floor NOISE_FLOOR_REL * ref is measured: the
@@ -201,8 +207,9 @@ def _cone_fits(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
     rows = np.arange(len(mags))
     at = np.empty((len(mags), len(shells)))         # |xi*| per row, shell
     sup = np.empty((len(mags), len(shells)))
-    for s, (idx, norms) in enumerate(shells):
-        vals = np.maximum(mags[:, idx], LOG_FLOOR)
+    for s, (cols, norms) in enumerate(shells):
+        vals = np.take(mags, cols, axis=1)
+        np.maximum(vals, LOG_FLOOR, out=vals)
         best = np.argmax(vals, axis=1)
         at[:, s], sup[:, s] = norms[best], vals[rows, best]
     usable = sup > floor
@@ -285,6 +292,24 @@ def _check_scan_window(g: Window):
         raise ValueError("scan window must not vanish at the origin")
 
 
+def _blind_first(f: Signal, u: np.ndarray):
+    """(f, u, pos) with the frame's blind axes (those no row of u touches)
+    moved first in a contiguous copy of f, so that a stream's per-row FFTs
+    run along its last axes; the blind axes, and the seen ones, keep their
+    order, so every window and phase table holds the same values.  u is
+    then the frame's rows on the moved axes and pos the flat index in the
+    moved layout of each lattice point, in lattice order.  When no axis
+    moves, f is not copied and pos is None."""
+    perm = np.argsort(_seen(u), kind="stable")
+    if np.array_equal(perm, np.arange(len(perm))):
+        return f, u, None
+    grid = Grid(*([v[j] for j in perm]
+                  for v in (f.grid.origin, f.grid.spacing, f.grid.counts)))
+    back = np.argsort(perm)
+    pos = np.arange(grid.size).reshape(grid.counts).transpose(back).ravel()
+    return Signal(grid, f.values.transpose(perm)), u[:, perm], pos
+
+
 def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
                    y_cells: list, cones: list,
                    threshold_N: float = DEFAULT_THRESHOLD_N,
@@ -306,9 +331,12 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     report is the same for any shard count.  Each shard takes a block's
     |F| into one float buffer, sized by its largest block, and is done
     with the block before the next is asked for, as the stream reuses its
-    buffer too.  The lattice geometry (|xi| and the mirrored mask) is
-    computed once; each cone's shell table is then built once and its
-    suprema gathered for every cell at once.
+    buffer too.  The stream takes f with the frame's blind axes moved
+    first (_blind_first), so each row's FFT runs along the contiguous
+    last axes, and |F| and the sups stay in that layout: the lattice
+    geometry (|xi|, the mirrored mask and the layout column of each point)
+    is computed once, and each cone's shell table is then built once and
+    its suprema gathered for every cell at once, in lattice order.
     The singular set is the complement of the regular entries.
     """
     _check_alpha(alpha)
@@ -319,24 +347,27 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     _check_scan_window(g)
     y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     Y = y_grid.points()
-    member = np.zeros((len(y_cells), len(Y)), dtype=bool)
-    for i, cell in enumerate(y_cells):
-        member[i] = cell.contains(Y)
-        if not member[i].any():
+    # BallSpec.contains for every cell at once, by the same arithmetic
+    centers = np.array([cell.center for cell in y_cells])
+    member = (np.linalg.norm(Y - centers[:, None], axis=-1)
+              <= np.array([[cell.reach] for cell in y_cells]))
+    for cell, hit in zip(y_cells, member):
+        if not hit.any():
             raise ValueError(f"no y~ lattice points inside cell {cell}")
     rows = np.flatnonzero(member.any(axis=0))
     member = member[:, rows]
-    xi_grid = f.grid.dual()
-    sup = np.zeros((len(y_cells), xi_grid.size))
+    ft, u, pos = _blind_first(f, frame.u)
+    size = f.grid.size
+    sup = np.zeros((len(y_cells), size))
     locks = [threading.Lock() for _ in y_cells]
-    levels = window_levels(g, f.grid, frame.u, y_grid, rows)
-    G = _level0(f, levels)
+    levels = window_levels(g, ft.grid, u, y_grid, rows)
+    G = _level0(ft, levels)
 
     def shard(a, b, part):
-        buf = np.empty((0, xi_grid.size))
-        for lo, hi, _, S in _spectra(f, part, G=G):
+        buf = np.empty((0, size))
+        for lo, hi, _, S in _spectra(ft, part, G=G):
             if hi - lo > len(buf):
-                buf = np.empty((hi - lo, xi_grid.size))
+                buf = np.empty((hi - lo, size))
             mags = np.abs(S.reshape(hi - lo, -1), out=buf[:hi - lo])
             # one in-place maximum per (cell, row) pair, with no gathered copy
             for i, j in zip(*np.nonzero(member[:, a + lo:a + hi])):
@@ -349,8 +380,8 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
         if not math.isfinite(peak):     # also NaN, which maximum keeps
             raise ValueError(f"transform values must be finite; the rows "
                              f"of cell {cell} overflowed")
-    xi_pts = xi_grid.points()
-    lattice = _lattice(xi_pts)
+    xi_pts = f.grid.dual().points()
+    lattice = _lattice(xi_pts, pos)
     fits = [_cone_fits(xi_pts, sup, cone, alpha, ref, lattice) for cone in cones]
     entries = []
     for i, cell in enumerate(y_cells):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dirstft import BallSpec, Grid, dstft_fast, gaussian_window, gevrey_bump
+from dirstft import (BallSpec, Grid, dstft_fast, gaussian_window, gevrey_bump,
+                     wavefront_scan)
 from dirstft.cli import main
 from dirstft.direction import build_frame, identity_frame
 from dirstft.fixtures import gaussian
@@ -220,6 +221,34 @@ def test_wavefront_verdict_pass(tmp_path, capsys):
     csv_lines = (tmp_path / "wf.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "cell_center,cone_center,N_hat,regular"
     assert len(csv_lines) == 1 + len(out["entries"])
+
+
+def test_wavefront_report_files_match_per_entry_formatting(tmp_path, capsys):
+    # repeated centers, and 0.0 next to -0.0, which compare and hash equal
+    # but print differently: each written center must be its own entry's
+    cfg = sheet_wavefront_cfg(tmp_path)
+    os.remove(cfg["signal"] + ".json")      # no sidecar, so no comparison
+    cfg["cells"] = [{"center": [c], "radius": 0.25}
+                    for c in (-0.0, 0.0, 2.0, -0.0, 2.0)]
+    cfg["cones"] = [{"center": c, "half_angle": 0.4, "r_min": 0.5}
+                    for c in ([1.0, -0.0], [1.0, 0.0], [-0.0, -1.0],
+                              [1.0, -0.0], [-1.0, 0.0])]
+    assert run(tmp_path, "wavefront", cfg) == 0
+    f = read_signal(cfg["signal"])
+    g = cli._parse_window(cfg["window"])
+    cones = cli._cone_list(cfg["cones"], f.grid.size)
+    report = wavefront_scan(f, g, build_frame([[1.0, 0.0]]), 2.0,
+                            cli._cell_list(cfg["cells"]), cones, threshold_N=1.0)
+    rows = ["cell_center,cone_center,N_hat,regular\n"]
+    for e in report.entries:
+        rows.append('"%s","%s",%r,%d\n' % (
+            ";".join(repr(x) for x in e.y_cell.center),
+            ";".join(repr(x) for x in e.cone.center),
+            e.fit.N_hat, int(e.regular)))
+    assert (tmp_path / "wf.csv").read_text() == "".join(rows)
+    assert '"-0.0",' in rows[1] and '"0.0",' in rows[1 + len(cones)]
+    assert (tmp_path / "wf.json").read_text() == json.dumps(
+        cli._report_json(report, g), sort_keys=True)
 
 
 def test_wavefront_reports_the_rows_it_streams(tmp_path, capsys):
@@ -688,6 +717,23 @@ def test_missing_required_config_key_exits_2_naming_it(tmp_path, capsys,
     # hi - lo of two finite bounds overflows
     ("gen", {"grid": {"bounds": [[-1e308], [1e308]], "counts": [16]}},
      "grid bounds must be finite and span a finite width"),
+    # a config holds several grids; an error names the one at fault
+    ("analyze", {"y_grid": {"origin": [-4], "spacing": [-0.5], "counts": [16]}},
+     "error: y_grid spacing must be positive"),
+    ("roundtrip", {"y_grid": {"origin": [-1e308], "spacing": [-1e308],
+                              "counts": [16]}},
+     "error: y_grid origin, spacing and extent must be finite"),
+    ("wavefront", {"y_grid": {"origin": [-4], "spacing": [0.0], "counts": [16]}},
+     "error: y_grid spacing must be positive"),
+    ("analyze", {"window": {**WIN16, "grid": {"origin": [-4], "spacing": [-0.5],
+                                              "counts": [16]}}},
+     "error: window grid spacing must be positive"),
+    ("wavefront", {"window": {"kind": "gevrey_bump", "radius": 0.5, "alpha": 2.0,
+                              "grid": {"origin": [-2, 0], "spacing": [0.125],
+                                       "counts": [32]}}},
+     "error: window grid: origin, spacing and counts must share a positive length"),
+    ("gen", {"grid": {"origin": [-4], "spacing": [-0.5], "counts": [16]}},
+     "error: grid spacing must be positive"),
 ])
 def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capfd, command,
                                                         edit, message):
@@ -702,6 +748,9 @@ def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capfd, command
         "roundtrip": {"schema_version": 1, "signal": str(tmp_path / "sheet.dstf"),
                       "window_g": WIN16, "frame": {"u": [[1.0, 0.0]]},
                       "report": str(tmp_path / "rt.json")},
+        "analyze": {"schema_version": 1, "signal": str(tmp_path / "sheet.dstf"),
+                    "window": WIN16, "frame": {"u": [[1.0, 0.0]]},
+                    "out": str(tmp_path / "F.dstf")},
     }[command]
     capfd.readouterr()
     assert run(tmp_path, command, {**base, **edit}) == 2
@@ -710,6 +759,22 @@ def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capfd, command
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "wf.json").exists()
     assert not (tmp_path / "g.dstf").exists()
+    assert not (tmp_path / "F.dstf").exists()
+
+
+def test_out_grid_error_names_the_key(tmp_path, capsys):
+    sig = gen_gaussian(tmp_path, counts=(16, 16), lo=(-4, -4), hi=(4, 4))
+    assert run(tmp_path, "analyze", {
+        "schema_version": 1, "signal": str(sig), "window": WIN16,
+        "frame": {"u": [[1.0, 1.0]]}, "out": str(tmp_path / "F.dstf")}) == 0
+    capsys.readouterr()
+    assert run(tmp_path, "synthesize", {
+        "schema_version": 1, "field": str(tmp_path / "F.dstf"), "window": WIN16,
+        "out_grid": {"origin": [-4, -4], "spacing": [0.5, -0.5], "counts": [16, 16]},
+        "out": str(tmp_path / "rec.dstf")}) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out_grid spacing must be positive\n"
+    assert not (tmp_path / "rec.dstf").exists()
 
 
 def test_config_path_as_a_descriptor_number_is_rejected_and_left_open(tmp_path,

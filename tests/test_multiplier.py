@@ -1,7 +1,9 @@
 """Reconstruction is a pointwise multiplier: on the DFT-dual xi lattice,
-reconstruct(f, g, phi, frame, y_grid) = f M with M the y~ sum of window
-products (invariants.multiplier_error), to roundoff, for any signal.  The
-cases cover the factored and one-level streams, a blind axis, the two mixed
+reconstruct's undivided stream, synthesis._frame_operator(f, g, phi, frame,
+y_grid) = DS*_phi DS_g f / (g, phi), equals f M with M the y~ sum of window
+products, and the M it returns, which reconstruct divides out, equals that
+sum (invariants.multiplier_error), to roundoff, for any signal.  The cases
+cover the factored and one-level streams, a blind axis, the two mixed
 pairings of a factored and an unfactored window, and a coarse y~ grid."""
 
 import pytest

@@ -1,17 +1,20 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from dirstft import (BallSpec, ConeSpec, Grid, build_frame, decay_fit,
+from dirstft import (BallSpec, ConeSpec, Grid, Signal, build_frame, decay_fit,
                      dstft_fast, gaussian_window, gevrey_bump,
-                     partial_wf_test, wavefront_scan)
+                     partial_wf_test, transform, wavefront_scan)
 from dirstft.fixtures import delta_sheet, gaussian, heaviside_sheet
 from dirstft.grids import BLOCK_ELEMS
 from dirstft.wavefront import (DYNAMIC_RANGE_FLOOR, LOG_FLOOR, NOISE_FLOOR_REL,
-                               WindowClassWarning, _cone_fits, _fit, _lattice,
-                               cone_dictionary_2d, fit_spectrum_decay)
+                               WindowClassWarning, _blind_first, _cone_fits,
+                               _fit, _lattice, cone_dictionary_2d,
+                               fit_spectrum_decay)
+from dirstft.windows import tensor_window
 
 
 def test_cone_center_normalized_and_contains():
@@ -279,3 +282,63 @@ def test_partial_rejects_bad_center_length():
     cone = ConeSpec((1.0, 0.0), math.pi / 8, 0.5)
     with pytest.raises(ValueError, match="length"):
         partial_wf_test(f, win, [0.0, 0.0], cone, 2.0)
+
+
+R3 = Grid.from_bounds([-4, -4, -4], [4, 4, 4], [16, 12, 10])
+CONES3 = [ConeSpec(c, 0.5, 0.15) for c in ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                          (0, -1, 0), (0, 0, 1), (0, 0, -1),
+                                          (1, 1, 1))]
+# window axes on the lattice of signal axis 0 (spacing 0.5), 1 (2/3), 2 (0.8)
+W0, W1 = Grid.from_bounds([-2], [2], [8]), Grid.from_bounds([-2], [2], [6])
+W20 = Grid.from_bounds([-2.4, -2], [2.4, 2], [6, 8])
+
+
+@pytest.mark.parametrize("rows, g, centers", [
+    ([[1, 0, 0]], gaussian_window(W0, [0.7]), [(-2.0,), (0.0,), (1.5,)]),
+    ([[1, 0, 0]], gevrey_bump(W0, 1.2, 2.0), [(-2.0,), (0.0,), (1.5,)]),
+    ([[1, 0, 0], [0, 1, 0]],
+     tensor_window([gevrey_bump(W0, 1.2, 2.0), gevrey_bump(W1, 1.2, 2.0)]),
+     [(0.0, 0.0), (1.5, -1.0)]),
+    ([[0, 0, 1], [1, 0, 0]], gaussian_window(W20, [0.8, 0.7]),
+     [(0.0, 0.0), (-1.6, 1.5)]),
+    ([[0, 0, 1], [1, 0, 0]], gevrey_bump(W20, 1.5, 2.0),
+     [(0.0, 0.0), (-1.6, 1.5)]),
+], ids=["e1-gaussian", "e1-bump", "e1e2-tensor-bump", "e3e1-gaussian",
+        "e3e1-bump"])
+def test_scan_with_a_blind_axis_before_a_seen_one(monkeypatch, rows, g, centers):
+    # the stream moves the blind axes first; each entry must still be the
+    # oracle's on the field in the signal's own layout, for any shard count
+    f = heaviside_sheet(R3, (0.8, 0.6, 0.0), 0.3)
+    frame = build_frame(rows)
+    assert _blind_first(f, frame.u)[2] is not None
+    cells = [BallSpec(c, 0.4) for c in centers]
+    reports = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WindowClassWarning)
+        for n in (1, 2, 3):
+            monkeypatch.setattr(transform, "_cpu_count", lambda: n)
+            reports[n] = wavefront_scan(f, g, frame, 2.0, cells, CONES3,
+                                        threshold_N=1.7)
+    F = dstft_fast(f, g, frame)
+    for e in reports[1].entries:
+        assert e.fit == decay_fit(F, e.y_cell, e.cone, 2.0)
+    assert reports[2] == reports[1] and reports[3] == reports[1]
+
+
+def test_transposed_sheet_scans_alike():
+    # a sheet with normal e_1 scanned along e_1 (axis 1 moved first) and
+    # its transpose scanned along e_2 (no axis moved) give one verdict per
+    # entry, with each cone mirrored across the diagonal
+    f = delta_sheet(Grid.from_bounds([-4, -3], [4, 3], [32, 24]), (1.0, 0.0), 0.0)
+    ft = Signal(Grid.from_bounds([-3, -4], [3, 4], [24, 32]), f.values.T)
+    win = gevrey_bump(WGRID, radius=0.5, alpha=2.0)
+    cells = [BallSpec((y,), 0.25) for y in (-2.0, 0.0, 1.0)]
+    cones = cone_dictionary_2d(16, r_min=0.5)
+    mirrored = [ConeSpec(c.center[::-1], c.half_angle, c.r_min) for c in cones]
+    a = wavefront_scan(f, win, build_frame([[1.0, 0.0]]), 2.0, cells, cones)
+    b = wavefront_scan(ft, win, build_frame([[0.0, 1.0]]), 2.0, cells, mirrored)
+    assert [e.regular for e in a.entries] == [e.regular for e in b.entries]
+    singular = {(e.y_cell, e.cone.center[::-1]) for e in b.singular}
+    assert singular == {(e.y_cell, e.cone.center) for e in a.singular}
+    assert {(e.y_cell.center, tuple(np.round(e.cone.center).astype(int)))
+            for e in a.singular} == {((0.0,), (1, 0)), ((0.0,), (-1, 0))}
