@@ -12,7 +12,7 @@ from .windows import (
 )
 from .direction import DirectionFrame, build_frame, frequency_map, identity_frame, pullback
 from .transform import DstftField, default_y_grid, dstft_direct, dstft_fast
-from .synthesis import dso, dso_direct, orthogonality_check, reconstruct, window_change
+from .synthesis import dso, dso_direct, reconstruct, window_change
 from .wavefront import (
     BallSpec,
     ConeSpec,

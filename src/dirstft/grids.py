@@ -111,6 +111,11 @@ class Grid:
     def axes(self) -> list:
         return [self.axis(j) for j in range(self.dim)]
 
+    def take(self, axes) -> "Grid":
+        """The grid of the given axes, in the given order."""
+        return Grid(*([v[j] for j in axes] for v in (self.origin, self.spacing,
+                                                      self.counts)))
+
     def points(self) -> np.ndarray:
         """All lattice points, row-major, shape (size, dim)."""
         mesh = np.meshgrid(*self.axes(), indexing="ij")

@@ -1,9 +1,10 @@
 """The paper's identities as measured errors.
 
-Each function computes both sides of one identity on the caller's fixture
-and returns how far apart they are, so `dstft selftest`, the acceptance
-suite and the property tests check one computation against their own
-tolerances.
+Each *_error function computes both sides of one identity on the caller's
+fixture and returns how far apart they are, so `dstft selftest`, the
+acceptance suite and the property tests check one computation against
+their own tolerances.  multiplier is the reference reconstruction
+multiplier those checks hold reconstruct's against.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import warnings
 import numpy as np
 
 from .direction import DirectionFrame, frequency_map, identity_frame, pullback
-from .grids import (CoverageWarning, Signal, dft, dft_oracle, idft, inner_product,
-                    rel_l2_error, relative_error)
+from .grids import (CoverageWarning, Grid, Signal, dft, dft_oracle, idft,
+                    inner_product, rel_l2_error, relative_error)
 from .synthesis import (_frame_operator, covering_y_grid, dso, dso_direct,
-                        orthogonality_check, reconstruct, reconstruction_multiplier,
-                        window_change)
+                        reconstruct, window_change)
 from .transform import default_y_grid, dstft_direct, dstft_direct_at, dstft_fast
 from .wavefront import WavefrontReport, decay_fit, wavefront_scan
 from .windows import Window, pairing_check, window_blocks
@@ -58,8 +58,24 @@ def oracle_error(f: Signal, g: Window, frame: DirectionFrame) -> float:
 
 def orthogonality_error(f1: Signal, f2: Signal, g: Window, phi: Window,
                         frame: DirectionFrame, y_grid=None) -> float:
-    """The two sides of synthesis.orthogonality_check."""
-    return relative_error(*orthogonality_check(f1, f2, g, phi, frame, y_grid=y_grid))
+    """(DS_g f1, DS_phi f2) vs |det B| (h1, h2) (conj g, conj phi), with
+    h1, h2 the pullbacks of f1, f2 onto their shared grid.
+
+    The field inner product on the left integrates over (y~, xi); the
+    substitution xi = B^T eta that reduces to the axis-aligned case carries
+    the Jacobian |det B| = 1/|det C|, so the pullback side must be weighted
+    by it (it is 1 for the identity frame).
+    """
+    if f1.grid != f2.grid:
+        raise ValueError("signals must share a grid")
+    lhs = dstft_fast(f1, g, frame, y_grid=y_grid).inner_product(
+        dstft_fast(f2, phi, frame, y_grid=y_grid))
+    h1 = pullback(f1, frame, f1.grid)
+    h2 = pullback(f2, frame, f2.grid)
+    jac = 1.0 / abs(frame.det_C)
+    gbar = Signal(g.grid, np.conj(g.values))
+    pbar = Signal(phi.grid, np.conj(phi.values))
+    return relative_error(lhs, jac * inner_product(h1, h2) * inner_product(gbar, pbar))
 
 
 def reconstruction_error(f: Signal, g: Window, phi: Window,
@@ -68,26 +84,37 @@ def reconstruction_error(f: Signal, g: Window, phi: Window,
     return rel_l2_error(reconstruct(f, g, phi, frame).values, f.values)
 
 
-def multiplier_error(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
-                     y_grid=None) -> float:
-    """How far reconstruct's stream is from the multiplier identity
-    DS*_phi DS_g f = (g, phi) f M on the DFT-dual xi lattice, with
+def multiplier(g: Window, phi: Window, frame: DirectionFrame, grid: Grid,
+               y_grid: Grid) -> np.ndarray:
+    """The reconstruction multiplier
 
         M(t) = sum_y conj(g)(u . t - y) phi(u . t - y) dy / (g, phi)
 
-    summed here by window_blocks over the y~ grid (synthesis.covering_y_grid
-    by default), for any signal, frame and y~ grid: the larger of the
-    relative L2 distances of the undivided reconstruction
-    DS*_phi DS_g f / (g, phi) from f M, and of the M that reconstruct
-    divides by from this M.  M needs no FFT."""
-    y_grid = covering_y_grid(f.grid, g, phi, frame)[0] if y_grid is None else y_grid
+    at the samples t of grid, over y_grid, shaped grid.counts: on the
+    DFT-dual xi lattice DS*_phi DS_g f = (g, phi) f M for every f on grid.
+    The reference for the M that reconstruct divides by, summed here from
+    the full window blocks of window_blocks alone, with no FFT and none of
+    reconstruct's per-level sums."""
     Y = y_grid.points()
     M = sum((np.conj(Wg) * Wp).sum(axis=0) for (_, _, Wg), (_, _, Wp) in zip(
-        window_blocks(g, f.grid, frame.u, Y), window_blocks(phi, f.grid, frame.u, Y),
+        window_blocks(g, grid, frame.u, Y), window_blocks(phi, grid, frame.u, Y),
         strict=True))
-    pairing = pairing_check(g, phi).value
-    M = np.broadcast_to(M * (y_grid.cell_volume / pairing), f.grid.counts)
-    rec, lib = _frame_operator(f, g, phi, frame, y_grid, pairing)
+    return np.broadcast_to(M * (y_grid.cell_volume / pairing_check(g, phi).value),
+                           grid.counts)
+
+
+def multiplier_error(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
+                     y_grid=None) -> float:
+    """How far reconstruct's stream is from the multiplier identity
+    DS*_phi DS_g f = (g, phi) f M on the DFT-dual xi lattice, with M the
+    reference multiplier over the y~ grid (synthesis.covering_y_grid by
+    default), for any signal, frame and y~ grid: the larger of the
+    relative L2 distances of the undivided reconstruction
+    DS*_phi DS_g f / (g, phi) from f M, and of the M that reconstruct
+    divides by from this M."""
+    y_grid = covering_y_grid(f.grid, g, phi, frame)[0] if y_grid is None else y_grid
+    M = multiplier(g, phi, frame, f.grid, y_grid)
+    rec, lib = _frame_operator(f, g, phi, frame, y_grid, pairing_check(g, phi).value)
     return max(rel_l2_error(rec, f.values * M),
                rel_l2_error(np.broadcast_to(lib, f.grid.counts), M))
 
@@ -97,12 +124,12 @@ def orthogonality_multiplier_error(f1: Signal, f2: Signal, g: Window, phi: Windo
     """(DS_g f1, DS_phi f2) vs (g, phi) (f1 M, f2), the orthogonality
     relation in multiplier form: the field inner product conjugates its
     second argument, so (DS_g f1, DS_phi f2) = (DS*_phi DS_g f1, f2), and
-    DS*_phi DS_g f1 = (g, phi) f1 M, with M synthesis.reconstruction_multiplier
-    over the fields' y~ grid (dstft_fast's default by default)."""
+    DS*_phi DS_g f1 = (g, phi) f1 M, with M the reference multiplier over
+    the fields' y~ grid (dstft_fast's default by default)."""
     y_grid = default_y_grid(f1.grid, frame) if y_grid is None else y_grid
     lhs = dstft_fast(f1, g, frame, y_grid=y_grid).inner_product(
         dstft_fast(f2, phi, frame, y_grid=y_grid))
-    M = reconstruction_multiplier(g, phi, frame, f1.grid, y_grid)
+    M = multiplier(g, phi, frame, f1.grid, y_grid)
     rhs = pairing_check(g, phi).value * inner_product(
         Signal(f1.grid, f1.values * M), f2)
     return relative_error(lhs, rhs)

@@ -1,7 +1,6 @@
 """k-directional synthesis operator, reconstruction by the canonical dual
-(division by the reconstruction multiplier M on a covering y~ grid), the
-Parseval-type orthogonality relation and the window change
-DS_phi DS*_gamma / (g, gamma).
+(division by the reconstruction multiplier M on a covering y~ grid) and
+the window change DS_phi DS*_gamma / (g, gamma).
 
 DS*_{g,u^k} F(t) = integral integral F(y~, xi) g((u.t) - y~)
                    exp(2 pi i xi . t) dy~ dxi
@@ -11,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .direction import DirectionFrame, pullback
+from .direction import DirectionFrame
 from .grids import (LATTICE_TOL, Grid, Signal, _check_oracle_work, _direct_sum,
-                    _idft_into, _phase_tables, _trailing, inner_product,
-                    primal_phase)
+                    _idft_into, _phase_tables, _trailing, primal_phase)
 from .transform import DstftField, _in_shards, _level0, _unphased, dstft_fast
 from .windows import (Window, WindowLevels, numerical_support, pairing_check,
                       window_blocks, window_levels)
@@ -197,8 +195,11 @@ def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
     """The canonical dual reconstruction DS*_phi DS_g f / ((g, phi) M),
     which is f to roundoff for any signal: on the DFT-dual xi lattice
     DS*_phi DS_g is multiplication by (g, phi) M, with M the
-    reconstruction multiplier (reconstruction_multiplier), which is
-    divided out.  The y~ grid defaults to covering_y_grid.
+    reconstruction multiplier
+
+        M(t) = sum over y~ of conj(g)(u . t - y~) phi(u . t - y~) dy / (g, phi),
+
+    which is divided out.  The y~ grid defaults to covering_y_grid.
 
     Requires an admissible window pairing, and raises ValueError when
     min |M| on the signal grid is below MULTIPLIER_FLOOR, naming the
@@ -315,51 +316,6 @@ def _block_products(levels: WindowLevels, synth: WindowLevels, lo: int, hi: int,
     return np.einsum("i...,i...->...", np.conj(Wg), Wp)
 
 
-def reconstruction_multiplier(g: Window, phi: Window, frame: DirectionFrame,
-                              grid: Grid, y_grid: Grid | None = None) -> np.ndarray:
-    """M(t) = sum over y~ of conj(g)(u . t - y~) phi(u . t - y~) dy / (g, phi)
-    at the samples t of grid, over y_grid (covering_y_grid by default),
-    shaped grid.counts.  On the DFT-dual xi lattice DS*_phi DS_g f =
-    (g, phi) f M for every f on grid.  reconstruct computes the same M in
-    its own stream; this computes it alone, from the per-level tables of
-    two factored windows, else from one pass over the window blocks."""
-    pairing = _pairing(g, phi)
-    if y_grid is None:
-        y_grid = covering_y_grid(grid, g, phi, frame)[0]
-    levels = window_levels(g, grid, frame.u, y_grid)
-    synth = levels if phi is g else window_levels(phi, grid, frame.u, y_grid)
-    M = _level_sums(levels, synth)
-    if M is None:
-        blocks = ((b, b) for b in levels.blocks) if synth is levels else zip(
-            levels.blocks, synth.blocks, strict=True)
-        M = sum(_block_products(levels, synth, lo, hi, Wg, Wp)
-                for (lo, hi, Wg), (_, _, Wp) in blocks)
-    return np.broadcast_to(M * (y_grid.cell_volume / pairing), grid.counts).copy()
-
-
-def orthogonality_check(f1: Signal, f2: Signal, g: Window, phi: Window,
-                        frame: DirectionFrame, y_grid: Grid | None = None):
-    """Both sides of (DS_g f1, DS_phi f2) = |det B| (h1, h2) (conj g, conj phi).
-
-    The field inner product on the left integrates over (y~, xi); the
-    substitution xi = B^T eta that reduces to the axis-aligned case carries
-    the Jacobian |det B| = 1/|det C|, so the pullback side must be weighted
-    by it (it is 1 for the identity frame).
-    """
-    if f1.grid != f2.grid:
-        raise ValueError("signals must share a grid")
-    F1 = dstft_fast(f1, g, frame, y_grid=y_grid)
-    F2 = dstft_fast(f2, phi, frame, y_grid=y_grid)
-    lhs = F1.inner_product(F2)
-    h1 = pullback(f1, frame, f1.grid)
-    h2 = pullback(f2, frame, f2.grid)
-    jac = 1.0 / abs(frame.det_C)
-    gbar = Signal(g.grid, np.conj(g.values))
-    pbar = Signal(phi.grid, np.conj(phi.values))
-    rhs = jac * inner_product(h1, h2) * inner_product(gbar, pbar)
-    return lhs, rhs
-
-
 def window_change(F_g: DstftField, gamma: Window, phi: Window,
                   g: Window) -> DstftField:
     """DS_phi f from F_g = DS_g f, as DS_phi DS*_gamma F_g / (g, gamma).
@@ -368,13 +324,10 @@ def window_change(F_g: DstftField, gamma: Window, phi: Window,
     V_phi gamma, and DS*_gamma DS_g f = (g, gamma) f for an admissible
     synthesis window gamma, so the composition is the window change.  On
     the sampled lattices DS*_gamma DS_g f is (g, gamma) f M, with M the
-    reconstruction multiplier (reconstruction_multiplier) over F_g's y~
-    grid, and the result is DS_phi (f M), on F_g's signal grid, frame and
-    y~ grid.
+    reconstruction multiplier of reconstruct over F_g's y~ grid, and the
+    result is DS_phi (f M), on F_g's signal grid, frame and y~ grid.
     """
-    cert = pairing_check(g, gamma)
-    if not cert.admissible:
-        raise ValueError(f"inadmissible (g, gamma) pairing: {cert}")
+    pairing = _pairing(g, gamma)
     f = dso(F_g, gamma, F_g.frame, F_g.grid)
-    return dstft_fast(Signal(f.grid, f.values / cert.value), phi, F_g.frame,
+    return dstft_fast(Signal(f.grid, f.values / pairing), phi, F_g.frame,
                       y_grid=F_g.y_grid)

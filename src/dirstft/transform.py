@@ -96,7 +96,7 @@ def default_y_grid(grid: Grid, frame: DirectionFrame) -> Grid:
     axes = np.argmax(frame.u, axis=1)
     if not np.array_equal(frame.u, np.eye(frame.n)[axes]):
         axes = range(frame.k)
-    return Grid(*([v[j] for j in axes] for v in (grid.origin, grid.spacing, grid.counts)))
+    return grid.take(axes)
 
 
 def _check_field_bytes(y_grid: Grid, xi_grid: Grid) -> None:

@@ -57,7 +57,7 @@ class ConeSpec:
             if norm == 0:
                 raise ValueError("cone center must be a nonzero direction")
             c = c / norm
-        object.__setattr__(self, "center", tuple(c))
+        object.__setattr__(self, "center", tuple(float(x) for x in c))
         if not 0 < self.half_angle < np.pi / 2:
             raise ValueError("half_angle must lie in (0, pi/2)")
         if self.r_min <= 0:
@@ -303,8 +303,7 @@ def _blind_first(f: Signal, u: np.ndarray):
     perm = np.argsort(_seen(u), kind="stable")
     if np.array_equal(perm, np.arange(len(perm))):
         return f, u, None
-    grid = Grid(*([v[j] for j in perm]
-                  for v in (f.grid.origin, f.grid.spacing, f.grid.counts)))
+    grid = f.grid.take(perm)
     back = np.argsort(perm)
     pos = np.arange(grid.size).reshape(grid.counts).transpose(back).ravel()
     return Signal(grid, f.values.transpose(perm)), u[:, perm], pos
@@ -394,9 +393,11 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
 
 def partial_wf_test(f: Signal, chi: Window, y0, cone: ConeSpec, alpha: float,
                     threshold_N: float = DEFAULT_THRESHOLD_N) -> bool:
-    """Cut-off variant: multiply f by chi(t~ - y0) extended constantly in the
-    trailing coordinates, take the full Fourier transform and threshold the
-    cone decay of the spectrum."""
+    """The oracle of the paper's cut-off characterization of directional
+    regularity, which the paper proves agrees with the cone decay of
+    DS_g f that wavefront_scan measures: multiply f by chi(t~ - y0)
+    extended constantly in the trailing coordinates, take the full Fourier
+    transform and threshold the cone decay of the spectrum."""
     _check_alpha(alpha)
     k = chi.grid.dim
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))

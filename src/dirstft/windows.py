@@ -35,7 +35,7 @@ class Window:
     alpha: float | None = None
     support_radius: float = 0.0
     # one 1-D window per axis whose values the product in values was built
-    # from, set by gaussian_window and tensor_window only, else ()
+    # from, set by gaussian_window only, else ()
     factors: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
@@ -64,10 +64,6 @@ class Window:
         }
 
 
-def _axis_grid(grid: Grid, j: int) -> Grid:
-    return Grid((grid.origin[j],), (grid.spacing[j],), (grid.counts[j],))
-
-
 @dataclass(frozen=True)
 class PairingCert:
     value: complex
@@ -85,7 +81,7 @@ def gaussian_window(grid: Grid, sigma) -> Window:
     parts = [np.exp(-np.pi * (grid.axis(j) / sigma[j]) ** 2)
              for j in range(grid.dim)]
     w = Window(grid, _outer(parts), WindowKind.GAUSSIAN)
-    w.factors = tuple(Window(_axis_grid(grid, j), p, WindowKind.GAUSSIAN)
+    w.factors = tuple(Window(grid.take([j]), p, WindowKind.GAUSSIAN)
                       for j, p in enumerate(parts))
     return w
 
@@ -196,8 +192,7 @@ def _row_window(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     """
     seen = _seen(u)
     shape = tuple(n if s else 1 for n, s in zip(grid.counts, seen))
-    sub = Grid(*(np.compress(seen, a) for a in (grid.origin, grid.spacing,
-                                                grid.counts)))
+    sub = grid.take(np.flatnonzero(seen))
     u = u[:, seen]
     proj = sub.points() @ u.T
     block = _lattice_blocks(w, proj, Y) or _trig_blocks(w, sub, u, proj, Y)
@@ -473,25 +468,3 @@ def pairing_check(g: Window, phi: Window) -> PairingCert:
     threshold = EPS_PAIR * ng * np_
     mag = abs(value)
     return PairingCert(value=value, magnitude=mag, admissible=mag >= threshold)
-
-
-def tensor_window(parts: list) -> Window:
-    """Assemble the product window g(s) = g_1(s_1) ... g_k(s_k) explicitly."""
-    if not parts:
-        raise ValueError("tensor_window needs at least one factor")
-    for p in parts:
-        if p.grid.dim != 1:
-            raise ValueError("tensor_window factors must be one-dimensional")
-    grid = Grid(
-        tuple(p.grid.origin[0] for p in parts),
-        tuple(p.grid.spacing[0] for p in parts),
-        tuple(p.grid.counts[0] for p in parts),
-    )
-    kind = WindowKind.CUSTOM
-    if all(p.kind is WindowKind.GAUSSIAN for p in parts):
-        kind = WindowKind.GAUSSIAN
-    # the factors keep the values only: a bump's support test is radial in
-    # its own coordinate, which the product window does not apply
-    w = Window(grid, _outer([p.values for p in parts]), kind)
-    w.factors = tuple(Window(p.grid, p.values) for p in parts)
-    return w

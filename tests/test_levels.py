@@ -14,15 +14,14 @@ from dirstft.grids import BLOCK_ELEMS, relative_error
 from dirstft.invariants import multiplier_error
 from dirstft.synthesis import _frame_operator, dso, dso_direct, reconstruct
 from dirstft.transform import _spectra, default_y_grid, dstft_direct, dstft_fast
-from dirstft.windows import (_lattice_blocks, gevrey_bump, pairing_check, tensor_window,
-                             window_at, window_blocks, window_levels)
+from dirstft.windows import (_lattice_blocks, gevrey_bump, pairing_check, window_at,
+                             window_blocks, window_levels)
 
 G16 = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
 G3 = Grid.from_bounds([-4, -4, -2], [4, 4, 2], [12, 10, 4])
 G32 = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
-# two different Gaussian factors, on windows grids of their own
-TENSOR = tensor_window([gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0),
-                        gaussian_window(Grid.from_bounds([-3], [3], [12]), 1.5)])
+# two different Gaussian factors, on window axes of different extents
+TENSOR = gaussian_window(Grid.from_bounds([-4, -3], [4, 3], [16, 12]), [1.0, 1.5])
 
 
 def unfactored(w):
@@ -224,12 +223,6 @@ def test_gaussian_and_tensor_factors_build_the_product_exactly():
                                                 Grid.from_bounds([-3], [3], [12])]
     assert np.array_equal(np.multiply.outer(*(p.values for p in TENSOR.factors)),
                           TENSOR.values)
-
-
-def test_factors_never_carry_a_support_test():
-    w1 = Grid.from_bounds([-4], [4], [16])
-    product = tensor_window([gevrey_bump(w1, 2.0, 2.0), gevrey_bump(w1, 3.0, 2.0)])
-    assert not any(p.compact for p in product.factors)
 
 
 def test_only_the_product_constructors_set_factors():

@@ -18,10 +18,9 @@ from dirstft.direction import identity_frame
 from dirstft.fixtures import delta_sheet, heaviside_sheet, random_bandlimited
 from dirstft.grids import (BLOCK_ELEMS, _direct_sum, _trig_grid, dft, evaluate_trig,
                            evaluate_trig_grid, rel_l2_error, relative_error)
-from dirstft.synthesis import (_frame_operator, covering_y_grid, dso,
-                               reconstruction_multiplier)
+from dirstft.synthesis import _frame_operator, covering_y_grid, dso
 from dirstft.wavefront import WindowClassWarning
-from dirstft.windows import tensor_window, window_blocks
+from dirstft.windows import window_blocks
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=25)
@@ -114,7 +113,7 @@ def test_window_change_is_phi_analysis_of_the_reconstruction(case, data):
     phi = data.draw(windows(frame.k))
     assume(pairing_check(g, gamma).admissible)
     got = window_change(dstft_fast(f, g, frame), gamma, phi, g)
-    M = reconstruction_multiplier(g, gamma, frame, f.grid, default_y_grid(f.grid, frame))
+    M = invariants.multiplier(g, gamma, frame, f.grid, default_y_grid(f.grid, frame))
     want = dstft_fast(Signal(f.grid, f.values * M), phi, frame)
     assert relative_error(got.values, want.values) <= 1e-12
 
@@ -190,14 +189,14 @@ def test_reconstruct_matches_synthesis_of_the_field(case):
     # length; it must agree with synthesis of the stored field
     # (the stream before reconstruct divides by M, as the drawn y~ grids
     # need not cover the window's reach); its M, summed from the blocks the
-    # stream holds, is reconstruction_multiplier's
+    # stream holds, is the reference multiplier's (invariants.multiplier)
     f, g, phi, frame, y_grid = case
     pairing = pairing_check(g, phi).value
     want = dso(dstft_fast(f, g, frame, y_grid=y_grid), phi, frame, f.grid).values / pairing
     got, M = _frame_operator(f, g, phi, frame, y_grid, pairing)
     assert relative_error(got, want) <= 1e-12
     assert relative_error(np.broadcast_to(M, f.grid.counts),
-                          reconstruction_multiplier(g, phi, frame, f.grid, y_grid)) <= 1e-12
+                          invariants.multiplier(g, phi, frame, f.grid, y_grid)) <= 1e-12
 
 
 @st.composite
@@ -308,8 +307,8 @@ def test_trig_on_a_mapped_lattice_matches_scattered_points(n, k, data):
 def scan_cases(draw):
     """(f, g, frame, cells, cones): a delta or Heaviside sheet at a drawn
     angle and offset on a 16-20 point grid per axis, the k = 1 frame
-    e_1 or e_2 or the k = n = 2 identity frame, a radial bump or a
-    tensor_window of 1-d bumps (the factored path for k = 2) of spacing
+    e_1 or e_2 or the k = n = 2 identity frame, a radial bump of radius r
+    or a factored Gaussian of width r (the factored path for k = 2) of spacing
     4 / round(N / 2) on [-2, 2] per seen axis of N points (on the
     signal's lattice for even N, off it for odd N), and 1-4 cells centered
     on y~ points (box edges included) or anywhere in the y~ box (far from
@@ -323,15 +322,11 @@ def scan_cases(draw):
     frame = (identity_frame(2, 2) if k == 2
              else build_frame([[1.0, 0.0]] if draw(st.booleans()) else [[0.0, 1.0]]))
     axes = [i for i in range(2) if frame.u[:, i].any()]
-    wgrids = [Grid.from_bounds([-2.0], [2.0], [int(round(4 / grid.spacing[i]))])
-              for i in axes]
-    radius = draw(st.floats(0.6, 1.5))
-    if draw(st.booleans()):
-        g = gevrey_bump(Grid(*(tuple(w.origin[0] for w in wgrids),
-                               tuple(w.spacing[0] for w in wgrids),
-                               tuple(w.counts[0] for w in wgrids))), radius, 2.0)
-    else:
-        g = tensor_window([gevrey_bump(w, radius, 2.0) for w in wgrids])
+    wgrid = Grid.from_bounds([-2.0] * k, [2.0] * k,
+                             [int(round(4 / grid.spacing[i])) for i in axes])
+    width = draw(st.floats(0.6, 1.5))
+    g = (gevrey_bump(wgrid, width, 2.0) if draw(st.booleans())
+         else gaussian_window(wgrid, [width] * k))
     y_grid = default_y_grid(grid, frame)
     Y = y_grid.points()
     cells = []
@@ -349,7 +344,7 @@ def scan_cases(draw):
 
 def scan(f, g, frame, cells, cones):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WindowClassWarning)   # tensor windows
+        warnings.simplefilter("ignore", WindowClassWarning)   # Gaussian windows
         return wavefront_scan(f, g, frame, 2.0, cells, cones, threshold_N=1.7)
 
 

@@ -29,8 +29,8 @@ from dirstft.grids import BLOCK_ELEMS, rel_l2_error
 from dirstft.synthesis import _frame_operator
 from dirstft.transform import default_y_grid
 from dirstft.wavefront import WindowClassWarning
-from dirstft.windows import (_axis_grid, _block_bounds, gaussian_window, gevrey_bump,
-                             pairing_check, tensor_window, window_levels)
+from dirstft.windows import (_block_bounds, gaussian_window, gevrey_bump, pairing_check,
+                             window_levels)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=25)
@@ -43,7 +43,7 @@ def force_workers(monkeypatch, n):
 
 @st.composite
 def factored_cases(draw):
-    """(f, g, phi, frame, y_grid): a tensor window g on a frame that permutes
+    """(f, g, phi, frame, y_grid): a factored Gaussian g on a frame that permutes
     k signal axes (k = n = 2, k = 2 in R^3 with a blind axis, or k = n = 3),
     a y~ grid on the signal lattice with a stride per axis, and phi either g,
     another factored window or the same values with no factors (one level,
@@ -58,8 +58,7 @@ def factored_cases(draw):
     f = Signal(grid, rng.normal(size=counts) + 1j * rng.normal(size=counts))
 
     def window():
-        return tensor_window([gaussian_window(_axis_grid(grid, j), draw(st.floats(0.5, 2.0)))
-                              for j in perm])
+        return gaussian_window(grid.take(perm), [draw(st.floats(0.5, 2.0)) for _ in perm])
 
     g = window()
     phi = draw(st.sampled_from(["g", "factored", "unfactored"]))
@@ -115,7 +114,7 @@ def one_level_cases(draw):
     coordinate axis (the lattice gather) or a rotated direction (the
     trigonometric path), or a rotated k = 2 frame (the trigonometric path
     over two window mode axes), with a Gaussian or Gevrey-bump window and
-    phi either g or the other kind of window; or a tensor window g on a
+    phi either g or the other kind of window; or a factored Gaussian g on a
     frame that permutes two signal axes with a one-level phi of other
     values.  The y~ grid takes a stride per axis and several blocks' rows,
     so shard cuts fall inside blocks of one shard."""
@@ -130,8 +129,7 @@ def one_level_cases(draw):
     if kind == "factored g":
         perm = draw(st.permutations(range(2)))
         frame = build_frame(np.eye(n)[list(perm)])
-        g = tensor_window([gaussian_window(_axis_grid(grid, j), draw(st.floats(0.5, 2.0)))
-                           for j in perm])
+        g = gaussian_window(grid.take(perm), [draw(st.floats(0.5, 2.0)) for _ in perm])
         bump = gevrey_bump(g.grid, 0.2 * min(g.grid.counts), 2.0)
         phi = Window(g.grid, bump.values)
         y_counts = (draw(st.integers(2, 5)), draw(st.integers(2, per_block + 3)))
@@ -214,7 +212,7 @@ def test_a_one_level_stream_splits_into_even_runs_that_share_one_block(n):
     frame = build_frame([[1.0, 1.0]])
     # a y~ grid of several blocks' rows
     y_grid = Grid.from_bounds([-4], [4], [600])
-    levels = window_levels(gaussian_window(_axis_grid(grid, 0), 1.0), grid,
+    levels = window_levels(gaussian_window(grid.take([0]), 1.0), grid,
                            frame.u, y_grid)
     assert levels.outer == ()
     cuts, share = transform._shard_cuts((levels,), n)

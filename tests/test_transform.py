@@ -7,7 +7,7 @@ from dirstft import (BallSpec, DstftField, Grid, Signal, build_frame,
                      transform, wavefront_scan)
 from dirstft import grids
 from dirstft.direction import identity_frame
-from dirstft.synthesis import covering_y_grid, dso, reconstruction_multiplier
+from dirstft.synthesis import covering_y_grid, dso
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import BLOCK_ELEMS, relative_error
 from dirstft.transform import default_y_grid, dstft_direct_at
@@ -278,5 +278,5 @@ def test_blind_axes_match_the_oracles(name, on_lattice):
         y_grid = covering_y_grid(grid, g, phi, frame)[0]
         field = dstft_fast(f, g, frame, y_grid=y_grid)
         want = (dso(field, phi, frame, grid).values / pairing_check(g, phi).value
-                / reconstruction_multiplier(g, phi, frame, grid, y_grid))
+                / invariants.multiplier(g, phi, frame, grid, y_grid))
         assert relative_error(reconstruct(f, g, phi, frame).values, want) <= 1e-12

@@ -3,7 +3,7 @@ import pytest
 
 from dirstft import Grid, gaussian_window, gevrey_bump, pairing_check
 from dirstft.grids import evaluate_trig
-from dirstft.windows import Window, WindowKind, tensor_window, window_at
+from dirstft.windows import Window, WindowKind, window_at
 
 
 def test_gaussian_peak_and_symmetry():
@@ -83,15 +83,6 @@ def test_pairing_requires_same_grid():
     b = gaussian_window(Grid.from_bounds([-8], [8], [128]), 1.0)
     with pytest.raises(ValueError):
         pairing_check(a, b)
-
-
-def test_tensor_window_matches_2d_product():
-    g1 = Grid.from_bounds([-4], [4], [32])
-    w2 = tensor_window([gaussian_window(g1, 1.0), gaussian_window(g1, 2.0)])
-    g2 = Grid.from_bounds([-4, -4], [4, 4], [32, 32])
-    ref = gaussian_window(g2, [1.0, 2.0])
-    assert w2.grid == g2
-    assert np.allclose(w2.values, ref.values)
 
 
 def test_window_at_lattice_and_outside():
