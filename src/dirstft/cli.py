@@ -217,7 +217,16 @@ def cmd_gen(cfg: dict, args) -> int:
                 ("schema_version", "params", "sidecar"))
     grid = _parse_grid(cfg["grid"], "grid")
     params = cfg.get("params", {})
-    f = _build_fixture(cfg["kind"], grid, params)
+    try:
+        f = _build_fixture(cfg["kind"], grid, params)
+    except FloatingPointError as exc:
+        # the grid is at fault when its coordinates cannot even be squared
+        reach = max(max(abs(lo), abs(hi)) for lo, hi in zip(grid.origin, grid.upper))
+        if math.isfinite(reach * reach):
+            raise
+        raise ConfigError(f"grid coordinates reach {reach:.3g}, whose square "
+                          f"overflows: floating-point {exc} evaluating the "
+                          f"{cfg['kind']} fixture") from None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         frac = check_boundary_mass(f)

@@ -172,12 +172,11 @@ def _grid_counts(counts) -> tuple:
 
 
 def _sample_values(values, counts: tuple, what: str) -> np.ndarray:
-    """C-contiguous complex samples shaped batch + counts (any other shape is
-    reshaped to counts), checked for NaN and Inf in chunks, so the check
-    allocates one block-sized mask, not a mask the size of the samples."""
-    vals = np.ascontiguousarray(values, dtype=complex)
-    if vals.shape[max(vals.ndim - len(counts), 0):] != counts:
-        vals = vals.reshape(counts)
+    """C-contiguous complex samples shaped counts (values of any other shape
+    are reshaped to it, so they must hold exactly its number of samples),
+    checked for NaN and Inf in chunks, so the check allocates one
+    block-sized mask, not a mask the size of the samples."""
+    vals = np.ascontiguousarray(values, dtype=complex).reshape(counts)
     parts = vals.reshape(-1).view(np.float64)
     step = 2 * BLOCK_ELEMS
     for lo in range(0, parts.size, step):
@@ -188,10 +187,7 @@ def _sample_values(values, counts: tuple, what: str) -> np.ndarray:
 
 @dataclass
 class Signal:
-    """Complex samples of a function on a Grid.
-
-    Values are shaped like counts, optionally behind leading batch axes
-    (one signal per batch index); dft and idft transform the trailing axes.
+    """Complex samples of a function on a Grid, shaped like its counts.
     A spectrum is a Signal on the zero-centered dual lattice.
     """
 
@@ -290,7 +286,6 @@ def dft(f: Signal) -> Signal:
 
     f_hat(xi_m) = cell_volume * sum_i f(t_i) exp(-2 pi i xi_m . t_i), with the
     frequency index centered at zero and the grid-origin phase applied exactly.
-    Leading batch axes of f.values are transformed independently.
     """
     return Signal(f.grid.dual(), _dft_inplace(f.values.copy(), f.grid))
 
@@ -317,10 +312,10 @@ def dft_oracle(f: Signal) -> Signal:
     Deterministic for a fixed numpy/BLAS build and thread count; refuses
     more than ORACLE_WORK_CAP terms (N^2 for N samples, so N <= 11 585).
     """
-    _check_oracle_work(f.values.size * f.grid.size, "dft oracle")
+    _check_oracle_work(f.grid.size ** 2, "dft oracle")
     dual = f.grid.dual()
-    out = _direct_sum(f.values * f.grid.cell_volume, f.grid, dual.points(), -1)
-    return Signal(dual, out.reshape(f.values.shape))
+    return Signal(dual, _direct_sum(f.values * f.grid.cell_volume, f.grid,
+                                    dual.points(), -1))
 
 
 def _direct_sum(values, grid: Grid, pts, sign: int) -> np.ndarray:

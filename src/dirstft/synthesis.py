@@ -14,8 +14,8 @@ from .direction import DirectionFrame
 from .grids import (LATTICE_TOL, Grid, Signal, _check_oracle_work, _direct_sum,
                     _idft_into, _phase_tables, _trailing, primal_phase)
 from .transform import DstftField, _in_shards, _level0, _unphased, dstft_fast
-from .windows import (Window, WindowLevels, numerical_support, pairing_check,
-                      window_blocks, window_levels)
+from .windows import (Window, WindowLevels, _pair_levels, numerical_support,
+                      pairing_check, window_blocks, window_levels)
 
 
 def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Signal:
@@ -241,22 +241,15 @@ def _frame_operator(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
 
     Analysis and synthesis are fused per y~ block, and each block is
     inverted in the analysis buffer, so memory stays at a block plus the
-    signal.  The analysis post-phase and synthesis pre-phase cancel when
-    both windows stream the same innermost axes; a factored window paired
-    with an unfactored one takes their product per block.  When phi is g,
-    the analysis window levels and blocks are reused for synthesis.  The
+    signal.  The two windows stream in one shape (windows._pair_levels),
+    so the analysis post-phase and synthesis pre-phase cancel; when phi is
+    g, the analysis window levels and blocks are reused for synthesis.  The
     stream runs in shards (transform._in_shards).  M of two factored
     windows is the product of their per-level sums (_level_sums); any
     other pair's is summed from the window blocks the shards already
     hold, so no window is evaluated twice.
     """
-    levels = window_levels(g, f.grid, frame.u, y_grid)
-    # every window stream on one grid takes the same y~ blocks
-    synth = levels if phi is g else window_levels(phi, f.grid, frame.u, y_grid)
-    table = None
-    if synth.axes != levels.axes:
-        table = (_phase_tables(f.grid, levels.axes).dft_post
-                 * _phase_tables(f.grid, synth.axes).idft_pre)
+    levels, synth = _pair_levels(g, phi, f.grid, frame.u, y_grid)
     G = _level0(f, levels)
     M = _level_sums(levels, synth)
 
@@ -274,9 +267,7 @@ def _frame_operator(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
                 blocks = zip(stream, (W for _, _, W in synthesis.blocks), strict=True)
             for (lo, hi, W, R), Wp in blocks:
                 if M is None:
-                    m += _block_products(analysis, synthesis, lo, hi, W, Wp)
-                if table is not None:
-                    np.multiply(R, table, out=R)
+                    m += np.einsum("i...,i...->...", np.conj(W), Wp)
                 yield lo, hi, R, Wp
 
         acc = _synthesize(pairs(), synthesis, f.grid)
@@ -295,8 +286,8 @@ def _level_sums(levels: WindowLevels, synth: WindowLevels):
     """sum over y~ of conj(g) phi for two factored streams over all the
     rows of one y~ grid, as the product over levels of the sums of their
     tables' conj(g_j) phi_j over y_j, shaped like a window block row; None
-    unless both are factored."""
-    if not (levels.outer and synth.outer):
+    for one-level streams."""
+    if not levels.outer:
         return None
 
     def tables(s):
@@ -306,14 +297,6 @@ def _level_sums(levels: WindowLevels, synth: WindowLevels):
     for tg, tp in zip(tables(levels), tables(synth), strict=True):
         M = M * np.einsum("i...,i...->...", np.conj(tg), tp)
     return M
-
-
-def _block_products(levels: WindowLevels, synth: WindowLevels, lo: int, hi: int,
-                    Wg: np.ndarray, Wp: np.ndarray) -> np.ndarray:
-    """sum over the rows lo:hi of conj(g) phi, from the streams' blocks of
-    those rows, made whole (WindowLevels.full) where a stream is factored."""
-    Wg, Wp = levels.full(lo, hi, Wg), synth.full(lo, hi, Wp)
-    return np.einsum("i...,i...->...", np.conj(Wg), Wp)
 
 
 def window_change(F_g: DstftField, gamma: Window, phi: Window,

@@ -66,8 +66,7 @@ class DstftField:
 
     def __post_init__(self):
         counts = self.y_grid.counts + self.grid.counts
-        self.values = _sample_values(np.reshape(self.values, counts), counts,
-                                     "field")
+        self.values = _sample_values(self.values, counts, "field")
 
     @property
     def xi_grid(self) -> Grid:
@@ -155,17 +154,17 @@ def _in_shards(task, *streams) -> list:
 def _shard_cuts(streams, n: int):
     """(cuts, share): the (a, b) positions of the streams' rows for each of
     at most n shards, contiguous and in order, and the number of shards
-    that hold one block of BLOCK_ELEMS entries between them.  When any
-    stream is factored, the cuts are runs of whole indices of the outer
-    levels (rows // inner), equal in number of outer indices to within
-    one, and each shard holds whole blocks (share 1), as a factored
-    block's window costs no set-up.  Else they are runs of rows equal in
-    length to within one, and the shards share one block, so sharding
-    holds no more memory than one stream."""
-    rows = streams[0].rows
-    factored = [s for s in streams if s.outer]
+    that hold one block of BLOCK_ELEMS entries between them.  The streams
+    take one shape (windows._pair_levels).  When they are factored, the
+    cuts are runs of whole indices of the outer levels (rows // inner),
+    equal in number of outer indices to within one, and each shard holds
+    whole blocks (share 1), as a factored block's window costs no set-up.
+    Else they are runs of rows equal in length to within one, and the
+    shards share one block, so sharding holds no more memory than one
+    stream."""
+    rows, factored = streams[0].rows, bool(streams[0].outer)
     if factored:
-        starts = np.flatnonzero(np.diff(rows // factored[0].inner)) + 1
+        starts = np.flatnonzero(np.diff(rows // streams[0].inner)) + 1
         starts = np.concatenate(([0], starts))
     else:
         starts = np.arange(max(1, len(rows)))

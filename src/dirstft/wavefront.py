@@ -94,8 +94,16 @@ class BallSpec:
         return self.radius * math.sqrt(len(self.center)) + 1e-12
 
     def contains(self, y: np.ndarray) -> np.ndarray:
-        y = np.atleast_2d(y)
-        return np.linalg.norm(y - np.asarray(self.center), axis=-1) <= self.reach
+        return _in_balls([self], np.atleast_2d(y))[0]
+
+
+def _in_balls(cells: list, y: np.ndarray) -> np.ndarray:
+    """The (cells, points) mask of the points y, shaped (P, k), within
+    each BallSpec's reach of its center: the ball rule, for every cell at
+    once by one broadcast."""
+    centers = np.array([cell.center for cell in cells])
+    return (np.linalg.norm(y - centers[:, None], axis=-1)
+            <= np.array([[cell.reach] for cell in cells]))
 
 
 @dataclass(frozen=True)
@@ -346,10 +354,7 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     _check_scan_window(g)
     y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     Y = y_grid.points()
-    # BallSpec.contains for every cell at once, by the same arithmetic
-    centers = np.array([cell.center for cell in y_cells])
-    member = (np.linalg.norm(Y - centers[:, None], axis=-1)
-              <= np.array([[cell.reach] for cell in y_cells]))
+    member = _in_balls(y_cells, Y)
     for cell, hit in zip(y_cells, member):
         if not hit.any():
             raise ValueError(f"no y~ lattice points inside cell {cell}")

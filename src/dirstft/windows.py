@@ -40,8 +40,7 @@ class Window:
 
     def __post_init__(self):
         counts = self.grid.counts
-        self.values = _sample_values(np.reshape(self.values, counts), counts,
-                                     "window")
+        self.values = _sample_values(self.values, counts, "window")
         if not np.any(self.values):
             raise ValueError("window must not be identically zero")
 
@@ -262,20 +261,6 @@ class WindowLevels:
         hold one block between them."""
         return replace(self, rows=self.rows[a:b], nt=self.nt * share)
 
-    def full(self, lo: int, hi: int, W: np.ndarray) -> np.ndarray:
-        """The whole window g(u . t - y~) at the positions lo:hi of rows,
-        from W, their innermost factor: W times, per run of one index of
-        the outer levels (segments), each outer level's factor there."""
-        if not self.outer:
-            return W
-        parts = []
-        for a, b, index in self.segments(lo, hi):
-            part = W[a - lo:b - lo]
-            for (_, table), i in zip(self.outer, index):
-                part = part * table[i]
-            parts.append(part)
-        return np.concatenate(parts)
-
     def segments(self, lo: int, hi: int):
         """(a, b, index) for each run a:b of the positions lo:hi of rows
         under one index of the outer levels, a tuple of one y~ index per
@@ -297,26 +282,51 @@ def window_levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid,
     """The levels of the window stream g(u . t - y~) for y~ at the
     ascending flat indices rows of y_grid (default: every point).
 
-    When w carries k > 1 factors whose product is still exactly w.values
-    (a window whose values were reassigned takes one level) and the
-    direction rows touch pairwise disjoint sets of signal axes,
-    g(u . t - y~) = prod_j g_j(u_j . t - y_j) and level j is the axes row
-    j touches, with the table of g_j over (y_j, those axes) from
-    window_blocks; the innermost window gathers rows of g_k's table at
-    rows % inner, so no (B, Nt) block of the full window is formed, and
-    an outer index no row touches is never visited.  Any other window or
-    frame has one level over every seen axis, whose window is _row_window
-    on the points of y_grid.  Either way the blocks are those of
-    _block_bounds over rows, so streams of different windows pair up.
+    When w is factored (_factored), g(u . t - y~) = prod_j g_j(u_j . t - y_j)
+    and level j is the axes row j touches, with the table of g_j over
+    (y_j, those axes) from window_blocks; the innermost window gathers rows
+    of g_k's table at rows % inner, so no (B, Nt) block of the full window
+    is formed, and an outer index no row touches is never visited.  Any
+    other window or frame has one level over every seen axis, whose window
+    is _row_window on the points of y_grid.  Either way the blocks are
+    those of _block_bounds over rows, so streams of different windows pair
+    up.
     """
     u = _frame_rows(w, grid, u)
+    return _levels(w, grid, u, y_grid, rows, _factored(w, u, y_grid))
+
+
+def _pair_levels(g: Window, phi: Window, grid: Grid, u: np.ndarray,
+                 y_grid: Grid) -> tuple:
+    """The window_levels of g and of phi over every point of y_grid, in one
+    shape: factored only when both windows are, else both one level, so
+    that the two streams take the same levels and innermost axes.  When
+    phi is g, its one stream is returned twice."""
+    u = _frame_rows(g, grid, u)
+    factored = _factored(g, u, y_grid) and (phi is g or _factored(phi, u, y_grid))
+    levels = _levels(g, grid, u, y_grid, None, factored)
+    return levels, (levels if phi is g else _levels(phi, grid, u, y_grid, None, factored))
+
+
+def _factored(w: Window, u: np.ndarray, y_grid: Grid) -> bool:
+    """Whether w streams one level per direction row: it carries k > 1
+    factors whose product is still exactly w.values (a window whose values
+    were reassigned takes one level), y_grid has k axes and the checked
+    direction rows u touch pairwise disjoint sets of signal axes."""
+    touched = u != 0
+    return bool(len(w.factors) > 1 and y_grid.dim == w.grid.dim
+                and touched.any(axis=1).all() and touched.sum(axis=0).max() == 1
+                and np.array_equal(_outer([p.values for p in w.factors]), w.values))
+
+
+def _levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid,
+            rows: np.ndarray | None, factored: bool) -> WindowLevels:
+    """window_levels for the checked direction rows u, factored as told."""
     touched, seen = u != 0, _seen(u)
     blind = _axes(~seen)
     if rows is None:
         rows = np.arange(y_grid.size)
-    if not (len(w.factors) > 1 and y_grid.dim == w.grid.dim
-            and touched.any(axis=1).all() and touched.sum(axis=0).max() == 1
-            and np.array_equal(_outer([p.values for p in w.factors]), w.values)):
+    if not factored:
         window = _row_window(w, grid, u, as_points(y_grid.points(), w.grid.dim))
         return WindowLevels(blind, (), _axes(seen), (), y_grid.size, rows,
                             window, grid.size)
@@ -395,7 +405,7 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
     spec = dft(w.as_signal())
     modes = spec.grid
     c = spec.values * modes.cell_volume
-    box = _projected_box(w, grid, u)
+    box = _projected_box(w, grid, u, proj)
     evaluate = (_trig_grid(modes, u, grid) if box is None
                 else _trig_grid(modes, np.eye(modes.dim), box[0]))
 
@@ -416,46 +426,35 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
     return block
 
 
-def _projected_box(w: Window, grid: Grid, u: np.ndarray):
-    """(box, index) of the projected index box, or None when it is not
-    smaller than the signal grid.
+def _projected_box(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray):
+    """(box, index) of the projected index box of the sample projections
+    proj = grid.points() @ u.T, or None when it is not smaller than the
+    signal grid.
 
-    With t = origin + spacing * m, row r of the projection is
-    u_r . t = u_r . origin + sum_i a_ri m_i with a_ri = u_ri spacing_i.
-    When a_r = delta_r q_r for an integer vector q_r, to within LATTICE_TOL
-    window steps over the whole grid, u_r . t takes J_r equally spaced
-    values p_r + delta_r j (j = 0 ... J_r - 1) -- the lattice test of
-    _lattice_blocks one level up.  box is the Grid of those values (one
-    value padded to 2, as a Grid needs), and index maps each sample,
-    row-major, to its flat position in box.  q_r is the ratio of a_r to
-    its smallest term that moves the projection by more than the
-    tolerance, rounded, so rows with other ratios take the per-sample
-    path; the box size is checked as a float before any integer is formed.
+    Row r of the projection of t = origin + spacing * m moves in steps
+    u_ri spacing_i; delta_r is the smallest of them that moves it by more
+    than LATTICE_TOL window steps over the grid.  When every projection
+    is on the lattice of spacing delta from the smallest one, by
+    Grid.lattice_index (window_at's rule), u_r . t takes J_r equally
+    spaced values.  box is the Grid of those values (one value padded to
+    2, as a Grid needs), and index maps each sample, row-major, to its
+    flat position in box; rows with other step ratios take the per-sample
+    path.  A float bound on the box size is checked before any index is
+    formed.
     """
-    a = u * np.asarray(grid.spacing)                # (k, n)
-    span = np.asarray(grid.counts) - 1
-    if not np.all(np.isfinite(a)):
+    step = np.abs(u * np.asarray(grid.spacing))
+    reach = step * (np.asarray(grid.counts) - 1)
+    moving = reach > LATTICE_TOL * np.asarray(w.grid.spacing)[:, None]
+    delta = np.where(moving.any(axis=1), np.where(moving, step, np.inf).min(axis=1),
+                     w.grid.spacing)
+    if not np.prod(reach.sum(axis=1) / delta) < grid.size:
         return None
-    deltas, Q, size = [], [], 1.0
-    for a_r, h in zip(a, w.grid.spacing):
-        tol = LATTICE_TOL * h
-        moving = np.abs(a_r) * span > tol
-        delta = float(np.min(np.abs(a_r[moving]))) if moving.any() else h
-        q = np.rint(a_r / delta)
-        size *= float(np.abs(q) @ span) + 1
-        if size >= grid.size or float(np.abs(a_r - delta * q) @ span) > tol:
-            return None
-        deltas.append(delta)
-        Q.append(q)
-    Q = np.array(Q, dtype=np.int64)
-    low = np.minimum(Q, 0) @ span
-    box = Grid(u @ np.asarray(grid.origin) + np.array(deltas) * low, deltas,
-               np.maximum(np.abs(Q) @ span + 1, 2))
-    strides = np.cumprod((1,) + box.counts[:0:-1])[::-1]
-    index = -int(strides @ low)
-    for i, n_i in enumerate(grid.counts):
-        index = np.add.outer(index, (strides @ Q[:, i]) * np.arange(n_i))
-    return box, index.ravel()
+    low = proj.min(axis=0)
+    idx = Grid(low, delta, (2,) * len(delta)).lattice_index(proj)
+    if idx is None:
+        return None
+    box = Grid(low, delta, np.maximum(idx.max(axis=0) + 1, 2))
+    return (box, np.ravel_multi_index(idx.T, box.counts)) if box.size < grid.size else None
 
 
 def pairing_check(g: Window, phi: Window) -> PairingCert:

@@ -737,6 +737,11 @@ def test_missing_required_config_key_exits_2_naming_it(tmp_path, capsys,
      "error: window grid: origin, spacing and counts must share a positive length"),
     ("gen", {"grid": {"origin": [-4], "spacing": [-0.5], "counts": [16]}},
      "error: grid spacing must be positive"),
+    # a finite grid whose coordinates overflow the fixture's arithmetic
+    ("gen", {"grid": {"bounds": [[-4], [1.7e308]], "counts": [16]}},
+     "error: grid coordinates reach 1.7e+308, whose square overflows"),
+    ("gen", {"grid": {"origin": [-1e300], "spacing": [1e299], "counts": [16]}},
+     "error: grid coordinates reach 1e+300, whose square overflows"),
 ])
 def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capfd, command,
                                                         edit, message):

@@ -171,7 +171,8 @@ def test_lattice_path_takes_the_support_rule_of_window_at():
 
 
 def box_size(w, grid, u):
-    box = _projected_box(w, grid, np.atleast_2d(u))
+    u = np.atleast_2d(u)
+    box = _projected_box(w, grid, u, grid.points() @ u.T)
     return None if box is None else box[0].size
 
 
@@ -332,7 +333,7 @@ def test_off_lattice_k2_window_memory_bounded(monkeypatch):
     frame = build_frame([[0.6, 0.8], [-0.8, 0.6]])
     y_grid = Grid.from_bounds([-2, -2], [2, 2], [8, 8])
     assert _lattice_blocks(win, grid.points() @ frame.u.T, y_grid.points()) is None
-    assert _projected_box(win, grid, frame.u) is None
+    assert _projected_box(win, grid, frame.u, grid.points() @ frame.u.T) is None
     tracemalloc.start()
     try:
         F = dstft_fast(f, win, frame, y_grid=y_grid)

@@ -207,19 +207,30 @@ def test_primal_inverts_dual(counts):
                zip(centered.origin, centered.counts, centered.spacing))
 
 
-def test_dft_idft_batch_axes_match_per_item():
+def test_a_signal_holds_exactly_its_grid_counts():
+    # a batch of signals on one grid is rejected, not taken as one signal
+    # that dft, the file writer or inner_product would each read differently
+    g = Grid.from_bounds([-4], [4], [16])
+    with pytest.raises(ValueError):
+        Signal(g, np.ones((3, 16)))
+    with pytest.raises(ValueError):
+        Signal(Grid.from_bounds([-4, -4], [4, 4], [16, 16]), np.ones((2, 16, 16)))
+    # the same samples in another shape are reshaped to the grid
+    assert Signal(g, np.ones((4, 4))).values.shape == (16,)
+
+
+def test_the_array_helpers_keep_batch_axes():
+    # the streams transform blocks of rows: the private helpers take leading
+    # batch axes, each item transformed as dft and idft transform a signal
     g = Grid.from_bounds([-4, -2], [4, 3], [8, 7])
     batch = np.stack([random_bandlimited(g, s, band=0.5).values
                       for s in range(3)])
-    F = dft(Signal(g, batch))
-    assert F.values.shape == (3, 8, 7)
+    F = grids._dft_inplace(batch.copy(), g)
+    inv = _idft_into(np.empty_like(F), F, g) * primal_phase(g)
     for b in range(3):
         one = dft(Signal(g, batch[b]))
-        assert np.array_equal(F.values[b], one.values)
-        assert np.array_equal(idft(Signal(one.grid, F.values[b]), g).values,
-                              idft(F, g).values[b])
-    raw = _idft_into(np.empty_like(F.values), F.values, g)
-    assert np.allclose(raw * primal_phase(g), idft(F, g).values, rtol=0, atol=1e-15)
+        assert np.array_equal(F[b], one.values)
+        assert np.array_equal(inv[b], idft(one, g).values)
 
 
 def test_dft_idft_leave_their_inputs_unchanged():

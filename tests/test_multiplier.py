@@ -6,13 +6,14 @@ sum (invariants.multiplier_error), to roundoff, for any signal.  The cases
 cover the factored and one-level streams, a blind axis, the two mixed
 pairings of a factored and an unfactored window, and a coarse y~ grid."""
 
+import numpy as np
 import pytest
 
-from dirstft import Grid, Window, build_frame, gaussian_window
+from dirstft import Grid, Window, build_frame, gaussian_window, pairing_check, transform
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.invariants import multiplier_error
-from dirstft.windows import window_levels
+from dirstft.synthesis import _frame_operator
 
 G32 = Grid.from_bounds([-4, -4], [4, 4], [32, 32])
 W1 = gaussian_window(Grid.from_bounds([-4], [4], [32]), [1.0])
@@ -47,8 +48,16 @@ def test_reconstruct_is_the_multiplier(case):
     assert multiplier_error(f, g, g if phi is None else phi, frame, y_grid) <= 1e-13
 
 
-def test_the_mixed_cases_pair_streams_with_different_innermost_axes():
-    for case in ("factored g, unfactored phi", "unfactored g, factored phi"):
-        f, g, phi, frame, _ = CASES[case]
-        axes = [window_levels(w, f.grid, frame.u, G32).axes for w in (g, phi)]
-        assert axes[0] != axes[1]
+@pytest.mark.parametrize("case", ["factored g, unfactored phi",
+                                  "unfactored g, factored phi"])
+def test_a_mixed_pair_streams_as_the_unfactored_pair(monkeypatch, case):
+    # when exactly one window of the pair is factored, both stream one level,
+    # so the undivided reconstruction and M are the unfactored pair's, bit
+    # for bit, on any shard count
+    f, g, phi, frame, _ = CASES[case]
+    pairing = pairing_check(g, phi).value
+    for n in (1, 2, 3):
+        monkeypatch.setattr(transform, "_cpu_count", lambda: n)
+        got = _frame_operator(f, g, phi, frame, G32, pairing)
+        want = _frame_operator(f, unfactored(g), unfactored(phi), frame, G32, pairing)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))

@@ -16,11 +16,12 @@ from dirstft import (BallSpec, Grid, Signal, build_frame, cone_dictionary_2d,
                      wavefront_scan, window_change)
 from dirstft.direction import identity_frame
 from dirstft.fixtures import delta_sheet, heaviside_sheet, random_bandlimited
-from dirstft.grids import (BLOCK_ELEMS, _direct_sum, _trig_grid, dft, evaluate_trig,
-                           evaluate_trig_grid, rel_l2_error, relative_error)
+from dirstft.grids import (BLOCK_ELEMS, _dft_inplace, _direct_sum, _trig_grid,
+                           evaluate_trig, evaluate_trig_grid, rel_l2_error,
+                           relative_error)
 from dirstft.synthesis import _frame_operator, covering_y_grid, dso
 from dirstft.wavefront import WindowClassWarning
-from dirstft.windows import window_blocks
+from dirstft.windows import _projected_box, window_at, window_blocks
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=25)
@@ -283,11 +284,11 @@ def test_trig_on_a_mapped_lattice_matches_scattered_points(n, k, data):
     # matches evaluate_trig and has the bits of the row evaluated alone
     fs, A, out = data.draw(mapped_lattices(n, k))
     pts = out.points() @ A.T
-    spec = dft(Signal(fs[0].grid, np.stack([f.values for f in fs])))
-    c = spec.values * spec.grid.cell_volume
+    modes = fs[0].grid.dual()
+    c = _dft_inplace(np.stack([f.values for f in fs]), fs[0].grid) * modes.cell_volume
     with mock.patch("dirstft.grids.BLOCK_ELEMS",
                     data.draw(st.sampled_from([1, 64, BLOCK_ELEMS]))):
-        evaluate = _trig_grid(spec.grid, A, out)
+        evaluate = _trig_grid(modes, A, out)
         got = evaluate(c)
         alone = [evaluate(row)[0] for row in c]
     assert got.shape == (len(fs),) + out.counts
@@ -301,6 +302,82 @@ def test_trig_on_a_mapped_lattice_matches_scattered_points(n, k, data):
     one = evaluate_trig_grid(fs[0], A, out)
     assert one.shape == out.counts
     assert relative_error(one.ravel(), evaluate_trig(fs[0], pts)) <= tol
+
+
+@st.composite
+def box_frames(draw):
+    """(grid, rows, J): an n-d grid (n = 2, 3) with unequal spacings and an
+    origin off zero, and k <= 2 direction rows whose steps u_ri spacing_i
+    along the signal axes are -2 ... 2 times a step of the row's own, +-1
+    times it on some axis, with J the number of values each row's
+    projection takes."""
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 2))
+    spacing = [draw(st.floats(0.25, 1.0)) for _ in range(n)]
+    assume(len(set(spacing)) == n)
+    grid = Grid([draw(st.floats(-3.0, -0.1)) for _ in range(n)], spacing,
+                [draw(st.integers(3, 6)) for _ in range(n)])
+    rows, J = [], []
+    for _ in range(k):
+        q = np.array([draw(st.integers(-2, 2)) for _ in range(n)])
+        q[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, 1]))
+        rows.append(q * draw(st.floats(0.1, 1.0)) / np.asarray(spacing))
+        J.append(int(np.abs(q) @ (np.asarray(grid.counts) - 1)) + 1)
+    return grid, rows, J
+
+
+def boxes_of(w, grid, frame, Y):
+    """The projected boxes window_blocks sets up (at most one), and its
+    blocks."""
+    boxes = []
+
+    def spy(*args):
+        boxes.append(_projected_box(*args))
+        return boxes[-1]
+
+    with mock.patch("dirstft.windows._projected_box", spy):
+        W = np.concatenate([np.broadcast_to(B, (hi - lo,) + grid.counts)
+                            for lo, hi, B in window_blocks(w, grid, frame.u, Y)])
+    return boxes, W.reshape(len(Y), -1)
+
+
+@SETTINGS
+@given(box_frames(), st.data())
+def test_integer_step_ratios_take_the_projected_box(case, data):
+    # the box exactly when it is smaller than the (seen) grid, with J_r
+    # values per row; the same rows nudged off their ratios take the
+    # per-sample path; both match window_at within the engine tests' bound
+    grid, rows, J = case
+    try:
+        frame = build_frame(rows)
+        nudged = build_frame([rows[0] + 1e-6 * np.arange(1, grid.dim + 1)] + rows[1:])
+    except ValueError:
+        assume(False)
+    w = data.draw(windows(frame.k))
+    Y = [[data.draw(st.floats(-4.0, 4.0)) for _ in range(frame.k)] for _ in range(5)]
+    for fr, on_ratios in ((frame, True), (nudged, False)):
+        proj = grid.points() @ fr.u.T
+        boxes, W = boxes_of(w, grid, fr, Y)
+        want = np.stack([window_at(w, proj - y) for y in Y])
+        assert np.max(np.abs(W - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assume(boxes)           # not every proj - y~ on the window lattice
+        seen = grid.take(np.flatnonzero(fr.u.any(axis=0)))
+        if on_ratios and np.prod(J) < seen.size:
+            assert boxes[0][0].counts == tuple(J)
+        else:
+            assert boxes[0] is None
+
+
+@pytest.mark.parametrize("n, counts", [(64, (127,)), (96, (191,))])
+def test_the_benchmark_diagonals_keep_their_boxes(n, counts):
+    # the u = (1, 1)/sqrt 2 boxes of the file and frame-change workloads:
+    # the sample (i, j) projects to box point i + j
+    grid = Grid.from_bounds([-8, -8], [8, 8], [n, n])
+    w = gaussian_window(Grid.from_bounds([-8], [8], [n]), [1.0])
+    frame = build_frame([[1.0, 1.0]])
+    box, index = _projected_box(w, grid, frame.u, grid.points() @ frame.u.T)
+    assert box.counts == counts
+    assert np.array_equal(index, np.add.outer(np.arange(n), np.arange(n)).ravel())
 
 
 @st.composite

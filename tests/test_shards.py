@@ -46,8 +46,8 @@ def factored_cases(draw):
     """(f, g, phi, frame, y_grid): a factored Gaussian g on a frame that permutes
     k signal axes (k = n = 2, k = 2 in R^3 with a blind axis, or k = n = 3),
     a y~ grid on the signal lattice with a stride per axis, and phi either g,
-    another factored window or the same values with no factors (one level,
-    so reconstruct multiplies in the phase table of the mixed axes)."""
+    another factored window or the same values with no factors (so that
+    reconstruct streams both windows one level)."""
     k, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
     top = 48 if n == 2 else 8
     counts = tuple(draw(st.integers(6, top)) for _ in range(n))
@@ -231,19 +231,6 @@ def test_a_one_level_stream_splits_into_even_runs_that_share_one_block(n):
         held += max(hi - lo for lo, hi in blocks)
     # the shards' largest blocks hold no more rows than one whole block
     assert held <= whole
-
-
-def test_a_factored_stream_sets_the_cuts_of_a_one_level_partner():
-    # g factored and phi one level on one y~ set: whole outer indices and
-    # whole blocks for both, so their blocks pair up in every shard
-    grid = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
-    frame = identity_frame(2, 2)
-    g = gaussian_window(grid, [1.0, 1.2])
-    levels = window_levels(g, grid, frame.u, grid)
-    synth = window_levels(Window(g.grid, g.values), grid, frame.u, grid)
-    assert levels.outer and not synth.outer
-    for streams in ((levels, synth), (synth, levels)):
-        assert transform._shard_cuts(streams, 3) == transform._shard_cuts((levels,), 3)
 
 
 def test_the_worker_count_is_the_cpus_this_process_may_use():

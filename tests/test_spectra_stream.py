@@ -56,4 +56,5 @@ def test_the_off_lattice_cases_take_the_box_and_per_sample_paths():
     for case, has_box in [("projected box u=(1,1)/sqrt2", True),
                           ("per-sample u=(1,0.3)", False)]:
         g, frame, _ = CASES[case]
-        assert (_projected_box(g, GRID, frame.u) is not None) == has_box
+        assert (_projected_box(g, GRID, frame.u, GRID.points() @ frame.u.T)
+                is not None) == has_box
