@@ -16,6 +16,7 @@ import numbers
 import sys
 import time
 import warnings
+from itertools import product
 
 import numpy as np
 
@@ -171,6 +172,50 @@ def _parse_frame(spec: dict):
     return build_frame(_vector(u, "frame u"))
 
 
+def _out_of_range(kind: str, grid: Grid, args: dict) -> str | None:
+    """The first key of a fixture's args whose value takes the fixture's
+    arithmetic over the grid's box out of floating-point range, by the
+    scale that key sets: a gaussian's |t - center|^2, |(t - center) /
+    sigma|^2 and 2 pi t . modulation, a plane wave's 2 pi t . xi0, a
+    sheet's |u|^2, which must also be nonzero to normalize u.  None when
+    no key does, or when the grid's own coordinates cannot be squared
+    (cmd_gen names the grid).  A default value is never named: it leaves
+    its scale that of the grid."""
+    lo, hi = np.array(grid.origin), np.array(grid.upper)
+    reach = np.maximum(abs(lo), abs(hi))
+    with np.errstate(all="ignore"):
+        if not np.isfinite(np.sum(reach * reach)):
+            return None
+        scales = {}
+        if kind == "gaussian":
+            center = np.zeros(grid.dim) if args["center"] is None else np.asarray(args["center"])
+            dist = np.maximum(abs(lo - center), abs(hi - center))
+            scales = {"center": [np.sum(dist * dist)],
+                      "sigma": [np.sum((dist / np.asarray(args["sigma"])) ** 2)]}
+        for key in ("modulation", "xi0"):
+            if args.get(key) is not None:
+                scales[key] = [2 * np.pi * np.sum(reach * abs(np.asarray(args[key])))]
+        if "u" in args:
+            square = np.sum(np.square(args["u"]))
+            scales["u"] = [square, 1 / square]
+    return next((key for key, v in scales.items() if not np.all(np.isfinite(v))), None)
+
+
+def _fixture(kind: str, grid: Grid, params: dict, make, **args) -> Signal:
+    """make(grid, **args), the fixture of kind with params' values args;
+    a floating-point error that one key's value causes (_out_of_range) is
+    a ConfigError naming the kind and that key."""
+    try:
+        return make(grid, **args)
+    except FloatingPointError as exc:
+        key = _out_of_range(kind, grid, args)
+        if key is None:
+            raise
+        raise ConfigError(f"{kind} {key} {json.dumps(params[key])} is out of "
+                          f"floating-point range on this grid: floating-point "
+                          f"{exc}") from None
+
+
 def _build_fixture(kind: str, grid: Grid, params: dict) -> Signal:
     def arg(key, *default):
         """params[key] as numbers; an absent key takes the default, as does
@@ -182,17 +227,15 @@ def _build_fixture(kind: str, grid: Grid, params: dict) -> Signal:
 
     if kind == "gaussian":
         _check_keys(params, "gaussian params", (), ("sigma", "center", "modulation"))
-        return fixtures.gaussian(grid, arg("sigma", 1.0), arg("center", None),
-                                 arg("modulation", None))
-    if kind == "heaviside_sheet":
-        _check_keys(params, "heaviside_sheet params", ("u",), ("c",))
-        return fixtures.heaviside_sheet(grid, arg("u"), arg("c", 0.0))
-    if kind == "delta_sheet":
-        _check_keys(params, "delta_sheet params", ("u",), ("c",))
-        return fixtures.delta_sheet(grid, arg("u"), arg("c", 0.0))
+        return _fixture(kind, grid, params, fixtures.gaussian, sigma=arg("sigma", 1.0),
+                        center=arg("center", None), modulation=arg("modulation", None))
+    if kind in ("heaviside_sheet", "delta_sheet"):
+        _check_keys(params, f"{kind} params", ("u",), ("c",))
+        return _fixture(kind, grid, params, getattr(fixtures, kind), u=arg("u"),
+                        c=arg("c", 0.0))
     if kind == "plane_wave":
         _check_keys(params, "plane_wave params", ("xi0",))
-        return fixtures.plane_wave(grid, arg("xi0"))
+        return _fixture(kind, grid, params, fixtures.plane_wave, xi0=arg("xi0"))
     if kind == "random_bandlimited":
         _check_keys(params, "random_bandlimited params", ("seed",), ("band",))
         return fixtures.random_bandlimited(
@@ -341,33 +384,64 @@ def _cell_list(spec) -> list:
     return cells
 
 
-def _report_json(report: WavefrontReport, window: Window) -> dict:
-    # the dataclasses' fields are the key names; asdict would deep-copy each
-    entries = [{"cell": vars(e.y_cell), "cone": vars(e.cone), "fit": vars(e.fit),
-                "regular": e.regular} for e in report.entries]
-    return {"threshold_N": report.threshold_N, "residual_cap": RESIDUAL_CAP,
-            "window": window.meta, "entries": entries,
+def _by_identity(objs, fn) -> dict:
+    """{id(obj): fn(obj)}, fn applied once per distinct object of objs:
+    keyed by identity, not by value, since 0.0 and -0.0 compare and hash
+    equal but print differently.  The objects must outlive the dict (a
+    report holds its fits), so that no id is reused."""
+    return {key: fn(obj) for key, obj in {id(obj): obj for obj in objs}.items()}
+
+
+# The writers and the verdict below take a report's entries as the
+# cell-major product of its cell and cone lists, as wavefront_scan makes
+# them, and format each cell and cone by its position in its list and
+# each distinct fit once.
+
+def _report_json(report: WavefrontReport, cells: list, cones: list,
+                 window: Window, comparison: dict | None = None) -> str:
+    """The wf.json text: json.dumps(..., sort_keys=True) of the report's
+    keys, each entry {"cell", "cone", "fit", "regular"} holding the
+    dataclasses' fields, with the entry list spliced between the keys
+    that sort before "entries" and those after it."""
+    # one string from the C encoder: an indent would run the pure-Python
+    # one; the report holds no cycle, so none is looked for
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+    cell_text = [encode(vars(cell)) for cell in cells]
+    cone_text = [encode(vars(cone)) for cone in cones]
+    fit_text = _by_identity((e.fit for e in report.entries),
+                            lambda fit: encode(vars(fit)))
+    entries = ", ".join([
+        '{"cell": %s, "cone": %s, "fit": %s, "regular": %s}'
+        % (cell, cone, fit_text[id(e.fit)], ("false", "true")[e.regular])
+        for (cell, cone), e in zip(product(cell_text, cone_text), report.entries)])
+    keys = {"threshold_N": report.threshold_N, "residual_cap": RESIDUAL_CAP,
+            "window": window.meta,
             "scan": {"rows_streamed": report.rows_streamed,
                      "rows_total": report.rows_total,
                      "noise_ref": list(report.noise_ref)}}
+    if comparison is not None:
+        keys["comparison"] = comparison
+    before = encode({k: v for k, v in keys.items() if k < "entries"})[1:-1]
+    after = encode({k: v for k, v in keys.items() if k > "entries"})[1:-1]
+    return "{%s\"entries\": [%s], %s}" % (before + ", " if before else "",
+                                          entries, after)
 
 
 def _report_csv(report: WavefrontReport, cells: list, cones: list) -> str:
-    """The scan's entries, cell-major, as CSV text; each cell and cone
-    center is formatted once, by its position in its list (0.0 and -0.0
-    compare equal but print differently)."""
+    """The scan's entries, cell-major, as CSV text."""
     def text(specs):
-        return [";".join(repr(x) for x in s.center) for s in specs]
+        return [";".join(map(repr, s.center)) for s in specs]
 
-    cell_text, cone_text = text(cells), text(cones)
-    rows = ['"%s","%s",%r,%d\n' % (cell_text[i // len(cones)],
-                                   cone_text[i % len(cones)],
-                                   e.fit.N_hat, int(e.regular))
-            for i, e in enumerate(report.entries)]
+    n_hat = _by_identity((e.fit for e in report.entries),
+                         lambda fit: repr(fit.N_hat))
+    rows = ['"%s","%s",%s,%d\n' % (cell, cone, n_hat[id(e.fit)], e.regular)
+            for (cell, cone), e in zip(product(text(cells), text(cones)),
+                                       report.entries)]
     return "cell_center,cone_center,N_hat,regular\n" + "".join(rows)
 
 
-def _verdict(report: WavefrontReport, truth: dict, frame: DirectionFrame) -> dict:
+def _verdict(report: WavefrontReport, cells: list, cones: list, truth: dict,
+             frame: DirectionFrame) -> dict:
     """Compare detected singular entries against the sidecar ground truth.
 
     A sheet {u . t = offset} with u = frame.u^T a lies at {a . y~ = offset}
@@ -383,14 +457,12 @@ def _verdict(report: WavefrontReport, truth: dict, frame: DirectionFrame) -> dic
         offset = float(singular["offset"])
         a = np.linalg.lstsq(frame.u.T, u, rcond=None)[0]
         in_span = np.allclose(frame.u.T @ a, u, rtol=0.0, atol=1e-9)
-        near_u = {c: math.acos(min(abs(np.asarray(c.center) @ u), 1.0)) <= tol
-                  for c in {e.cone for e in report.entries}}
-        in_cell = {y: not in_span or (
-            abs(a @ np.asarray(y.center) - offset) / np.linalg.norm(a)
-            <= y.reach)
-            for y in {e.y_cell for e in report.entries}}
-        expected = {(e.y_cell.center, e.cone.center) for e in report.entries
-                    if near_u[e.cone] and in_cell[e.y_cell]}
+        norm_a = np.linalg.norm(a)
+        hit = [y for y in cells if not in_span or (
+            abs(a @ np.asarray(y.center) - offset) / norm_a <= y.reach)]
+        near_u = [c for c in cones
+                  if math.acos(min(abs(np.asarray(c.center) @ u), 1.0)) <= tol]
+        expected = {(y.center, c.center) for y, c in product(hit, near_u)}
     detected = {(e.y_cell.center, e.cone.center) for e in report.singular}
     return {"expected_singular": [[list(y), list(c)] for y, c in sorted(expected)],
             "detected_singular": [[list(y), list(c)] for y, c in sorted(detected)],
@@ -418,7 +490,6 @@ def cmd_wavefront(cfg: dict, args) -> int:
             **{k: _number(cfg[k], k) for k in ("threshold_N",) if k in cfg})
         # after the scan, so a rejected config prints its error line only
         check_boundary_mass(f)
-    out = _report_json(report, g)
     truth = None
     sidecar = cfg["signal"] + ".json"
     try:
@@ -426,22 +497,20 @@ def cmd_wavefront(cfg: dict, args) -> int:
             truth = json.load(fh)
     except OSError:
         pass
+    comparison = None
     if truth is not None and "singular" in truth:
-        out["comparison"] = _verdict(report, truth, frame)
+        comparison = _verdict(report, cells, cones, truth, frame)
     if "out_json" in cfg:
         with sigio.create(cfg["out_json"], "w") as fh:
-            # one string from the C encoder: json.dump with indent runs
-            # the pure-Python one, several times slower on a scan report;
-            # the report holds no cycle, so none is looked for
-            fh.write(json.dumps(out, sort_keys=True, check_circular=False))
+            fh.write(_report_json(report, cells, cones, g, comparison))
     if "out_csv" in cfg:
         with sigio.create(cfg["out_csv"], "w") as fh:
             fh.write(_report_csv(report, cells, cones))
     n_sing = len(report.singular)
     print(f"wavefront scan: {len(report.entries)} entries, {n_sing} singular")
-    if "comparison" in out:
-        print("ground-truth verdict:", out["comparison"]["verdict"])
-        return 0 if out["comparison"]["verdict"] == "PASS" else 1
+    if comparison is not None:
+        print("ground-truth verdict:", comparison["verdict"])
+        return 0 if comparison["verdict"] == "PASS" else 1
     return 0
 
 

@@ -142,11 +142,14 @@ class Grid:
 
     def lattice_index(self, pts: np.ndarray):
         """Multi-indices of the points when every coordinate is within
-        LATTICE_TOL steps of the lattice, else None."""
+        LATTICE_TOL steps of the lattice, else None; so is a point whose
+        rounded index falls outside int64 (it is exactly integral in
+        float64, but has no integer index)."""
         pts = _coordinates(pts, self.dim)
         frac = (pts - np.asarray(self.origin)) / np.asarray(self.spacing)
         idx = np.rint(frac)
-        if not np.all(np.abs(frac - idx) <= LATTICE_TOL):
+        if not (np.all(np.abs(frac - idx) <= LATTICE_TOL)
+                and np.all(np.abs(idx) < 2.0 ** 63)):
             return None
         return idx.astype(int)
 

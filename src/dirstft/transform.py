@@ -39,6 +39,7 @@ row along both axes.  The blocks stream without their last phase (_unphased).
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -187,7 +188,7 @@ def _unphased(f: Signal, levels: WindowLevels, out: np.ndarray | None = None,
               G: np.ndarray | None = None):
     """(lo, hi, W, R) for each innermost window block (lo, hi, W) of levels
     (windows.window_levels): R = fftn(conj(W) P) along the innermost axes
-    for the y~ rows lo:hi, shaped (hi - lo,) + f.grid.counts, with P from
+    for the y~ rows lo:hi, shaped (hi - lo,) + G.shape, with P from
     _partials.  R lacks the innermost post-phase of the block's spectra,
     which synthesis's pre-phase cancels, so only a field's reader or writer
     applies either (_spectra, dso).  R is computed in the rows lo:hi of out
@@ -195,27 +196,92 @@ def _unphased(f: Signal, levels: WindowLevels, out: np.ndarray | None = None,
     largest block, that the consumer may overwrite and that the next block
     reuses.  W is yielded unconjugated, for reuse as a synthesis window.  R
     is not checked for finiteness; its consumers check what they return.
-    G, f along level 0 (_level0), is computed here unless the shards of one
-    stream share it."""
-    grid, axes = f.grid, _trailing(f.grid, levels.axes)
-    partial = _partials(f, levels, _level0(f, levels) if G is None else G)
-    buf = np.empty((0,) + grid.counts, dtype=complex)
+    G, f along level 0 (_level0), is computed here, over the whole grid,
+    unless the shards of one stream share it; a G of the leading slice of a
+    blind axis alone (_half_axis) streams that slice alone, with W real."""
+    axes = _trailing(f.grid, levels.axes)
+    G = _level0(f, levels) if G is None else G
+    partial = _partials(f, levels, G)
+    # a halved G comes with real window values, whose conjugates are
+    # themselves: multiplying W in place of a copy holds one block less
+    conj = np.conjugate if G.shape == f.grid.counts else np.asarray
+    buf = np.empty((0,) + G.shape, dtype=complex)
     for lo, hi, W in levels.blocks:
         if out is None and hi - lo > len(buf):
-            buf = np.empty((hi - lo,) + grid.counts, dtype=complex)
+            buf = np.empty((hi - lo,) + G.shape, dtype=complex)
         work = buf[:hi - lo] if out is None else out[lo:hi]
         for a, b, index in levels.segments(lo, hi):
-            np.multiply(np.conjugate(W[a - lo:b - lo]), partial(index),
+            np.multiply(conj(W[a - lo:b - lo]), partial(index),
                         out=work[a - lo:b - lo])
         yield lo, hi, W, np.fft.fftn(work, axes=axes, out=work)
         del W       # let go of this window block before the next one is made
 
 
-def _level0(f: Signal, levels: WindowLevels) -> np.ndarray:
+def _half_axis(f: Signal, levels: WindowLevels) -> int | None:
+    """The first blind axis b of the stream when its spectra are Hermitian,
+    else None.  When f has no imaginary part and every window value the
+    stream multiplies is real (levels.real: a lattice gather of a real
+    window, or real factor tables), conj(g(u . t - y~)) f is real, so
+    DS f(y~, -xi) = conj DS f(y~, xi): the leading slice [0, N_b//2] of a
+    blind axis b (_level0's) and its mirrors (_mirror) cover every
+    frequency.  It needs a blind axis, since the slice is taken at level 0.
+    The choice comes from the input alone."""
+    if levels.blind and levels.real and not f.values.imag.any():
+        return levels.blind[0]
+    return None
+
+
+def _mirror(counts: tuple, b: int) -> list:
+    """(dst, src) index pairs, of slices, that map each lattice frequency
+    past the leading slice [0, N_b//2] of axis b (dst) to its mirror -xi
+    (src), which lies inside the slice: index i of an axis of N points
+    holds xi = i - N//2 steps, whose mirror is at (2 (N//2) - i) mod N, a
+    reversal of the axis, which on an axis of even N keeps the -N/2 line
+    (i = 0) in place.  That line has no mirror in the lattice; its partner
+    +N/2 is its periodic image, whose values match it up to a phase
+    (_mirror_fill) and whose magnitudes match it exactly."""
+    axes = []
+    for a, n in enumerate(counts):
+        m = n // 2
+        if a == b:      # i > m from 2m - i, down to 0 (odd N) or 1 (even N)
+            axes.append([(slice(m + 1, None), slice(m - 1, None if n % 2 else 0, -1))])
+        elif n % 2:     # i from N - 1 - i
+            axes.append([(slice(None), slice(None, None, -1))])
+        else:           # the -N/2 line in place, and i > 0 from N - i
+            axes.append([(slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1))])
+    return [tuple(zip(*pairs)) for pairs in itertools.product(*axes)]
+
+
+def _mirror_fill(values: np.ndarray, grid: Grid, b: int) -> None:
+    """Fill the frequencies past the leading slice [0, N_b//2] of axis b of
+    values, spectra on grid's dual lattice shaped batch + grid.counts whose
+    leading slices hold a Hermitian transform (_half_axis), with F(xi) =
+    conj F(-xi) at their mirrors (_mirror), in place, one spectrum at a
+    time: a ufunc copies an input that may overlap its output, so each
+    copy holds a part of one spectrum.  On the -N/2 line of another even
+    axis a the value is that of the +N/2 partner, the periodic image
+    times exp(2 pi i origin_a / spacing_a), a factor of 1, which is
+    skipped, when the grid's origin is a whole number of steps (a centred
+    grid)."""
+    steps = [o / h for o, h in zip(grid.origin, grid.spacing)]
+    pairs = [(dst, src, [np.exp(2j * np.pi * (k - round(k)))
+                         for d, k in zip(dst, steps) if d == slice(0, 1) and k != round(k)])
+             for dst, src in _mirror(grid.counts, b)]
+    for spectrum in values.reshape((-1,) + grid.counts):
+        for dst, src, phases in pairs:
+            part = np.conjugate(spectrum[src], out=spectrum[dst])
+            for phase in phases:
+                part *= phase
+
+
+def _level0(f: Signal, levels: WindowLevels, b: int | None = None) -> np.ndarray:
     """f transformed along level 0, the blind axes, and for a one-level
-    stream multiplied by the innermost axes' dft pre-phase; read-only."""
+    stream multiplied by the innermost axes' dft pre-phase; read-only.
+    Given a blind axis b (_half_axis), only its leading slice [0, N_b//2]."""
     grid, blind = f.grid, levels.blind
     G = _dft_inplace(f.values.copy(), grid, blind) if blind else f.values
+    if b is not None:
+        G = G[(slice(None),) * b + (slice(0, grid.counts[b] // 2 + 1),)]
     return G if levels.outer else G * _phase_tables(grid, levels.axes).dft_pre
 
 
@@ -224,10 +290,10 @@ def _partials(f: Signal, levels: WindowLevels, G: np.ndarray):
     weighted by its conjugate factor at the index's y~ value and transformed
     along its axes, and last multiplied by the innermost axes' dft
     pre-phase.  Each outer level keeps its last result in one buffer,
-    recomputed when its own or an outer index changes."""
+    shaped like G, recomputed when its own or an outer index changes."""
     grid = f.grid
     pre = _phase_tables(grid, levels.axes).dft_pre
-    bufs = [np.empty(grid.counts, dtype=complex) for _ in levels.outer]
+    bufs = [np.empty(G.shape, dtype=complex) for _ in levels.outer]
     held = [None] * len(levels.outer)
 
     def partial(index):
@@ -251,18 +317,26 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
 
     Rejects a field above FIELD_BYTES_CAP before allocating it.  Each y~
     block is transformed in the field's own rows, in shards whose rows do
-    not overlap (_in_shards).
+    not overlap (_in_shards).  A Hermitian stream (_half_axis) is
+    transformed on the leading slice of its blind axis b alone, in a view
+    of the field, and the rest is then filled from the mirrors
+    (_mirror_fill).
     """
     y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     xi_grid = f.grid.dual()
     _check_field_bytes(y_grid, xi_grid)
     levels = window_levels(g, f.grid, frame.u, y_grid)
     out = np.empty((y_grid.size,) + xi_grid.counts, dtype=complex)
-    G = _level0(f, levels)
+    axis = _half_axis(f, levels)
+    G = _level0(f, levels, axis)
+    half = out if axis is None else out[(slice(None),) * (axis + 1)
+                                        + (slice(0, G.shape[axis]),)]
 
     def shard(a, b, part):
-        for _, _, W, S in _spectra(f, part, out=out[a:b], G=G):
+        for lo, hi, W, S in _spectra(f, part, out=half[a:b], G=G):
             del W, S    # S is a view of out
+            if axis is not None:
+                _mirror_fill(out[a + lo:a + hi], f.grid, axis)
 
     _in_shards(shard, levels)
     return DstftField(y_grid, f.grid, out, frame)

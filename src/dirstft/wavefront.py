@@ -24,7 +24,8 @@ import numpy as np
 
 from .direction import DirectionFrame
 from .grids import Grid, Signal, dft
-from .transform import DstftField, _in_shards, _level0, _spectra, default_y_grid
+from .transform import (DstftField, _half_axis, _in_shards, _level0, _mirror,
+                        _spectra, default_y_grid)
 from .windows import Window, _seen, window_at, window_levels
 
 LOG_FLOOR = 1e-300          # floor before taking logs (exact zeros)
@@ -301,20 +302,35 @@ def _check_scan_window(g: Window):
 
 
 def _blind_first(f: Signal, u: np.ndarray):
-    """(f, u, pos) with the frame's blind axes (those no row of u touches)
+    """(f, u, perm) with the frame's blind axes (those no row of u touches)
     moved first in a contiguous copy of f, so that a stream's per-row FFTs
     run along its last axes; the blind axes, and the seen ones, keep their
     order, so every window and phase table holds the same values.  u is
-    then the frame's rows on the moved axes and pos the flat index in the
-    moved layout of each lattice point, in lattice order.  When no axis
-    moves, f is not copied and pos is None."""
+    then the frame's rows on the moved axes and perm the order of the
+    moved axes.  When no axis moves, f is not copied and perm is None."""
     perm = np.argsort(_seen(u), kind="stable")
     if np.array_equal(perm, np.arange(len(perm))):
         return f, u, None
-    grid = f.grid.take(perm)
-    back = np.argsort(perm)
-    pos = np.arange(grid.size).reshape(grid.counts).transpose(back).ravel()
-    return Signal(grid, f.values.transpose(perm)), u[:, perm], pos
+    return Signal(f.grid.take(perm), f.values.transpose(perm)), u[:, perm], perm
+
+
+def _columns(counts: tuple, perm, shape: tuple):
+    """The column of each lattice point, in lattice order, in the scan's
+    |F| layout: the axes of the lattice counts in the order perm (None:
+    unmoved), shaped shape, which holds only the leading slice of the
+    first axis when the stream is Hermitian (transform._half_axis).  A
+    point past the slice takes the column of its mirror (transform._mirror),
+    since |F(y~, -xi)| = |F(y~, xi)|.  None when the layout is the
+    lattice's own."""
+    moved = counts if perm is None else tuple(counts[p] for p in perm)
+    if perm is None and shape == moved:
+        return None
+    cols = np.empty(moved, dtype=np.intp)
+    cols[:shape[0]] = np.arange(math.prod(shape)).reshape(shape)
+    if shape != moved:
+        for dst, src in _mirror(moved, 0):
+            cols[dst] = cols[src]
+    return cols.ravel() if perm is None else cols.transpose(np.argsort(perm)).ravel()
 
 
 def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
@@ -340,11 +356,14 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     with the block before the next is asked for, as the stream reuses its
     buffer too.  The stream takes f with the frame's blind axes moved
     first (_blind_first), so each row's FFT runs along the contiguous
-    last axes, and |F| and the sups stay in that layout: the lattice
-    geometry (|xi|, the mirrored mask and the layout column of each point)
-    is computed once, and each cone's shell table is then built once and
-    its suprema gathered for every cell at once, in lattice order.
-    The singular set is the complement of the regular entries.
+    last axes, and |F| and the sups stay in that layout.  A Hermitian
+    stream (transform._half_axis) takes only the leading slice of its
+    first blind axis, now the first axis, and each point past it reads its
+    mirror's sup (_columns).  The lattice geometry (|xi|, the mirrored
+    mask and the layout column of each point) is computed once, and each
+    cone's shell table is then built once and its suprema gathered for
+    every cell at once, in lattice order.  The singular set is the
+    complement of the regular entries.
     """
     _check_alpha(alpha)
     if math.isnan(threshold_N):
@@ -360,12 +379,12 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
             raise ValueError(f"no y~ lattice points inside cell {cell}")
     rows = np.flatnonzero(member.any(axis=0))
     member = member[:, rows]
-    ft, u, pos = _blind_first(f, frame.u)
-    size = f.grid.size
+    ft, u, perm = _blind_first(f, frame.u)
+    levels = window_levels(g, ft.grid, u, y_grid, rows)
+    G = _level0(ft, levels, _half_axis(ft, levels))
+    size = G.size
     sup = np.zeros((len(y_cells), size))
     locks = [threading.Lock() for _ in y_cells]
-    levels = window_levels(g, ft.grid, u, y_grid, rows)
-    G = _level0(ft, levels)
 
     def shard(a, b, part):
         buf = np.empty((0, size))
@@ -385,7 +404,7 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
             raise ValueError(f"transform values must be finite; the rows "
                              f"of cell {cell} overflowed")
     xi_pts = f.grid.dual().points()
-    lattice = _lattice(xi_pts, pos)
+    lattice = _lattice(xi_pts, _columns(f.grid.counts, perm, G.shape))
     fits = [_cone_fits(xi_pts, sup, cone, alpha, ref, lattice) for cone in cones]
     entries = []
     for i, cell in enumerate(y_cells):

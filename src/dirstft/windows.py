@@ -168,16 +168,18 @@ def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     Y = as_points(Y, w.grid.dim)
     if Y.shape[0] == 0:
         return iter(())
-    window = _row_window(w, grid, u, Y)
+    window, _ = _row_window(w, grid, u, Y)
     return ((lo, hi, window(np.arange(lo, hi)))
             for lo, hi in _block_bounds(len(Y), grid.size))
 
 
 def _row_window(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
-    """rows -> W, with W[b] = window_at(w, proj - Y[rows[b]]) for the
-    checked (k, n) direction rows u and the nonempty y~ points Y, (Ny, k);
-    the set-up is done once, here, and any run of rows, on any thread,
-    reads it.
+    """(window, real): window maps rows -> W, with W[b] = window_at(w, proj
+    - Y[rows[b]]) for the checked (k, n) direction rows u and the nonempty
+    y~ points Y, (Ny, k); the set-up is done once, here, and any run of
+    rows, on any thread, reads it.  real tells, before any block is
+    evaluated, that every W holds real values: a lattice gather of a
+    window with real samples (a gather reads only samples and zeros).
 
     g(u . t - y~) does not depend on t_i along a blind axis i of the frame,
     one whose column u_(.i) is zero.  So W is evaluated on the sub-grid of
@@ -194,8 +196,10 @@ def _row_window(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     sub = grid.take(np.flatnonzero(seen))
     u = u[:, seen]
     proj = sub.points() @ u.T
-    block = _lattice_blocks(w, proj, Y) or _trig_blocks(w, sub, u, proj, Y)
-    return lambda rows: block(rows).reshape((len(rows),) + shape)
+    lattice = _lattice_blocks(w, proj, Y)
+    block = lattice or _trig_blocks(w, sub, u, proj, Y)
+    real = lattice is not None and not w.values.imag.any()
+    return lambda rows: block(rows).reshape((len(rows),) + shape), real
 
 
 def _frame_rows(w: Window, grid: Grid, u) -> np.ndarray:
@@ -238,7 +242,8 @@ class WindowLevels:
     lo:hi of rows in the blocks of _block_bounds(len(rows), nt), with W
     the window at rows[lo:hi]; nt is the entries one block row counts for:
     the signal grid's size, times the number of shards that hold one
-    block between them (split)."""
+    block between them (split).  real tells that every window value the
+    stream multiplies, the outer tables' and W's, is real."""
 
     blind: tuple
     outer: tuple
@@ -248,6 +253,7 @@ class WindowLevels:
     rows: np.ndarray
     window: Callable = field(repr=False)
     nt: int
+    real: bool
 
     @property
     def blocks(self) -> Iterator:
@@ -327,9 +333,9 @@ def _levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid,
     if rows is None:
         rows = np.arange(y_grid.size)
     if not factored:
-        window = _row_window(w, grid, u, as_points(y_grid.points(), w.grid.dim))
+        window, real = _row_window(w, grid, u, as_points(y_grid.points(), w.grid.dim))
         return WindowLevels(blind, (), _axes(seen), (), y_grid.size, rows,
-                            window, grid.size)
+                            window, grid.size, real)
     tables = [np.concatenate([W for _, _, W in window_blocks(
         p, grid, u[j:j + 1], y_grid.axis(j)[:, None])])
         for j, p in enumerate(w.factors)]
@@ -337,7 +343,7 @@ def _levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid,
     table = tables[-1]
     return WindowLevels(blind, outer, _axes(touched[-1]), y_grid.counts[:-1],
                         y_grid.counts[-1], rows, lambda r: table[r % len(table)],
-                        grid.size)
+                        grid.size, not any(t.imag.any() for t in tables))
 
 
 def _axes(mask: np.ndarray) -> tuple:

@@ -17,7 +17,9 @@ from dirstft.direction import build_frame, identity_frame
 from dirstft.fixtures import gaussian
 from dirstft.grids import relative_error
 from dirstft.sigio import read_field, read_signal
-from dirstft.wavefront import WindowClassWarning, cone_dictionary_2d
+from dirstft.wavefront import (N_HAT_SATURATED, RESIDUAL_CAP, ConeSpec,
+                               DecayFit, ScanEntry, WavefrontReport,
+                               WindowClassWarning, cone_dictionary_2d)
 
 from dirstft import cli, grids, sigio, transform
 
@@ -223,11 +225,70 @@ def test_wavefront_verdict_pass(tmp_path, capsys):
     assert len(csv_lines) == 1 + len(out["entries"])
 
 
+def per_entry_verdict(report, truth, frame):
+    """The ground-truth comparison computed entry by entry, with the
+    specs looked up by value: the reference the command's verdict, which
+    works from the cell and cone lists, must match."""
+    tol = math.radians(cli.ANGULAR_TOL_DEG)
+    u = np.asarray(truth["singular"]["u"], dtype=float)
+    offset = float(truth["singular"]["offset"])
+    a = np.linalg.lstsq(frame.u.T, u, rcond=None)[0]
+    in_span = np.allclose(frame.u.T @ a, u, rtol=0.0, atol=1e-9)
+    near_u = {c: math.acos(min(abs(np.asarray(c.center) @ u), 1.0)) <= tol
+              for c in {e.cone for e in report.entries}}
+    in_cell = {y: not in_span or (
+        abs(a @ np.asarray(y.center) - offset) / np.linalg.norm(a) <= y.reach)
+        for y in {e.y_cell for e in report.entries}}
+    expected = {(e.y_cell.center, e.cone.center) for e in report.entries
+                if near_u[e.cone] and in_cell[e.y_cell]}
+    detected = {(e.y_cell.center, e.cone.center) for e in report.singular}
+    return {"expected_singular": [[list(y), list(c)] for y, c in sorted(expected)],
+            "detected_singular": [[list(y), list(c)] for y, c in sorted(detected)],
+            "verdict": "PASS" if detected == expected else "FAIL"}
+
+
+def per_entry_json(report, window, comparison=None):
+    """wf.json as json.dumps of the whole report, every entry a dict."""
+    out = {"threshold_N": report.threshold_N, "residual_cap": RESIDUAL_CAP,
+           "window": window.meta,
+           "entries": [{"cell": vars(e.y_cell), "cone": vars(e.cone),
+                        "fit": vars(e.fit), "regular": e.regular}
+                       for e in report.entries],
+           "scan": {"rows_streamed": report.rows_streamed,
+                    "rows_total": report.rows_total,
+                    "noise_ref": list(report.noise_ref)}}
+    if comparison is not None:
+        out["comparison"] = comparison
+    return json.dumps(out, sort_keys=True)
+
+
+def per_entry_csv(report):
+    """wf.csv with every entry's centers and N_hat formatted anew."""
+    rows = ["cell_center,cone_center,N_hat,regular\n"]
+    for e in report.entries:
+        rows.append('"%s","%s",%r,%d\n' % (
+            ";".join(repr(x) for x in e.y_cell.center),
+            ";".join(repr(x) for x in e.cone.center),
+            e.fit.N_hat, int(e.regular)))
+    return "".join(rows)
+
+
 def test_wavefront_report_files_match_per_entry_formatting(tmp_path, capsys):
     # repeated centers, and 0.0 next to -0.0, which compare and hash equal
-    # but print differently: each written center must be its own entry's
+    # but print differently: each written center must be its own entry's;
+    # with the sidecar the comparison key sorts before "entries", without
+    # it there is none.  The writers format each distinct fit once, so
+    # fits that differ only in a zero's sign must stay apart
+    for sidecar in (True, False):
+        check_report_files(tmp_path / f"sidecar_{sidecar}", capsys, sidecar)
+    check_writers_on_signed_zero_fits()
+
+
+def check_report_files(tmp_path, capsys, sidecar):
+    tmp_path.mkdir()
     cfg = sheet_wavefront_cfg(tmp_path)
-    os.remove(cfg["signal"] + ".json")      # no sidecar, so no comparison
+    if not sidecar:
+        os.remove(cfg["signal"] + ".json")
     cfg["cells"] = [{"center": [c], "radius": 0.25}
                     for c in (-0.0, 0.0, 2.0, -0.0, 2.0)]
     cfg["cones"] = [{"center": c, "half_angle": 0.4, "r_min": 0.5}
@@ -237,21 +298,54 @@ def test_wavefront_report_files_match_per_entry_formatting(tmp_path, capsys):
     f = read_signal(cfg["signal"])
     g = cli._parse_window(cfg["window"])
     cones = cli._cone_list(cfg["cones"], f.grid.size)
-    report = wavefront_scan(f, g, build_frame([[1.0, 0.0]]), 2.0,
-                            cli._cell_list(cfg["cells"]), cones, threshold_N=1.0)
-    rows = ["cell_center,cone_center,N_hat,regular\n"]
-    for e in report.entries:
-        rows.append('"%s","%s",%r,%d\n' % (
-            ";".join(repr(x) for x in e.y_cell.center),
-            ";".join(repr(x) for x in e.cone.center),
-            e.fit.N_hat, int(e.regular)))
+    frame = build_frame([[1.0, 0.0]])
+    report = wavefront_scan(f, g, frame, 2.0, cli._cell_list(cfg["cells"]),
+                            cones, threshold_N=1.0)
+    # the cone across the sheet normal decays below the floor in every
+    # cell, so its entries share one saturated DecayFit
+    shared = [e.fit for e in report.entries if e.cone.center == (-0.0, -1.0)]
+    assert len({id(fit) for fit in shared}) == 1
+    assert shared[0].N_hat == N_HAT_SATURATED
+    rows = per_entry_csv(report)
     csv = (tmp_path / "wf.csv").read_text()
-    assert csv == "".join(rows)
-    assert '"-0.0",' in rows[1] and '"0.0",' in rows[1 + len(cones)]
+    assert csv == rows
+    assert rows.splitlines()[1].startswith('"-0.0",')
+    assert rows.splitlines()[1 + len(cones)].startswith('"0.0",')
     # cone centers are plain floats, so they print as numbers
     assert "np.float64" not in csv and ',"1.0;-0.0",' in csv
-    assert (tmp_path / "wf.json").read_text() == json.dumps(
-        cli._report_json(report, g), sort_keys=True)
+    comparison = None
+    if sidecar:
+        truth = json.loads((tmp_path / "sheet.dstf.json").read_text())
+        comparison = per_entry_verdict(report, truth, frame)
+        assert comparison["verdict"] == "PASS"
+        assert "ground-truth verdict: PASS" in capsys.readouterr().out
+    text = (tmp_path / "wf.json").read_text()
+    assert text == per_entry_json(report, g, comparison)
+    assert ("comparison" in json.loads(text)) == sidecar
+
+
+def check_writers_on_signed_zero_fits():
+    # fits equal by value print differently when a zero's sign differs, and
+    # one fit object may serve several entries: the writers match the
+    # per-entry formatting on both
+    cells = [BallSpec((0.0,), 0.25), BallSpec((-0.0,), 0.25)]
+    cones = [ConeSpec((1.0, -0.0), 0.4, 0.5), ConeSpec((1.0, 0.0), 0.4, 0.5)]
+    fits = [DecayFit(N_HAT_SATURATED, 0.0, 0.0, 7, 2.0),
+            DecayFit(-0.0, -0.0, 0.0, 7, 2.0), DecayFit(0.0, 0.0, 0.0, 7, 2.0)]
+    entries = [ScanEntry(y, c, fit, fit is fits[0])
+               for (y, c), fit in zip([(y, c) for y in cells for c in cones],
+                                      [fits[0], fits[1], fits[2], fits[0]])]
+    report = WavefrontReport(entries, 1.0, rows_streamed=3, rows_total=16,
+                             noise_ref=(1.0, 2.0))
+    window = gevrey_bump(Grid.from_bounds([-2], [2], [32]), 0.5, 2.0)
+    frame = build_frame([[1.0, 0.0]])
+    truth = {"singular": {"u": [1.0, 0.0], "offset": 0.0}}
+    comparison = cli._verdict(report, cells, cones, truth, frame)
+    assert comparison == per_entry_verdict(report, truth, frame)
+    assert cli._report_csv(report, cells, cones) == per_entry_csv(report)
+    for comp in (None, comparison):
+        assert cli._report_json(report, cells, cones, window, comp) == \
+            per_entry_json(report, window, comp)
 
 
 def test_wavefront_reports_the_rows_it_streams(tmp_path, capsys):
@@ -742,6 +836,23 @@ def test_missing_required_config_key_exits_2_naming_it(tmp_path, capsys,
      "error: grid coordinates reach 1.7e+308, whose square overflows"),
     ("gen", {"grid": {"origin": [-1e300], "spacing": [1e299], "counts": [16]}},
      "error: grid coordinates reach 1e+300, whose square overflows"),
+    # a fixture param whose value takes the fixture out of floating-point
+    # range on an ordinary grid
+    ("gen", {"params": {"sigma": 1e-310}}, "error: gaussian sigma 1e-310 is out of"),
+    ("gen", {"params": {"sigma": 1e-160}}, "error: gaussian sigma 1e-160 is out of"),
+    ("gen", {"params": {"center": [1e308]}}, "error: gaussian center [1e+308] is out of"),
+    ("gen", {"kind": "plane_wave", "grid": {"bounds": [[-4, -4], [4, 4]], "counts": [16, 16]},
+             "params": {"xi0": [1e308, 0]}},
+     "error: plane_wave xi0 [1e+308, 0] is out of"),
+    ("gen", {"kind": "heaviside_sheet", "grid": {"bounds": [[-4, -4], [4, 4]], "counts": [16, 16]},
+             "params": {"u": [1e308, 1e308]}},
+     "error: heaviside_sheet u [1e+308, 1e+308] is out of"),
+    ("gen", {"kind": "delta_sheet", "grid": {"bounds": [[-4, -4], [4, 4]], "counts": [16, 16]},
+             "params": {"u": [1e308, 1e308]}},
+     "error: delta_sheet u [1e+308, 1e+308] is out of"),
+    ("gen", {"kind": "delta_sheet", "grid": {"bounds": [[-4, -4], [4, 4]], "counts": [16, 16]},
+             "params": {"u": [1e-320, 0]}},
+     "error: delta_sheet u [1e-320, 0] is out of"),
 ])
 def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capfd, command,
                                                         edit, message):

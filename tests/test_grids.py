@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from dirstft.grids import (BLOCK_ELEMS, BoundaryMassWarning, _idft_into,
                            _phase_tables, boundary_mass_fraction,
                            check_boundary_mass, evaluate_trig,
                            evaluate_trig_grid, primal_phase, relative_error)
-from dirstft.windows import Window
+from dirstft.windows import Window, gaussian_window, window_at
 
 
 def test_grid_basic_geometry():
@@ -280,6 +282,20 @@ def test_grid_point_queries_read_coordinates_on_the_last_axis():
     pts = np.array([[[0.5, 0.5], [4.0, 0.0]], [[-4.0, -4.0], [0.0, 9.0]]])
     assert g.contains(pts).tolist() == [[True, False], [True, False]]
     assert g.lattice_index(pts[:, :1]).tolist() == [[[9, 9]], [[0, 0]]]
+
+
+def test_lattice_index_refuses_an_index_beyond_int64():
+    # 1e300 is exactly integral in float64, so within LATTICE_TOL of the
+    # lattice, but its index has no int64 value: the point is off the
+    # lattice, and window_at takes it (outside the box, so 0) without a
+    # cast warning
+    g = Grid.from_bounds([-4], [4], [16])
+    assert g.lattice_index(np.array([[1e300]])) is None
+    assert g.lattice_index(np.array([[0.0], [-1e300]])) is None
+    assert g.lattice_index(np.array([[2.0 ** 61]])).tolist() == [[2 ** 62]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert window_at(gaussian_window(g, [1.0]), [[1e300]]).tolist() == [0]
 
 
 @pytest.mark.parametrize("index", [0, BLOCK_ELEMS, -1])

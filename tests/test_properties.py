@@ -10,10 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dirstft import (BallSpec, Grid, Signal, build_frame, cone_dictionary_2d,
-                     decay_fit, default_y_grid, dstft_fast, gaussian_window,
-                     gevrey_bump, invariants, pairing_check, reconstruct,
-                     wavefront_scan, window_change)
+from dirstft import (BallSpec, ConeSpec, Grid, Signal, build_frame,
+                     cone_dictionary_2d, decay_fit, default_y_grid, dstft_fast,
+                     gaussian_window, gevrey_bump, invariants, pairing_check,
+                     reconstruct, transform, wavefront, wavefront_scan,
+                     window_change)
 from dirstft.direction import identity_frame
 from dirstft.fixtures import delta_sheet, heaviside_sheet, random_bandlimited
 from dirstft.grids import (BLOCK_ELEMS, _dft_inplace, _direct_sum, _trig_grid,
@@ -21,7 +22,7 @@ from dirstft.grids import (BLOCK_ELEMS, _dft_inplace, _direct_sum, _trig_grid,
                            relative_error)
 from dirstft.synthesis import _frame_operator, covering_y_grid, dso
 from dirstft.wavefront import WindowClassWarning
-from dirstft.windows import _projected_box, window_at, window_blocks
+from dirstft.windows import _projected_box, window_at, window_blocks, window_levels
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=25)
@@ -443,3 +444,119 @@ def test_scan_entries_are_local_to_their_cells(case):
         alone = scan(f, g, frame, [cell], cones)
         assert alone.entries == report.entries[i * len(cones):(i + 1) * len(cones)]
         assert alone.noise_ref == (report.noise_ref[i],)
+
+
+@st.composite
+def hermitian_cases(draw):
+    """(f, g, frame, cells, cones): a real delta or Heaviside sheet on an
+    n = 2 or 3 grid of spacing 1/2, odd and even counts and a drawn
+    origin, a frame of k < n coordinate rows (so at least one blind axis),
+    a radial bump or a Gaussian (factored for k = 2) of spacing 1/2 on
+    [-2, 2]^k, on the signal's lattice, 1-3 cells each holding a y~ point
+    and the cones around +-e_a.  The sheet's normal has components of
+    distinct sizes, none small, so that no symmetry of f ties two
+    frequencies of a shell in |F|: a tie is broken by roundoff, which
+    differs between the half and the full spectrum, and moves the fit."""
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, n - 1))
+    counts = tuple(draw(st.integers(8, 14) if n == 2 else st.integers(5, 8))
+                   for _ in range(n))
+    grid = Grid(tuple(draw(st.floats(-4.0, -1.0)) for _ in range(n)), (0.5,) * n, counts)
+    sizes = draw(st.permutations([0.3, 0.55, 0.8][:n]))
+    normal = np.array([draw(st.sampled_from([-1.0, 1.0])) * x for x in sizes])
+    normal *= 1 + draw(st.floats(0.0, 0.1))
+    center = np.asarray(grid.origin) + 0.25 * np.asarray(counts)
+    sheet = draw(st.sampled_from([delta_sheet, heaviside_sheet]))
+    f = sheet(grid, normal, float(center @ normal / np.linalg.norm(normal))
+              + draw(st.floats(-0.9, 0.9)))
+    axes = draw(st.permutations(range(n)))[:k]
+    frame = build_frame(np.eye(n)[axes])
+    wgrid = Grid.from_bounds([-2.0] * k, [2.0] * k, [8] * k)
+    width = draw(st.floats(0.6, 1.5))
+    g = (gevrey_bump(wgrid, width, 2.0) if draw(st.booleans())
+         else gaussian_window(wgrid, [width] * k))
+    Y = default_y_grid(grid, frame).points()
+    cells = [BallSpec(tuple(Y[draw(st.integers(0, len(Y) - 1))]),
+                      draw(st.floats(0.3, 1.0))) for _ in range(draw(st.integers(1, 3)))]
+    cones = [ConeSpec(tuple(s * np.eye(n)[a]), 1.0, 0.25)
+             for a in range(n) for s in (1.0, -1.0)]
+    return f, g, frame, cells, cones
+
+
+def full_spectrum(monkeypatch):
+    """Force the full-spectrum path: no stream is taken as Hermitian."""
+    monkeypatch.setattr(transform, "_half_axis", lambda f, levels: None)
+    monkeypatch.setattr(wavefront, "_half_axis", lambda f, levels: None)
+
+
+# The largest relative difference of a fit's fields between the half and
+# the full spectrum over the drawn cases' untied entries (see CHANGES.md
+# for the measured value): FFT roundoff in |F|, carried through the
+# log-linear fit.
+HALF_FIT_RTOL = 1e-9
+
+
+def shell_peaks(F, cell, cone):
+    """(peaks, tied): per dyadic shell of the cone (the scan's shell
+    table), the sup of |F| over the cell's rows, and whether some shell's
+    fit input hangs on roundoff: another point of the shell, at another
+    |xi|, within 1e-9 of the sup (the first argmax gives the fit its
+    abscissa), or a sup within 1e-9 of the cell's noise floor."""
+    xi = F.xi_grid.points()
+    sup = np.abs(F.values.reshape(F.y_size, -1)[cell.contains(F.y_grid.points())]).max(axis=0)
+    floor = max(wavefront.DYNAMIC_RANGE_FLOOR, wavefront.NOISE_FLOOR_REL * sup.max())
+    shells, _ = wavefront._shell_table(xi, cone, wavefront._lattice(xi))
+    peaks, tied = [], False
+    for cols, norms in shells:
+        values = sup[cols]
+        top = values.max()
+        tied |= bool(np.ptp(norms[values >= top * (1 - 1e-9)]) > 0
+                     or abs(top / floor - 1) < 1e-9)
+        peaks.append(top)
+    return np.array(peaks), tied
+
+
+@SETTINGS
+@given(hermitian_cases())
+def test_real_streams_take_half_the_spectrum(case):
+    # a real f and real window values: the fast field is transformed on
+    # the leading slice of the first blind axis and filled from its mirror,
+    # exactly conjugate there, and agrees with the full spectrum to
+    # roundoff; the scan reads the same |F|, so its shell suprema agree to
+    # roundoff, and so do its fits and verdicts where no exact tie in |F|
+    # leaves the choice of a shell's argmax to roundoff
+    f, g, frame, cells, cones = case
+    b = transform._half_axis(f, window_levels(g, f.grid, frame.u,
+                                              default_y_grid(f.grid, frame)))
+    assert b == int(np.flatnonzero(~frame.u.any(axis=0))[0])
+    F = dstft_fast(f, g, frame)
+    for dst, src in transform._mirror(f.grid.counts, b):
+        # the -N/2 line of an even axis carries a phase unless the grid's
+        # origin is a whole number of steps
+        if not any(d == slice(0, 1) and not float(o / 0.5).is_integer()
+                   for d, o in zip(dst, f.grid.origin)):
+            assert np.array_equal(F.values[(Ellipsis,) + dst],
+                                  np.conj(F.values[(Ellipsis,) + src]))
+    try:
+        report = scan_with_cones(f, g, frame, cells, cones)
+    except ValueError:          # a cone with too few lattice points
+        assume(False)
+    with pytest.MonkeyPatch.context() as mp:
+        full_spectrum(mp)
+        full = dstft_fast(f, g, frame)
+        reference = scan_with_cones(f, g, frame, cells, cones)
+    assert relative_error(F.values, full.values) <= 1e-12
+    assert report.noise_ref == pytest.approx(reference.noise_ref, rel=1e-12)
+    for e, r in zip(report.entries, reference.entries):
+        peaks, tied = shell_peaks(full, e.y_cell, e.cone)
+        assert shell_peaks(F, e.y_cell, e.cone)[0] == pytest.approx(peaks, rel=1e-12)
+        if not tied:
+            assert e.regular == r.regular
+            for x, y in zip(vars(e.fit).values(), vars(r.fit).values()):
+                assert x == pytest.approx(y, rel=HALF_FIT_RTOL, abs=HALF_FIT_RTOL)
+
+
+def scan_with_cones(f, g, frame, cells, cones):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WindowClassWarning)   # Gaussian windows
+        return wavefront_scan(f, g, frame, 2.0, cells, cones, threshold_N=1.7)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,11 @@ from dirstft import (BallSpec, DstftField, Grid, Signal, build_frame,
 from dirstft import grids
 from dirstft.direction import identity_frame
 from dirstft.synthesis import covering_y_grid, dso
-from dirstft.fixtures import gaussian, random_bandlimited
+from dirstft.fixtures import gaussian, heaviside_sheet, random_bandlimited
 from dirstft.grids import BLOCK_ELEMS, relative_error
 from dirstft.transform import default_y_grid, dstft_direct_at
 from dirstft.wavefront import cone_dictionary_2d
-from dirstft.windows import _lattice_blocks, window_at, window_blocks
+from dirstft.windows import _lattice_blocks, window_at, window_blocks, window_levels
 
 
 def classical_stft(f, g, y_grid, xi_grid):
@@ -280,3 +282,64 @@ def test_blind_axes_match_the_oracles(name, on_lattice):
         want = (dso(field, phi, frame, grid).values / pairing_check(g, phi).value
                 / invariants.multiplier(g, phi, frame, grid, y_grid))
         assert relative_error(reconstruct(f, g, phi, frame).values, want) <= 1e-12
+
+
+def full_spectrum_field(monkeypatch, f, g, frame):
+    """dstft_fast with no stream taken as Hermitian (transform._half_axis)."""
+    with monkeypatch.context() as mp:
+        mp.setattr(transform, "_half_axis", lambda f, levels: None)
+        return dstft_fast(f, g, frame)
+
+
+@pytest.mark.parametrize("case", ["complex f", "off-lattice window", "k = n"])
+def test_complex_signals_trig_windows_and_square_frames_keep_the_full_spectrum(
+        case, monkeypatch):
+    # the half spectrum needs a real f, real window values and a blind
+    # axis: a modulated f, a window interpolated off its lattice (not
+    # exactly real) and a frame with no blind axis each miss one, and
+    # stream the whole spectrum
+    grid = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+    f = heaviside_sheet(grid, (1.0, 0.3), 0.2)
+    g = gevrey_bump(Grid.from_bounds([-2], [2], [8]), 1.2, 2.0)
+    frame = build_frame([[1.0, 0.0]])
+    if case == "complex f":
+        f = gaussian(grid, modulation=(0.5, 0.25))
+    elif case == "off-lattice window":
+        grid = Grid.from_bounds([-4] * 3, [4] * 3, [8, 8, 6])
+        f = heaviside_sheet(grid, (1.0, 0.3, 0.5), 0.2)
+        frame = build_frame([[1.0, 1.0, 0.0]])
+    else:
+        g = gaussian_window(Grid.from_bounds([-2, -2], [2, 2], [8, 8]), [1.0, 1.0])
+        frame = identity_frame(2, 2)
+    levels = window_levels(g, f.grid, frame.u, default_y_grid(f.grid, frame))
+    assert transform._half_axis(f, levels) is None
+    assert (levels.real, bool(levels.blind)) == {
+        "complex f": (True, True), "off-lattice window": (False, True),
+        "k = n": (True, False)}[case]
+    assert np.array_equal(dstft_fast(f, g, frame).values,
+                          full_spectrum_field(monkeypatch, f, g, frame).values)
+
+
+def test_half_spectrum_holds_no_more_memory_than_the_full_one(monkeypatch):
+    # a real n = 3 sheet on the e_1, e_2 frame (a 16 MiB field, halved
+    # along its last axis): the half spectrum is streamed in the field's
+    # own rows and filled in place, so dstft_fast's peak is no higher than
+    # the full spectrum's.  One shard, as the peak of two depends on how
+    # their block temporaries overlap in time; each path runs once first,
+    # so neither peak holds the set-up of a cache
+    monkeypatch.setattr(transform, "_cpu_count", lambda: 1)
+    grid = Grid.from_bounds([-4] * 3, [4] * 3, [16, 16, 16])
+    f = heaviside_sheet(grid, (1.0, 0.4, 0.7), 0.1)
+    g = gevrey_bump(Grid.from_bounds([-2, -2], [2, 2], [8, 8]), 1.5, 2.0)
+    frame = identity_frame(3, 2)
+    peaks = []
+    for field in [lambda: dstft_fast(f, g, frame),
+                  lambda: full_spectrum_field(monkeypatch, f, g, frame)] * 2:
+        tracemalloc.start()
+        try:
+            F = field()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del F
+    assert peaks[2] <= peaks[3]
