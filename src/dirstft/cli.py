@@ -360,9 +360,10 @@ def _cone_list(spec, n_freqs: int) -> list:
         for i, c in enumerate(spec):
             where = f"cones[{i}]"
             _check_keys(c, where, ("center", "half_angle", "r_min"))
-            cones.append(ConeSpec(tuple(_numbers(c["center"], f"{where} center")),
-                                  _number(c["half_angle"], f"{where} half_angle"),
-                                  _number(c["r_min"], f"{where} r_min")))
+            cones.append(_spec(where, ConeSpec,
+                               tuple(_numbers(c["center"], f"{where} center")),
+                               _number(c["half_angle"], f"{where} half_angle"),
+                               _number(c["r_min"], f"{where} r_min")))
         return cones
     _check_keys(spec, "cones", (), ("count", "r_min", "half_angle"))
     # an absent key, or a null half_angle, takes the library's default
@@ -371,7 +372,7 @@ def _cone_list(spec, n_freqs: int) -> list:
     if args.get("count", 0) > 2 * n_freqs:
         raise ConfigError(f"cones count must be at most {2 * n_freqs}, twice "
                           f"the frequency lattice size, got {spec['count']}")
-    return cone_dictionary_2d(**args)
+    return _spec("cones", cone_dictionary_2d, **args)
 
 
 def _cell_list(spec) -> list:
@@ -379,9 +380,19 @@ def _cell_list(spec) -> list:
     for i, c in enumerate(_list(spec, "cells")):
         where = f"cells[{i}]"
         _check_keys(c, where, ("center", "radius"))
-        cells.append(BallSpec(tuple(_numbers(c["center"], f"{where} center")),
-                              _number(c["radius"], f"{where} radius")))
+        cells.append(_spec(where, BallSpec,
+                           tuple(_numbers(c["center"], f"{where} center")),
+                           _number(c["radius"], f"{where} radius")))
     return cells
+
+
+def _spec(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), cones or a cell, with a ValueError naming the
+    config key."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _by_identity(objs, fn) -> dict:

@@ -452,8 +452,7 @@ def _trig_grid(modes: Grid, A: np.ndarray, out_grid: Grid):
         # the last output axis is all ones
         touched = [int(l) for l in np.flatnonzero(A[j])] or [len(N) - 1]
         new = [l for l in touched if l not in held]
-        tables = {l: np.exp(2j * np.pi * np.outer(modes.axis(j), A[j, l] * out_grid.axis(l)))
-                  for l in touched}
+        tables = {l: _phase_table(modes.axis(j), A[j, l], out_grid, l) for l in touched}
         tables.update({l: np.ascontiguousarray(tables[l].T) for l in new[:-1]})
         along = new[-1] if new else next(l for l in held if l in tables)
         steps.append((j, held, new, along, tables))
@@ -529,6 +528,27 @@ def _trig_grid(modes: Grid, A: np.ndarray, out_grid: Grid):
         return out
 
     return evaluate
+
+
+def _phase_table(x: np.ndarray, a: float, grid: Grid, l: int) -> np.ndarray:
+    """exp(2 pi i x_m a s_n) for the samples s_n of axis l of grid, shaped
+    (len(x), N_l), from about 2 sqrt(N_l) exponentials per row, not N_l:
+    with B = isqrt(N_l) and n = q B + r, s_n = s_qB + r h, so each entry is
+    the product of a coarse table at s_qB and a fine one at r h, as FFT
+    libraries build their twiddle factors.  Each entry's phases are rounded
+    to a few ulps of their size, as np.exp of the full outer product rounds
+    its one; for N_l < 4, B = 1 and the fine table is all ones.  The table
+    is a view of the product, whose rows hold ceil(N_l / B) B entries.  The
+    oracles keep the full product (_direct_sum), the reference the tests
+    hold this table to."""
+    n = grid.counts[l]
+    b = math.isqrt(n)
+    s = grid.axis(l)
+    coarse = np.exp(2j * np.pi * np.outer(x, a * s[::b]))
+    fine = np.exp(2j * np.pi * np.outer(x, a * (grid.spacing[l] * np.arange(b))))
+    out = np.empty((len(x), coarse.shape[1], b), dtype=complex)
+    np.multiply(coarse[:, :, None], fine[:, None, :], out=out)
+    return out.reshape(len(x), -1)[:, :n]
 
 
 def relative_error(approx: np.ndarray, exact: np.ndarray) -> float:

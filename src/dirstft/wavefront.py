@@ -52,17 +52,26 @@ class ConeSpec:
     r_min: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        norm = np.linalg.norm(c)
-        if abs(norm - 1.0) > 1e-12:
-            if norm == 0:
-                raise ValueError("cone center must be a nonzero direction")
-            c = c / norm
-        object.__setattr__(self, "center", tuple(float(x) for x in c))
+        c = _finite_center(self.center, "cone")
+        big = max(map(abs, c))
+        if big == 0:
+            raise ValueError("cone center must be a nonzero direction")
+        # scaled by the power of two at or below its largest |entry| before
+        # its norm is taken, as build_frame does, so that the norm neither
+        # overflows nor underflows; the scaling is exact, so a center whose
+        # norm does neither normalizes to the same bits as unscaled.  One
+        # within 1e-12 of unit length is kept as given; norm * scale is a
+        # Python float product, inf on overflow, not an error.
+        scale = math.ldexp(1.0, math.frexp(big)[1] - 1)
+        scaled = np.array(c) / scale
+        norm = float(np.linalg.norm(scaled))
+        if abs(norm * scale - 1.0) > 1e-12:
+            c = tuple(float(x) for x in scaled / norm)
+        object.__setattr__(self, "center", c)
         if not 0 < self.half_angle < np.pi / 2:
             raise ValueError("half_angle must lie in (0, pi/2)")
-        if self.r_min <= 0:
-            raise ValueError("r_min must be positive")
+        if not 0 < self.r_min < math.inf:
+            raise ValueError(f"r_min must be positive and finite, got {self.r_min}")
 
     def contains(self, xi: np.ndarray) -> np.ndarray:
         xi = np.atleast_2d(xi)
@@ -84,9 +93,9 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        object.__setattr__(self, "center", _finite_center(self.center, "ball"))
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
 
     @property
     def reach(self) -> float:
@@ -98,10 +107,24 @@ class BallSpec:
         return _in_balls([self], np.atleast_2d(y))[0]
 
 
+def _finite_center(center, what: str) -> tuple:
+    """center as a nonempty tuple of floats, every one finite."""
+    c = tuple(float(x) for x in center)
+    if not (c and all(map(math.isfinite, c))):
+        raise ValueError(f"{what} center must be a vector of finite numbers, "
+                         f"got {list(c)}")
+    return c
+
+
 def _in_balls(cells: list, y: np.ndarray) -> np.ndarray:
     """The (cells, points) mask of the points y, shaped (P, k), within
     each BallSpec's reach of its center: the ball rule, for every cell at
-    once by one broadcast."""
+    once by one broadcast.  A center of other than k coordinates is
+    refused, not broadcast."""
+    for cell in cells:
+        if len(cell.center) != y.shape[1]:
+            raise ValueError(f"ball center {list(cell.center)} has {len(cell.center)} "
+                             f"coordinates, but the points have {y.shape[1]}")
     centers = np.array([cell.center for cell in cells])
     return (np.linalg.norm(y - centers[:, None], axis=-1)
             <= np.array([[cell.reach] for cell in cells]))
@@ -370,6 +393,13 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
         raise ValueError("threshold_N must be a number, got NaN")
     if not (y_cells and cones):
         raise ValueError(f"the {'cone' if y_cells else 'cell'} list is empty")
+    for what, specs, dim, name in (("cells", y_cells, frame.k, "k"),
+                                   ("cones", cones, frame.n, "n")):
+        for i, spec in enumerate(specs):
+            if len(spec.center) != dim:
+                raise ValueError(f"{what}[{i}] center {list(spec.center)} has "
+                                 f"{len(spec.center)} coordinates; the frame "
+                                 f"has {name} = {dim}")
     _check_scan_window(g)
     y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     Y = y_grid.points()

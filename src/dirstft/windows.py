@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import (BLOCK_ELEMS, LATTICE_TOL, Grid, Signal, _outer,
-                    _sample_values, _trig_grid, as_points, dft, evaluate_trig,
-                    inner_product)
+                    _phase_table, _sample_values, _trig_grid, as_points, dft,
+                    evaluate_trig, inner_product)
 
 
 class WindowKind(enum.Enum):
@@ -420,9 +420,9 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
         # the mask first, so that its temporaries are gone before Z is made
         keep = _keep(w, proj[None, :, :] - y[:, None, :])
         Z = np.repeat(c[None], len(y), axis=0)
-        for j, x in enumerate(modes.axes()):
-            Z *= np.exp(-2j * np.pi * np.outer(y[:, j], x)).reshape(
-                (len(y),) + tuple(len(x) if i == j else 1 for i in range(modes.dim)))
+        for j, m in enumerate(modes.counts):
+            Z *= _phase_table(y[:, j], -1.0, modes, j).reshape(
+                (len(y),) + tuple(m if i == j else 1 for i in range(modes.dim)))
         W = evaluate(Z).reshape(len(y), -1)
         if box is not None:
             W = W[:, box[1]]

@@ -414,6 +414,50 @@ def test_wavefront_cell_without_a_lattice_point_exits_2(tmp_path, capsys):
     assert not (tmp_path / "wf.json").exists()
 
 
+@pytest.mark.parametrize("key, spec", [
+    ("cells", {"center": [0.0, 0.0], "radius": 0.25}),
+    ("cones", {"center": [1.0, 0.0, 0.0], "half_angle": 0.3, "r_min": 0.5})])
+def test_wavefront_cell_or_cone_of_the_wrong_dimension_exits_2(tmp_path, capsys, key, spec):
+    # a k = 1 frame on a 2-d signal: cells have 1 coordinate, cones 2
+    cfg = sheet_wavefront_cfg(tmp_path)
+    cfg[key] = [spec]
+    capsys.readouterr()
+    assert run(tmp_path, "wavefront", cfg) == 2
+    err = capsys.readouterr().err
+    assert f"{key}[0] center {spec['center']}" in err
+    assert "Traceback" not in err and "matmul" not in err
+    assert not (tmp_path / "wf.json").exists()
+
+
+@pytest.mark.parametrize("key, spec, message", [
+    ("cones", [{"center": [0.0, 0.0], "half_angle": 0.3, "r_min": 0.5}],
+     "cones[0]: cone center must be a nonzero direction"),
+    ("cones", [{"center": [1.0, 0.0], "half_angle": 0.3, "r_min": math.inf}],
+     "cones[0]: r_min must be positive and finite"),
+    ("cones", {"count": 1}, "cones: need at least 2 cones"),
+    ("cells", [{"center": [0.0], "radius": 0.25}, {"center": [2.0], "radius": math.nan}],
+     "cells[1]: ball radius must be positive and finite")])
+def test_wavefront_bad_cone_or_cell_exits_2_naming_it(tmp_path, capsys, key, spec, message):
+    cfg = sheet_wavefront_cfg(tmp_path)
+    cfg[key] = spec
+    capsys.readouterr()
+    assert run(tmp_path, "wavefront", cfg) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("center, unit", [([1e308, 1e308], [1.0, 1.0]),
+                                          ([1e-320, 0.0], [1.0, 0.0])])
+def test_wavefront_cone_center_of_extreme_scale_is_its_direction(tmp_path, center, unit):
+    cfg = sheet_wavefront_cfg(tmp_path)
+    entries = []
+    for c in (center, unit):
+        cfg["cones"] = [{"center": c, "half_angle": 0.3, "r_min": 0.5}]
+        assert run(tmp_path, "wavefront", cfg) == 0
+        entries.append(json.loads((tmp_path / "wf.json").read_text())["entries"])
+    assert entries[0] == entries[1]
+
+
 def test_wavefront_verdict_fail_on_wrong_truth(tmp_path):
     # tamper with the sidecar: claim the jump sits at offset 2 instead of 0
     cfg = sheet_wavefront_cfg(tmp_path)

@@ -17,12 +17,13 @@ from dirstft import (BallSpec, ConeSpec, Grid, Signal, build_frame,
                      window_change)
 from dirstft.direction import identity_frame
 from dirstft.fixtures import delta_sheet, heaviside_sheet, random_bandlimited
-from dirstft.grids import (BLOCK_ELEMS, _dft_inplace, _direct_sum, _trig_grid,
-                           evaluate_trig, evaluate_trig_grid, rel_l2_error,
-                           relative_error)
+from dirstft.grids import (BLOCK_ELEMS, _dft_inplace, _direct_sum, _phase_table,
+                           _trig_grid, evaluate_trig, evaluate_trig_grid,
+                           rel_l2_error, relative_error)
 from dirstft.synthesis import _frame_operator, covering_y_grid, dso
 from dirstft.wavefront import WindowClassWarning
-from dirstft.windows import _projected_box, window_at, window_blocks, window_levels
+from dirstft.windows import (_projected_box, _trig_blocks, window_at, window_blocks,
+                             window_levels)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=25)
@@ -303,6 +304,63 @@ def test_trig_on_a_mapped_lattice_matches_scattered_points(n, k, data):
     one = evaluate_trig_grid(fs[0], A, out)
     assert one.shape == out.counts
     assert relative_error(one.ravel(), evaluate_trig(fs[0], pts)) <= tol
+
+
+def phase_reference(x, a, s):
+    """exp(2 pi i x_m a s_n) from phases taken in long double and reduced
+    to [-1/2, 1/2] turns before the sine and cosine."""
+    turns = np.multiply.outer(np.asarray(x, dtype=np.longdouble),
+                              np.longdouble(a) * np.asarray(s, dtype=np.longdouble))
+    turns -= np.rint(turns)
+    phase = 2 * np.pi * turns
+    return np.cos(phase).astype(float) + 1j * np.sin(phase).astype(float)
+
+
+def phase_table_case(n, origin, spacing, a, seed):
+    """(table, full, reference, tol) of _phase_table on rows x drawn
+    across the dual lattice of an n-point axis; tol is the bound of
+    test_trig_on_a_mapped_lattice_matches_scattered_points, a few ulps of
+    the largest phase."""
+    grid = Grid((origin,), (spacing,), (n,))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.5, 0.5, size=rng.integers(1, 9)) / spacing
+    s = grid.axis(0)
+    tol = max(1e-12, 1e-14 * 2 * np.pi * np.max(np.abs(x)) * abs(a) * np.max(np.abs(s)))
+    return (_phase_table(x, a, grid, 0), np.exp(2j * np.pi * np.outer(x, a * s)),
+            phase_reference(x, a, s), tol)
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3, 7, 16, 97, 191, 1024, 4096]), st.floats(-5.0, 5.0),
+       st.floats(0.05, 1.0), st.floats(-4.0, 4.0), st.sampled_from([1.0, -1.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_phase_table_matches_the_full_exponential(n, origin, spacing, log_a, sign, seed):
+    # the coarse-times-fine table and np.exp of the full outer product (the
+    # oracles' table) are both within a few ulps of the largest phase of a
+    # long-double reference, for |a| from 1e-4 to 1e4, as near-singular
+    # frames give; below 4 points the fine table is all ones, so the bits
+    # are the full product's
+    table, full, ref, tol = phase_table_case(n, origin, spacing, sign * 10.0 ** log_a, seed)
+    assert table.shape == full.shape
+    assert np.max(np.abs(table - ref)) <= tol
+    assert np.max(np.abs(full - ref)) <= tol
+    if n < 4:
+        assert np.array_equal(table, full)
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(lambda k: st.tuples(
+    windows(k), grids(k + 1), frames(k + 1, k))), st.integers(0, 2 ** 32 - 1))
+def test_the_trig_window_rows_of_a_block_have_the_bits_of_each_row_alone(case, seed):
+    # each row's modulation exp(-2 pi i X . y~) is its own phase table, so
+    # a block's rows do not depend on the rows beside them
+    w, grid, frame = case
+    proj = grid.points() @ frame.u.T
+    Y = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(5, frame.k))
+    block = _trig_blocks(w, grid, frame.u, proj, Y)
+    got = block(np.arange(len(Y)))
+    for i, row in enumerate(got):
+        assert np.array_equal(row, block(np.array([i]))[0])
 
 
 @st.composite

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dirstft import wavefront as wavefront_module
 from dirstft import (BallSpec, ConeSpec, Grid, Signal, build_frame, decay_fit,
                      dstft_fast, gaussian_window, gevrey_bump,
                      partial_wf_test, transform, wavefront_scan)
@@ -42,6 +43,44 @@ def test_ball_contains():
     assert ball.contains(np.array([[0.2], [0.3]])).tolist() == [True, False]
     with pytest.raises(ValueError):
         BallSpec((0.0,), -1.0)
+
+
+@pytest.mark.parametrize("center, half_angle, r_min", [
+    ((math.nan, 0.0), math.pi / 8, 1.0), ((math.inf, 0.0), math.pi / 8, 1.0),
+    ((1.0, 0.0), math.pi / 8, math.nan), ((1.0, 0.0), math.pi / 8, math.inf)])
+def test_cone_rejects_non_finite_values(center, half_angle, r_min):
+    with pytest.raises(ValueError, match="finite"):
+        ConeSpec(center, half_angle, r_min)
+
+
+@pytest.mark.parametrize("center, radius", [
+    ((0.0,), math.nan), ((0.0,), math.inf), ((math.nan,), 0.25), ((0.0, -math.inf), 0.25)])
+def test_ball_rejects_non_finite_values(center, radius):
+    with pytest.raises(ValueError, match="finite"):
+        BallSpec(center, radius)
+
+
+@pytest.mark.parametrize("center, want", [
+    ((1e308, 1e308), (math.sqrt(0.5), math.sqrt(0.5))),
+    ((1e-320, 0.0), (1.0, 0.0)),
+    ((0.0, -5e-324), (0.0, -1.0))])
+def test_cone_center_of_extreme_scale_is_a_direction(center, want):
+    # the norm is taken of the center scaled by a power of two, so it
+    # neither overflows nor underflows to zero
+    with np.errstate(all="raise"):
+        assert ConeSpec(center, math.pi / 8, 1.0).center == pytest.approx(want, abs=1e-15)
+
+
+def test_cone_center_scaling_keeps_the_bits_of_the_plain_norm():
+    for c in [(3.0, 4.0), (0.1, -0.2, 0.3), (2.0 ** 40, 1.0)]:
+        want = np.array(c) / np.linalg.norm(c)
+        assert ConeSpec(c, math.pi / 8, 1.0).center == tuple(want.tolist())
+
+
+def test_ball_rejects_points_of_other_dimension():
+    # a 2-d center is not broadcast against points of one coordinate
+    with pytest.raises(ValueError, match="2 coordinates, but the points have 1"):
+        BallSpec((0.0, 0.0), 0.25).contains([[0.1]])
 
 
 def synthetic_xi_field(rate, root=2.0):
@@ -169,6 +208,24 @@ def test_scan_rejects_an_empty_cell_or_cone_list(empty):
     cells = [] if empty == "cell" else [BallSpec((0.0,), 0.25)]
     cones = [] if empty == "cone" else cone_dictionary_2d(8, r_min=0.5)
     with pytest.raises(ValueError, match=f"{empty} list is empty"):
+        wavefront_scan(delta_sheet(GRID, (1.0, 0.0), 0.0),
+                       gevrey_bump(WGRID, radius=0.5, alpha=2.0),
+                       build_frame([[1.0, 0.0]]), 2.0, cells, cones)
+
+
+@pytest.mark.parametrize("wrong", ["cell", "cone"])
+def test_scan_rejects_a_cell_or_cone_of_the_wrong_dimension(wrong, monkeypatch):
+    # cells live in R^k and cones in R^n; the scan checks both before it
+    # streams anything, and names the one it refuses
+    def stream(*args):
+        raise AssertionError("the scan streamed before checking its cells and cones")
+
+    monkeypatch.setattr(wavefront_module, "_in_shards", stream)
+    cells = [BallSpec((0.0, 0.0) if wrong == "cell" else (0.0,), 0.25)]
+    cones = ([ConeSpec((1.0, 0.0, 0.0), math.pi / 8, 0.5)] if wrong == "cone"
+             else cone_dictionary_2d(8, r_min=0.5))
+    name = "k = 1" if wrong == "cell" else "n = 2"
+    with pytest.raises(ValueError, match=rf"{wrong}s\[0\] center .* the frame has {name}"):
         wavefront_scan(delta_sheet(GRID, (1.0, 0.0), 0.0),
                        gevrey_bump(WGRID, radius=0.5, alpha=2.0),
                        build_frame([[1.0, 0.0]]), 2.0, cells, cones)
