@@ -172,6 +172,18 @@ def _parse_frame(spec: dict):
     return build_frame(_vector(u, "frame u"))
 
 
+def _y_grid(cfg: dict, frame) -> Grid | None:
+    """The config's y_grid, None when it gives none; a y_grid needs one
+    axis per frame direction."""
+    if "y_grid" not in cfg:
+        return None
+    y_grid = _parse_grid(cfg["y_grid"], "y_grid")
+    if y_grid.dim != frame.k:
+        raise ConfigError(f"y_grid points must have {frame.k} coordinates each, "
+                          f"one per frame direction (k = {frame.k}), got {y_grid.dim}")
+    return y_grid
+
+
 def _out_of_range(kind: str, grid: Grid, args: dict) -> str | None:
     """The first key of a fixture's args whose value takes the fixture's
     arithmetic over the grid's box out of floating-point range, by the
@@ -292,7 +304,7 @@ def cmd_analyze(cfg: dict, args) -> int:
     f = sigio.read_signal(cfg["signal"])
     g = _parse_window(cfg["window"])
     frame = _parse_frame(cfg["frame"])
-    y_grid = _parse_grid(cfg["y_grid"], "y_grid") if "y_grid" in cfg else None
+    y_grid = _y_grid(cfg, frame)
     if args.oracle:
         F = dstft_direct(f, g, frame, y_grid=y_grid)
     else:
@@ -322,12 +334,12 @@ def cmd_roundtrip(cfg: dict, args) -> int:
     g = _parse_window(cfg["window_g"])
     phi = _parse_window(cfg["window_phi"]) if "window_phi" in cfg else g
     frame = _parse_frame(cfg["frame"])
-    y_grid = _parse_grid(cfg["y_grid"], "y_grid") if "y_grid" in cfg else None
+    y_grid = _y_grid(cfg, frame)
     tol = _number(cfg.get("tolerance", 1e-3), "tolerance")
     if not tol >= 0:
         raise ConfigError(f"tolerance must be a number >= 0, got {tol}")
     t0 = time.perf_counter()
-    rec, M, stride = _reconstruct(f, g, phi, frame, y_grid=y_grid)
+    rec, M, y_grid, stride = _reconstruct(f, g, phi, frame, y_grid=y_grid)
     t1 = time.perf_counter()
     rel = rel_l2_error(rec.values, f.values)
     pairing = pairing_check(g, phi).value
@@ -336,9 +348,10 @@ def cmd_roundtrip(cfg: dict, args) -> int:
         "rel_l2_error": rel,
         "max_abs_error": float(np.max(np.abs(rec.values - f.values))),
         "pairing_value": [pairing.real, pairing.imag],
-        # the multiplier reconstruct divided by, and the stride of its
-        # default y~ grid (null for a given y_grid)
+        # the multiplier reconstruct divided by, the stride of its default
+        # y~ grid (null for a given y_grid) and the y~ rows it streamed
         "y_stride": stride,
+        "y_rows": y_grid.size,
         "min_multiplier": float(M.min()),
         "multiplier_cond": float(M.max() / M.min()),
         "timings": {"reconstruct_s": t1 - t0},
@@ -491,7 +504,7 @@ def cmd_wavefront(cfg: dict, args) -> int:
     alpha = _number(cfg["alpha"], "alpha")
     cones = _cone_list(cfg["cones"], f.grid.size)
     cells = _cell_list(cfg["cells"])
-    y_grid = _parse_grid(cfg["y_grid"], "y_grid") if "y_grid" in cfg else None
+    y_grid = _y_grid(cfg, frame)
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         report = wavefront_scan(

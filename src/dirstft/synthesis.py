@@ -14,7 +14,7 @@ from .direction import DirectionFrame
 from .grids import (LATTICE_TOL, Grid, Signal, _check_oracle_work, _direct_sum,
                     _idft_into, _phase_tables, _trailing, primal_phase)
 from .transform import DstftField, _in_shards, _level0, _unphased, dstft_fast
-from .windows import (Window, WindowLevels, _pair_levels, numerical_support,
+from .windows import (Window, WindowLevels, _keep, _pair_levels, numerical_support,
                       pairing_check, window_blocks, window_levels)
 
 
@@ -130,10 +130,13 @@ def dso_direct(F: DstftField, g: Window, frame: DirectionFrame,
     return Signal(out_grid, acc)
 
 
-# Largest cond = max |C| / min |C| of the window-only multiplier, the coset
-# sums C of conj(g) phi over s Z^k on the window lattice, that the default
-# y~ stride s of reconstruct accepts (multiplier_stride).
-MULTIPLIER_COND_MAX = 2.0
+# Largest roundoff gain max_r A_r / min_r |C_r| that the default y~ stride
+# of reconstruct accepts (multiplier_stride).  Dividing by M multiplies
+# the relative roundoff of the undivided stream, f M, by up to this gain.
+# Over drawn frames, windows, window pairs and non-decaying signals that
+# roundoff stayed below 9.6e-16, so 2^6 times it is 6.1e-14, a decade
+# inside the 1e-12 that reconstruct is held to; 2^7 would not be.
+ROUNDOFF_GAIN_MAX = 2.0 ** 6
 
 # Smallest |M| that reconstruct divides by.  f M is computed to roundoff of
 # its largest value, so dividing by an M below this would lift that
@@ -143,24 +146,65 @@ MULTIPLIER_FLOOR = 1e-6
 
 
 def multiplier_stride(g: Window, phi: Window) -> int:
-    """The largest y~ stride s, tried upward from 1 until one fails, whose
-    window-only multiplier stays within MULTIPLIER_COND_MAX: max |C| /
-    min |C| over the coset sums C_r = sum over m in r + s Z^k of
-    conj(g_m) phi_m of the window samples.  When the samples u . t - y~
-    are on the window lattice and y~ on s times it, C_r is M at the
-    samples of coset r, up to a constant.  Each candidate costs O(N_w),
-    with no FFT, and none depends on the signal."""
-    P = np.conj(g.values) * phi.values
+    """The largest y~ stride t, tried upward from 1 until one fails, whose
+    window-only multiplier divides out within ROUNDOFF_GAIN_MAX.
+
+    P = conj(g) phi is sampled at half the window spacing (_half_samples),
+    and C_r, A_r are the sums of P and of |P| over the coset r + 2t Z^k of
+    that lattice; t passes while max_r A_r / min_r |C_r| is within the cap.
+    On y~ t window steps apart, C_r is M at the samples u . t - y~ of coset
+    r, up to a constant, and A_r bounds the roundoff the stream leaves
+    there, so the ratio is the factor by which the division lifts that
+    roundoff (for a nonnegative P, cond(M)).  The even cosets are the
+    window lattice, which a lattice gather samples; the odd ones see M
+    between, where samples off that lattice fall and where a bump that
+    the stride outruns leaves M = 0.  P, a product of two interpolants
+    band-limited to the window lattice, has half its spacing as Nyquist
+    step, so the 2t samples per period are alias-free.  One FFT per
+    window, then O(2^k N_w) per candidate; nothing depends on the signal."""
+    G = _half_samples(g)
+    P = np.abs(G) ** 2 if phi is g else np.conj(G) * _half_samples(phi)
+    # for a nonnegative P, A = |C|
+    absP = None if phi is g else np.abs(P)
     s = 1
-    while s < max(P.shape):
+    while s < max(g.grid.counts):
         t = s + 1
-        padded = np.pad(P, [(0, -n % t) for n in P.shape])
-        C = padded.reshape([d for n in padded.shape for d in (n // t, t)])
-        C = np.abs(C.sum(axis=tuple(range(0, 2 * P.ndim, 2))))
-        if not C.max() <= MULTIPLIER_COND_MAX * C.min():
+        C = np.abs(_coset_sums(P, 2 * t))
+        A = C if absP is None else _coset_sums(absP, 2 * t)
+        if not A.max() <= ROUNDOFF_GAIN_MAX * C.min():
             break
         s = t
     return s
+
+
+def _half_samples(w: Window) -> np.ndarray:
+    """w on its box at half its spacing, 2 n points per axis of n samples:
+    its samples at the even indices and, between, its trigonometric
+    interpolant (window_at's rule, by zero-padding the spectrum), zeroed
+    where window_at zeroes it."""
+    v = w.values.astype(complex)
+    for axis, n in enumerate(w.grid.counts):
+        c = np.moveaxis(np.fft.fft(v, axis=axis), axis, -1)
+        up = np.zeros(c.shape[:-1] + (2 * n,), dtype=complex)
+        # modes -(n // 2) .. n - 1 - n // 2 of grids.Grid.dual, in FFT order
+        up[..., :n - n // 2] = c[..., :n - n // 2]
+        up[..., 2 * n - n // 2:] = c[..., n - n // 2:]
+        v = np.moveaxis(2 * np.fft.ifft(up), -1, axis)
+    v[(slice(None, None, 2),) * v.ndim] = w.values
+    if w.compact:
+        # every point is inside w's box, so only a bump's support zeroes any
+        half = Grid(w.grid.origin, np.asarray(w.grid.spacing) / 2,
+                    tuple(2 * n for n in w.grid.counts))
+        v[~_keep(w, half.points()).reshape(half.counts)] = 0.0
+    return v
+
+
+def _coset_sums(P: np.ndarray, t: int) -> np.ndarray:
+    """The sums of P over the cosets r + t Z^k of its index lattice,
+    shaped (t,) * k."""
+    padded = np.pad(P, [(0, -n % t) for n in P.shape])
+    blocks = padded.reshape([d for n in padded.shape for d in (n // t, t)])
+    return blocks.sum(axis=tuple(range(0, 2 * P.ndim, 2)))
 
 
 def covering_y_grid(grid: Grid, g: Window, phi: Window,
@@ -171,11 +215,13 @@ def covering_y_grid(grid: Grid, g: Window, phi: Window,
     widened by the numerical support of conj(g) phi (the intersection of
     the windows' windows.numerical_support), so it holds every y~ on its
     lattice whose window reaches a sample.  Its spacing is the window's
-    times the stride s of multiplier_stride.  Its origin is on the
-    lattice u . (grid origin) - (window origin) + window spacing Z, so that
-    on a coordinate frame whose signal spacing is a multiple of the
-    window's, every u . t - y~ is on the window lattice, the exact gather
-    of windows._lattice_blocks."""
+    times the stride s of multiplier_stride, the largest whose division
+    by M lifts the stream's roundoff at most ROUNDOFF_GAIN_MAX times, so
+    it streams the fewest rows that reconstruct's accuracy allows.  Its
+    origin is on the lattice u . (grid origin) - (window origin) + window
+    spacing Z, so that on a coordinate frame whose signal spacing is a
+    multiple of the window's, every u . t - y~ is on the window lattice,
+    the exact gather of windows._lattice_blocks."""
     s = multiplier_stride(g, phi)
     (lo_g, hi_g), (lo_p, hi_p) = numerical_support(g), numerical_support(phi)
     lo, hi = np.maximum(lo_g, lo_p), np.minimum(hi_g, hi_p)
@@ -199,7 +245,10 @@ def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
 
         M(t) = sum over y~ of conj(g)(u . t - y~) phi(u . t - y~) dy / (g, phi),
 
-    which is divided out.  The y~ grid defaults to covering_y_grid.
+    which is divided out.  The division is exact for any y~ grid that
+    keeps M away from 0, so the y~ density trades only cost against
+    roundoff; the default, covering_y_grid, takes the sparsest stride
+    whose division lifts the roundoff at most ROUNDOFF_GAIN_MAX times.
 
     Requires an admissible window pairing, and raises ValueError when
     min |M| on the signal grid is below MULTIPLIER_FLOOR, naming the
@@ -211,8 +260,8 @@ def reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
 def _reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
                  y_grid: Grid | None = None) -> tuple:
     """(reconstruct's result, the M it divided by, shaped to broadcast
-    over the signal grid, and the stride of its covering y~ grid, None
-    for a given y_grid)."""
+    over the signal grid, the y~ grid it streamed and the stride of its
+    covering y~ grid, None for a given y_grid)."""
     pairing = _pairing(g, phi)
     s = None
     if y_grid is None:
@@ -225,7 +274,7 @@ def _reconstruct(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
             f"on {np.broadcast_to(low, f.grid.counts).mean():.1%} of the signal "
             f"samples (min |M| = {np.abs(M).min():.3g})")
     rec /= M
-    return Signal(f.grid, rec), M, s
+    return Signal(f.grid, rec), M, y_grid, s
 
 
 def _pairing(g: Window, phi: Window) -> complex:

@@ -17,6 +17,7 @@ from dirstft.direction import build_frame, identity_frame
 from dirstft.fixtures import gaussian
 from dirstft.grids import relative_error
 from dirstft.sigio import read_field, read_signal
+from dirstft.synthesis import ROUNDOFF_GAIN_MAX
 from dirstft.wavefront import (N_HAT_SATURATED, RESIDUAL_CAP, ConeSpec,
                                DecayFit, ScanEntry, WavefrontReport,
                                WindowClassWarning, cone_dictionary_2d)
@@ -134,11 +135,15 @@ def test_roundtrip_passes_at_default_tolerance(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["rel_l2_error"] <= 1e-3
     assert set(report) == {"rel_l2_error", "max_abs_error", "pairing_value",
-                           "y_stride", "min_multiplier", "multiplier_cond",
-                           "timings"}
-    # a unit Gaussian on steps of 0.25: stride 3 holds cond(M) under 2
-    assert report["y_stride"] == 3
-    assert 1 <= report["multiplier_cond"] <= 2 and report["min_multiplier"] > 0.5
+                           "y_stride", "y_rows", "min_multiplier",
+                           "multiplier_cond", "timings"}
+    # a unit Gaussian on steps of 0.25: at stride 7, 13 y~ rows, the gain
+    # of the division, for this nonnegative pair cond(M) at half steps, is
+    # 61, within ROUNDOFF_GAIN_MAX (268 at stride 8); M averages 1, so its
+    # minimum is at least 1 / cond(M)
+    assert report["y_stride"] == 7 and report["y_rows"] == 13
+    assert 1 <= report["multiplier_cond"] <= ROUNDOFF_GAIN_MAX
+    assert report["min_multiplier"] >= 1 / ROUNDOFF_GAIN_MAX
 
 
 @pytest.mark.parametrize("u", [[1.0, 0.0], [1.0, 1.0], [0.6, 0.8]])
@@ -166,6 +171,30 @@ def test_roundtrip_y_grid_that_misses_the_window_exits_2(tmp_path, capfd):
     assert err.startswith("error: y_grid ") and err.count("\n") == 1
     assert "of the signal samples" in err and "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "roundtrip", "wavefront"])
+def test_y_grid_of_the_wrong_dimension_exits_2_naming_it(tmp_path, capfd, command):
+    # a k = 1 frame on a 2-d signal takes a 1-axis y_grid
+    sig = gen_gaussian(tmp_path, counts=(32, 32), lo=(-4, -4), hi=(4, 4))
+    win = {"kind": "gaussian", "sigma": [1.0],
+           "grid": {"bounds": [[-4], [4]], "counts": [32]}}
+    cfg = {"schema_version": 1, "signal": str(sig), "frame": {"u": [[1.0, 1.0]]},
+           "y_grid": {"bounds": [[-4, -4], [4, 4]], "counts": [8, 8]}}
+    if command == "analyze":
+        cfg.update(window=win, out=str(tmp_path / "F.dstf"))
+    elif command == "roundtrip":
+        cfg.update(window_g=win)
+    else:
+        cfg.update(window=win, alpha=2.0, cones={"count": 8, "r_min": 0.5},
+                   cells=[{"center": [0.0], "radius": 0.25}])
+    capfd.readouterr()
+    assert run(tmp_path, command, cfg) == 2
+    captured = capfd.readouterr()
+    assert captured.err == ("error: y_grid points must have 1 coordinates each, "
+                            "one per frame direction (k = 1), got 2\n")
+    assert captured.out == ""
+    assert not (tmp_path / "F.dstf").exists()
 
 
 def test_roundtrip_fails_at_zero_tolerance(tmp_path):

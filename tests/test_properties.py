@@ -24,6 +24,7 @@ from dirstft.synthesis import _frame_operator, covering_y_grid, dso
 from dirstft.wavefront import WindowClassWarning
 from dirstft.windows import (_projected_box, _trig_blocks, window_at, window_blocks,
                              window_levels)
+from test_synthesis import modulated_window
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=25)
@@ -241,6 +242,77 @@ def test_reconstruct_recovers_a_signal_that_does_not_decay(case):
             recs.append(reconstruct(f, g, phi, frame, y_grid=y_grid).values)
     assert rel_l2_error(recs[0], f.values) <= 1e-12
     assert rel_l2_error(recs[1], recs[0]) <= 1e-15
+
+
+@st.composite
+def stride_cases(draw):
+    """(f, g, phi, frame): a random band-limited f, which does not decay,
+    on a drawn n-d grid, n <= 3; a coordinate frame or a drawn (tilted) one
+    of k <= n rows; g a Gaussian, a Gevrey bump or a complex modulated
+    Gaussian; phi g or another Gaussian on g's grid."""
+    n = draw(st.integers(1, 3))
+    grid = draw(grids(n, max_count=(12, 8, 6)[n - 1]))
+    f = random_bandlimited(grid, draw(st.integers(0, 2 ** 16)),
+                           band=draw(st.floats(0.2, 1.0)))
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        frame = build_frame(np.eye(n)[draw(st.permutations(range(n)))[:k]])
+    else:
+        frame = draw(frames(n, k))
+    g = draw(windows(k))
+    if draw(st.booleans()):
+        g = modulated_window(g.grid, [draw(st.floats(0.5, 2.0)) for _ in range(k)],
+                             [draw(st.floats(-0.5, 0.5)) for _ in range(k)])
+    # as in covered_cases: a bump narrower than its sample spacing is refused
+    assume(not g.compact or g.support_radius >= np.linalg.norm(g.grid.spacing))
+    phi = g if draw(st.booleans()) else gaussian_window(
+        g.grid, [draw(st.floats(0.5, 2.0)) for _ in range(k)])
+    assume(pairing_check(g, phi).admissible)
+    return f, g, phi, frame
+
+
+def at_stride(base: Grid, s: int, t: int) -> Grid:
+    """The y~ grid over the span of base, a covering grid at stride s, at
+    stride t."""
+    step = np.asarray(base.spacing) / s * t
+    span = (np.asarray(base.counts) - 1) * np.asarray(base.spacing)
+    return Grid(base.origin, step, np.ceil(span / step - 1e-9).astype(int) + 1)
+
+
+def cond_stride(g, phi) -> int:
+    """The stride the cond <= 2 rule picks: the largest t, tried upward
+    from 1, whose coset sums C_r of conj(g) phi over r + t Z^k keep
+    max |C| <= 2 min |C|."""
+    P = np.conj(g.values) * phi.values
+    s = 1
+    for t in range(2, max(P.shape) + 1):
+        C = np.abs([P[tuple(slice(r, None, t) for r in rs)].sum()
+                    for rs in np.ndindex(*(t,) * P.ndim)])
+        if not C.max() <= 2 * C.min():
+            break
+        s = t
+    return s
+
+
+@SETTINGS
+@given(stride_cases())
+def test_the_default_stride_divides_out_to_the_tested_accuracy(case):
+    # reconstruct's default y~ stride, bounded by the roundoff its division
+    # lifts, is exact to 1e-12 and within 1e-13 of stride 1 on the same
+    # span; it is never below the cond <= 2 stride, and no draw that stride
+    # reconstructs is refused at it
+    f, g, phi, frame = case
+    base, s = covering_y_grid(f.grid, g, phi, frame)
+    old = cond_stride(g, phi)
+    assert s >= old
+    try:
+        reconstruct(f, g, phi, frame, y_grid=at_stride(base, s, old))
+    except ValueError:
+        assume(False)
+    rec = reconstruct(f, g, phi, frame).values
+    assert rel_l2_error(rec, f.values) <= 1e-12
+    dense = reconstruct(f, g, phi, frame, y_grid=at_stride(base, s, 1)).values
+    assert rel_l2_error(rec, dense) <= 1e-13
 
 
 @SETTINGS

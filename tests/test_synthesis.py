@@ -10,7 +10,7 @@ from dirstft.invariants import multiplier, orthogonality_error
 from dirstft.direction import identity_frame
 from dirstft.fixtures import gaussian, random_bandlimited
 from dirstft.grids import BLOCK_ELEMS, inner_product, rel_l2_error, relative_error
-from dirstft.synthesis import covering_y_grid, dso, dso_direct
+from dirstft.synthesis import covering_y_grid, dso, dso_direct, multiplier_stride
 from dirstft.transform import default_y_grid
 from dirstft.windows import Window, WindowKind, gevrey_bump
 
@@ -71,6 +71,19 @@ def test_a_bump_narrower_than_its_sample_spacing_is_refused():
     assert covering_y_grid(grid, bump, bump, identity_frame(1, 1))[0].spacing == (1.5,)
     with pytest.raises(ValueError, match=r"y_grid does not cover .* 15\.6% of the signal"):
         reconstruct(gaussian(grid), bump, bump, identity_frame(1, 1))
+
+
+def test_the_stride_does_not_outrun_a_bump_between_its_samples():
+    # a bump of radius 0.6 on samples 0.5 apart times a Gaussian: on the
+    # window lattice alone the stride-3 cosets sum to within a gain of 21,
+    # but y~ 1.5 apart leave M = 0 between the translates, where samples
+    # 0.3 apart fall; half-spaced samples of conj(g) phi see those gaps
+    wgrid = Grid((-1.0,), (0.5,), (5,))
+    g, phi = gevrey_bump(wgrid, 0.6, 2.0), gaussian_window(wgrid, 1.0)
+    f = random_bandlimited(Grid((-3.0,), (0.3,), (16,)), 3, band=0.5)
+    assert multiplier_stride(g, phi) == 2
+    rec = reconstruct(f, g, phi, identity_frame(1, 1))
+    assert rel_l2_error(rec.values, f.values) <= 1e-12
 
 
 def modulated_window(grid, sigma, freq):
