@@ -588,6 +588,10 @@ def _selftest_cases() -> list:
          (f1, f2, g, gaussian_window(w32, [1.5]), build_frame([[1.0, 1.0]])), 1e-12),
         ("synthesis adjoint relation", invariants.adjoint_error,
          (f1, f2, g, e1), 1e-8),
+        # the off-lattice window values that dstft_fast and the oracle
+        # dstft_direct_at both read, against the dense evaluate_trig
+        ("window engine vs window_at (u=(1,1)/sqrt2)", invariants.window_engine_error,
+         (gaussian_window(w16, [1.0]), g16, build_frame([[1.0, 1.0]])), 1e-12),
         # sigma=2 keeps the spectrum well inside the Nyquist box at this
         # resolution, so the trigonometric pullback stays accurate
         ("frame-change identity", invariants.frame_change_error,

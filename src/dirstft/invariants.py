@@ -20,7 +20,7 @@ from .synthesis import (_frame_operator, covering_y_grid, dso, dso_direct,
                         reconstruct, window_change)
 from .transform import default_y_grid, dstft_direct, dstft_direct_at, dstft_fast
 from .wavefront import WavefrontReport, decay_fit, wavefront_scan
-from .windows import Window, pairing_check, window_blocks
+from .windows import Window, pairing_check, window_at, window_blocks
 
 
 def dft_oracle_error(f: Signal) -> float:
@@ -146,6 +146,18 @@ def frame_change_error(f: Signal, g: Window, frame: DirectionFrame,
     rhs = dstft_direct_at(h, g, identity_frame(frame.n, frame.k), y_pts,
                           frequency_map(xi_pts, frame))
     return relative_error(lhs, rhs)
+
+
+def window_engine_error(w: Window, grid: Grid, frame: DirectionFrame) -> float:
+    """The window engine's blocks (window_blocks, whose off-lattice values
+    both dstft_fast and the oracle dstft_direct_at read) vs window_at, the
+    dense evaluate_trig off the window lattice, at the samples of grid and
+    the y~ points of dstft_fast's default grid."""
+    Y = default_y_grid(grid, frame).points()
+    proj = grid.points() @ frame.u.T
+    got = np.concatenate([np.broadcast_to(W, (hi - lo,) + grid.counts).reshape(hi - lo, -1)
+                          for lo, hi, W in window_blocks(w, grid, frame.u, Y)])
+    return relative_error(got, np.stack([window_at(w, proj - y) for y in Y]))
 
 
 def window_change_error(f: Signal, g: Window, phi: Window,

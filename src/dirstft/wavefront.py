@@ -195,97 +195,105 @@ def _shell_table(xi_pts: np.ndarray, cone: ConeSpec, lattice):
     double in radius from r_min; the last one is closed at the largest
     in-cone |xi|."""
     norms, mirrored, pos = lattice
-    mask = cone._contains(xi_pts, norms) & mirrored
-    n_points = int(np.count_nonzero(mask))
-    if n_points < MIN_CONE_POINTS:
-        raise ValueError(
-            f"only {n_points} frequency lattice points in the cone "
-            f"(need >= {MIN_CONE_POINTS})"
-        )
-    idx = np.flatnonzero(mask)
-    norms = norms[idx]
-    cols = idx if pos is None else pos[idx]
+    idx = np.flatnonzero(cone._contains(xi_pts, norms) & mirrored)
+    if len(idx) < MIN_CONE_POINTS:
+        raise ValueError(f"only {len(idx)} frequency lattice points in the cone "
+                         f"(need >= {MIN_CONE_POINTS})")
+    norms, cols = norms[idx], (idx if pos is None else pos[idx])
     r_max = float(norms.max())
-    edges = [cone.r_min]
-    while edges[-1] < r_max * (1 + 1e-12):
-        edges.append(edges[-1] * 2)
-    shells = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (norms >= lo) & (norms < hi)
-        if lo == edges[-2]:
-            sel = (norms >= lo) & (norms <= r_max)
+    shells, lo = [], cone.r_min
+    while lo < r_max * (1 + 1e-12):
+        sel = (norms >= lo) & (norms < 2 * lo)
         if np.any(sel):
             shells.append((cols[sel], norms[sel]))
-    return shells, n_points
+        lo *= 2
+    return shells, len(idx)
 
 
-def _cone_fits(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
-               alpha: float, ref, lattice) -> list:
-    """One DecayFit per row of mags (rows, Nxi) over one cone, from the
-    dyadic-shell suprema of each row: x = |xi*|^(1/alpha) at the first
-    argmax in lattice order and y = log sup |F|, for the shells whose sup
-    is above the floor; the others count as decayed.  Each shell's
-    columns are gathered with np.take, in lattice order, whatever order
-    the columns of mags hold the lattice in.
-
-    ref holds, per row (a scalar serves every row), the magnitude against
-    which the rounding-noise floor NOISE_FLOOR_REL * ref is measured: the
-    peak of |F| over the row's own cell (see wavefront_scan).  lattice is
-    xi_pts' _lattice geometry.  A row with fewer than 2 shells above its
-    floor has the same fit as every other such row, whatever the floors,
-    so _fit runs once for all of them."""
-    shells, n_points = _shell_table(xi_pts, cone, lattice)
-    floor = np.maximum(DYNAMIC_RANGE_FLOOR, NOISE_FLOOR_REL * np.reshape(ref, (-1, 1)))
-    rows = np.arange(len(mags))
-    at = np.empty((len(mags), len(shells)))         # |xi*| per row, shell
-    sup = np.empty((len(mags), len(shells)))
-    for s, (cols, norms) in enumerate(shells):
-        vals = np.take(mags, cols, axis=1)
-        np.maximum(vals, LOG_FLOOR, out=vals)
-        best = np.argmax(vals, axis=1)
-        at[:, s], sup[:, s] = norms[best], vals[rows, best]
-    usable = sup > floor
-
-    def row_fit(r):
-        xs = [float(x) ** (1.0 / alpha) for x in at[r, usable[r]]]
-        ys = [math.log(y) for y in sup[r, usable[r]]]
-        return _fit(np.asarray(xs), np.asarray(ys), n_points,
-                    len(shells) - len(xs), alpha)
-
-    few = np.count_nonzero(usable, axis=1) < 2
-    short = row_fit(int(np.argmax(few))) if few.any() else None
-    return [short if few[r] else row_fit(r) for r in rows]
+def _scan_fits(xi_pts, mags, cones: list, alpha: float, ref, lattice) -> list:
+    """One list per cone of one DecayFit per row of mags (rows, Nxi), by
+    _decay_fits on the row's dyadic-shell suprema: x = |xi*|^(1/alpha) at
+    the first argmax in lattice order (each shell's columns taken with
+    np.take, whatever order mags holds them in) and y = log sup |F|, for
+    shells above the row's floor NOISE_FLOOR_REL * ref (ref per row, or a
+    scalar: the peak of |F| over the row's cell); the others decayed."""
+    picks, counts = {}, []
+    for c, cone in enumerate(cones):        # one shell table at a time
+        shells, n = _shell_table(xi_pts, cone, lattice)
+        counts.append((len(shells), n))
+        for s, (cols, norms) in enumerate(shells):
+            vals = np.take(mags, cols, axis=1)
+            np.maximum(vals, LOG_FLOOR, out=vals)
+            picks[c, s] = norms[np.argmax(vals, axis=1)], vals.max(axis=1)
+        del vals                # before the next cone's table is built
+    at = np.ones((len(cones), len(mags), max(k for k, _ in counts)))  # |xi*| per shell
+    sup = np.zeros(at.shape)                # padding shells: 0, never usable
+    for (c, s), (a, v) in picks.items():
+        at[c, :, s], sup[c, :, s] = a, v
+    usable = sup > np.maximum(DYNAMIC_RANGE_FLOOR, NOISE_FLOOR_REL * np.reshape(ref, (-1, 1)))
+    x, y = np.zeros(at.shape), np.zeros(at.shape)  # libm pow and log, not SIMD
+    x[usable] = [v ** (1.0 / alpha) for v in at[usable].tolist()]
+    y[usable] = [math.log(v) for v in sup[usable].tolist()]
+    return _decay_fits(x, y, usable, counts, alpha)
 
 
-def _fit(xs: np.ndarray, ys: np.ndarray, n_points: int, decayed: int,
-         alpha: float) -> DecayFit:
-    if len(xs) < 2:
-        if decayed > 0:
-            # the cone decays below the floating-point dynamic range
-            return DecayFit(N_HAT_SATURATED, 0.0, 0.0, n_points, alpha,
-                            n_shells=len(xs) + decayed,
-                            slope_floor=N_HAT_SATURATED)
+def _cone_fits(xi_pts, mags, cone: ConeSpec, alpha: float, ref, lattice) -> list:
+    """_scan_fits for one cone."""
+    return _scan_fits(xi_pts, mags, [cone], alpha, ref, lattice)[0]
+
+
+def _decay_fits(x, y, usable, counts: list, alpha: float) -> list:
+    """One list per cone of the DecayFit of each row of (x, y), shaped
+    (cones, rows, shells), over its usable shells, with each cone's (shell
+    count, point count) in counts: the least-squares line from centred
+    sums, its rms residual, and the least secant decay over usable shells
+    i < j with x_j > x_i + 1e-12 (-slope if none).  Sums add shell by
+    shell, 0 for a masked shell, and the rest is elementwise, so a row's
+    bits do not depend on the batch."""
+    def total(v):
+        return sum(np.where(usable[..., s], v[..., s], 0.0) for s in range(v.shape[-1]))
+
+    n = np.count_nonzero(usable, axis=-1)
+    if np.any((n < 2) & (n == np.array([[k] for k, _ in counts]))):
         raise ValueError("fewer than 2 usable dyadic shells in the cone")
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    floor = math.inf
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if xs[j] > xs[i] + 1e-12:
-                floor = min(floor, -(ys[j] - ys[i]) / (xs[j] - xs[i]))
-    if not math.isfinite(floor):
-        floor = -slope
-    return DecayFit(float(-slope), float(intercept), resid, n_points, alpha,
-                    n_shells=len(xs) + decayed, slope_floor=float(floor))
+    m = np.maximum(n, 1)
+    mx, my = total(x) / m, total(y) / m
+    dx = x - mx[..., None]
+    slope = np.divide(total(dx * (y - my[..., None])), total(dx * dx),
+                      out=np.zeros(n.shape), where=n >= 2)
+    intercept = my - slope * mx
+    resid = np.sqrt(total((y - (slope[..., None] * x + intercept[..., None])) ** 2) / m)
+    i, j = np.triu_indices(x.shape[-1], 1)
+    secant = np.divide(-(y[..., j] - y[..., i]), x[..., j] - x[..., i],
+                       out=np.full(n.shape + i.shape, math.inf),
+                       where=usable[..., i] & usable[..., j] & (x[..., j] > x[..., i] + 1e-12))
+    floor = secant.min(axis=-1, initial=math.inf)
+    floor = np.where(np.isfinite(floor), floor, -slope)
+    fits = []
+    for (shells, points), *cone in zip(counts, n.tolist(), (-slope).tolist(),
+                                       intercept.tolist(), resid.tolist(), floor.tolist()):
+        # under 2 usable shells, some decayed: below the floating-point range
+        saturated = DecayFit(N_HAT_SATURATED, 0.0, 0.0, points, alpha, n_shells=shells,
+                             slope_floor=N_HAT_SATURATED)
+        fits.append([DecayFit(rate, logc, res, points, alpha, n_shells=shells,
+                              slope_floor=low) if used >= 2 else saturated
+                     for used, rate, logc, res, low in zip(*cone)])
+    return fits
+
+
+def _fit(xs, ys, n_points: int, decayed: int, alpha: float) -> DecayFit:
+    """_decay_fits for one row, every shell of xs, ys usable."""
+    return _decay_fits(np.reshape(xs, (1, 1, -1)), np.reshape(ys, (1, 1, -1)),
+                       np.ones((1, 1, len(xs)), dtype=bool),
+                       [(len(xs) + decayed, n_points)], alpha)[0][0]
 
 
 def _classify(fit: DecayFit, threshold_N: float) -> bool:
-    if fit.N_hat >= N_HAT_SATURATED:
-        return True
-    if fit.N_hat >= threshold_N and fit.residual <= RESIDUAL_CAP:
-        return True
-    # one-sided bound: uniformly steep secants mean faster-than-model decay
-    return fit.slope_floor >= threshold_N
+    # saturated, a good fit above threshold, or, by the one-sided bound,
+    # uniformly steep secants: faster-than-model decay
+    return (fit.N_hat >= N_HAT_SATURATED
+            or (fit.N_hat >= threshold_N and fit.residual <= RESIDUAL_CAP)
+            or fit.slope_floor >= threshold_N)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -383,10 +391,9 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     stream (transform._half_axis) takes only the leading slice of its
     first blind axis, now the first axis, and each point past it reads its
     mirror's sup (_columns).  The lattice geometry (|xi|, the mirrored
-    mask and the layout column of each point) is computed once, and each
-    cone's shell table is then built once and its suprema gathered for
-    every cell at once, in lattice order.  The singular set is the
-    complement of the regular entries.
+    mask and the layout column of each point) is computed once, each
+    cone's shell table once, and every entry is fitted in one pass
+    (_scan_fits).  The singular set is the complement of the regular entries.
     """
     _check_alpha(alpha)
     if math.isnan(threshold_N):
@@ -402,8 +409,7 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
                                  f"has {name} = {dim}")
     _check_scan_window(g)
     y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
-    Y = y_grid.points()
-    member = _in_balls(y_cells, Y)
+    member = _in_balls(y_cells, y_grid.points())
     for cell, hit in zip(y_cells, member):
         if not hit.any():
             raise ValueError(f"no y~ lattice points inside cell {cell}")
@@ -435,12 +441,9 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
                              f"of cell {cell} overflowed")
     xi_pts = f.grid.dual().points()
     lattice = _lattice(xi_pts, _columns(f.grid.counts, perm, G.shape))
-    fits = [_cone_fits(xi_pts, sup, cone, alpha, ref, lattice) for cone in cones]
-    entries = []
-    for i, cell in enumerate(y_cells):
-        for cone, cone_fits in zip(cones, fits):
-            fit = cone_fits[i]
-            entries.append(ScanEntry(cell, cone, fit, _classify(fit, threshold_N)))
+    fits = _scan_fits(xi_pts, sup, cones, alpha, ref, lattice)
+    entries = [ScanEntry(cell, cone, fit[i], _classify(fit[i], threshold_N))
+               for i, cell in enumerate(y_cells) for cone, fit in zip(cones, fits)]
     return WavefrontReport(entries, threshold_N, rows_streamed=len(rows),
                            rows_total=y_grid.size, noise_ref=tuple(float(x) for x in ref))
 
@@ -474,8 +477,5 @@ def cone_dictionary_2d(count: int = 16, r_min: float = 0.5,
     if count < 2:
         raise ValueError("need at least 2 cones")
     half = math.pi / count if half_angle is None else half_angle
-    cones = []
-    for j in range(count):
-        theta = 2 * math.pi * j / count
-        cones.append(ConeSpec((math.cos(theta), math.sin(theta)), half, r_min))
-    return cones
+    thetas = [2 * math.pi * j / count for j in range(count)]
+    return [ConeSpec((math.cos(t), math.sin(t)), half, r_min) for t in thetas]

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dirstft import (BallSpec, Grid, dstft_fast, gaussian_window, gevrey_bump,
 from dirstft.cli import main
 from dirstft.direction import build_frame, identity_frame
 from dirstft.fixtures import gaussian
-from dirstft.grids import relative_error
+from dirstft.grids import BoundaryMassWarning, relative_error
 from dirstft.sigio import read_field, read_signal
 from dirstft.synthesis import ROUNDOFF_GAIN_MAX
 from dirstft.wavefront import (N_HAT_SATURATED, RESIDUAL_CAP, ConeSpec,
@@ -29,6 +30,13 @@ def run(tmp_path, command, cfg, *extra):
     path = tmp_path / f"{command}.json"
     path.write_text(json.dumps(cfg))
     return main([command, "--config", str(path), *extra])
+
+
+def run_warned(tmp_path, command, cfg):
+    """run, on a signal that does not decay to the box boundary (a sheet):
+    the command warns that the implicit periodization may matter."""
+    with pytest.warns(BoundaryMassWarning, match="boundary carries"):
+        return run(tmp_path, command, cfg)
 
 
 def gen_gaussian(tmp_path, name="f.dstf", counts=(64,), lo=(-8,), hi=(8,),
@@ -244,7 +252,7 @@ def sheet_wavefront_cfg(tmp_path, threshold=1.0, u=(1.0, 0.0)):
 
 def test_wavefront_verdict_pass(tmp_path, capsys):
     cfg = sheet_wavefront_cfg(tmp_path)
-    assert run(tmp_path, "wavefront", cfg) == 0
+    assert run_warned(tmp_path, "wavefront", cfg) == 0
     out = json.loads((tmp_path / "wf.json").read_text())
     assert out["comparison"]["verdict"] == "PASS"
     sing = [e for e in out["entries"] if not e["regular"]]
@@ -323,7 +331,7 @@ def check_report_files(tmp_path, capsys, sidecar):
     cfg["cones"] = [{"center": c, "half_angle": 0.4, "r_min": 0.5}
                     for c in ([1.0, -0.0], [1.0, 0.0], [-0.0, -1.0],
                               [1.0, -0.0], [-1.0, 0.0])]
-    assert run(tmp_path, "wavefront", cfg) == 0
+    assert run_warned(tmp_path, "wavefront", cfg) == 0
     f = read_signal(cfg["signal"])
     g = cli._parse_window(cfg["window"])
     cones = cli._cone_list(cfg["cones"], f.grid.size)
@@ -393,7 +401,7 @@ def test_wavefront_reports_the_rows_it_streams(tmp_path, capsys):
           "cones": {"count": 8, "r_min": 0.5},
           "cells": [{"center": [0.0, 0.0], "radius": 0.25}],
           "out_json": str(tmp_path / "wf.json")}
-    assert run(tmp_path, "wavefront", wf) == 0
+    assert run_warned(tmp_path, "wavefront", wf) == 0
     assert "verdict: PASS" in capsys.readouterr().out
     # the cell's rows are the 5 x 5 y~ points around the origin, so a field
     # on that sub-grid holds them, without the 256 MiB of the full field
@@ -421,12 +429,12 @@ def test_wavefront_empty_cell_or_cone_list_exits_2(tmp_path, capsys, key):
 
 def test_wavefront_cone_list_matches_the_cone_dictionary(tmp_path):
     cfg = sheet_wavefront_cfg(tmp_path)
-    assert run(tmp_path, "wavefront", cfg) == 0
+    assert run_warned(tmp_path, "wavefront", cfg) == 0
     want = json.loads((tmp_path / "wf.json").read_text())["entries"]
     cfg["cones"] = [{"center": list(c.center), "half_angle": c.half_angle,
                      "r_min": c.r_min}
                     for c in cone_dictionary_2d(8, r_min=0.5)]
-    assert run(tmp_path, "wavefront", cfg) == 0
+    assert run_warned(tmp_path, "wavefront", cfg) == 0
     assert json.loads((tmp_path / "wf.json").read_text())["entries"] == want
 
 
@@ -482,7 +490,7 @@ def test_wavefront_cone_center_of_extreme_scale_is_its_direction(tmp_path, cente
     entries = []
     for c in (center, unit):
         cfg["cones"] = [{"center": c, "half_angle": 0.3, "r_min": 0.5}]
-        assert run(tmp_path, "wavefront", cfg) == 0
+        assert run_warned(tmp_path, "wavefront", cfg) == 0
         entries.append(json.loads((tmp_path / "wf.json").read_text())["entries"])
     assert entries[0] == entries[1]
 
@@ -494,7 +502,7 @@ def test_wavefront_verdict_fail_on_wrong_truth(tmp_path):
     meta = json.loads(sidecar.read_text())
     meta["singular"]["offset"] = 2.0
     sidecar.write_text(json.dumps(meta))
-    assert run(tmp_path, "wavefront", cfg) == 1
+    assert run_warned(tmp_path, "wavefront", cfg) == 1
     out = json.loads((tmp_path / "wf.json").read_text())
     assert out["comparison"]["verdict"] == "FAIL"
 
@@ -523,7 +531,7 @@ def test_selftest_pristine(capsys):
     out = capsys.readouterr().out
     assert "0 failure(s)" in out
     assert "FAIL" not in out
-    assert sum(line.endswith(" PASS") for line in out.splitlines()) == 15
+    assert sum(line.endswith(" PASS") for line in out.splitlines()) == 16
 
 
 def test_selftest_detects_injected_scale_fault(monkeypatch, capsys):
@@ -672,7 +680,7 @@ def test_wavefront_verdict_follows_the_frame(tmp_path, u_sheet, u_frame,
     cfg["frame"] = {"u": u_frame}
     cfg["window"]["grid"] = {"bounds": [[-2] * k, [2] * k], "counts": [32] * k}
     cfg["cells"] = [{"center": c, "radius": 0.25} for c in cells]
-    assert run(tmp_path, "wavefront", cfg) in (0, 1)
+    assert run_warned(tmp_path, "wavefront", cfg) in (0, 1)
     expected = json.loads((tmp_path / "wf.json").read_text())[
         "comparison"]["expected_singular"]
     # each hit cell with the cones -u, then u, as plain JSON numbers
@@ -722,7 +730,7 @@ def test_strict_window_rejects_a_gaussian_wavefront_window(tmp_path):
     cfg["window"] = {"kind": "gaussian", "sigma": [0.5],
                      "grid": {"bounds": [[-2], [2]], "counts": [32]}}
     with pytest.warns(WindowClassWarning, match="Gevrey bump"):
-        assert run(tmp_path, "wavefront", cfg) in (0, 1)
+        assert run_warned(tmp_path, "wavefront", cfg) in (0, 1)
 
 
 NAN = float("nan")
@@ -1045,8 +1053,10 @@ def test_rerun_onto_the_same_outputs_replaces_them_unchanged(tmp_path,
         del report["timings"]
         return files, report
 
-    for argv in configs:
-        assert main(argv) == 0, argv
+    # the sheet does not decay to its box boundary, so its wavefront run warns
+    with pytest.warns(BoundaryMassWarning, match="boundary carries"):
+        for argv in configs:
+            assert main(argv) == 0, argv
     first = snapshot()
     real_open = builtins.open
 
@@ -1057,8 +1067,9 @@ def test_rerun_onto_the_same_outputs_replaces_them_unchanged(tmp_path,
         return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", no_truncation)
-    for argv in configs:
-        assert main(argv) == 0, argv
+    with pytest.warns(BoundaryMassWarning, match="boundary carries"):
+        for argv in configs:
+            assert main(argv) == 0, argv
     monkeypatch.undo()
     assert snapshot() == first
 
@@ -1074,8 +1085,11 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, step, key):
     command, cfg = commands[step]
     (tmp_path / "a_directory").mkdir()
     capsys.readouterr()
-    assert run(tmp_path, command,
-               {**cfg, key: str(tmp_path / "a_directory")}) == 2
+    # the wavefront scan of the sheet warns of its boundary mass before it
+    # writes its reports
+    bad = {**cfg, key: str(tmp_path / "a_directory")}
+    assert (run_warned(tmp_path, command, bad) if command == "wavefront"
+            else run(tmp_path, command, bad)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "a_directory" in err
     assert "Traceback" not in err
@@ -1181,9 +1195,15 @@ def test_mutated_configs_exit_0_1_or_2_with_one_error_line(tmp_path, capfd):
     def check(case):
         command, cfg = case
         capfd.readouterr()
-        code = run(tmp_path, command, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            code = run(tmp_path, command, cfg)
         err = capfd.readouterr().err
         assert code in (0, 1, 2)
+        # the one warning a run may give: a scan of the sheet, which does
+        # not decay to its box boundary, warns of it whenever it completes
+        assert {w.category for w in caught} <= {BoundaryMassWarning}
+        if command == "wavefront" and code != 2:
+            assert caught
         assert "Traceback" not in err and "DLASCL" not in err
         if code == 2:
             assert sum(line.startswith("error:") for line in err.splitlines()) == 1

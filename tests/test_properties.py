@@ -2,6 +2,7 @@
 grids (odd and even counts, nonzero origins, anisotropic spacings), frames
 and windows, at sizes under the oracle caps."""
 
+import math
 import warnings
 from unittest import mock
 
@@ -690,3 +691,114 @@ def scan_with_cones(f, g, frame, cells, cones):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WindowClassWarning)   # Gaussian windows
         return wavefront_scan(f, g, frame, 2.0, cells, cones, threshold_N=1.7)
+
+
+def polyfit_fit(xs, ys, n_points, decayed, alpha):
+    """The per-row fit the scan took before its fits were batched, kept as
+    the reference: np.polyfit (SVD least squares) and the pairwise secant
+    loop, with the same saturation and refusal rules."""
+    if len(xs) < 2:
+        if decayed > 0:
+            return wavefront.DecayFit(wavefront.N_HAT_SATURATED, 0.0, 0.0, n_points,
+                                      alpha, n_shells=len(xs) + decayed,
+                                      slope_floor=wavefront.N_HAT_SATURATED)
+        raise ValueError("fewer than 2 usable dyadic shells in the cone")
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
+    floor = math.inf
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            if xs[j] > xs[i] + 1e-12:
+                floor = min(floor, -(ys[j] - ys[i]) / (xs[j] - xs[i]))
+    if not math.isfinite(floor):
+        floor = -slope
+    return wavefront.DecayFit(float(-slope), float(intercept), resid, n_points, alpha,
+                              n_shells=len(xs) + decayed, slope_floor=float(floor))
+
+
+def reference_fits(xi, mags, cone, alpha, ref):
+    """[(fit, scale)] per row: polyfit_fit of the row's usable shell
+    suprema (the first argmax of each shell, above the row's own noise
+    floor), and the largest |log sup| it fitted (at least 1)."""
+    shells, n_points = wavefront._shell_table(xi, cone, wavefront._lattice(xi))
+    out = []
+    for row, peak in zip(mags, ref):
+        floor = max(wavefront.DYNAMIC_RANGE_FLOOR, wavefront.NOISE_FLOOR_REL * peak)
+        xs, ys = [], []
+        for cols, norms in shells:
+            vals = np.maximum(row[cols], wavefront.LOG_FLOOR)
+            j = int(np.argmax(vals))
+            if vals[j] > floor:
+                xs.append(float(norms[j]) ** (1.0 / alpha))
+                ys.append(math.log(vals[j]))
+        fit = polyfit_fit(np.array(xs), np.array(ys), n_points, len(shells) - len(xs), alpha)
+        out.append((fit, max([1.0] + [abs(y) for y in ys])))
+    return out
+
+
+@st.composite
+def fit_batches(draw):
+    """(xi, mags, ref, cones, alpha): the dual lattice of an n² grid; rows
+    of magnitudes that decay smoothly, are constant on annuli (exact ties
+    at different |xi| within a shell), are cut to 0 past a radius (0, 1,
+    2 or more usable shells), or sit below the dynamic range (saturated),
+    each with its own noise reference from 1 to 10^14 times its peak (so
+    its own floor, up to above every shell); and 2 to 4 cones of
+    different widths and r_min, so of different shell counts."""
+    n = draw(st.integers(16, 32))
+    xi = Grid.from_bounds([-4, -4], [4, 4], [n, n]).dual().points()
+    radius = np.linalg.norm(xi, axis=-1)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for kind in rng.choice(["smooth", "ties", "cut", "decayed"], draw(st.integers(3, 6))):
+        rate = rng.uniform(0.5, 8.0)
+        row = np.exp(-rate * np.sqrt(radius)) * rng.uniform(0.5, 1.0, len(xi))
+        if kind == "ties":
+            row = np.exp(-rate * np.floor(4 * radius))
+        elif kind == "cut":
+            row = np.where(radius < rng.uniform(0.0, 3.0), row, 0.0)
+        elif kind == "decayed":
+            row = row * 1e-290
+        rows.append(row)
+    mags = np.array(rows)
+    ref = np.maximum(mags.max(axis=1), 1e-290) * 10 ** rng.uniform(0.0, 14.0, len(mags))
+    cones = [ConeSpec((np.cos(t), np.sin(t)), rng.uniform(0.4, 1.2),
+                      rng.choice([0.125, 0.25, 0.5]))
+             for t in rng.uniform(0.0, 2 * np.pi, draw(st.integers(2, 4)))]
+    return xi, mags, ref, cones, rng.uniform(1.5, 3.0)
+
+
+@SETTINGS
+@given(fit_batches())
+def test_batched_fits_match_the_per_row_polyfit(case):
+    # every (cone, row) fit of the one batched pass agrees with the
+    # per-row np.polyfit and secant loop to 1e-12 relative (against the
+    # size of the log magnitudes it fitted, where a residual, intercept or
+    # slope cancels to roundoff), with the same shell and point counts and
+    # the same saturation; a row fitted alone, in a one-cone call, has the
+    # bits it has in the batch; nothing raises under np.errstate(all="raise")
+    xi, mags, ref, cones, alpha = case
+    lattice = wavefront._lattice(xi)
+    try:
+        tables = [wavefront._shell_table(xi, cone, lattice) for cone in cones]
+    except ValueError:              # a cone with too few lattice points
+        assume(False)
+    assume(len({len(shells) for shells, _ in tables}) > 1)
+    try:
+        want = [reference_fits(xi, mags, cone, alpha, ref) for cone in cones]
+    except ValueError:              # a lone usable shell with none decayed
+        with pytest.raises(ValueError, match="fewer than 2 usable"):
+            wavefront._scan_fits(xi, mags, cones, alpha, ref, lattice)
+        return
+    with np.errstate(all="raise"):
+        got = wavefront._scan_fits(xi, mags, cones, alpha, ref, lattice)
+        alone = [[wavefront._cone_fits(xi, mags[r:r + 1], cone, alpha, ref[r], lattice)[0]
+                  for r in range(len(mags))] for cone in cones]
+    assert alone == got
+    for cone_got, cone_want in zip(got, want):
+        for fit, (ref_fit, scale) in zip(cone_got, cone_want):
+            assert (fit.n_shells, fit.n_points, fit.N_hat == wavefront.N_HAT_SATURATED) == (
+                ref_fit.n_shells, ref_fit.n_points, ref_fit.N_hat == wavefront.N_HAT_SATURATED)
+            for name in ("N_hat", "logC_hat", "residual", "slope_floor"):
+                assert getattr(fit, name) == pytest.approx(
+                    getattr(ref_fit, name), rel=1e-12, abs=1e-12 * scale), name
