@@ -14,7 +14,7 @@ from .direction import DirectionFrame
 from .grids import (LATTICE_TOL, Grid, Signal, _check_oracle_work, _direct_sum,
                     _idft_into, _phase_tables, _trailing, primal_phase)
 from .transform import DstftField, _in_shards, _level0, _unphased, dstft_fast
-from .windows import (Window, WindowLevels, _keep, _pair_levels, numerical_support,
+from .windows import (Window, WindowLevels, _check_grids, _keep, _pair_levels,
                       pairing_check, window_blocks, window_levels)
 
 
@@ -162,6 +162,7 @@ def multiplier_stride(g: Window, phi: Window) -> int:
     band-limited to the window lattice, has half its spacing as Nyquist
     step, so the 2t samples per period are alias-free.  One FFT per
     window, then O(2^k N_w) per candidate; nothing depends on the signal."""
+    _check_grids(g, phi)
     G = _half_samples(g)
     P = np.abs(G) ** 2 if phi is g else np.conj(G) * _half_samples(phi)
     # for a nonnegative P, A = |C|
@@ -212,24 +213,30 @@ def covering_y_grid(grid: Grid, g: Window, phi: Window,
     """(y_grid, s), reconstruct's default y~ grid for signals on grid.
 
     Per y~ axis j it spans the projections u_j . t of the grid's samples,
-    widened by the numerical support of conj(g) phi (the intersection of
-    the windows' windows.numerical_support), so it holds every y~ on its
-    lattice whose window reaches a sample.  Its spacing is the window's
-    times the stride s of multiplier_stride, the largest whose division
-    by M lifts the stream's roundoff at most ROUNDOFF_GAIN_MAX times, so
-    it streams the fewest rows that reconstruct's accuracy allows.  Its
-    origin is on the lattice u . (grid origin) - (window origin) + window
-    spacing Z, so that on a coordinate frame whose signal spacing is a
-    multiple of the window's, every u . t - y~ is on the window lattice,
-    the exact gather of windows._lattice_blocks."""
+    widened by the numerical support of P = conj(g) phi, taken from P's
+    samples, not each window's: the bounding box of the samples where
+    |P| > eps max |P| (eps the float64 machine epsilon), widened by one
+    window step on each side, so a coarsely sampled window keeps the rows
+    its interpolant reaches, within the window's samples and a compact
+    window's support radius.  On the window lattice a row it leaves out
+    adds at most eps max |P| to M.  Its spacing is the window's times the
+    stride s of multiplier_stride, the largest whose division by M lifts
+    the stream's roundoff at most ROUNDOFF_GAIN_MAX times.  Its origin is
+    on the lattice u . (grid origin) - (window origin) + window spacing Z,
+    so that on a coordinate frame whose signal spacing is a multiple of
+    the window's, every u . t - y~ is on the window lattice, the exact
+    gather of windows._lattice_blocks."""
     s = multiplier_stride(g, phi)
-    (lo_g, hi_g), (lo_p, hi_p) = numerical_support(g), numerical_support(phi)
-    lo, hi = np.maximum(lo_g, lo_p), np.minimum(hi_g, hi_p)
+    P = np.abs(np.conj(g.values) * phi.values)
+    idx = np.argwhere(P > np.finfo(float).eps * P.max())
+    h = np.asarray(g.grid.spacing)
+    r = min((w.support_radius for w in (g, phi) if w.compact), default=np.inf)
+    box = np.clip([idx.min(axis=0) - 1, idx.max(axis=0) + 1], 0, np.subtract(P.shape, 1))
+    lo, hi = np.clip(g.grid.origin + box * h, -r, r)
     reach = frame.u * ((np.asarray(grid.counts) - 1) * np.asarray(grid.spacing))
     base = frame.u @ np.asarray(grid.origin)
     y_lo = base + np.minimum(reach, 0).sum(axis=1) - hi
     y_hi = base + np.maximum(reach, 0).sum(axis=1) - lo
-    h = np.asarray(g.grid.spacing)
     ref = base - np.asarray(g.grid.origin)
     origin = ref + np.floor((y_lo - ref) / h + LATTICE_TOL) * h
     counts = np.floor((y_hi - origin) / (s * h) + LATTICE_TOL) + 1

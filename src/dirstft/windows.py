@@ -140,20 +140,6 @@ def _keep(w: Window, pts: np.ndarray) -> np.ndarray:
     return keep
 
 
-def numerical_support(w: Window) -> tuple:
-    """(lo, hi), per axis, the box in R^k outside which w is numerically
-    zero: [-r, r] for a compact window of support radius r, else the
-    bounding box of the sample points where |w| > eps max |w|, eps the
-    float64 machine epsilon."""
-    if w.compact:
-        r = np.full(w.grid.dim, w.support_radius)
-        return -r, r
-    mag = np.abs(w.values)
-    idx = np.argwhere(mag > np.finfo(float).eps * mag.max())
-    origin, spacing = np.asarray(w.grid.origin), np.asarray(w.grid.spacing)
-    return origin + idx.min(axis=0) * spacing, origin + idx.max(axis=0) * spacing
-
-
 def window_blocks(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     """Iterator of (lo, hi, W) with W[b] = window_at(w, proj - Y[lo + b]),
     where proj = grid.points() @ u.T are the sample points t projected on
@@ -463,10 +449,16 @@ def _projected_box(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray):
     return (box, np.ravel_multi_index(idx.T, box.counts)) if box.size < grid.size else None
 
 
+def _check_grids(g: Window, phi: Window) -> None:
+    """Raise ValueError, naming both grids, unless g and phi share one."""
+    if g.grid != phi.grid:
+        raise ValueError(f"g and phi must share one window grid: g on {g.grid}, "
+                         f"phi on {phi.grid}")
+
+
 def pairing_check(g: Window, phi: Window) -> PairingCert:
     """Certify (g, phi) != 0 so phi can act as a synthesis window for g."""
-    if g.grid != phi.grid:
-        raise ValueError("pairing_check requires identical window grids")
+    _check_grids(g, phi)
     value = inner_product(g.as_signal(), phi.as_signal())
     ng = math.sqrt(abs(inner_product(g.as_signal(), g.as_signal())))
     np_ = math.sqrt(abs(inner_product(phi.as_signal(), phi.as_signal())))

@@ -86,6 +86,22 @@ def test_the_stride_does_not_outrun_a_bump_between_its_samples():
     assert rel_l2_error(rec.values, f.values) <= 1e-12
 
 
+@pytest.mark.parametrize("phi_grid", [Grid.from_bounds([-4], [4], [64]),
+                                      Grid.from_bounds([-8], [8], [128])])
+def test_windows_on_different_grids_are_refused(phi_grid):
+    # conj(g) phi is taken sample by sample, so a phi on other bounds with
+    # g's counts would pair the wrong samples, and other counts would not
+    # broadcast; both are refused, naming the two grids
+    g = gaussian_window(Grid.from_bounds([-8], [8], [64]), 1.0)
+    phi = gaussian_window(phi_grid, 1.0)
+    grid = Grid.from_bounds([-8], [8], [64])
+    for call in (lambda: multiplier_stride(g, phi),
+                 lambda: covering_y_grid(grid, g, phi, identity_frame(1, 1))):
+        with pytest.raises(ValueError, match="share one window grid") as err:
+            call()
+        assert str(g.grid) in str(err.value) and str(phi_grid) in str(err.value)
+
+
 def modulated_window(grid, sigma, freq):
     """A complex window: synthesizing with conj(g) in place of g would
     change the result."""
