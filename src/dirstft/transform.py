@@ -197,7 +197,8 @@ def _unphased(f: Signal, levels: WindowLevels, out: np.ndarray | None = None,
     reuses.  W is yielded unconjugated, for reuse as a synthesis window.  R
     is not checked for finiteness; its consumers check what they return.
     G, f along level 0 (_level0), is computed here, over the whole grid,
-    unless the shards of one stream share it; a G of the leading slice of a
+    unless the caller gives it, as the shards of one stream and the
+    wavefront scan do; a G of the leading slice of a
     blind axis alone (_half_axis) streams that slice alone, with W real."""
     axes = _trailing(f.grid, levels.axes)
     G = _level0(f, levels) if G is None else G

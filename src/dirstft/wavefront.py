@@ -16,7 +16,6 @@ range.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -24,8 +23,8 @@ import numpy as np
 
 from .direction import DirectionFrame
 from .grids import Grid, Signal, dft
-from .transform import (DstftField, _half_axis, _in_shards, _level0, _mirror,
-                        _spectra, default_y_grid)
+from .transform import (DstftField, _half_axis, _level0, _mirror, _spectra,
+                        default_y_grid)
 from .windows import Window, _seen, window_at, window_levels
 
 LOG_FLOOR = 1e-300          # floor before taking logs (exact zeros)
@@ -75,13 +74,7 @@ class ConeSpec:
 
     def contains(self, xi: np.ndarray) -> np.ndarray:
         xi = np.atleast_2d(xi)
-        return self._contains(xi, np.linalg.norm(xi, axis=-1))
-
-    def _contains(self, xi: np.ndarray, norms: np.ndarray) -> np.ndarray:
-        """contains, given the points' norms."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosang = (xi @ np.asarray(self.center)) / norms
-        return (norms >= self.r_min) & (cosang >= math.cos(self.half_angle))
+        return _in_cones([self], xi, np.linalg.norm(xi, axis=-1))[0]
 
 
 @dataclass(frozen=True)
@@ -114,6 +107,23 @@ def _finite_center(center, what: str) -> tuple:
         raise ValueError(f"{what} center must be a vector of finite numbers, "
                          f"got {list(c)}")
     return c
+
+
+def _in_cones(cones: list, xi: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The (cones, points) mask of the points xi, shaped (P, n), with
+    norms |xi|, that lie in each ConeSpec: |xi| >= r_min and a cosine to
+    the center of at least cos(half_angle), the cone rule.  Each cone takes
+    its own matrix-vector product, so a cone's mask does not depend on the
+    others in the list.  A center of other than n coordinates is refused,
+    not broadcast."""
+    for cone in cones:
+        if len(cone.center) != xi.shape[1]:
+            raise ValueError(f"cone center {list(cone.center)} has {len(cone.center)} "
+                             f"coordinates, but the points have {xi.shape[1]}")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.array([(norms >= cone.r_min)
+                         & ((xi @ np.asarray(cone.center)) / norms >= math.cos(cone.half_angle))
+                         for cone in cones])
 
 
 def _in_balls(cells: list, y: np.ndarray) -> np.ndarray:
@@ -178,54 +188,47 @@ def _mirrored(xi_pts: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _lattice(xi_pts: np.ndarray, pos: np.ndarray | None = None):
-    """(norms, mirrored, pos) of a frequency lattice: every point's |xi|,
-    the _mirrored mask and the column of each point in the magnitudes
-    (pos, None for lattice order), shared by the shell tables of all
-    cones."""
-    return np.linalg.norm(xi_pts, axis=-1), _mirrored(xi_pts), pos
+def _shell_index(xi_pts: np.ndarray, cones: list, pos: np.ndarray | None = None):
+    """Each cone's dyadic shells on a frequency lattice, one cone's table
+    at a time: (shells, n) per cone, with shells a list of (cols, norms)
+    pairs, one per nonempty shell in order of radius, cols the magnitude
+    columns (pos, None for lattice order) of the shell's points in lattice
+    order and norms their |xi|, and n the cone's point count.  |xi| and
+    the _mirrored mask are computed once for every cone, and only mirrored
+    points count.  Shell s holds r_min 2^s <= |xi| < r_min 2^(s+1), found by
+    np.searchsorted on those edges, each exactly twice the one before."""
+    norms, mirrored = np.linalg.norm(xi_pts, axis=-1), _mirrored(xi_pts)
+    for cone in cones:
+        idx = np.flatnonzero(_in_cones([cone], xi_pts, norms)[0] & mirrored)
+        if len(idx) < MIN_CONE_POINTS:
+            raise ValueError(f"only {len(idx)} frequency lattice points in the cone "
+                             f"(need >= {MIN_CONE_POINTS})")
+        r, edges = norms[idx], [cone.r_min]
+        top = r.max()
+        while edges[-1] <= top:
+            edges.append(2 * edges[-1])
+        shell = np.searchsorted(edges, r, side="right")
+        cols = idx if pos is None else pos[idx]
+        sels = [shell == s for s in range(1, len(edges))]   # lattice order within a shell
+        yield [(cols[sel], r[sel]) for sel in sels if sel.any()], len(idx)
 
 
-def _shell_table(xi_pts: np.ndarray, cone: ConeSpec, lattice):
-    """The cone's dyadic shells on a frequency lattice with _lattice
-    geometry: a list of (cols, norms) pairs, one per nonempty shell, with
-    cols the magnitude columns (the lattice's pos) of the in-shell points
-    of xi_pts, in lattice order, and norms their |xi|; plus the in-cone
-    point count.  Only mirrored points count (see _mirrored).  Shells
-    double in radius from r_min; the last one is closed at the largest
-    in-cone |xi|."""
-    norms, mirrored, pos = lattice
-    idx = np.flatnonzero(cone._contains(xi_pts, norms) & mirrored)
-    if len(idx) < MIN_CONE_POINTS:
-        raise ValueError(f"only {len(idx)} frequency lattice points in the cone "
-                         f"(need >= {MIN_CONE_POINTS})")
-    norms, cols = norms[idx], (idx if pos is None else pos[idx])
-    r_max = float(norms.max())
-    shells, lo = [], cone.r_min
-    while lo < r_max * (1 + 1e-12):
-        sel = (norms >= lo) & (norms < 2 * lo)
-        if np.any(sel):
-            shells.append((cols[sel], norms[sel]))
-        lo *= 2
-    return shells, len(idx)
-
-
-def _scan_fits(xi_pts, mags, cones: list, alpha: float, ref, lattice) -> list:
+def _scan_fits(xi_pts, mags, cones: list, alpha: float, ref, pos=None) -> list:
     """One list per cone of one DecayFit per row of mags (rows, Nxi), by
-    _decay_fits on the row's dyadic-shell suprema: x = |xi*|^(1/alpha) at
-    the first argmax in lattice order (each shell's columns taken with
-    np.take, whatever order mags holds them in) and y = log sup |F|, for
-    shells above the row's floor NOISE_FLOOR_REL * ref (ref per row, or a
-    scalar: the peak of |F| over the row's cell); the others decayed."""
+    _decay_fits on the row's dyadic-shell suprema (_shell_index, with pos
+    the column of each lattice point in mags, None for lattice order): x =
+    |xi*|^(1/alpha) at the first argmax in lattice order and y = log sup
+    |F|, for shells above the row's floor NOISE_FLOOR_REL * ref (ref per
+    row, or a scalar: the peak of |F| over the row's cell); the others
+    decayed."""
     picks, counts = {}, []
-    for c, cone in enumerate(cones):        # one shell table at a time
-        shells, n = _shell_table(xi_pts, cone, lattice)
+    for c, (shells, n) in enumerate(_shell_index(xi_pts, cones, pos)):
         counts.append((len(shells), n))
         for s, (cols, norms) in enumerate(shells):
             vals = np.take(mags, cols, axis=1)
             np.maximum(vals, LOG_FLOOR, out=vals)
             picks[c, s] = norms[np.argmax(vals, axis=1)], vals.max(axis=1)
-        del vals                # before the next cone's table is built
+        del shells, vals        # before the next cone's table is built
     at = np.ones((len(cones), len(mags), max(k for k, _ in counts)))  # |xi*| per shell
     sup = np.zeros(at.shape)                # padding shells: 0, never usable
     for (c, s), (a, v) in picks.items():
@@ -235,11 +238,6 @@ def _scan_fits(xi_pts, mags, cones: list, alpha: float, ref, lattice) -> list:
     x[usable] = [v ** (1.0 / alpha) for v in at[usable].tolist()]
     y[usable] = [math.log(v) for v in sup[usable].tolist()]
     return _decay_fits(x, y, usable, counts, alpha)
-
-
-def _cone_fits(xi_pts, mags, cone: ConeSpec, alpha: float, ref, lattice) -> list:
-    """_scan_fits for one cone."""
-    return _scan_fits(xi_pts, mags, [cone], alpha, ref, lattice)[0]
 
 
 def _decay_fits(x, y, usable, counts: list, alpha: float) -> list:
@@ -281,13 +279,6 @@ def _decay_fits(x, y, usable, counts: list, alpha: float) -> list:
     return fits
 
 
-def _fit(xs, ys, n_points: int, decayed: int, alpha: float) -> DecayFit:
-    """_decay_fits for one row, every shell of xs, ys usable."""
-    return _decay_fits(np.reshape(xs, (1, 1, -1)), np.reshape(ys, (1, 1, -1)),
-                       np.ones((1, 1, len(xs)), dtype=bool),
-                       [(len(xs) + decayed, n_points)], alpha)[0][0]
-
-
 def _classify(fit: DecayFit, threshold_N: float) -> bool:
     # saturated, a good fit above threshold, or, by the one-sided bound,
     # uniformly steep secants: faster-than-model decay
@@ -304,11 +295,16 @@ def _check_alpha(alpha: float) -> None:
 
 def fit_spectrum_decay(xi_pts: np.ndarray, mags: np.ndarray, cone: ConeSpec,
                        alpha: float) -> DecayFit:
-    """Decay fit of raw magnitudes over a frequency cone, with the noise
-    floor measured against their peak."""
+    """Decay fit of raw magnitudes, one finite value per row of xi_pts, over
+    a frequency cone, with the noise floor measured against their peak."""
     _check_alpha(alpha)
-    return _cone_fits(xi_pts, np.asarray(mags)[None, :], cone, alpha,
-                      float(np.max(mags)), _lattice(xi_pts))[0]
+    mags = np.asarray(mags)
+    if mags.shape != (len(xi_pts),):
+        raise ValueError(f"mags must hold one value per frequency point: shape "
+                         f"{mags.shape} for {len(xi_pts)} points")
+    if not np.isfinite(mags).all():
+        raise ValueError("mags must be finite")
+    return _scan_fits(xi_pts, mags[None, :], [cone], alpha, float(mags.max()))[0][0]
 
 
 def decay_fit(F: DstftField, ball: BallSpec, cone: ConeSpec, alpha: float) -> DecayFit:
@@ -364,6 +360,33 @@ def _columns(counts: tuple, perm, shape: tuple):
     return cols.ravel() if perm is None else cols.transpose(np.argsort(perm)).ravel()
 
 
+def _cell_sups(f: Signal, g: Window, frame: DirectionFrame, y_grid: Grid,
+               rows: np.ndarray, member: np.ndarray):
+    """(sup, perm, shape): the sup of |F| over each cell's rows (member:
+    the (cells, rows) mask of the rows streamed) in the stream's layout,
+    the lattice axes in the order perm shaped shape (_columns).  The rows
+    stream in one pass on the calling thread, with no shards (a second CPU
+    was measured not to speed the scan up), and each block's |F| goes into
+    one buffer sized by the largest block.  f has the frame's blind axes
+    moved first (_blind_first), so each row's FFT runs along the contiguous
+    last axes; a Hermitian stream (transform._half_axis) takes only the
+    leading slice of the first axis.  What the stream holds is let go on
+    return, before the fits."""
+    ft, u, perm = _blind_first(f, frame.u)
+    levels = window_levels(g, ft.grid, u, y_grid, rows)
+    G = _level0(ft, levels, _half_axis(ft, levels))
+    sup = np.zeros((len(member), G.size))
+    buf = np.empty((0, G.size))
+    for lo, hi, _, S in _spectra(ft, levels, G=G):
+        if hi - lo > len(buf):
+            buf = np.empty((hi - lo, G.size))
+        mags = np.abs(S.reshape(hi - lo, -1), out=buf[:hi - lo])
+        # one in-place maximum per (cell, row) pair, with no gathered copy
+        for i, j in zip(*np.nonzero(member[:, lo:hi])):
+            np.maximum(sup[i], mags[j], out=sup[i])
+    return sup, perm, G.shape
+
+
 def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
                    y_cells: list, cones: list,
                    threshold_N: float = DEFAULT_THRESHOLD_N,
@@ -379,21 +402,10 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
     ||S||_2, and sup_xi |S| >= ||S||_2 / sqrt(Nxi) keeps the noise below
     the floor for Nxi up to about 10^7.  An entry is then the same
     whichever other cells the list holds, and equals decay_fit on the
-    stored field.  The rows stream in shards (transform._in_shards) that
-    share f along level 0 and one sup, each cell's under a lock of its
-    own; a maximum does not depend on the order it is taken in, so the
-    report is the same for any shard count.  Each shard takes a block's
-    |F| into one float buffer, sized by its largest block, and is done
-    with the block before the next is asked for, as the stream reuses its
-    buffer too.  The stream takes f with the frame's blind axes moved
-    first (_blind_first), so each row's FFT runs along the contiguous
-    last axes, and |F| and the sups stay in that layout.  A Hermitian
-    stream (transform._half_axis) takes only the leading slice of its
-    first blind axis, now the first axis, and each point past it reads its
-    mirror's sup (_columns).  The lattice geometry (|xi|, the mirrored
-    mask and the layout column of each point) is computed once, each
-    cone's shell table once, and every entry is fitted in one pass
-    (_scan_fits).  The singular set is the complement of the regular entries.
+    stored field.  The rows stream in one pass on the calling thread
+    (_cell_sups), and every entry is fitted in one pass over the shells of
+    one shell index (_scan_fits).  The singular set is the complement of
+    the regular entries.
     """
     _check_alpha(alpha)
     if math.isnan(threshold_N):
@@ -414,34 +426,14 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
         if not hit.any():
             raise ValueError(f"no y~ lattice points inside cell {cell}")
     rows = np.flatnonzero(member.any(axis=0))
-    member = member[:, rows]
-    ft, u, perm = _blind_first(f, frame.u)
-    levels = window_levels(g, ft.grid, u, y_grid, rows)
-    G = _level0(ft, levels, _half_axis(ft, levels))
-    size = G.size
-    sup = np.zeros((len(y_cells), size))
-    locks = [threading.Lock() for _ in y_cells]
-
-    def shard(a, b, part):
-        buf = np.empty((0, size))
-        for lo, hi, _, S in _spectra(ft, part, G=G):
-            if hi - lo > len(buf):
-                buf = np.empty((hi - lo, size))
-            mags = np.abs(S.reshape(hi - lo, -1), out=buf[:hi - lo])
-            # one in-place maximum per (cell, row) pair, with no gathered copy
-            for i, j in zip(*np.nonzero(member[:, a + lo:a + hi])):
-                with locks[i]:
-                    np.maximum(sup[i], mags[j], out=sup[i])
-
-    _in_shards(shard, levels)
+    sup, perm, shape = _cell_sups(f, g, frame, y_grid, rows, member[:, rows])
     ref = sup.max(axis=1)
     for cell, peak in zip(y_cells, ref):
         if not math.isfinite(peak):     # also NaN, which maximum keeps
             raise ValueError(f"transform values must be finite; the rows "
                              f"of cell {cell} overflowed")
     xi_pts = f.grid.dual().points()
-    lattice = _lattice(xi_pts, _columns(f.grid.counts, perm, G.shape))
-    fits = _scan_fits(xi_pts, sup, cones, alpha, ref, lattice)
+    fits = _scan_fits(xi_pts, sup, cones, alpha, ref, _columns(f.grid.counts, perm, shape))
     entries = [ScanEntry(cell, cone, fit[i], _classify(fit[i], threshold_N))
                for i, cell in enumerate(y_cells) for cone, fit in zip(cones, fits)]
     return WavefrontReport(entries, threshold_N, rows_streamed=len(rows),
@@ -457,8 +449,8 @@ def partial_wf_test(f: Signal, chi: Window, y0, cone: ConeSpec, alpha: float,
     transform and threshold the cone decay of the spectrum."""
     _check_alpha(alpha)
     k = chi.grid.dim
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    if y0.shape[0] != k:
+    y0 = np.array(_finite_center(np.ravel(y0), "cut-off"))
+    if len(y0) != k:
         raise ValueError("y0 must have length k")
     if window_at(chi, np.zeros((1, k)))[0] == 0:
         raise ValueError("cut-off must not vanish at its center")

@@ -704,16 +704,88 @@ def full_spectrum(monkeypatch):
 HALF_FIT_RTOL = 1e-9
 
 
+def dyadic_shells(xi, cone):
+    """(shells, n): the cone's dyadic shells by the plain loop over
+    ConeSpec.contains and the mirrored mask, a list of (cols, norms) per
+    nonempty shell r_min 2^s <= |xi| < r_min 2^(s+1), with cols the
+    shell's lattice indices in lattice order and norms their |xi|, and n
+    the cone's point count."""
+    idx = np.flatnonzero(cone.contains(xi) & wavefront._mirrored(xi))
+    if len(idx) < wavefront.MIN_CONE_POINTS:
+        raise ValueError(f"only {len(idx)} frequency lattice points in the cone")
+    norms = np.linalg.norm(xi, axis=-1)[idx]
+    shells, lo = [], cone.r_min
+    while lo < norms.max() * (1 + 1e-12):
+        sel = (norms >= lo) & (norms < 2 * lo)
+        if np.any(sel):
+            shells.append((idx[sel], norms[sel]))
+        lo *= 2
+    return shells, len(idx)
+
+
+@st.composite
+def shell_cases(draw):
+    """(xi, cones, pos): a 2-d or 3-d lattice of odd and even counts whose
+    origin sits up to 1.5 steps off the centre, 2 to 4 cones of which the
+    first holds a lattice point at |xi| = r_min, on a shell edge, and the
+    second overlaps it and has its largest |xi| on a shell edge, and a
+    column map pos, None or a permutation."""
+    dim = draw(st.sampled_from([2, 3]))
+    counts = [draw(st.integers(8, 20 if dim == 2 else 9)) for _ in range(dim)]
+    spacing = [draw(st.sampled_from([0.125, 0.3, 0.5, 1.0])) for _ in range(dim)]
+    origin = [(-(n // 2) + draw(st.floats(-1.5, 1.5))) * h for n, h in zip(counts, spacing)]
+    xi = Grid(tuple(origin), tuple(spacing), tuple(counts)).points()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    norms, mirrored = np.linalg.norm(xi, axis=-1), wavefront._mirrored(xi)
+    edge = rng.choice(np.flatnonzero((norms > 0) & (norms <= np.median(norms)) & mirrored))
+    centers = rng.normal(size=(draw(st.integers(2, 4)), dim))
+    centers[0] = xi[edge] / norms[edge] + rng.normal(scale=0.1, size=dim)
+    centers[1] = centers[0] + rng.normal(scale=0.2, size=dim)
+    halves = rng.uniform(0.4, 1.3, len(centers))
+    top = norms[ConeSpec(tuple(centers[1]), halves[1], 1e-9).contains(xi) & mirrored].max()
+    r_mins = [norms[edge], top / 2 ** draw(st.integers(1, 3))]
+    r_mins += list(rng.uniform(0.02, 0.3, len(centers) - 2) * norms.max())
+    cones = [ConeSpec(tuple(c), h, r) for c, h, r in zip(centers, halves, r_mins)]
+    pos = rng.permutation(len(xi)) if draw(st.booleans()) else None
+    return xi, cones, pos
+
+
+@SETTINGS
+@given(shell_cases())
+def test_the_shell_index_is_the_plain_dyadic_loop(case):
+    # each cone's shells, columns, radii and point count, exactly, and a
+    # cone with too few points refused by both
+    xi, cones, pos = case
+    got, want = [], []
+    try:
+        for table in wavefront._shell_index(xi, cones, pos):
+            got.append(table)
+    except ValueError as e:
+        assert "lattice points in the cone" in str(e)
+    for cone in cones[:len(got) + 1]:
+        try:
+            want.append(dyadic_shells(xi, cone))
+        except ValueError:
+            break
+    assert len(got) == len(want)
+    assume(got)
+    for (shells, n), (ref, n_ref) in zip(got, want):
+        assert n == n_ref and len(shells) == len(ref)
+        for (cols, norms), (idx, ref_norms) in zip(shells, ref):
+            assert np.array_equal(cols, idx if pos is None else pos[idx])
+            assert np.array_equal(norms, ref_norms)
+
+
 def shell_peaks(F, cell, cone):
-    """(peaks, tied): per dyadic shell of the cone (the scan's shell
-    table), the sup of |F| over the cell's rows, and whether some shell's
-    fit input hangs on roundoff: another point of the shell, at another
+    """(peaks, tied): per dyadic shell of the cone (dyadic_shells), the
+    sup of |F| over the cell's rows, and whether some shell's fit input
+    hangs on roundoff: another point of the shell, at another
     |xi|, within 1e-9 of the sup (the first argmax gives the fit its
     abscissa), or a sup within 1e-9 of the cell's noise floor."""
     xi = F.xi_grid.points()
     sup = np.abs(F.values.reshape(F.y_size, -1)[cell.contains(F.y_grid.points())]).max(axis=0)
     floor = max(wavefront.DYNAMIC_RANGE_FLOOR, wavefront.NOISE_FLOOR_REL * sup.max())
-    shells, _ = wavefront._shell_table(xi, cone, wavefront._lattice(xi))
+    shells, _ = dyadic_shells(xi, cone)
     peaks, tied = [], False
     for cols, norms in shells:
         values = sup[cols]
@@ -797,7 +869,7 @@ def reference_fits(xi, mags, cone, alpha, ref):
     """[(fit, scale)] per row: polyfit_fit of the row's usable shell
     suprema (the first argmax of each shell, above the row's own noise
     floor), and the largest |log sup| it fitted (at least 1)."""
-    shells, n_points = wavefront._shell_table(xi, cone, wavefront._lattice(xi))
+    shells, n_points = dyadic_shells(xi, cone)
     out = []
     for row, peak in zip(mags, ref):
         floor = max(wavefront.DYNAMIC_RANGE_FLOOR, wavefront.NOISE_FLOOR_REL * peak)
@@ -855,9 +927,8 @@ def test_batched_fits_match_the_per_row_polyfit(case):
     # the same saturation; a row fitted alone, in a one-cone call, has the
     # bits it has in the batch; nothing raises under np.errstate(all="raise")
     xi, mags, ref, cones, alpha = case
-    lattice = wavefront._lattice(xi)
     try:
-        tables = [wavefront._shell_table(xi, cone, lattice) for cone in cones]
+        tables = [dyadic_shells(xi, cone) for cone in cones]
     except ValueError:              # a cone with too few lattice points
         assume(False)
     assume(len({len(shells) for shells, _ in tables}) > 1)
@@ -865,11 +936,11 @@ def test_batched_fits_match_the_per_row_polyfit(case):
         want = [reference_fits(xi, mags, cone, alpha, ref) for cone in cones]
     except ValueError:              # a lone usable shell with none decayed
         with pytest.raises(ValueError, match="fewer than 2 usable"):
-            wavefront._scan_fits(xi, mags, cones, alpha, ref, lattice)
+            wavefront._scan_fits(xi, mags, cones, alpha, ref)
         return
     with np.errstate(all="raise"):
-        got = wavefront._scan_fits(xi, mags, cones, alpha, ref, lattice)
-        alone = [[wavefront._cone_fits(xi, mags[r:r + 1], cone, alpha, ref[r], lattice)[0]
+        got = wavefront._scan_fits(xi, mags, cones, alpha, ref)
+        alone = [[wavefront._scan_fits(xi, mags[r:r + 1], [cone], alpha, ref[r])[0][0]
                   for r in range(len(mags))] for cone in cones]
     assert alone == got
     for cone_got, cone_want in zip(got, want):

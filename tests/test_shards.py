@@ -1,10 +1,11 @@
-"""Every y~ stream runs in per-CPU shards (transform._in_shards): a
-factored one in runs of its outer indices, a one-level one in even runs of
-rows whose blocks share one block's entries.  The shards' results match one
-shard's, the same worker count repeats bit for bit, the wavefront scan
-reports the same entries, the caller's numpy error state reaches every
-shard, a fault inside a shard reaches the caller, and no thread outlives a
-call."""
+"""Every y~ stream but the wavefront scan's runs in per-CPU shards
+(transform._in_shards): a factored one in runs of its outer indices, a
+one-level one in even runs of rows whose blocks share one block's entries.
+The shards' results match one shard's, the same worker count repeats bit
+for bit, the caller's numpy error state reaches every shard, a fault inside
+a shard reaches the caller, and no thread outlives a call.  The scan
+streams in one pass on the calling thread, so it reports the same entries
+whatever the worker count."""
 
 import json
 import math
@@ -238,10 +239,9 @@ def test_the_worker_count_is_the_cpus_this_process_may_use():
 
 
 def test_more_shards_than_cpus_under_a_short_switch_interval(monkeypatch):
-    # each shard writes only its own field rows and accumulator, and the
-    # scan's shards take each cell's running sup under its lock; a lost or
-    # crossed write would change the field, the reconstruction or the
-    # report of the cell that spans every shard
+    # each shard writes only its own field rows and accumulator; a lost or
+    # crossed write would change the field or the reconstruction, and the
+    # scan, in one pass on the calling thread, must report alike
     grid = Grid.from_bounds([-8, -8], [8, 8], [32, 32])
     f = gaussian(grid, 1.0, [0.5, -0.3], [0.25, 0.5])
     g = gaussian_window(grid, [1.0, 1.3])

@@ -12,9 +12,8 @@ from dirstft import (BallSpec, ConeSpec, Grid, Signal, build_frame, decay_fit,
 from dirstft.fixtures import delta_sheet, gaussian, heaviside_sheet
 from dirstft.grids import BLOCK_ELEMS
 from dirstft.wavefront import (DYNAMIC_RANGE_FLOOR, LOG_FLOOR, NOISE_FLOOR_REL,
-                               WindowClassWarning, _blind_first, _cone_fits,
-                               _fit, _lattice, cone_dictionary_2d,
-                               fit_spectrum_decay)
+                               WindowClassWarning, _blind_first, _decay_fits,
+                               _scan_fits, cone_dictionary_2d, fit_spectrum_decay)
 
 
 def test_cone_center_normalized_and_contains():
@@ -149,8 +148,9 @@ def loop_fit(xi_pts, mags, cone, alpha, ref):
             continue
         xs.append(float(norms[sel][j]) ** (1.0 / alpha))
         ys.append(math.log(s))
-    return _fit(np.asarray(xs), np.asarray(ys), int(np.count_nonzero(mask)),
-                decayed, alpha)
+    return _decay_fits(np.reshape(xs, (1, 1, -1)), np.reshape(ys, (1, 1, -1)),
+                       np.ones((1, 1, len(xs)), dtype=bool),
+                       [(len(xs) + decayed, int(np.count_nonzero(mask)))], alpha)[0][0]
 
 
 def test_shell_tables_match_per_shell_loop():
@@ -162,8 +162,27 @@ def test_shell_tables_match_per_shell_loop():
     part = np.where(radius < 6.0, smooth, 0.0)     # outer shells decayed
     rows = np.stack([smooth, ties, part])
     for cone in cone_dictionary_2d(16, r_min=1.0):
-        fits = _cone_fits(xi, rows, cone, 2.0, ref=1.0, lattice=_lattice(xi))
+        fits = _scan_fits(xi, rows, [cone], 2.0, 1.0)[0]
         assert fits == [loop_fit(xi, row, cone, 2.0, 1.0) for row in rows]
+
+
+@pytest.mark.parametrize("case", ["longer", "shorter", "2-d", "nan"])
+def test_fit_refuses_magnitudes_that_are_not_one_finite_value_per_point(case):
+    # a longer, shorter or 2-d row would be misread or fail in indexing,
+    # and NaNs would give a saturated fit, so a regular entry
+    xi, mags = synthetic_xi_field(3.0)
+    bad = {"longer": np.concatenate([mags, mags]), "shorter": mags[:-1],
+           "2-d": mags.reshape(128, 128),
+           "nan": np.where(np.arange(len(mags)) % 2, mags, np.nan)}[case]
+    with pytest.raises(ValueError, match="finite" if case == "nan" else "one value per"):
+        fit_spectrum_decay(xi, bad, ConeSpec((1.0, 0.0), math.pi / 16, 1.0), alpha=2.0)
+
+
+def test_cone_rejects_points_of_other_dimension():
+    # a 2-d center is not broadcast against points of three coordinates
+    with pytest.raises(ValueError, match=r"cone center \[1.0, 0.0\] has 2 "
+                                         "coordinates, but the points have 3"):
+        ConeSpec((1.0, 0.0), math.pi / 8, 0.5).contains([[1.0, 0.0, 0.0]])
 
 
 def test_alpha_must_exceed_one():
@@ -220,7 +239,7 @@ def test_scan_rejects_a_cell_or_cone_of_the_wrong_dimension(wrong, monkeypatch):
     def stream(*args):
         raise AssertionError("the scan streamed before checking its cells and cones")
 
-    monkeypatch.setattr(wavefront_module, "_in_shards", stream)
+    monkeypatch.setattr(wavefront_module, "_spectra", stream)
     cells = [BallSpec((0.0, 0.0) if wrong == "cell" else (0.0,), 0.25)]
     cones = ([ConeSpec((1.0, 0.0, 0.0), math.pi / 8, 0.5)] if wrong == "cone"
              else cone_dictionary_2d(8, r_min=0.5))
@@ -338,6 +357,16 @@ def test_partial_rejects_bad_center_length():
     cone = ConeSpec((1.0, 0.0), math.pi / 8, 0.5)
     with pytest.raises(ValueError, match="length"):
         partial_wf_test(f, win, [0.0, 0.0], cone, 2.0)
+
+
+@pytest.mark.parametrize("y0", [math.nan, math.inf])
+def test_partial_rejects_a_center_that_is_not_finite(y0):
+    # a center of NaN or inf must not be read as regular
+    f = delta_sheet(GRID, (1.0, 0.0), 0.0)
+    win = gevrey_bump(WGRID, radius=0.5, alpha=2.0)
+    cone = ConeSpec((1.0, 0.0), math.pi / 8, 0.5)
+    with pytest.raises(ValueError, match="cut-off center must be a vector of finite numbers"):
+        partial_wf_test(f, win, [y0], cone, 2.0)
 
 
 R3 = Grid.from_bounds([-4, -4, -4], [4, 4, 4], [16, 12, 10])
