@@ -13,16 +13,16 @@ import numpy as np
 from .direction import DirectionFrame
 from .grids import (LATTICE_TOL, Grid, Signal, _check_oracle_work, _direct_sum,
                     _idft_into, _phase_tables, _trailing, primal_phase)
-from .transform import DstftField, _in_shards, _level0, _unphased, dstft_fast
-from .windows import (Window, WindowLevels, _check_grids, _keep, _pair_levels,
-                      pairing_check, window_blocks, window_levels)
+from .transform import DstftField, _in_shards, _level0, _plan, _unphased, dstft_fast
+from .windows import (Window, WindowLevels, _check_grids, _keep, pairing_check,
+                      window_blocks)
 
 
 def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Signal:
     """Quadrature synthesis: per y~ block, one batched inverse DFT along
     the innermost window level, weighted by the windows, then the y~
-    Riemann sum (see _synthesize), phasing each block of F into a buffer;
-    the stream runs in shards (transform._in_shards).
+    Riemann sum (see _synthesize), phasing each block of F into a buffer,
+    in the shards of the stream's plan (transform._plan, _in_shards).
 
     Falls back to direct phase summation, capped at grids.ORACLE_WORK_CAP
     terms, when out_grid is not the primal grid of the field's frequency
@@ -31,9 +31,9 @@ def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Sign
     if out_grid.dual() != F.xi_grid:
         return dso_direct(F, g, frame, out_grid)
 
+    plan = _plan(out_grid, g, frame.u, F.y_grid)
     slices = F.values.reshape((F.y_size,) + F.xi_grid.counts)
-    levels = window_levels(g, out_grid, frame.u, F.y_grid)
-    pre = _phase_tables(out_grid, levels.axes).idft_pre
+    pre = _phase_tables(out_grid, plan.levels.axes).idft_pre
 
     def shard(a, b, part):
         def pairs():
@@ -46,7 +46,7 @@ def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Sign
 
         return _synthesize(pairs(), part, out_grid)
 
-    return Signal(out_grid, _finish(_in_shards(shard, levels), levels, out_grid,
+    return Signal(out_grid, _finish(_in_shards(shard, plan), plan.levels, out_grid,
                                     F.y_grid.cell_volume))
 
 
@@ -297,27 +297,26 @@ def _frame_operator(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
 
     Analysis and synthesis are fused per y~ block, and each block is
     inverted in the analysis buffer, so memory stays at a block plus the
-    signal.  The two windows stream in one shape (windows._pair_levels),
-    so the analysis post-phase and synthesis pre-phase cancel; when phi is
-    g, the analysis window levels and blocks are reused for synthesis.  The
-    stream runs in shards (transform._in_shards).  M of two factored
+    signal.  The stream's plan (transform._plan) takes the two windows in
+    one shape, so the analysis post-phase and synthesis pre-phase cancel;
+    when phi is g, the analysis window blocks are reused for synthesis.
+    The plan's shards run in transform._in_shards.  M of two factored
     windows is the product of their per-level sums (_level_sums); any
     other pair's is summed from the window blocks the shards already
     hold, so no window is evaluated twice.
     """
-    levels, synth = _pair_levels(g, phi, f.grid, frame.u, y_grid)
-    G = _level0(f, levels)
-    M = _level_sums(levels, synth)
+    plan = _plan(f.grid, g, frame.u, y_grid, phi=phi)
+    G = _level0(f, plan.levels)
+    M = _level_sums(plan.levels, plan.synth)
 
     def shard(a, b, analysis, synthesis=None):
-        same = synthesis is None
-        synthesis = analysis if same else synthesis
+        synthesis = synthesis or analysis
         m = 0
 
         def pairs():
             nonlocal m
             stream = _unphased(f, analysis, G=G)
-            if same:
+            if synthesis is analysis:
                 blocks = (((lo, hi, W, R), W) for lo, hi, W, R in stream)
             else:
                 blocks = zip(stream, (W for _, _, W in synthesis.blocks), strict=True)
@@ -329,9 +328,8 @@ def _frame_operator(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
         acc = _synthesize(pairs(), synthesis, f.grid)
         return acc, m
 
-    streams = (levels,) if synth is levels else (levels, synth)
-    parts = _in_shards(shard, *streams)
-    rec = _finish([acc for acc, _ in parts], synth, f.grid, y_grid.cell_volume)
+    parts = _in_shards(shard, plan)
+    rec = _finish([acc for acc, _ in parts], plan.synth, f.grid, y_grid.cell_volume)
     if M is None:
         M = sum(m for _, m in parts)
     rec /= pairing

@@ -3,14 +3,14 @@
 DS_{g,u^k} f(y~, xi) = integral f(t) conj(g((u_1.t, ..., u_k.t) - y~))
                        exp(-2 pi i t . xi) dt
 
-sampled on a y~-grid in R^k and the DFT-dual frequency lattice in R^n.  Both
-paths take their windows in y~ blocks, the fast path from
-windows.window_levels and the direct path from windows.window_blocks.  The
-fast path hands each block of windowed signals to one batched FFT quadrature and
-yields the block's spectra; dstft_fast writes them into a field, while
-reconstruction and the wavefront scan consume them block by block.  The
-direct path is the brute-force oracle and also accepts arbitrary
-off-lattice frequencies.
+sampled on a y~-grid in R^k and the DFT-dual frequency lattice in R^n.  The
+fast path hands each y~ block of windowed signals to one batched FFT
+quadrature and yields the block's spectra; dstft_fast writes them into a
+field, while reconstruction and the wavefront scan consume them block by
+block.  Each such y~ stream builds one plan (_plan) of its window levels,
+half axis and shards before it allocates anything, then only executes it
+(_in_shards).  The direct path, on windows.window_blocks, is the
+brute-force oracle and also accepts arbitrary off-lattice frequencies.
 
 The fast path is factored into levels of signal axes, by the frame and the
 window (windows.window_levels):
@@ -49,7 +49,8 @@ import numpy as np
 from .direction import DirectionFrame
 from .grids import (Grid, Signal, _check_oracle_work, _dft_inplace, _direct_sum,
                     _phase_tables, _sample_values, _trailing, as_points)
-from .windows import Window, WindowLevels, window_blocks, window_levels
+from .windows import (Window, WindowLevels, _factored, _frame_rows, window_blocks,
+                      window_levels)
 
 # Largest field, in bytes, that dstft_fast and dstft_direct allocate.
 FIELD_BYTES_CAP = 2 ** 31
@@ -110,35 +111,71 @@ def _check_field_bytes(y_grid: Grid, xi_grid: Grid) -> None:
 
 
 def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """The CPUs this process may run on (its affinity), else the machine's."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _in_shards(task, *streams) -> list:
-    """[task(a, b, *parts) for each shard], in shard order, where parts
-    holds each stream's split (windows.WindowLevels.split) to the positions
-    a:b of its rows.  The streams take one y~ set, and the cuts and the
-    block size are chosen once for all of them (_shard_cuts), so they
-    split alike and their blocks pair up.  The first shard runs on the
-    calling thread and each other on a thread of its own, in a copy of the
-    caller's context (numpy's error state lives there), all joined before
-    this returns, so a shard's exception is raised only once no shard is
-    running (the first shard's first).  numpy's FFTs and array passes
-    release the interpreter lock, so the shards run on the CPUs at once."""
-    cuts, share = _shard_cuts(streams, _cpu_count())
-    shards = [(a, b) + tuple(s.split(a, b, share) for s in streams)
-              for a, b in cuts]
-    results, errors = [None] * len(shards), [None] * len(shards)
+@dataclass(frozen=True)
+class _Plan:
+    """One y~ stream's path (_plan): g's window levels, phi's (levels itself
+    for one window), the half axis (None: the full spectrum) and one (a, b,
+    *streams) per shard, each window's levels split to rows a:b."""
+
+    levels: WindowLevels
+    synth: WindowLevels
+    half: int | None
+    parts: tuple
+
+
+def _plan(grid: Grid, g: Window, u: np.ndarray, y_grid: Grid,
+          rows: np.ndarray | None = None, *, phi: Window | None = None,
+          real: bool = False, shards: bool = True) -> _Plan:
+    """The plan of the stream of g (and phi) over the ascending flat
+    indices rows of y_grid (default: all), for a signal on grid and the
+    direction rows u: the one place where its path is decided, before it
+    allocates anything.  A pair streams factored only when both windows
+    are.  Given real (f has no imaginary part) and real window values
+    (levels.real), DS f(y~, -xi) = conj DS f(y~, xi): the half axis is the
+    first blind axis b, whose slice [0, N_b//2] and mirrors (_mirror) cover
+    every frequency.  There are at most as many parts as CPUs (_cpu_count),
+    one unless shards: runs of whole outer indices of a factored stream,
+    each shard holding whole blocks, else runs of rows whose blocks share
+    one block's BLOCK_ELEMS entries (WindowLevels.split), even to one."""
+    u = _frame_rows(g, grid, u, y_grid)
+    ws = (g,) if phi is None or phi is g else (g, phi)
+    factored = all(_factored(w, u, y_grid) for w in ws)
+    streams = tuple(window_levels(w, grid, u, y_grid, rows, factored) for w in ws)
+    levels, rows = streams[0], streams[0].rows
+    half = levels.blind[0] if real and levels.blind and levels.real else None
+    starts = (np.flatnonzero(np.diff(rows // levels.inner, prepend=-1)) if factored
+              else np.arange(len(rows)))
+    n = min(_cpu_count() if shards else 1, len(starts))
+    cuts = [int(starts[s * len(starts) // n]) for s in range(n)] + [len(rows)]
+    parts = tuple((a, b, *(s.split(a, b, 1 if factored else n) for s in streams))
+                  for a, b in zip(cuts[:-1], cuts[1:]))
+    return _Plan(levels, streams[-1], half, parts)
+
+
+def _in_shards(task, plan: _Plan) -> list:
+    """[task(a, b, *streams) for each part of the plan], in order; nothing
+    is decided here.  The first part runs on the calling thread and each
+    other on a thread of its own, in a copy of the caller's context
+    (numpy's error state lives there), all joined before this returns, so
+    a shard's exception is raised once no shard runs (the first's first).
+    numpy's FFTs release the interpreter lock, so the shards run at once."""
+    parts = plan.parts
+    results, errors = [None] * len(parts), [None] * len(parts)
 
     def run(i):
         try:
-            results[i] = task(*shards[i])
+            results[i] = task(*parts[i])
         except BaseException as e:      # raised on the calling thread below
             errors[i] = e
 
     threads = []
     try:
-        for i in range(1, len(shards)):
+        for i in range(1, len(parts)):
             threads.append(threading.Thread(target=contextvars.copy_context().run,
                                             args=(run, i)))
             threads[-1].start()
@@ -150,28 +187,6 @@ def _in_shards(task, *streams) -> list:
         if e is not None:
             raise e
     return results
-
-
-def _shard_cuts(streams, n: int):
-    """(cuts, share): the (a, b) positions of the streams' rows for each of
-    at most n shards, contiguous and in order, and the number of shards
-    that hold one block of BLOCK_ELEMS entries between them.  The streams
-    take one shape (windows._pair_levels).  When they are factored, the
-    cuts are runs of whole indices of the outer levels (rows // inner),
-    equal in number of outer indices to within one, and each shard holds
-    whole blocks (share 1), as a factored block's window costs no set-up.
-    Else they are runs of rows equal in length to within one, and the
-    shards share one block, so sharding holds no more memory than one
-    stream."""
-    rows, factored = streams[0].rows, bool(streams[0].outer)
-    if factored:
-        starts = np.flatnonzero(np.diff(rows // streams[0].inner)) + 1
-        starts = np.concatenate(([0], starts))
-    else:
-        starts = np.arange(max(1, len(rows)))
-    n = min(n, len(starts))
-    cuts = [int(starts[s * len(starts) // n]) for s in range(n)] + [len(rows)]
-    return list(zip(cuts[:-1], cuts[1:])), 1 if factored else n
 
 
 def _spectra(f: Signal, levels: WindowLevels, out: np.ndarray | None = None,
@@ -199,7 +214,7 @@ def _unphased(f: Signal, levels: WindowLevels, out: np.ndarray | None = None,
     G, f along level 0 (_level0), is computed here, over the whole grid,
     unless the caller gives it, as the shards of one stream and the
     wavefront scan do; a G of the leading slice of a
-    blind axis alone (_half_axis) streams that slice alone, with W real."""
+    blind axis alone (_Plan.half) streams that slice alone, with W real."""
     axes = _trailing(f.grid, levels.axes)
     G = _level0(f, levels) if G is None else G
     partial = _partials(f, levels, G)
@@ -216,20 +231,6 @@ def _unphased(f: Signal, levels: WindowLevels, out: np.ndarray | None = None,
                         out=work[a - lo:b - lo])
         yield lo, hi, W, np.fft.fftn(work, axes=axes, out=work)
         del W       # let go of this window block before the next one is made
-
-
-def _half_axis(f: Signal, levels: WindowLevels) -> int | None:
-    """The first blind axis b of the stream when its spectra are Hermitian,
-    else None.  When f has no imaginary part and every window value the
-    stream multiplies is real (levels.real: a lattice gather of a real
-    window, or real factor tables), conj(g(u . t - y~)) f is real, so
-    DS f(y~, -xi) = conj DS f(y~, xi): the leading slice [0, N_b//2] of a
-    blind axis b (_level0's) and its mirrors (_mirror) cover every
-    frequency.  It needs a blind axis, since the slice is taken at level 0.
-    The choice comes from the input alone."""
-    if levels.blind and levels.real and not f.values.imag.any():
-        return levels.blind[0]
-    return None
 
 
 def _mirror(counts: tuple, b: int) -> list:
@@ -256,7 +257,7 @@ def _mirror(counts: tuple, b: int) -> list:
 def _mirror_fill(values: np.ndarray, grid: Grid, b: int) -> None:
     """Fill the frequencies past the leading slice [0, N_b//2] of axis b of
     values, spectra on grid's dual lattice shaped batch + grid.counts whose
-    leading slices hold a Hermitian transform (_half_axis), with F(xi) =
+    leading slices hold a Hermitian transform (_Plan.half), with F(xi) =
     conj F(-xi) at their mirrors (_mirror), in place, one spectrum at a
     time: a ufunc copies an input that may overlap its output, so each
     copy holds a part of one spectrum.  On the -N/2 line of another even
@@ -278,7 +279,7 @@ def _mirror_fill(values: np.ndarray, grid: Grid, b: int) -> None:
 def _level0(f: Signal, levels: WindowLevels, b: int | None = None) -> np.ndarray:
     """f transformed along level 0, the blind axes, and for a one-level
     stream multiplied by the innermost axes' dft pre-phase; read-only.
-    Given a blind axis b (_half_axis), only its leading slice [0, N_b//2]."""
+    Given a blind axis b (_Plan.half), only its leading slice [0, N_b//2]."""
     grid, blind = f.grid, levels.blind
     G = _dft_inplace(f.values.copy(), grid, blind) if blind else f.values
     if b is not None:
@@ -316,20 +317,20 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
                y_grid: Grid | None = None) -> DstftField:
     """FFT-quadrature k-DSTFT on the dual frequency lattice, as one field.
 
-    Rejects a field above FIELD_BYTES_CAP before allocating it.  Each y~
-    block is transformed in the field's own rows, in shards whose rows do
-    not overlap (_in_shards).  A Hermitian stream (_half_axis) is
-    transformed on the leading slice of its blind axis b alone, in a view
-    of the field, and the rest is then filled from the mirrors
-    (_mirror_fill).
+    Rejects a field above FIELD_BYTES_CAP, then builds the stream's plan
+    (_plan), before allocating the field.  Each y~ block is transformed in
+    the field's own rows, in the plan's shards, whose rows do not overlap
+    (_in_shards).  A Hermitian stream (_Plan.half) is transformed on the
+    leading slice of its blind axis b alone, in a view of the field, and
+    the rest is then filled from the mirrors (_mirror_fill).
     """
     y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
     xi_grid = f.grid.dual()
     _check_field_bytes(y_grid, xi_grid)
-    levels = window_levels(g, f.grid, frame.u, y_grid)
+    plan = _plan(f.grid, g, frame.u, y_grid, real=not f.values.imag.any())
     out = np.empty((y_grid.size,) + xi_grid.counts, dtype=complex)
-    axis = _half_axis(f, levels)
-    G = _level0(f, levels, axis)
+    axis = plan.half
+    G = _level0(f, plan.levels, axis)
     half = out if axis is None else out[(slice(None),) * (axis + 1)
                                         + (slice(0, G.shape[axis]),)]
 
@@ -339,7 +340,7 @@ def dstft_fast(f: Signal, g: Window, frame: DirectionFrame,
             if axis is not None:
                 _mirror_fill(out[a + lo:a + hi], f.grid, axis)
 
-    _in_shards(shard, levels)
+    _in_shards(shard, plan)
     return DstftField(y_grid, f.grid, out, frame)
 
 
@@ -347,6 +348,7 @@ def dstft_direct(f: Signal, g: Window, frame: DirectionFrame,
                  y_grid: Grid | None = None) -> DstftField:
     """Brute-force quadrature oracle on the dual lattice."""
     y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
+    _frame_rows(g, f.grid, frame.u, y_grid)
     xi_grid = f.grid.dual()
     _check_field_bytes(y_grid, xi_grid)
     vals = dstft_direct_at(f, g, frame, y_grid.points(), xi_grid.points())

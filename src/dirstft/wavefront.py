@@ -23,9 +23,9 @@ import numpy as np
 
 from .direction import DirectionFrame
 from .grids import Grid, Signal, dft
-from .transform import (DstftField, _half_axis, _level0, _mirror, _spectra,
+from .transform import (DstftField, _in_shards, _level0, _mirror, _plan, _spectra,
                         default_y_grid)
-from .windows import Window, _seen, window_at, window_levels
+from .windows import Window, _frame_rows, _seen, window_at
 
 LOG_FLOOR = 1e-300          # floor before taking logs (exact zeros)
 DYNAMIC_RANGE_FLOOR = 1e-280  # below this a shell is "fully decayed"
@@ -199,10 +199,15 @@ def _shell_index(xi_pts: np.ndarray, cones: list, pos: np.ndarray | None = None)
     np.searchsorted on those edges, each exactly twice the one before."""
     norms, mirrored = np.linalg.norm(xi_pts, axis=-1), _mirrored(xi_pts)
     for cone in cones:
-        idx = np.flatnonzero(_in_cones([cone], xi_pts, norms)[0] & mirrored)
+        inside = _in_cones([cone], xi_pts, norms)[0]
+        idx = np.flatnonzero(inside & mirrored)
         if len(idx) < MIN_CONE_POINTS:
+            n = np.count_nonzero(inside)
+            why = "" if n == len(idx) else (
+                f": {n} lie in it, but only those whose mirror -xi is in the lattice "
+                "count, so the lattice must be zero-centred, as Grid.dual makes it")
             raise ValueError(f"only {len(idx)} frequency lattice points in the cone "
-                             f"(need >= {MIN_CONE_POINTS})")
+                             f"(need >= {MIN_CONE_POINTS}){why}")
         r, edges = norms[idx], [cone.r_min]
         top = r.max()
         while edges[-1] <= top:
@@ -345,7 +350,7 @@ def _columns(counts: tuple, perm, shape: tuple):
     """The column of each lattice point, in lattice order, in the scan's
     |F| layout: the axes of the lattice counts in the order perm (None:
     unmoved), shaped shape, which holds only the leading slice of the
-    first axis when the stream is Hermitian (transform._half_axis).  A
+    first axis when the stream is Hermitian (transform._Plan.half).  A
     point past the slice takes the column of its mirror (transform._mirror),
     since |F(y~, -xi)| = |F(y~, xi)|.  None when the layout is the
     lattice's own."""
@@ -364,26 +369,32 @@ def _cell_sups(f: Signal, g: Window, frame: DirectionFrame, y_grid: Grid,
                rows: np.ndarray, member: np.ndarray):
     """(sup, perm, shape): the sup of |F| over each cell's rows (member:
     the (cells, rows) mask of the rows streamed) in the stream's layout,
-    the lattice axes in the order perm shaped shape (_columns).  The rows
-    stream in one pass on the calling thread, with no shards (a second CPU
-    was measured not to speed the scan up), and each block's |F| goes into
-    one buffer sized by the largest block.  f has the frame's blind axes
-    moved first (_blind_first), so each row's FFT runs along the contiguous
-    last axes; a Hermitian stream (transform._half_axis) takes only the
-    leading slice of the first axis.  What the stream holds is let go on
-    return, before the fits."""
+    the lattice axes in the order perm shaped shape (_columns).  The plan
+    (transform._plan) has one part: the rows stream in one pass on the
+    calling thread (a second CPU was measured not to speed the scan up),
+    and each block's |F| goes into one buffer sized by the largest block.
+    f has the frame's blind axes moved first (_blind_first), so each row's
+    FFT runs along the contiguous last axes; a Hermitian stream
+    (_Plan.half) takes only the leading slice of the first axis.  What the
+    stream holds is let go on return, before the fits."""
     ft, u, perm = _blind_first(f, frame.u)
-    levels = window_levels(g, ft.grid, u, y_grid, rows)
-    G = _level0(ft, levels, _half_axis(ft, levels))
-    sup = np.zeros((len(member), G.size))
-    buf = np.empty((0, G.size))
-    for lo, hi, _, S in _spectra(ft, levels, G=G):
-        if hi - lo > len(buf):
-            buf = np.empty((hi - lo, G.size))
-        mags = np.abs(S.reshape(hi - lo, -1), out=buf[:hi - lo])
-        # one in-place maximum per (cell, row) pair, with no gathered copy
-        for i, j in zip(*np.nonzero(member[:, lo:hi])):
-            np.maximum(sup[i], mags[j], out=sup[i])
+    plan = _plan(ft.grid, g, u, y_grid, rows, real=not ft.values.imag.any(),
+                 shards=False)
+    G = _level0(ft, plan.levels, plan.half)
+
+    def stream(a, b, levels):
+        sup = np.zeros((len(member), G.size))
+        buf = np.empty((0, G.size))
+        for lo, hi, _, S in _spectra(ft, levels, G=G):
+            if hi - lo > len(buf):
+                buf = np.empty((hi - lo, G.size))
+            mags = np.abs(S.reshape(hi - lo, -1), out=buf[:hi - lo])
+            # one in-place maximum per (cell, row) pair, with no gathered copy
+            for i, j in zip(*np.nonzero(member[:, a + lo:a + hi])):
+                np.maximum(sup[i], mags[j], out=sup[i])
+        return sup
+
+    (sup,) = _in_shards(stream, plan)
     return sup, perm, G.shape
 
 
@@ -421,6 +432,7 @@ def wavefront_scan(f: Signal, g: Window, frame: DirectionFrame, alpha: float,
                                  f"has {name} = {dim}")
     _check_scan_window(g)
     y_grid = default_y_grid(f.grid, frame) if y_grid is None else y_grid
+    _frame_rows(g, f.grid, frame.u, y_grid)     # before the cells test it
     member = _in_balls(y_cells, y_grid.points())
     for cell, hit in zip(y_cells, member):
         if not hit.any():

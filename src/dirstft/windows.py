@@ -188,13 +188,15 @@ def _row_window(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     return lambda rows: block(rows).reshape((len(rows),) + shape), real
 
 
-def _frame_rows(w: Window, grid: Grid, u) -> np.ndarray:
+def _frame_rows(w: Window, grid: Grid, u, y_grid: Grid | None = None) -> np.ndarray:
     """The direction rows u as a (k, n) array, checked against the window
-    and signal dimensions."""
+    and signal dimensions, and against y_grid's when given."""
     u = np.atleast_2d(u)
     if (w.grid.dim, grid.dim) != u.shape:
         raise ValueError(f"window and signal dimensions {w.grid.dim}, "
                          f"{grid.dim} must equal the frame's k, n = {u.shape}")
+    if y_grid is not None and y_grid.dim != len(u):
+        raise ValueError(f"y_grid has {y_grid.dim} axes, but the frame has k = {len(u)}")
     return u
 
 
@@ -270,50 +272,24 @@ class WindowLevels:
 
 
 def window_levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid,
-                  rows: np.ndarray | None = None) -> WindowLevels:
+                  rows: np.ndarray | None = None,
+                  factored: bool | None = None) -> WindowLevels:
     """The levels of the window stream g(u . t - y~) for y~ at the
     ascending flat indices rows of y_grid (default: every point).
 
-    When w is factored (_factored), g(u . t - y~) = prod_j g_j(u_j . t - y_j)
-    and level j is the axes row j touches, with the table of g_j over
-    (y_j, those axes) from window_blocks; the innermost window gathers rows
-    of g_k's table at rows % inner, so no (B, Nt) block of the full window
-    is formed, and an outer index no row touches is never visited.  Any
+    When w is factored (_factored, unless told, as transform._plan tells a
+    pair), g(u . t - y~) = prod_j g_j(u_j . t - y_j) and level j is the
+    axes row j touches, with the table of g_j over (y_j, those axes) from
+    window_blocks; the innermost window gathers rows of g_k's table at
+    rows % inner, so no (B, Nt) block of the full window is formed, and
+    an outer index no row touches is never visited.  Any
     other window or frame has one level over every seen axis, whose window
     is _row_window on the points of y_grid.  Either way the blocks are
     those of _block_bounds over rows, so streams of different windows pair
     up.
     """
     u = _frame_rows(w, grid, u)
-    return _levels(w, grid, u, y_grid, rows, _factored(w, u, y_grid))
-
-
-def _pair_levels(g: Window, phi: Window, grid: Grid, u: np.ndarray,
-                 y_grid: Grid) -> tuple:
-    """The window_levels of g and of phi over every point of y_grid, in one
-    shape: factored only when both windows are, else both one level, so
-    that the two streams take the same levels and innermost axes.  When
-    phi is g, its one stream is returned twice."""
-    u = _frame_rows(g, grid, u)
-    factored = _factored(g, u, y_grid) and (phi is g or _factored(phi, u, y_grid))
-    levels = _levels(g, grid, u, y_grid, None, factored)
-    return levels, (levels if phi is g else _levels(phi, grid, u, y_grid, None, factored))
-
-
-def _factored(w: Window, u: np.ndarray, y_grid: Grid) -> bool:
-    """Whether w streams one level per direction row: it carries k > 1
-    factors whose product is still exactly w.values (a window whose values
-    were reassigned takes one level), y_grid has k axes and the checked
-    direction rows u touch pairwise disjoint sets of signal axes."""
-    touched = u != 0
-    return bool(len(w.factors) > 1 and y_grid.dim == w.grid.dim
-                and touched.any(axis=1).all() and touched.sum(axis=0).max() == 1
-                and np.array_equal(_outer([p.values for p in w.factors]), w.values))
-
-
-def _levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid,
-            rows: np.ndarray | None, factored: bool) -> WindowLevels:
-    """window_levels for the checked direction rows u, factored as told."""
+    factored = _factored(w, u, y_grid) if factored is None else factored
     touched, seen = u != 0, _seen(u)
     blind = _axes(~seen)
     if rows is None:
@@ -330,6 +306,17 @@ def _levels(w: Window, grid: Grid, u: np.ndarray, y_grid: Grid,
     return WindowLevels(blind, outer, _axes(touched[-1]), y_grid.counts[:-1],
                         y_grid.counts[-1], rows, lambda r: table[r % len(table)],
                         grid.size, not any(t.imag.any() for t in tables))
+
+
+def _factored(w: Window, u: np.ndarray, y_grid: Grid) -> bool:
+    """Whether w streams one level per direction row: it carries k > 1
+    factors whose product is still exactly w.values (a window whose values
+    were reassigned takes one level), y_grid has k axes and the checked
+    direction rows u touch pairwise disjoint sets of signal axes."""
+    touched = u != 0
+    return bool(len(w.factors) > 1 and y_grid.dim == w.grid.dim
+                and touched.any(axis=1).all() and touched.sum(axis=0).max() == 1
+                and np.array_equal(_outer([p.values for p in w.factors]), w.values))
 
 
 def _axes(mask: np.ndarray) -> tuple:

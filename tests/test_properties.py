@@ -23,8 +23,7 @@ from dirstft.grids import (BLOCK_ELEMS, LATTICE_TOL, _dft_inplace, _direct_sum,
                            rel_l2_error, relative_error)
 from dirstft.synthesis import _frame_operator, covering_y_grid, dso
 from dirstft.wavefront import WindowClassWarning
-from dirstft.windows import (_projected_box, _trig_blocks, window_at, window_blocks,
-                             window_levels)
+from dirstft.windows import _projected_box, _trig_blocks, window_at, window_blocks
 from test_synthesis import modulated_window
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
@@ -692,9 +691,15 @@ def hermitian_cases(draw):
 
 
 def full_spectrum(monkeypatch):
-    """Force the full-spectrum path: no stream is taken as Hermitian."""
-    monkeypatch.setattr(transform, "_half_axis", lambda f, levels: None)
-    monkeypatch.setattr(wavefront, "_half_axis", lambda f, levels: None)
+    """Force the full-spectrum path: no stream is taken as Hermitian, as
+    every plan is built as for a complex f."""
+    plan = transform._plan
+
+    def full(*args, **kwargs):
+        return plan(*args, **{**kwargs, "real": False})
+
+    monkeypatch.setattr(transform, "_plan", full)
+    monkeypatch.setattr(wavefront, "_plan", full)
 
 
 # The largest relative difference of a fit's fields between the half and
@@ -806,8 +811,8 @@ def test_real_streams_take_half_the_spectrum(case):
     # roundoff, and so do its fits and verdicts where no exact tie in |F|
     # leaves the choice of a shell's argmax to roundoff
     f, g, frame, cells, cones = case
-    b = transform._half_axis(f, window_levels(g, f.grid, frame.u,
-                                              default_y_grid(f.grid, frame)))
+    b = transform._plan(f.grid, g, frame.u, default_y_grid(f.grid, frame),
+                        real=not f.values.imag.any()).half
     assert b == int(np.flatnonzero(~frame.u.any(axis=0))[0])
     F = dstft_fast(f, g, frame)
     for dst, src in transform._mirror(f.grid.counts, b):

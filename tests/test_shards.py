@@ -192,40 +192,43 @@ def test_one_level_shards_match_one_worker_and_repeat(case):
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
-def test_shards_are_runs_of_whole_outer_indices(n):
+def test_shards_are_runs_of_whole_outer_indices(monkeypatch, n):
     grid = Grid.from_bounds([-4, -4, -4], [4, 4, 4], [6, 5, 7])
-    levels = window_levels(gaussian_window(grid, [1.0, 1.2, 1.5]), grid,
+    force_workers(monkeypatch, n)
+    plan = transform._plan(grid, gaussian_window(grid, [1.0, 1.2, 1.5]),
                            identity_frame(3, 3).u, grid)
-    cuts, share = transform._shard_cuts((levels,), n)
-    assert len(cuts) == min(n, 30) and share == 1
+    levels = plan.levels
+    cuts = [(a, b) for a, b, _ in plan.parts]
+    assert len(cuts) == min(n, 30)
     assert [a for a, _ in cuts[1:]] == [b for _, b in cuts[:-1]]
     assert cuts[0][0] == 0 and cuts[-1][1] == grid.size
-    for a, b in cuts:
-        part = levels.split(a, b, share)
+    for a, b, part in plan.parts:
+        assert part.nt == grid.size         # whole blocks in each shard
         assert a % levels.inner == 0 and np.array_equal(part.rows, levels.rows[a:b])
         assert [(lo, hi) for lo, hi, _ in part.blocks] \
             == list(_block_bounds(b - a, grid.size))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
-def test_a_one_level_stream_splits_into_even_runs_that_share_one_block(n):
+def test_a_one_level_stream_splits_into_even_runs_that_share_one_block(monkeypatch, n):
     grid = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
     frame = build_frame([[1.0, 1.0]])
     # a y~ grid of several blocks' rows
     y_grid = Grid.from_bounds([-4], [4], [600])
-    levels = window_levels(gaussian_window(grid.take([0]), 1.0), grid,
-                           frame.u, y_grid)
+    force_workers(monkeypatch, n)
+    plan = transform._plan(grid, gaussian_window(grid.take([0]), 1.0), frame.u, y_grid)
+    levels = plan.levels
     assert levels.outer == ()
-    cuts, share = transform._shard_cuts((levels,), n)
-    assert share == n and len(cuts) == n
+    cuts = [(a, b) for a, b, _ in plan.parts]
+    assert len(cuts) == n
     assert [a for a, _ in cuts[1:]] == [b for _, b in cuts[:-1]]
     assert cuts[0][0] == 0 and cuts[-1][1] == y_grid.size
     assert max(b - a for a, b in cuts) - min(b - a for a, b in cuts) <= 1
     whole = max(hi - lo for lo, hi, _ in levels.blocks)
     assert whole == BLOCK_ELEMS // grid.size
     held = 0
-    for a, b in cuts:
-        part = levels.split(a, b, share)
+    for a, b, part in plan.parts:
+        assert part.nt == n * grid.size     # the n shards share one block
         assert np.array_equal(part.rows, levels.rows[a:b])
         blocks = [(lo, hi) for lo, hi, _ in part.blocks]
         assert blocks == list(_block_bounds(b - a, n * grid.size))
@@ -351,8 +354,8 @@ def test_the_callers_error_state_reaches_every_shard(monkeypatch):
     g = gaussian_window(grid, [1.0, 1.0])
     frame = identity_frame(2, 2)
     force_workers(monkeypatch, 2)
-    cuts, _ = transform._shard_cuts((window_levels(g, grid, frame.u, grid),), 2)
-    first = Grid(grid.origin, grid.spacing, (cuts[0][1] // grid.counts[1], grid.counts[1]))
+    (_, cut, _), _ = transform._plan(grid, g, frame.u, grid).parts
+    first = Grid(grid.origin, grid.spacing, (cut // grid.counts[1], grid.counts[1]))
     with np.errstate(over="raise"):
         dstft_fast(f, g, frame, y_grid=first)
         with warnings.catch_warnings(record=True) as caught:

@@ -14,7 +14,7 @@ from dirstft.fixtures import gaussian, heaviside_sheet, random_bandlimited
 from dirstft.grids import BLOCK_ELEMS, relative_error
 from dirstft.transform import default_y_grid, dstft_direct_at
 from dirstft.wavefront import cone_dictionary_2d
-from dirstft.windows import _lattice_blocks, window_at, window_blocks, window_levels
+from dirstft.windows import _lattice_blocks, window_at, window_blocks
 
 
 def classical_stft(f, g, y_grid, xi_grid):
@@ -285,9 +285,11 @@ def test_blind_axes_match_the_oracles(name, on_lattice):
 
 
 def full_spectrum_field(monkeypatch, f, g, frame):
-    """dstft_fast with no stream taken as Hermitian (transform._half_axis)."""
+    """dstft_fast with no stream taken as Hermitian (transform._Plan.half):
+    its plan is built as for a complex f."""
+    plan = transform._plan
     with monkeypatch.context() as mp:
-        mp.setattr(transform, "_half_axis", lambda f, levels: None)
+        mp.setattr(transform, "_plan", lambda *a, **kw: plan(*a, **{**kw, "real": False}))
         return dstft_fast(f, g, frame)
 
 
@@ -311,8 +313,10 @@ def test_complex_signals_trig_windows_and_square_frames_keep_the_full_spectrum(
     else:
         g = gaussian_window(Grid.from_bounds([-2, -2], [2, 2], [8, 8]), [1.0, 1.0])
         frame = identity_frame(2, 2)
-    levels = window_levels(g, f.grid, frame.u, default_y_grid(f.grid, frame))
-    assert transform._half_axis(f, levels) is None
+    plan = transform._plan(f.grid, g, frame.u, default_y_grid(f.grid, frame),
+                           real=not f.values.imag.any())
+    levels = plan.levels
+    assert plan.half is None
     assert (levels.real, bool(levels.blind)) == {
         "complex f": (True, True), "off-lattice window": (False, True),
         "k = n": (True, False)}[case]

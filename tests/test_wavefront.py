@@ -121,6 +121,17 @@ def test_fit_rejects_tiny_cone():
         fit_spectrum_decay(xi, mags, cone, alpha=2.0)
 
 
+def test_a_cone_on_a_lattice_that_is_not_centred_names_both_counts():
+    # the shells count only points whose mirror -xi is in the lattice box,
+    # which on this lattice drops every point of the cone
+    xi = Grid((0.5, 0.5), (1, 1), (16, 16)).points()
+    cone = ConeSpec((1.0, 1.0), math.pi / 8, 1.0)
+    assert np.count_nonzero(cone.contains(xi)) == 149
+    with pytest.raises(ValueError, match=r"only 0 frequency lattice points in the "
+                       r"cone \(need >= 8\): 149 lie in it, .* zero-centred"):
+        fit_spectrum_decay(xi, np.ones(len(xi)), cone, alpha=2.0)
+
+
 def loop_fit(xi_pts, mags, cone, alpha, ref):
     """The per-shell loop that the shell tables replaced, kept as the
     reference: each shell's argmax is the first in lattice order.  Only
