@@ -305,10 +305,7 @@ def cmd_analyze(cfg: dict, args) -> int:
     g = _parse_window(cfg["window"])
     frame = _parse_frame(cfg["frame"])
     y_grid = _y_grid(cfg, frame)
-    if args.oracle:
-        F = dstft_direct(f, g, frame, y_grid=y_grid)
-    else:
-        F = dstft_fast(f, g, frame, y_grid=y_grid)
+    F = (dstft_direct if args.oracle else dstft_fast)(f, g, frame, y_grid=y_grid)
     sigio.write_field(cfg["out"], F)
     return 0
 
@@ -319,10 +316,7 @@ def cmd_synthesize(cfg: dict, args) -> int:
     F = sigio.read_field(cfg["field"])
     g = _parse_window(cfg["window"])
     out_grid = _parse_grid(cfg["out_grid"], "out_grid") if "out_grid" in cfg else F.grid
-    if args.oracle:
-        rec = dso_direct(F, g, F.frame, out_grid)
-    else:
-        rec = dso(F, g, F.frame, out_grid)
+    rec = (dso_direct if args.oracle else dso)(F, g, F.frame, out_grid)
     sigio.write_signal(cfg["out"], rec)
     return 0
 

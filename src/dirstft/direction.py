@@ -26,8 +26,8 @@ class DirectionFrame:
 
 
 def build_frame(u_rows) -> DirectionFrame:
-    """Normalize the direction rows and complete them to B = [u; e_j ...],
-    j ascending over n - k coordinate axes.
+    """Normalize the direction rows (_unit_rows) and complete them to
+    B = [u; e_j ...], j ascending over n - k coordinate axes.
 
     The trailing axes e_{k+1} ... e_n are taken whenever they complete u.
     They do not when u is blind to a leading axis (u = e_2 in R^2, say), and
@@ -48,12 +48,7 @@ def build_frame(u_rows) -> DirectionFrame:
     if np.any(big == 0):
         bad = int(np.argmin(big))
         raise ValueError(f"direction row {bad} is zero and cannot be normalized")
-    # each row scaled by the power of two at or below its largest |entry|
-    # before its norm is taken, so that the norm neither overflows nor
-    # underflows; the scaling is exact, so a row whose norm does neither
-    # normalizes to the same bits as unscaled
-    u = u / np.ldexp(1.0, np.frexp(big)[1] - 1)[:, None]
-    u = u / np.linalg.norm(u, axis=1)[:, None]
+    u = _unit_rows(u)
     B = np.eye(n)
     B[:k, :] = u
     det_B = np.linalg.det(B)
@@ -66,6 +61,21 @@ def build_frame(u_rows) -> DirectionFrame:
             "(|det B| below threshold for B = [u; e_j ...])")
     C = np.linalg.inv(B)
     return DirectionFrame(n=n, k=k, u=u, B=B, C=C, det_C=1.0 / det_B)
+
+
+def _unit_rows(u: np.ndarray) -> np.ndarray:
+    """The finite nonzero rows of u at unit length: a row within 1e-12 of
+    it is kept as given, so that rows normalized once keep their bits (a
+    frame rebuilt from a field file's rows, say).  Each row is scaled by
+    the power of two at or below its largest |entry| before its norm is
+    taken, so that the norm neither overflows nor underflows; the scaling
+    is exact, so a row whose norm does neither normalizes to the same bits
+    as unscaled."""
+    scale = np.ldexp(1.0, np.frexp(np.abs(u).max(axis=1))[1] - 1)[:, None]
+    norm = np.linalg.norm(u / scale, axis=1)[:, None]
+    # scale capped at 2, past which no row is near unit length: no overflow
+    unit = np.abs(norm * np.minimum(scale, 2.0) - 1.0) <= 1e-12
+    return np.where(unit, u, u / scale / norm)
 
 
 def _completion(u: np.ndarray) -> list:

@@ -424,8 +424,7 @@ def evaluate_trig_grid(f: Signal, A, out_grid: Grid) -> np.ndarray:
 def _trig_grid(modes: Grid, A: np.ndarray, out_grid: Grid):
     """evaluate(c), the sums sum_m c[b, m] exp(2 pi i X_m . A s) over the
     points X_m of the grid modes, shaped (B,) + out_grid.counts for the B
-    rows of c (shaped batch + modes.counts); set up once, here, evaluate
-    may run on any thread.
+    rows of c (shaped batch + modes.counts); set up once, here.
 
     X . A s = sum_l s_l sum_j A_jl X_j, so mode axis j contributes one
     (M_j, N_l) phase table per output axis l with A_jl != 0.  The mode axes

@@ -22,14 +22,16 @@ def dso(F: DstftField, g: Window, frame: DirectionFrame, out_grid: Grid) -> Sign
     """Quadrature synthesis: per y~ block, one batched inverse DFT along
     the innermost window level, weighted by the windows, then the y~
     Riemann sum (see _synthesize), phasing each block of F into a buffer,
-    in the shards of the stream's plan (transform._plan, _in_shards).
+    in the parts of the stream's plan (transform._plan, _in_shards): runs
+    of whole outer y~ indices, one for a one-level stream.
 
     Falls back to direct phase summation, capped at grids.ORACLE_WORK_CAP
     terms, when out_grid is not the primal grid of the field's frequency
-    lattice.
+    lattice.  Raises ValueError unless frame has F's direction rows.
     """
     if out_grid.dual() != F.xi_grid:
         return dso_direct(F, g, frame, out_grid)
+    _check_frame(F, frame)
 
     plan = _plan(out_grid, g, frame.u, F.y_grid)
     slices = F.values.reshape((F.y_size,) + F.xi_grid.counts)
@@ -115,7 +117,9 @@ def dso_direct(F: DstftField, g: Window, frame: DirectionFrame,
                out_grid: Grid) -> Signal:
     """Brute-force synthesis oracle, a direct sum (grids._direct_sum) per y~
     block, capped at grids.ORACLE_WORK_CAP terms (Nout Ny Nxi); the cap is
-    checked before anything the size of out_grid is allocated."""
+    checked before anything the size of out_grid is allocated.  Raises
+    ValueError unless frame has F's direction rows."""
+    _check_frame(F, frame)
     _check_oracle_work(
         out_grid.size * F.y_size * F.xi_size, "direct synthesis",
         f"; the fast path needs an out_grid with the spacing and counts of "
@@ -128,6 +132,12 @@ def dso_direct(F: DstftField, g: Window, frame: DirectionFrame,
         acc += (inv.reshape((hi - lo,) + out_grid.counts) * W).sum(axis=0)
     acc *= F.y_grid.cell_volume * F.xi_grid.cell_volume
     return Signal(out_grid, acc)
+
+
+def _check_frame(F: DstftField, frame: DirectionFrame) -> None:
+    """Raise ValueError, naming both, unless frame has F's direction rows."""
+    if not np.array_equal(frame.u, F.frame.u):
+        raise ValueError(f"frame rows {frame.u.tolist()} are not the field's {F.frame.u.tolist()}")
 
 
 # Largest roundoff gain max_r A_r / min_r |C_r| that the default y~ stride
@@ -300,10 +310,11 @@ def _frame_operator(f: Signal, g: Window, phi: Window, frame: DirectionFrame,
     signal.  The stream's plan (transform._plan) takes the two windows in
     one shape, so the analysis post-phase and synthesis pre-phase cancel;
     when phi is g, the analysis window blocks are reused for synthesis.
-    The plan's shards run in transform._in_shards.  M of two factored
-    windows is the product of their per-level sums (_level_sums); any
-    other pair's is summed from the window blocks the shards already
-    hold, so no window is evaluated twice.
+    The plan's parts, runs of whole outer y~ indices, run in
+    transform._in_shards.  M of two factored windows is the product of
+    their per-level sums (_level_sums); a one-level pair, which runs as
+    one part, sums it from the window blocks it already holds, so no
+    window is evaluated twice.
     """
     plan = _plan(f.grid, g, frame.u, y_grid, phi=phi)
     G = _level0(f, plan.levels)

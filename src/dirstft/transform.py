@@ -138,29 +138,28 @@ def _plan(grid: Grid, g: Window, u: np.ndarray, y_grid: Grid,
     are.  Given real (f has no imaginary part) and real window values
     (levels.real), DS f(y~, -xi) = conj DS f(y~, xi): the half axis is the
     first blind axis b, whose slice [0, N_b//2] and mirrors (_mirror) cover
-    every frequency.  There are at most as many parts as CPUs (_cpu_count),
-    one unless shards: runs of whole outer indices of a factored stream,
-    each shard holding whole blocks, else runs of rows whose blocks share
-    one block's BLOCK_ELEMS entries (WindowLevels.split), even to one."""
+    every frequency.  The parts are runs of whole outer y~ indices, at most
+    as many as CPUs (_cpu_count), one unless shards; a one-level stream
+    has no outer index, so it runs as one part."""
     u = _frame_rows(g, grid, u, y_grid)
     ws = (g,) if phi is None or phi is g else (g, phi)
     factored = all(_factored(w, u, y_grid) for w in ws)
     streams = tuple(window_levels(w, grid, u, y_grid, rows, factored) for w in ws)
     levels, rows = streams[0], streams[0].rows
     half = levels.blind[0] if real and levels.blind and levels.real else None
-    starts = (np.flatnonzero(np.diff(rows // levels.inner, prepend=-1)) if factored
-              else np.arange(len(rows)))
+    starts = np.flatnonzero(np.diff(rows // levels.inner, prepend=-1))
     n = min(_cpu_count() if shards else 1, len(starts))
     cuts = [int(starts[s * len(starts) // n]) for s in range(n)] + [len(rows)]
-    parts = tuple((a, b, *(s.split(a, b, 1 if factored else n) for s in streams))
+    parts = tuple((a, b, *(s.split(a, b) for s in streams))
                   for a, b in zip(cuts[:-1], cuts[1:]))
     return _Plan(levels, streams[-1], half, parts)
 
 
 def _in_shards(task, plan: _Plan) -> list:
     """[task(a, b, *streams) for each part of the plan], in order; nothing
-    is decided here.  The first part runs on the calling thread and each
-    other on a thread of its own, in a copy of the caller's context
+    is decided here.  The first part, a one-level stream's only one, runs
+    on the calling thread and each other on a thread of its own, in a copy
+    of the caller's context
     (numpy's error state lives there), all joined before this returns, so
     a shard's exception is raised once no shard runs (the first's first).
     numpy's FFTs release the interpreter lock, so the shards run at once."""

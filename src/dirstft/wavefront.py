@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direction import DirectionFrame
+from .direction import DirectionFrame, _unit_rows
 from .grids import Grid, Signal, dft
 from .transform import (DstftField, _in_shards, _level0, _mirror, _plan, _spectra,
                         default_y_grid)
@@ -52,21 +52,10 @@ class ConeSpec:
 
     def __post_init__(self):
         c = _finite_center(self.center, "cone")
-        big = max(map(abs, c))
-        if big == 0:
+        if not any(c):
             raise ValueError("cone center must be a nonzero direction")
-        # scaled by the power of two at or below its largest |entry| before
-        # its norm is taken, as build_frame does, so that the norm neither
-        # overflows nor underflows; the scaling is exact, so a center whose
-        # norm does neither normalizes to the same bits as unscaled.  One
-        # within 1e-12 of unit length is kept as given; norm * scale is a
-        # Python float product, inf on overflow, not an error.
-        scale = math.ldexp(1.0, math.frexp(big)[1] - 1)
-        scaled = np.array(c) / scale
-        norm = float(np.linalg.norm(scaled))
-        if abs(norm * scale - 1.0) > 1e-12:
-            c = tuple(float(x) for x in scaled / norm)
-        object.__setattr__(self, "center", c)
+        # build_frame's rule for a direction row
+        object.__setattr__(self, "center", tuple(_unit_rows(np.array([c]))[0].tolist()))
         if not 0 < self.half_angle < np.pi / 2:
             raise ValueError("half_angle must lie in (0, pi/2)")
         if not 0 < self.r_min < math.inf:

@@ -163,9 +163,9 @@ def _row_window(w: Window, grid: Grid, u: np.ndarray, Y: np.ndarray):
     """(window, real): window maps rows -> W, with W[b] = window_at(w, proj
     - Y[rows[b]]) for the checked (k, n) direction rows u and the nonempty
     y~ points Y, (Ny, k); the set-up is done once, here, and any run of
-    rows, on any thread, reads it.  real tells, before any block is
-    evaluated, that every W holds real values: a lattice gather of a
-    window with real samples (a gather reads only samples and zeros).
+    rows reads it.  real tells, before any block is evaluated, that every
+    W holds real values: a lattice gather of a window with real samples
+    (a gather reads only samples and zeros).
 
     g(u . t - y~) does not depend on t_i along a blind axis i of the frame,
     one whose column u_(.i) is zero.  So W is evaluated on the sub-grid of
@@ -228,10 +228,9 @@ class WindowLevels:
     indices to the innermost level's factor at each, the level covering
     the signal axes in axes.  blocks yields (lo, hi, W) over the positions
     lo:hi of rows in the blocks of _block_bounds(len(rows), nt), with W
-    the window at rows[lo:hi]; nt is the entries one block row counts for:
-    the signal grid's size, times the number of shards that hold one
-    block between them (split).  real tells that every window value the
-    stream multiplies, the outer tables' and W's, is real."""
+    the window at rows[lo:hi] and nt the signal grid's size.  real tells
+    that every window value the stream multiplies, the outer tables' and
+    W's, is real."""
 
     blind: tuple
     outer: tuple
@@ -249,11 +248,9 @@ class WindowLevels:
         return ((lo, hi, self.window(rows[lo:hi]))
                 for lo, hi in _block_bounds(len(rows), self.nt))
 
-    def split(self, a: int, b: int, share: int = 1) -> "WindowLevels":
-        """The stream of the positions a:b of rows alone, in blocks of
-        1/share of the entries of this stream's, so that share such shards
-        hold one block between them."""
-        return replace(self, rows=self.rows[a:b], nt=self.nt * share)
+    def split(self, a: int, b: int) -> "WindowLevels":
+        """The stream of the positions a:b of rows alone."""
+        return replace(self, rows=self.rows[a:b])
 
     def segments(self, lo: int, hi: int):
         """(a, b, index) for each run a:b of the positions lo:hi of rows

@@ -22,6 +22,13 @@ def test_rows_normalized_and_b_assembled():
     assert np.allclose(fr.B @ fr.C, np.eye(2), atol=1e-14)
 
 
+@pytest.mark.parametrize("rows", [[[1.0, 1.0]], [[3.0, 4.0]], [[1.0, 2.0, 2.0], [0.0, 1.0, -1.0]]])
+def test_a_frame_rebuilt_from_its_rows_has_the_same_bits(rows):
+    # rows within 1e-12 of unit length are kept as given, not renormalized
+    u = build_frame(rows).u
+    assert np.array_equal(build_frame(u).u, u)
+
+
 def test_identity_frame_is_identity():
     fr = identity_frame(3, 2)
     assert np.allclose(fr.B, np.eye(3), atol=1e-14)

@@ -41,6 +41,14 @@ def test_field_binary_roundtrip(tmp_path, signal):
     assert np.array_equal(back.values, F.values)
 
 
+def test_a_field_keeps_its_frame_bit_for_bit(tmp_path, signal):
+    # u = (1, 1)/sqrt2 is unit length only to roundoff; the reader keeps it
+    win = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
+    F = dstft_fast(signal, win, build_frame([[1.0, 1.0]]))
+    write_field(tmp_path / "F.dstf", F)
+    assert np.array_equal(read_field(tmp_path / "F.dstf").frame.u, F.frame.u)
+
+
 def test_bad_magic_rejected(tmp_path):
     p = tmp_path / "junk.dstf"
     p.write_bytes(b"NOPE" + b"\x00" * 64)

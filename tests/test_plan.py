@@ -26,7 +26,7 @@ CONES = [ConeSpec((1.0, 0.0), 0.5, 0.5), ConeSpec((0.0, 1.0), 0.5, 0.5)]
 
 def calls():
     """One call of each streaming entry point, by name: a factored k = n = 2
-    stream, a real one-level stream on half its spectrum, a pair of
+    stream, a real one-level stream on half its spectrum, a factored pair of
     windows in one shape, and the scan."""
     f = gaussian(GRID, 1.0, [0.5, -0.3], [0.25, 0.5])
     sheet = heaviside_sheet(GRID, (1.0, 0.0), 0.2)
@@ -58,7 +58,9 @@ def test_each_streaming_entry_point_builds_one_plan(monkeypatch, name):
         monkeypatch.setattr(module, "_plan", counted)
     call()
     assert len(built) == 1
-    assert len(built[0].parts) == (1 if name == "wavefront_scan" else 2)
+    # a one-level stream, and the scan's, runs as one part
+    assert len(built[0].parts) == (1 if name in ("dstft_fast half", "wavefront_scan")
+                                   else 2)
     assert (built[0].half is not None) == (name in ("dstft_fast half", "wavefront_scan"))
 
 

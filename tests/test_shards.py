@@ -1,6 +1,6 @@
-"""Every y~ stream but the wavefront scan's runs in per-CPU shards
-(transform._in_shards): a factored one in runs of its outer indices, a
-one-level one in even runs of rows whose blocks share one block's entries.
+"""A factored y~ stream runs in per-CPU shards (transform._in_shards), runs
+of its outer indices; a one-level stream has no outer index and runs as one
+part, so its outputs and its memory are the same whatever the CPU count.
 The shards' results match one shard's, the same worker count repeats bit
 for bit, the caller's numpy error state reaches every shard, a fault inside
 a shard reaches the caller, and no thread outlives a call.  The scan
@@ -117,8 +117,7 @@ def one_level_cases(draw):
     over two window mode axes), with a Gaussian or Gevrey-bump window and
     phi either g or the other kind of window; or a factored Gaussian g on a
     frame that permutes two signal axes with a one-level phi of other
-    values.  The y~ grid takes a stride per axis and several blocks' rows,
-    so shard cuts fall inside blocks of one shard."""
+    values.  The y~ grid takes a stride per axis and several blocks' rows."""
     n = draw(st.sampled_from([2, 3]))
     counts = tuple(2 * draw(st.integers(*((6, 16) if n == 2 else (4, 6))))
                    for _ in range(n))
@@ -174,6 +173,8 @@ def scan(f, g, frame, y_grid, cones):
 @SETTINGS
 @given(one_level_cases())
 def test_one_level_shards_match_one_worker_and_repeat(case):
+    # a one-level stream runs as one part on any worker count, so every
+    # output has one worker's bytes
     f, g, phi, frame, y_grid, cones = case
     assert not window_levels(phi, f.grid, frame.u, y_grid).outer
     with pytest.MonkeyPatch.context() as mp:
@@ -182,12 +183,9 @@ def test_one_level_shards_match_one_worker_and_repeat(case):
             force_workers(mp, n)
             runs[n] = outputs(f, g, phi, frame, y_grid), outputs(f, g, phi, frame, y_grid)
             reports[n] = scan(f, g, frame, y_grid, cones)
-    field1, *rest1 = runs[1][0]
     for n in WORKERS:
-        first, again = runs[n]
-        assert all(np.array_equal(a, b) for a, b in zip(first, again))
-        assert np.array_equal(first[0], field1)
-        assert all(rel_l2_error(a, b) <= 1e-15 for a, b in zip(first[1:], rest1))
+        for run in runs[n]:
+            assert all(np.array_equal(a, b) for a, b in zip(run, runs[1][0]))
         assert reports[n] == reports[1]
 
 
@@ -209,32 +207,66 @@ def test_shards_are_runs_of_whole_outer_indices(monkeypatch, n):
             == list(_block_bounds(b - a, grid.size))
 
 
-@pytest.mark.parametrize("n", [2, 3, 8])
-def test_a_one_level_stream_splits_into_even_runs_that_share_one_block(monkeypatch, n):
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_a_one_level_plan_has_one_part_on_any_cpu_count(monkeypatch, n):
     grid = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
     frame = build_frame([[1.0, 1.0]])
     # a y~ grid of several blocks' rows
     y_grid = Grid.from_bounds([-4], [4], [600])
     force_workers(monkeypatch, n)
     plan = transform._plan(grid, gaussian_window(grid.take([0]), 1.0), frame.u, y_grid)
-    levels = plan.levels
-    assert levels.outer == ()
-    cuts = [(a, b) for a, b, _ in plan.parts]
-    assert len(cuts) == n
-    assert [a for a, _ in cuts[1:]] == [b for _, b in cuts[:-1]]
-    assert cuts[0][0] == 0 and cuts[-1][1] == y_grid.size
-    assert max(b - a for a, b in cuts) - min(b - a for a, b in cuts) <= 1
-    whole = max(hi - lo for lo, hi, _ in levels.blocks)
-    assert whole == BLOCK_ELEMS // grid.size
-    held = 0
-    for a, b, part in plan.parts:
-        assert part.nt == n * grid.size     # the n shards share one block
-        assert np.array_equal(part.rows, levels.rows[a:b])
-        blocks = [(lo, hi) for lo, hi, _ in part.blocks]
-        assert blocks == list(_block_bounds(b - a, n * grid.size))
-        held += max(hi - lo for lo, hi in blocks)
-    # the shards' largest blocks hold no more rows than one whole block
-    assert held <= whole
+    assert plan.levels.outer == ()
+    ((a, b, part),) = plan.parts
+    assert (a, b) == (0, y_grid.size) and np.array_equal(part.rows, plan.levels.rows)
+    assert [(lo, hi) for lo, hi, _ in part.blocks] \
+        == list(_block_bounds(y_grid.size, grid.size))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_a_one_level_off_lattice_transform_holds_one_bound_on_any_cpu_count(
+        monkeypatch, n):
+    # a bump off the lattice of a rotated k = n = 2 frame takes the
+    # trigonometric window path, whose work buffers one part holds once
+    grid = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+    f = gaussian(grid, 1.0)
+    bump = gevrey_bump(Grid.from_bounds([-4, -4], [4, 4], [32, 32]), 1.5, 2.0)
+    frame = build_frame([[0.6, 0.8], [-0.8, 0.6]])
+    force_workers(monkeypatch, n)
+    field = dstft_fast(f, bump, frame)      # fills the caches first
+    assert not transform._plan(grid, bump, frame.u, field.y_grid).levels.outer
+    bound = field.values.nbytes + f.values.nbytes + 8 * BLOCK_ELEMS * 16
+    del field
+    tracemalloc.start()
+    try:
+        dstft_fast(f, bump, frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def test_one_level_outputs_are_byte_identical_on_any_cpu_count(monkeypatch):
+    # the diag_files benchmark's inputs (u = (1, 1)/sqrt2, one-level), and
+    # reconstruct of a factored g with a phi of no factors, a one-level pair
+    grid = Grid.from_bounds([-8, -8], [8, 8], [64, 64])
+    f = gaussian(grid, 1.0, [0.4, -0.7], [0.3, -0.5])
+    win = gaussian_window(Grid.from_bounds([-8], [8], [64]), 1.0)
+    frame = build_frame([[1.0, 1.0]])
+    g = gaussian_window(grid, [1.0, 1.3])
+    phi = Window(g.grid, gaussian_window(grid, [1.2, 0.9]).values)
+    identity = identity_frame(2, 2)
+
+    def calls():
+        field = dstft_fast(f, win, frame)
+        return (field.values, dso(field, win, frame, grid).values,
+                reconstruct(f, g, phi, identity).values)
+
+    runs = {}
+    for n in (1, 2, 3, 8):
+        force_workers(monkeypatch, n)
+        runs[n] = calls()
+    for n in (2, 3, 8):
+        assert all(np.array_equal(a, b) for a, b in zip(runs[n], runs[1]))
 
 
 def test_the_worker_count_is_the_cpus_this_process_may_use():
@@ -367,8 +399,8 @@ def test_the_callers_error_state_reaches_every_shard(monkeypatch):
 
 @pytest.mark.parametrize("call", ["dso", "wavefront_scan"])
 def test_one_level_shards_memory_bounded(monkeypatch, call):
-    # two shards of a one-level stream hold one block between them; the
-    # bound is test_reconstruct_memory_bounded's
+    # a one-level stream runs as one part, however many CPUs; the bound is
+    # test_reconstruct_memory_bounded's
     grid = Grid.from_bounds([-8, -8], [8, 8], [64, 64])
     f = gaussian(grid, sigma=1.0)
     frame = build_frame([[1.0, 1.0]])

@@ -340,6 +340,19 @@ def test_dso_non_primal_out_grid_uses_direct_path():
     assert np.array_equal(got.values, dso_direct(F, win, frame, other).values)
 
 
+@pytest.mark.parametrize("synth", [dso, dso_direct])
+@pytest.mark.parametrize("counts", [(16, 16), (12, 12)], ids=["primal", "other grid"])
+def test_synthesis_refuses_a_frame_other_than_the_fields(synth, counts):
+    # a field of u = (1, 1)/sqrt2 synthesized with e_1 would be 8% off
+    grid = Grid.from_bounds([-4, -4], [4, 4], [16, 16])
+    win = gaussian_window(Grid.from_bounds([-4], [4], [16]), 1.0)
+    F = dstft_fast(gaussian(grid, 1.0), win, build_frame([[1.0, 1.0]]))
+    out_grid = Grid.from_bounds([-4, -4], [4, 4], counts)
+    with pytest.raises(ValueError, match=r"^frame rows \[\[1\.0, 0\.0\]\] are not the field's \[\[0\.7071"):
+        synth(F, win, build_frame([[1.0, 0.0]]), out_grid)
+    synth(F, win, build_frame(F.frame.u), out_grid)
+
+
 def test_synthesis_rejects_a_window_of_other_dimension():
     # k = n = 2 with a 1-D window: the oracle names the mismatch, as the
     # fast path does, instead of failing on a numpy broadcast
