@@ -27,11 +27,7 @@ def gaussian(grid: Grid, sigma=1.0, center=None, modulation=None) -> Signal:
 
 def heaviside_sheet(grid: Grid, u, c: float = 0.0) -> Signal:
     """H(u . t - c): 0 below the hyperplane, 1 on and above it."""
-    u = np.asarray(u, dtype=float)
-    norm = np.linalg.norm(u)
-    if norm == 0:
-        raise ValueError("sheet normal must be nonzero")
-    u = u / norm
+    u = _unit_normal(u)
     pts = grid.points()
     vals = (pts @ u >= c).astype(complex)
     return Signal(grid, vals.reshape(grid.counts))
@@ -40,12 +36,20 @@ def heaviside_sheet(grid: Grid, u, c: float = 0.0) -> Signal:
 def delta_sheet(grid: Grid, u, c: float = 0.0) -> Signal:
     """Discrete approximation of delta(u . t - c): indicator of the cells
     nearest the hyperplane scaled by 1/h with h the first-axis spacing."""
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
+    u = _unit_normal(u)
     h = grid.spacing[0]
     pts = grid.points()
     vals = (np.abs(pts @ u - c) < h / 2).astype(complex) / h
     return Signal(grid, vals.reshape(grid.counts))
+
+
+def _unit_normal(u) -> np.ndarray:
+    """u / |u|, refusing a zero u; a |u| that underflows raises."""
+    u = np.asarray(u, dtype=float)
+    if not u.any():
+        raise ValueError("sheet normal must be nonzero")
+    with np.errstate(divide="raise", invalid="raise"):
+        return u / np.linalg.norm(u)
 
 
 def plane_wave(grid: Grid, xi0) -> Signal:
@@ -85,8 +89,7 @@ def signal_sum(parts: list) -> Signal:
 def ground_truth(kind: str, params: dict) -> dict | None:
     """Analytic singular-support metadata for fixtures that have one."""
     if kind in ("heaviside_sheet", "delta_sheet"):
-        u = np.asarray(params["u"], dtype=float)
-        u = u / np.linalg.norm(u)
+        u = _unit_normal(params["u"])
         return {"singular": {"u": [float(x) for x in u],
                              "offset": float(params.get("c", 0.0))}}
     if kind in ("gaussian", "plane_wave", "random_bandlimited"):

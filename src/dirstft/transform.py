@@ -226,8 +226,10 @@ def _unphased(f: Signal, levels: WindowLevels, out: np.ndarray | None = None,
             buf = np.empty((hi - lo,) + G.shape, dtype=complex)
         work = buf[:hi - lo] if out is None else out[lo:hi]
         for a, b, index in levels.segments(lo, hi):
-            np.multiply(conj(W[a - lo:b - lo]), partial(index),
-                        out=work[a - lo:b - lo])
+            rows, w = work[a - lo:b - lo], W[a - lo:b - lo]
+            # a full-shape block is conjugated into its rows: no (B, Nt) temporary
+            w = np.conjugate(w, out=rows) if w.shape == rows.shape else conj(w)
+            np.multiply(w, partial(index), out=rows)
         yield lo, hi, W, np.fft.fftn(work, axes=axes, out=work)
         del W       # let go of this window block before the next one is made
 

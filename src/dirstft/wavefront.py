@@ -469,6 +469,9 @@ def cone_dictionary_2d(count: int = 16, r_min: float = 0.5,
     """Evenly spaced covering dictionary of cones on the circle."""
     if count < 2:
         raise ValueError("need at least 2 cones")
+    if half_angle is None and count < 3:
+        raise ValueError(f"the default half angle pi/count needs count >= 3, "
+                         f"got count {count}; give a half_angle below pi/2")
     half = math.pi / count if half_angle is None else half_angle
     thetas = [2 * math.pi * j / count for j in range(count)]
     return [ConeSpec((math.cos(t), math.sin(t)), half, r_min) for t in thetas]

@@ -373,10 +373,10 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
     coefficients c_m, W[b, t] = sum_m c_m exp(2 pi i X_m . (u t - Y_b)),
     _trig_grid's sum at u t of the coefficients modulated by
     exp(-2 pi i X_m . Y_b), a product of one factor per mode axis, on the
-    projected index box of _projected_box (then gathered at each sample's
-    box index) or else at the samples.  Points outside the window box (and
-    a bump's support) are then zeroed, as in window_at, by testing the
-    points proj - y~.
+    projected index box of _projected_box (then gathered, by one np.take,
+    at each sample's box index) or else at the samples.  Points outside the
+    window box (and a bump's support) are then set to +0.0 in place, as in
+    window_at, by testing the points proj - y~.
     """
     spec = dft(w.as_signal())
     modes = spec.grid
@@ -395,8 +395,8 @@ def _trig_blocks(w: Window, grid: Grid, u: np.ndarray, proj: np.ndarray,
                 (len(y),) + tuple(m if i == j else 1 for i in range(modes.dim)))
         W = evaluate(Z).reshape(len(y), -1)
         if box is not None:
-            W = W[:, box[1]]
-        W[~keep] = 0.0
+            W = np.take(W, box[1], axis=1)
+        np.copyto(W, 0.0, where=~keep)
         return W
 
     return block

@@ -474,7 +474,9 @@ def test_wavefront_cell_or_cone_of_the_wrong_dimension_exits_2(tmp_path, capsys,
      "cones[0]: r_min must be positive and finite"),
     ("cones", {"count": 1}, "cones: need at least 2 cones"),
     ("cells", [{"center": [0.0], "radius": 0.25}, {"center": [2.0], "radius": math.nan}],
-     "cells[1]: ball radius must be positive and finite")])
+     "cells[1]: ball radius must be positive and finite"),
+    ("cones", {"count": 2}, "cones: the default half angle pi/count needs count >= 3, "
+                            "got count 2")])
 def test_wavefront_bad_cone_or_cell_exits_2_naming_it(tmp_path, capsys, key, spec, message):
     cfg = sheet_wavefront_cfg(tmp_path)
     cfg[key] = spec
@@ -935,6 +937,13 @@ def test_missing_required_config_key_exits_2_naming_it(tmp_path, capsys,
     ("gen", {"kind": "delta_sheet", "grid": {"bounds": [[-4, -4], [4, 4]], "counts": [16, 16]},
              "params": {"u": [1e-320, 0]}},
      "error: delta_sheet u [1e-320, 0] is out of"),
+    # a zero normal is refused by both sheets, not blamed on its range
+    ("gen", {"kind": "delta_sheet", "grid": {"bounds": [[-4, -4], [4, 4]], "counts": [16, 16]},
+             "params": {"u": [0, 0]}},
+     "error: sheet normal must be nonzero"),
+    ("gen", {"kind": "heaviside_sheet", "grid": {"bounds": [[-4, -4], [4, 4]], "counts": [16, 16]},
+             "params": {"u": [0, 0]}},
+     "error: sheet normal must be nonzero"),
 ])
 def test_wrong_type_config_value_exits_2_naming_the_key(tmp_path, capfd, command,
                                                         edit, message):

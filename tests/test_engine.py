@@ -250,6 +250,39 @@ def test_diagonal_64_takes_the_box_path(monkeypatch):
     assert box_size(WIN1, GRID2, build_frame([[1.0, 0.3]]).u) is None
 
 
+def test_box_block_is_the_gathered_box_rows_with_zeros(monkeypatch):
+    # a bump on u = (1, 2): each box-path block is its box values gathered
+    # to the samples, then +0.0 wherever window_at's mask, tested at the
+    # exact points proj - y~, rejects a point
+    grid = Grid.from_bounds([-2, -2], [2, 2], [32, 32])
+    win = gevrey_bump(Grid.from_bounds([-2], [2], [32]), 1.5, 1.5)
+    u = build_frame([[1.0, 2.0]]).u
+    evaluated, trig_grid = [], windows._trig_grid
+
+    def spy_grid(*args):
+        evaluate = trig_grid(*args)
+
+        def recorded(Z):
+            evaluated.append(evaluate(Z).copy())
+            return evaluated[-1]
+
+        return recorded
+
+    monkeypatch.setattr(windows, "_trig_grid", spy_grid)
+    proj = grid.points() @ u.T
+    Y = np.linspace(-4.0, 4.0, 100)[:, None]
+    blocks = list(window_blocks(win, grid, u, Y))
+    index = _projected_box(win, grid, u, proj)[1]
+    assert len(blocks) == len(evaluated) > 1
+    for (lo, hi, W), Wbox in zip(blocks, evaluated):
+        keep = windows._keep(win, proj[None] - Y[lo:hi, None])
+        want = np.where(keep, Wbox.reshape(hi - lo, -1)[:, index], 0)
+        assert 0 < keep.sum() < keep.size
+        assert W.dtype == want.dtype and W.tobytes() == want.tobytes()
+        zeros = W.reshape(hi - lo, -1)[~keep]
+        assert not (np.signbit(zeros.real).any() or np.signbit(zeros.imag).any())
+
+
 def test_y_points_of_other_dimension_rejected():
     with pytest.raises(ValueError, match="1 coordinates"):
         window_blocks(WIN1, GRID2, [[S2, S2]], np.zeros((4, 2)))
@@ -319,6 +352,25 @@ def test_block_memory_bounded(case):
     # FFT temporaries of dft (~5.2 blocks); keeping the previous window and
     # spectrum alive while the next block is computed reads ~7.2
     assert analysis_peak - F.values.nbytes < 6 * BLOCK_ELEMS * 16
+
+
+def test_off_lattice_analysis_holds_under_3_blocks():
+    # the k1_diag_64 set-up: a box-path window block is one gather zeroed in
+    # place, and its conjugate is written straight into the work rows, so
+    # analysis holds ~2.4 blocks above the field; one more (B, Nt)
+    # temporary per block would cross the bound
+    grid = Grid.from_bounds([-8, -8], [8, 8], [64, 64])
+    win = gaussian_window(Grid.from_bounds([-8], [8], [64]), 1.0)
+    frame = build_frame([[1.0, 1.0]])
+    f = gaussian(grid, sigma=1.0)
+    dstft_fast(f, win, frame)       # fills the caches a first call fills
+    tracemalloc.start()
+    try:
+        F = dstft_fast(f, win, frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - F.values.nbytes < 3 * BLOCK_ELEMS * 16
 
 
 def test_off_lattice_k2_window_memory_bounded(monkeypatch):

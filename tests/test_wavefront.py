@@ -360,6 +360,16 @@ def test_cone_dictionary_shapes():
     assert all(abs(np.linalg.norm(c.center) - 1.0) < 1e-12 for c in cones)
     with pytest.raises(ValueError):
         cone_dictionary_2d(1)
+    # the default half angle pi/count is pi/2 at count 2, which no cone takes
+    with pytest.raises(ValueError, match="needs count >= 3, got count 2"):
+        cone_dictionary_2d(2)
+    assert [c.half_angle for c in cone_dictionary_2d(2, half_angle=1.5)] == [1.5, 1.5]
+
+
+@pytest.mark.parametrize("sheet", [delta_sheet, heaviside_sheet])
+def test_sheet_refuses_a_zero_normal(sheet):
+    with pytest.raises(ValueError, match="sheet normal must be nonzero"):
+        sheet(Grid.from_bounds([-4, -4], [4, 4], [8, 8]), [0.0, 0.0])
 
 
 def test_partial_rejects_bad_center_length():
